@@ -130,7 +130,10 @@ def _parse_pair_grid(text: str) -> list[ActivityPair]:
 
 def _write_or_print(text: str, csv_path: str | None) -> None:
     if csv_path:
-        Path(csv_path).write_text(text)
+        try:
+            Path(csv_path).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {csv_path}: {exc.strerror or exc}") from exc
         print(f"wrote {csv_path}")
     else:
         sys.stdout.write(text)

@@ -25,21 +25,21 @@ label-preserving isomorphism: graphs are enumerated up to isomorphism
 first, then list assignments are deduplicated per graph by orbits of its
 automorphism group.  The representative kept for each class is exactly
 the one whose (edge code, lists) pair is the canonical key, so the result
-matches deduplication by canonical_labelled_form.
+matches deduplication by canonical_labelled_form; each representative
+carries that key, so key() and key_text() skip the permutation search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import CapacityError, DomainError, ParseError, UsageError
+from .errors import CapacityError, DomainError, ParseError, UsageError, VerificationError
 from .graphs import (
     Graph,
     canonical_labelled_form,
-    edge_code,
     graph_from_code,
     graphs_up_to_iso,
     parse_edge_list,
@@ -66,6 +66,9 @@ class Configuration:
 
     graph: Graph
     lists: tuple[int, ...]
+    # canonical key, stamped by enumerate_configs on the representatives
+    # it returns (they are canonical by construction); None otherwise
+    canonical: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.lists) != self.graph.n:
@@ -79,6 +82,8 @@ class Configuration:
 
     def key(self) -> tuple:
         """Canonical key under label-preserving isomorphism."""
+        if self.canonical is not None:
+            return self.canonical
         return canonical_labelled_form(self.graph, self.lists)
 
     def key_text(self) -> str:
@@ -171,43 +176,48 @@ def _list_options(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def local_partition_functions(config: Configuration) -> ConfigStats:
-    """Enumerate the neighbourhood colourings and collect all local polynomials."""
+    """Enumerate the neighbourhood colourings once and collect all local
+    polynomials: a colouring without colour 2 also counts toward p1, one
+    without colour 1 toward p2, and one with both is dichromatic."""
     d = config.d
     if d > STATS_CAP:
         raise CapacityError(f"local enumeration capped at {STATS_CAP} vertices, got {d}")
-    adj = config.graph.adj
     options = [_list_options(mask) for mask in config.lists]
 
     p0 = [0] * (d + 1)
+    only_1 = [0] * (d + 1)
+    only_2 = [0] * (d + 1)
     has_dichromatic = False
-    for colouring in _iter_valid_colourings(adj, options):
+    for colouring in _iter_valid_colourings(config.graph.adj, options):
         coloured = d - colouring.count(0)
         p0[coloured] += 1
-        if not has_dichromatic and 1 in colouring and 2 in colouring:
+        has_1 = 1 in colouring
+        has_2 = 2 in colouring
+        if not has_2:
+            only_1[coloured] += 1
+        if not has_1:
+            only_2[coloured] += 1
+        if has_1 and has_2:
             has_dichromatic = True
-
-    # single-colour restrictions, enumerated the same way
-    single = []
-    for colour in (1, 2):
-        restricted = [
-            tuple(c for c in opts if c in (0, colour)) for opts in options
-        ]
-        coeffs = [0] * (d + 1)
-        for colouring in _iter_valid_colourings(adj, restricted):
-            coeffs[d - colouring.count(0)] += 1
-        single.append(IntPolynomial(coeffs))
-    p1, p2 = single
+    p0_poly = IntPolynomial(p0)
+    p1 = IntPolynomial(only_1)
+    p2 = IntPolynomial(only_2)
 
     a1 = sum(1 for mask in config.lists if mask & 1)
     a2 = sum(1 for mask in config.lists if mask & 2)
-    assert p1 == binomial_power(a1) and p2 == binomial_power(a2)
+    if p1 != binomial_power(a1) or p2 != binomial_power(a2):
+        raise VerificationError(
+            f"single-colour polynomials of {config.key_text()} are not (1+lam)^a_i"
+        )
 
-    p0_poly = IntPolynomial(p0)
     p12 = p1 + p2
     pc = p0_poly + p12.shift(1)
     # dichromatic colourings are exactly the gap between p0 and the
     # monochromatic-or-empty total p1 + p2 - 1
-    assert has_dichromatic == (p0_poly != p12 - 1)
+    if has_dichromatic != (p0_poly != p12 - 1):
+        raise VerificationError(
+            f"dichromatic flag of {config.key_text()} disagrees with p0 - (p12 - 1)"
+        )
 
     lists_all_equal = len(set(config.lists)) == 1
     return ConfigStats(
@@ -286,13 +296,16 @@ def per_colour_alpha(
     a2v = lam * stats.p2.eval(lam) / pc_value
 
     total, weights = _star_neighbour_weights(config, lam)
-    assert total == pc_value
+    if total != pc_value:
+        raise VerificationError(f"star enumeration total {total} is not pc = {pc_value}")
     d = config.d
     a1u = sum(w[1] for w in weights) / (d * total)
     a2u = sum(w[2] for w in weights) / (d * total)
 
-    assert a1v + a2v == alpha_v(config, lam)
-    assert a1u + a2u == alpha_u(config, lam)
+    if a1v + a2v != alpha_v(config, lam):
+        raise VerificationError("per-colour centre probabilities do not sum to alpha_v")
+    if a1u + a2u != alpha_u(config, lam):
+        raise VerificationError("per-colour neighbour fractions do not sum to alpha_u")
     return a1v, a2v, a1u, a2u
 
 
@@ -321,8 +334,11 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
                 continue
             for perm in autos:
                 seen.add(permute_labels(assignment, perm))
-            out.append(Configuration(graph, assignment))
-    out.sort(key=lambda c: (edge_code(c.graph), c.lists))
+            config = Configuration(graph, assignment)
+            # the frozen dataclass's idiom for setting a field after init
+            object.__setattr__(config, "canonical", (d, code, assignment))
+            out.append(config)
+    out.sort(key=Configuration.key)
     return tuple(out)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .graphs import Graph
 
 RNG_ALGORITHM = "mt19937"
@@ -128,6 +128,8 @@ def estimate_occupancy(
     """
     if burn_in < 1 or samples < 1 or thinning < 1:
         raise UsageError("burn_in, samples and thinning must all be >= 1")
+    if not lam > 0:
+        raise DomainError(f"activity must be strictly positive, got {lam}")
     rng = random.Random(seed)
     rand = rng.random
     n = graph.n

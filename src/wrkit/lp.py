@@ -13,10 +13,20 @@ expectation (which they must in any d-regular graph):
 
 Two independent exact solvers are provided: the generic rational simplex
 and direct enumeration of supports of size <= 2 (any basic solution of a
-two-row program).  The dual certificate (lambda_p, lambda_c) proves the
-optimum equals the complete-neighbourhood value; feasibility of every
-dual constraint is checked both in alpha form and through the rearranged
-polynomial inequality
+two-row program).  Both run over the distinct columns only.  A column
+(alpha_v, alpha_v - alpha_u) depends on a class only through its local
+polynomials p0 and p12, so few columns are distinct (390 for the 12,208
+classes at d = 5); the instance keeps one entry per class, each solver
+keeps the first class in canonical order for each column, and the
+support names that class.  The reported support is the full program's:
+a class sharing the complete neighbourhood's column would be tight, and
+every tight class other than the complete neighbourhood has alpha_u <
+alpha_v (checked by uniqueness_check), so that column is unique.
+
+The dual certificate (lambda_p, lambda_c) proves the optimum equals the
+complete-neighbourhood value; feasibility of every dual constraint is
+checked both in alpha form and through the rearranged polynomial
+inequality
 
     (p0' + lam*p12') / (2*p0 - p12)  <=  d(1+lam)^d / ((1+lam)^d - 1),
 
@@ -32,6 +42,7 @@ from fractions import Fraction
 
 from . import simplex
 from .configurations import (
+    ConfigStats,
     Configuration,
     _iter_valid_colourings,
     _list_options,
@@ -84,25 +95,46 @@ class DualCertificate:
 
 
 def build_primal(d: int, lam: Fraction) -> LPInstance:
-    """One variable per configuration class, coefficients evaluated at lam."""
+    """One variable per configuration class, coefficients evaluated at lam
+    once per distinct signature (p0, p12)."""
     if lam <= 0:
         raise DomainError(f"activity must be strictly positive, got {lam}")
     lam = Fraction(lam)
     configs = enumerate_configs(d)
-    objective = tuple(alpha_v(c, lam) for c in configs)
-    balance = tuple(av - alpha_u(c, lam) for av, c in zip(objective, configs))
-    return LPInstance(d, lam, configs, objective, balance)
+    columns: dict[tuple, tuple[Fraction, Fraction]] = {}
+    objective = []
+    balance = []
+    for config in configs:
+        stats = local_partition_functions(config)
+        sig = (stats.p0, stats.p12)
+        if sig not in columns:
+            av = alpha_v(config, lam)
+            columns[sig] = (av, av - alpha_u(config, lam))
+        av, bal = columns[sig]
+        objective.append(av)
+        balance.append(bal)
+    return LPInstance(d, lam, configs, tuple(objective), tuple(balance))
+
+
+def _distinct_columns(lp: LPInstance) -> list[int]:
+    """Index of the first class, in canonical order, of each distinct column."""
+    first: dict[tuple[Fraction, Fraction], int] = {}
+    for i, column in enumerate(zip(lp.objective, lp.balance)):
+        first.setdefault(column, i)
+    return list(first.values())
 
 
 def simplex_solve(lp: LPInstance) -> LPSolution:
     """Exact optimum of the relaxation via the generic rational simplex."""
-    n = len(lp.configs)
-    ones = [Fraction(1)] * n
-    result = simplex.solve(lp.objective, [ones, lp.balance], [Fraction(1), Fraction(0)])
+    cols = _distinct_columns(lp)
+    objective = [lp.objective[i] for i in cols]
+    balance = [lp.balance[i] for i in cols]
+    ones = [Fraction(1)] * len(cols)
+    result = simplex.solve(objective, [ones, balance], [Fraction(1), Fraction(0)])
     if result.status != simplex.OPTIMAL:
         return LPSolution(result.status, None, ())
     support = tuple(
-        (c, x) for c, x in zip(lp.configs, result.solution) if x != 0
+        (lp.configs[i], x) for i, x in zip(cols, result.solution) if x != 0
     )
     return LPSolution(simplex.OPTIMAL, result.value, support)
 
@@ -117,19 +149,16 @@ def vertex_enumeration_solve(lp: LPInstance) -> LPSolution:
     """
     best_value: Fraction | None = None
     best: tuple[tuple[Configuration, Fraction], ...] = ()
-
-    for c, av, bal in zip(lp.configs, lp.objective, lp.balance):
-        if bal == 0 and (best_value is None or av > best_value):
-            best_value = av
-            best = ((c, Fraction(1)),)
-
-    positive = [
-        (i, bal) for i, bal in enumerate(lp.balance) if bal > 0
-    ]
-    negative = [
-        (i, bal) for i, bal in enumerate(lp.balance) if bal < 0
-    ]
+    cols = _distinct_columns(lp)
     objective = lp.objective
+
+    for i in cols:
+        if lp.balance[i] == 0 and (best_value is None or objective[i] > best_value):
+            best_value = objective[i]
+            best = ((lp.configs[i], Fraction(1)),)
+
+    positive = [(i, lp.balance[i]) for i in cols if lp.balance[i] > 0]
+    negative = [(i, lp.balance[i]) for i in cols if lp.balance[i] < 0]
     for i, bi in positive:
         oi = objective[i]
         for j, bj in negative:
@@ -163,12 +192,16 @@ def dual_certificate(d: int, lam: Fraction) -> DualCertificate:
     return DualCertificate(lambda_p=a_k, lambda_c=form_a, d=d, activity=lam)
 
 
+def _slack(cert: DualCertificate, av: Fraction, au: Fraction) -> Fraction:
+    return cert.lambda_p + cert.lambda_c * (av - au) - av
+
+
 def dual_slack(cert: DualCertificate, config: Configuration) -> Fraction:
     """Slack of one dual constraint:
     lambda_p + lambda_c*(alpha_v - alpha_u) - alpha_v."""
-    av = alpha_v(config, cert.activity)
-    au = alpha_u(config, cert.activity)
-    return cert.lambda_p + cert.lambda_c * (av - au) - av
+    return _slack(
+        cert, alpha_v(config, cert.activity), alpha_u(config, cert.activity)
+    )
 
 
 @dataclass(frozen=True)
@@ -176,13 +209,16 @@ class ConfigRow:
     """Per-configuration report row (the CSV unit)."""
 
     config: Configuration
-    key_text: str
     a1: int
     a2: int
     alpha_v: Fraction
     alpha_u: Fraction
     slack: Fraction
     tight: bool
+
+    @property
+    def key_text(self) -> str:
+        return self.config.key_text()
 
 
 @dataclass(frozen=True)
@@ -202,7 +238,9 @@ def verify_dual_feasibility(
     The alpha-form slack is recomputed through the rearranged polynomial
     inequality (valid once some list is non-empty; the all-empty class is
     tight by construction of lambda_c) and the two must agree in sign and
-    in zero set.  Violations are returned as data, never raised.
+    in zero set.  Both routes run once per distinct signature (p0, p12)
+    and their values are shared by every class with it.  Violations are
+    returned as data, never raised.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
@@ -210,12 +248,12 @@ def verify_dual_feasibility(
     grow = (1 + lam) ** d
     rearranged_bound = d * grow / (grow - 1)
 
-    rows = []
-    violations = []
-    tight = []
-    for config in enumerate_configs(d):
-        stats = local_partition_functions(config)
-        slack = dual_slack(cert, config)
+    def constraint(
+        config: Configuration, stats: ConfigStats
+    ) -> tuple[Fraction, Fraction, Fraction]:
+        av = alpha_v(config, lam)
+        au = alpha_u(config, lam)
+        slack = _slack(cert, av, au)
 
         if stats.a1 == 0 and stats.a2 == 0:
             if slack != 0:
@@ -236,14 +274,24 @@ def verify_dual_feasibility(
                     f"slack routes disagree on {config.key_text()}: "
                     f"{slack} vs {slack2}"
                 )
+        return av, au, slack
 
+    values: dict[tuple, tuple[Fraction, Fraction, Fraction]] = {}
+    rows = []
+    violations = []
+    tight = []
+    for config in enumerate_configs(d):
+        stats = local_partition_functions(config)
+        sig = (stats.p0, stats.p12)
+        if sig not in values:
+            values[sig] = constraint(config, stats)
+        av, au, slack = values[sig]
         row = ConfigRow(
             config=config,
-            key_text=config.key_text(),
             a1=stats.a1,
             a2=stats.a2,
-            alpha_v=alpha_v(config, lam),
-            alpha_u=alpha_u(config, lam),
+            alpha_v=av,
+            alpha_u=au,
             slack=slack,
             tight=(slack == 0),
         )
@@ -410,7 +458,10 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     empty_classes = []
     single_classes = []
     complete_class = None
-    for config in report.tight_set:
+    for row in report.rows:
+        if not row.tight:
+            continue
+        config = row.config
         stats = local_partition_functions(config)
         if not (stats.lists_all_equal and not stats.has_dichromatic):
             raise VerificationError(
@@ -428,7 +479,7 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
                 )
             complete_class = config
         if config.key() != complete_key:
-            if not alpha_u(config, lam) < alpha_v(config, lam):
+            if not row.alpha_u < row.alpha_v:
                 raise VerificationError(
                     f"expected alpha_u < alpha_v on {config.key_text()}"
                 )

@@ -36,9 +36,15 @@ def _check_activity(lam: Fraction) -> None:
         raise DomainError(f"activity must be strictly positive, got {lam}")
 
 
+def _check_vertices(g: Graph) -> None:
+    if g.n == 0:
+        raise DomainError("occupancy of a graph with no vertices is undefined")
+
+
 def occupancy_fraction(g: Graph, lam: Fraction) -> Fraction:
     """Expected coloured fraction: activity * P'/ (n * P), exactly."""
     _check_activity(lam)
+    _check_vertices(g)
     p = wr_partition(g)
     return Fraction(lam) * p.derivative().eval(lam) / (g.n * p.eval(lam))
 
@@ -60,6 +66,7 @@ def occupancy_by_colour(g: Graph, act: ActivityPair) -> tuple[Fraction, Fraction
     Computed as lam_i * (dP/dlam_i) / (n * P) from the exact bivariate
     partition polynomial.
     """
+    _check_vertices(g)
     p = wr_partition_bivariate(g)
     x, y = Fraction(act.lambda1), Fraction(act.lambda2)
     denom = g.n * p.eval(x, y)

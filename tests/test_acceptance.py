@@ -50,6 +50,8 @@ F = Fraction
 
 THEOREM_GRID = (F(1, 4), F(1, 2), F(1), F(2), F(10))
 LP_GRID = (F(1, 2), F(1), F(3))
+# the LP criteria run d=1..4 on the whole grid and d=5 at lambda=1
+LP_CASES = tuple((d, lam) for d in (1, 2, 3, 4) for lam in LP_GRID) + ((5, F(1)),)
 PAIR_GRID = (
     ActivityPair(F(1), F(1)),
     ActivityPair(F(2), F(1)),
@@ -118,39 +120,39 @@ def test_criterion_03_occupancy_bound(catalog):
 
 def test_criterion_04_lp_tightness():
     start = time.perf_counter()
-    for d in (1, 2, 3, 4):
+    for d, lam in LP_CASES:
         expected_support = [complete_neighbourhood_config(d).key()]
-        for lam in LP_GRID:
-            lp = build_primal(d, lam)
-            for sol in (simplex_solve(lp), vertex_enumeration_solve(lp)):
-                assert sol.value == alpha_K(d, lam)
-                assert [c.key() for c, _ in sol.support] == expected_support
+        lp = build_primal(d, lam)
+        for sol in (simplex_solve(lp), vertex_enumeration_solve(lp)):
+            assert sol.value == alpha_K(d, lam)
+            assert [c.key() for c, _ in sol.support] == expected_support
     elapsed = time.perf_counter() - start
     assert elapsed < 600
     report(4, f"both exact solvers reach the clique optimum with unique "
-              f"support, d=1..4 x {len(LP_GRID)} activities ({elapsed:.1f}s)")
+              f"support, d=1..4 x {len(LP_GRID)} activities and d=5 at "
+              f"lambda=1 ({elapsed:.1f}s)")
 
 
 def test_criterion_05_dual_certificate():
-    for d in (1, 2, 3, 4):
+    for d, lam in LP_CASES:
         complete_code_key = complete_neighbourhood_config(d).key()
-        for lam in LP_GRID:
-            rep = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
-            assert rep.violations == ()
-            tight_keys = {c.key() for c in rep.tight_set}
-            predicted = set()
-            for config in enumerate_configs(d):
-                stats = local_partition_functions(config)
-                if stats.lists_all_equal and not stats.has_dichromatic:
-                    predicted.add(config.key())
-            assert tight_keys == predicted
-            # among full-list configurations, tightness only at the clique
-            for config in enumerate_configs(d):
-                if all(mask == 3 for mask in config.lists):
-                    tight = config.key() in tight_keys
-                    assert tight == (config.key() == complete_code_key)
+        rep = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
+        assert rep.violations == ()
+        tight_keys = {c.key() for c in rep.tight_set}
+        predicted = set()
+        for config in enumerate_configs(d):
+            stats = local_partition_functions(config)
+            if stats.lists_all_equal and not stats.has_dichromatic:
+                predicted.add(config.key())
+        assert tight_keys == predicted
+        # among full-list configurations, tightness only at the clique
+        for config in enumerate_configs(d):
+            if all(mask == 3 for mask in config.lists):
+                tight = config.key() in tight_keys
+                assert tight == (config.key() == complete_code_key)
     report(5, "dual certificate feasible with the exact predicted tight set, "
-              "d=1..4, full-list tightness only at the complete neighbourhood")
+              "d=1..4 and d=5 at lambda=1, full-list tightness only at the "
+              "complete neighbourhood")
 
 
 def test_criterion_06_claim_level_checks():
@@ -194,7 +196,7 @@ def test_criterion_07_corollaries(catalog):
 
 
 def test_criterion_08_uniqueness():
-    for d in (1, 2, 3, 4):
+    for d in (1, 2, 3, 4, 5):
         rep = uniqueness_check(d, F(1))
         # tight classes fall only into the three predicted cases
         assert rep.empty_list_classes and rep.single_colour_classes
@@ -213,7 +215,7 @@ def test_criterion_08_uniqueness():
             complete_neighbourhood_config(d).key()
         ]
         assert rep.simplex_support == rep.enumeration_support
-    report(8, "complementary-slackness uniqueness reproduced for d=1..4: "
+    report(8, "complementary-slackness uniqueness reproduced for d=1..5: "
               "tight cases as predicted, sole optimal support at the clique")
 
 

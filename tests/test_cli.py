@@ -1,5 +1,6 @@
 """CLI surface: flags, output shapes, exit codes, determinism."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -74,6 +75,16 @@ def test_occupancy_two_activities(capsys):
     assert "weighted = 5/18" in out
 
 
+def test_occupancy_empty_graph(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    for flags in (("--lambda", "1"), ("--lambda1", "1", "--lambda2", "2")):
+        code, out, err = run(capsys, "occupancy", "--file", str(empty), *flags)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "occupancy" not in out
+
+
 def test_lp_command(capsys):
     code, out, _ = run(capsys, "lp", "--d", "2", "--lambda", "1")
     assert code == EXIT_OK
@@ -85,6 +96,39 @@ def test_dualcert_command(capsys):
     code, out, _ = run(capsys, "dualcert", "--d", "2", "--lambda", "1")
     assert code == EXIT_OK
     assert "Lambda_p=8/15 Lambda_c=1/5 violations=0" in out
+
+
+# SHA-256 of the outputs before the LP ran over distinct columns: the
+# rework must leave every byte of the report as it was
+LP_D4_LAMBDA2_STDOUT = "9d3c1d7d311877c61a360726c974336cf162a0494bfca655a22aa7884f8ff04a"
+DUALCERT_D4_LAMBDA3_2_CSV = "2a668a7357ef14447db496d704917da92d3af5caaa7641b92ecbefb8099e1050"
+
+
+def test_lp_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "lp", "--d", "4", "--lambda", "2")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == LP_D4_LAMBDA2_STDOUT
+
+
+def test_dualcert_csv_pinned(tmp_path, capsys):
+    target = tmp_path / "dualcert.csv"
+    code, _, _ = run(
+        capsys, "dualcert", "--d", "4", "--lambda", "3/2", "--csv", str(target)
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == DUALCERT_D4_LAMBDA3_2_CSV
+
+
+def test_csv_to_unwritable_path(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.csv")
+    for argv in (
+        ("verify", "--builtin", "cycle:5", "--d", "2", "--lambda", "1"),
+        ("dualcert", "--d", "2", "--lambda", "1"),
+    ):
+        code, _, err = run(capsys, *argv, "--csv", target)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
 
 
 def test_configs_command(capsys):
@@ -160,6 +204,16 @@ def test_sample_command_deterministic(capsys):
     assert "mt19937" in out1
     code, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_sample_rejects_nonpositive_activity(capsys):
+    for lam in ("-1", "0"):
+        code, out, err = run(
+            capsys, "sample", "--builtin", "cycle:5", "--lambda", lam, "--samples", "10"
+        )
+        assert code == EXIT_USAGE
+        assert "estimate" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sample_series_csv(tmp_path, capsys):

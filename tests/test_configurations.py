@@ -225,15 +225,27 @@ def test_enumerate_membership():
 
 
 def test_enumerate_reps_are_canonical_and_distinct():
-    for d in (1, 2, 3):
+    from wrkit.graphs import canonical_labelled_form, edge_code
+
+    rng = random.Random(43)
+    for d in (1, 2, 3, 4, 5):
         configs = enumerate_configs(d)
         keys = [c.key() for c in configs]
         assert len(set(keys)) == len(keys)
-        for config, key in zip(configs, keys):
-            # the representative is its own canonical form
-            from wrkit.graphs import edge_code
-
+        assert keys == sorted(keys)
+        checked = list(zip(configs, keys))
+        if d == 5:
+            checked = rng.sample(checked, 300)
+        for config, key in checked:
+            # the representative is its own canonical form, and the key it
+            # carries is the one the permutation search finds
             assert key == (d, edge_code(config.graph), config.lists)
+            assert key == canonical_labelled_form(config.graph, config.lists)
+            # the carried key takes no part in equality or hashing
+            plain = Configuration(config.graph, config.lists)
+            assert plain.canonical is None
+            assert plain == config and hash(plain) == hash(config)
+            assert plain.key() == key and plain.key_text() == config.key_text()
 
 
 def test_dedup_soundness_under_relabeling():

@@ -8,6 +8,8 @@ import pytest
 from wrkit import simplex
 from wrkit.configurations import (
     Configuration,
+    alpha_u,
+    alpha_v,
     complete_neighbourhood_config,
     empty_lists_config,
     enumerate_configs,
@@ -76,6 +78,43 @@ def test_solvers_agree():
             assert a.status == b.status == simplex.OPTIMAL
             assert a.value == b.value == alpha_K(d, lam)
             assert [c.key() for c, _ in a.support] == [c.key() for c, _ in b.support]
+
+
+def test_distinct_column_lp_matches_full_program():
+    # the simplex over every one of the 120 classes at d=3, columns repeated
+    for lam in (F(1, 3), F(1), F(5, 2)):
+        lp = build_primal(3, lam)
+        n = len(lp.configs)
+        assert n == 120
+        full = simplex.solve(lp.objective, [[F(1)] * n, lp.balance], [F(1), F(0)])
+        assert full.status == simplex.OPTIMAL
+        full_support = [(c, x) for c, x in zip(lp.configs, full.solution) if x]
+        for sol in (simplex_solve(lp), vertex_enumeration_solve(lp)):
+            assert sol.value == full.value == alpha_K(3, lam)
+            assert list(sol.support) == full_support
+
+
+def test_shared_values_match_direct_evaluation():
+    # every per-class value is what the class gives on its own, although
+    # the LP and the feasibility pass compute one per distinct signature
+    cases = [(d, lam) for d in (1, 2, 3, 4) for lam in (F(1, 3), F(1), F(5, 2))]
+    for d, lam in cases + [(5, F(1))]:
+        lp = build_primal(d, lam)
+        cert = dual_certificate(d, lam)
+        report = verify_dual_feasibility(cert, d, lam)
+        configs = enumerate_configs(d)
+        assert lp.configs == configs
+        assert [row.config for row in report.rows] == list(configs)
+        for config, obj, bal, row in zip(configs, lp.objective, lp.balance, report.rows):
+            av, au = alpha_v(config, lam), alpha_u(config, lam)
+            stats = local_partition_functions(config)
+            assert obj == row.alpha_v == av
+            assert bal == av - au
+            assert row.alpha_u == au
+            assert row.slack == dual_slack(cert, config)
+            assert row.tight == (row.slack == 0)
+            assert (row.a1, row.a2) == (stats.a1, stats.a2)
+            assert row.key_text == config.key_text()
 
 
 def test_dual_certificate_values():
