@@ -20,7 +20,7 @@ from .configurations import (
     per_colour_alpha,
     single_colour_config,
 )
-from .dynamics import ChainState, estimate_occupancy, glauber_step, initial_state
+from .dynamics import estimate_occupancy
 from .extremal import (
     BoundReport,
     ScanFinding,
@@ -35,7 +35,6 @@ from .extremal import (
 from .graphs import (
     Graph,
     canonical_labelled_form,
-    component_count,
     disjoint_union,
     is_d_regular,
     is_union_of_complete,

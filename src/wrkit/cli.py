@@ -139,6 +139,12 @@ def _write_or_print(text: str, csv_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _feasibility(args, lam: Fraction) -> tuple[lp.DualCertificate, lp.FeasibilityReport]:
+    """The dual certificate at (--d, lam) and its exact feasibility report."""
+    cert = lp.dual_certificate(args.d, lam)
+    return cert, lp.verify_dual_feasibility(cert, args.d, lam)
+
+
 def cmd_partition(args) -> int:
     graph = _load_graph(args)
     poly = wr_partition(graph)
@@ -217,8 +223,7 @@ def cmd_lp(args) -> int:
     instance = lp.build_primal(args.d, lam)
     sol_simplex = lp.simplex_solve(instance)
     sol_enum = lp.vertex_enumeration_solve(instance)
-    cert = lp.dual_certificate(args.d, lam)
-    report = lp.verify_dual_feasibility(cert, args.d, lam)
+    _, report = _feasibility(args, lam)
     print(f"d={args.d} lambda={format_rational(lam)}: {len(instance.configs)} configurations")
     print(f"simplex optimum {format_rational(sol_simplex.value)}")
     for config, weight in sol_simplex.support:
@@ -238,8 +243,7 @@ def cmd_lp(args) -> int:
 
 def cmd_dualcert(args) -> int:
     lam = parse_rational(args.lam)
-    cert = lp.dual_certificate(args.d, lam)
-    report = lp.verify_dual_feasibility(cert, args.d, lam)
+    cert, report = _feasibility(args, lam)
     print(
         f"Lambda_p={format_rational(cert.lambda_p)} "
         f"Lambda_c={format_rational(cert.lambda_c)} "
@@ -254,13 +258,8 @@ def cmd_configs(args) -> int:
     configs = enumerate_configs(args.d)
     print(f"d={args.d}: {len(configs)} configuration classes")
     if args.lam is not None:
-        lam = parse_rational(args.lam)
-        cert = lp.dual_certificate(args.d, lam)
-        report = lp.verify_dual_feasibility(cert, args.d, lam)
-        if args.csv:
-            _write_or_print(lp.config_report_csv(report), args.csv)
-        else:
-            sys.stdout.write(lp.config_report_csv(report))
+        _, report = _feasibility(args, parse_rational(args.lam))
+        _write_or_print(lp.config_report_csv(report), args.csv)
     else:
         for config in configs:
             print(config.key_text())
@@ -302,10 +301,7 @@ def cmd_scan(args) -> int:
     grid = _parse_pair_grid(args.grid)
     findings = extremal.conjecture_scan(catalog, grid)
     violations = [f for f in findings if f.violation]
-    if args.csv:
-        _write_or_print(extremal.findings_csv(findings), args.csv)
-    else:
-        sys.stdout.write(extremal.findings_csv(findings))
+    _write_or_print(extremal.findings_csv(findings), args.csv)
     print(f"{len(findings)} comparisons, {len(violations)} violations")
     for f in violations:
         print(

@@ -36,17 +36,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import CapacityError, DomainError, ParseError, UsageError, VerificationError
+from .errors import CapacityError, UsageError, VerificationError
 from .graphs import (
     Graph,
     canonical_labelled_form,
     graph_from_code,
     graphs_up_to_iso,
-    parse_edge_list,
     permute_labels,
-    serialize_edge_list,
 )
-from .numerics import IntPolynomial, binomial_power
+from .numerics import IntPolynomial, binomial_power, check_activity
 
 STATS_CAP = 8  # colouring enumeration is at most 3^d
 ENUMERATION_CAP = 6  # labelled graphs times list assignments before dedup
@@ -57,7 +55,6 @@ COLOUR_2 = 2
 BOTH_COLOURS = 3
 
 _LIST_TEXT = {NO_COLOURS: "-", COLOUR_1: "1", COLOUR_2: "2", BOTH_COLOURS: "12"}
-_TEXT_LIST = {v: k for k, v in _LIST_TEXT.items()}
 
 
 @dataclass(frozen=True)
@@ -233,14 +230,9 @@ def local_partition_functions(config: Configuration) -> ConfigStats:
     )
 
 
-def _check_activity(lam: Fraction) -> None:
-    if lam <= 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
-
-
 def alpha_v(config: Configuration, lam: Fraction) -> Fraction:
     """Probability the centre vertex is coloured: lam * p12 / pc."""
-    _check_activity(lam)
+    check_activity(lam)
     stats = local_partition_functions(config)
     return Fraction(lam) * stats.p12.eval(lam) / stats.pc.eval(lam)
 
@@ -248,7 +240,7 @@ def alpha_v(config: Configuration, lam: Fraction) -> Fraction:
 def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
     """Expected coloured fraction of the neighbourhood:
     lam * (p0' + lam * p12') / (d * pc)."""
-    _check_activity(lam)
+    check_activity(lam)
     stats = local_partition_functions(config)
     lam = Fraction(lam)
     numer = stats.p0.derivative().eval(lam) + lam * stats.p12.derivative().eval(lam)
@@ -288,7 +280,7 @@ def per_colour_alpha(
     joint colourings of the centre-plus-neighbourhood star.  Their sums
     are checked against alpha_v and alpha_u.
     """
-    _check_activity(lam)
+    check_activity(lam)
     stats = local_partition_functions(config)
     lam = Fraction(lam)
     pc_value = stats.pc.eval(lam)
@@ -340,40 +332,3 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
             out.append(config)
     out.sort(key=Configuration.key)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# text form: edge-list of H, then one line "lists: l0 l1 ... l(d-1)"
-
-
-def serialize_configuration(config: Configuration) -> str:
-    lists_text = " ".join(_LIST_TEXT[mask] for mask in config.lists)
-    return serialize_edge_list(config.graph) + f"lists: {lists_text}\n"
-
-
-def parse_configuration(text: str) -> Configuration:
-    lines = text.splitlines()
-    lists_line = None
-    graph_lines = []
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip().startswith("lists:"):
-            if lists_line is not None:
-                raise ParseError("duplicate lists line", lineno)
-            lists_line = (lineno, raw.strip())
-        else:
-            graph_lines.append(raw)
-    if lists_line is None:
-        raise ParseError("missing 'lists:' line")
-    graph = parse_edge_list("\n".join(graph_lines))
-    lineno, content = lists_line
-    parts = content[len("lists:"):].split()
-    if len(parts) != graph.n:
-        raise ParseError(
-            f"expected {graph.n} lists, got {len(parts)}", lineno
-        )
-    masks = []
-    for part in parts:
-        if part not in _TEXT_LIST:
-            raise ParseError(f"bad colour list {part!r}", lineno)
-        masks.append(_TEXT_LIST[part])
-    return Configuration(graph, tuple(masks))

@@ -16,32 +16,14 @@ algorithm identifier is exported for run logs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .graphs import Graph
+from .numerics import check_activity
 
 RNG_ALGORITHM = "mt19937"
-
-
-@dataclass
-class ChainState:
-    """Mutable chain state: current colouring plus a step counter."""
-
-    graph: Graph
-    colouring: list[int]
-    steps: int = 0
-    coloured: int = field(default=0)
-
-    def __post_init__(self):
-        self.coloured = sum(1 for c in self.colouring if c)
-
-
-def initial_state(graph: Graph) -> ChainState:
-    """All-uncoloured start (always valid)."""
-    return ChainState(graph, [0] * graph.n)
 
 
 def _allowed_colours(adj_mask: int, colouring: list[int]) -> tuple[bool, bool]:
@@ -60,35 +42,14 @@ def _allowed_colours(adj_mask: int, colouring: list[int]) -> tuple[bool, bool]:
     return ok1, ok2
 
 
-def glauber_step(
-    state: ChainState, graph: Graph, lam: float, rng: random.Random
-) -> ChainState:
-    """One heat-bath update; mutates and returns the state."""
-    n = graph.n
-    v = int(rng.random() * n)
-    ok1, ok2 = _allowed_colours(graph.adj[v], state.colouring)
-    total = 1.0 + lam * (ok1 + ok2)
-    r = rng.random() * total
-    if r < 1.0:
-        new = 0
-    elif ok1 and (not ok2 or r < 1.0 + lam):
-        new = 1
-    else:
-        new = 2
-    old = state.colouring[v]
-    state.colouring[v] = new
-    state.coloured += (new != 0) - (old != 0)
-    state.steps += 1
-    return state
-
-
 def transition_distribution(
     colouring: tuple[int, ...], graph: Graph, lam: Fraction
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact one-step kernel from a valid colouring (for verification).
 
-    Mirrors glauber_step: vertex chosen uniformly, then the heat-bath
-    choice among {0} plus allowed colours with weights 1 and lam.
+    Mirrors one step of the sampler in estimate_occupancy: vertex chosen
+    uniformly, then the heat-bath choice among {0} plus allowed colours
+    with weights 1 and lam.
     """
     lam = Fraction(lam)
     n = graph.n
@@ -128,8 +89,7 @@ def estimate_occupancy(
     """
     if burn_in < 1 or samples < 1 or thinning < 1:
         raise UsageError("burn_in, samples and thinning must all be >= 1")
-    if not lam > 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
+    check_activity(lam)
     rng = random.Random(seed)
     rand = rng.random
     n = graph.n
@@ -141,8 +101,8 @@ def estimate_occupancy(
     values = []
     record = values.append
     total_steps = burn_in + samples * thinning
-    # hot loop: identical semantics to glauber_step, kept inline and
-    # branch-light; the equivalence is pinned by a determinism test
+    # hot loop: the one Glauber kernel, kept inline and branch-light; a
+    # step-for-step replay test pins it to _allowed_colours
     step = 0
     while step < total_steps:
         v = int(rand() * n)

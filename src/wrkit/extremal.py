@@ -32,7 +32,7 @@ from .graphs import (
     make_prism,
     make_random_regular,
 )
-from .numerics import format_rational
+from .numerics import check_activity, format_rational
 from .occupancy import (
     ActivityPair,
     alpha_K,
@@ -87,6 +87,7 @@ def _require_regular(g: Graph, d: int) -> None:
 def verify_occupancy_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     """Exact comparison of the occupancy fraction against the clique value."""
     _require_regular(g, d)
+    check_activity(lam)
     lam = Fraction(lam)
     lhs = occupancy_fraction(g, lam)
     rhs = alpha_K(d, lam)
@@ -107,6 +108,7 @@ def verify_partition_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     """Per-vertex partition-function bound, cleared of fractional exponents:
     P_G(lam)^(d+1) compared with P_clique(lam)^n."""
     _require_regular(g, d)
+    check_activity(lam)
     lam = Fraction(lam)
     lhs = Fraction(wr_partition(g).eval(lam)) ** (d + 1)
     rhs = Fraction(wr_partition(make_complete(d + 1)).eval(lam)) ** g.n

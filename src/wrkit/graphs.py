@@ -178,32 +178,10 @@ def make_random_regular(n: int, d: int, seed: int) -> Graph:
 # structure queries
 
 
-def component_count(g: Graph, subset: int) -> int:
-    """Number of connected components of the subgraph induced by the subset."""
-    if subset & ~((1 << g.n) - 1):
-        raise UsageError("subset has bits outside the vertex range")
-    adj = g.adj
-    remaining = subset
-    count = 0
-    while remaining:
-        count += 1
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            grow = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                grow |= adj[low.bit_length() - 1]
-                rest ^= low
-            frontier = grow & remaining & ~comp
-            comp |= frontier
-        remaining ^= comp
-    return count
-
-
 def component_masks(g: Graph, subset: int) -> list[int]:
-    """Bitmasks of the connected components of the induced subgraph."""
+    """Bitmasks of the connected components of the subgraph induced by the
+    subset.  The one component walker: the partition engine calls it once
+    per vertex subset, so keep it lean."""
     adj = g.adj
     remaining = subset
     out = []

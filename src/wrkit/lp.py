@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import simplex
 from .configurations import (
@@ -53,7 +54,7 @@ from .configurations import (
     local_partition_functions,
 )
 from .errors import DomainError, UsageError, VerificationError
-from .numerics import format_rational
+from .numerics import check_activity, format_rational
 from .occupancy import alpha_K
 
 
@@ -94,26 +95,41 @@ class DualCertificate:
     activity: Fraction
 
 
+@lru_cache(maxsize=8)
+def _signature_table(d: int, lam: Fraction) -> tuple[
+    tuple[tuple[Configuration, ConfigStats, Fraction, Fraction], ...],
+    tuple[tuple[ConfigStats, int], ...],
+]:
+    """The distinct signatures (p0, p12) of the classes at d, each as
+    (first class in canonical order, its stats, alpha_v, alpha_u) at lam,
+    and per class, in canonical order, its stats and signature index.
+
+    build_primal and verify_dual_feasibility both read this table, so a
+    command that runs both evaluates the alphas once per signature.
+    """
+    first: dict[tuple, int] = {}
+    signatures = []
+    classes = []
+    for config in enumerate_configs(d):
+        stats = local_partition_functions(config)
+        sig = (stats.p0, stats.p12)
+        if sig not in first:
+            first[sig] = len(signatures)
+            signatures.append((config, stats, alpha_v(config, lam), alpha_u(config, lam)))
+        classes.append((stats, first[sig]))
+    return tuple(signatures), tuple(classes)
+
+
 def build_primal(d: int, lam: Fraction) -> LPInstance:
     """One variable per configuration class, coefficients evaluated at lam
     once per distinct signature (p0, p12)."""
-    if lam <= 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
+    check_activity(lam)
     lam = Fraction(lam)
-    configs = enumerate_configs(d)
-    columns: dict[tuple, tuple[Fraction, Fraction]] = {}
-    objective = []
-    balance = []
-    for config in configs:
-        stats = local_partition_functions(config)
-        sig = (stats.p0, stats.p12)
-        if sig not in columns:
-            av = alpha_v(config, lam)
-            columns[sig] = (av, av - alpha_u(config, lam))
-        av, bal = columns[sig]
-        objective.append(av)
-        balance.append(bal)
-    return LPInstance(d, lam, configs, tuple(objective), tuple(balance))
+    signatures, classes = _signature_table(d, lam)
+    columns = [(av, av - au) for _, _, av, au in signatures]
+    objective = tuple(columns[i][0] for _, i in classes)
+    balance = tuple(columns[i][1] for _, i in classes)
+    return LPInstance(d, lam, enumerate_configs(d), objective, balance)
 
 
 def _distinct_columns(lp: LPInstance) -> list[int]:
@@ -178,8 +194,7 @@ def dual_certificate(d: int, lam: Fraction) -> DualCertificate:
     """The certified dual point; both closed forms of lambda_c must agree."""
     if d < 1:
         raise UsageError(f"degree must be >= 1, got {d}")
-    if lam <= 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
+    check_activity(lam)
     lam = Fraction(lam)
     a_k = alpha_K(d, lam)
     grow = (1 + lam) ** d
@@ -249,10 +264,8 @@ def verify_dual_feasibility(
     rearranged_bound = d * grow / (grow - 1)
 
     def constraint(
-        config: Configuration, stats: ConfigStats
-    ) -> tuple[Fraction, Fraction, Fraction]:
-        av = alpha_v(config, lam)
-        au = alpha_u(config, lam)
+        config: Configuration, stats: ConfigStats, av: Fraction, au: Fraction
+    ) -> Fraction:
         slack = _slack(cert, av, au)
 
         if stats.a1 == 0 and stats.a2 == 0:
@@ -274,24 +287,21 @@ def verify_dual_feasibility(
                     f"slack routes disagree on {config.key_text()}: "
                     f"{slack} vs {slack2}"
                 )
-        return av, au, slack
+        return slack
 
-    values: dict[tuple, tuple[Fraction, Fraction, Fraction]] = {}
+    signatures, classes = _signature_table(d, lam)
+    slacks = [constraint(*signature) for signature in signatures]
     rows = []
     violations = []
     tight = []
-    for config in enumerate_configs(d):
-        stats = local_partition_functions(config)
-        sig = (stats.p0, stats.p12)
-        if sig not in values:
-            values[sig] = constraint(config, stats)
-        av, au, slack = values[sig]
+    for config, (stats, i) in zip(enumerate_configs(d), classes):
+        slack = slacks[i]
         row = ConfigRow(
             config=config,
             a1=stats.a1,
             a2=stats.a2,
-            alpha_v=av,
-            alpha_u=au,
+            alpha_v=signatures[i][2],
+            alpha_u=signatures[i][3],
             slack=slack,
             tight=(slack == 0),
         )
@@ -355,8 +365,7 @@ def verify_claims(config: Configuration, d: int, lam: Fraction) -> ClaimsReport:
     """
     if config.d != d:
         raise UsageError("configuration size does not match d")
-    if lam <= 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
+    check_activity(lam)
     lam = Fraction(lam)
     stats = local_partition_functions(config)
     if stats.a1 == 0 and stats.a2 == 0:
@@ -386,8 +395,7 @@ def conditional_expectation_check(
     """
     if colour not in (1, 2):
         raise UsageError(f"colour must be 1 or 2, got {colour}")
-    if lam <= 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
+    check_activity(lam)
     if not any(mask & colour for mask in config.lists):
         raise DomainError(f"colour {colour} is not available in any list")
     lam = Fraction(lam)
@@ -415,8 +423,7 @@ def monotone_lhs_check(d: int, lam: Fraction) -> bool:
     """Strict growth of a(1+lam)^(a-1) / ((1+lam)^a - 1) for a = 1..d."""
     if d < 1:
         raise UsageError(f"degree must be >= 1, got {d}")
-    if lam <= 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
+    check_activity(lam)
     lam = Fraction(lam)
 
     def term(a: int) -> Fraction:

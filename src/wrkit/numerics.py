@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ParseError, UsageError
+from .errors import DomainError, ParseError, UsageError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -48,6 +48,12 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator: {text!r}") from exc
+
+
+def check_activity(lam: Fraction | float) -> None:
+    """Reject an activity that is not strictly positive (NaN included)."""
+    if not lam > 0:
+        raise DomainError(f"activity must be strictly positive, got {lam}")
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -182,13 +188,6 @@ class IntPolynomial:
             return "0"
         return ",".join(str(c) for c in self.coeffs)
 
-    @classmethod
-    def from_text(cls, text: str) -> "IntPolynomial":
-        try:
-            return cls(int(part) for part in text.strip().split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad coefficient list: {text!r}") from exc
-
     def pretty(self, var: str = "lam") -> str:
         """Human-readable ASCII form, e.g. ``1 + 4*lam + 2*lam^2``."""
         if not self.coeffs:
@@ -290,10 +289,6 @@ class BivariatePolynomial:
         for (i, j), c in self.coeffs.items():
             out[i + j] += c
         return IntPolynomial(out)
-
-    def swap_variables(self) -> "BivariatePolynomial":
-        """Exchange the two activities (colour-swap)."""
-        return BivariatePolynomial({(j, i): c for (i, j), c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import DomainError, VerificationError
 from .graphs import Graph
-from .numerics import binomial_power
+from .numerics import binomial_power, check_activity
 from .partition import wr_partition, wr_partition_bivariate
 
 
@@ -27,13 +27,8 @@ class ActivityPair:
     lambda2: Fraction
 
     def __post_init__(self):
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise DomainError("both activities must be strictly positive")
-
-
-def _check_activity(lam: Fraction) -> None:
-    if lam <= 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
+        check_activity(self.lambda1)
+        check_activity(self.lambda2)
 
 
 def _check_vertices(g: Graph) -> None:
@@ -43,7 +38,7 @@ def _check_vertices(g: Graph) -> None:
 
 def occupancy_fraction(g: Graph, lam: Fraction) -> Fraction:
     """Expected coloured fraction: activity * P'/ (n * P), exactly."""
-    _check_activity(lam)
+    check_activity(lam)
     _check_vertices(g)
     p = wr_partition(g)
     return Fraction(lam) * p.derivative().eval(lam) / (g.n * p.eval(lam))
@@ -54,7 +49,7 @@ def alpha_K(d: int, lam: Fraction) -> Fraction:
     2*lam*(1+lam)^d / (2*(1+lam)^(d+1) - 1)."""
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    _check_activity(lam)
+    check_activity(lam)
     lam = Fraction(lam)
     grow = (1 + lam) ** d
     return 2 * lam * grow / (2 * grow * (1 + lam) - 1)

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, component_masks
 from .numerics import BivariatePolynomial, IntPolynomial
 
 EXACT_CAP = 24  # subset enumeration is 2^n
@@ -56,26 +56,10 @@ def wr_partition(g: Graph) -> IntPolynomial:
     """Exact single-activity partition polynomial via the subset-component sum."""
     _check_cap(g, EXACT_CAP, "exact partition computation")
     n = g.n
-    adj = g.adj
+    masks = component_masks
     coeffs = [0] * (n + 1)
     for subset in range(1 << n):
-        remaining = subset
-        comps = 0
-        while remaining:
-            comps += 1
-            comp = remaining & -remaining
-            frontier = comp
-            while frontier:
-                grow = 0
-                rest = frontier
-                while rest:
-                    low = rest & -rest
-                    grow |= adj[low.bit_length() - 1]
-                    rest ^= low
-                frontier = grow & remaining & ~comp
-                comp |= frontier
-            remaining ^= comp
-        coeffs[subset.bit_count()] += 1 << comps
+        coeffs[subset.bit_count()] += 1 << len(masks(g, subset))
     return IntPolynomial(coeffs)
 
 
@@ -107,28 +91,13 @@ def wr_partition_bivariate(g: Graph) -> BivariatePolynomial:
     """
     _check_cap(g, EXACT_CAP, "exact partition computation")
     n = g.n
-    adj = g.adj
+    masks = component_masks
     out: dict[tuple[int, int], int] = {}
     for subset in range(1 << n):
-        sizes = []
-        remaining = subset
-        while remaining:
-            comp = remaining & -remaining
-            frontier = comp
-            while frontier:
-                grow = 0
-                rest = frontier
-                while rest:
-                    low = rest & -rest
-                    grow |= adj[low.bit_length() - 1]
-                    rest ^= low
-                frontier = grow & remaining & ~comp
-                comp |= frontier
-            sizes.append(comp.bit_count())
-            remaining ^= comp
         total = subset.bit_count()
         ones_count = {0: 1}
-        for s in sizes:
+        for comp in masks(g, subset):
+            s = comp.bit_count()
             nxt: dict[int, int] = {}
             for i, c in ones_count.items():
                 nxt[i] = nxt.get(i, 0) + c

@@ -102,6 +102,10 @@ def test_dualcert_command(capsys):
 # rework must leave every byte of the report as it was
 LP_D4_LAMBDA2_STDOUT = "9d3c1d7d311877c61a360726c974336cf162a0494bfca655a22aa7884f8ff04a"
 DUALCERT_D4_LAMBDA3_2_CSV = "2a668a7357ef14447db496d704917da92d3af5caaa7641b92ecbefb8099e1050"
+# and before lp, dualcert and configs shared one certificate-and-report
+# path and scan printed its CSV through _write_or_print
+CONFIGS_D3_LAMBDA2_STDOUT = "b2b3b9709348ad3293eaab23214eed98d48504eb4962d6f74306707e27bb76d1"
+SCAN_D2_STDOUT = "b5dd041d802e4ce5aac795ff1440f448c3538f5cf8d49472ab263cf2fdba9c87"
 
 
 def test_lp_stdout_pinned(capsys):
@@ -117,6 +121,18 @@ def test_dualcert_csv_pinned(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert hashlib.sha256(target.read_bytes()).hexdigest() == DUALCERT_D4_LAMBDA3_2_CSV
+
+
+def test_configs_report_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "configs", "--d", "3", "--lambda", "2")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CONFIGS_D3_LAMBDA2_STDOUT
+
+
+def test_scan_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "scan", "--catalog", "d2")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_D2_STDOUT
 
 
 def test_csv_to_unwritable_path(tmp_path, capsys):

@@ -12,9 +12,7 @@ from wrkit.configurations import (
     empty_lists_config,
     enumerate_configs,
     local_partition_functions,
-    parse_configuration,
     per_colour_alpha,
-    serialize_configuration,
     single_colour_config,
     alpha_u,
     alpha_v,
@@ -289,23 +287,3 @@ def test_capacity_and_usage_errors():
         Configuration(Graph(2, (0, 0)), (4, 0))
     with pytest.raises(UsageError):
         single_colour_config(2, 3)
-
-
-def test_text_form_round_trip():
-    config = Configuration(make_complete(3), (3, 1, 0))
-    text = serialize_configuration(config)
-    parsed = parse_configuration(text)
-    assert parsed.graph.adj == config.graph.adj
-    assert parsed.lists == config.lists
-    assert "lists: 12 1 -" in text
-
-
-def test_text_form_errors():
-    from wrkit.errors import ParseError
-
-    with pytest.raises(ParseError):
-        parse_configuration("2 0\n")  # no lists line
-    with pytest.raises(ParseError):
-        parse_configuration("2 0\nlists: 12\n")  # wrong list count
-    with pytest.raises(ParseError):
-        parse_configuration("2 0\nlists: 12 21\n")  # bad token

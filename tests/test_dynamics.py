@@ -6,15 +6,9 @@ from itertools import product
 
 import pytest
 
-from wrkit.dynamics import (
-    ChainState,
-    estimate_occupancy,
-    glauber_step,
-    initial_state,
-    transition_distribution,
-)
+from wrkit.dynamics import _allowed_colours, estimate_occupancy, transition_distribution
 from wrkit.errors import UsageError
-from wrkit.graphs import Graph, make_complete, make_cycle
+from wrkit.graphs import Graph, make_complete, make_cycle, make_petersen
 from wrkit.partition import is_valid_colouring
 
 F = Fraction
@@ -24,6 +18,24 @@ def valid_colourings(g):
     return [
         c for c in product((0, 1, 2), repeat=g.n) if is_valid_colouring(g, c)
     ]
+
+
+def replay_chain(g, lam, seed, steps):
+    """The heat-bath update written out over a list colouring, drawing
+    randomness in the sampler's order; yields (step, colouring)."""
+    rng = random.Random(seed)
+    colouring = [0] * g.n
+    for step in range(1, steps + 1):
+        v = int(rng.random() * g.n)
+        ok1, ok2 = _allowed_colours(g.adj[v], colouring)
+        r = rng.random() * (1.0 + lam * (ok1 + ok2))
+        if r < 1.0:
+            colouring[v] = 0
+        elif ok1 and (not ok2 or r < 1.0 + lam):
+            colouring[v] = 1
+        else:
+            colouring[v] = 2
+        yield step, colouring
 
 
 def stationary_from_kernel(g, lam):
@@ -104,14 +116,13 @@ def test_stationary_law_path3():
 
 
 def test_glauber_step_preserves_validity():
-    rng = random.Random(99)
     g = make_cycle(6)
-    state = initial_state(g)
-    for _ in range(2000):
-        glauber_step(state, g, 1.5, rng)
-        assert is_valid_colouring(g, state.colouring)
-    assert state.steps == 2000
-    assert state.coloured == sum(1 for c in state.colouring if c)
+    seen = set()
+    for step, colouring in replay_chain(g, 1.5, seed=99, steps=2000):
+        assert is_valid_colouring(g, colouring)
+        seen.update(colouring)
+    assert step == 2000
+    assert seen == {0, 1, 2}
 
 
 def test_irreducibility_uncolouring_path():
@@ -131,17 +142,16 @@ def test_estimate_deterministic_and_matches_steps():
     b = estimate_occupancy(g, 1.0, burn_in=500, samples=2000, seed=4)
     assert a == b
 
-    # the inline sampler consumes randomness exactly like glauber_step
-    series: list[tuple[int, float]] = []
-    estimate_occupancy(g, 1.5, burn_in=10, samples=25, seed=11, series_out=series)
-    rng = random.Random(11)
-    state = initial_state(g)
-    replay = []
-    for step in range(1, 36):
-        glauber_step(state, g, 1.5, rng)
-        if step > 10:
-            replay.append((step, state.coloured / g.n))
-    assert series == replay
+    # the inline sampler draws randomness and moves exactly like the replay
+    for graph, lam in ((g, 1.5), (make_petersen(), 0.5)):
+        series: list[tuple[int, float]] = []
+        estimate_occupancy(graph, lam, burn_in=10, samples=300, seed=11, series_out=series)
+        replay = [
+            (step, sum(1 for c in colouring if c) / graph.n)
+            for step, colouring in replay_chain(graph, lam, seed=11, steps=310)
+            if step > 10
+        ]
+        assert series == replay
 
 
 def test_estimate_thinning_series():
@@ -162,11 +172,6 @@ def test_estimate_usage_errors():
         estimate_occupancy(make_cycle(3), 1.0, burn_in=0, samples=10)
     with pytest.raises(UsageError):
         estimate_occupancy(make_cycle(3), 1.0, burn_in=10, samples=0)
-
-
-def test_chain_state_counts_coloured():
-    state = ChainState(make_cycle(3), [1, 0, 2])
-    assert state.coloured == 2
 
 
 def test_k2_has_seven_states():

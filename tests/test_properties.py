@@ -1,0 +1,72 @@
+"""Property tests on random graphs with at most 8 vertices: the component
+walker and the algebraic identities of the partition polynomials."""
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wrkit.graphs import component_masks, disjoint_union, from_edges
+from wrkit.numerics import BivariatePolynomial
+from wrkit.partition import wr_partition, wr_partition_bivariate, wr_partition_brute
+
+MAX_N = 8
+
+
+@st.composite
+def graphs(draw, max_n=MAX_N):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
+def connected(g, mask):
+    """Independent check: a depth-first search inside mask reaches all of it."""
+    members = [v for v in range(g.n) if (mask >> v) & 1]
+    seen = {members[0]}
+    stack = [members[0]]
+    while stack:
+        u = stack.pop()
+        for v in members:
+            if v not in seen and g.has_edge(u, v):
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.integers(0, (1 << MAX_N) - 1))
+def test_component_masks_split_subset(g, bits):
+    subset = bits & ((1 << g.n) - 1)
+    parts = component_masks(g, subset)
+    union = 0
+    for part in parts:
+        assert part and not part & union  # nonempty and disjoint
+        union |= part
+        assert connected(g, part)
+    assert union == subset
+    for a, b in combinations(parts, 2):
+        assert not any(g.adj[v] & b for v in range(g.n) if (a >> v) & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_subset_sum_matches_brute_force(g):
+    assert wr_partition(g) == wr_partition_brute(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_bivariate_diagonal_and_symmetry(g):
+    p = wr_partition_bivariate(g)
+    assert p.diagonal() == wr_partition(g)
+    assert p == BivariatePolynomial({(j, i): c for (i, j), c in p.coeffs.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=5), graphs(max_n=5))
+def test_union_is_product(g, h):
+    union = disjoint_union(g, h)
+    assert wr_partition(union) == wr_partition(g) * wr_partition(h)
+    assert wr_partition_bivariate(union) == wr_partition_bivariate(g) * wr_partition_bivariate(h)
