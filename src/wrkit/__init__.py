@@ -76,7 +76,6 @@ from .occupancy import (
     weighted_occupancy,
 )
 from .partition import (
-    hom_count_wr,
     is_valid_colouring,
     wr_partition,
     wr_partition_bivariate,

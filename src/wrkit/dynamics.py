@@ -22,6 +22,7 @@ from math import sqrt
 from .errors import UsageError
 from .graphs import Graph
 from .numerics import check_activity
+from .occupancy import _check_vertices
 
 RNG_ALGORITHM = "mt19937"
 
@@ -87,6 +88,7 @@ def estimate_occupancy(
     `thinning` steps, `samples` times.  Deterministic for a fixed seed.
     When series_out is given, (step, fraction) pairs are appended to it.
     """
+    _check_vertices(graph)
     if burn_in < 1 or samples < 1 or thinning < 1:
         raise UsageError("burn_in, samples and thinning must all be >= 1")
     check_activity(lam)

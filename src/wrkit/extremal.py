@@ -16,7 +16,7 @@ distinguished exit status in the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -127,18 +127,7 @@ def verify_partition_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
 
 def verify_hom_bound(g: Graph, d: int) -> BoundReport:
     """Counting specialisation at activity 1, in exact integers."""
-    report = verify_partition_bound(g, d, Fraction(1))
-    return BoundReport(
-        graph=report.graph,
-        n=report.n,
-        d=report.d,
-        check="hom-count",
-        activity="1",
-        lhs=report.lhs,
-        rhs=report.rhs,
-        relation=report.relation,
-        equality_expected=report.equality_expected,
-    )
+    return replace(verify_partition_bound(g, d, Fraction(1)), check="hom-count")
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,11 @@ def free_energy_derivative(
     (b) the per-colour occupancy combination
         (x*a1 + (lambda1-lambda2+x)*a2) / (x*(lambda1-lambda2+x)).
     """
-    lambda1, lambda2, x = Fraction(lambda1), Fraction(lambda2), Fraction(x)
     if not (lambda1 >= lambda2 > 0):
         raise DomainError("activities must satisfy lambda1 >= lambda2 > 0")
     if not (0 < x <= lambda2):
         raise DomainError("evaluation point must satisfy 0 < x <= lambda2")
+    lambda1, lambda2, x = Fraction(lambda1), Fraction(lambda2), Fraction(x)
     offset = lambda1 - lambda2
 
     coeffs = _path_polynomial(g, offset)

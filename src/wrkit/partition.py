@@ -6,12 +6,15 @@ collects one monomial per valid colouring, weighted by the activity to
 the number of coloured vertices; the two-activity version keeps the two
 colour counts in separate variables.
 
-The production computation uses the subset-component identity: choosing
-the coloured set S first, every connected component of the induced
-subgraph must be monochromatic, so S contributes 2**c(S) colourings (and,
-with two activities, a factor of x**|K| + y**|K| per component K).  That
-is O(2^n) instead of O(3^n) and is independently checkable against the
-direct 3^n enumeration kept here as the oracle.
+The production computation uses the subset-component identity: choose
+the coloured set S first; every component K of the induced subgraph is
+then monochromatic, in colour 1 or 2.  One walk over the 2^n subsets
+counts the subsets S with each tuple of component sizes, and both
+polynomials reduce that census: S contributes 2**c(S) * lam**|S| to one,
+and the product of x**|K| + y**|K| over its components to the other.
+The single-activity reduction is deliberately not the diagonal of the
+two-activity one, so that comparing them stays a real check; both are
+checked against the direct 3^n enumeration kept here as the oracle.
 """
 
 from __future__ import annotations
@@ -51,15 +54,27 @@ def _check_cap(g: Graph, cap: int, what: str) -> None:
         raise CapacityError(f"{what} capped at {cap} vertices, got {g.n}")
 
 
+@lru_cache(maxsize=256)
+def _component_sizes(g: Graph) -> dict[tuple[int, ...], int]:
+    """Census of the subset-component identity: each sorted tuple of
+    induced component sizes mapped to the number of vertex subsets with
+    those sizes (sorted, the keys stay integer partitions of at most n).
+    The package's one 2^n subset walk; both polynomials reduce it."""
+    _check_cap(g, EXACT_CAP, "exact partition computation")
+    masks = component_masks
+    census: dict[tuple[int, ...], int] = {}
+    for subset in range(1 << g.n):
+        sizes = tuple(sorted(map(int.bit_count, masks(g, subset))))
+        census[sizes] = census.get(sizes, 0) + 1
+    return census
+
+
 @lru_cache(maxsize=512)
 def wr_partition(g: Graph) -> IntPolynomial:
     """Exact single-activity partition polynomial via the subset-component sum."""
-    _check_cap(g, EXACT_CAP, "exact partition computation")
-    n = g.n
-    masks = component_masks
-    coeffs = [0] * (n + 1)
-    for subset in range(1 << n):
-        coeffs[subset.bit_count()] += 1 << len(masks(g, subset))
+    coeffs = [0] * (g.n + 1)
+    for sizes, count in _component_sizes(g).items():
+        coeffs[sum(sizes)] += count << len(sizes)
     return IntPolynomial(coeffs)
 
 
@@ -84,20 +99,16 @@ def wr_partition_brute(g: Graph) -> IntPolynomial:
 def wr_partition_bivariate(g: Graph) -> BivariatePolynomial:
     """Exact two-activity partition polynomial.
 
-    Per coloured subset, each induced component K independently takes
-    colour 1 or 2, contributing x**|K| + y**|K|; the product over
-    components is expanded keyed on the colour-1 count only, since the
+    Each induced component K independently takes colour 1 or 2,
+    contributing x**|K| + y**|K|; the product over components is expanded
+    once per census entry, keyed on the colour-1 count only, since the
     colour-2 count is determined by |S|.
     """
-    _check_cap(g, EXACT_CAP, "exact partition computation")
-    n = g.n
-    masks = component_masks
     out: dict[tuple[int, int], int] = {}
-    for subset in range(1 << n):
-        total = subset.bit_count()
-        ones_count = {0: 1}
-        for comp in masks(g, subset):
-            s = comp.bit_count()
+    for sizes, count in _component_sizes(g).items():
+        total = sum(sizes)
+        ones_count = {0: count}
+        for s in sizes:
             nxt: dict[int, int] = {}
             for i, c in ones_count.items():
                 nxt[i] = nxt.get(i, 0) + c
@@ -107,9 +118,3 @@ def wr_partition_bivariate(g: Graph) -> BivariatePolynomial:
             key = (i, total - i)
             out[key] = out.get(key, 0) + c
     return BivariatePolynomial(out)
-
-
-def hom_count_wr(g: Graph) -> int:
-    """Number of valid colourings (the partition polynomial at activity 1)."""
-    _check_cap(g, EXACT_CAP, "exact partition computation")
-    return int(wr_partition(g).eval(1))

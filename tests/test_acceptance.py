@@ -39,7 +39,6 @@ from wrkit.occupancy import (
     occupancy_fraction,
 )
 from wrkit.partition import (
-    hom_count_wr,
     wr_partition,
     wr_partition_bivariate,
     wr_partition_brute,
@@ -188,9 +187,9 @@ def test_criterion_07_corollaries(catalog):
         assert r1.ok and r2.ok, g.label
         for lam in (F(1, 2), F(2)):
             assert verify_partition_bound(g, d, lam).ok, g.label
-    assert hom_count_wr(make_complete(2)) == 7
-    assert hom_count_wr(make_complete(4)) == 31
-    assert hom_count_wr(make_cycle(4)) == 35
+    assert wr_partition(make_complete(2)).eval(1) == 7
+    assert wr_partition(make_complete(4)).eval(1) == 31
+    assert wr_partition(make_cycle(4)).eval(1) == 35
     report(7, "partition and hom-count bounds hold on the full catalog; "
               "spot hom counts 7/31/35 reproduced")
 

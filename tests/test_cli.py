@@ -232,6 +232,16 @@ def test_sample_rejects_nonpositive_activity(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_sample_empty_graph(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    for flags in ((), ("--burnin", "5")):
+        code, out, err = run(capsys, "sample", "--file", str(empty), "--lambda", "1", *flags)
+        assert code == EXIT_USAGE
+        assert "estimate" not in out
+        assert err == "error: occupancy of a graph with no vertices is undefined\n"
+
+
 def test_sample_series_csv(tmp_path, capsys):
     target = tmp_path / "series.csv"
     code, _, _ = run(

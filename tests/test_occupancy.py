@@ -180,3 +180,9 @@ def test_free_energy_domain_errors():
         free_energy_derivative(g, Fraction(2), Fraction(1), Fraction(3, 2))  # x > lam2
     with pytest.raises(DomainError):
         free_energy_derivative(g, Fraction(2), Fraction(1), Fraction(0))  # x = 0
+    nan = float("nan")
+    for args in ((nan, Fraction(1), Fraction(1)),
+                 (Fraction(2), nan, Fraction(1)),
+                 (Fraction(2), Fraction(1), nan)):
+        with pytest.raises(DomainError):
+            free_energy_derivative(g, *args)

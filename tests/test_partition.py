@@ -6,9 +6,11 @@ from itertools import product
 
 import pytest
 
+from wrkit import partition
 from wrkit.errors import CapacityError
 from wrkit.graphs import (
     Graph,
+    component_masks,
     disjoint_union,
     from_edges,
     make_complete,
@@ -19,7 +21,6 @@ from wrkit.graphs import (
 )
 from wrkit.numerics import BivariatePolynomial, IntPolynomial, binomial_power
 from wrkit.partition import (
-    hom_count_wr,
     is_valid_colouring,
     wr_partition,
     wr_partition_bivariate,
@@ -93,9 +94,9 @@ def test_low_order_coefficients():
 
 
 def test_hom_counts():
-    assert hom_count_wr(make_complete(2)) == 7
-    assert hom_count_wr(make_complete(4)) == 31
-    assert hom_count_wr(make_cycle(4)) == 35
+    assert wr_partition(make_complete(2)).eval(1) == 7
+    assert wr_partition(make_complete(4)).eval(1) == 31
+    assert wr_partition(make_cycle(4)).eval(1) == 35
 
 
 def test_bivariate_k2():
@@ -123,6 +124,23 @@ def test_bivariate_diagonal_on_catalog():
         assert wr_partition_bivariate(g).diagonal() == wr_partition(g)
 
 
+def test_one_subset_walk_serves_both_polynomials(monkeypatch):
+    walks = []
+
+    def counting_walker(g, subset):
+        walks.append(subset)
+        return component_masks(g, subset)
+
+    monkeypatch.setattr(partition, "component_masks", counting_walker)
+    for value in vars(partition).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    g = make_petersen()
+    wr_partition(g)
+    wr_partition_bivariate(g)
+    assert len(walks) == 1 << g.n
+
+
 def test_capacity_caps():
     with pytest.raises(CapacityError):
         wr_partition(Graph(25, (0,) * 25))
@@ -130,8 +148,6 @@ def test_capacity_caps():
         wr_partition_bivariate(Graph(25, (0,) * 25))
     with pytest.raises(CapacityError):
         wr_partition_brute(Graph(13, (0,) * 13))
-    with pytest.raises(CapacityError):
-        hom_count_wr(Graph(25, (0,) * 25))
 
 
 def test_valid_colouring_predicate():
