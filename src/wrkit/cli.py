@@ -224,7 +224,8 @@ def cmd_lp(args) -> int:
     sol_simplex = lp.simplex_solve(instance)
     sol_enum = lp.vertex_enumeration_solve(instance)
     _, report = _feasibility(args, lam)
-    print(f"d={args.d} lambda={format_rational(lam)}: {len(instance.configs)} configurations")
+    classes = len(enumerate_configs(args.d))
+    print(f"d={args.d} lambda={format_rational(lam)}: {classes} configurations")
     print(f"simplex optimum {format_rational(sol_simplex.value)}")
     for config, weight in sol_simplex.support:
         print(f"  support {config.key_text()} weight {format_rational(weight)}")

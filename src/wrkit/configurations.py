@@ -20,6 +20,13 @@ and the two local occupancy estimates at a given activity:
   alpha_v   probability the centre vertex is coloured
   alpha_u   expected fraction of coloured neighbours
 
+The polynomials come from one walk of the subset-component identity that
+also gives the graph polynomials (partition.py), made list-aware: each
+induced component of a coloured set takes one of the colours its lists
+all allow.  Enumeration checks (the centre-plus-neighbourhood star here,
+the conditional expectation in lp.py) run on partition.valid_colourings,
+the one reference enumerator.
+
 Enumeration of all configurations for a given d is done up to
 label-preserving isomorphism: graphs are enumerated up to isomorphism
 first, then list assignments are deduplicated per graph by orbits of its
@@ -40,13 +47,15 @@ from .errors import CapacityError, UsageError, VerificationError
 from .graphs import (
     Graph,
     canonical_labelled_form,
+    component_masks,
     graph_from_code,
     graphs_up_to_iso,
     permute_labels,
 )
 from .numerics import IntPolynomial, binomial_power, check_activity
+from .partition import valid_colourings
 
-STATS_CAP = 8  # colouring enumeration is at most 3^d
+STATS_CAP = 8  # the local subset walk is at most 2^d
 ENUMERATION_CAP = 6  # labelled graphs times list assignments before dedup
 
 NO_COLOURS = 0
@@ -128,40 +137,6 @@ class ConfigStats:
     has_dichromatic: bool
 
 
-def _iter_valid_colourings(adj: tuple[int, ...], options: list[tuple[int, ...]]):
-    """Yield valid colourings (no adjacent 1-2 pair), vertex by vertex.
-
-    Backtracking over per-vertex allowed colours; a partial assignment is
-    extended only while consistent, so only valid colourings are visited.
-    """
-    n = len(options)
-    colouring = [0] * n
-
-    def extend(v: int):
-        if v == n:
-            yield tuple(colouring)
-            return
-        earlier = adj[v] & ((1 << v) - 1)
-        for c in options[v]:
-            if c:
-                other = 3 - c
-                ok = True
-                rest = earlier
-                while rest:
-                    low = rest & -rest
-                    if colouring[low.bit_length() - 1] == other:
-                        ok = False
-                        break
-                    rest ^= low
-                if not ok:
-                    continue
-            colouring[v] = c
-            yield from extend(v + 1)
-        colouring[v] = 0
-
-    yield from extend(0)
-
-
 def _list_options(mask: int) -> tuple[int, ...]:
     opts = [0]
     if mask & 1:
@@ -173,35 +148,50 @@ def _list_options(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def local_partition_functions(config: Configuration) -> ConfigStats:
-    """Enumerate the neighbourhood colourings once and collect all local
-    polynomials: a colouring without colour 2 also counts toward p1, one
-    without colour 1 toward p2, and one with both is dichromatic."""
+    """Collect all local polynomials in one walk over the subsets S of
+    A1 | A2, where Ai holds the vertices whose list allows colour i.
+
+    By the subset-component identity each induced component K of S is
+    monochromatic, in one of its [K <= A1] + [K <= A2] colours, so S
+    contributes the product of those counts to p0 at degree |S|.  S counts
+    toward p1 when S <= A1 and toward p2 when S <= A2; any colouring of S
+    beyond those monochromatic ones uses both colours (the empty S, with
+    its one colouring, passes both tests and never counts as dichromatic).
+    """
     d = config.d
     if d > STATS_CAP:
         raise CapacityError(f"local enumeration capped at {STATS_CAP} vertices, got {d}")
-    options = [_list_options(mask) for mask in config.lists]
+    graph = config.graph
+    allows_1 = sum(1 << v for v, mask in enumerate(config.lists) if mask & COLOUR_1)
+    allows_2 = sum(1 << v for v, mask in enumerate(config.lists) if mask & COLOUR_2)
+    colourable = allows_1 | allows_2
 
     p0 = [0] * (d + 1)
     only_1 = [0] * (d + 1)
     only_2 = [0] * (d + 1)
     has_dichromatic = False
-    for colouring in _iter_valid_colourings(config.graph.adj, options):
-        coloured = d - colouring.count(0)
-        p0[coloured] += 1
-        has_1 = 1 in colouring
-        has_2 = 2 in colouring
-        if not has_2:
-            only_1[coloured] += 1
-        if not has_1:
-            only_2[coloured] += 1
-        if has_1 and has_2:
+    subset = colourable
+    while True:  # every subset of colourable, from colourable down to 0
+        colourings = 1
+        for comp in component_masks(graph, subset):
+            colourings *= ((comp & ~allows_1) == 0) + ((comp & ~allows_2) == 0)
+        in_1 = (subset & ~allows_1) == 0
+        in_2 = (subset & ~allows_2) == 0
+        size = subset.bit_count()
+        p0[size] += colourings
+        only_1[size] += in_1
+        only_2[size] += in_2
+        if colourings > in_1 + in_2:
             has_dichromatic = True
+        if not subset:
+            break
+        subset = (subset - 1) & colourable
     p0_poly = IntPolynomial(p0)
     p1 = IntPolynomial(only_1)
     p2 = IntPolynomial(only_2)
 
-    a1 = sum(1 for mask in config.lists if mask & 1)
-    a2 = sum(1 for mask in config.lists if mask & 2)
+    a1 = allows_1.bit_count()
+    a2 = allows_2.bit_count()
     if p1 != binomial_power(a1) or p2 != binomial_power(a2):
         raise VerificationError(
             f"single-colour polynomials of {config.key_text()} are not (1+lam)^a_i"
@@ -262,7 +252,7 @@ def _star_neighbour_weights(
     total = Fraction(0)
     weights = [[Fraction(0)] * 3 for _ in range(d)]
     lam = Fraction(lam)
-    for colouring in _iter_valid_colourings(adj, options):
+    for colouring in valid_colourings(Graph(d + 1, adj), options):
         w = lam ** (d + 1 - colouring.count(0))
         total += w
         for u in range(d):

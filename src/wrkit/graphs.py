@@ -20,6 +20,9 @@ from typing import Iterable, Sequence
 from .errors import CapacityError, ParseError, RetryExhaustedError, UsageError
 
 ISO_CAP = 8  # brute-force isomorphism enumerates all vertex permutations
+# checked on the header, before any allocation: bitset adjacency can hold
+# n^2 bits (12.5 MB at the cap), and 2 * 10^5 vertices already exhaust 1 GB
+EDGE_LIST_VERTEX_CAP = 10**4
 _PAIRING_RETRY_CAP = 1000
 
 
@@ -332,7 +335,9 @@ def graphs_up_to_iso(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], .
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format; raises ParseError naming the bad line."""
+    """Parse the edge-list text format; raises ParseError naming the bad line,
+    or CapacityError when the header declares more than
+    EDGE_LIST_VERTEX_CAP vertices."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -350,6 +355,10 @@ def parse_edge_list(text: str) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError(f"bad header counts {a} {b}", lineno)
+            if a > EDGE_LIST_VERTEX_CAP:
+                raise CapacityError(
+                    f"edge lists capped at {EDGE_LIST_VERTEX_CAP} vertices, got {a}"
+                )
             header = (a, b)
             continue
         n, m = header

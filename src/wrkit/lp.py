@@ -13,12 +13,13 @@ expectation (which they must in any d-regular graph):
 
 Two independent exact solvers are provided: the generic rational simplex
 and direct enumeration of supports of size <= 2 (any basic solution of a
-two-row program).  Both run over the distinct columns only.  A column
+two-row program).  Classes with equal columns are interchangeable, so the
+instance has one variable per distinct column.  A column
 (alpha_v, alpha_v - alpha_u) depends on a class only through its local
 polynomials p0 and p12, so few columns are distinct (390 for the 12,208
-classes at d = 5); the instance keeps one entry per class, each solver
-keeps the first class in canonical order for each column, and the
-support names that class.  The reported support is the full program's:
+classes at d = 5); each variable is named by the first class in canonical
+order with its column, and the support names that class.  The reported
+support is the full program's:
 a class sharing the complete neighbourhood's column would be tight, and
 every tight class other than the complete neighbourhood has alpha_u <
 alpha_v (checked by uniqueness_check), so that column is unique.
@@ -45,7 +46,6 @@ from . import simplex
 from .configurations import (
     ConfigStats,
     Configuration,
-    _iter_valid_colourings,
     _list_options,
     alpha_u,
     alpha_v,
@@ -56,17 +56,19 @@ from .configurations import (
 from .errors import DomainError, UsageError, VerificationError
 from .numerics import check_activity, format_rational
 from .occupancy import alpha_K
+from .partition import valid_colourings
 
 
 @dataclass(frozen=True)
 class LPInstance:
-    """The relaxation for one (d, activity) pair, variables in canonical order."""
+    """The relaxation for one (d, activity) pair: one variable per distinct
+    column, named by the first class with it, in canonical order."""
 
     d: int
     activity: Fraction
     configs: tuple[Configuration, ...]
-    objective: tuple[Fraction, ...]  # alpha_v per configuration
-    balance: tuple[Fraction, ...]  # alpha_v - alpha_u per configuration
+    objective: tuple[Fraction, ...]  # alpha_v per column
+    balance: tuple[Fraction, ...]  # alpha_v - alpha_u per column
 
 
 @dataclass(frozen=True)
@@ -121,37 +123,34 @@ def _signature_table(d: int, lam: Fraction) -> tuple[
 
 
 def build_primal(d: int, lam: Fraction) -> LPInstance:
-    """One variable per configuration class, coefficients evaluated at lam
-    once per distinct signature (p0, p12)."""
+    """One variable per distinct column (alpha_v, alpha_v - alpha_u) at lam,
+    the alphas evaluated once per distinct signature (p0, p12)."""
     check_activity(lam)
     lam = Fraction(lam)
-    signatures, classes = _signature_table(d, lam)
-    columns = [(av, av - au) for _, _, av, au in signatures]
-    objective = tuple(columns[i][0] for _, i in classes)
-    balance = tuple(columns[i][1] for _, i in classes)
-    return LPInstance(d, lam, enumerate_configs(d), objective, balance)
-
-
-def _distinct_columns(lp: LPInstance) -> list[int]:
-    """Index of the first class, in canonical order, of each distinct column."""
-    first: dict[tuple[Fraction, Fraction], int] = {}
-    for i, column in enumerate(zip(lp.objective, lp.balance)):
-        first.setdefault(column, i)
-    return list(first.values())
+    signatures, _ = _signature_table(d, lam)
+    # signatures come in canonical order of their first class, so the
+    # first one with a column also holds the first class with it
+    columns: dict[tuple[Fraction, Fraction], Configuration] = {}
+    for config, _, av, au in signatures:
+        columns.setdefault((av, av - au), config)
+    return LPInstance(
+        d,
+        lam,
+        tuple(columns.values()),
+        tuple(av for av, _ in columns),
+        tuple(balance for _, balance in columns),
+    )
 
 
 def simplex_solve(lp: LPInstance) -> LPSolution:
     """Exact optimum of the relaxation via the generic rational simplex."""
-    cols = _distinct_columns(lp)
-    objective = [lp.objective[i] for i in cols]
-    balance = [lp.balance[i] for i in cols]
-    ones = [Fraction(1)] * len(cols)
-    result = simplex.solve(objective, [ones, balance], [Fraction(1), Fraction(0)])
+    ones = [Fraction(1)] * len(lp.configs)
+    result = simplex.solve(
+        lp.objective, [ones, lp.balance], [Fraction(1), Fraction(0)]
+    )
     if result.status != simplex.OPTIMAL:
         return LPSolution(result.status, None, ())
-    support = tuple(
-        (lp.configs[i], x) for i, x in zip(cols, result.solution) if x != 0
-    )
+    support = tuple((c, x) for c, x in zip(lp.configs, result.solution) if x != 0)
     return LPSolution(simplex.OPTIMAL, result.value, support)
 
 
@@ -165,25 +164,23 @@ def vertex_enumeration_solve(lp: LPInstance) -> LPSolution:
     """
     best_value: Fraction | None = None
     best: tuple[tuple[Configuration, Fraction], ...] = ()
-    cols = _distinct_columns(lp)
-    objective = lp.objective
+    columns = list(zip(lp.configs, lp.objective, lp.balance))
 
-    for i in cols:
-        if lp.balance[i] == 0 and (best_value is None or objective[i] > best_value):
-            best_value = objective[i]
-            best = ((lp.configs[i], Fraction(1)),)
+    for config, oi, bi in columns:
+        if bi == 0 and (best_value is None or oi > best_value):
+            best_value = oi
+            best = ((config, Fraction(1)),)
 
-    positive = [(i, lp.balance[i]) for i in cols if lp.balance[i] > 0]
-    negative = [(i, lp.balance[i]) for i in cols if lp.balance[i] < 0]
-    for i, bi in positive:
-        oi = objective[i]
-        for j, bj in negative:
+    positive = [column for column in columns if column[2] > 0]
+    negative = [column for column in columns if column[2] < 0]
+    for ci, oi, bi in positive:
+        for cj, oj, bj in negative:
             # weights solving  w*bi + (1-w)*bj = 0  with 0 < w < 1
             w = -bj / (bi - bj)
-            value = w * oi + (1 - w) * objective[j]
+            value = w * oi + (1 - w) * oj
             if best_value is None or value > best_value:
                 best_value = value
-                best = ((lp.configs[i], w), (lp.configs[j], 1 - w))
+                best = ((ci, w), (cj, 1 - w))
 
     if best_value is None:
         return LPSolution(simplex.INFEASIBLE, None, ())
@@ -404,7 +401,7 @@ def conditional_expectation_check(
     # weight and colour-count accumulation over colourings using the colour
     options = [_list_options(mask) for mask in config.lists]
     expectation_sum = Fraction(0)
-    for colouring in _iter_valid_colourings(config.graph.adj, options):
+    for colouring in valid_colourings(config.graph, options):
         count = sum(1 for c in colouring if c == colour)
         if count:
             coloured = config.d - colouring.count(0)

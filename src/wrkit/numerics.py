@@ -65,7 +65,7 @@ class IntPolynomial:
     """Immutable dense univariate polynomial with integer coefficients.
 
     The coefficient tuple never has a trailing zero; the zero polynomial
-    is the empty tuple.  Instances support ``+``, ``-``, ``*`` and ``**``
+    is the empty tuple.  Instances support ``+``, ``-`` and ``*``
     (ints are coerced to constants), formal differentiation, and exact
     Horner evaluation at rational points.
     """
@@ -85,9 +85,6 @@ class IntPolynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @staticmethod
     def _coerce(other) -> "IntPolynomial":
@@ -139,18 +136,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "IntPolynomial":
-        if not isinstance(k, int) or k < 0:
-            raise UsageError("polynomial exponent must be a nonnegative integer")
-        result = IntPolynomial((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def shift(self, k: int = 1) -> "IntPolynomial":
         """Multiply by the k-th power of the variable."""
         if not self.coeffs:
@@ -167,8 +152,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    __call__ = eval
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -226,9 +209,6 @@ class BivariatePolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @staticmethod
     def _coerce(other) -> "BivariatePolynomial":
         if isinstance(other, BivariatePolynomial):
@@ -267,8 +247,6 @@ class BivariatePolynomial:
         for (i, j), c in self.coeffs.items():
             acc += c * x**i * y**j
         return acc
-
-    __call__ = eval
 
     def partial(self, variable_index: int) -> "BivariatePolynomial":
         """Formal partial derivative; variable_index is 1 or 2."""

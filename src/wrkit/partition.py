@@ -13,15 +13,20 @@ counts the subsets S with each tuple of component sizes, and both
 polynomials reduce that census: S contributes 2**c(S) * lam**|S| to one,
 and the product of x**|K| + y**|K| over its components to the other.
 The single-activity reduction is deliberately not the diagonal of the
-two-activity one, so that comparing them stays a real check; both are
-checked against the direct 3^n enumeration kept here as the oracle.
+two-activity one, so that comparing them stays a real check.  The same
+identity, with per-vertex colour lists, gives the local polynomials of a
+neighbourhood configuration (configurations.local_partition_functions).
+
+valid_colourings, a product over each vertex's allowed colours filtered
+by is_valid_colouring, is the one reference enumerator: the 3^n oracle
+here and the enumeration checks of the local layer all run on it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError
 from .graphs import Graph, component_masks
@@ -49,6 +54,14 @@ def is_valid_colouring(g: Graph, colouring: Sequence[int]) -> bool:
     return True
 
 
+def valid_colourings(
+    g: Graph, options: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """The reference enumerator: every assignment drawing vertex v's colour
+    from options[v], in product order, that is a valid colouring of g."""
+    return (c for c in product(*options) if is_valid_colouring(g, c))
+
+
 def _check_cap(g: Graph, cap: int, what: str) -> None:
     if g.n > cap:
         raise CapacityError(f"{what} capped at {cap} vertices, got {g.n}")
@@ -59,7 +72,7 @@ def _component_sizes(g: Graph) -> dict[tuple[int, ...], int]:
     """Census of the subset-component identity: each sorted tuple of
     induced component sizes mapped to the number of vertex subsets with
     those sizes (sorted, the keys stay integer partitions of at most n).
-    The package's one 2^n subset walk; both polynomials reduce it."""
+    The graph layer's one 2^n subset walk; both polynomials reduce it."""
     _check_cap(g, EXACT_CAP, "exact partition computation")
     masks = component_masks
     census: dict[tuple[int, ...], int] = {}
@@ -81,17 +94,9 @@ def wr_partition(g: Graph) -> IntPolynomial:
 def wr_partition_brute(g: Graph) -> IntPolynomial:
     """Oracle: enumerate all 3^n assignments and keep the valid ones."""
     _check_cap(g, BRUTE_CAP, "brute-force partition computation")
-    n = g.n
-    edges = g.edges()
-    coeffs = [0] * (n + 1)
-    for colouring in product((0, 1, 2), repeat=n):
-        ok = True
-        for u, v in edges:
-            if colouring[u] + colouring[v] == 3:
-                ok = False
-                break
-        if ok:
-            coeffs[n - colouring.count(0)] += 1
+    coeffs = [0] * (g.n + 1)
+    for colouring in valid_colourings(g, [(0, 1, 2)] * g.n):
+        coeffs[g.n - colouring.count(0)] += 1
     return IntPolynomial(coeffs)
 
 

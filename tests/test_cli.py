@@ -106,6 +106,9 @@ DUALCERT_D4_LAMBDA3_2_CSV = "2a668a7357ef14447db496d704917da92d3af5caaa7641b92ec
 # path and scan printed its CSV through _write_or_print
 CONFIGS_D3_LAMBDA2_STDOUT = "b2b3b9709348ad3293eaab23214eed98d48504eb4962d6f74306707e27bb76d1"
 SCAN_D2_STDOUT = "b5dd041d802e4ce5aac795ff1440f448c3538f5cf8d49472ab263cf2fdba9c87"
+# and before the local polynomials came from the list-aware subset walk
+# and the LP instance held only its distinct columns
+DUALCERT_D5_LAMBDA1_CSV = "99598d73c81c219a339fc52ee35f87f3442793918adbc75a3d5b6da6dee122b8"
 
 
 def test_lp_stdout_pinned(capsys):
@@ -121,6 +124,16 @@ def test_dualcert_csv_pinned(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert hashlib.sha256(target.read_bytes()).hexdigest() == DUALCERT_D4_LAMBDA3_2_CSV
+
+
+def test_dualcert_d5_csv_pinned(tmp_path, capsys):
+    target = tmp_path / "dualcert.csv"
+    code, out, _ = run(
+        capsys, "dualcert", "--d", "5", "--lambda", "1", "--csv", str(target)
+    )
+    assert code == EXIT_OK
+    assert out.startswith("Lambda_p=64/127 Lambda_c=31/127 violations=0 tight=103\n")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == DUALCERT_D5_LAMBDA1_CSV
 
 
 def test_configs_report_stdout_pinned(capsys):
@@ -268,6 +281,17 @@ def test_usage_errors(capsys):
 def test_capacity_exit(capsys):
     code, _, err = run(capsys, "configs", "--d", "7")
     assert code == EXIT_CAPACITY
+
+
+def test_huge_header_vertex_count_is_a_capacity_error(tmp_path, capsys):
+    # rejected from the header alone, before a vertex table is allocated
+    huge = tmp_path / "huge.txt"
+    huge.write_text("100000000000 0\n")
+    code, out, err = run(capsys, "partition", "--file", str(huge))
+    assert code == EXIT_CAPACITY
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+    assert "100000000000" in err
+    assert out == ""
 
 
 def test_entry_point_subprocess():

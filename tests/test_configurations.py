@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from wrkit import configurations
 from wrkit.configurations import (
     Configuration,
     complete_neighbourhood_config,
@@ -20,6 +21,7 @@ from wrkit.configurations import (
 from wrkit.errors import CapacityError, DomainError, UsageError
 from wrkit.graphs import (
     Graph,
+    component_masks,
     from_edges,
     graphs_up_to_iso,
     graph_from_code,
@@ -27,6 +29,7 @@ from wrkit.graphs import (
     permute_labels,
 )
 from wrkit.numerics import IntPolynomial, binomial_power
+from wrkit.partition import valid_colourings
 
 F = Fraction
 
@@ -72,6 +75,47 @@ def star_oracle(config, lam):
             if colouring[u]:
                 neighbour_coloured[u] += weight
     return centre_coloured / total, sum(neighbour_coloured) / (d * total)
+
+
+def colouring_tallies(config):
+    """p0, p1, p2 and the dichromatic flag tallied over the reference
+    enumeration of the list colourings of the neighbourhood."""
+    d = config.d
+    options = [tuple(c for c in (0, 1, 2) if not c or mask & c) for mask in config.lists]
+    p0, p1, p2 = [0] * (d + 1), [0] * (d + 1), [0] * (d + 1)
+    dichromatic = False
+    for colouring in valid_colourings(config.graph, options):
+        coloured = d - colouring.count(0)
+        p0[coloured] += 1
+        p1[coloured] += 2 not in colouring
+        p2[coloured] += 1 not in colouring
+        dichromatic |= 1 in colouring and 2 in colouring
+    return IntPolynomial(p0), IntPolynomial(p1), IntPolynomial(p2), dichromatic
+
+
+def test_local_polynomials_match_colouring_tallies():
+    rng = random.Random(53)
+    configs = [c for d in (1, 2, 3, 4) for c in enumerate_configs(d)]
+    configs += rng.sample(enumerate_configs(5), 300)
+    for config in configs:
+        stats = local_partition_functions(config)
+        got = (stats.p0, stats.p1, stats.p2, stats.has_dichromatic)
+        assert got == colouring_tallies(config), config.key_text()
+
+
+def test_local_polynomials_walk_each_subset_of_the_colourable_vertices(monkeypatch):
+    walks = []
+
+    def counting_walker(g, subset):
+        walks.append(subset)
+        return component_masks(g, subset)
+
+    monkeypatch.setattr(configurations, "component_masks", counting_walker)
+    # vertex 2 has an empty list, so A1 | A2 = {0, 1, 3, 4}
+    config = Configuration(from_edges(5, [(0, 1), (1, 2), (3, 4)]), (3, 1, 0, 2, 3))
+    local_partition_functions.__wrapped__(config)  # bypass the cache
+    colourable = 0b11011
+    assert sorted(walks) == [s for s in range(1 << 5) if not s & ~colourable]
 
 
 def test_stats_empty_lists():

@@ -7,6 +7,7 @@ import pytest
 
 from wrkit.errors import CapacityError, ParseError, UsageError
 from wrkit.graphs import (
+    EDGE_LIST_VERTEX_CAP,
     Graph,
     canonical_labelled_form,
     component_masks,
@@ -189,6 +190,8 @@ def test_parse_edge_list():
     assert g.n == 2 and g.m == 0
     g = parse_edge_list("# comment\n\n3 1\n\n2 1\n")  # blanks, comments, u > v
     assert g.has_edge(1, 2)
+    # the largest header the cap admits still parses
+    assert parse_edge_list(f"{EDGE_LIST_VERTEX_CAP} 0\n").n == EDGE_LIST_VERTEX_CAP
 
 
 def test_parse_edge_list_errors():
@@ -204,6 +207,8 @@ def test_parse_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")  # missing edge
     with pytest.raises(ParseError):
         parse_edge_list("")  # no header
+    with pytest.raises(CapacityError):
+        parse_edge_list(f"{EDGE_LIST_VERTEX_CAP + 1} 0\n")  # before allocating
 
 
 def test_edge_list_round_trip():

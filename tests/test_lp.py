@@ -40,7 +40,11 @@ SMALL_GRID = (F(1, 4), F(1, 2), F(1), F(2), F(10))
 
 def test_build_primal_d1():
     lp = build_primal(1, F(1))
-    assert len(lp.configs) == 4
+    # 4 classes, 3 distinct columns: the two single-colour lists share one,
+    # named by the first of them in canonical order
+    assert len(enumerate_configs(1)) == 4
+    assert len(lp.configs) == len(lp.objective) == len(lp.balance) == 3
+    assert [c.lists for c in lp.configs] == [(0,), (1,), (3,)]
     # the complete-neighbourhood variable is balanced (coefficient 0) and
     # carries the clique objective value
     ck_key = complete_neighbourhood_config(1).key()
@@ -82,13 +86,17 @@ def test_solvers_agree():
 
 def test_distinct_column_lp_matches_full_program():
     # the simplex over every one of the 120 classes at d=3, columns repeated
+    configs = enumerate_configs(3)
+    n = len(configs)
+    assert n == 120
     for lam in (F(1, 3), F(1), F(5, 2)):
-        lp = build_primal(3, lam)
-        n = len(lp.configs)
-        assert n == 120
-        full = simplex.solve(lp.objective, [[F(1)] * n, lp.balance], [F(1), F(0)])
+        objective = [alpha_v(c, lam) for c in configs]
+        balance = [alpha_v(c, lam) - alpha_u(c, lam) for c in configs]
+        full = simplex.solve(objective, [[F(1)] * n, balance], [F(1), F(0)])
         assert full.status == simplex.OPTIMAL
-        full_support = [(c, x) for c, x in zip(lp.configs, full.solution) if x]
+        full_support = [(c, x) for c, x in zip(configs, full.solution) if x]
+        lp = build_primal(3, lam)
+        assert len(lp.configs) == 27
         for sol in (simplex_solve(lp), vertex_enumeration_solve(lp)):
             assert sol.value == full.value == alpha_K(3, lam)
             assert list(sol.support) == full_support
@@ -96,25 +104,30 @@ def test_distinct_column_lp_matches_full_program():
 
 def test_shared_values_match_direct_evaluation():
     # every per-class value is what the class gives on its own, although
-    # the LP and the feasibility pass compute one per distinct signature
+    # the LP and the feasibility pass compute one per distinct signature;
+    # the LP has one variable per distinct column, named by the first
+    # class in canonical order with that column
     cases = [(d, lam) for d in (1, 2, 3, 4) for lam in (F(1, 3), F(1), F(5, 2))]
     for d, lam in cases + [(5, F(1))]:
         lp = build_primal(d, lam)
         cert = dual_certificate(d, lam)
         report = verify_dual_feasibility(cert, d, lam)
         configs = enumerate_configs(d)
-        assert lp.configs == configs
         assert [row.config for row in report.rows] == list(configs)
-        for config, obj, bal, row in zip(configs, lp.objective, lp.balance, report.rows):
+        first = {}
+        for config, row in zip(configs, report.rows):
             av, au = alpha_v(config, lam), alpha_u(config, lam)
+            first.setdefault((av, av - au), config)
             stats = local_partition_functions(config)
-            assert obj == row.alpha_v == av
-            assert bal == av - au
+            assert row.alpha_v == av
             assert row.alpha_u == au
             assert row.slack == dual_slack(cert, config)
             assert row.tight == (row.slack == 0)
             assert (row.a1, row.a2) == (stats.a1, stats.a2)
             assert row.key_text == config.key_text()
+        assert list(zip(lp.objective, lp.balance)) == list(first)
+        assert lp.configs == tuple(first.values())
+    assert len(lp.configs) == 390  # d = 5
 
 
 def test_dual_certificate_values():

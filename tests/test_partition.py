@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -22,6 +21,7 @@ from wrkit.graphs import (
 from wrkit.numerics import BivariatePolynomial, IntPolynomial, binomial_power
 from wrkit.partition import (
     is_valid_colouring,
+    valid_colourings,
     wr_partition,
     wr_partition_bivariate,
     wr_partition_brute,
@@ -31,16 +31,15 @@ from wrkit.partition import (
 def bivariate_brute(g):
     """Independent oracle: accumulate activity exponents over all 3^n maps."""
     coeffs = {}
-    for colouring in product((0, 1, 2), repeat=g.n):
-        if is_valid_colouring(g, colouring):
-            key = (colouring.count(1), colouring.count(2))
-            coeffs[key] = coeffs.get(key, 0) + 1
+    for colouring in valid_colourings(g, [(0, 1, 2)] * g.n):
+        key = (colouring.count(1), colouring.count(2))
+        coeffs[key] = coeffs.get(key, 0) + 1
     return BivariatePolynomial(coeffs)
 
 
 def test_brute_examples():
     assert wr_partition_brute(make_complete(3)) == IntPolynomial([1, 6, 6, 2])
-    assert wr_partition_brute(Graph(2, (0, 0))) == IntPolynomial([1, 2]) ** 2
+    assert wr_partition_brute(Graph(2, (0, 0))) == IntPolynomial([1, 4, 4])
     assert wr_partition_brute(make_cycle(5)) == IntPolynomial([1, 10, 30, 30, 10, 2])
 
 
@@ -162,7 +161,13 @@ def test_partition_eval_matches_weighted_count():
     g = make_cycle(5)
     lam = Fraction(2, 3)
     total = Fraction(0)
-    for colouring in product((0, 1, 2), repeat=5):
-        if is_valid_colouring(g, colouring):
-            total += lam ** (5 - colouring.count(0))
+    for colouring in valid_colourings(g, [(0, 1, 2)] * 5):
+        total += lam ** (5 - colouring.count(0))
     assert wr_partition(g).eval(lam) == total
+
+
+def test_valid_colourings_respect_options():
+    # product order over each vertex's options, invalid assignments dropped
+    k2 = make_complete(2)
+    assert list(valid_colourings(k2, [(0, 1), (0, 2)])) == [(0, 0), (0, 2), (1, 0)]
+    assert list(valid_colourings(k2, [(1,), (2,)])) == []

@@ -1,12 +1,20 @@
 """Property tests on random graphs with at most 8 vertices: the component
-walker and the algebraic identities of the partition polynomials."""
+walker, the algebraic identities of the partition polynomials and the
+edge-list text format."""
 
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrkit.graphs import component_masks, disjoint_union, from_edges
+from wrkit.errors import CapacityError, ParseError, UsageError
+from wrkit.graphs import (
+    component_masks,
+    disjoint_union,
+    from_edges,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from wrkit.numerics import BivariatePolynomial
 from wrkit.partition import wr_partition, wr_partition_bivariate, wr_partition_brute
 
@@ -70,3 +78,46 @@ def test_union_is_product(g, h):
     union = disjoint_union(g, h)
     assert wr_partition(union) == wr_partition(g) * wr_partition(h)
     assert wr_partition_bivariate(union) == wr_partition_bivariate(g) * wr_partition_bivariate(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_edge_list_round_trip(g):
+    assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+# a serialised graph with a few lines inserted, replaced or deleted; header
+# counts stay at most 10**4, the vertex cap, so that no parsed graph is large
+_counts = st.integers(-2, 10**4)
+_line = st.one_of(
+    st.tuples(st.integers(-2, 9), st.integers(-2, 9)),
+    st.tuples(_counts, _counts),
+    st.sampled_from(["", "# comment", "   ", "1", "1 2 3", "a b", "0x1 2"]),
+    st.text(max_size=12),
+).map(lambda line: line if isinstance(line, str) else f"{line[0]} {line[1]}")
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = serialize_edge_list(draw(graphs())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            lines.insert(at, draw(_line))
+        elif at < len(lines):
+            if edit == "replace":
+                lines[at] = draw(_line)
+            else:
+                del lines[at]
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+def test_edge_list_text_parses_or_raises_a_documented_error(text):
+    try:
+        g = parse_edge_list(text)
+    except (ParseError, UsageError, CapacityError):
+        return
+    assert parse_edge_list(serialize_edge_list(g)) == g
