@@ -20,8 +20,8 @@ and the two local occupancy estimates at a given activity:
   alpha_v   probability the centre vertex is coloured
   alpha_u   expected fraction of coloured neighbours
 
-The polynomials come from one walk of the subset-component identity that
-also gives the graph polynomials (partition.py), made list-aware: each
+The polynomials come from one walk of the subset-component identity
+(which partition.wr_partition sums by elimination), made list-aware: each
 induced component of a coloured set takes one of the colours its lists
 all allow.  Enumeration checks (the centre-plus-neighbourhood star here,
 the conditional expectation in lp.py) run on partition.valid_colourings,

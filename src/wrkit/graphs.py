@@ -37,9 +37,10 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
             raise UsageError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
         for v, mask in enumerate(self.adj):
-            if mask & ~full:
+            # a shift, not mask & ~(2^n - 1): that builds an n-bit int per
+            # vertex, so construction would be O(n^2) even with no edges
+            if mask >> self.n:
                 raise UsageError(f"vertex {v} has a neighbour out of range")
             if (mask >> v) & 1:
                 raise UsageError(f"self-loop on vertex {v}")
@@ -183,8 +184,8 @@ def make_random_regular(n: int, d: int, seed: int) -> Graph:
 
 def component_masks(g: Graph, subset: int) -> list[int]:
     """Bitmasks of the connected components of the subgraph induced by the
-    subset.  The one component walker: the partition engine calls it once
-    per vertex subset, so keep it lean."""
+    subset.  The one component walker: the local layer calls it once per
+    subset of a configuration's colourable vertices, so keep it lean."""
     adj = g.adj
     remaining = subset
     out = []

@@ -6,16 +6,26 @@ collects one monomial per valid colouring, weighted by the activity to
 the number of coloured vertices; the two-activity version keeps the two
 colour counts in separate variables.
 
-The production computation uses the subset-component identity: choose
-the coloured set S first; every component K of the induced subgraph is
-then monochromatic, in colour 1 or 2.  One walk over the 2^n subsets
-counts the subsets S with each tuple of component sizes, and both
-polynomials reduce that census: S contributes 2**c(S) * lam**|S| to one,
-and the product of x**|K| + y**|K| over its components to the other.
-The single-activity reduction is deliberately not the diagonal of the
-two-activity one, so that comparing them stays a real check.  The same
-identity, with per-vertex colour lists, gives the local polynomials of a
-neighbourhood configuration (configurations.local_partition_functions).
+Both polynomials come from dynamic programs that place the vertices one
+at a time, in one greedy elimination order that keeps the boundary (the
+unplaced vertices with a placed neighbour) small; WR colourings are
+homomorphisms to a looped path on three vertices, so they have this
+transfer-matrix form (Diaz-Serna-Thilikos, "Counting H-colorings of
+partial k-trees", TCS 2002).  Their cost grows with the boundary width,
+not with 2^n.  The two programs share no state space:
+
+- the two-activity one counts the valid colourings directly, its state
+  being the unplaced vertices already barred from colour 2 and from
+  colour 1;
+- the single-activity one sums the subset-component identity instead:
+  choose the coloured set S first, and every component of the induced
+  subgraph is then monochromatic, so S contributes 2**c(S) * lam**|S|.
+  Its state is the set of components of S still open to growth.
+
+So comparing the diagonal of the first with the second stays a real
+check.  The subset-component identity, with per-vertex colour lists,
+also gives the local polynomials of a neighbourhood configuration
+(configurations.local_partition_functions).
 
 valid_colourings, a product over each vertex's allowed colours filtered
 by is_valid_colouring, is the one reference enumerator: the 3^n oracle
@@ -28,11 +38,11 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import CapacityError
-from .graphs import Graph, component_masks
+from .errors import CapacityError, VerificationError
+from .graphs import Graph
 from .numerics import BivariatePolynomial, IntPolynomial
 
-EXACT_CAP = 24  # subset enumeration is 2^n
+EXACT_CAP = 24  # the elimination programs are exponential in the boundary width
 BRUTE_CAP = 12  # direct enumeration is 3^n
 
 
@@ -67,28 +77,96 @@ def _check_cap(g: Graph, cap: int, what: str) -> None:
         raise CapacityError(f"{what} capped at {cap} vertices, got {g.n}")
 
 
-@lru_cache(maxsize=256)
-def _component_sizes(g: Graph) -> dict[tuple[int, ...], int]:
-    """Census of the subset-component identity: each sorted tuple of
-    induced component sizes mapped to the number of vertex subsets with
-    those sizes (sorted, the keys stay integer partitions of at most n).
-    The graph layer's one 2^n subset walk; both polynomials reduce it."""
-    _check_cap(g, EXACT_CAP, "exact partition computation")
-    masks = component_masks
-    census: dict[tuple[int, ...], int] = {}
-    for subset in range(1 << g.n):
-        sizes = tuple(sorted(map(int.bit_count, masks(g, subset))))
-        census[sizes] = census.get(sizes, 0) + 1
-    return census
+def _elimination_order(g: Graph) -> list[tuple[int, int]]:
+    """The order both dynamic programs place the vertices in, as pairs
+    (v, unplaced): the vertex, then the mask of vertices still unplaced.
+
+    The boundary is the set of unplaced vertices with a placed neighbour.
+    While it is non-empty the next vertex comes from it, so components are
+    finished one at a time; among the candidates, the vertex whose placing
+    leaves the smallest boundary wins, the lowest index breaking ties.
+    Both programs keep their states on the boundary, so a small boundary
+    keeps the states few."""
+    adj = g.adj
+    unplaced = (1 << g.n) - 1
+    boundary = 0
+    order = []
+    while unplaced:
+        best = None
+        rest = boundary or unplaced
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            after = (boundary | adj[v] & unplaced) & ~low
+            if best is None or after.bit_count() < best[1].bit_count():
+                best = (v, after)
+            rest ^= low
+        v, boundary = best
+        unplaced ^= 1 << v
+        order.append((v, unplaced))
+    return order
+
+
+def _slot_width(n: int) -> int:
+    """Bits per coefficient when a polynomial is packed into one int.
+
+    Every coefficient of either polynomial is at most 3^n < 2^(2n).  A
+    state's coefficients never exceed the final ones, since leaving every
+    remaining vertex unoccupied completes any state, so slots of this
+    width never carry into each other."""
+    return 2 * n + 2
+
+
+def _final_slots(states: dict, empty, width: int, count: int) -> list[int]:
+    """The coefficients packed in the one state left once every vertex is
+    placed, which must be the empty state."""
+    if list(states) != [empty]:
+        raise VerificationError(
+            f"elimination ended in {len(states)} states, not the single empty state"
+        )
+    mask = (1 << width) - 1
+    return [(states[empty] >> (width * k)) & mask for k in range(count)]
 
 
 @lru_cache(maxsize=512)
 def wr_partition(g: Graph) -> IntPolynomial:
-    """Exact single-activity partition polynomial via the subset-component sum."""
-    coeffs = [0] * (g.n + 1)
-    for sizes, count in _component_sizes(g).items():
-        coeffs[sum(sizes)] += count << len(sizes)
-    return IntPolynomial(coeffs)
+    """Exact single-activity partition polynomial via the subset-component
+    identity, summed by a dynamic program over the elimination order.
+
+    A state is the sorted tuple of the open components of the occupied set
+    placed so far, each stored as the mask of its unplaced neighbours.
+    Occupying v merges it with every component whose mask holds v.  A
+    component whose mask empties is closed: nothing can join it, and it
+    doubles the weight for its choice of colour.  Each state's polynomial
+    in lam is packed into one int, one slot per power.
+    """
+    _check_cap(g, EXACT_CAP, "exact partition computation")
+    width = _slot_width(g.n)
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for v, unplaced in _elimination_order(g):
+        bit = 1 << v
+        nbrs = g.adj[v] & unplaced
+        nxt: dict[tuple[int, ...], int] = {}
+        for comps, poly in states.items():
+            touching = [c for c in comps if c & bit]
+            others = [c for c in comps if not c & bit]
+            # v unoccupied: it leaves every mask, and emptied masks close
+            kept = [c ^ bit for c in touching if c != bit]
+            key = tuple(sorted(others + kept))
+            nxt[key] = nxt.get(key, 0) + (poly << (len(touching) - len(kept)))
+            # v occupied: it joins every component that touches it
+            merged = nbrs
+            for c in touching:
+                merged |= c
+            merged &= ~bit
+            if merged:
+                key = tuple(sorted(others + [merged]))
+                nxt[key] = nxt.get(key, 0) + (poly << width)
+            else:
+                key = tuple(others)
+                nxt[key] = nxt.get(key, 0) + (poly << (width + 1))
+        states = nxt
+    return IntPolynomial(_final_slots(states, (), width, g.n + 1))
 
 
 def wr_partition_brute(g: Graph) -> IntPolynomial:
@@ -102,24 +180,38 @@ def wr_partition_brute(g: Graph) -> IntPolynomial:
 
 @lru_cache(maxsize=256)
 def wr_partition_bivariate(g: Graph) -> BivariatePolynomial:
-    """Exact two-activity partition polynomial.
+    """Exact two-activity partition polynomial: a dynamic program over the
+    elimination order that counts the valid colourings themselves.
 
-    Each induced component K independently takes colour 1 or 2,
-    contributing x**|K| + y**|K|; the product over components is expanded
-    once per census entry, keyed on the colour-1 count only, since the
-    colour-2 count is determined by |S|.
+    A state is a pair of masks (A1, A2): Ai holds the unplaced vertices
+    that already have a placed neighbour of colour i, so colour c is open
+    to v unless v is in A(3-c).  It shares no state with wr_partition, so
+    comparing the diagonal with that polynomial stays a real check.  Each
+    state's polynomial is packed into one int, the slot of x**i * y**j at
+    index i*(n+1) + j.
     """
-    out: dict[tuple[int, int], int] = {}
-    for sizes, count in _component_sizes(g).items():
-        total = sum(sizes)
-        ones_count = {0: count}
-        for s in sizes:
-            nxt: dict[int, int] = {}
-            for i, c in ones_count.items():
-                nxt[i] = nxt.get(i, 0) + c
-                nxt[i + s] = nxt.get(i + s, 0) + c
-            ones_count = nxt
-        for i, c in ones_count.items():
-            key = (i, total - i)
-            out[key] = out.get(key, 0) + c
-    return BivariatePolynomial(out)
+    _check_cap(g, EXACT_CAP, "exact partition computation")
+    n = g.n
+    width = _slot_width(n)
+    y_shift = width
+    x_shift = width * (n + 1)
+    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    for v, unplaced in _elimination_order(g):
+        bit = 1 << v
+        nbrs = g.adj[v] & unplaced
+        nxt: dict[tuple[int, int], int] = {}
+        for (a1, a2), poly in states.items():
+            b1 = a1 & ~bit
+            b2 = a2 & ~bit
+            nxt[b1, b2] = nxt.get((b1, b2), 0) + poly
+            if not a2 & bit:
+                key = (b1 | nbrs, b2)
+                nxt[key] = nxt.get(key, 0) + (poly << x_shift)
+            if not a1 & bit:
+                key = (b1, b2 | nbrs)
+                nxt[key] = nxt.get(key, 0) + (poly << y_shift)
+        states = nxt
+    slots = _final_slots(states, (0, 0), width, (n + 1) ** 2)
+    return BivariatePolynomial(
+        {divmod(k, n + 1): c for k, c in enumerate(slots) if c}
+    )

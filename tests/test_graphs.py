@@ -61,6 +61,19 @@ def test_generator_parameter_floors():
         make_complete_bipartite(0, 3)
 
 
+def test_graph_adjacency_checks():
+    with pytest.raises(UsageError, match="out of range"):
+        Graph(2, (0b100, 0))
+    with pytest.raises(UsageError, match="out of range"):
+        Graph(2, (-1, 0))  # a negative mask has bits past every n
+    with pytest.raises(UsageError, match="self-loop"):
+        Graph(2, (0b01, 0))
+    with pytest.raises(UsageError, match="asymmetric"):
+        Graph(2, (0b10, 0))
+    with pytest.raises(UsageError):
+        Graph(2, (0,))
+
+
 def test_disjoint_union():
     g = disjoint_union(make_complete(3), make_complete(3))
     assert g.n == 6 and g.m == 6

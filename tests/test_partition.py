@@ -1,12 +1,15 @@
-"""Partition polynomials: closed forms, the brute-force oracle, bivariate checks."""
+"""Partition polynomials: closed forms, the census and brute-force oracles,
+bivariate checks."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from wrkit import partition
-from wrkit.errors import CapacityError
+from wrkit.errors import CapacityError, VerificationError
+from wrkit.extremal import full_catalog
 from wrkit.graphs import (
     Graph,
     component_masks,
@@ -17,6 +20,7 @@ from wrkit.graphs import (
     make_cycle,
     make_petersen,
     make_prism,
+    make_random_regular,
 )
 from wrkit.numerics import BivariatePolynomial, IntPolynomial, binomial_power
 from wrkit.partition import (
@@ -123,21 +127,84 @@ def test_bivariate_diagonal_on_catalog():
         assert wr_partition_bivariate(g).diagonal() == wr_partition(g)
 
 
-def test_one_subset_walk_serves_both_polynomials(monkeypatch):
-    walks = []
+def census_polynomials(g):
+    """Oracle: the subset-component identity over all 2^n vertex subsets S.
+    Each induced component K of S takes colour 1 or 2, so S contributes
+    2**c(S) * lam**|S| to P and the product of x**|K| + y**|K| over its
+    components to the two-activity polynomial.  Subsets are first counted
+    by their sorted tuple of component sizes, and each tuple is expanded
+    once."""
+    census = {}
+    for subset in range(1 << g.n):
+        sizes = tuple(sorted(map(int.bit_count, component_masks(g, subset))))
+        census[sizes] = census.get(sizes, 0) + 1
+    uni = [0] * (g.n + 1)
+    biv = {}
+    for sizes, count in census.items():
+        total = sum(sizes)
+        uni[total] += count << len(sizes)
+        ones = {0: count}  # colour-1 vertex count -> number of subsets
+        for k in sizes:
+            nxt = dict(ones)
+            for i, c in ones.items():
+                nxt[i + k] = nxt.get(i + k, 0) + c
+            ones = nxt
+        for i, c in ones.items():
+            biv[i, total - i] = biv.get((i, total - i), 0) + c
+    return IntPolynomial(uni), BivariatePolynomial(biv)
 
-    def counting_walker(g, subset):
-        walks.append(subset)
-        return component_masks(g, subset)
 
-    monkeypatch.setattr(partition, "component_masks", counting_walker)
-    for value in vars(partition).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-    g = make_petersen()
-    wr_partition(g)
-    wr_partition_bivariate(g)
-    assert len(walks) == 1 << g.n
+def test_elimination_matches_census_oracle():
+    graphs = [g for g, _ in full_catalog()]
+    graphs += [
+        make_prism(8),
+        disjoint_union(make_cycle(8), make_cycle(10)),
+        reduce(disjoint_union, [make_complete(4)] * 4),
+    ]
+    for g in graphs:
+        uni, biv = census_polynomials(g)
+        assert wr_partition(g) == uni, g.label
+        assert wr_partition_bivariate(g) == biv, g.label
+
+
+def test_closed_forms_at_cap():
+    one = BivariatePolynomial({(0, 0): 1})
+    x = BivariatePolynomial({(1, 0): 1})
+    y = BivariatePolynomial({(0, 1): 1})
+
+    def power(p, k):
+        return reduce(lambda a, b: a * b, [p] * k, one)
+
+    k24 = make_complete(24)
+    assert wr_partition(k24) == 2 * binomial_power(24) - 1
+    assert wr_partition_bivariate(k24) == power(one + x, 24) + power(one + y, 24) + (-1)
+
+    # K_{12,12}, split on the colours used by the first side: none, only 1,
+    # only 2 (the other side then avoids the missing colour), or both (the
+    # other side is then empty)
+    x12, y12, xy12 = power(one + x, 12), power(one + y, 12), power(one + x + y, 12)
+    expected = (
+        xy12
+        + (x12 + (-1)) * x12
+        + (y12 + (-1)) * y12
+        + xy12 + (-1) * x12 + (-1) * y12 + 1
+    )
+    assert wr_partition_bivariate(make_complete_bipartite(12, 12)) == expected
+
+    g = make_random_regular(24, 3, 7)
+    assert wr_partition_bivariate(g).diagonal() == wr_partition(g)
+
+
+def test_elimination_must_end_in_the_empty_state(monkeypatch):
+    # placing all but the last vertex leaves several open states: the
+    # programs must refuse to read a result off them
+    order = partition._elimination_order
+    monkeypatch.setattr(partition, "_elimination_order", lambda g: order(g)[:-1])
+    g = make_cycle(5)
+    with pytest.raises(VerificationError):
+        wr_partition.__wrapped__(g)
+    with pytest.raises(VerificationError):
+        wr_partition_bivariate.__wrapped__(g)
 
 
 def test_capacity_caps():
