@@ -17,7 +17,6 @@ from .errors import (
     CapacityError,
     DomainError,
     ParseError,
-    RetryExhaustedError,
     UsageError,
     VerificationError,
 )
@@ -220,25 +219,19 @@ def cmd_verify(args) -> int:
 
 def cmd_lp(args) -> int:
     lam = parse_rational(args.lam)
-    instance = lp.build_primal(args.d, lam)
-    sol_simplex = lp.simplex_solve(instance)
-    sol_enum = lp.vertex_enumeration_solve(instance)
-    _, report = _feasibility(args, lam)
-    classes = len(enumerate_configs(args.d))
-    print(f"d={args.d} lambda={format_rational(lam)}: {classes} configurations")
-    print(f"simplex optimum {format_rational(sol_simplex.value)}")
-    for config, weight in sol_simplex.support:
+    proof = lp.uniqueness_check(args.d, lam)
+    report = proof.feasibility
+    print(f"d={args.d} lambda={format_rational(lam)}: {len(report.rows)} configurations")
+    print(f"simplex optimum {format_rational(proof.optimum)}")
+    for config, weight in zip(proof.simplex_support, proof.simplex_weights):
         print(f"  support {config.key_text()} weight {format_rational(weight)}")
-    print(f"enumeration optimum {format_rational(sol_enum.value)}")
+    print(f"enumeration optimum {format_rational(proof.optimum)}")
     tight_texts = sorted(c.key_text() for c in report.tight_set)
     print(f"tight constraints ({len(tight_texts)}):")
     for text in tight_texts:
         print(f"  {text}")
     if args.csv:
         _write_or_print(lp.config_report_csv(report), args.csv)
-    if sol_simplex.value != sol_enum.value:
-        print("MISMATCH: solvers disagree", file=sys.stderr)
-        return EXIT_MISMATCH
     return EXIT_OK
 
 
@@ -338,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write CSV report here")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("lp", help="solve the local relaxation exactly")
+    p = sub.add_parser("lp", help="solve the local relaxation and certify its optimum")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True, help="activity as p/q")
     p.add_argument("--csv", help="write per-configuration CSV here")
@@ -386,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (VerificationError, RetryExhaustedError) as exc:
+    except VerificationError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

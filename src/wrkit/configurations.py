@@ -50,6 +50,7 @@ from .graphs import (
     component_masks,
     graph_from_code,
     graphs_up_to_iso,
+    make_complete,
     permute_labels,
 )
 from .numerics import IntPolynomial, binomial_power, check_activity
@@ -101,25 +102,21 @@ class Configuration:
         return f"d={n};edges={edges};lists={lists_text}"
 
 
-def empty_lists_config(d: int, graph: Graph | None = None) -> Configuration:
+def empty_lists_config(d: int) -> Configuration:
     """All lists empty (edges of H are immaterial for this class)."""
-    g = graph if graph is not None else Graph(d, (0,) * d)
-    return Configuration(g, (NO_COLOURS,) * d)
+    return Configuration(Graph(d, (0,) * d), (NO_COLOURS,) * d)
 
 
-def single_colour_config(d: int, colour: int, graph: Graph | None = None) -> Configuration:
+def single_colour_config(d: int, colour: int) -> Configuration:
     """All lists equal to one colour (edges again immaterial)."""
     if colour not in (1, 2):
         raise UsageError(f"colour must be 1 or 2, got {colour}")
-    g = graph if graph is not None else Graph(d, (0,) * d)
-    return Configuration(g, (colour,) * d)
+    return Configuration(Graph(d, (0,) * d), (colour,) * d)
 
 
 def complete_neighbourhood_config(d: int) -> Configuration:
     """Complete neighbourhood with full lists: the configuration a clique induces."""
-    full = (1 << d) - 1
-    g = Graph(d, tuple(full ^ (1 << v) for v in range(d)))
-    return Configuration(g, (BOTH_COLOURS,) * d)
+    return Configuration(make_complete(d), (BOTH_COLOURS,) * d)
 
 
 @dataclass(frozen=True)

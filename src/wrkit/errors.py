@@ -14,7 +14,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(Exception):
-    """The request exceeds a documented exact-computation size cap."""
+    """The request exceeds a documented size or retry cap."""
 
 
 class ParseError(ValueError):
@@ -25,10 +25,6 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class RetryExhaustedError(Exception):
-    """A rejection-sampling loop hit its retry cap without success."""
 
 
 class VerificationError(Exception):

@@ -148,7 +148,7 @@ def catalog_d2() -> list[Graph]:
     return graphs
 
 
-def catalog_d3(random_count: int = 20) -> list[Graph]:
+def catalog_d3() -> list[Graph]:
     """3-regular desk catalog: named graphs plus seeded random regulars."""
     graphs = [
         make_complete(4),
@@ -161,7 +161,7 @@ def catalog_d3(random_count: int = 20) -> list[Graph]:
         disjoint_union(make_complete(4), make_complete(4)),
     ]
     sizes = (8, 10, 14)
-    for index in range(random_count):
+    for index in range(20):
         n = sizes[index % len(sizes)]
         graphs.append(make_random_regular(n, 3, seed=1000 + index))
     return graphs

@@ -14,15 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, ParseError, RetryExhaustedError, UsageError
+from .errors import CapacityError, ParseError, UsageError
 
 ISO_CAP = 8  # brute-force isomorphism enumerates all vertex permutations
-# checked on the header, before any allocation: bitset adjacency can hold
-# n^2 bits (12.5 MB at the cap), and 2 * 10^5 vertices already exhaust 1 GB
-EDGE_LIST_VERTEX_CAP = 10**4
+# checked by every graph source before it allocates: bitset adjacency can
+# hold n^2 bits (12.5 MB at the cap), and 2 * 10^5 vertices exhaust 1 GB
+VERTEX_CAP = 10**4
 _PAIRING_RETRY_CAP = 1000
 
 
@@ -85,8 +85,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{tag})"
 
 
+def _check_vertex_cap(n: int) -> None:
+    if n > VERTEX_CAP:
+        raise CapacityError(f"graphs capped at {VERTEX_CAP} vertices, got {n}")
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> Graph:
     """Build a graph from an edge list, rejecting loops and bad vertex ids."""
+    _check_vertex_cap(n)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -105,6 +111,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> Gra
 def make_complete(n: int) -> Graph:
     if n < 1:
         raise UsageError("complete graph needs n >= 1")
+    _check_vertex_cap(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)), f"complete:{n}")
 
@@ -112,6 +119,7 @@ def make_complete(n: int) -> Graph:
 def make_complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise UsageError("complete bipartite graph needs both sides >= 1")
+    _check_vertex_cap(a + b)
     left = (1 << a) - 1
     right = ((1 << (a + b)) - 1) ^ left
     adj = tuple(right if v < a else left for v in range(a + b))
@@ -121,7 +129,7 @@ def make_complete_bipartite(a: int, b: int) -> Graph:
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise UsageError("cycle needs n >= 3")
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)], f"cycle:{n}")
+    return from_edges(n, ((v, (v + 1) % n) for v in range(n)), f"cycle:{n}")
 
 
 def make_petersen() -> Graph:
@@ -135,13 +143,13 @@ def make_prism(k: int) -> Graph:
     """Two k-cycles joined by a perfect matching (3-regular on 2k vertices)."""
     if k < 3:
         raise UsageError("prism needs k >= 3")
-    edges = [(v, (v + 1) % k) for v in range(k)]
-    edges += [(k + v, k + (v + 1) % k) for v in range(k)]
-    edges += [(v, k + v) for v in range(k)]
-    return from_edges(2 * k, edges, f"prism:{k}")
+    rims = ((s + v, s + (v + 1) % k) for s in (0, k) for v in range(k))
+    spokes = ((v, k + v) for v in range(k))
+    return from_edges(2 * k, chain(rims, spokes), f"prism:{k}")
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
+    _check_vertex_cap(g.n + h.n)
     adj = list(g.adj) + [mask << g.n for mask in h.adj]
     label = "+".join(part for part in (g.label, h.label) if part)
     return Graph(g.n + h.n, tuple(adj), label)
@@ -152,12 +160,14 @@ def make_random_regular(n: int, d: int, seed: int) -> Graph:
 
     Stubs are shuffled and paired; any loop or repeated edge rejects the
     whole sample and we redraw from scratch, which keeps the distribution
-    near-uniform at this scale.  Deterministic for a fixed seed.
+    near-uniform at this scale.  Deterministic for a fixed seed.  Raises
+    CapacityError when all _PAIRING_RETRY_CAP draws are rejected.
     """
     if d < 0 or d >= n:
         raise UsageError(f"need 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise UsageError(f"n*d must be even, got n={n}, d={d}")
+    _check_vertex_cap(n)
     rng = random.Random(seed)
     for _ in range(_PAIRING_RETRY_CAP):
         stubs = [v for v in range(n) for _ in range(d)]
@@ -173,7 +183,7 @@ def make_random_regular(n: int, d: int, seed: int) -> Graph:
             adj[v] |= 1 << u
         if ok:
             return Graph(n, tuple(adj), f"random_regular:{n},{d},{seed}")
-    raise RetryExhaustedError(
+    raise CapacityError(
         f"pairing model failed {_PAIRING_RETRY_CAP} times for n={n}, d={d}"
     )
 
@@ -248,10 +258,10 @@ def edge_code(g: Graph) -> int:
     return code
 
 
-def graph_from_code(n: int, code: int, label: str = "") -> Graph:
+def graph_from_code(n: int, code: int) -> Graph:
     pairs = list(combinations(range(n), 2))
     edges = [pairs[k] for k in range(len(pairs)) if (code >> k) & 1]
-    return from_edges(n, edges, label)
+    return from_edges(n, edges)
 
 
 def permute_code(n: int, code: int, perm: Sequence[int]) -> int:
@@ -337,8 +347,8 @@ def graphs_up_to_iso(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], .
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format; raises ParseError naming the bad line,
-    or CapacityError when the header declares more than
-    EDGE_LIST_VERTEX_CAP vertices."""
+    or CapacityError when the header declares more than VERTEX_CAP
+    vertices."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -356,10 +366,7 @@ def parse_edge_list(text: str) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError(f"bad header counts {a} {b}", lineno)
-            if a > EDGE_LIST_VERTEX_CAP:
-                raise CapacityError(
-                    f"edge lists capped at {EDGE_LIST_VERTEX_CAP} vertices, got {a}"
-                )
+            _check_vertex_cap(a)
             header = (a, b)
             continue
         n, m = header

@@ -25,15 +25,15 @@ every tight class other than the complete neighbourhood has alpha_u <
 alpha_v (checked by uniqueness_check), so that column is unique.
 
 The dual certificate (lambda_p, lambda_c) proves the optimum equals the
-complete-neighbourhood value; feasibility of every dual constraint is
-checked both in alpha form and through the rearranged polynomial
-inequality
+complete-neighbourhood value; every dual constraint is checked in alpha
+form and again as the sum of the paper's two claims (verify_claims),
 
-    (p0' + lam*p12') / (2*p0 - p12)  <=  d(1+lam)^d / ((1+lam)^d - 1),
+    p0'/(2*p0 - p12) <= r_d  and  lam*p12'/(2*p0 - p12) <= lam*r_d,
 
-and the set of tight constraints must be exactly the classes with
-all-equal lists and no dichromatic colouring.  Complementary slackness
-then pins the unique optimum to the complete neighbourhood.
+with r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1).  The tight constraints must
+be exactly the classes with all-equal lists and no dichromatic colouring,
+and complementary slackness then pins the unique optimum to the complete
+neighbourhood.  uniqueness_check runs this whole chain.
 """
 
 from __future__ import annotations
@@ -208,6 +208,21 @@ def _slack(cert: DualCertificate, av: Fraction, au: Fraction) -> Fraction:
     return cert.lambda_p + cert.lambda_c * (av - au) - av
 
 
+def _clique_ratio(a: int, lam: Fraction) -> Fraction:
+    """r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1), claim_p0's bound at degree a."""
+    grow = (1 + lam) ** (a - 1)
+    return a * grow / (grow * (1 + lam) - 1)
+
+
+def _claim_terms(stats: ConfigStats, lam: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The numerators p0', lam*p12' of claim_p0 and claim_p12 at lam, and
+    their shared denominator 2*p0 - p12, which must be positive."""
+    denom = 2 * stats.p0.eval(lam) - stats.p12.eval(lam)
+    if denom <= 0:
+        raise VerificationError("2*p0 - p12 must be positive here")
+    return stats.p0.derivative().eval(lam), lam * stats.p12.derivative().eval(lam), denom
+
+
 def dual_slack(cert: DualCertificate, config: Configuration) -> Fraction:
     """Slack of one dual constraint:
     lambda_p + lambda_c*(alpha_v - alpha_u) - alpha_v."""
@@ -216,7 +231,7 @@ def dual_slack(cert: DualCertificate, config: Configuration) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigRow:
     """Per-configuration report row (the CSV unit)."""
 
@@ -247,18 +262,17 @@ def verify_dual_feasibility(
 ) -> FeasibilityReport:
     """Check every dual constraint exactly, two ways.
 
-    The alpha-form slack is recomputed through the rearranged polynomial
-    inequality (valid once some list is non-empty; the all-empty class is
-    tight by construction of lambda_c) and the two must agree in sign and
-    in zero set.  Both routes run once per distinct signature (p0, p12)
-    and their values are shared by every class with it.  Violations are
-    returned as data, never raised.
+    The alpha-form slack is recomputed as the sum of the two claims
+    (valid once some list is non-empty; the all-empty class is tight by
+    construction of lambda_c) and the two must agree in sign and in zero
+    set.  Both routes run once per distinct signature (p0, p12) and their
+    values are shared by every class with it.  Violations are returned as
+    data, never raised.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
     lam = Fraction(lam)
-    grow = (1 + lam) ** d
-    rearranged_bound = d * grow / (grow - 1)
+    claims_bound = (1 + lam) * _clique_ratio(d, lam)
 
     def constraint(
         config: Configuration, stats: ConfigStats, av: Fraction, au: Fraction
@@ -271,14 +285,8 @@ def verify_dual_feasibility(
                     "empty-list constraint not tight; certificate is wrong"
                 )
         else:
-            denom = 2 * stats.p0.eval(lam) - stats.p12.eval(lam)
-            if denom <= 0:
-                raise VerificationError("2*p0 - p12 must be positive here")
-            lhs = (
-                stats.p0.derivative().eval(lam)
-                + lam * stats.p12.derivative().eval(lam)
-            ) / denom
-            slack2 = rearranged_bound - lhs
+            p0_term, p12_term, denom = _claim_terms(stats, lam)
+            slack2 = claims_bound - (p0_term + p12_term) / denom
             if (slack > 0) != (slack2 > 0) or (slack == 0) != (slack2 == 0):
                 raise VerificationError(
                     f"slack routes disagree on {config.key_text()}: "
@@ -354,8 +362,9 @@ class ClaimsReport:
 def verify_claims(config: Configuration, d: int, lam: Fraction) -> ClaimsReport:
     """The two summand inequalities behind the dual constraint.
 
-    claim_p12:  lam * p12' / (2*p0 - p12) <= d*lam*(1+lam)^(d-1) / ((1+lam)^d - 1)
-    claim_p0:   p0' / (2*p0 - p12)        <= d*(1+lam)^(d-1) / ((1+lam)^d - 1)
+    claim_p12:  lam * p12' / (2*p0 - p12) <= lam * r_d
+    claim_p0:   p0' / (2*p0 - p12)        <= r_d,
+    r_d = d(1+lam)^(d-1) / ((1+lam)^d - 1).
 
     Both are tight exactly on the all-equal-lists, no-dichromatic classes.
     The all-empty class is excluded (its denominator vanishes).
@@ -367,14 +376,10 @@ def verify_claims(config: Configuration, d: int, lam: Fraction) -> ClaimsReport:
     stats = local_partition_functions(config)
     if stats.a1 == 0 and stats.a2 == 0:
         raise DomainError("all-empty lists: 2*p0 - p12 vanishes identically")
-    denom = 2 * stats.p0.eval(lam) - stats.p12.eval(lam)
-    grow_d1 = (1 + lam) ** (d - 1)
-    bound = d * grow_d1 / (grow_d1 * (1 + lam) - 1)
-
-    lhs12 = lam * stats.p12.derivative().eval(lam) / denom
-    rhs12 = lam * bound
-    lhs0 = stats.p0.derivative().eval(lam) / denom
-    rhs0 = bound
+    p0_term, p12_term, denom = _claim_terms(stats, lam)
+    lhs12, lhs0 = p12_term / denom, p0_term / denom
+    rhs0 = _clique_ratio(d, lam)
+    rhs12 = lam * rhs0
     return ClaimsReport(
         claim_p12=ClaimCheck(lhs12 <= rhs12, lhs12 == rhs12, lhs12, rhs12),
         claim_p0=ClaimCheck(lhs0 <= rhs0, lhs0 == rhs0, lhs0, rhs0),
@@ -388,7 +393,7 @@ def conditional_expectation_check(
 
     The left side is computed by full enumeration of the neighbourhood
     colourings; the right side is the complete-neighbourhood value
-    lam*d*(1+lam)^(d-1) / ((1+lam)^d - 1), which must dominate.
+    lam * r_d, which must dominate.
     """
     if colour not in (1, 2):
         raise UsageError(f"colour must be 1 or 2, got {colour}")
@@ -409,49 +414,52 @@ def conditional_expectation_check(
     other = stats.p2 if colour == 1 else stats.p1
     weight_with_colour = stats.p0.eval(lam) - other.eval(lam)
 
-    d = config.d
     lhs = expectation_sum / weight_with_colour
-    grow = (1 + lam) ** d
-    rhs = lam * d * (1 + lam) ** (d - 1) / (grow - 1)
+    rhs = lam * _clique_ratio(config.d, lam)
     return lhs, rhs, lhs <= rhs
 
 
 def monotone_lhs_check(d: int, lam: Fraction) -> bool:
-    """Strict growth of a(1+lam)^(a-1) / ((1+lam)^a - 1) for a = 1..d."""
+    """Strict growth of r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1) for a = 1..d."""
     if d < 1:
         raise UsageError(f"degree must be >= 1, got {d}")
     check_activity(lam)
     lam = Fraction(lam)
-
-    def term(a: int) -> Fraction:
-        grow = (1 + lam) ** a
-        return a * grow / (1 + lam) / (grow - 1)
-
-    return all(term(a) < term(a + 1) for a in range(1, d))
+    return all(_clique_ratio(a, lam) < _clique_ratio(a + 1, lam) for a in range(1, d))
 
 
 @dataclass(frozen=True)
 class UniquenessReport:
+    """What uniqueness_check proved.  feasibility is the dual certificate's
+    report; simplex_weights are the simplex support's weights, in order."""
+
     d: int
     activity: Fraction
-    tight_set: tuple[Configuration, ...]
+    feasibility: FeasibilityReport
     empty_list_classes: tuple[Configuration, ...]
     single_colour_classes: tuple[Configuration, ...]
     complete_class: Configuration
     optimum: Fraction
     simplex_support: tuple[Configuration, ...]
+    simplex_weights: tuple[Fraction, ...]
     enumeration_support: tuple[Configuration, ...]
+
+    @property
+    def tight_set(self) -> tuple[Configuration, ...]:
+        return self.feasibility.tight_set
 
 
 def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     """Reproduce the complementary-slackness uniqueness argument.
 
-    Tight dual constraints must be exactly the all-equal-lists classes
-    without dichromatic colourings; all of them except the complete
-    neighbourhood have alpha_u strictly below alpha_v, so the balance row
-    forces any optimal distribution onto the complete neighbourhood.
-    Both solvers must land there too.
+    The dual certificate must be feasible.  Tight dual constraints must be
+    exactly the all-equal-lists classes without dichromatic colourings;
+    all of them except the complete neighbourhood have alpha_u strictly
+    below alpha_v, so the balance row forces any optimal distribution
+    onto the complete neighbourhood.  Both solvers must reach alpha_K
+    there, with weight 1.
     """
+    check_activity(lam)
     lam = Fraction(lam)
     cert = dual_certificate(d, lam)
     report = verify_dual_feasibility(cert, d, lam)
@@ -482,11 +490,8 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
                     "full-list tight class is not the complete neighbourhood"
                 )
             complete_class = config
-        if config.key() != complete_key:
-            if not row.alpha_u < row.alpha_v:
-                raise VerificationError(
-                    f"expected alpha_u < alpha_v on {config.key_text()}"
-                )
+        if config.key() != complete_key and not row.alpha_u < row.alpha_v:
+            raise VerificationError(f"expected alpha_u < alpha_v on {config.key_text()}")
     if complete_class is None:
         raise VerificationError("complete neighbourhood missing from tight set")
 
@@ -497,8 +502,7 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     for name, sol in (("simplex", sol_simplex), ("enumeration", sol_enum)):
         if sol.status != simplex.OPTIMAL or sol.value != expected:
             raise VerificationError(f"{name} solver did not reach the optimum")
-        support_keys = [c.key() for c, _ in sol.support]
-        if support_keys != [complete_key]:
+        if [(c.key(), w) for c, w in sol.support] != [(complete_key, 1)]:
             raise VerificationError(
                 f"{name} solver support is not the complete neighbourhood"
             )
@@ -506,11 +510,12 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     return UniquenessReport(
         d=d,
         activity=lam,
-        tight_set=report.tight_set,
+        feasibility=report,
         empty_list_classes=tuple(empty_classes),
         single_colour_classes=tuple(single_classes),
         complete_class=complete_class,
         optimum=expected,
         simplex_support=tuple(c for c, _ in sol_simplex.support),
+        simplex_weights=tuple(w for _, w in sol_simplex.support),
         enumeration_support=tuple(c for c, _ in sol_enum.support),
     )

@@ -171,7 +171,7 @@ class IntPolynomial:
             return "0"
         return ",".join(str(c) for c in self.coeffs)
 
-    def pretty(self, var: str = "lam") -> str:
+    def pretty(self) -> str:
         """Human-readable ASCII form, e.g. ``1 + 4*lam + 2*lam^2``."""
         if not self.coeffs:
             return "0"
@@ -182,7 +182,7 @@ class IntPolynomial:
             if k == 0:
                 parts.append(str(c))
             else:
-                mono = var if k == 1 else f"{var}^{k}"
+                mono = "lam" if k == 1 else f"lam^{k}"
                 parts.append(mono if c == 1 else f"{c}*{mono}")
         return " + ".join(parts) if parts else "0"
 

@@ -20,6 +20,7 @@ from wrkit.lp import (
     conditional_expectation_check,
     dual_certificate,
     monotone_lhs_check,
+    uniqueness_check,
     verify_claims,
 )
 from wrkit.numerics import check_activity
@@ -44,6 +45,7 @@ ENTRY_POINTS = {
         CONFIG, 1, lam
     ),
     "monotone_lhs_check": lambda lam: monotone_lhs_check(2, lam),
+    "uniqueness_check": lambda lam: uniqueness_check(2, lam),
     "estimate_occupancy": lambda lam: estimate_occupancy(CYCLE, lam, 10, 10),
     "verify_occupancy_bound": lambda lam: verify_occupancy_bound(CYCLE, 2, lam),
     "verify_partition_bound": lambda lam: verify_partition_bound(CYCLE, 2, lam),

@@ -3,16 +3,18 @@
 import hashlib
 import subprocess
 import sys
+from fractions import Fraction
 
 from wrkit.cli import (
     EXIT_CAPACITY,
     EXIT_COUNTEREXAMPLE,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     main,
     parse_builtin,
 )
-from wrkit.graphs import is_d_regular
+from wrkit.graphs import VERTEX_CAP, is_d_regular
 
 
 def run(capsys, *argv):
@@ -109,12 +111,64 @@ SCAN_D2_STDOUT = "b5dd041d802e4ce5aac795ff1440f448c3538f5cf8d49472ab263cf2fdba9c
 # and before the local polynomials came from the list-aware subset walk
 # and the LP instance held only its distinct columns
 DUALCERT_D5_LAMBDA1_CSV = "99598d73c81c219a339fc52ee35f87f3442793918adbc75a3d5b6da6dee122b8"
+# and before lp printed its report from one uniqueness_check run
+LP_D5_LAMBDA1_STDOUT = "1d4511cc2be9646baf725be692d8fda4ff6f11e7bd712718de2df4fdddc48a5e"
+LP_D3_LAMBDA7_5_CSV = "d25ab71ec19f6e488ece3bd378637a17c5cb5a33090c2699308f7e548ae49b7b"
 
 
 def test_lp_stdout_pinned(capsys):
     code, out, _ = run(capsys, "lp", "--d", "4", "--lambda", "2")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == LP_D4_LAMBDA2_STDOUT
+
+
+def test_lp_d5_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "lp", "--d", "5", "--lambda", "1")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == LP_D5_LAMBDA1_STDOUT
+
+
+def test_lp_csv_pinned(tmp_path, capsys):
+    target = tmp_path / "lp.csv"
+    code, out, _ = run(capsys, "lp", "--d", "3", "--lambda", "7/5", "--csv", str(target))
+    assert code == EXIT_OK
+    assert out.endswith(f"wrote {target}\n")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == LP_D3_LAMBDA7_5_CSV
+
+
+def assert_lp_refused(capsys):
+    code, out, err = run(capsys, "lp", "--d", "2", "--lambda", "1")
+    assert code == EXIT_MISMATCH
+    assert err.startswith("verification error: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_lp_refuses_solvers_that_agree_on_a_wrong_optimum(monkeypatch, capsys):
+    from wrkit import lp, simplex
+
+    def wrong(instance):
+        # both solvers agree on the first column, at a value below alpha_K
+        support = ((instance.configs[0], Fraction(1)),)
+        return lp.LPSolution(simplex.OPTIMAL, Fraction(1, 2), support)
+
+    monkeypatch.setattr(lp, "simplex_solve", wrong)
+    monkeypatch.setattr(lp, "vertex_enumeration_solve", wrong)
+    assert_lp_refused(capsys)
+
+
+def test_lp_refuses_an_infeasible_certificate(monkeypatch, capsys):
+    import dataclasses
+
+    from wrkit import lp
+
+    checked = lp.verify_dual_feasibility
+
+    def one_violation(cert, d, lam):
+        report = checked(cert, d, lam)
+        return dataclasses.replace(report, violations=(report.rows[-1].config,))
+
+    monkeypatch.setattr(lp, "verify_dual_feasibility", one_violation)
+    assert_lp_refused(capsys)
 
 
 def test_dualcert_csv_pinned(tmp_path, capsys):
@@ -281,6 +335,28 @@ def test_usage_errors(capsys):
 def test_capacity_exit(capsys):
     code, _, err = run(capsys, "configs", "--d", "7")
     assert code == EXIT_CAPACITY
+
+
+def test_vertex_cap_covers_builtin_specs(capsys):
+    # refused before the adjacency is built, for an atom and for a union
+    # of atoms each under the cap
+    for spec in ("cycle:200000", "cycle:6000+cycle:6000"):
+        code, out, err = run(capsys, "partition", "--builtin", spec)
+        assert code == EXIT_CAPACITY
+        assert err.startswith("capacity error: ") and err.count("\n") == 1
+        assert f"capped at {VERTEX_CAP} vertices" in err
+        assert out == ""
+
+
+def test_pairing_model_exhaustion_is_a_capacity_error(monkeypatch, capsys):
+    import wrkit.graphs as graphs_module
+
+    monkeypatch.setattr(graphs_module, "_PAIRING_RETRY_CAP", 0)
+    code, out, err = run(capsys, "partition", "--builtin", "random_regular:10,3,0")
+    assert code == EXIT_CAPACITY
+    assert err.startswith("capacity error: pairing model failed ")
+    assert err.count("\n") == 1
+    assert out == ""
 
 
 def test_huge_header_vertex_count_is_a_capacity_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from wrkit.errors import CapacityError, ParseError, UsageError
 from wrkit.graphs import (
-    EDGE_LIST_VERTEX_CAP,
+    VERTEX_CAP,
     Graph,
     canonical_labelled_form,
     component_masks,
@@ -115,11 +115,27 @@ def test_random_regular_usage_errors():
 
 def test_random_regular_retry_exhausted(monkeypatch):
     import wrkit.graphs as graphs_module
-    from wrkit.errors import RetryExhaustedError
 
     monkeypatch.setattr(graphs_module, "_PAIRING_RETRY_CAP", 0)
-    with pytest.raises(RetryExhaustedError):
+    with pytest.raises(CapacityError, match="pairing model failed 0 times"):
         make_random_regular(10, 3, seed=0)
+
+
+def test_vertex_cap_covers_every_builder():
+    # each source refuses past the cap before building its adjacency
+    over = VERTEX_CAP + 1
+    for build in (
+        lambda: from_edges(over, []),
+        lambda: make_complete(over),
+        lambda: make_complete_bipartite(VERTEX_CAP, 1),
+        lambda: make_cycle(over),
+        lambda: make_prism(over // 2 + 1),
+        lambda: make_random_regular(2 * 10**4, 3, 0),
+        lambda: disjoint_union(make_cycle(VERTEX_CAP), make_cycle(3)),
+    ):
+        with pytest.raises(CapacityError, match=f"capped at {VERTEX_CAP} vertices"):
+            build()
+    assert from_edges(VERTEX_CAP, []).n == VERTEX_CAP
 
 
 def test_component_count():
@@ -204,7 +220,7 @@ def test_parse_edge_list():
     g = parse_edge_list("# comment\n\n3 1\n\n2 1\n")  # blanks, comments, u > v
     assert g.has_edge(1, 2)
     # the largest header the cap admits still parses
-    assert parse_edge_list(f"{EDGE_LIST_VERTEX_CAP} 0\n").n == EDGE_LIST_VERTEX_CAP
+    assert parse_edge_list(f"{VERTEX_CAP} 0\n").n == VERTEX_CAP
 
 
 def test_parse_edge_list_errors():
@@ -221,7 +237,7 @@ def test_parse_edge_list_errors():
     with pytest.raises(ParseError):
         parse_edge_list("")  # no header
     with pytest.raises(CapacityError):
-        parse_edge_list(f"{EDGE_LIST_VERTEX_CAP + 1} 0\n")  # before allocating
+        parse_edge_list(f"{VERTEX_CAP + 1} 0\n")  # before allocating
 
 
 def test_edge_list_round_trip():
