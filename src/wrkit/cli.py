@@ -263,9 +263,13 @@ def cmd_configs(args) -> int:
 def cmd_sample(args) -> int:
     graph = _load_graph(args)
     try:
-        lam = float(Fraction(args.lam))
-    except (ValueError, ZeroDivisionError) as exc:
+        exact = Fraction(args.lam)
+        lam = float(exact)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"bad activity {args.lam!r}") from exc
+    if exact and not lam:
+        # a nonzero activity that underflows to 0.0 in the sampler's floats
+        raise UsageError(f"bad activity {args.lam!r}")
     burnin = args.burnin if args.burnin is not None else 1000 * graph.n
     series: list[tuple[int, float]] | None = [] if args.csv else None
     estimate, stderr = dynamics.estimate_occupancy(

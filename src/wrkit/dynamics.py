@@ -7,6 +7,12 @@ weighted 1 (uncoloured) and lam per colour.  The chain therefore
 preserves validity at every step, and its stationary law is the model
 distribution at activity lam.
 
+The sampler keeps two colour-class masks, the vertices coloured 1 and
+the vertices coloured 2, as Python ints beside the colouring.  A step
+tests the updated vertex's adjacency mask against each: two n-bit ANDs,
+so its cost no longer grows with the degree.  The masks change only when
+a vertex's colour does.
+
 Sampling is plain floating point for throughput; exactness lives in the
 rest of the package.  Randomness comes from the CPython Mersenne Twister
 (random.Random) with an explicit seed, so runs are reproducible; the
@@ -97,42 +103,56 @@ def estimate_occupancy(
     n = graph.n
     adj = graph.adj
     colouring = [0] * n
+    on1 = 0  # mask of the vertices coloured 1
+    on2 = 0  # mask of the vertices coloured 2
     coloured = 0
     lam = float(lam)
+    # heat-bath totals with one and with two colours allowed; for finite
+    # lam they equal 1.0 + lam * (ok1 + ok2) bit for bit
+    total1 = 1.0 + lam
+    total2 = 1.0 + lam * 2
 
     values = []
     record = values.append
     total_steps = burn_in + samples * thinning
-    # hot loop: the one Glauber kernel, kept inline and branch-light; a
-    # step-for-step replay test pins it to _allowed_colours
-    step = 0
-    while step < total_steps:
+    due = burn_in + thinning
+    # hot loop: the one Glauber kernel, kept inline.  It draws rand()
+    # twice per step and makes the comparisons of the heat-bath rule in
+    # transition_distribution; a step-for-step replay test pins it to
+    # _allowed_colours
+    for step in range(1, total_steps + 1):
         v = int(rand() * n)
-        ok1 = True
-        ok2 = True
-        rest = adj[v]
-        while rest:
-            low = rest & -rest
-            c = colouring[low.bit_length() - 1]
-            if c == 1:
-                ok2 = False
-            elif c == 2:
-                ok1 = False
-            rest ^= low
-        total = 1.0 + lam * (ok1 + ok2)
-        r = rand() * total
-        if r < 1.0:
-            new = 0
-        elif ok1 and (not ok2 or r < 1.0 + lam):
-            new = 1
+        nbrs = adj[v]
+        if nbrs & on2:  # colour 1 blocked
+            if nbrs & on1:  # colour 2 blocked too
+                rand()
+                new = 0
+            else:
+                new = 0 if rand() * total1 < 1.0 else 2
+        elif nbrs & on1:  # colour 2 blocked
+            new = 0 if rand() * total1 < 1.0 else 1
         else:
-            new = 2
+            r = rand() * total2
+            new = 0 if r < 1.0 else 1 if r < total1 else 2
         old = colouring[v]
-        colouring[v] = new
-        coloured += (new != 0) - (old != 0)
-        step += 1
-        if step > burn_in and (step - burn_in) % thinning == 0:
+        if new != old:
+            colouring[v] = new
+            bit = 1 << v
+            if old == 1:
+                on1 ^= bit
+            elif old == 2:
+                on2 ^= bit
+            else:
+                coloured += 1
+            if new == 1:
+                on1 |= bit
+            elif new == 2:
+                on2 |= bit
+            else:
+                coloured -= 1
+        if step == due:
             record(coloured / n)
+            due += thinning
 
     estimate = sum(values) / len(values)
 

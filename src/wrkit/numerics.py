@@ -51,9 +51,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def check_activity(lam: Fraction | float) -> None:
-    """Reject an activity that is not strictly positive (NaN included)."""
+    """Reject an activity that is not strictly positive (NaN included) or
+    is infinite."""
     if not lam > 0:
         raise DomainError(f"activity must be strictly positive, got {lam}")
+    if lam == math.inf:
+        raise DomainError(f"activity must be finite, got {lam}")
 
 
 def format_rational(x: Fraction | int) -> str:

@@ -1,5 +1,6 @@
-"""Every public entry point that takes an activity rejects 0, negatives and
-NaN with the same DomainError, raised by numerics.check_activity."""
+"""Every public entry point that takes an activity rejects 0, negatives,
+NaN and infinity with the same DomainError, raised by
+numerics.check_activity."""
 
 from fractions import Fraction
 
@@ -59,3 +60,9 @@ BAD_ACTIVITIES = {"zero": Fraction(0), "negative": Fraction(-1), "nan": float("n
 def test_bad_activity_rejected(call, value):
     with pytest.raises(DomainError, match="^activity must be strictly positive, got "):
         call(value)
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_infinite_activity_rejected(call):
+    with pytest.raises(DomainError, match="^activity must be finite, got inf$"):
+        call(float("inf"))

@@ -115,6 +115,13 @@ DUALCERT_D5_LAMBDA1_CSV = "99598d73c81c219a339fc52ee35f87f3442793918adbc75a3d5b6
 LP_D5_LAMBDA1_STDOUT = "1d4511cc2be9646baf725be692d8fda4ff6f11e7bd712718de2df4fdddc48a5e"
 LP_D3_LAMBDA7_5_CSV = "d25ab71ec19f6e488ece3bd378637a17c5cb5a33090c2699308f7e548ae49b7b"
 
+# and before the Glauber kernel kept colour-class masks
+SAMPLE_K60_STDOUT = "e56fc6fdef60308fb4df4e490a51335c6e4c44cafe0fbb33ccce5441b43088b2"
+SAMPLE_PETERSEN_STDOUT = "83ac7857fadf3bdba6676ce380422d65e8b8c2d9a2c463025fb8052e86c6649e"
+# stdout without its last line, "wrote <path>"
+SAMPLE_RR1000_STDOUT = "f525b495eda6594d6c306d051183ffb7d47cb893b2b744b5b2880380f59cfcb3"
+SAMPLE_RR1000_CSV = "5112ef878a00121a6d79df56a013362aeb45a4ded997afd5883a2fdf7c440eca"
+
 
 def test_lp_stdout_pinned(capsys):
     code, out, _ = run(capsys, "lp", "--d", "4", "--lambda", "2")
@@ -135,6 +142,34 @@ def test_lp_csv_pinned(tmp_path, capsys):
     assert out.endswith(f"wrote {target}\n")
     assert hashlib.sha256(target.read_bytes()).hexdigest() == LP_D3_LAMBDA7_5_CSV
 
+
+def test_sample_stdout_pinned(capsys):
+    code, out, _ = run(
+        capsys, "sample", "--builtin", "complete:60", "--lambda", "1",
+        "--samples", "20000", "--seed", "3",
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_K60_STDOUT
+    code, out, _ = run(
+        capsys, "sample", "--builtin", "petersen", "--lambda", "1/2",
+        "--samples", "50000", "--seed", "9",
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_PETERSEN_STDOUT
+
+
+def test_sample_csv_pinned(tmp_path, capsys):
+    target = tmp_path / "series.csv"
+    code, out, _ = run(
+        capsys, "sample", "--builtin", "random_regular:1000,3,5", "--lambda", "2",
+        "--burnin", "20000", "--samples", "20000", "--thin", "3", "--csv", str(target),
+    )
+    assert code == EXIT_OK
+    wrote = f"wrote {target}\n"
+    assert out.endswith(wrote)
+    head = out.removesuffix(wrote)
+    assert hashlib.sha256(head.encode()).hexdigest() == SAMPLE_RR1000_STDOUT
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SAMPLE_RR1000_CSV
 
 def assert_lp_refused(capsys):
     code, out, err = run(capsys, "lp", "--d", "2", "--lambda", "1")
@@ -298,6 +333,16 @@ def test_sample_rejects_nonpositive_activity(capsys):
         assert "estimate" not in out
         assert err.startswith("error: ") and err.count("\n") == 1
 
+
+def test_sample_rejects_activity_out_of_float_range(capsys):
+    # 1e400 overflows a float and 1e-400 underflows to 0.0
+    for lam in ("1e400", "1e-400"):
+        code, out, err = run(
+            capsys, "sample", "--builtin", "cycle:5", "--lambda", lam, "--samples", "10"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: bad activity '{lam}'\n"
 
 def test_sample_empty_graph(tmp_path, capsys):
     empty = tmp_path / "empty.txt"

@@ -7,7 +7,13 @@ import pytest
 
 from wrkit.dynamics import _allowed_colours, estimate_occupancy, transition_distribution
 from wrkit.errors import UsageError
-from wrkit.graphs import Graph, make_complete, make_cycle, make_petersen
+from wrkit.graphs import (
+    Graph,
+    make_complete,
+    make_cycle,
+    make_petersen,
+    make_random_regular,
+)
 from wrkit.partition import is_valid_colouring, valid_colourings
 
 F = Fraction
@@ -133,22 +139,39 @@ def test_irreducibility_uncolouring_path():
             assert is_valid_colouring(g, work)
 
 
+def replay_series(g, lam, seed, burn_in, samples, thinning=1):
+    """The (step, coloured fraction) pairs the sampler records, replayed."""
+    return [
+        (step, sum(1 for c in colouring if c) / g.n)
+        for step, colouring in replay_chain(g, lam, seed, burn_in + samples * thinning)
+        if step > burn_in and (step - burn_in) % thinning == 0
+    ]
+
+
 def test_estimate_deterministic_and_matches_steps():
     g = make_cycle(5)
     a = estimate_occupancy(g, 1.0, burn_in=500, samples=2000, seed=4)
     b = estimate_occupancy(g, 1.0, burn_in=500, samples=2000, seed=4)
     assert a == b
 
-    # the inline sampler draws randomness and moves exactly like the replay
-    for graph, lam in ((g, 1.5), (make_petersen(), 0.5)):
+    # the inline sampler draws randomness and moves exactly like the
+    # replay: on small graphs, when thinning skips steps, when the
+    # colour-class masks span several 30-bit digits, and when every step
+    # sees the whole graph
+    cases = (
+        (g, 1.5, 10, 300, 1),
+        (make_petersen(), 0.5, 10, 300, 1),
+        (g, 1.5, 10, 300, 3),
+        (make_random_regular(100, 3, 8), 1.0, 500, 1000, 3),
+        (make_complete(12), 2.0, 10, 1000, 1),
+    )
+    for graph, lam, burn_in, samples, thinning in cases:
         series: list[tuple[int, float]] = []
-        estimate_occupancy(graph, lam, burn_in=10, samples=300, seed=11, series_out=series)
-        replay = [
-            (step, sum(1 for c in colouring if c) / graph.n)
-            for step, colouring in replay_chain(graph, lam, seed=11, steps=310)
-            if step > 10
-        ]
-        assert series == replay
+        estimate_occupancy(
+            graph, lam, burn_in=burn_in, samples=samples, thinning=thinning,
+            seed=11, series_out=series,
+        )
+        assert series == replay_series(graph, lam, 11, burn_in, samples, thinning)
 
 
 def test_estimate_thinning_series():
@@ -156,6 +179,7 @@ def test_estimate_thinning_series():
     series: list[tuple[int, float]] = []
     estimate_occupancy(g, 1.0, burn_in=4, samples=5, thinning=3, seed=2, series_out=series)
     assert [step for step, _ in series] == [7, 10, 13, 16, 19]
+    assert series == replay_series(g, 1.0, 2, 4, 5, 3)
 
 
 def test_estimate_accuracy_quick():
