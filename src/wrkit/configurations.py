@@ -20,12 +20,13 @@ and the two local occupancy estimates at a given activity:
   alpha_v   probability the centre vertex is coloured
   alpha_u   expected fraction of coloured neighbours
 
-The polynomials come from one walk of the subset-component identity
-(which partition.wr_partition sums by elimination), made list-aware: each
-induced component of a coloured set takes one of the colours its lists
-all allow.  Enumeration checks (the centre-plus-neighbourhood star here,
-the conditional expectation in lp.py) run on partition.valid_colourings,
-the one reference enumerator.
+p0 comes from one walk over the colour-1 sets S: the colour-2 set of a
+list colouring is any subset of F(S), the vertices that allow colour 2
+and are neither in S nor next to it, so p0 sums lam^|S| (1+lam)^|F(S)|
+over S.  The other polynomials depend only on the list counts.
+Enumeration checks (the centre-plus-neighbourhood star here, the
+conditional expectation in lp.py) run on partition.valid_colourings, the
+one reference enumerator.
 
 Enumeration of all configurations for a given d is done up to
 label-preserving isomorphism: graphs are enumerated up to isomorphism
@@ -42,12 +43,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 from .errors import CapacityError, UsageError, VerificationError
 from .graphs import (
     Graph,
     canonical_labelled_form,
-    component_masks,
     graph_from_code,
     graphs_up_to_iso,
     make_complete,
@@ -56,7 +57,7 @@ from .graphs import (
 from .numerics import IntPolynomial, binomial_power, check_activity
 from .partition import valid_colourings
 
-STATS_CAP = 8  # the local subset walk is at most 2^d
+STATS_CAP = 8  # the local walk covers at most 2^d colour-1 sets
 ENUMERATION_CAP = 6  # labelled graphs times list assignments before dedup
 
 NO_COLOURS = 0
@@ -144,66 +145,106 @@ def _list_options(mask: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def local_partition_functions(config: Configuration) -> ConfigStats:
-    """Collect all local polynomials in one walk over the subsets S of
-    A1 | A2, where Ai holds the vertices whose list allows colour i.
+def _list_count_polynomials(
+    a1: int, a2: int
+) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial]:
+    """p1, p2, p12, lam * p12 and p12 - 1 of any configuration whose
+    lists allow colour 1 at a1 vertices and colour 2 at a2: a colouring
+    in one colour is any subset of the vertices allowing it."""
+    p1 = binomial_power(a1)
+    p2 = binomial_power(a2)
+    p12 = p1 + p2
+    return p1, p2, p12, p12.shift(1), p12 - 1
 
-    By the subset-component identity each induced component K of S is
-    monochromatic, in one of its [K <= A1] + [K <= A2] colours, so S
-    contributes the product of those counts to p0 at degree |S|.  S counts
-    toward p1 when S <= A1 and toward p2 when S <= A2; any colouring of S
-    beyond those monochromatic ones uses both colours (the empty S, with
-    its one colouring, passes both tests and never counts as dichromatic).
+
+def _low_coefficients(adj: tuple[int, ...], allows_1: int, allows_2: int) -> list[int]:
+    """The coefficients of 1, lam and lam^2 in p0, counted from the lists
+    and the edges alone: one empty colouring, a1 + a2 single colours, and
+    every two single colours on distinct vertices except a colour-1
+    vertex beside a colour-2 one."""
+    total = allows_1.bit_count() + allows_2.bit_count()
+    pairs = total * (total - 1) // 2 - (allows_1 & allows_2).bit_count()
+    clashes = sum(
+        (adj[v] & allows_2).bit_count() for v in range(len(adj)) if allows_1 >> v & 1
+    )
+    return [1, total, pairs - clashes]
+
+
+def _colour_set_tally(adj: tuple[int, ...], walk: int, other: int) -> dict[tuple[int, int], int]:
+    """Count the subsets S of `walk` by the pair (|S|, |F(S)|), where F(S)
+    holds the vertices of `other` outside S and its neighbours.
+
+    Bit b of the index m picks the b-th vertex of `walk`, so the subsets
+    come in increasing order of m and closed[m], the set S(m) with its
+    neighbours, is closed[m without its lowest bit] plus that vertex and
+    its neighbours.
+    """
+    reach = [adj[v] | 1 << v for v in range(len(adj)) if walk >> v & 1]
+    closed = [0] * (1 << len(reach))
+    tally = {(0, other.bit_count()): 1}
+    for m in range(1, len(closed)):
+        low = m & -m
+        closed[m] = closed[m ^ low] | reach[low.bit_length() - 1]
+        key = (m.bit_count(), (other & ~closed[m]).bit_count())
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+@lru_cache(maxsize=None)
+def local_partition_functions(config: Configuration) -> ConfigStats:
+    """Collect all local polynomials from one walk over colour-1 sets.
+
+    A list colouring of H is fixed by its colour-1 set S, a subset of A1
+    (the vertices whose list allows colour 1), and its colour-2 set, any
+    subset of the free vertices F(S) = A2 minus S and its neighbours.  So
+
+        p0 = sum over S of lam^|S| * (1+lam)^|F(S)|,
+
+    and the same holds with the colours swapped, so the walk runs over
+    the subsets of the smaller of A1 and A2.  The pairs (|S|, |F(S)|) are
+    tallied and the tally is expanded with binomials once.  Some
+    colouring uses both colours iff some non-empty S leaves F(S)
+    non-empty.  p1, p2 and p12 depend only on the list counts (a1, a2).
+    The low coefficients of p0 and the dichromatic flag are checked
+    against routes that do not use the walk.
     """
     d = config.d
     if d > STATS_CAP:
         raise CapacityError(f"local enumeration capped at {STATS_CAP} vertices, got {d}")
-    graph = config.graph
-    allows_1 = sum(1 << v for v, mask in enumerate(config.lists) if mask & COLOUR_1)
-    allows_2 = sum(1 << v for v, mask in enumerate(config.lists) if mask & COLOUR_2)
-    colourable = allows_1 | allows_2
-
-    p0 = [0] * (d + 1)
-    only_1 = [0] * (d + 1)
-    only_2 = [0] * (d + 1)
-    has_dichromatic = False
-    subset = colourable
-    while True:  # every subset of colourable, from colourable down to 0
-        colourings = 1
-        for comp in component_masks(graph, subset):
-            colourings *= ((comp & ~allows_1) == 0) + ((comp & ~allows_2) == 0)
-        in_1 = (subset & ~allows_1) == 0
-        in_2 = (subset & ~allows_2) == 0
-        size = subset.bit_count()
-        p0[size] += colourings
-        only_1[size] += in_1
-        only_2[size] += in_2
-        if colourings > in_1 + in_2:
-            has_dichromatic = True
-        if not subset:
-            break
-        subset = (subset - 1) & colourable
-    p0_poly = IntPolynomial(p0)
-    p1 = IntPolynomial(only_1)
-    p2 = IntPolynomial(only_2)
-
+    adj = config.graph.adj
+    allows_1 = allows_2 = 0
+    for v, mask in enumerate(config.lists):
+        if mask & COLOUR_1:
+            allows_1 |= 1 << v
+        if mask & COLOUR_2:
+            allows_2 |= 1 << v
     a1 = allows_1.bit_count()
     a2 = allows_2.bit_count()
-    if p1 != binomial_power(a1) or p2 != binomial_power(a2):
-        raise VerificationError(
-            f"single-colour polynomials of {config.key_text()} are not (1+lam)^a_i"
-        )
+    if a1 <= a2:
+        tally = _colour_set_tally(adj, allows_1, allows_2)
+    else:
+        tally = _colour_set_tally(adj, allows_2, allows_1)
 
-    p12 = p1 + p2
-    pc = p0_poly + p12.shift(1)
+    p0 = [0] * (d + 1)
+    has_dichromatic = False
+    for (size, free_count), count in tally.items():
+        for k in range(free_count + 1):
+            p0[size + k] += count * comb(free_count, k)
+        if size and free_count:
+            has_dichromatic = True
+    if (p0 + [0, 0])[:3] != _low_coefficients(adj, allows_1, allows_2):
+        raise VerificationError(
+            f"low coefficients of p0 for {config.key_text()} disagree with its lists and edges"
+        )
+    p0_poly = IntPolynomial(p0)
+    p1, p2, p12, lam_p12, p12_less_1 = _list_count_polynomials(a1, a2)
     # dichromatic colourings are exactly the gap between p0 and the
     # monochromatic-or-empty total p1 + p2 - 1
-    if has_dichromatic != (p0_poly != p12 - 1):
+    if has_dichromatic != (p0_poly != p12_less_1):
         raise VerificationError(
             f"dichromatic flag of {config.key_text()} disagrees with p0 - (p12 - 1)"
         )
 
-    lists_all_equal = len(set(config.lists)) == 1
     return ConfigStats(
         a1=a1,
         a2=a2,
@@ -211,8 +252,8 @@ def local_partition_functions(config: Configuration) -> ConfigStats:
         p1=p1,
         p2=p2,
         p12=p12,
-        pc=pc,
-        lists_all_equal=lists_all_equal,
+        pc=p0_poly + lam_p12,
+        lists_all_equal=len(set(config.lists)) == 1,
         has_dichromatic=has_dichromatic,
     )
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .graphs import Graph
 from .numerics import check_activity
 from .occupancy import _check_vertices
@@ -98,6 +98,18 @@ def estimate_occupancy(
     if burn_in < 1 or samples < 1 or thinning < 1:
         raise UsageError("burn_in, samples and thinning must all be >= 1")
     check_activity(lam)
+    try:
+        total2 = 1.0 + float(lam) * 2
+    except OverflowError:
+        total2 = inf
+    if total2 == inf:
+        # the draw rand() * total2 would never fall below 1.0 + lam, so
+        # colour 1 would never be placed
+        raise DomainError(f"activity {lam} is too large for the sampler's floats")
+    lam = float(lam)
+    # heat-bath total with one colour allowed; with total2 it equals
+    # 1.0 + lam * (ok1 + ok2) bit for bit
+    total1 = 1.0 + lam
     rng = random.Random(seed)
     rand = rng.random
     n = graph.n
@@ -106,11 +118,6 @@ def estimate_occupancy(
     on1 = 0  # mask of the vertices coloured 1
     on2 = 0  # mask of the vertices coloured 2
     coloured = 0
-    lam = float(lam)
-    # heat-bath totals with one and with two colours allowed; for finite
-    # lam they equal 1.0 + lam * (ok1 + ok2) bit for bit
-    total1 = 1.0 + lam
-    total2 = 1.0 + lam * 2
 
     values = []
     record = values.append

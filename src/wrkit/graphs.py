@@ -194,8 +194,8 @@ def make_random_regular(n: int, d: int, seed: int) -> Graph:
 
 def component_masks(g: Graph, subset: int) -> list[int]:
     """Bitmasks of the connected components of the subgraph induced by the
-    subset.  The one component walker: the local layer calls it once per
-    subset of a configuration's colourable vertices, so keep it lean."""
+    subset.  The one component walker: is_union_of_complete calls it, and
+    the tests use it as an oracle."""
     adj = g.adj
     remaining = subset
     out = []

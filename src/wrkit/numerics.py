@@ -20,7 +20,8 @@ Partition polynomials come in two shapes:
 
 Coefficients are plain Python ints (arbitrary precision); a partition
 polynomial of a 20-vertex graph has coefficients of order 3**20 and must
-not overflow.
+not overflow.  Both shapes evaluate at rational points in integers, with
+the denominators cleared, and build one Fraction per value.
 """
 
 from __future__ import annotations
@@ -150,11 +151,25 @@ class IntPolynomial:
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def eval(self, x: Fraction | int) -> Fraction | int:
-        """Exact value at x by Horner's scheme (Fraction in, Fraction out)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at x (int in, int out; Fraction in, Fraction out).
+
+        At x = p/q a homogeneous Horner scheme runs in integers,
+        acc = acc*p + c*q^k, and the one Fraction(acc, q^degree) is built
+        at the end.  Any other argument (a float, say) gets plain Horner.
+        """
+        coeffs = self.coeffs
+        if not isinstance(x, Fraction) or not coeffs:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            return acc
+        p, q = x.numerator, x.denominator
+        acc = coeffs[-1]
+        scale = 1
+        for c in reversed(coeffs[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, scale)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -195,6 +210,18 @@ def binomial_power(k: int) -> IntPolynomial:
     if k < 0:
         raise UsageError("binomial_power requires a nonnegative exponent")
     return IntPolynomial(math.comb(k, i) for i in range(k + 1))
+
+
+def _cleared_powers(x: Fraction | int, k: int) -> list[int]:
+    """The powers x^i for i = 0..k, each times q^k where x = p/q: the
+    integers p^i * q^(k-i).  Entry 0 is the common denominator q^k."""
+    p, q = x.numerator, x.denominator
+    p_pow = [1]
+    q_pow = [1]
+    for _ in range(k):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    return [p_pow[i] * q_pow[k - i] for i in range(k + 1)]
 
 
 class BivariatePolynomial:
@@ -245,11 +272,27 @@ class BivariatePolynomial:
     __rmul__ = __mul__
 
     def eval(self, x: Fraction | int, y: Fraction | int) -> Fraction | int:
-        """Exact value at the point (x, y)."""
+        """Exact value at the point (x, y) (ints in, int out; a Fraction in,
+        Fraction out).
+
+        At x = p/q and y = r/s the sum runs in integers over the power
+        tables p^i q^(I-i) and r^j s^(J-j), I and J the degrees in x and
+        y, and is divided by q^I s^J once.  Any other argument (a float,
+        say) gets the plain term sum.
+        """
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0
+        if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
+            return sum(c * x**i * y**j for (i, j), c in coeffs.items())
+        xs = _cleared_powers(x, max(i for i, _ in coeffs))
+        ys = _cleared_powers(y, max(j for _, j in coeffs))
         acc = 0
-        for (i, j), c in self.coeffs.items():
-            acc += c * x**i * y**j
-        return acc
+        for (i, j), c in coeffs.items():
+            acc += c * xs[i] * ys[j]
+        if isinstance(x, int) and isinstance(y, int):
+            return acc
+        return Fraction(acc, xs[0] * ys[0])
 
     def partial(self, variable_index: int) -> "BivariatePolynomial":
         """Formal partial derivative; variable_index is 1 or 2."""

@@ -344,6 +344,16 @@ def test_sample_rejects_activity_out_of_float_range(capsys):
         assert out == ""
         assert err == f"error: bad activity '{lam}'\n"
 
+def test_sample_rejects_activity_too_large_for_the_sampler(capsys):
+    # 1e308 is a float, but 1.0 + 2 * 1e308 is not
+    code, out, err = run(
+        capsys, "sample", "--builtin", "cycle:5", "--lambda", "1e308", "--samples", "10"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: activity 1e+308 is too large for the sampler's floats\n"
+
+
 def test_sample_empty_graph(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("0 0\n")

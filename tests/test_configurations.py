@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrkit import configurations
 from wrkit.configurations import (
@@ -21,7 +23,6 @@ from wrkit.configurations import (
 from wrkit.errors import CapacityError, DomainError, UsageError
 from wrkit.graphs import (
     Graph,
-    component_masks,
     from_edges,
     graphs_up_to_iso,
     graph_from_code,
@@ -103,19 +104,60 @@ def test_local_polynomials_match_colouring_tallies():
         assert got == colouring_tallies(config), config.key_text()
 
 
-def test_local_polynomials_walk_each_subset_of_the_colourable_vertices(monkeypatch):
+def subset_tally(adj, walk, other):
+    """(|S|, |F(S)|) counted over every subset S of walk, with F(S) the
+    vertices of other neither in S nor next to it."""
+    tally = {}
+    for s in range(1 << len(adj)):
+        if s & ~walk:
+            continue
+        near = s
+        for v in range(len(adj)):
+            if s >> v & 1:
+                near |= adj[v]
+        key = (s.bit_count(), (other & ~near).bit_count())
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def test_local_polynomials_walk_each_subset_of_the_smaller_list_set(monkeypatch):
     walks = []
+    tally = configurations._colour_set_tally
 
-    def counting_walker(g, subset):
-        walks.append(subset)
-        return component_masks(g, subset)
+    def recording_tally(adj, walk, other):
+        result = tally(adj, walk, other)
+        walks.append((walk, other, result))
+        return result
 
-    monkeypatch.setattr(configurations, "component_masks", counting_walker)
-    # vertex 2 has an empty list, so A1 | A2 = {0, 1, 3, 4}
-    config = Configuration(from_edges(5, [(0, 1), (1, 2), (3, 4)]), (3, 1, 0, 2, 3))
-    local_partition_functions.__wrapped__(config)  # bypass the cache
-    colourable = 0b11011
-    assert sorted(walks) == [s for s in range(1 << 5) if not s & ~colourable]
+    monkeypatch.setattr(configurations, "_colour_set_tally", recording_tally)
+    graph = from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    # vertex 2 has an empty list; the lists allow colour 1 on {0, 1, 3, 4}
+    # and colour 2 on {0, 4}, then the other way round
+    for lists in ((3, 1, 0, 1, 3), (3, 2, 0, 2, 3)):
+        walks.clear()
+        local_partition_functions.__wrapped__(Configuration(graph, lists))  # bypass the cache
+        [(walk, other, result)] = walks
+        assert (walk, other) == (0b10001, 0b11011)
+        assert sum(result.values()) == 1 << walk.bit_count()
+        assert result == subset_tally(graph.adj, walk, other)
+
+
+@st.composite
+def configs(draw, max_d=6):
+    d = draw(st.integers(1, max_d))
+    pairs = [(u, v) for u in range(d) for v in range(u + 1, d)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    lists = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    edges = [pair for pair, k in zip(pairs, keep) if k]
+    return Configuration(from_edges(d, edges), tuple(lists))
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_local_polynomials_match_colouring_tallies_property(config):
+    stats = local_partition_functions.__wrapped__(config)
+    got = (stats.p0, stats.p1, stats.p2, stats.has_dichromatic)
+    assert got == colouring_tallies(config)
 
 
 def test_stats_empty_lists():

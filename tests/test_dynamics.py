@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wrkit.dynamics import _allowed_colours, estimate_occupancy, transition_distribution
-from wrkit.errors import UsageError
+from wrkit.errors import DomainError, UsageError
 from wrkit.graphs import (
     Graph,
     make_complete,
@@ -193,6 +193,16 @@ def test_estimate_usage_errors():
         estimate_occupancy(make_cycle(3), 1.0, burn_in=0, samples=10)
     with pytest.raises(UsageError):
         estimate_occupancy(make_cycle(3), 1.0, burn_in=10, samples=0)
+
+
+def test_activity_too_large_for_floats():
+    # above about 9e307 the two-colour total 1.0 + 2*lam overflows to inf
+    # and the chain could never place colour 1
+    for lam in (1e308, F(10**308), 10**400):
+        with pytest.raises(DomainError, match="too large for the sampler's floats"):
+            estimate_occupancy(make_cycle(5), lam, burn_in=10, samples=10)
+    est, _ = estimate_occupancy(make_cycle(5), 8e307, burn_in=10, samples=10)
+    assert 0 <= est <= 1
 
 
 def test_k2_has_seven_states():

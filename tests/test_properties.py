@@ -1,7 +1,9 @@
 """Property tests on random graphs with at most 8 vertices: the component
 walker, the algebraic identities of the partition polynomials and the
-edge-list text format."""
+edge-list text format; and on random polynomials: exact evaluation
+against plain Fraction arithmetic."""
 
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from wrkit.graphs import (
     parse_edge_list,
     serialize_edge_list,
 )
-from wrkit.numerics import BivariatePolynomial
+from wrkit.numerics import BivariatePolynomial, IntPolynomial
 from wrkit.partition import wr_partition, wr_partition_bivariate, wr_partition_brute
 
 MAX_N = 8
@@ -121,3 +123,55 @@ def test_edge_list_text_parses_or_raises_a_documented_error(text):
     except (ParseError, UsageError, CapacityError):
         return
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+def horner_oracle(coeffs, x):
+    """Horner's scheme one Fraction operation at a time."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def term_sum_oracle(coeffs, x, y):
+    """The sum of c * x**i * y**j, term by term."""
+    acc = 0
+    for (i, j), c in coeffs.items():
+        acc += c * x**i * y**j
+    return acc
+
+
+_coefficients = st.integers(-(10**9), 10**9)
+# negative, zero and positive integers, the same as Fraction(k, 1), and
+# general rationals
+_points = st.one_of(
+    st.integers(-12, 12),
+    st.integers(-12, 12).map(Fraction),
+    st.fractions(-12, 12, max_denominator=40),
+)
+
+
+def expected_type(points, nonzero):
+    return Fraction if nonzero and any(isinstance(x, Fraction) for x in points) else int
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_coefficients, max_size=14), _points)
+def test_eval_matches_fraction_horner(coeffs, x):
+    p = IntPolynomial(coeffs)
+    value = p.eval(x)
+    assert value == horner_oracle(p.coeffs, x)
+    assert type(value) is expected_type([x], p.coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)), _coefficients, max_size=16),
+    _points,
+    _points,
+)
+def test_bivariate_eval_matches_term_sum(coeffs, x, y):
+    p = BivariatePolynomial(coeffs)
+    value = p.eval(x, y)
+    assert value == term_sum_oracle(p.coeffs, x, y)
+    assert type(value) is expected_type([x, y], p.coeffs)
