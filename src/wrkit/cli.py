@@ -31,7 +31,7 @@ from .graphs import (
     make_random_regular,
     parse_edge_list,
 )
-from .numerics import format_rational, parse_rational
+from .numerics import csv_text, format_rational, parse_rational
 from .occupancy import (
     ActivityPair,
     occupancy_by_colour,
@@ -288,9 +288,8 @@ def cmd_sample(args) -> int:
         f"(burnin={burnin} samples={args.samples} thin={args.thin})"
     )
     if args.csv:
-        lines = ["step,coloured_fraction"]
-        lines.extend(f"{step},{value:.6f}" for step, value in series)
-        _write_or_print("\n".join(lines) + "\n", args.csv)
+        rows = ((step, f"{value:.6f}") for step, value in series)
+        _write_or_print(csv_text("step,coloured_fraction", rows), args.csv)
     return EXIT_OK
 
 

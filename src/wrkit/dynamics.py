@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import inf, sqrt
+from math import inf, log10, sqrt
 
 from .errors import DomainError, UsageError
 from .graphs import Graph
@@ -104,8 +104,14 @@ def estimate_occupancy(
         total2 = inf
     if total2 == inf:
         # the draw rand() * total2 would never fall below 1.0 + lam, so
-        # colour 1 would never be placed
-        raise DomainError(f"activity {lam} is too large for the sampler's floats")
+        # colour 1 would never be placed.  A float's repr is at most 24
+        # characters; an exact activity this large has hundreds of digits
+        # and is named by its order of magnitude instead
+        text = str(lam)
+        if len(text) > 24:
+            exact = Fraction(lam)
+            text = f"about 1e{log10(exact.numerator) - log10(exact.denominator):.0f}"
+        raise DomainError(f"activity {text} is too large for the sampler's floats")
     lam = float(lam)
     # heat-bath total with one colour allowed; with total2 it equals
     # 1.0 + lam * (ok1 + ok2) bit for bit

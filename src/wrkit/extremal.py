@@ -12,6 +12,11 @@ comparisons of the bivariate partition function and of the weighted
 occupancy fraction over a catalog and an activity-pair grid.  A genuine
 violation there would be a research finding, not a bug, and gets a
 distinguished exit status in the CLI.
+
+Both record types, BoundReport for the checks and ScanFinding for the
+scan, come from one private builder that fills the fields they share
+(graph label, n, d, both sides, relation and whether equality is
+expected), and both CSV reports are rendered by ``numerics.csv_text``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .graphs import (
     make_prism,
     make_random_regular,
 )
-from .numerics import check_activity, format_rational
+from .numerics import check_activity, csv_text, format_rational
 from .occupancy import (
     ActivityPair,
     alpha_K,
@@ -75,6 +80,23 @@ def _relation(lhs: Fraction, rhs: Fraction) -> str:
     return LESS if lhs < rhs else GREATER
 
 
+def _compare(
+    record, g: Graph, d: int, lhs: Fraction, rhs: Fraction, expected: bool, **fields
+):
+    """A BoundReport or ScanFinding comparing g with the clique on d+1
+    vertices: the fields the two share, then the record's own fields."""
+    return record(
+        graph=g.label or f"n{g.n}m{g.m}",
+        n=g.n,
+        d=d,
+        lhs=lhs,
+        rhs=rhs,
+        relation=_relation(lhs, rhs),
+        equality_expected=expected,
+        **fields,
+    )
+
+
 def _require_regular(g: Graph, d: int) -> None:
     for v in range(g.n):
         if g.degree(v) != d:
@@ -91,16 +113,9 @@ def verify_occupancy_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     lam = Fraction(lam)
     lhs = occupancy_fraction(g, lam)
     rhs = alpha_K(d, lam)
-    return BoundReport(
-        graph=g.label or f"n{g.n}m{g.m}",
-        n=g.n,
-        d=d,
-        check="occupancy",
-        activity=format_rational(lam),
-        lhs=lhs,
-        rhs=rhs,
-        relation=_relation(lhs, rhs),
-        equality_expected=is_union_of_complete(g, d + 1),
+    return _compare(
+        BoundReport, g, d, lhs, rhs, is_union_of_complete(g, d + 1),
+        check="occupancy", activity=format_rational(lam),
     )
 
 
@@ -112,16 +127,9 @@ def verify_partition_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     lam = Fraction(lam)
     lhs = Fraction(wr_partition(g).eval(lam)) ** (d + 1)
     rhs = Fraction(wr_partition(make_complete(d + 1)).eval(lam)) ** g.n
-    return BoundReport(
-        graph=g.label or f"n{g.n}m{g.m}",
-        n=g.n,
-        d=d,
-        check="partition",
-        activity=format_rational(lam),
-        lhs=lhs,
-        rhs=rhs,
-        relation=_relation(lhs, rhs),
-        equality_expected=is_union_of_complete(g, d + 1),
+    return _compare(
+        BoundReport, g, d, lhs, rhs, is_union_of_complete(g, d + 1),
+        check="partition", activity=format_rational(lam),
     )
 
 
@@ -218,78 +226,36 @@ def conjecture_scan(
             x, y = Fraction(act.lambda1), Fraction(act.lambda2)
             lhs = Fraction(p_g.eval(x, y)) ** (d + 1)
             rhs = Fraction(p_k.eval(x, y)) ** g.n
-            findings.append(
-                ScanFinding(
-                    graph=g.label or f"n{g.n}m{g.m}",
-                    n=g.n,
-                    d=d,
-                    lambda1=x,
-                    lambda2=y,
-                    check="partition",
-                    lhs=lhs,
-                    rhs=rhs,
-                    relation=_relation(lhs, rhs),
-                    equality_expected=expected,
-                )
-            )
-            w_g = weighted_occupancy(g, act)
-            w_k = weighted_occupancy_K(d, act)
-            findings.append(
-                ScanFinding(
-                    graph=g.label or f"n{g.n}m{g.m}",
-                    n=g.n,
-                    d=d,
-                    lambda1=x,
-                    lambda2=y,
-                    check="weighted-occupancy",
-                    lhs=w_g,
-                    rhs=w_k,
-                    relation=_relation(w_g, w_k),
-                    equality_expected=expected,
-                )
-            )
+            findings.append(_compare(
+                ScanFinding, g, d, lhs, rhs, expected,
+                lambda1=x, lambda2=y, check="partition",
+            ))
+            lhs = weighted_occupancy(g, act)
+            rhs = weighted_occupancy_K(d, act)
+            findings.append(_compare(
+                ScanFinding, g, d, lhs, rhs, expected,
+                lambda1=x, lambda2=y, check="weighted-occupancy",
+            ))
     return findings
 
 
 def findings_csv(findings: Iterable[ScanFinding]) -> str:
-    lines = ["graph,n,d,lambda1,lambda2,check,lhs,rhs,relation,equality_expected"]
-    for f in findings:
-        lines.append(
-            ",".join(
-                (
-                    f.graph,
-                    str(f.n),
-                    str(f.d),
-                    format_rational(f.lambda1),
-                    format_rational(f.lambda2),
-                    f.check,
-                    format_rational(f.lhs),
-                    format_rational(f.rhs),
-                    f.relation,
-                    "1" if f.equality_expected else "0",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "graph,n,d,lambda1,lambda2,check,lhs,rhs,relation,equality_expected",
+        (
+            (f.graph, f.n, f.d, f.lambda1, f.lambda2, f.check, f.lhs, f.rhs,
+             f.relation, f.equality_expected)
+            for f in findings
+        ),
+    )
 
 
 def bound_reports_csv(reports: Iterable[BoundReport]) -> str:
-    lines = ["graph,n,d,check,lambda,lhs,rhs,relation,equality_expected,ok"]
-    for r in reports:
-        lines.append(
-            ",".join(
-                (
-                    r.graph,
-                    str(r.n),
-                    str(r.d),
-                    r.check,
-                    r.activity,
-                    format_rational(r.lhs),
-                    format_rational(r.rhs),
-                    r.relation,
-                    "1" if r.equality_expected else "0",
-                    "1" if r.ok else "0",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "graph,n,d,check,lambda,lhs,rhs,relation,equality_expected,ok",
+        (
+            (r.graph, r.n, r.d, r.check, r.activity, r.lhs, r.rhs, r.relation,
+             r.equality_expected, r.ok)
+            for r in reports
+        ),
+    )

@@ -238,36 +238,31 @@ def is_union_of_complete(g: Graph, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # labelled isomorphism (brute force over vertex permutations, small n only)
 
-_PAIR_INDEX_CACHE: dict[int, dict[tuple[int, int], int]] = {}
-
-
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    table = _PAIR_INDEX_CACHE.get(n)
-    if table is None:
-        table = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
-        _PAIR_INDEX_CACHE[n] = table
-    return table
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]:
+    """The vertex pairs (i < j) in edge-code bit order, and each pair's bit."""
+    pairs = tuple(combinations(range(n), 2))
+    return pairs, {pair: k for k, pair in enumerate(pairs)}
 
 
 def edge_code(g: Graph) -> int:
     """Pack the edge set into an int, one bit per vertex pair (i < j)."""
-    table = _pair_index(g.n)
+    _, index = _pair_index(g.n)
     code = 0
     for u, v in g.edges():
-        code |= 1 << table[(u, v)]
+        code |= 1 << index[(u, v)]
     return code
 
 
 def graph_from_code(n: int, code: int) -> Graph:
-    pairs = list(combinations(range(n), 2))
+    pairs, _ = _pair_index(n)
     edges = [pairs[k] for k in range(len(pairs)) if (code >> k) & 1]
     return from_edges(n, edges)
 
 
 def permute_code(n: int, code: int, perm: Sequence[int]) -> int:
     """Edge code of the graph with every vertex v renamed perm[v]."""
-    table = _pair_index(n)
-    pairs = list(table)
+    pairs, index = _pair_index(n)
     out = 0
     rest = code
     while rest:
@@ -276,7 +271,7 @@ def permute_code(n: int, code: int, perm: Sequence[int]) -> int:
         a, b = perm[i], perm[j]
         if a > b:
             a, b = b, a
-        out |= 1 << table[(a, b)]
+        out |= 1 << index[(a, b)]
         rest ^= low
     return out
 

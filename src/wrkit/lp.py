@@ -54,7 +54,7 @@ from .configurations import (
     local_partition_functions,
 )
 from .errors import DomainError, UsageError, VerificationError
-from .numerics import check_activity, format_rational
+from .numerics import check_activity, csv_text
 from .occupancy import alpha_K
 from .partition import valid_colourings
 
@@ -243,10 +243,6 @@ class ConfigRow:
     slack: Fraction
     tight: bool
 
-    @property
-    def key_text(self) -> str:
-        return self.config.key_text()
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -327,22 +323,14 @@ def verify_dual_feasibility(
 
 def config_report_csv(report: FeasibilityReport) -> str:
     """CSV rendering: one row per configuration class."""
-    lines = ["key,a1,a2,alpha_v,alpha_u,slack,tight"]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    f'"{row.key_text}"',
-                    str(row.a1),
-                    str(row.a2),
-                    format_rational(row.alpha_v),
-                    format_rational(row.alpha_u),
-                    format_rational(row.slack),
-                    "1" if row.tight else "0",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "key,a1,a2,alpha_v,alpha_u,slack,tight",
+        (
+            (f'"{row.config.key_text()}"', row.a1, row.a2, row.alpha_v,
+             row.alpha_u, row.slack, row.tight)
+            for row in report.rows
+        ),
+    )
 
 
 @dataclass(frozen=True)

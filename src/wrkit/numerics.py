@@ -22,6 +22,11 @@ Coefficients are plain Python ints (arbitrary precision); a partition
 polynomial of a 20-vertex graph has coefficients of order 3**20 and must
 not overflow.  Both shapes evaluate at rational points in integers, with
 the denominators cleared, and build one Fraction per value.
+
+Every CSV report in the package (verify, scan, lp, dualcert, configs and
+the sampler's series) is rendered by ``csv_text``: one header line, one
+line per row, a trailing newline, rationals in the ``format_rational``
+form and flags as 1 or 0.
 """
 
 from __future__ import annotations
@@ -63,6 +68,23 @@ def check_activity(lam: Fraction | float) -> None:
 def format_rational(x: Fraction | int) -> str:
     """Serialise a rational as ``p/q`` (or ``p`` when the denominator is 1)."""
     return str(Fraction(x))
+
+
+def _csv_cell(value: object) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return str(value)
+
+
+def csv_text(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """The header line, then one line per row: its cells joined by commas,
+    a bool as 1 or 0, a Fraction as ``format_rational`` writes it and any
+    other cell by ``str``.  No cell is quoted; the caller quotes text."""
+    lines = [header]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 class IntPolynomial:

@@ -121,6 +121,11 @@ SAMPLE_PETERSEN_STDOUT = "83ac7857fadf3bdba6676ce380422d65e8b8c2d9a2c463025fb805
 # stdout without its last line, "wrote <path>"
 SAMPLE_RR1000_STDOUT = "f525b495eda6594d6c306d051183ffb7d47cb893b2b744b5b2880380f59cfcb3"
 SAMPLE_RR1000_CSV = "5112ef878a00121a6d79df56a013362aeb45a4ded997afd5883a2fdf7c440eca"
+# and before every clique comparison came from one record builder and
+# every CSV from numerics.csv_text
+VERIFY_ALL_STDOUT = "017d555b6e167afae4d03797d103fbfa84681820c9ad4b0902fbb252674c79e5"
+VERIFY_ALL_CSV = "2d697b7b0b3cf200244b143a601ca3ecef93ff8fe718e48eff0b2770c1e6a838"
+SCAN_ALL_CSV = "a25c21e055b99bddd5abc4bd0b35e5643701a7790f31b38d28f93d1ddb04c5d8"
 
 
 def test_lp_stdout_pinned(capsys):
@@ -235,6 +240,24 @@ def test_scan_stdout_pinned(capsys):
     code, out, _ = run(capsys, "scan", "--catalog", "d2")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_D2_STDOUT
+
+
+def test_verify_all_pinned(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--catalog", "all")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_STDOUT
+    target = tmp_path / "verify.csv"
+    code, out, _ = run(capsys, "verify", "--catalog", "all", "--csv", str(target))
+    assert code == EXIT_OK
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == VERIFY_ALL_CSV
+
+
+def test_scan_all_csv_pinned(tmp_path, capsys):
+    target = tmp_path / "scan.csv"
+    code, out, _ = run(capsys, "scan", "--catalog", "all", "--csv", str(target))
+    assert code == EXIT_OK
+    assert out.startswith(f"wrote {target}\n")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_ALL_CSV
 
 
 def test_csv_to_unwritable_path(tmp_path, capsys):

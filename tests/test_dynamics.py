@@ -201,6 +201,12 @@ def test_activity_too_large_for_floats():
     for lam in (1e308, F(10**308), 10**400):
         with pytest.raises(DomainError, match="too large for the sampler's floats"):
             estimate_occupancy(make_cycle(5), lam, burn_in=10, samples=10)
+    # an exact activity is named by its order of magnitude, not in full
+    with pytest.raises(DomainError) as info:
+        estimate_occupancy(make_cycle(5), F(10**400), burn_in=10, samples=10)
+    message = str(info.value)
+    assert len(message) < 100
+    assert "1e400" in message and "too large for the sampler" in message
     est, _ = estimate_occupancy(make_cycle(5), 8e307, burn_in=10, samples=10)
     assert 0 <= est <= 1
 

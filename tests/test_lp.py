@@ -124,7 +124,6 @@ def test_shared_values_match_direct_evaluation():
             assert row.slack == dual_slack(cert, config)
             assert row.tight == (row.slack == 0)
             assert (row.a1, row.a2) == (stats.a1, stats.a2)
-            assert row.key_text == config.key_text()
         assert list(zip(lp.objective, lp.balance)) == list(first)
         assert lp.configs == tuple(first.values())
     assert len(lp.configs) == 390  # d = 5
