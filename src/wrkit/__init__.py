@@ -45,7 +45,6 @@ from .graphs import (
     make_prism,
     make_random_regular,
     parse_edge_list,
-    serialize_edge_list,
 )
 from .lp import (
     DualCertificate,

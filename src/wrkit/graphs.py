@@ -383,8 +383,3 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"declared {m} edges but found {len(edges)}")
     return from_edges(n, edges)
 
-
-def serialize_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

@@ -12,17 +12,19 @@ expectation (which they must in any d-regular graph):
          q >= 0
 
 Two independent exact solvers are provided: the generic rational simplex
-and direct enumeration of supports of size <= 2 (any basic solution of a
-two-row program).  Classes with equal columns are interchangeable, so the
-instance has one variable per distinct column.  A column
-(alpha_v, alpha_v - alpha_u) depends on a class only through its local
-polynomials p0 and p12, so few columns are distinct (390 for the 12,208
-classes at d = 5); each variable is named by the first class in canonical
-order with its column, and the support names that class.  The reported
-support is the full program's:
-a class sharing the complete neighbourhood's column would be tight, and
-every tight class other than the complete neighbourhood has alpha_u <
-alpha_v (checked by uniqueness_check), so that column is unique.
+and the upper concave envelope of the points (balance, objective), read
+at balance 0 (a feasible distribution averages its columns, so the
+optimum is the highest point of their convex hull on that line).  Both
+report a basic solution, of support at most 2.  Classes with equal
+columns are interchangeable, so the instance has one variable per
+distinct column.  A column (alpha_v, alpha_v - alpha_u) depends on a
+class only through its local polynomials p0 and p12, so few columns are
+distinct (390 for the 12,208 classes at d = 5); each variable is named
+by the first class in canonical order with its column, and the support
+names that class.  The reported support is the full program's: a class
+sharing the complete neighbourhood's column would be tight, and every
+tight class other than the complete neighbourhood has alpha_u < alpha_v
+(checked by uniqueness_check), so that column is unique.
 
 The dual certificate (lambda_p, lambda_c) proves the optimum equals the
 complete-neighbourhood value; every dual constraint is checked in alpha
@@ -38,6 +40,7 @@ neighbourhood.  uniqueness_check runs this whole chain.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -155,36 +158,60 @@ def simplex_solve(lp: LPInstance) -> LPSolution:
 
 
 def vertex_enumeration_solve(lp: LPInstance) -> LPSolution:
-    """Independent solver: enumerate all supports of size 1 and 2.
+    """Independent solver: the upper concave envelope of the columns.
 
-    With two equality rows every basic solution has at most two nonzero
-    variables: a singleton is feasible iff its balance coefficient is
-    zero, and a pair is feasible iff its balance coefficients have
-    opposite signs (the convex weights then solve the balance row).
+    A feasible point is a probability vector whose balance averages to
+    zero, so the optimum is the upper concave envelope of the points
+    (balance, objective), read at balance 0; the program is infeasible
+    iff 0 lies outside the range of the balances.  Only the top point of
+    each balance can touch the envelope.  Andrew's monotone chain builds
+    its upper hull in exact Fractions, with no tableau and no pivots, so
+    this route stays independent of the simplex.
+
+    The support is a basic solution, named as a scan of all supports of
+    size 1 and then 2 in column order would name it: the first column
+    with balance 0 at the optimum, with weight 1; else the first
+    positive-balance and the first negative-balance column on the
+    envelope's segment across 0, with the convex weights that solve the
+    balance row.
     """
-    best_value: Fraction | None = None
-    best: tuple[tuple[Configuration, Fraction], ...] = ()
-    columns = list(zip(lp.configs, lp.objective, lp.balance))
-
-    for config, oi, bi in columns:
-        if bi == 0 and (best_value is None or oi > best_value):
-            best_value = oi
-            best = ((config, Fraction(1)),)
-
-    positive = [column for column in columns if column[2] > 0]
-    negative = [column for column in columns if column[2] < 0]
-    for ci, oi, bi in positive:
-        for cj, oj, bj in negative:
-            # weights solving  w*bi + (1-w)*bj = 0  with 0 < w < 1
-            w = -bj / (bi - bj)
-            value = w * oi + (1 - w) * oj
-            if best_value is None or value > best_value:
-                best_value = value
-                best = ((ci, w), (cj, 1 - w))
-
-    if best_value is None:
+    top: dict[Fraction, Fraction] = {}
+    for objective, balance in zip(lp.objective, lp.balance):
+        if balance not in top or objective > top[balance]:
+            top[balance] = objective
+    points = sorted(top.items())
+    if not points or points[0][0] > 0 or points[-1][0] < 0:
         return LPSolution(simplex.INFEASIBLE, None, ())
-    return LPSolution(simplex.OPTIMAL, best_value, best)
+
+    hull: list[tuple[Fraction, Fraction]] = []
+    for cx, cy in points:
+        while len(hull) >= 2:
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            # keep b only if it lies strictly above the chord from a to c
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
+                break
+            hull.pop()
+        hull.append((cx, cy))
+
+    # b is the first hull vertex at or right of balance 0
+    i = bisect_left(hull, (Fraction(0),))
+    bx, by = hull[i]
+    if bx == 0:
+        value = by
+    else:
+        ax, ay = hull[i - 1]
+        value = ay - ax * (by - ay) / (bx - ax)
+
+    columns = list(zip(lp.configs, lp.objective, lp.balance))
+    if top.get(Fraction(0)) == value:
+        config = next(c for c, o, b in columns if b == 0 and o == value)
+        return LPSolution(simplex.OPTIMAL, value, ((config, Fraction(1)),))
+    # the line through (ax, ay) and (bx, by) passes through (0, value)
+    on_line = [(c, b) for c, o, b in columns if (o - value) * bx == (by - value) * b]
+    ci, bi = next((c, b) for c, b in on_line if b > 0)
+    cj, bj = next((c, b) for c, b in on_line if b < 0)
+    w = -bj / (bi - bj)
+    return LPSolution(simplex.OPTIMAL, value, ((ci, w), (cj, 1 - w)))
 
 
 def dual_certificate(d: int, lam: Fraction) -> DualCertificate:
@@ -221,14 +248,6 @@ def _claim_terms(stats: ConfigStats, lam: Fraction) -> tuple[Fraction, Fraction,
     if denom <= 0:
         raise VerificationError("2*p0 - p12 must be positive here")
     return stats.p0.derivative().eval(lam), lam * stats.p12.derivative().eval(lam), denom
-
-
-def dual_slack(cert: DualCertificate, config: Configuration) -> Fraction:
-    """Slack of one dual constraint:
-    lambda_p + lambda_c*(alpha_v - alpha_u) - alpha_v."""
-    return _slack(
-        cert, alpha_v(config, cert.activity), alpha_u(config, cert.activity)
-    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,15 +9,27 @@ rows surface as artificial variables stuck in the basis at value zero and
 are pivoted out or dropped, after which the artificial columns are
 discarded entirely.
 
-Instances here are tiny (a few thousand columns, two or three rows), so a
-dense tableau is the simplest correct representation.
+The method is the revised simplex: it keeps the basis inverse B^-1 (one
+Fraction row per constraint row) and the basic values x_B, and computes
+a column of B^-1 A only when a pivot needs it.  Reduced costs
+c_j - y.A_j, with y = c_B B^-1, are priced in index order up to the
+first positive one, in integers: each column is scaled to integers by a
+positive factor, and y is put over a common denominator.  Instances
+here have a few thousand columns and two or three rows, so a pivot
+rewrites m rows of length m instead of m dense rows of length n.  The
+choices are a dense tableau's exactly (the same entering, leaving and
+drive-out decisions, read off the same signs and ratios), so both walk
+the same pivots and return the same result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
+
+from .errors import VerificationError
 
 ITERATION_CAP = 100_000
 
@@ -33,57 +45,98 @@ class SimplexResult:
     solution: tuple[Fraction, ...]
 
 
-class SimplexIterationError(RuntimeError):
+class SimplexIterationError(VerificationError):
     """The pivot cap was hit; with Bland's rule this indicates a bug."""
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [entry / piv for entry in tableau[row]]
-    pivot_row = tableau[row]
-    for r, line in enumerate(tableau):
-        if r != row and line[col]:
-            factor = line[col]
-            tableau[r] = [entry - factor * pe for entry, pe in zip(line, pivot_row)]
-    basis[row] = col
+class _Basis:
+    """B^-1 as rows over the original constraint rows, x_B and the basic
+    variable per row.  Column j is columns[j]: a structural column of the
+    sign-normalised A scaled to integers, or a unit column for an
+    artificial variable."""
+
+    def __init__(self, columns: list[tuple[int, ...]], rhs: list[Fraction]):
+        m = len(rhs)
+        self.width = m
+        self.columns = columns
+        self.inverse = [[Fraction(int(r == k)) for k in range(m)] for r in range(m)]
+        self.values = list(rhs)
+        self.basis = [len(columns) - m + r for r in range(m)]
+
+    def entry(self, r: int, j: int) -> Fraction:
+        """Row r of B^-1 A_j."""
+        return sum(a * v for a, v in zip(self.inverse[r], self.columns[j]) if v)
+
+    def column(self, j: int) -> list[Fraction]:
+        """B^-1 A_j."""
+        return [self.entry(r, j) for r in range(len(self.basis))]
+
+    def entering(self, cost: Sequence[int], n_cols: int) -> int | None:
+        """Bland's choice: the first column below n_cols whose reduced cost
+        c_j - y.A_j is positive.  y = c_B B^-1 is put over a common
+        denominator, so that the test of each column is integer work."""
+        y = [Fraction(0)] * self.width
+        for line, bv in zip(self.inverse, self.basis):
+            if cost[bv]:
+                y = [yk + cost[bv] * a for yk, a in zip(y, line)]
+        den = lcm(*(yk.denominator for yk in y))
+        y = [(k, yk.numerator * (den // yk.denominator)) for k, yk in enumerate(y) if yk]
+        columns = self.columns
+        return next(
+            (
+                j
+                for j in range(n_cols)
+                if cost[j] * den > sum(yk * columns[j][k] for k, yk in y)
+            ),
+            None,
+        )
+
+    def pivot(self, r: int, j: int, alpha: list[Fraction]) -> None:
+        """Make j basic in row r; alpha is B^-1 A_j before the pivot."""
+        piv = alpha[r]
+        row = [a / piv for a in self.inverse[r]]
+        value = self.values[r] / piv
+        self.inverse[r] = row
+        self.values[r] = value
+        for k, factor in enumerate(alpha):
+            if k != r and factor:
+                self.inverse[k] = [a - factor * p for a, p in zip(self.inverse[k], row)]
+                self.values[k] -= factor * value
+        self.basis[r] = j
+
+    def drop(self, r: int) -> None:
+        """Delete row r, a redundant constraint."""
+        del self.inverse[r]
+        del self.values[r]
+        del self.basis[r]
 
 
-def _run_phase(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-) -> str:
-    """Maximise the reduced-cost row by Bland pivoting; mutates in place.
+def _run_phase(state: _Basis, cost: Sequence[int], n_cols: int) -> str:
+    """Maximise cost.x over columns 0..n_cols-1 by Bland pivoting.
 
-    cost has one entry per column plus the objective cell at the end.
     Entering column: smallest index with positive reduced cost.  Leaving
     row: minimum ratio, ties broken by smallest basic variable index.
     """
-    n_cols = len(cost) - 1
     for _ in range(ITERATION_CAP):
-        col = next((j for j in range(n_cols) if cost[j] > 0), None)
+        col = state.entering(cost, n_cols)
         if col is None:
             return OPTIMAL
+        alpha = state.column(col)
         best_ratio = None
         best_row = None
-        for r, line in enumerate(tableau):
-            if line[col] > 0:
-                ratio = line[-1] / line[col]
+        for r, a in enumerate(alpha):
+            if a > 0:
+                ratio = state.values[r] / a
                 if (
                     best_ratio is None
                     or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[best_row])
+                    or (ratio == best_ratio and state.basis[r] < state.basis[best_row])
                 ):
                     best_ratio = ratio
                     best_row = r
         if best_row is None:
             return UNBOUNDED
-        _pivot(tableau, basis, best_row, col)
-        factor = cost[col]
-        pivot_row = tableau[best_row]
-        for j in range(n_cols + 1):
-            if pivot_row[j]:
-                cost[j] -= factor * pivot_row[j]
+        state.pivot(best_row, col, alpha)
     raise SimplexIterationError(f"exceeded {ITERATION_CAP} pivots")
 
 
@@ -94,60 +147,60 @@ def solve(
 ) -> SimplexResult:
     """Maximise objective.x subject to rows.x = rhs and x >= 0."""
     n = len(objective)
-    m = len(rows)
     objective = [Fraction(v) for v in objective]
 
-    # build [A | I | b] with nonnegative right-hand sides
-    tableau: list[list[Fraction]] = []
-    for r, (row, b) in enumerate(zip(rows, rhs)):
+    # A and b with nonnegative right-hand sides
+    lines = []
+    bs = []
+    for row, b in zip(rows, rhs):
         line = [Fraction(v) for v in row]
         b = Fraction(b)
         if b < 0:
             line = [-v for v in line]
             b = -b
-        art = [Fraction(0)] * m
-        art[r] = Fraction(1)
-        tableau.append(line + art + [b])
-    basis = [n + r for r in range(m)]
+        lines.append(line)
+        bs.append(b)
+    m = len(lines)
 
-    # phase 1: maximise -(sum of artificials); its reduced-cost row over the
-    # artificial basis is the column sum of the structural part
-    cost = [Fraction(0)] * (n + m + 1)
-    for line in tableau:
-        for j in range(n):
-            cost[j] += line[j]
-        cost[-1] += line[-1]
-    status = _run_phase(tableau, basis, cost)
+    # Scaling column j and its objective entry by s_j > 0 scales its
+    # reduced cost by s_j, and row r of B^-1 A_j and of x_B by 1/s of the
+    # basic variable of row r: no sign, zero or ratio that a choice reads
+    # changes.  So each structural column is scaled to integers, and its
+    # x_j is multiplied back by s_j.  Unit columns for the artificial
+    # variables follow.
+    structural = list(zip(objective, *lines))
+    scales = [lcm(*(v.denominator for v in column)) for column in structural]
+    columns = [
+        tuple(int(v * s) for v in column[1:]) for column, s in zip(structural, scales)
+    ]
+    columns += [tuple(int(r == k) for r in range(m)) for k in range(m)]
+    state = _Basis(columns, bs)
+
+    # phase 1: maximise -(sum of artificials)
+    cost = [0] * n + [-1] * m
+    status = _run_phase(state, cost, n + m)
     if status != OPTIMAL:  # phase-1 objective is bounded by construction
         raise SimplexIterationError("phase 1 reported unbounded")
-    if cost[-1] != 0:
+    if any(v for v, bv in zip(state.values, state.basis) if bv >= n):
         return SimplexResult(INFEASIBLE, None, ())
 
     # drive leftover artificials out of the basis, dropping redundant rows
-    for r in range(len(basis) - 1, -1, -1):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+    for r in range(len(state.basis) - 1, -1, -1):
+        if state.basis[r] >= n:
+            col = next((j for j in range(n) if state.entry(r, j) != 0), None)
             if col is None:
-                del tableau[r]
-                del basis[r]
+                state.drop(r)
             else:
-                _pivot(tableau, basis, r, col)
-    tableau = [line[:n] + [line[-1]] for line in tableau]
+                state.pivot(r, col, state.column(col))
 
-    # phase 2: the real objective expressed over the current basis
-    cost = objective + [Fraction(0)]
-    for r, bv in enumerate(basis):
-        factor = cost[bv]
-        if factor:
-            for j in range(n + 1):
-                if tableau[r][j]:
-                    cost[j] -= factor * tableau[r][j]
-    status = _run_phase(tableau, basis, cost)
+    # phase 2: the real objective over the structural columns
+    cost = [int(c * s) for c, s in zip(objective, scales)]
+    status = _run_phase(state, cost, n)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, ())
 
     solution = [Fraction(0)] * n
-    for r, bv in enumerate(basis):
-        solution[bv] = tableau[r][-1]
+    for bv, v in zip(state.basis, state.values):
+        solution[bv] = v * scales[bv]
     value = sum(c * x for c, x in zip(objective, solution))
     return SimplexResult(OPTIMAL, value, tuple(solution))

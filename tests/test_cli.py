@@ -211,6 +211,16 @@ def test_lp_refuses_an_infeasible_certificate(monkeypatch, capsys):
     assert_lp_refused(capsys)
 
 
+def test_lp_pivot_cap_is_a_verification_error(monkeypatch, capsys):
+    from wrkit import simplex
+
+    monkeypatch.setattr(simplex, "ITERATION_CAP", 1)
+    code, out, err = run(capsys, "lp", "--d", "3", "--lambda", "1")
+    assert code == EXIT_MISMATCH
+    assert err == "verification error: exceeded 1 pivots\n"
+    assert out == ""
+
+
 def test_dualcert_csv_pinned(tmp_path, capsys):
     target = tmp_path / "dualcert.csv"
     code, _, _ = run(

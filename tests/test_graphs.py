@@ -24,8 +24,14 @@ from wrkit.graphs import (
     make_random_regular,
     parse_edge_list,
     permute_labels,
-    serialize_edge_list,
 )
+
+
+def serialize_edge_list(g):
+    """The edge-list text that parse_edge_list reads back."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
 def check_simple(g):

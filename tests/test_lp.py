@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrkit import simplex
 from wrkit.configurations import (
@@ -19,11 +21,12 @@ from wrkit.configurations import (
 from wrkit.errors import DomainError, UsageError
 from wrkit.graphs import Graph, from_edges
 from wrkit.lp import (
+    LPInstance,
+    LPSolution,
     build_primal,
     conditional_expectation_check,
     config_report_csv,
     dual_certificate,
-    dual_slack,
     monotone_lhs_check,
     simplex_solve,
     uniqueness_check,
@@ -36,6 +39,14 @@ from wrkit.occupancy import alpha_K
 F = Fraction
 
 SMALL_GRID = (F(1, 4), F(1, 2), F(1), F(2), F(10))
+
+
+def dual_slack(cert, config):
+    """Slack of one dual constraint, from the class's own alphas:
+    lambda_p + lambda_c*(alpha_v - alpha_u) - alpha_v."""
+    av = alpha_v(config, cert.activity)
+    au = alpha_u(config, cert.activity)
+    return cert.lambda_p + cert.lambda_c * (av - au) - av
 
 
 def test_build_primal_d1():
@@ -82,6 +93,100 @@ def test_solvers_agree():
             assert a.status == b.status == simplex.OPTIMAL
             assert a.value == b.value == alpha_K(d, lam)
             assert [c.key() for c, _ in a.support] == [c.key() for c, _ in b.support]
+
+
+def pair_loop_solve(lp):
+    """Every support of size 1, then every (positive, negative) pair, in
+    column order; a later support wins only with a strictly larger value."""
+    best_value = None
+    best = ()
+    columns = list(zip(lp.configs, lp.objective, lp.balance))
+    for config, oi, bi in columns:
+        if bi == 0 and (best_value is None or oi > best_value):
+            best_value, best = oi, ((config, F(1)),)
+    positive = [column for column in columns if column[2] > 0]
+    negative = [column for column in columns if column[2] < 0]
+    for ci, oi, bi in positive:
+        for cj, oj, bj in negative:
+            w = -bj / (bi - bj)
+            value = w * oi + (1 - w) * oj
+            if best_value is None or value > best_value:
+                best_value, best = value, ((ci, w), (cj, 1 - w))
+    if best_value is None:
+        return LPSolution(simplex.INFEASIBLE, None, ())
+    return LPSolution(simplex.OPTIMAL, best_value, best)
+
+
+def points_instance(points):
+    """An LPInstance whose columns are the given (balance, objective)
+    points, named 0, 1, 2, ... in column order."""
+    return LPInstance(
+        1,
+        F(1),
+        tuple(range(len(points))),
+        tuple(F(o) for _, o in points),
+        tuple(F(b) for b, _ in points),
+    )
+
+
+@pytest.mark.parametrize(
+    "points, value, support",
+    [
+        # a repeated balance: only its top point can reach the envelope
+        ([(-1, 3), (-1, 0), (1, 0), (1, 1)], 2, ((3, F(1, 2)), (0, F(1, 2)))),
+        # a balance-0 column on the envelope's segment wins over the pair
+        ([(-2, 0), (1, 3), (0, 2), (0, 2), (2, 4)], 2, ((2, F(1)),)),
+        # a balance-0 column below the segment loses to it
+        ([(-1, 0), (0, 0), (1, 2)], 1, ((2, F(1, 2)), (0, F(1, 2)))),
+        # collinear points: the first positive and first negative on the line
+        ([(3, 3), (-1, -1), (1, 1), (-3, -3), (2, 0)], 0, ((0, F(1, 4)), (1, F(3, 4)))),
+        # 0 at the end of the balance range
+        ([(0, 1), (0, 5), (2, 9)], 5, ((1, F(1)),)),
+    ],
+)
+def test_vertex_enumeration_support_rules(points, value, support):
+    lp = points_instance(points)
+    sol = vertex_enumeration_solve(lp)
+    assert sol == pair_loop_solve(lp)
+    assert (sol.value, sol.support) == (value, support)
+
+
+@pytest.mark.parametrize("points", [[], [(1, 2), (3, 0)], [(-1, 2), (-2, 5)]])
+def test_vertex_enumeration_infeasible(points):
+    sol = vertex_enumeration_solve(points_instance(points))
+    assert sol == LPSolution(simplex.INFEASIBLE, None, ())
+
+
+def test_vertex_enumeration_matches_the_pair_loop_on_seeded_instances():
+    rng = random.Random(77)
+    for _ in range(1500):
+        k = rng.choice((1, 2, 3, 6))
+        points = [
+            (F(rng.randint(-k, k), rng.choice((1, 1, 2))), rng.randint(-k, k))
+            for _ in range(rng.randint(0, 10))
+        ]
+        lp = points_instance(points)
+        assert vertex_enumeration_solve(lp) == pair_loop_solve(lp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=9))
+def test_vertex_enumeration_matches_the_pair_loop(points):
+    lp = points_instance(points)
+    assert vertex_enumeration_solve(lp) == pair_loop_solve(lp)
+
+
+def test_solvers_match_their_oracles_on_the_relaxation():
+    from test_simplex import solve_with_pivots, tableau_solve
+
+    for d in (1, 2, 3, 4):
+        for lam in (F(1, 3), F(1), F(3, 2), F(7)):
+            lp = build_primal(d, lam)
+            assert vertex_enumeration_solve(lp) == pair_loop_solve(lp)
+            case = (lp.objective, [[F(1)] * len(lp.configs), lp.balance], [F(1), F(0)])
+            pivots = []
+            expected = tableau_solve(*case, pivots=pivots)
+            assert solve_with_pivots(*case) == (expected, pivots)
 
 
 def test_distinct_column_lp_matches_full_program():

@@ -15,10 +15,17 @@ from wrkit.graphs import (
     disjoint_union,
     from_edges,
     parse_edge_list,
-    serialize_edge_list,
 )
 from wrkit.numerics import BivariatePolynomial, IntPolynomial
 from wrkit.partition import wr_partition, wr_partition_bivariate, wr_partition_brute
+
+
+def serialize_edge_list(g):
+    """The edge-list text that parse_edge_list reads back."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
 
 MAX_N = 8
 

@@ -1,10 +1,18 @@
-"""Generic exact simplex: status handling and random cross-validation."""
+"""Generic exact simplex: status handling and random cross-validation,
+against support enumeration and against a dense-tableau oracle that must
+walk the same pivots."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrkit import simplex
+from wrkit.errors import VerificationError
 
 F = Fraction
 
@@ -90,3 +98,144 @@ def test_random_instances_against_support_enumeration():
             assert sum(result.solution) == 1
             assert sum(b * x for b, x in zip(balance, result.solution)) == 0
             assert all(x >= 0 for x in result.solution)
+
+
+def tableau_solve(objective, rows, rhs, pivots=None):
+    """The dense-tableau two-phase simplex: the same Bland entering rule
+    (artificial columns included in phase 1), the same min-ratio leaving
+    rule with ties to the smallest basic index, and the same drive-out,
+    applied to full rows [A | I | b] and a reduced-cost row.  Each pivot
+    is appended to pivots as (leaving, entering) variable indices."""
+    n, m = len(objective), len(rows)
+
+    def pivot(tableau, basis, row, col):
+        piv = tableau[row][col]
+        tableau[row] = [entry / piv for entry in tableau[row]]
+        for r, line in enumerate(tableau):
+            if r != row and line[col]:
+                factor = line[col]
+                tableau[r] = [e - factor * p for e, p in zip(line, tableau[row])]
+        if pivots is not None:
+            pivots.append((basis[row], col))
+        basis[row] = col
+
+    def run_phase(tableau, basis, cost):
+        n_cols = len(cost) - 1
+        while True:
+            col = next((j for j in range(n_cols) if cost[j] > 0), None)
+            if col is None:
+                return simplex.OPTIMAL
+            best_row = None
+            for r, line in enumerate(tableau):
+                if line[col] > 0:
+                    ratio = line[-1] / line[col]
+                    if best_row is None or (ratio, basis[r]) < best:
+                        best_row, best = r, (ratio, basis[r])
+            if best_row is None:
+                return simplex.UNBOUNDED
+            pivot(tableau, basis, best_row, col)
+            factor = cost[col]
+            cost[:] = [c - factor * p for c, p in zip(cost, tableau[best_row])]
+
+    tableau = []
+    for r, (row, b) in enumerate(zip(rows, rhs)):
+        sign = -1 if b < 0 else 1
+        art = [F(int(k == r)) for k in range(m)]
+        tableau.append([sign * F(v) for v in row] + art + [sign * F(b)])
+    basis = [n + r for r in range(m)]
+    cost = [sum(line[j] for line in tableau) for j in range(n)] + [F(0)] * m
+    cost.append(sum(line[-1] for line in tableau))
+    run_phase(tableau, basis, cost)
+    if cost[-1] != 0:
+        return simplex.SimplexResult(simplex.INFEASIBLE, None, ())
+    for r in range(len(basis) - 1, -1, -1):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is None:
+                del tableau[r], basis[r]
+            else:
+                pivot(tableau, basis, r, col)
+    tableau = [line[:n] + [line[-1]] for line in tableau]
+    cost = [F(v) for v in objective] + [F(0)]
+    for r, bv in enumerate(basis):
+        factor = cost[bv]
+        cost[:] = [c - factor * t for c, t in zip(cost, tableau[r])]
+    if run_phase(tableau, basis, cost) == simplex.UNBOUNDED:
+        return simplex.SimplexResult(simplex.UNBOUNDED, None, ())
+    solution = [F(0)] * n
+    for r, bv in enumerate(basis):
+        solution[bv] = tableau[r][-1]
+    value = sum(F(c) * x for c, x in zip(objective, solution))
+    return simplex.SimplexResult(simplex.OPTIMAL, value, tuple(solution))
+
+
+def solve_with_pivots(objective, rows, rhs):
+    """simplex.solve, and its pivots as (leaving, entering) variables."""
+    pivots = []
+    pivot = simplex._Basis.pivot
+
+    def recorded(state, r, j, alpha):
+        pivots.append((state.basis[r], j))
+        pivot(state, r, j, alpha)
+
+    with mock.patch.object(simplex._Basis, "pivot", recorded):
+        result = simplex.solve(objective, rows, rhs)
+    return result, pivots
+
+
+def random_instance(rng, n, m):
+    """Small rationals, with many zero right-hand sides so that ratio ties
+    are common; some instances get a normalisation row, a sign flipped
+    right-hand side, or a row that repeats an earlier one scaled (a
+    redundant row, possibly of the other sign)."""
+    objective = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    rows = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(m)]
+    rhs = [F(rng.choice((0, 0, 1, -1, 2, -3))) for _ in range(m)]
+    if rng.random() < 0.3:
+        sign = rng.choice((1, -1))
+        rows[0], rhs[0] = [F(sign)] * n, F(sign)
+    if m > 1 and rng.random() < 0.4:
+        scale = F(rng.choice((-2, -1, 1, 3)))
+        k = rng.randrange(1, m)
+        rows[k] = [scale * v for v in rows[0]]
+        rhs[k] = scale * rhs[0]
+    return objective, rows, rhs
+
+
+def test_walks_the_tableau_oracle_pivots_on_seeded_instances():
+    # the same pivots, not only the same result: a different tie-break
+    # or entering rule often ends at the same optimum by another path
+    rng = random.Random(2024)
+    statuses = set()
+    for _ in range(1500):
+        case = random_instance(rng, rng.randint(1, 7), rng.randint(1, 3))
+        pivots = []
+        expected = tableau_solve(*case, pivots=pivots)
+        assert solve_with_pivots(*case) == (expected, pivots)
+        statuses.add(expected.status)
+    assert statuses == {simplex.OPTIMAL, simplex.INFEASIBLE, simplex.UNBOUNDED}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
+def test_walks_the_tableau_oracle_pivots(seed, n, m):
+    case = random_instance(random.Random(seed), n, m)
+    pivots = []
+    expected = tableau_solve(*case, pivots=pivots)
+    assert solve_with_pivots(*case) == (expected, pivots)
+
+
+def test_redundant_rows_are_dropped_like_the_tableau():
+    # the second and third rows repeat the first, the third sign-flipped
+    objective = [F(1), F(2), F(0)]
+    rows = [[F(1), F(1), F(1)], [F(2), F(2), F(2)], [F(-1), F(-1), F(-1)]]
+    rhs = [F(1), F(2), F(-1)]
+    result = simplex.solve(objective, rows, rhs)
+    assert result == tableau_solve(objective, rows, rhs)
+    assert result.solution == (F(0), F(1), F(0))
+
+
+def test_iteration_cap_is_a_verification_error(monkeypatch):
+    monkeypatch.setattr(simplex, "ITERATION_CAP", 1)
+    with pytest.raises(VerificationError, match="exceeded 1 pivots"):
+        simplex.solve([F(1), F(1)], [[F(1), F(1)], [F(1), F(-1)]], [F(2), F(0)])
