@@ -31,7 +31,7 @@ from .graphs import (
     make_random_regular,
     parse_edge_list,
 )
-from .numerics import csv_text, format_rational, parse_rational
+from .numerics import check_activity, csv_text, format_rational, parse_rational
 from .occupancy import (
     ActivityPair,
     occupancy_by_colour,
@@ -249,10 +249,15 @@ def cmd_dualcert(args) -> int:
 
 
 def cmd_configs(args) -> int:
+    lam = None
+    if args.lam is not None:
+        # a bad activity is refused before the class count is printed
+        lam = parse_rational(args.lam)
+        check_activity(lam)
     configs = enumerate_configs(args.d)
     print(f"d={args.d}: {len(configs)} configuration classes")
-    if args.lam is not None:
-        _, report = _feasibility(args, parse_rational(args.lam))
+    if lam is not None:
+        _, report = _feasibility(args, lam)
         _write_or_print(lp.config_report_csv(report), args.csv)
     else:
         for config in configs:

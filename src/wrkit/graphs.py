@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, permutations
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, ParseError, UsageError
 
@@ -276,12 +277,21 @@ def permute_code(n: int, code: int, perm: Sequence[int]) -> int:
     return out
 
 
+def label_mover(perm: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map labels -> permute_labels(labels, perm) as one C call: the
+    label landing at position w is the one of vertex perm^-1(w)."""
+    inverse = [0] * len(perm)
+    for v, w in enumerate(perm):
+        inverse[w] = v
+    if len(inverse) < 2:
+        # itemgetter of a single index returns the item, not a 1-tuple
+        return tuple
+    return itemgetter(*inverse)
+
+
 def permute_labels(labels: Sequence, perm: Sequence[int]) -> tuple:
     """Move the label of vertex v to position perm[v]."""
-    out = [None] * len(labels)
-    for v, lab in enumerate(labels):
-        out[perm[v]] = lab
-    return tuple(out)
+    return label_mover(perm)(labels)
 
 
 def canonical_labelled_form(g: Graph, labels: Sequence) -> tuple:

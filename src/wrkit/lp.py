@@ -50,11 +50,11 @@ from .configurations import (
     ConfigStats,
     Configuration,
     _list_options,
-    alpha_u,
-    alpha_v,
     complete_neighbourhood_config,
     enumerate_configs,
+    local_alphas,
     local_partition_functions,
+    stats_key,
 )
 from .errors import DomainError, UsageError, VerificationError
 from .numerics import check_activity, csv_text
@@ -109,19 +109,27 @@ def _signature_table(d: int, lam: Fraction) -> tuple[
     (first class in canonical order, its stats, alpha_v, alpha_u) at lam,
     and per class, in canonical order, its stats and signature index.
 
-    build_primal and verify_dual_feasibility both read this table, so a
-    command that runs both evaluates the alphas once per signature.
+    A class reaches its signature through its stats_key: the stats and
+    the signature index are found once per key, so the other classes
+    with that key cost one dict lookup.  build_primal and
+    verify_dual_feasibility both read this table, so a command that runs
+    both evaluates the alphas once per signature.
     """
     first: dict[tuple, int] = {}
+    by_key: dict[tuple, tuple[ConfigStats, int]] = {}
     signatures = []
     classes = []
     for config in enumerate_configs(d):
-        stats = local_partition_functions(config)
-        sig = (stats.p0, stats.p12)
-        if sig not in first:
-            first[sig] = len(signatures)
-            signatures.append((config, stats, alpha_v(config, lam), alpha_u(config, lam)))
-        classes.append((stats, first[sig]))
+        key = stats_key(config)
+        entry = by_key.get(key)
+        if entry is None:
+            stats = local_partition_functions(config)
+            sig = (stats.p0, stats.p12)
+            if sig not in first:
+                first[sig] = len(signatures)
+                signatures.append((config, stats, *local_alphas(stats, d, lam)))
+            entry = by_key[key] = (stats, first[sig])
+        classes.append(entry)
     return tuple(signatures), tuple(classes)
 
 
@@ -310,25 +318,20 @@ def verify_dual_feasibility(
         return slack
 
     signatures, classes = _signature_table(d, lam)
-    slacks = [constraint(*signature) for signature in signatures]
+    # each signature's row fields and verdict, decided once
+    verdicts = []
+    for signature in signatures:
+        slack = constraint(*signature)
+        verdicts.append((signature[2], signature[3], slack, slack == 0, slack < 0))
     rows = []
     violations = []
     tight = []
     for config, (stats, i) in zip(enumerate_configs(d), classes):
-        slack = slacks[i]
-        row = ConfigRow(
-            config=config,
-            a1=stats.a1,
-            a2=stats.a2,
-            alpha_v=signatures[i][2],
-            alpha_u=signatures[i][3],
-            slack=slack,
-            tight=(slack == 0),
-        )
-        rows.append(row)
-        if slack < 0:
+        av, au, slack, is_tight, violated = verdicts[i]
+        rows.append(ConfigRow(config, stats.a1, stats.a2, av, au, slack, is_tight))
+        if violated:
             violations.append(config)
-        elif slack == 0:
+        elif is_tight:
             tight.append(config)
 
     return FeasibilityReport(

@@ -185,13 +185,27 @@ class IntPolynomial:
             for c in reversed(coeffs):
                 acc = acc * x + c
             return acc
-        p, q = x.numerator, x.denominator
+        acc, scale = self._homogeneous(x.numerator, x.denominator)
+        return Fraction(acc, scale)
+
+    def _homogeneous(self, p: int, q: int) -> tuple[int, int]:
+        """(q^m * P(p/q), q^m) for a nonzero P of degree m, in integers."""
+        coeffs = self.coeffs
         acc = coeffs[-1]
         scale = 1
         for c in reversed(coeffs[:-1]):
             scale *= q
             acc = acc * p + c * scale
-        return Fraction(acc, scale)
+        return acc, scale
+
+    def scaled_eval(self, p: int, q: int, n: int) -> int:
+        """q^n * P(p/q) as an integer, for any n at least the degree."""
+        if not self.coeffs:
+            return 0
+        if n < self.degree:
+            raise UsageError(f"scale q^{n} is below the degree {self.degree}")
+        acc, _ = self._homogeneous(p, q)
+        return acc * q ** (n - self.degree)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

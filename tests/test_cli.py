@@ -420,6 +420,14 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_configs_refuses_a_bad_activity_before_printing(capsys):
+    for bad in ("1/0", "0", "-1", "1.5"):
+        code, out, err = run(capsys, "configs", "--d", "3", "--lambda", bad)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+
+
 def test_capacity_exit(capsys):
     code, _, err = run(capsys, "configs", "--d", "7")
     assert code == EXIT_CAPACITY

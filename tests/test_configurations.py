@@ -1,8 +1,10 @@
 """Configuration enumeration, local polynomials, and the alpha estimates."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 
 from wrkit import configurations
 from wrkit.configurations import (
+    COLOUR_1,
+    COLOUR_2,
+    ConfigStats,
     Configuration,
     complete_neighbourhood_config,
     empty_lists_config,
@@ -17,10 +22,11 @@ from wrkit.configurations import (
     local_partition_functions,
     per_colour_alpha,
     single_colour_config,
+    stats_key,
     alpha_u,
     alpha_v,
 )
-from wrkit.errors import CapacityError, DomainError, UsageError
+from wrkit.errors import CapacityError, DomainError, UsageError, VerificationError
 from wrkit.graphs import (
     Graph,
     from_edges,
@@ -135,7 +141,8 @@ def test_local_polynomials_walk_each_subset_of_the_smaller_list_set(monkeypatch)
     # and colour 2 on {0, 4}, then the other way round
     for lists in ((3, 1, 0, 1, 3), (3, 2, 0, 2, 3)):
         walks.clear()
-        local_partition_functions.__wrapped__(Configuration(graph, lists))  # bypass the cache
+        local_partition_functions.cache_clear()  # so that the key's walk runs here
+        local_partition_functions(Configuration(graph, lists))
         [(walk, other, result)] = walks
         assert (walk, other) == (0b10001, 0b11011)
         assert sum(result.values()) == 1 << walk.bit_count()
@@ -155,9 +162,87 @@ def configs(draw, max_d=6):
 @settings(max_examples=300, deadline=None)
 @given(configs())
 def test_local_polynomials_match_colouring_tallies_property(config):
-    stats = local_partition_functions.__wrapped__(config)
+    stats = configurations._stats_for_key.__wrapped__(*stats_key(config))  # bypass the cache
     got = (stats.p0, stats.p1, stats.p2, stats.has_dichromatic)
     assert got == colouring_tallies(config)
+
+
+def per_class_stats(config):
+    """The stats as one walk per class computes them, on the full
+    neighbourhood graph: p0 from the (|S|, |F(S)|) tally over every
+    colour-1 set S, the rest from the list counts."""
+    d, lists = config.d, config.lists
+    allows_1 = sum(1 << v for v, mask in enumerate(lists) if mask & 1)
+    allows_2 = sum(1 << v for v, mask in enumerate(lists) if mask & 2)
+    p0 = [0] * (d + 1)
+    dichromatic = False
+    for (size, free), count in subset_tally(config.graph.adj, allows_1, allows_2).items():
+        for k in range(free + 1):
+            p0[size + k] += count * comb(free, k)
+        dichromatic |= bool(size and free)
+    p1, p2 = binomial_power(allows_1.bit_count()), binomial_power(allows_2.bit_count())
+    return ConfigStats(
+        a1=allows_1.bit_count(),
+        a2=allows_2.bit_count(),
+        p0=IntPolynomial(p0),
+        p1=p1,
+        p2=p2,
+        p12=p1 + p2,
+        pc=IntPolynomial(p0) + (p1 + p2).shift(1),
+        lists_all_equal=len(set(lists)) == 1,
+        has_dichromatic=dichromatic,
+    )
+
+
+def irrelevant_pairs(lists):
+    """Vertex pairs whose edge no list colouring can see: one end has an
+    empty list, or both ends allow only colour 1, or only colour 2."""
+    d = len(lists)
+    return [
+        (u, v)
+        for u in range(d)
+        for v in range(u + 1, d)
+        if not lists[u] or not lists[v] or lists[u] == lists[v] in (COLOUR_1, COLOUR_2)
+    ]
+
+
+def test_stats_per_key_equal_the_per_class_walk_exhaustively():
+    for d in range(1, 6):
+        for config in enumerate_configs(d):
+            assert local_partition_functions(config) == per_class_stats(config), (
+                config.key_text()
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs(), st.data())
+def test_irrelevant_edges_change_no_stats_property(config, data):
+    pairs = irrelevant_pairs(config.lists)
+    toggled = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = list(config.graph.adj)
+    for u, v in toggled:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    other = Configuration(Graph(config.d, tuple(adj)), config.lists)
+    assert stats_key(other) == stats_key(config)
+    assert local_partition_functions(other) == local_partition_functions(config)
+    assert local_partition_functions(config) == per_class_stats(config)
+
+
+def test_one_walk_per_stats_key():
+    local_partition_functions.cache_clear()
+    for config in enumerate_configs(5):
+        local_partition_functions(config)
+    # one walk per distinct key, not one per class (12,208)
+    assert local_partition_functions.cache_info().misses == 5639
+
+
+def test_stats_errors_name_the_class(monkeypatch):
+    monkeypatch.setattr(configurations, "_low_coefficients", lambda *args: [0, 0, 0])
+    local_partition_functions.cache_clear()
+    config = complete_neighbourhood_config(3)
+    with pytest.raises(VerificationError, match=f"^{re.escape(config.key_text())}: low"):
+        local_partition_functions(config)
 
 
 def test_stats_empty_lists():

@@ -16,6 +16,7 @@ from wrkit.graphs import (
     graphs_up_to_iso,
     is_d_regular,
     is_union_of_complete,
+    label_mover,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -204,6 +205,18 @@ def test_canonical_form_permutation_invariant():
         rng.shuffle(perm)
         permuted = from_edges(n, [(perm[u], perm[v]) for u, v in edges])
         assert canonical_labelled_form(permuted, permute_labels(labels, perm)) == key
+
+
+def test_label_mover_moves_each_label_to_its_image():
+    rng = random.Random(19)
+    for n in range(0, 8):
+        labels = [rng.randint(0, 3) for _ in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = label_mover(perm)(labels)
+        assert isinstance(moved, tuple) and len(moved) == n
+        assert all(moved[perm[v]] == labels[v] for v in range(n))
+        assert permute_labels(labels, perm) == moved
 
 
 def test_canonical_form_capacity():

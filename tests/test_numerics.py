@@ -58,6 +58,18 @@ def test_eval():
     assert P([1, 1]).eval(Fraction(1, 2)) == Fraction(3, 2)
 
 
+def test_scaled_eval_is_q_power_times_value():
+    rng = random.Random(17)
+    for _ in range(50):
+        poly = IntPolynomial(rng.randint(-9, 9) for _ in range(rng.randint(0, 7)))
+        p, q = rng.randint(1, 30), rng.randint(1, 30)
+        n = max(poly.degree, 0) + rng.randint(0, 3)
+        assert poly.scaled_eval(p, q, n) == q**n * poly.eval(Fraction(p, q))
+    assert IntPolynomial().scaled_eval(3, 2, 0) == 0
+    with pytest.raises(UsageError):
+        IntPolynomial([1, 2, 3]).scaled_eval(1, 2, 1)
+
+
 def test_shift():
     assert P([1, 2]).shift(2) == P([0, 0, 1, 2])
     assert P().shift(3) == P()
