@@ -14,10 +14,12 @@ from .configurations import (
     alpha_u,
     alpha_v,
     complete_neighbourhood_config,
+    count_configs,
     empty_lists_config,
     enumerate_configs,
     local_partition_functions,
     per_colour_alpha,
+    reduced_configs,
     single_colour_config,
 )
 from .dynamics import estimate_occupancy

@@ -38,6 +38,17 @@ automorphism group.  The representative kept for each class is exactly
 the one whose (edge code, lists) pair is the canonical key, so the result
 matches deduplication by canonical_labelled_form; each representative
 carries that key, so key() and key_text() skip the permutation search.
+count_configs gives the number of classes by Burnside's lemma, without
+the enumeration.
+
+The local polynomials of a class ignore its empty-list vertices and its
+edges inside the {1}-only or inside the {2}-only vertices.  Dropping
+both leaves its reduced class: a graph on the k <= d non-empty-list
+vertices, lists in {1}, {2}, {12}, and no edge inside a single-colour
+list.  reduced_configs enumerates those (1,438 at d = 5, against 12,208
+classes), each padded with d - k isolated empty-list vertices so that it
+is a d-vertex configuration with its reduced class's polynomials; the
+LP layer builds the certificate from them.
 """
 
 from __future__ import annotations
@@ -78,8 +89,8 @@ class Configuration:
 
     graph: Graph
     lists: tuple[int, ...]
-    # canonical key, stamped by enumerate_configs on the representatives
-    # it returns (they are canonical by construction); None otherwise
+    # canonical key, stamped (by _stamped) on the representatives the
+    # enumerations build canonical by construction; None otherwise
     canonical: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -101,10 +112,24 @@ class Configuration:
     def key_text(self) -> str:
         """Compact one-line rendering of the canonical representative."""
         n, code, lists = self.key()
-        rep = graph_from_code(n, code)
-        edges = ",".join(f"{u}-{v}" for u, v in rep.edges())
         lists_text = ",".join(_LIST_TEXT[mask] for mask in lists)
-        return f"d={n};edges={edges};lists={lists_text}"
+        return f"d={n};edges={_edges_text(n, code)};lists={lists_text}"
+
+
+@lru_cache(maxsize=None)
+def _edges_text(n: int, code: int) -> str:
+    """The edge list of graph_from_code(n, code) as key_text renders it,
+    once per graph: every class on that graph shares it."""
+    return ",".join(f"{u}-{v}" for u, v in graph_from_code(n, code).edges())
+
+
+def _stamped(graph: Graph, code: int, lists: tuple[int, ...]) -> Configuration:
+    """The configuration (graph, lists), known to be its own canonical
+    representative, carrying its key (graph.n, code, lists)."""
+    config = Configuration(graph, lists)
+    # the frozen dataclass's idiom for setting a field after init
+    object.__setattr__(config, "canonical", (graph.n, code, lists))
+    return config
 
 
 def empty_lists_config(d: int) -> Configuration:
@@ -386,6 +411,16 @@ def per_colour_alpha(
     return a1v, a2v, a1u, a2u
 
 
+def _check_degree(d: int) -> None:
+    """The degrees the class enumerations accept, checked before any work."""
+    if d < 1:
+        raise UsageError(f"degree must be >= 1, got {d}")
+    if d > ENUMERATION_CAP:
+        raise CapacityError(
+            f"configuration enumeration capped at {ENUMERATION_CAP}, got {d}"
+        )
+
+
 @lru_cache(maxsize=8)
 def enumerate_configs(d: int) -> tuple[Configuration, ...]:
     """All configurations on d vertices, one canonical representative per
@@ -396,12 +431,7 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
     the first member of each orbit the lexicographic minimum, i.e. the
     canonical representative.
     """
-    if d < 1:
-        raise UsageError(f"degree must be >= 1, got {d}")
-    if d > ENUMERATION_CAP:
-        raise CapacityError(
-            f"configuration enumeration capped at {ENUMERATION_CAP}, got {d}"
-        )
+    _check_degree(d)
     out = []
     for code, autos in graphs_up_to_iso(d):
         graph = graph_from_code(d, code)
@@ -411,9 +441,79 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
             if assignment in seen:
                 continue
             seen.update([move(assignment) for move in movers])
-            config = Configuration(graph, assignment)
-            # the frozen dataclass's idiom for setting a field after init
-            object.__setattr__(config, "canonical", (d, code, assignment))
-            out.append(config)
+            out.append(_stamped(graph, code, assignment))
     out.sort(key=Configuration.key)
     return tuple(out)
+
+
+def _cycle_count(perm: tuple[int, ...]) -> int:
+    """The number of cycles of a permutation, fixed points included."""
+    seen = 0
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen >> start & 1:
+            cycles += 1
+            v = start
+            while not seen >> v & 1:
+                seen |= 1 << v
+                v = perm[v]
+    return cycles
+
+
+def count_configs(d: int) -> int:
+    """len(enumerate_configs(d)) by Burnside's lemma, without enumerating:
+    the automorphisms g of a graph class H split the 4^d list assignments
+    into (1/|Aut H|) * sum over g of 4^cycles(g) orbits."""
+    _check_degree(d)
+    return sum(
+        sum(4 ** _cycle_count(perm) for perm in autos) // len(autos)
+        for _, autos in graphs_up_to_iso(d)
+    )
+
+
+def uniform_list_classes(d: int, mask: int) -> tuple[Configuration, ...]:
+    """(H, every list mask) for each graph class H on d vertices, in
+    canonical order; with equal lists the canonical code is H's."""
+    lists = (mask,) * d
+    return tuple(
+        _stamped(graph_from_code(d, code), code, lists) for code, _ in graphs_up_to_iso(d)
+    )
+
+
+@lru_cache(maxsize=8)
+def reduced_configs(d: int) -> tuple[Configuration, ...]:
+    """One representative per reduced class on at most d vertices, padded
+    to d vertices, sorted by k and then by the k-vertex class's canonical
+    key, both descending: the complete neighbourhood comes first and the
+    all-empty class last.  The LP names its columns in this order, and
+    with the optimal column first Bland's rule pivots far less.
+
+    A reduced class is a graph on k <= d vertices with lists in {1}, {2}
+    and {12} and no edge inside {1} or inside {2}: for each graph class
+    on k vertices, the orbits of such assignments under its
+    automorphisms, each first member kept.  The class is padded with
+    d - k isolated empty-list vertices, which leave its local
+    polynomials unchanged.  With k = d the representative is canonical
+    and carries its key.
+    """
+    _check_degree(d)
+    out = []
+    for k in range(d + 1):
+        pad = (NO_COLOURS,) * (d - k)
+        for code, autos in graphs_up_to_iso(k):
+            graph = graph_from_code(k, code)
+            edges = graph.edges()
+            padded = Graph(d, graph.adj + pad)
+            movers = [label_mover(perm) for perm in autos]
+            seen: set[tuple[int, ...]] = set()
+            for assignment in product((COLOUR_1, COLOUR_2, BOTH_COLOURS), repeat=k):
+                if assignment in seen or any(
+                    assignment[u] == assignment[v] != BOTH_COLOURS for u, v in edges
+                ):
+                    continue
+                seen.update([move(assignment) for move in movers])
+                if k == d:
+                    out.append(_stamped(padded, code, assignment))
+                else:
+                    out.append(Configuration(padded, assignment + pad))
+    return tuple(reversed(out))

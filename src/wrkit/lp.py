@@ -18,13 +18,16 @@ optimum is the highest point of their convex hull on that line).  Both
 report a basic solution, of support at most 2.  Classes with equal
 columns are interchangeable, so the instance has one variable per
 distinct column.  A column (alpha_v, alpha_v - alpha_u) depends on a
-class only through its local polynomials p0 and p12, so few columns are
-distinct (390 for the 12,208 classes at d = 5); each variable is named
-by the first class in canonical order with its column, and the support
-names that class.  The reported support is the full program's: a class
-sharing the complete neighbourhood's column would be tight, and every
-tight class other than the complete neighbourhood has alpha_u < alpha_v
-(checked by uniqueness_check), so that column is unique.
+class only through its local polynomials p0 and p12, which it shares
+with its reduced class (configurations.reduced_configs), so the columns
+come from the reduced classes alone: 390 distinct signatures from the
+1,438 reduced classes at d = 5, where there are 12,208 full classes.
+Each variable is named by the first reduced class with its column, and
+the support names that class.  The reported support is the full
+program's: a class sharing the complete neighbourhood's column would be
+tight, and every tight class other than the complete neighbourhood has
+alpha_u < alpha_v (checked by uniqueness_check), so that column is
+unique.
 
 The dual certificate (lambda_p, lambda_c) proves the optimum equals the
 complete-neighbourhood value; every dual constraint is checked in alpha
@@ -32,29 +35,41 @@ form and again as the sum of the paper's two claims (verify_claims),
 
     p0'/(2*p0 - p12) <= r_d  and  lam*p12'/(2*p0 - p12) <= lam*r_d,
 
-with r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1).  The tight constraints must
-be exactly the classes with all-equal lists and no dichromatic colouring,
-and complementary slackness then pins the unique optimum to the complete
-neighbourhood.  uniqueness_check runs this whole chain.
+with r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1), once per signature.  The
+tight reduced classes must be exactly four: all lists empty, the
+independent d-set listed {1}, the same listed {2}, and K_d with full
+lists.  The tight full classes follow without enumeration: every graph
+class with all lists empty, all {1} or all {2}, and K_d with full lists.
+Complementary slackness then pins the unique optimum to the complete
+neighbourhood.  uniqueness_check runs this whole chain.  The report has
+one row per full class, counted by Burnside's lemma and enumerated only
+when a row is read (a CSV, or a violated constraint to name).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import simplex
 from .configurations import (
     ConfigStats,
     Configuration,
+    BOTH_COLOURS,
     _list_options,
     complete_neighbourhood_config,
+    count_configs,
+    empty_lists_config,
     enumerate_configs,
     local_alphas,
     local_partition_functions,
+    reduced_configs,
+    single_colour_config,
     stats_key,
+    uniform_list_classes,
 )
 from .errors import DomainError, UsageError, VerificationError
 from .numerics import check_activity, csv_text
@@ -65,7 +80,8 @@ from .partition import valid_colourings
 @dataclass(frozen=True)
 class LPInstance:
     """The relaxation for one (d, activity) pair: one variable per distinct
-    column, named by the first class with it, in canonical order."""
+    column, named by the first reduced class with it, in reduced_configs
+    order."""
 
     d: int
     activity: Fraction
@@ -103,33 +119,28 @@ class DualCertificate:
 @lru_cache(maxsize=8)
 def _signature_table(d: int, lam: Fraction) -> tuple[
     tuple[tuple[Configuration, ConfigStats, Fraction, Fraction], ...],
-    tuple[tuple[ConfigStats, int], ...],
+    tuple[int, ...],
 ]:
     """The distinct signatures (p0, p12) of the classes at d, each as
-    (first class in canonical order, its stats, alpha_v, alpha_u) at lam,
-    and per class, in canonical order, its stats and signature index.
+    (first reduced class with it, its stats, alpha_v, alpha_u) at lam,
+    and per reduced class, in reduced_configs order, its signature index.
 
-    A class reaches its signature through its stats_key: the stats and
-    the signature index are found once per key, so the other classes
-    with that key cost one dict lookup.  build_primal and
+    Every class has its reduced class's signature, so the reduced classes
+    give them all, with one local walk each.  build_primal and
     verify_dual_feasibility both read this table, so a command that runs
     both evaluates the alphas once per signature.
     """
     first: dict[tuple, int] = {}
-    by_key: dict[tuple, tuple[ConfigStats, int]] = {}
     signatures = []
     classes = []
-    for config in enumerate_configs(d):
-        key = stats_key(config)
-        entry = by_key.get(key)
-        if entry is None:
-            stats = local_partition_functions(config)
-            sig = (stats.p0, stats.p12)
-            if sig not in first:
-                first[sig] = len(signatures)
-                signatures.append((config, stats, *local_alphas(stats, d, lam)))
-            entry = by_key[key] = (stats, first[sig])
-        classes.append(entry)
+    for config in reduced_configs(d):
+        stats = local_partition_functions(config)
+        sig = (stats.p0, stats.p12)
+        i = first.get(sig)
+        if i is None:
+            i = first[sig] = len(signatures)
+            signatures.append((config, stats, *local_alphas(stats, d, lam)))
+        classes.append(i)
     return tuple(signatures), tuple(classes)
 
 
@@ -139,8 +150,8 @@ def build_primal(d: int, lam: Fraction) -> LPInstance:
     check_activity(lam)
     lam = Fraction(lam)
     signatures, _ = _signature_table(d, lam)
-    # signatures come in canonical order of their first class, so the
-    # first one with a column also holds the first class with it
+    # signatures come in order of their first reduced class, so the first
+    # one with a column also holds the first reduced class with it
     columns: dict[tuple[Fraction, Fraction], Configuration] = {}
     for config, _, av, au in signatures:
         columns.setdefault((av, av - au), config)
@@ -271,13 +282,81 @@ class ConfigRow:
     tight: bool
 
 
+class ClassRows(Sequence):
+    """The rows of a feasibility report, one per full class in canonical
+    order.  Its length is count_configs(d), known without enumerating;
+    the rows are built on first read, through enumerate_configs and one
+    local walk per stats_key, and each full class must land on a
+    signature of the reduced classes."""
+
+    def __init__(self, d: int, signatures: tuple, verdicts: list[tuple]):
+        self._count = count_configs(d)
+        self._d = d
+        self._signatures = signatures
+        self._verdicts = verdicts
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    @cached_property
+    def _rows(self) -> tuple[ConfigRow, ...]:
+        index = {
+            (stats.p0, stats.p12): i for i, (_, stats, _, _) in enumerate(self._signatures)
+        }
+        by_key: dict[tuple, ConfigRow] = {}
+        rows = []
+        for config in enumerate_configs(self._d):
+            key = stats_key(config)
+            entry = by_key.get(key)
+            if entry is None:
+                stats = local_partition_functions(config)
+                i = index.get((stats.p0, stats.p12))
+                if i is None:
+                    raise VerificationError(
+                        f"{config.key_text()}: signature missing from the reduced classes"
+                    )
+                entry = by_key[key] = (stats.a1, stats.a2, *self._verdicts[i][:4])
+            rows.append(ConfigRow(config, *entry))
+        if len(rows) != self._count:
+            raise VerificationError(
+                f"{len(rows)} classes enumerated, {self._count} counted"
+            )
+        return tuple(rows)
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """rows has one ConfigRow per full class; reduced_tight_set holds the
+    tight reduced classes, in reduced_configs order."""
+
     d: int
     activity: Fraction
-    rows: tuple[ConfigRow, ...]
+    rows: ClassRows
     violations: tuple[Configuration, ...]
     tight_set: tuple[Configuration, ...]
+    reduced_tight_set: tuple[Configuration, ...]
+
+
+def _full_classes(reduced: tuple[Configuration, ...]) -> tuple[Configuration, ...] | None:
+    """The full classes whose reduced class is among these, in canonical
+    order, when each of these has all lists equal; else None.
+
+    With every list empty, {1} or {2}, no edge matters, so every graph
+    class carries those lists; with every list {12}, every edge does, so
+    the class is its own only full class."""
+    out = []
+    for config in reduced:
+        mask = config.lists[0]
+        if config.lists != (mask,) * config.d:
+            return None
+        out += [config] if mask == BOTH_COLOURS else uniform_list_classes(config.d, mask)
+    return tuple(sorted(out, key=Configuration.key))
 
 
 def verify_dual_feasibility(
@@ -288,9 +367,12 @@ def verify_dual_feasibility(
     The alpha-form slack is recomputed as the sum of the two claims
     (valid once some list is non-empty; the all-empty class is tight by
     construction of lambda_c) and the two must agree in sign and in zero
-    set.  Both routes run once per distinct signature (p0, p12) and their
-    values are shared by every class with it.  Violations are returned as
-    data, never raised.
+    set.  Both routes run once per distinct signature (p0, p12), found
+    from the reduced classes, and their values are shared by every class
+    with it.  The violated and tight full classes are the full classes of
+    the violated and tight reduced ones: the tight ones derived when
+    their lists are all equal, else both read off the report's rows.
+    Violations are returned as data, never raised.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
@@ -323,23 +405,24 @@ def verify_dual_feasibility(
     for signature in signatures:
         slack = constraint(*signature)
         verdicts.append((signature[2], signature[3], slack, slack == 0, slack < 0))
-    rows = []
-    violations = []
-    tight = []
-    for config, (stats, i) in zip(enumerate_configs(d), classes):
-        av, au, slack, is_tight, violated = verdicts[i]
-        rows.append(ConfigRow(config, stats.a1, stats.a2, av, au, slack, is_tight))
-        if violated:
-            violations.append(config)
-        elif is_tight:
-            tight.append(config)
+    rows = ClassRows(d, signatures, verdicts)
+    reduced_tight = tuple(
+        config for config, i in zip(reduced_configs(d), classes) if verdicts[i][3]
+    )
+    violations = ()
+    if any(verdict[4] for verdict in verdicts):
+        violations = tuple(row.config for row in rows if row.slack < 0)
+    tight = _full_classes(reduced_tight)
+    if tight is None:
+        tight = tuple(row.config for row in rows if row.tight)
 
     return FeasibilityReport(
         d=d,
         activity=lam,
-        rows=tuple(rows),
-        violations=tuple(violations),
-        tight_set=tuple(tight),
+        rows=rows,
+        violations=violations,
+        tight_set=tight,
+        reduced_tight_set=reduced_tight,
     )
 
 
@@ -463,10 +546,11 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     """Reproduce the complementary-slackness uniqueness argument.
 
     The dual certificate must be feasible.  Tight dual constraints must be
-    exactly the all-equal-lists classes without dichromatic colourings;
-    all of them except the complete neighbourhood have alpha_u strictly
-    below alpha_v, so the balance row forces any optimal distribution
-    onto the complete neighbourhood.  Both solvers must reach alpha_K
+    exactly four reduced classes: all lists empty, the independent d-set
+    listed {1}, the same listed {2}, and the complete neighbourhood.  The
+    first three have alpha_u strictly below alpha_v, so the balance row
+    forces any optimal distribution onto the complete neighbourhood, the
+    only full class of the fourth.  Both solvers must reach alpha_K
     there, with weight 1.
     """
     check_activity(lam)
@@ -476,14 +560,30 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     if report.violations:
         raise VerificationError("dual certificate is infeasible; no uniqueness")
 
-    complete_key = complete_neighbourhood_config(d).key()
+    complete = complete_neighbourhood_config(d)
+    unbalanced = (
+        empty_lists_config(d), single_colour_config(d, 1), single_colour_config(d, 2)
+    )
+    predicted = unbalanced + (complete,)
+    for config in report.reduced_tight_set:
+        if config not in predicted:
+            raise VerificationError(
+                f"tight class {config.key_text()} outside the predicted cases"
+            )
+    for config in predicted:
+        if config not in report.reduced_tight_set:
+            raise VerificationError(
+                f"predicted tight class {config.key_text()} is not tight"
+            )
+        av, au = local_alphas(local_partition_functions(config), d, lam)
+        if config != complete and not au < av:
+            raise VerificationError(f"expected alpha_u < alpha_v on {config.key_text()}")
+
+    # the full tight classes, derived from the four, as a second check
     empty_classes = []
     single_classes = []
     complete_class = None
-    for row in report.rows:
-        if not row.tight:
-            continue
-        config = row.config
+    for config in report.tight_set:
         stats = local_partition_functions(config)
         if not (stats.lists_all_equal and not stats.has_dichromatic):
             raise VerificationError(
@@ -495,20 +595,13 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
         elif mask in (1, 2):
             single_classes.append(config)
         else:
-            if config.key() != complete_key:
-                raise VerificationError(
-                    "full-list tight class is not the complete neighbourhood"
-                )
             complete_class = config
-        if config.key() != complete_key and not row.alpha_u < row.alpha_v:
-            raise VerificationError(f"expected alpha_u < alpha_v on {config.key_text()}")
-    if complete_class is None:
-        raise VerificationError("complete neighbourhood missing from tight set")
 
     lp = build_primal(d, lam)
     sol_simplex = simplex_solve(lp)
     sol_enum = vertex_enumeration_solve(lp)
     expected = alpha_K(d, lam)
+    complete_key = complete.key()
     for name, sol in (("simplex", sol_simplex), ("enumeration", sol_enum)):
         if sol.status != simplex.OPTIMAL or sol.value != expected:
             raise VerificationError(f"{name} solver did not reach the optimum")

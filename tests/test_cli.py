@@ -428,6 +428,25 @@ def test_configs_refuses_a_bad_activity_before_printing(capsys):
         assert err.count("\n") == 1
 
 
+def test_degree_errors_come_before_any_class_work(monkeypatch, tmp_path, capsys):
+    # both refusals are the parent's bytes, and come before any graph
+    # enumeration starts
+    from wrkit import configurations
+
+    def refuse(n):
+        raise AssertionError(f"graphs enumerated on {n} vertices")
+
+    monkeypatch.setattr(configurations, "graphs_up_to_iso", refuse)
+    for command in ("lp", "dualcert"):
+        for csv in ((), ("--csv", str(tmp_path / "out.csv"))):
+            code, out, err = run(capsys, command, "--d", "0", "--lambda", "1", *csv)
+            assert (code, out, err) == (EXIT_USAGE, "", "error: degree must be >= 1, got 0\n")
+            code, out, err = run(capsys, command, "--d", "7", "--lambda", "1", *csv)
+            assert (code, out) == (EXIT_CAPACITY, "")
+            assert err == "capacity error: configuration enumeration capped at 6, got 7\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_capacity_exit(capsys):
     code, _, err = run(capsys, "configs", "--d", "7")
     assert code == EXIT_CAPACITY

@@ -17,10 +17,12 @@ from wrkit.configurations import (
     ConfigStats,
     Configuration,
     complete_neighbourhood_config,
+    count_configs,
     empty_lists_config,
     enumerate_configs,
     local_partition_functions,
     per_colour_alpha,
+    reduced_configs,
     single_colour_config,
     stats_key,
     alpha_u,
@@ -29,6 +31,7 @@ from wrkit.configurations import (
 from wrkit.errors import CapacityError, DomainError, UsageError, VerificationError
 from wrkit.graphs import (
     Graph,
+    canonical_labelled_form,
     from_edges,
     graphs_up_to_iso,
     graph_from_code,
@@ -448,13 +451,102 @@ def test_full_lists_dichromatic_iff_not_complete():
 
 
 def test_capacity_and_usage_errors():
-    with pytest.raises(CapacityError):
-        enumerate_configs(7)
-    with pytest.raises(UsageError):
-        enumerate_configs(0)
+    for enumeration in (enumerate_configs, reduced_configs, count_configs):
+        with pytest.raises(CapacityError):
+            enumeration(7)
+        with pytest.raises(UsageError):
+            enumeration(0)
     with pytest.raises(CapacityError):
         local_partition_functions(Configuration(Graph(9, (0,) * 9), (3,) * 9))
     with pytest.raises(UsageError):
         Configuration(Graph(2, (0, 0)), (4, 0))
     with pytest.raises(UsageError):
         single_colour_config(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# reduced classes
+
+
+def reduced_key(config):
+    """The canonical key of a class's reduced class, built here from its
+    definition: the non-empty-list vertices, without the edges inside the
+    {1}-only or inside the {2}-only vertices."""
+    keep = [v for v, mask in enumerate(config.lists) if mask]
+    index = {v: i for i, v in enumerate(keep)}
+    dropped = set(irrelevant_pairs(config.lists))
+    edges = [
+        (index[u], index[v]) for u, v in config.graph.edges() if (u, v) not in dropped
+    ]
+    graph = from_edges(len(keep), edges)
+    return canonical_labelled_form(graph, [config.lists[v] for v in keep])
+
+
+def signatures(configs):
+    return {
+        (stats.p0, stats.p12)
+        for stats in map(local_partition_functions, configs)
+    }
+
+
+def check_signature_sets(d):
+    """The reduced classes at d have exactly the full classes' signatures."""
+    assert signatures(reduced_configs(d)) == signatures(enumerate_configs(d))
+
+
+def test_count_configs_pinned():
+    counts = [count_configs(d) for d in range(1, 7)]
+    assert counts == [4, 20, 120, 996, 12208, 241520]
+    assert counts[:5] == [len(enumerate_configs(d)) for d in range(1, 6)]
+
+
+def test_reduced_classes_are_the_reductions_of_the_full_classes():
+    # each padded representative is its own reduction: it keeps only
+    # edges that matter, and its empty lists are the trailing isolated
+    # vertices; distinct representatives are distinct reduced classes,
+    # and every full class reduces to one of them
+    for d in range(1, 5):
+        keys = []
+        for config in reduced_configs(d):
+            k = sum(1 for mask in config.lists if mask)
+            assert config.lists[k:] == (0,) * (d - k) and 0 not in config.lists[:k]
+            assert not any(config.graph.adj[k:])
+            assert stats_key(config)[1] == config.graph.adj
+            keys.append(reduced_key(config))
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {reduced_key(config) for config in enumerate_configs(d)}
+    assert [len(reduced_configs(d)) for d in range(1, 7)] == [4, 14, 52, 236, 1438, 13048]
+
+
+def test_reduced_classes_start_at_the_complete_neighbourhood():
+    for d in range(1, 6):
+        configs = reduced_configs(d)
+        assert configs[0] == complete_neighbourhood_config(d)
+        assert configs[-1] == empty_lists_config(d)
+        # the k = d representatives are canonical and carry their keys
+        for config in configs:
+            if 0 not in config.lists:
+                assert config.canonical == canonical_labelled_form(config.graph, config.lists)
+            else:
+                assert config.canonical is None
+
+
+def test_each_class_has_its_reduced_class_stats():
+    # every class at d <= 4, and a seeded sample of 300 at d = 5
+    rng = random.Random(59)
+    for d in range(1, 6):
+        by_key = {reduced_key(config): config for config in reduced_configs(d)}
+        configs = enumerate_configs(d)
+        if d == 5:
+            configs = rng.sample(configs, 300)
+        for config in configs:
+            reduced = by_key[reduced_key(config)]
+            assert local_partition_functions(config) == local_partition_functions(reduced), (
+                config.key_text()
+            )
+
+
+def test_reduced_signature_sets_equal_the_full_ones():
+    # d = 6 runs as its own CI step
+    for d in range(1, 6):
+        check_signature_sets(d)

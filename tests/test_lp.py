@@ -16,10 +16,11 @@ from wrkit.configurations import (
     empty_lists_config,
     enumerate_configs,
     local_partition_functions,
+    reduced_configs,
     single_colour_config,
 )
 from wrkit.errors import DomainError, UsageError
-from wrkit.graphs import Graph, from_edges
+from wrkit.graphs import Graph, canonical_labelled_form, from_edges
 from wrkit.lp import (
     LPInstance,
     LPSolution,
@@ -52,10 +53,11 @@ def dual_slack(cert, config):
 def test_build_primal_d1():
     lp = build_primal(1, F(1))
     # 4 classes, 3 distinct columns: the two single-colour lists share one,
-    # named by the first of them in canonical order
+    # named by the first of them in reduced_configs order, which walks
+    # from the complete neighbourhood down
     assert len(enumerate_configs(1)) == 4
     assert len(lp.configs) == len(lp.objective) == len(lp.balance) == 3
-    assert [c.lists for c in lp.configs] == [(0,), (1,), (3,)]
+    assert [c.lists for c in lp.configs] == [(3,), (2,), (0,)]
     # the complete-neighbourhood variable is balanced (coefficient 0) and
     # carries the clique objective value
     ck_key = complete_neighbourhood_config(1).key()
@@ -209,28 +211,35 @@ def test_distinct_column_lp_matches_full_program():
 
 def test_shared_values_match_direct_evaluation():
     # every per-class value is what the class gives on its own, although
-    # the LP and the feasibility pass compute one per distinct signature;
-    # the LP has one variable per distinct column, named by the first
-    # class in canonical order with that column
+    # the LP and the feasibility pass compute one per distinct signature
+    # of the reduced classes; the LP has one variable per distinct column,
+    # named by the first reduced class with that column, and its columns
+    # are exactly the full program's
     cases = [(d, lam) for d in (1, 2, 3, 4) for lam in (F(1, 3), F(1), F(5, 2))]
     for d, lam in cases + [(5, F(1))]:
         lp = build_primal(d, lam)
         cert = dual_certificate(d, lam)
         report = verify_dual_feasibility(cert, d, lam)
         configs = enumerate_configs(d)
+        assert len(report.rows) == len(configs)
         assert [row.config for row in report.rows] == list(configs)
-        first = {}
+        full_columns = set()
         for config, row in zip(configs, report.rows):
             av, au = alpha_v(config, lam), alpha_u(config, lam)
-            first.setdefault((av, av - au), config)
+            full_columns.add((av, av - au))
             stats = local_partition_functions(config)
             assert row.alpha_v == av
             assert row.alpha_u == au
             assert row.slack == dual_slack(cert, config)
             assert row.tight == (row.slack == 0)
             assert (row.a1, row.a2) == (stats.a1, stats.a2)
+        first = {}
+        for config in reduced_configs(d):
+            av, au = alpha_v(config, lam), alpha_u(config, lam)
+            first.setdefault((av, av - au), config)
         assert list(zip(lp.objective, lp.balance)) == list(first)
         assert lp.configs == tuple(first.values())
+        assert set(first) == full_columns
     assert len(lp.configs) == 390  # d = 5
 
 
@@ -283,6 +292,51 @@ def test_tight_set_characterisation():
             if stats.lists_all_equal and not stats.has_dichromatic:
                 predicted.add(config.key())
         assert tight_keys == predicted
+
+
+def test_four_tight_reduced_classes_give_the_full_tight_set():
+    # at the reduced level exactly four classes are tight; the full tight
+    # set derived from them, 3 g(d) + 1 classes for g(d) graph classes, is
+    # the one the full rows show, in canonical order with keys carried
+    graph_classes = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
+    for d in range(1, 6):
+        predicted = {
+            empty_lists_config(d),
+            single_colour_config(d, 1),
+            single_colour_config(d, 2),
+            complete_neighbourhood_config(d),
+        }
+        for lam in SMALL_GRID + (F(1, 3), F(3, 2), F(7)):
+            report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
+            assert len(report.reduced_tight_set) == 4
+            assert set(report.reduced_tight_set) == predicted
+            assert len(report.tight_set) == 3 * graph_classes[d] + 1
+            keys = [c.key() for c in report.tight_set]
+            assert keys == sorted(c.canonical for c in report.tight_set)
+            if d < 5 or lam == 1:
+                assert report.tight_set == tuple(row.config for row in report.rows if row.tight)
+        for config in report.tight_set:
+            assert config.canonical == canonical_labelled_form(config.graph, config.lists)
+
+
+def test_certificate_never_enumerates_full_classes(monkeypatch, tmp_path, capsys):
+    # lp, dualcert and uniqueness_check work from the reduced classes and
+    # count the full ones; only a CSV reads the full rows
+    from wrkit import cli, configurations
+    from wrkit import lp as lp_module
+
+    def refuse(d):
+        raise AssertionError(f"full classes enumerated at d = {d}")
+
+    for module in (configurations, lp_module, cli):
+        monkeypatch.setattr(module, "enumerate_configs", refuse)
+    for d, count in ((3, 120), (4, 996), (5, 12208)):
+        assert cli.main(["lp", "--d", str(d), "--lambda", "3/2"]) == 0
+        assert cli.main(["dualcert", "--d", str(d), "--lambda", "1/3"]) == 0
+        assert len(uniqueness_check(d, F(2)).feasibility.rows) == count
+    assert "d=5 lambda=3/2: 12208 configurations" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="full classes enumerated at d = 3"):
+        cli.main(["lp", "--d", "3", "--lambda", "1", "--csv", str(tmp_path / "lp.csv")])
 
 
 def test_verify_dual_feasibility_usage():
