@@ -2,14 +2,22 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 capacity exceeded,
 3 verification mismatch, 4 conjecture counterexample found.
+
+A command is one COMMANDS entry: its help text, a function that adds its
+flags and its handler.  A call that names a command first builds only
+that command's parser; any other call builds the whole tree from the same
+table, for the top-level help and usage errors.  No parser outlives its
+call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import dynamics, extremal, lp
 from .configurations import enumerate_configs
@@ -158,6 +166,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_occupancy(args) -> int:
+    if args.lam is not None and (args.lambda1 is not None or args.lambda2 is not None):
+        raise UsageError("give either --lambda or --lambda1/--lambda2, not both")
     graph = _load_graph(args)
     if args.lambda1 or args.lambda2:
         if not (args.lambda1 and args.lambda2):
@@ -190,6 +200,8 @@ def _catalog(name: str) -> list[tuple[Graph, int]]:
 
 
 def cmd_verify(args) -> int:
+    if args.d is not None and not (args.builtin or args.file):
+        raise UsageError("--d is for an explicit graph (--builtin or --file)")
     if args.builtin or args.file:
         if args.d is None:
             raise UsageError("--d is required with an explicit graph")
@@ -249,6 +261,8 @@ def cmd_dualcert(args) -> int:
 
 
 def cmd_configs(args) -> int:
+    if args.csv is not None and args.lam is None:
+        raise UsageError("--csv writes the --lambda report; give --lambda too")
     lam = None
     if args.lam is not None:
         # a bad activity is refused before the class count is printed
@@ -313,23 +327,19 @@ def cmd_scan(args) -> int:
     return EXIT_COUNTEREXAMPLE if violations else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="wrkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("partition", help="exact partition polynomial")
+def _partition_flags(p) -> None:
     _add_graph_flags(p)
     p.add_argument("--lambda", dest="lam", help="activity as p/q")
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("occupancy", help="exact occupancy fraction")
+
+def _occupancy_flags(p) -> None:
     _add_graph_flags(p)
     p.add_argument("--lambda", dest="lam", help="activity as p/q")
     p.add_argument("--lambda1", help="colour-1 activity as p/q")
     p.add_argument("--lambda2", help="colour-2 activity as p/q")
-    p.set_defaults(func=cmd_occupancy)
 
-    p = sub.add_parser("verify", help="extremality checks over a catalog")
+
+def _verify_flags(p) -> None:
     _add_graph_flags(p)
     p.add_argument("--catalog", default="all", help="d2, d3 or all")
     p.add_argument("--d", type=int, help="degree for an explicit graph")
@@ -337,27 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", action="append", help="activity p/q (repeatable)"
     )
     p.add_argument("--csv", help="write CSV report here")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("lp", help="solve the local relaxation and certify its optimum")
+
+def _certificate_flags(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True, help="activity as p/q")
     p.add_argument("--csv", help="write per-configuration CSV here")
-    p.set_defaults(func=cmd_lp)
 
-    p = sub.add_parser("dualcert", help="dual certificate and feasibility check")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True, help="activity as p/q")
-    p.add_argument("--csv", help="write per-configuration CSV here")
-    p.set_defaults(func=cmd_dualcert)
 
-    p = sub.add_parser("configs", help="enumerate configuration classes")
+def _configs_flags(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda", dest="lam", help="activity as p/q for the report")
     p.add_argument("--csv", help="write per-configuration CSV here")
-    p.set_defaults(func=cmd_configs)
 
-    p = sub.add_parser("sample", help="Glauber-dynamics occupancy estimate")
+
+def _sample_flags(p) -> None:
     _add_graph_flags(p)
     p.add_argument("--lambda", dest="lam", required=True, help="activity (float ok)")
     p.add_argument("--burnin", type=int, default=None, help="default 1000*n")
@@ -365,22 +369,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write (step, fraction) time series here")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("scan", help="two-activity conjecture scan")
+
+def _scan_flags(p) -> None:
     p.add_argument("--catalog", default="all", help="d2, d3 or all")
     p.add_argument("--grid", default=DEFAULT_PAIR_GRID, help="pairs 'p/q,p/q;p/q,p/q'")
     p.add_argument("--csv", help="write findings CSV here")
-    p.set_defaults(func=cmd_scan)
 
+
+class Command(NamedTuple):
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+COMMANDS = {
+    "partition": Command("exact partition polynomial", _partition_flags, cmd_partition),
+    "occupancy": Command("exact occupancy fraction", _occupancy_flags, cmd_occupancy),
+    "verify": Command("extremality checks over a catalog", _verify_flags, cmd_verify),
+    "lp": Command(
+        "solve the local relaxation and certify its optimum", _certificate_flags, cmd_lp
+    ),
+    "dualcert": Command(
+        "dual certificate and feasibility check", _certificate_flags, cmd_dualcert
+    ),
+    "configs": Command("enumerate configuration classes", _configs_flags, cmd_configs),
+    "sample": Command("Glauber-dynamics occupancy estimate", _sample_flags, cmd_sample),
+    "scan": Command("two-activity conjecture scan", _scan_flags, cmd_scan),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: the top-level parser with every command's subparser."""
+    # the help shows the docstring's first two paragraphs
+    parser = _Parser(prog="wrkit", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        command.add_flags(sub.add_parser(name, help=command.help))
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser the tree gives command ``name``, built on its own."""
+    parser = _Parser(prog=f"wrkit {name}")
+    COMMANDS[name].add_flags(parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        if argv and argv[0] in COMMANDS:
+            name = argv[0]
+            args = _command_parser(name).parse_args(argv[1:])
+        else:
+            # anything else (help, a usage error, a leading --): the whole tree
+            args = build_parser().parse_args(argv)
+            name = args.command
+        return COMMANDS[name].run(args)
     except (UsageError, ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,7 +49,7 @@ when a row is read (a CSV, or a violated constraint to name).
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -72,7 +72,7 @@ from .configurations import (
     uniform_list_classes,
 )
 from .errors import DomainError, UsageError, VerificationError
-from .numerics import check_activity, csv_text
+from .numerics import check_activity, csv_text, format_rational
 from .occupancy import alpha_K
 from .partition import valid_colourings
 
@@ -287,30 +287,37 @@ class ClassRows(Sequence):
     order.  Its length is count_configs(d), known without enumerating;
     the rows are built on first read, through enumerate_configs and one
     local walk per stats_key, and each full class must land on a
-    signature of the reduced classes."""
+    signature of the reduced classes.  verdicts holds each signature's
+    (alpha_v, alpha_u, slack, tight, violated), in _signature_table
+    order."""
 
     def __init__(self, d: int, signatures: tuple, verdicts: list[tuple]):
         self._count = count_configs(d)
         self._d = d
         self._signatures = signatures
-        self._verdicts = verdicts
+        self.verdicts = verdicts
 
     def __len__(self) -> int:
         return self._count
 
     def __getitem__(self, index):
-        return self._rows[index]
+        return self._table[0][index]
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self._table[0])
+
+    def with_signatures(self) -> Iterator[tuple[ConfigRow, int]]:
+        """Each row with the index of its signature in ``verdicts``."""
+        return zip(*self._table)
 
     @cached_property
-    def _rows(self) -> tuple[ConfigRow, ...]:
+    def _table(self) -> tuple[tuple[ConfigRow, ...], tuple[int, ...]]:
         index = {
             (stats.p0, stats.p12): i for i, (_, stats, _, _) in enumerate(self._signatures)
         }
-        by_key: dict[tuple, ConfigRow] = {}
+        by_key: dict[tuple, tuple] = {}
         rows = []
+        row_signatures = []
         for config in enumerate_configs(self._d):
             key = stats_key(config)
             entry = by_key.get(key)
@@ -321,13 +328,14 @@ class ClassRows(Sequence):
                     raise VerificationError(
                         f"{config.key_text()}: signature missing from the reduced classes"
                     )
-                entry = by_key[key] = (stats.a1, stats.a2, *self._verdicts[i][:4])
-            rows.append(ConfigRow(config, *entry))
+                entry = by_key[key] = (i, stats.a1, stats.a2, *self.verdicts[i][:4])
+            rows.append(ConfigRow(config, *entry[1:]))
+            row_signatures.append(entry[0])
         if len(rows) != self._count:
             raise VerificationError(
                 f"{len(rows)} classes enumerated, {self._count} counted"
             )
-        return tuple(rows)
+        return tuple(rows), tuple(row_signatures)
 
 
 @dataclass(frozen=True)
@@ -427,13 +435,19 @@ def verify_dual_feasibility(
 
 
 def config_report_csv(report: FeasibilityReport) -> str:
-    """CSV rendering: one row per configuration class."""
+    """CSV rendering: one row per configuration class.  The rows of one
+    signature share its alpha_v, alpha_u, slack and tight cells, so those
+    four are rendered once per signature, as csv_text would render them."""
+    rows = report.rows
+    shared = [
+        f"{format_rational(av)},{format_rational(au)},{format_rational(slack)},{int(tight)}"
+        for av, au, slack, tight, _ in rows.verdicts
+    ]
     return csv_text(
         "key,a1,a2,alpha_v,alpha_u,slack,tight",
         (
-            (f'"{row.config.key_text()}"', row.a1, row.a2, row.alpha_v,
-             row.alpha_u, row.slack, row.tight)
-            for row in report.rows
+            (f'"{row.config.key_text()}"', row.a1, row.a2, shared[i])
+            for row, i in rows.with_signatures()
         ),
     )
 

@@ -11,6 +11,8 @@ from wrkit.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    COMMANDS,
+    build_parser,
     main,
     parse_builtin,
 )
@@ -75,6 +77,16 @@ def test_occupancy_two_activities(capsys):
     assert "alpha_1 = 1/6" in out
     assert "alpha_2 = 1/2" in out
     assert "weighted = 5/18" in out
+
+
+def test_occupancy_refuses_both_activity_forms(capsys):
+    pairs = (("--lambda1", "2", "--lambda2", "3"), ("--lambda1", "2"), ("--lambda2", "3"))
+    for pair in pairs:
+        code, out, err = run(
+            capsys, "occupancy", "--builtin", "cycle:4", "--lambda", "1", *pair
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_occupancy_empty_graph(tmp_path, capsys):
@@ -299,6 +311,15 @@ def test_configs_csv(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_configs_refuses_a_csv_without_an_activity(tmp_path, capsys):
+    # the CSV is the --lambda report; without one it would be ignored
+    target = tmp_path / "configs.csv"
+    code, out, err = run(capsys, "configs", "--d", "2", "--csv", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_verify_command(capsys):
     code, out, _ = run(
         capsys, "verify", "--builtin", "cycle:5", "--d", "2", "--lambda", "1"
@@ -316,6 +337,14 @@ def test_verify_catalog_small(capsys):
 def test_verify_requires_degree(capsys):
     code, _, err = run(capsys, "verify", "--builtin", "cycle:5")
     assert code == EXIT_USAGE
+
+
+def test_verify_refuses_a_degree_without_an_explicit_graph(capsys):
+    # the catalogs carry their own degrees; --d would be ignored
+    for argv in (("--catalog", "d2", "--d", "3", "--lambda", "1"), ("--d", "2")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_scan_command(tmp_path, capsys):
@@ -493,6 +522,161 @@ def test_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert "violations=0" in result.stdout
+
+
+# For each command: a valid call, --flag=value, an abbreviation, "--", a
+# negative number, an unknown flag, a missing required flag (or value),
+# a stray positional and -h
+PARSER_CASES = {
+    "partition": [
+        ["--builtin", "cycle:4", "--lambda", "1"],
+        ["--builtin=cycle:4", "--lambda=2"],
+        ["--bui", "cycle:4", "--lam", "1/2"],
+        ["--builtin", "cycle:4", "--", "--lambda", "1"],
+        ["--builtin", "cycle:4", "--lambda", "-1"],
+        ["--builtin", "cycle:4", "--bogus"],
+        ["--builtin"],
+        ["--builtin", "cycle:4", "extra"],
+        ["-h"],
+    ],
+    "occupancy": [
+        ["--builtin", "cycle:4", "--lambda", "1"],
+        ["--builtin=cycle:4", "--lambda1=1", "--lambda2=2"],
+        ["--bui", "cycle:4", "--lam", "1"],
+        ["--", "--builtin", "cycle:4", "--lambda", "1"],
+        ["--builtin", "cycle:4", "--lambda", "-2"],
+        ["--builtin", "cycle:4", "--lambda", "1", "--bogus=3"],
+        ["--builtin", "cycle:4"],
+        ["extra", "--builtin", "cycle:4", "--lambda", "1"],
+        ["--help"],
+    ],
+    "verify": [
+        ["--builtin", "cycle:4", "--d", "2", "--lambda", "1"],
+        ["--builtin=cycle:4", "--d=2", "--lambda=1", "--lambda=2"],
+        ["--bu", "cycle:4", "--d", "2", "--lam", "1"],
+        ["--builtin", "cycle:4", "--d", "2", "--lambda", "1", "--"],
+        ["--builtin", "cycle:4", "--d", "-2", "--lambda", "1"],
+        ["--catalog", "d2", "--bogus"],
+        ["--builtin", "cycle:4", "--lambda", "1"],
+        ["--builtin", "cycle:4", "--d", "2", "extra"],
+        ["-h"],
+    ],
+    "lp": [
+        ["--d", "2", "--lambda", "1"],
+        ["--d=2", "--lambda=3/2"],
+        ["--d", "2", "--lam", "1"],
+        ["--", "--d", "2", "--lambda", "1"],
+        ["--d", "-1", "--lambda", "1"],
+        ["--d", "2", "--lambda", "1", "--bogus"],
+        ["--d", "2"],
+        ["--d", "2", "--lambda", "1", "extra"],
+        ["--help"],
+    ],
+    "dualcert": [
+        ["--d", "2", "--lambda", "1"],
+        ["--d=3", "--lambda=1/3"],
+        ["--lam", "1", "--d", "2"],
+        ["--d", "2", "--lambda", "1", "--"],
+        ["--d", "2", "--lambda", "-1"],
+        ["--d", "2", "--lambda", "1", "-x"],
+        ["--lambda", "1"],
+        ["extra", "--d", "2", "--lambda", "1"],
+        ["-h"],
+    ],
+    "configs": [
+        ["--d", "2"],
+        ["--d=1", "--lambda=2"],
+        ["--d", "1", "--lam", "1"],
+        ["--d", "1", "--", "extra"],
+        ["--d", "-3"],
+        ["--d", "1", "--bogus"],
+        [],
+        ["--d", "1", "extra"],
+        ["--help"],
+    ],
+    "sample": [
+        ["--builtin", "cycle:4", "--lambda", "1", "--samples", "10", "--burnin", "5"],
+        ["--builtin=cycle:4", "--lambda=0.5", "--samples=10", "--burnin=5", "--seed=3"],
+        ["--builtin", "cycle:4", "--lam", "1", "--sam", "10", "--burn", "5"],
+        ["--builtin", "cycle:4", "--lambda", "1", "--samples", "10", "--"],
+        ["--builtin", "cycle:4", "--lambda", "1", "--samples", "-10"],
+        ["--builtin", "cycle:4", "--lambda", "1", "--bogus"],
+        ["--builtin", "cycle:4"],
+        ["--builtin", "cycle:4", "--lambda", "1", "extra"],
+        ["-h"],
+    ],
+    "scan": [
+        ["--catalog", "d2", "--grid", "1,1"],
+        ["--catalog=d2", "--grid=1,2"],
+        ["--cat", "d2", "--gr", "1,1"],
+        ["--catalog", "d2", "--grid", "1,1", "--"],
+        ["--catalog", "d2", "--grid", "-1,1"],
+        ["--catalog", "d2", "--bogus"],
+        ["--catalog"],
+        ["--catalog", "d2", "extra"],
+        ["--help"],
+    ],
+}
+
+
+def outcome(capsys, argv):
+    """main's exit code (or SystemExit code), stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TreeParser:
+    """Stands in for one command's parser: parses through the whole tree."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def parse_args(self, rest):
+        return build_parser().parse_args([self.name, *rest])
+
+
+def test_one_command_parser_matches_the_tree(monkeypatch, capsys):
+    from wrkit import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(PARSER_CASES) == list(COMMANDS)
+    for name, cases in PARSER_CASES.items():
+        for rest in cases:
+            argv = [name, *rest]
+            with monkeypatch.context() as tree:
+                tree.setattr(cli, "_command_parser", TreeParser)
+                expected = outcome(capsys, argv)
+            assert outcome(capsys, argv) == expected, argv
+            if rest in (["-h"], ["--help"]):
+                assert expected[0] == ("exit", 0)
+                assert expected[1].startswith(f"usage: wrkit {name} "), argv
+
+
+def test_a_named_command_never_builds_the_tree(monkeypatch, capsys):
+    import argparse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole parser tree was built")
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", refuse)
+    code, out, err = run(capsys, "lp", "--d", "2", "--lambda", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert "simplex optimum 8/15" in out
+
+
+def test_calls_without_a_command_get_the_tree(capsys):
+    for argv in ([], ["bogus"], ["--d", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = outcome(capsys, ["-h"])
+    assert code == ("exit", 0)
+    assert out.startswith("usage: wrkit ")
+    assert all(name in out for name in COMMANDS)
 
 
 def test_rationals_round_trip_in_output(capsys):
