@@ -154,14 +154,15 @@ def _feasibility(args, lam: Fraction) -> tuple[lp.DualCertificate, lp.Feasibilit
 
 def cmd_partition(args) -> int:
     graph = _load_graph(args)
+    # a bad activity is refused before anything is printed
+    lam = None if args.lam is None else check_activity(parse_rational(args.lam))
     poly = wr_partition(graph)
     print(f"graph {graph.label}: n={graph.n} m={graph.m}")
     print(f"P coefficients (low to high): {poly.to_text()}")
     print(f"P = {poly.pretty()}")
     print(f"hom count P(1) = {poly.eval(1)}")
-    if args.lam is not None:
-        lam = parse_rational(args.lam)
-        print(f"P({format_rational(lam)}) = {format_rational(Fraction(poly.eval(lam)))}")
+    if lam is not None:
+        print(f"P({format_rational(lam)}) = {format_rational(poly.eval(lam))}")
     return EXIT_OK
 
 
@@ -203,11 +204,13 @@ def cmd_verify(args) -> int:
     if args.d is not None and not (args.builtin or args.file):
         raise UsageError("--d is for an explicit graph (--builtin or --file)")
     if args.builtin or args.file:
+        if args.catalog is not None:
+            raise UsageError("give either --catalog or --builtin/--file, not both")
         if args.d is None:
             raise UsageError("--d is required with an explicit graph")
         catalog = [(_load_graph(args), args.d)]
     else:
-        catalog = _catalog(args.catalog)
+        catalog = _catalog("all" if args.catalog is None else args.catalog)
     lams = [parse_rational(t) for t in (args.lam or list(DEFAULT_LAMBDA_GRID))]
     reports = []
     for graph, d in catalog:
@@ -263,11 +266,8 @@ def cmd_dualcert(args) -> int:
 def cmd_configs(args) -> int:
     if args.csv is not None and args.lam is None:
         raise UsageError("--csv writes the --lambda report; give --lambda too")
-    lam = None
-    if args.lam is not None:
-        # a bad activity is refused before the class count is printed
-        lam = parse_rational(args.lam)
-        check_activity(lam)
+    # a bad activity is refused before the class count is printed
+    lam = None if args.lam is None else check_activity(parse_rational(args.lam))
     configs = enumerate_configs(args.d)
     print(f"d={args.d}: {len(configs)} configuration classes")
     if lam is not None:
@@ -341,7 +341,7 @@ def _occupancy_flags(p) -> None:
 
 def _verify_flags(p) -> None:
     _add_graph_flags(p)
-    p.add_argument("--catalog", default="all", help="d2, d3 or all")
+    p.add_argument("--catalog", help="d2, d3 or all")
     p.add_argument("--d", type=int, help="degree for an explicit graph")
     p.add_argument(
         "--lambda", dest="lam", action="append", help="activity p/q (repeatable)"

@@ -346,15 +346,15 @@ def local_alphas(stats: ConfigStats, d: int, lam: Fraction) -> tuple[Fraction, F
 
 def alpha_v(config: Configuration, lam: Fraction) -> Fraction:
     """Probability the centre vertex is coloured: lam * p12 / pc."""
-    check_activity(lam)
-    return local_alphas(local_partition_functions(config), config.d, Fraction(lam))[0]
+    lam = check_activity(lam)
+    return local_alphas(local_partition_functions(config), config.d, lam)[0]
 
 
 def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
     """Expected coloured fraction of the neighbourhood:
     lam * (p0' + lam * p12') / (d * pc)."""
-    check_activity(lam)
-    return local_alphas(local_partition_functions(config), config.d, Fraction(lam))[1]
+    lam = check_activity(lam)
+    return local_alphas(local_partition_functions(config), config.d, lam)[1]
 
 
 def _star_neighbour_weights(
@@ -371,7 +371,6 @@ def _star_neighbour_weights(
     options = [_list_options(mask) for mask in config.lists] + [(0, 1, 2)]
     total = Fraction(0)
     weights = [[Fraction(0)] * 3 for _ in range(d)]
-    lam = Fraction(lam)
     for colouring in valid_colourings(Graph(d + 1, adj), options):
         w = lam ** (d + 1 - colouring.count(0))
         total += w
@@ -390,9 +389,8 @@ def per_colour_alpha(
     joint colourings of the centre-plus-neighbourhood star.  Their sums
     are checked against alpha_v and alpha_u.
     """
-    check_activity(lam)
+    lam = check_activity(lam)
     stats = local_partition_functions(config)
-    lam = Fraction(lam)
     pc_value = stats.pc.eval(lam)
     a1v = lam * stats.p1.eval(lam) / pc_value
     a2v = lam * stats.p2.eval(lam) / pc_value

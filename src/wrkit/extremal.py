@@ -109,8 +109,7 @@ def _require_regular(g: Graph, d: int) -> None:
 def verify_occupancy_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     """Exact comparison of the occupancy fraction against the clique value."""
     _require_regular(g, d)
-    check_activity(lam)
-    lam = Fraction(lam)
+    lam = check_activity(lam)
     lhs = occupancy_fraction(g, lam)
     rhs = alpha_K(d, lam)
     return _compare(
@@ -123,8 +122,7 @@ def verify_partition_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     """Per-vertex partition-function bound, cleared of fractional exponents:
     P_G(lam)^(d+1) compared with P_clique(lam)^n."""
     _require_regular(g, d)
-    check_activity(lam)
-    lam = Fraction(lam)
+    lam = check_activity(lam)
     lhs = Fraction(wr_partition(g).eval(lam)) ** (d + 1)
     rhs = Fraction(wr_partition(make_complete(d + 1)).eval(lam)) ** g.n
     return _compare(
@@ -223,7 +221,7 @@ def conjecture_scan(
         p_g = wr_partition_bivariate(g)
         p_k = wr_partition_bivariate(make_complete(d + 1))
         for act in grid:
-            x, y = Fraction(act.lambda1), Fraction(act.lambda2)
+            x, y = act.lambda1, act.lambda2
             lhs = Fraction(p_g.eval(x, y)) ** (d + 1)
             rhs = Fraction(p_k.eval(x, y)) ** g.n
             findings.append(_compare(

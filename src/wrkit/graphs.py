@@ -278,8 +278,8 @@ def permute_code(n: int, code: int, perm: Sequence[int]) -> int:
 
 
 def label_mover(perm: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The map labels -> permute_labels(labels, perm) as one C call: the
-    label landing at position w is the one of vertex perm^-1(w)."""
+    """The map that moves the label of vertex v to position perm[v], as one
+    C call: the label landing at position w is the one of vertex perm^-1(w)."""
     inverse = [0] * len(perm)
     for v, w in enumerate(perm):
         inverse[w] = v
@@ -287,11 +287,6 @@ def label_mover(perm: Sequence[int]) -> Callable[[Sequence], tuple]:
         # itemgetter of a single index returns the item, not a 1-tuple
         return tuple
     return itemgetter(*inverse)
-
-
-def permute_labels(labels: Sequence, perm: Sequence[int]) -> tuple:
-    """Move the label of vertex v to position perm[v]."""
-    return label_mover(perm)(labels)
 
 
 def canonical_labelled_form(g: Graph, labels: Sequence) -> tuple:
@@ -311,7 +306,7 @@ def canonical_labelled_form(g: Graph, labels: Sequence) -> tuple:
     labels = tuple(labels)
     best = None
     for perm in permutations(range(g.n)):
-        cand = (permute_code(g.n, code, perm), permute_labels(labels, perm))
+        cand = (permute_code(g.n, code, perm), label_mover(perm)(labels))
         if best is None or cand < best:
             best = cand
     return (g.n,) + best

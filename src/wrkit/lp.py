@@ -147,8 +147,7 @@ def _signature_table(d: int, lam: Fraction) -> tuple[
 def build_primal(d: int, lam: Fraction) -> LPInstance:
     """One variable per distinct column (alpha_v, alpha_v - alpha_u) at lam,
     the alphas evaluated once per distinct signature (p0, p12)."""
-    check_activity(lam)
-    lam = Fraction(lam)
+    lam = check_activity(lam)
     signatures, _ = _signature_table(d, lam)
     # signatures come in order of their first reduced class, so the first
     # one with a column also holds the first reduced class with it
@@ -237,8 +236,7 @@ def dual_certificate(d: int, lam: Fraction) -> DualCertificate:
     """The certified dual point; both closed forms of lambda_c must agree."""
     if d < 1:
         raise UsageError(f"degree must be >= 1, got {d}")
-    check_activity(lam)
-    lam = Fraction(lam)
+    lam = check_activity(lam)
     a_k = alpha_K(d, lam)
     grow = (1 + lam) ** d
     form_a = 1 - a_k / (2 * lam) * (1 + 2 * lam)
@@ -384,7 +382,7 @@ def verify_dual_feasibility(
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
-    lam = Fraction(lam)
+    lam = cert.activity
     claims_bound = (1 + lam) * _clique_ratio(d, lam)
 
     def constraint(
@@ -478,8 +476,7 @@ def verify_claims(config: Configuration, d: int, lam: Fraction) -> ClaimsReport:
     """
     if config.d != d:
         raise UsageError("configuration size does not match d")
-    check_activity(lam)
-    lam = Fraction(lam)
+    lam = check_activity(lam)
     stats = local_partition_functions(config)
     if stats.a1 == 0 and stats.a2 == 0:
         raise DomainError("all-empty lists: 2*p0 - p12 vanishes identically")
@@ -504,10 +501,9 @@ def conditional_expectation_check(
     """
     if colour not in (1, 2):
         raise UsageError(f"colour must be 1 or 2, got {colour}")
-    check_activity(lam)
+    lam = check_activity(lam)
     if not any(mask & colour for mask in config.lists):
         raise DomainError(f"colour {colour} is not available in any list")
-    lam = Fraction(lam)
     stats = local_partition_functions(config)
 
     # weight and colour-count accumulation over colourings using the colour
@@ -530,8 +526,7 @@ def monotone_lhs_check(d: int, lam: Fraction) -> bool:
     """Strict growth of r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1) for a = 1..d."""
     if d < 1:
         raise UsageError(f"degree must be >= 1, got {d}")
-    check_activity(lam)
-    lam = Fraction(lam)
+    lam = check_activity(lam)
     return all(_clique_ratio(a, lam) < _clique_ratio(a + 1, lam) for a in range(1, d))
 
 
@@ -567,8 +562,7 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     only full class of the fourth.  Both solvers must reach alpha_K
     there, with weight 1.
     """
-    check_activity(lam)
-    lam = Fraction(lam)
+    lam = check_activity(lam)
     cert = dual_certificate(d, lam)
     report = verify_dual_feasibility(cert, d, lam)
     if report.violations:

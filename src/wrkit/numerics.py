@@ -5,7 +5,10 @@ certificate multipliers) is a ``fractions.Fraction``: arbitrary precision,
 always stored reduced with a positive denominator, and serialised as
 ``p/q`` (or just ``p`` when the denominator is 1) -- exactly what
 ``str(Fraction)`` produces.  No floating point enters any computation
-built on this module.
+built on this module.  ``check_activity`` is the one activity gate: it
+refuses a non-positive, NaN or infinite activity and returns any other
+as the exact Fraction, so a library caller may pass a float and still
+get Fraction results.
 
 Partition polynomials come in two shapes:
 
@@ -56,13 +59,19 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"zero denominator: {text!r}") from exc
 
 
-def check_activity(lam: Fraction | float) -> None:
-    """Reject an activity that is not strictly positive (NaN included) or
-    is infinite."""
+def check_activity(lam: Fraction | float) -> Fraction:
+    """The activity as an exact Fraction: the one gate every exact entry
+    point takes its activity from.
+
+    An activity that is not strictly positive (NaN included) or is
+    infinite is rejected first; any other real number (an int, a float,
+    a Fraction) converts exactly, so 0.5 becomes Fraction(1, 2).
+    """
     if not lam > 0:
         raise DomainError(f"activity must be strictly positive, got {lam}")
     if lam == math.inf:
         raise DomainError(f"activity must be finite, got {lam}")
+    return Fraction(lam)
 
 
 def format_rational(x: Fraction | int) -> str:

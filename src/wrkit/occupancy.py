@@ -21,14 +21,16 @@ from .partition import wr_partition, wr_partition_bivariate
 
 @dataclass(frozen=True)
 class ActivityPair:
-    """Strictly positive activities for colours 1 and 2."""
+    """Strictly positive activities for colours 1 and 2, stored as the
+    exact Fractions check_activity returns."""
 
     lambda1: Fraction
     lambda2: Fraction
 
     def __post_init__(self):
-        check_activity(self.lambda1)
-        check_activity(self.lambda2)
+        # the frozen dataclass's idiom for setting a field after init
+        object.__setattr__(self, "lambda1", check_activity(self.lambda1))
+        object.__setattr__(self, "lambda2", check_activity(self.lambda2))
 
 
 def _check_vertices(g: Graph) -> None:
@@ -38,10 +40,10 @@ def _check_vertices(g: Graph) -> None:
 
 def occupancy_fraction(g: Graph, lam: Fraction) -> Fraction:
     """Expected coloured fraction: activity * P'/ (n * P), exactly."""
-    check_activity(lam)
+    lam = check_activity(lam)
     _check_vertices(g)
     p = wr_partition(g)
-    return Fraction(lam) * p.derivative().eval(lam) / (g.n * p.eval(lam))
+    return lam * p.derivative().eval(lam) / (g.n * p.eval(lam))
 
 
 def alpha_K(d: int, lam: Fraction) -> Fraction:
@@ -49,8 +51,7 @@ def alpha_K(d: int, lam: Fraction) -> Fraction:
     2*lam*(1+lam)^d / (2*(1+lam)^(d+1) - 1)."""
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    check_activity(lam)
-    lam = Fraction(lam)
+    lam = check_activity(lam)
     grow = (1 + lam) ** d
     return 2 * lam * grow / (2 * grow * (1 + lam) - 1)
 
@@ -63,7 +64,7 @@ def occupancy_by_colour(g: Graph, act: ActivityPair) -> tuple[Fraction, Fraction
     """
     _check_vertices(g)
     p = wr_partition_bivariate(g)
-    x, y = Fraction(act.lambda1), Fraction(act.lambda2)
+    x, y = act.lambda1, act.lambda2
     denom = g.n * p.eval(x, y)
     a1 = x * p.partial(1).eval(x, y) / denom
     a2 = y * p.partial(2).eval(x, y) / denom
@@ -85,12 +86,12 @@ def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:
     """
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    x, y = Fraction(act.lambda1), Fraction(act.lambda2)
+    x, y = act.lambda1, act.lambda2
     px = binomial_power(d + 1)
     denom = (d + 1) * (px.eval(x) + px.eval(y) - 1)
     a1 = x * px.derivative().eval(x) / denom
     a2 = y * px.derivative().eval(y) / denom
-    return (act.lambda2 * a1 + act.lambda1 * a2) / (act.lambda1 + act.lambda2)
+    return (y * a1 + x * a2) / (x + y)
 
 
 def _path_polynomial(g: Graph, offset: Fraction) -> list[Fraction]:
@@ -123,7 +124,7 @@ def free_energy_derivative(
         raise DomainError("activities must satisfy lambda1 >= lambda2 > 0")
     if not (0 < x <= lambda2):
         raise DomainError("evaluation point must satisfy 0 < x <= lambda2")
-    lambda1, lambda2, x = Fraction(lambda1), Fraction(lambda2), Fraction(x)
+    lambda1, lambda2, x = map(check_activity, (lambda1, lambda2, x))
     offset = lambda1 - lambda2
 
     coeffs = _path_polynomial(g, offset)

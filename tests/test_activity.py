@@ -1,7 +1,11 @@
 """Every public entry point that takes an activity rejects 0, negatives,
 NaN and infinity with the same DomainError, raised by
-numerics.check_activity."""
+numerics.check_activity; every exact one converts any other activity
+exactly, so a float gives the same Fraction results as the equal
+Fraction."""
 
+from collections.abc import Sequence
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -14,7 +18,11 @@ from wrkit.configurations import (
 )
 from wrkit.dynamics import estimate_occupancy
 from wrkit.errors import DomainError
-from wrkit.extremal import verify_occupancy_bound, verify_partition_bound
+from wrkit.extremal import (
+    conjecture_scan,
+    verify_occupancy_bound,
+    verify_partition_bound,
+)
 from wrkit.graphs import make_cycle
 from wrkit.lp import (
     build_primal,
@@ -25,7 +33,14 @@ from wrkit.lp import (
     verify_claims,
 )
 from wrkit.numerics import check_activity
-from wrkit.occupancy import ActivityPair, alpha_K, occupancy_fraction
+from wrkit.occupancy import (
+    ActivityPair,
+    alpha_K,
+    occupancy_by_colour,
+    occupancy_fraction,
+    weighted_occupancy,
+    weighted_occupancy_K,
+)
 
 CONFIG = complete_neighbourhood_config(2)
 CYCLE = make_cycle(4)
@@ -36,6 +51,18 @@ ENTRY_POINTS = {
     "alpha_K": lambda lam: alpha_K(2, lam),
     "ActivityPair.lambda1": lambda lam: ActivityPair(lam, Fraction(1)),
     "ActivityPair.lambda2": lambda lam: ActivityPair(Fraction(1), lam),
+    "occupancy_by_colour": lambda lam: occupancy_by_colour(
+        CYCLE, ActivityPair(lam, Fraction(1))
+    ),
+    "weighted_occupancy": lambda lam: weighted_occupancy(
+        CYCLE, ActivityPair(lam, Fraction(1))
+    ),
+    "weighted_occupancy_K": lambda lam: weighted_occupancy_K(
+        2, ActivityPair(lam, Fraction(1))
+    ),
+    "conjecture_scan": lambda lam: conjecture_scan(
+        [(CYCLE, 2)], [ActivityPair(lam, Fraction(1))]
+    ),
     "alpha_v": lambda lam: alpha_v(CONFIG, lam),
     "alpha_u": lambda lam: alpha_u(CONFIG, lam),
     "per_colour_alpha": lambda lam: per_colour_alpha(CONFIG, lam),
@@ -66,3 +93,34 @@ def test_bad_activity_rejected(call, value):
 def test_infinite_activity_rejected(call):
     with pytest.raises(DomainError, match="^activity must be finite, got inf$"):
         call(float("inf"))
+
+
+# the sampler runs in floats by design; every other entry point is exact
+EXACT_ENTRY_POINTS = {
+    name: call for name, call in ENTRY_POINTS.items() if name != "estimate_occupancy"
+}
+
+
+def _leaves(value):
+    """The scalars of a result, in order: walked through dataclass fields,
+    dict values and any sequence but a string."""
+    if is_dataclass(value):
+        for field in fields(value):
+            yield from _leaves(getattr(value, field.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _leaves(item)
+    elif isinstance(value, Sequence) and not isinstance(value, str):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize(
+    "call", EXACT_ENTRY_POINTS.values(), ids=EXACT_ENTRY_POINTS.keys()
+)
+def test_float_activity_gives_the_exact_result(call):
+    leaves = list(_leaves(call(0.5)))
+    assert leaves == list(_leaves(call(Fraction(1, 2))))
+    assert not any(isinstance(leaf, float) for leaf in leaves)

@@ -48,6 +48,19 @@ def test_partition_with_activity(capsys):
     assert "P(1) = 35" in out
 
 
+def test_partition_refuses_a_bad_activity_before_printing(capsys):
+    # the polynomial has a value there, but no Widom-Rowlinson activity does
+    for bad in ("-1", "0"):
+        code, out, err = run(capsys, "partition", "--builtin", "cycle:4", "--lambda", bad)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: activity must be strictly positive, got {bad}\n"
+    # a malformed one too: the error line is all the call writes
+    for bad in ("1.5", "1/0"):
+        code, out, err = run(capsys, "partition", "--builtin", "cycle:4", "--lambda", bad)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_partition_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 0\n")
@@ -265,9 +278,11 @@ def test_scan_stdout_pinned(capsys):
 
 
 def test_verify_all_pinned(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify", "--catalog", "all")
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_STDOUT
+    # with no graph, the whole catalog is the default
+    for catalog in (("--catalog", "all"), ()):
+        code, out, _ = run(capsys, "verify", *catalog)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_STDOUT
     target = tmp_path / "verify.csv"
     code, out, _ = run(capsys, "verify", "--catalog", "all", "--csv", str(target))
     assert code == EXIT_OK
@@ -345,6 +360,19 @@ def test_verify_refuses_a_degree_without_an_explicit_graph(capsys):
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_refuses_a_catalog_with_an_explicit_graph(tmp_path, capsys):
+    # the catalog would be ignored, even one that does not exist
+    edges = tmp_path / "c3.txt"
+    edges.write_text("3 3\n0 1\n1 2\n0 2\n")
+    for source in (("--builtin", "cycle:5"), ("--file", str(edges))):
+        for catalog in ("d3", "all", "bogus"):
+            code, out, err = run(
+                capsys, "verify", *source, "--d", "2", "--catalog", catalog, "--lambda", "1"
+            )
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "error: give either --catalog or --builtin/--file, not both\n"
 
 
 def test_scan_command(tmp_path, capsys):

@@ -35,8 +35,8 @@ from wrkit.graphs import (
     from_edges,
     graphs_up_to_iso,
     graph_from_code,
+    label_mover,
     make_complete,
-    permute_labels,
 )
 from wrkit.numerics import IntPolynomial, binomial_power
 from wrkit.partition import valid_colourings
@@ -429,7 +429,7 @@ def test_dedup_soundness_under_relabeling():
         permuted_graph = from_edges(
             3, [(perm[u], perm[v]) for u, v in config.graph.edges()]
         )
-        permuted = Configuration(permuted_graph, permute_labels(config.lists, perm))
+        permuted = Configuration(permuted_graph, label_mover(perm)(config.lists))
         assert permuted.key() in keys3
         assert permuted.key() == config.key()
         a = local_partition_functions(config)

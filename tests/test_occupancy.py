@@ -186,3 +186,5 @@ def test_free_energy_domain_errors():
                  (Fraction(2), Fraction(1), nan)):
         with pytest.raises(DomainError):
             free_energy_derivative(g, *args)
+    with pytest.raises(DomainError, match="^activity must be finite, got inf$"):
+        free_energy_derivative(g, float("inf"), Fraction(1), Fraction(1))
