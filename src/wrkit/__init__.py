@@ -52,12 +52,9 @@ from .lp import (
     DualCertificate,
     LPInstance,
     build_primal,
-    conditional_expectation_check,
     dual_certificate,
-    monotone_lhs_check,
     simplex_solve,
     uniqueness_check,
-    verify_claims,
     verify_dual_feasibility,
     vertex_enumeration_solve,
 )

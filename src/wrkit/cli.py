@@ -286,8 +286,10 @@ def cmd_sample(args) -> int:
         lam = float(exact)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"bad activity {args.lam!r}") from exc
-    if exact and not lam:
-        # a nonzero activity that underflows to 0.0 in the sampler's floats
+    # the exact activity is refused as every exact command refuses it
+    check_activity(exact)
+    if not lam:
+        # a positive activity that underflows to 0.0 in the sampler's floats
         raise UsageError(f"bad activity {args.lam!r}")
     burnin = args.burnin if args.burnin is not None else 1000 * graph.n
     series: list[tuple[int, float]] | None = [] if args.csv else None

@@ -27,9 +27,8 @@ over S.  The other polynomials depend only on the list counts.  Only
 edges between a vertex allowing colour 1 and one allowing colour 2 can
 constrain a colouring, so the walk runs once per stats_key (the lists
 and those edges) and every class with that key shares its result.
-Enumeration checks (the centre-plus-neighbourhood star here, the
-conditional expectation in lp.py) run on partition.valid_colourings, the
-one reference enumerator.
+The enumeration check (the centre-plus-neighbourhood star) runs on
+partition.valid_colourings, the one reference enumerator.
 
 Enumeration of all configurations for a given d is done up to
 label-preserving isomorphism: graphs are enumerated up to isomorphism
@@ -326,35 +325,42 @@ local_partition_functions.cache_info = _stats_for_key.cache_info
 local_partition_functions.cache_clear = _stats_for_key.cache_clear
 
 
-def local_alphas(stats: ConfigStats, d: int, lam: Fraction) -> tuple[Fraction, Fraction]:
-    """alpha_v and alpha_u of a d-vertex configuration with these stats.
+def local_alphas(stats: ConfigStats, d: int, lam: Fraction) -> tuple[int, int, int]:
+    """alpha_v and alpha_u of a d-vertex configuration with these stats,
+    as integers over one positive denominator: (X_v, X_u, D) with
+    alpha_v = X_v / D and alpha_u = X_u / D.
 
     At lam = p/q, p0, p12, p0' and p12' are evaluated once each as
     integers scaled by q^d (P0, P12, P0', P12'), and
 
-        alpha_v = p P12 / (q P0 + p P12),
-        alpha_u = p (q P0' + p P12') / (q d (q P0 + p P12)).
+        X_v = q d p P12,
+        X_u = p (q P0' + p P12'),
+        D   = q d (q P0 + p P12) > 0,
+
+    so no gcd is taken until a caller builds a Fraction.
     """
     p, q = lam.numerator, lam.denominator
     big_p0 = stats.p0.scaled_eval(p, q, d)
     big_p12 = stats.p12.scaled_eval(p, q, d)
     big_dp0 = stats.p0.derivative().scaled_eval(p, q, d)
     big_dp12 = stats.p12.derivative().scaled_eval(p, q, d)
-    pc = q * big_p0 + p * big_p12
-    return Fraction(p * big_p12, pc), Fraction(p * (q * big_dp0 + p * big_dp12), q * d * pc)
+    qd = q * d
+    return qd * p * big_p12, p * (q * big_dp0 + p * big_dp12), qd * (q * big_p0 + p * big_p12)
 
 
 def alpha_v(config: Configuration, lam: Fraction) -> Fraction:
     """Probability the centre vertex is coloured: lam * p12 / pc."""
     lam = check_activity(lam)
-    return local_alphas(local_partition_functions(config), config.d, lam)[0]
+    x_v, _, den = local_alphas(local_partition_functions(config), config.d, lam)
+    return Fraction(x_v, den)
 
 
 def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
     """Expected coloured fraction of the neighbourhood:
     lam * (p0' + lam * p12') / (d * pc)."""
     lam = check_activity(lam)
-    return local_alphas(local_partition_functions(config), config.d, lam)[1]
+    _, x_u, den = local_alphas(local_partition_functions(config), config.d, lam)
+    return Fraction(x_u, den)
 
 
 def _star_neighbour_weights(

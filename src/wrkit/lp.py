@@ -29,9 +29,15 @@ tight, and every tight class other than the complete neighbourhood has
 alpha_u < alpha_v (checked by uniqueness_check), so that column is
 unique.
 
+Each column is kept in integers, (X_v, X_v - X_u, D) over D > 0
+(configurations.local_alphas): the hull tests the sign of an integer
+determinant, the simplex gets each column times D, and each dual
+constraint's verdict is the sign of an integer.  Fractions are built
+only for an optimum, a support weight or a report row.
+
 The dual certificate (lambda_p, lambda_c) proves the optimum equals the
 complete-neighbourhood value; every dual constraint is checked in alpha
-form and again as the sum of the paper's two claims (verify_claims),
+form and again as the sum of the paper's two claims,
 
     p0'/(2*p0 - p12) <= r_d  and  lam*p12'/(2*p0 - p12) <= lam*r_d,
 
@@ -43,23 +49,23 @@ class with all lists empty, all {1} or all {2}, and K_d with full lists.
 Complementary slackness then pins the unique optimum to the complete
 neighbourhood.  uniqueness_check runs this whole chain.  The report has
 one row per full class, counted by Burnside's lemma and enumerated only
-when a row is read (a CSV, or a violated constraint to name).
+when a row is read (a CSV, or a violated constraint to name); its
+Fraction cells (alpha_v, alpha_u, slack) are built then too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
+from math import gcd, lcm
 
 from . import simplex
 from .configurations import (
     ConfigStats,
     Configuration,
     BOTH_COLOURS,
-    _list_options,
     complete_neighbourhood_config,
     count_configs,
     empty_lists_config,
@@ -71,23 +77,32 @@ from .configurations import (
     stats_key,
     uniform_list_classes,
 )
-from .errors import DomainError, UsageError, VerificationError
+from .errors import UsageError, VerificationError
 from .numerics import check_activity, csv_text, format_rational
 from .occupancy import alpha_K
-from .partition import valid_colourings
 
 
 @dataclass(frozen=True)
 class LPInstance:
     """The relaxation for one (d, activity) pair: one variable per distinct
     column, named by the first reduced class with it, in reduced_configs
-    order."""
+    order.  A column is held as integers (X_v, X_v - X_u, D), reduced by
+    their gcd, with D > 0: its alpha_v and balance over D."""
 
     d: int
     activity: Fraction
     configs: tuple[Configuration, ...]
-    objective: tuple[Fraction, ...]  # alpha_v per column
-    balance: tuple[Fraction, ...]  # alpha_v - alpha_u per column
+    columns: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def objective(self) -> tuple[Fraction, ...]:
+        """alpha_v per column."""
+        return tuple(Fraction(x_v, den) for x_v, _, den in self.columns)
+
+    @cached_property
+    def balance(self) -> tuple[Fraction, ...]:
+        """alpha_v - alpha_u per column."""
+        return tuple(Fraction(balance, den) for _, balance, den in self.columns)
 
 
 @dataclass(frozen=True)
@@ -118,17 +133,18 @@ class DualCertificate:
 
 @lru_cache(maxsize=8)
 def _signature_table(d: int, lam: Fraction) -> tuple[
-    tuple[tuple[Configuration, ConfigStats, Fraction, Fraction], ...],
+    tuple[tuple[Configuration, ConfigStats, int, int, int], ...],
     tuple[int, ...],
 ]:
     """The distinct signatures (p0, p12) of the classes at d, each as
-    (first reduced class with it, its stats, alpha_v, alpha_u) at lam,
-    and per reduced class, in reduced_configs order, its signature index.
+    (first reduced class with it, its stats, X_v, X_u, D) at lam, the
+    integer column of local_alphas, and per reduced class, in
+    reduced_configs order, its signature index.
 
     Every class has its reduced class's signature, so the reduced classes
     give them all, with one local walk each.  build_primal and
     verify_dual_feasibility both read this table, so a command that runs
-    both evaluates the alphas once per signature.
+    both evaluates the column once per signature.
     """
     first: dict[tuple, int] = {}
     signatures = []
@@ -146,33 +162,56 @@ def _signature_table(d: int, lam: Fraction) -> tuple[
 
 def build_primal(d: int, lam: Fraction) -> LPInstance:
     """One variable per distinct column (alpha_v, alpha_v - alpha_u) at lam,
-    the alphas evaluated once per distinct signature (p0, p12)."""
+    the column evaluated once per distinct signature (p0, p12).  Two
+    columns are equal iff their gcd-reduced integer triples are."""
     lam = check_activity(lam)
     signatures, _ = _signature_table(d, lam)
     # signatures come in order of their first reduced class, so the first
     # one with a column also holds the first reduced class with it
-    columns: dict[tuple[Fraction, Fraction], Configuration] = {}
-    for config, _, av, au in signatures:
-        columns.setdefault((av, av - au), config)
-    return LPInstance(
-        d,
-        lam,
-        tuple(columns.values()),
-        tuple(av for av, _ in columns),
-        tuple(balance for _, balance in columns),
-    )
+    columns: dict[tuple[int, int, int], Configuration] = {}
+    for config, _, x_v, x_u, den in signatures:
+        g = gcd(x_v, x_u, den)
+        columns.setdefault((x_v // g, (x_v - x_u) // g, den // g), config)
+    return LPInstance(d, lam, tuple(columns.values()), tuple(columns))
 
 
 def simplex_solve(lp: LPInstance) -> LPSolution:
-    """Exact optimum of the relaxation via the generic rational simplex."""
-    ones = [Fraction(1)] * len(lp.configs)
+    """Exact optimum of the relaxation via the generic rational simplex.
+
+    It runs on the integer columns: variable j is y_j = q_j / D_j, with
+    objective X_v and rows D (normalisation) and X_v - X_u (balance).
+    Column j is its Fraction column times D_j > 0, so Bland's rule walks
+    the same pivots (see the simplex module on column scaling), and each
+    support weight is q_j = D_j y_j.
+    """
+    den = [w for _, _, w in lp.columns]
     result = simplex.solve(
-        lp.objective, [ones, lp.balance], [Fraction(1), Fraction(0)]
+        [x_v for x_v, _, _ in lp.columns],
+        [den, [balance for _, balance, _ in lp.columns]],
+        [1, 0],
     )
     if result.status != simplex.OPTIMAL:
         return LPSolution(result.status, None, ())
-    support = tuple((c, x) for c, x in zip(lp.configs, result.solution) if x != 0)
+    support = tuple(
+        (c, y * w) for c, y, w in zip(lp.configs, result.solution, den) if y != 0
+    )
     return LPSolution(simplex.OPTIMAL, result.value, support)
+
+
+def _by_balance(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
+    """Order homogeneous points (x, y, w), w > 0, by x/w, then by y/w
+    from the top, as the sign of an integer."""
+    return a[0] * b[2] - b[0] * a[2] or b[1] * a[2] - a[1] * b[2]
+
+
+def _det(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[int, int, int]) -> int:
+    """The determinant of the rows a, b, c: for weights w > 0, the cross
+    product (b - a) x (c - a) of the points (x/w, y/w) times the three
+    weights."""
+    ax, ay, aw = a
+    bx, by, bw = b
+    cx, cy, cw = c
+    return ax * (by * cw - bw * cy) - ay * (bx * cw - bw * cx) + aw * (bx * cy - by * cx)
 
 
 def vertex_enumeration_solve(lp: LPInstance) -> LPSolution:
@@ -183,8 +222,11 @@ def vertex_enumeration_solve(lp: LPInstance) -> LPSolution:
     (balance, objective), read at balance 0; the program is infeasible
     iff 0 lies outside the range of the balances.  Only the top point of
     each balance can touch the envelope.  Andrew's monotone chain builds
-    its upper hull in exact Fractions, with no tableau and no pivots, so
-    this route stays independent of the simplex.
+    its upper hull on the integer columns as homogeneous points
+    (X_v - X_u, X_v, D), its orientation test the sign of a 3x3 integer
+    determinant, with no tableau and no pivots, so this route stays
+    independent of the simplex.  Fractions are built for the optimum and
+    the support weights only.
 
     The support is a basic solution, named as a scan of all supports of
     size 1 and then 2 in column order would name it: the first column
@@ -193,43 +235,46 @@ def vertex_enumeration_solve(lp: LPInstance) -> LPSolution:
     envelope's segment across 0, with the convex weights that solve the
     balance row.
     """
-    top: dict[Fraction, Fraction] = {}
-    for objective, balance in zip(lp.objective, lp.balance):
-        if balance not in top or objective > top[balance]:
-            top[balance] = objective
-    points = sorted(top.items())
+    ordered = sorted(((b, o, w) for o, b, w in lp.columns), key=cmp_to_key(_by_balance))
+    # the top point of each balance comes first among the points with it
+    points = [
+        p for i, p in enumerate(ordered)
+        if not i or p[0] * ordered[i - 1][2] != ordered[i - 1][0] * p[2]
+    ]
     if not points or points[0][0] > 0 or points[-1][0] < 0:
         return LPSolution(simplex.INFEASIBLE, None, ())
 
-    hull: list[tuple[Fraction, Fraction]] = []
-    for cx, cy in points:
-        while len(hull) >= 2:
-            (ax, ay), (bx, by) = hull[-2], hull[-1]
-            # keep b only if it lies strictly above the chord from a to c
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
-                break
+    hull: list[tuple[int, int, int]] = []
+    for c in points:
+        # keep b only if it lies strictly above the chord from a to c
+        while len(hull) >= 2 and _det(hull[-2], hull[-1], c) >= 0:
             hull.pop()
-        hull.append((cx, cy))
+        hull.append(c)
 
-    # b is the first hull vertex at or right of balance 0
-    i = bisect_left(hull, (Fraction(0),))
-    bx, by = hull[i]
+    # b is the first hull vertex at or right of balance 0; the optimum is
+    # the envelope's height there, vy / vw with vw > 0
+    i = next(i for i, (x, _, _) in enumerate(hull) if x >= 0)
+    bx, by, bw = hull[i]
     if bx == 0:
-        value = by
+        vy, vw = by, bw
     else:
-        ax, ay = hull[i - 1]
-        value = ay - ax * (by - ay) / (bx - ax)
+        ax, ay, aw = hull[i - 1]
+        vy, vw = ay * bx - by * ax, bx * aw - ax * bw
+    value = Fraction(vy, vw)
 
-    columns = list(zip(lp.configs, lp.objective, lp.balance))
-    if top.get(Fraction(0)) == value:
-        config = next(c for c, o, b in columns if b == 0 and o == value)
+    columns = list(zip(lp.configs, lp.columns))
+    config = next((c for c, (o, b, w) in columns if b == 0 and o * vw == vy * w), None)
+    if config is not None:
         return LPSolution(simplex.OPTIMAL, value, ((config, Fraction(1)),))
-    # the line through (ax, ay) and (bx, by) passes through (0, value)
-    on_line = [(c, b) for c, o, b in columns if (o - value) * bx == (by - value) * b]
-    ci, bi = next((c, b) for c, b in on_line if b > 0)
-    cj, bj = next((c, b) for c, b in on_line if b < 0)
-    w = -bj / (bi - bj)
-    return LPSolution(simplex.OPTIMAL, value, ((ci, w), (cj, 1 - w)))
+    # the line through a and b passes through (0, value)
+    rise = by * vw - vy * bw
+    on_line = [(c, b, w) for c, (o, b, w) in columns if (o * vw - vy * w) * bx == rise * b]
+    ci, xi, wi = next(column for column in on_line if column[1] > 0)
+    cj, xj, wj = next(column for column in on_line if column[1] < 0)
+    span = xi * wj - xj * wi
+    return LPSolution(
+        simplex.OPTIMAL, value, ((ci, Fraction(-xj * wi, span)), (cj, Fraction(xi * wj, span)))
+    )
 
 
 def dual_certificate(d: int, lam: Fraction) -> DualCertificate:
@@ -248,23 +293,10 @@ def dual_certificate(d: int, lam: Fraction) -> DualCertificate:
     return DualCertificate(lambda_p=a_k, lambda_c=form_a, d=d, activity=lam)
 
 
-def _slack(cert: DualCertificate, av: Fraction, au: Fraction) -> Fraction:
-    return cert.lambda_p + cert.lambda_c * (av - au) - av
-
-
 def _clique_ratio(a: int, lam: Fraction) -> Fraction:
     """r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1), claim_p0's bound at degree a."""
     grow = (1 + lam) ** (a - 1)
     return a * grow / (grow * (1 + lam) - 1)
-
-
-def _claim_terms(stats: ConfigStats, lam: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """The numerators p0', lam*p12' of claim_p0 and claim_p12 at lam, and
-    their shared denominator 2*p0 - p12, which must be positive."""
-    denom = 2 * stats.p0.eval(lam) - stats.p12.eval(lam)
-    if denom <= 0:
-        raise VerificationError("2*p0 - p12 must be positive here")
-    return stats.p0.derivative().eval(lam), lam * stats.p12.derivative().eval(lam), denom
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,15 +317,15 @@ class ClassRows(Sequence):
     order.  Its length is count_configs(d), known without enumerating;
     the rows are built on first read, through enumerate_configs and one
     local walk per stats_key, and each full class must land on a
-    signature of the reduced classes.  verdicts holds each signature's
-    (alpha_v, alpha_u, slack, tight, violated), in _signature_table
+    signature of the reduced classes.  slacks holds each signature's
+    slack as (numerator, positive denominator), in _signature_table
     order."""
 
-    def __init__(self, d: int, signatures: tuple, verdicts: list[tuple]):
+    def __init__(self, d: int, signatures: tuple, slacks: list[tuple[int, int]]):
         self._count = count_configs(d)
         self._d = d
         self._signatures = signatures
-        self.verdicts = verdicts
+        self._slacks = slacks
 
     def __len__(self) -> int:
         return self._count
@@ -309,9 +341,18 @@ class ClassRows(Sequence):
         return zip(*self._table)
 
     @cached_property
+    def verdicts(self) -> list[tuple[Fraction, Fraction, Fraction, bool]]:
+        """Each signature's alpha_v, alpha_u, slack and tight cells: the
+        Fractions are built here, on the first read of a row."""
+        return [
+            (Fraction(x_v, den), Fraction(x_u, den), Fraction(*slack), not slack[0])
+            for (_, _, x_v, x_u, den), slack in zip(self._signatures, self._slacks)
+        ]
+
+    @cached_property
     def _table(self) -> tuple[tuple[ConfigRow, ...], tuple[int, ...]]:
         index = {
-            (stats.p0, stats.p12): i for i, (_, stats, _, _) in enumerate(self._signatures)
+            (stats.p0, stats.p12): i for i, (_, stats, *_) in enumerate(self._signatures)
         }
         by_key: dict[tuple, tuple] = {}
         rows = []
@@ -326,7 +367,7 @@ class ClassRows(Sequence):
                     raise VerificationError(
                         f"{config.key_text()}: signature missing from the reduced classes"
                     )
-                entry = by_key[key] = (i, stats.a1, stats.a2, *self.verdicts[i][:4])
+                entry = by_key[key] = (i, stats.a1, stats.a2, *self.verdicts[i])
             rows.append(ConfigRow(config, *entry[1:]))
             row_signatures.append(entry[0])
         if len(rows) != self._count:
@@ -365,6 +406,39 @@ def _full_classes(reduced: tuple[Configuration, ...]) -> tuple[Configuration, ..
     return tuple(sorted(out, key=Configuration.key))
 
 
+def _slack_numerators(
+    cert: DualCertificate, columns: Iterable[tuple[int, int, int]]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Both forms of each column's dual slack as integer fractions:
+    (S, B D, S2, G M) per column (X_v, X_u, D).
+
+    With lambda_p = A/B and lambda_c = C/B, the alpha form
+    lambda_p + lambda_c (alpha_v - alpha_u) - alpha_v is S / (B D), with
+    S = A D + C (X_v - X_u) - B X_v.  With the claims bound
+    (1+lam) r_d = E/G, the claims form
+    (1+lam) r_d - (p0' + lam p12') / (2 p0 - p12) is S2 / (G M), with
+    S2 = E M - G N, N = q P0' + p P12' and M = q (2 P0 - P12) at
+    lam = p/q, both taken from the column times q d p > 0:
+    M = 2 p D - (2 p + q) X_v and N = q d X_u.  M is 0 on the all-empty
+    class, where the claims form is undefined.
+    """
+    lam = cert.activity
+    p, q, d = lam.numerator, lam.denominator, cert.d
+    scale = lcm(cert.lambda_p.denominator, cert.lambda_c.denominator)
+    a = cert.lambda_p.numerator * (scale // cert.lambda_p.denominator)
+    c = cert.lambda_c.numerator * (scale // cert.lambda_c.denominator)
+    bound = (1 + lam) * _clique_ratio(d, lam)
+    e, g = bound.numerator, bound.denominator
+    for x_v, x_u, den in columns:
+        m = 2 * p * den - (2 * p + q) * x_v
+        yield (
+            a * den + c * (x_v - x_u) - scale * x_v,
+            scale * den,
+            e * m - g * q * d * x_u,
+            g * m,
+        )
+
+
 def verify_dual_feasibility(
     cert: DualCertificate, d: int, lam: Fraction
 ) -> FeasibilityReport:
@@ -374,49 +448,41 @@ def verify_dual_feasibility(
     (valid once some list is non-empty; the all-empty class is tight by
     construction of lambda_c) and the two must agree in sign and in zero
     set.  Both routes run once per distinct signature (p0, p12), found
-    from the reduced classes, and their values are shared by every class
-    with it.  The violated and tight full classes are the full classes of
-    the violated and tight reduced ones: the tight ones derived when
-    their lists are all equal, else both read off the report's rows.
-    Violations are returned as data, never raised.
+    from the reduced classes, as signs of integers (_slack_numerators),
+    and their verdicts are shared by every class with it; the Fraction
+    slack is built only when a row is read.  The violated and tight full
+    classes are the full classes of the violated and tight reduced ones:
+    the tight ones derived when their lists are all equal, else both
+    read off the report's rows.  Violations are returned as data, never
+    raised.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
     lam = cert.activity
-    claims_bound = (1 + lam) * _clique_ratio(d, lam)
-
-    def constraint(
-        config: Configuration, stats: ConfigStats, av: Fraction, au: Fraction
-    ) -> Fraction:
-        slack = _slack(cert, av, au)
-
+    signatures, classes = _signature_table(d, lam)
+    forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
+    # each signature's verdict, decided once
+    slacks = []
+    for (config, stats, *_), (slack, den, slack2, den2) in zip(signatures, forms):
         if stats.a1 == 0 and stats.a2 == 0:
-            if slack != 0:
+            if slack:
                 raise VerificationError(
                     "empty-list constraint not tight; certificate is wrong"
                 )
-        else:
-            p0_term, p12_term, denom = _claim_terms(stats, lam)
-            slack2 = claims_bound - (p0_term + p12_term) / denom
-            if (slack > 0) != (slack2 > 0) or (slack == 0) != (slack2 == 0):
-                raise VerificationError(
-                    f"slack routes disagree on {config.key_text()}: "
-                    f"{slack} vs {slack2}"
-                )
-        return slack
-
-    signatures, classes = _signature_table(d, lam)
-    # each signature's row fields and verdict, decided once
-    verdicts = []
-    for signature in signatures:
-        slack = constraint(*signature)
-        verdicts.append((signature[2], signature[3], slack, slack == 0, slack < 0))
-    rows = ClassRows(d, signatures, verdicts)
+        elif den2 <= 0:
+            raise VerificationError("2*p0 - p12 must be positive here")
+        elif (slack > 0) != (slack2 > 0) or (slack == 0) != (slack2 == 0):
+            raise VerificationError(
+                f"slack routes disagree on {config.key_text()}: "
+                f"{Fraction(slack, den)} vs {Fraction(slack2, den2)}"
+            )
+        slacks.append((slack, den))
+    rows = ClassRows(d, signatures, slacks)
     reduced_tight = tuple(
-        config for config, i in zip(reduced_configs(d), classes) if verdicts[i][3]
+        config for config, i in zip(reduced_configs(d), classes) if not slacks[i][0]
     )
     violations = ()
-    if any(verdict[4] for verdict in verdicts):
+    if any(slack < 0 for slack, _ in slacks):
         violations = tuple(row.config for row in rows if row.slack < 0)
     tight = _full_classes(reduced_tight)
     if tight is None:
@@ -439,7 +505,7 @@ def config_report_csv(report: FeasibilityReport) -> str:
     rows = report.rows
     shared = [
         f"{format_rational(av)},{format_rational(au)},{format_rational(slack)},{int(tight)}"
-        for av, au, slack, tight, _ in rows.verdicts
+        for av, au, slack, tight in rows.verdicts
     ]
     return csv_text(
         "key,a1,a2,alpha_v,alpha_u,slack,tight",
@@ -448,86 +514,6 @@ def config_report_csv(report: FeasibilityReport) -> str:
             for row, i in rows.with_signatures()
         ),
     )
-
-
-@dataclass(frozen=True)
-class ClaimCheck:
-    holds: bool
-    tight: bool
-    lhs: Fraction
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
-class ClaimsReport:
-    claim_p12: ClaimCheck
-    claim_p0: ClaimCheck
-
-
-def verify_claims(config: Configuration, d: int, lam: Fraction) -> ClaimsReport:
-    """The two summand inequalities behind the dual constraint.
-
-    claim_p12:  lam * p12' / (2*p0 - p12) <= lam * r_d
-    claim_p0:   p0' / (2*p0 - p12)        <= r_d,
-    r_d = d(1+lam)^(d-1) / ((1+lam)^d - 1).
-
-    Both are tight exactly on the all-equal-lists, no-dichromatic classes.
-    The all-empty class is excluded (its denominator vanishes).
-    """
-    if config.d != d:
-        raise UsageError("configuration size does not match d")
-    lam = check_activity(lam)
-    stats = local_partition_functions(config)
-    if stats.a1 == 0 and stats.a2 == 0:
-        raise DomainError("all-empty lists: 2*p0 - p12 vanishes identically")
-    p0_term, p12_term, denom = _claim_terms(stats, lam)
-    lhs12, lhs0 = p12_term / denom, p0_term / denom
-    rhs0 = _clique_ratio(d, lam)
-    rhs12 = lam * rhs0
-    return ClaimsReport(
-        claim_p12=ClaimCheck(lhs12 <= rhs12, lhs12 == rhs12, lhs12, rhs12),
-        claim_p0=ClaimCheck(lhs0 <= rhs0, lhs0 == rhs0, lhs0, rhs0),
-    )
-
-
-def conditional_expectation_check(
-    config: Configuration, colour: int, lam: Fraction
-) -> tuple[Fraction, Fraction, bool]:
-    """Expected count of one colour, conditioned on it appearing at all.
-
-    The left side is computed by full enumeration of the neighbourhood
-    colourings; the right side is the complete-neighbourhood value
-    lam * r_d, which must dominate.
-    """
-    if colour not in (1, 2):
-        raise UsageError(f"colour must be 1 or 2, got {colour}")
-    lam = check_activity(lam)
-    if not any(mask & colour for mask in config.lists):
-        raise DomainError(f"colour {colour} is not available in any list")
-    stats = local_partition_functions(config)
-
-    # weight and colour-count accumulation over colourings using the colour
-    options = [_list_options(mask) for mask in config.lists]
-    expectation_sum = Fraction(0)
-    for colouring in valid_colourings(config.graph, options):
-        count = sum(1 for c in colouring if c == colour)
-        if count:
-            coloured = config.d - colouring.count(0)
-            expectation_sum += count * lam**coloured
-    other = stats.p2 if colour == 1 else stats.p1
-    weight_with_colour = stats.p0.eval(lam) - other.eval(lam)
-
-    lhs = expectation_sum / weight_with_colour
-    rhs = lam * _clique_ratio(config.d, lam)
-    return lhs, rhs, lhs <= rhs
-
-
-def monotone_lhs_check(d: int, lam: Fraction) -> bool:
-    """Strict growth of r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1) for a = 1..d."""
-    if d < 1:
-        raise UsageError(f"degree must be >= 1, got {d}")
-    lam = check_activity(lam)
-    return all(_clique_ratio(a, lam) < _clique_ratio(a + 1, lam) for a in range(1, d))
 
 
 @dataclass(frozen=True)
@@ -583,8 +569,8 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
             raise VerificationError(
                 f"predicted tight class {config.key_text()} is not tight"
             )
-        av, au = local_alphas(local_partition_functions(config), d, lam)
-        if config != complete and not au < av:
+        x_v, x_u, _ = local_alphas(local_partition_functions(config), d, lam)
+        if config != complete and not x_u < x_v:
             raise VerificationError(f"expected alpha_u < alpha_v on {config.key_text()}")
 
     # the full tight classes, derived from the four, as a second check

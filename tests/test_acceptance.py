@@ -22,12 +22,9 @@ from wrkit.extremal import conjecture_scan, full_catalog
 from wrkit.graphs import make_complete, make_cycle, make_petersen
 from wrkit.lp import (
     build_primal,
-    conditional_expectation_check,
     dual_certificate,
-    monotone_lhs_check,
     simplex_solve,
     uniqueness_check,
-    verify_claims,
     verify_dual_feasibility,
     vertex_enumeration_solve,
 )
@@ -44,6 +41,8 @@ from wrkit.partition import (
     wr_partition_brute,
 )
 from wrkit.extremal import verify_hom_bound, verify_occupancy_bound, verify_partition_bound
+
+from lp_oracles import conditional_expectation_check, monotone_lhs_check, verify_claims
 
 F = Fraction
 

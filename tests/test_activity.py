@@ -26,11 +26,8 @@ from wrkit.extremal import (
 from wrkit.graphs import make_cycle
 from wrkit.lp import (
     build_primal,
-    conditional_expectation_check,
     dual_certificate,
-    monotone_lhs_check,
     uniqueness_check,
-    verify_claims,
 )
 from wrkit.numerics import check_activity
 from wrkit.occupancy import (
@@ -41,6 +38,8 @@ from wrkit.occupancy import (
     weighted_occupancy,
     weighted_occupancy_K,
 )
+
+from lp_oracles import conditional_expectation_check, monotone_lhs_check, verify_claims
 
 CONFIG = complete_neighbourhood_config(2)
 CYCLE = make_cycle(4)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,30 +25,55 @@ from wrkit.graphs import Graph, canonical_labelled_form, from_edges
 from wrkit.lp import (
     LPInstance,
     LPSolution,
+    _clique_ratio,
+    _det,
+    _signature_table,
+    _slack_numerators,
     build_primal,
-    conditional_expectation_check,
     config_report_csv,
     dual_certificate,
-    monotone_lhs_check,
     simplex_solve,
     uniqueness_check,
-    verify_claims,
     verify_dual_feasibility,
     vertex_enumeration_solve,
 )
 from wrkit.occupancy import alpha_K
+
+from lp_oracles import (
+    _claim_terms,
+    conditional_expectation_check,
+    monotone_lhs_check,
+    verify_claims,
+)
 
 F = Fraction
 
 SMALL_GRID = (F(1, 4), F(1, 2), F(1), F(2), F(10))
 
 
+def fraction_alphas(stats, d, lam):
+    """alpha_v = lam p12 / pc and alpha_u = lam (p0' + lam p12') / (d pc),
+    each polynomial evaluated at lam in Fractions: the oracle for the
+    integer column of configurations.local_alphas."""
+    pc = stats.pc.eval(lam)
+    dp = stats.p0.derivative().eval(lam) + lam * stats.p12.derivative().eval(lam)
+    return lam * stats.p12.eval(lam) / pc, lam * dp / (d * pc)
+
+
 def dual_slack(cert, config):
-    """Slack of one dual constraint, from the class's own alphas:
-    lambda_p + lambda_c*(alpha_v - alpha_u) - alpha_v."""
-    av = alpha_v(config, cert.activity)
-    au = alpha_u(config, cert.activity)
+    """Slack of one dual constraint, from the class's own alphas in
+    Fractions: lambda_p + lambda_c*(alpha_v - alpha_u) - alpha_v."""
+    stats = local_partition_functions(config)
+    av, au = fraction_alphas(stats, config.d, cert.activity)
     return cert.lambda_p + cert.lambda_c * (av - au) - av
+
+
+def claims_slack(cert, config):
+    """The same slack as the sum of the two claims, in Fractions:
+    (1+lam) r_d - (p0' + lam p12') / (2 p0 - p12)."""
+    lam = cert.activity
+    p0_term, p12_term, denom = _claim_terms(local_partition_functions(config), lam)
+    return (1 + lam) * _clique_ratio(cert.d, lam) - (p0_term + p12_term) / denom
 
 
 def test_build_primal_d1():
@@ -121,14 +147,14 @@ def pair_loop_solve(lp):
 
 def points_instance(points):
     """An LPInstance whose columns are the given (balance, objective)
-    points, named 0, 1, 2, ... in column order."""
-    return LPInstance(
-        1,
-        F(1),
-        tuple(range(len(points))),
-        tuple(F(o) for _, o in points),
-        tuple(F(b) for b, _ in points),
-    )
+    points, named 0, 1, 2, ... in column order: each an integer column
+    (objective, balance) * D over D, the lcm of their denominators."""
+    columns = []
+    for b, o in points:
+        b, o = F(b), F(o)
+        den = lcm(b.denominator, o.denominator)
+        columns.append((int(o * den), int(b * den), den))
+    return LPInstance(1, F(1), tuple(range(len(points))), tuple(columns))
 
 
 @pytest.mark.parametrize(
@@ -189,6 +215,69 @@ def test_solvers_match_their_oracles_on_the_relaxation():
             pivots = []
             expected = tableau_solve(*case, pivots=pivots)
             assert solve_with_pivots(*case) == (expected, pivots)
+            # simplex_solve's integer columns, each its Fraction column
+            # times D, walk the same pivots to the same weights
+            objective, balance, den = zip(*lp.columns)
+            _, integer_pivots = solve_with_pivots(objective, [den, balance], [1, 0])
+            assert integer_pivots == pivots
+            assert [w for _, w in simplex_solve(lp).support] == [
+                x for x in expected.solution if x
+            ]
+
+
+def scaled_instance(points, rng):
+    """points_instance, each column then multiplied by a random k > 0, so
+    that the integer columns are not reduced."""
+    lp = points_instance(points)
+    columns = []
+    for column in lp.columns:
+        k = rng.randint(1, 4)
+        columns.append(tuple(k * v for v in column))
+    return LPInstance(lp.d, lp.activity, lp.configs, tuple(columns))
+
+
+def random_rational(rng, top):
+    return F(rng.randint(-top, top), rng.randint(1, 6))
+
+
+def test_integer_hull_matches_the_pair_loop_on_mixed_denominators():
+    # mixed denominators in both coordinates, unreduced columns, runs of
+    # collinear points, and a balance-0 point on the envelope or below it
+    rng = random.Random(1968)
+    for _ in range(1500):
+        points = [
+            (random_rational(rng, 6), random_rational(rng, 6))
+            for _ in range(rng.randint(1, 7))
+        ]
+        kind = rng.randrange(3)
+        if kind == 0:
+            slope, height = random_rational(rng, 3), random_rational(rng, 3)
+            points += [
+                (b, height + slope * b)
+                for b in (random_rational(rng, 6) for _ in range(rng.randint(2, 5)))
+            ]
+        elif kind == 1:
+            envelope = pair_loop_solve(points_instance(points))
+            if envelope.status == simplex.OPTIMAL:
+                below = rng.choice((0, 0, F(1, rng.randint(1, 7))))
+                points.append((F(0), envelope.value - below))
+        rng.shuffle(points)
+        lp = scaled_instance(points, rng)
+        assert vertex_enumeration_solve(lp) == pair_loop_solve(lp)
+
+
+homogeneous_points = st.tuples(
+    st.integers(-10**20, 10**20), st.integers(-10**20, 10**20), st.integers(1, 10**20)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(homogeneous_points, homogeneous_points, homogeneous_points)
+def test_determinant_sign_is_the_cross_product_sign(a, b, c):
+    (ax, ay), (bx, by), (cx, cy) = ((F(x, w), F(y, w)) for x, y, w in (a, b, c))
+    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    det = _det(a, b, c)
+    assert (det > 0) - (det < 0) == (cross > 0) - (cross < 0)
 
 
 def test_distinct_column_lp_matches_full_program():
@@ -241,6 +330,35 @@ def test_shared_values_match_direct_evaluation():
         assert lp.configs == tuple(first.values())
         assert set(first) == full_columns
     assert len(lp.configs) == 390  # d = 5
+
+
+EXTREME_GRID = (F(1, 10**6), F(1, 3), F(1), F(999999, 10**6), F(7), F(10**6))
+
+
+@pytest.mark.parametrize("lam", EXTREME_GRID, ids=str)
+def test_integer_slack_routes_match_the_fraction_oracles(lam):
+    # every signature at d <= 5: the integer column is the Fraction
+    # alphas, each slack numerator over its denominator is the Fraction
+    # slack of its form (so its sign and zero set are too), and the
+    # report's lazily built cells are the Fraction ones
+    for d in range(1, 6):
+        cert = dual_certificate(d, lam)
+        report = verify_dual_feasibility(cert, d, lam)
+        signatures, _ = _signature_table(d, lam)
+        forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
+        for (config, stats, x_v, x_u, den), (s, s_den, s2, s2_den), verdict in zip(
+            signatures, forms, report.rows.verdicts, strict=True
+        ):
+            av, au = fraction_alphas(stats, d, lam)
+            assert (F(x_v, den), F(x_u, den)) == (av, au)
+            slack = dual_slack(cert, config)
+            assert s_den > 0 and F(s, s_den) == slack
+            assert verdict == (av, au, slack, slack == 0)
+            if stats.a1 or stats.a2:
+                assert s2_den > 0 and F(s2, s2_den) == claims_slack(cert, config)
+                assert (s2 > 0) - (s2 < 0) == (slack > 0) - (slack < 0)
+            else:
+                assert s == 0 and s2_den == 0
 
 
 def test_dual_certificate_values():
