@@ -86,6 +86,8 @@ def _parse_builtin_atom(spec: str) -> Graph:
         if name == "random_regular":
             n, d, seed = map(int, args)
             return make_random_regular(n, d, seed)
+    except UsageError:
+        raise  # a builder's own reason, e.g. "prism needs k >= 3"
     except ValueError as exc:
         raise UsageError(f"bad parameters in builtin spec {spec!r}") from exc
     raise UsageError(f"unknown builtin graph {name!r}")

@@ -52,6 +52,7 @@ LP layer builds the certificate from them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -159,7 +160,6 @@ class ConfigStats:
     p2: IntPolynomial
     p12: IntPolynomial
     pc: IntPolynomial
-    lists_all_equal: bool
     has_dichromatic: bool
 
 
@@ -285,7 +285,6 @@ def _stats_for_key(lists: tuple[int, ...], adj: tuple[int, ...]) -> ConfigStats:
         p2=p2,
         p12=p12,
         pc=p0_poly + lam_p12,
-        lists_all_equal=len(set(lists)) == 1,
         has_dichromatic=has_dichromatic,
     )
 
@@ -425,29 +424,34 @@ def _check_degree(d: int) -> None:
         )
 
 
+def _orbit_firsts(k: int, masks: tuple[int, ...]) -> Iterator[tuple[int, Graph, list]]:
+    """Per graph class on k vertices, in canonical order: its code, its
+    graph, and the first member of each automorphism orbit of its list
+    assignments over these masks, in product order.  A first member is
+    its orbit's minimum, so (code, lists) is a canonical key."""
+    for code, autos in graphs_up_to_iso(k):
+        movers = [label_mover(perm) for perm in autos]
+        seen: set[tuple[int, ...]] = set()
+        firsts = []
+        for assignment in product(masks, repeat=k):
+            if assignment not in seen:
+                seen.update([move(assignment) for move in movers])
+                firsts.append(assignment)
+        yield code, graph_from_code(k, code), firsts
+
+
 @lru_cache(maxsize=8)
 def enumerate_configs(d: int) -> tuple[Configuration, ...]:
     """All configurations on d vertices, one canonical representative per
-    label-preserving isomorphism class, sorted by canonical key.
-
-    For each graph class, list assignments are deduplicated by orbits of
-    the automorphism group; walking assignments in increasing order makes
-    the first member of each orbit the lexicographic minimum, i.e. the
-    canonical representative.
-    """
+    label-preserving isomorphism class, in canonical key order: the graph
+    classes come in increasing code and, within one, the orbit firsts in
+    increasing lists, so the keys come out sorted with no sort."""
     _check_degree(d)
-    out = []
-    for code, autos in graphs_up_to_iso(d):
-        graph = graph_from_code(d, code)
-        movers = [label_mover(perm) for perm in autos]
-        seen: set[tuple[int, ...]] = set()
-        for assignment in product((0, 1, 2, 3), repeat=d):
-            if assignment in seen:
-                continue
-            seen.update([move(assignment) for move in movers])
-            out.append(_stamped(graph, code, assignment))
-    out.sort(key=Configuration.key)
-    return tuple(out)
+    return tuple(
+        _stamped(graph, code, lists)
+        for code, graph, firsts in _orbit_firsts(d, (0, 1, 2, 3))
+        for lists in firsts
+    )
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -493,31 +497,25 @@ def reduced_configs(d: int) -> tuple[Configuration, ...]:
     with the optimal column first Bland's rule pivots far less.
 
     A reduced class is a graph on k <= d vertices with lists in {1}, {2}
-    and {12} and no edge inside {1} or inside {2}: for each graph class
-    on k vertices, the orbits of such assignments under its
-    automorphisms, each first member kept.  The class is padded with
-    d - k isolated empty-list vertices, which leave its local
-    polynomials unchanged.  With k = d the representative is canonical
-    and carries its key.
+    and {12} and no edge inside {1} or inside {2}: the first member of
+    each such orbit in enumerate_configs's walk (an orbit has such an
+    edge in all its members or in none).  It is padded with d - k
+    isolated empty-list vertices, which leave its local polynomials
+    unchanged.  With k = d the representative is canonical and carries
+    its key.
     """
     _check_degree(d)
     out = []
     for k in range(d + 1):
         pad = (NO_COLOURS,) * (d - k)
-        for code, autos in graphs_up_to_iso(k):
-            graph = graph_from_code(k, code)
+        for code, graph, firsts in _orbit_firsts(k, (COLOUR_1, COLOUR_2, BOTH_COLOURS)):
             edges = graph.edges()
             padded = Graph(d, graph.adj + pad)
-            movers = [label_mover(perm) for perm in autos]
-            seen: set[tuple[int, ...]] = set()
-            for assignment in product((COLOUR_1, COLOUR_2, BOTH_COLOURS), repeat=k):
-                if assignment in seen or any(
-                    assignment[u] == assignment[v] != BOTH_COLOURS for u, v in edges
-                ):
+            for lists in firsts:
+                if any(lists[u] == lists[v] != BOTH_COLOURS for u, v in edges):
                     continue
-                seen.update([move(assignment) for move in movers])
                 if k == d:
-                    out.append(_stamped(padded, code, assignment))
+                    out.append(_stamped(padded, code, lists))
                 else:
-                    out.append(Configuration(padded, assignment + pad))
+                    out.append(Configuration(padded, lists + pad))
     return tuple(reversed(out))

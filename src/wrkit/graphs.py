@@ -319,10 +319,10 @@ def graphs_up_to_iso(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], .
     The canonical code of a class is the smallest edge code it contains.
     Enumeration walks all codes in increasing order and marks whole orbits,
     so each class is touched once; automorphisms are the permutations that
-    fix the canonical code.  Capped like canonical_labelled_form.
+    fix the canonical code.  Capped at 7 vertices, below ISO_CAP: the
+    orbit-marking table takes 2^C(n,2) bytes, 256 MiB at n = 8.
     """
     if n > 7:
-        # the orbit-marking table is 2**(n choose 2) bytes
         raise CapacityError(f"graph enumeration capped at 7 vertices, got {n}")
     perms = list(permutations(range(n)))
     total = 1 << (n * (n - 1) // 2)

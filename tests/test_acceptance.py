@@ -140,7 +140,7 @@ def test_criterion_05_dual_certificate():
         predicted = set()
         for config in enumerate_configs(d):
             stats = local_partition_functions(config)
-            if stats.lists_all_equal and not stats.has_dichromatic:
+            if len(set(config.lists)) == 1 and not stats.has_dichromatic:
                 predicted.add(config.key())
         assert tight_keys == predicted
         # among full-list configurations, tightness only at the clique
@@ -162,7 +162,7 @@ def test_criterion_06_claim_level_checks():
                 if stats.a1 == 0 and stats.a2 == 0:
                     continue
                 rep = verify_claims(config, d, lam)
-                expect_tight = stats.lists_all_equal and not stats.has_dichromatic
+                expect_tight = len(set(config.lists)) == 1 and not stats.has_dichromatic
                 assert rep.claim_p12.holds and rep.claim_p0.holds
                 assert rep.claim_p12.tight == expect_tight
                 assert rep.claim_p0.tight == expect_tight
@@ -196,16 +196,19 @@ def test_criterion_07_corollaries(catalog):
 def test_criterion_08_uniqueness():
     for d in (1, 2, 3, 4, 5):
         rep = uniqueness_check(d, F(1))
-        # tight classes fall only into the three predicted cases
-        assert rep.empty_list_classes and rep.single_colour_classes
-        assert rep.complete_class.key() == complete_neighbourhood_config(d).key()
-        covered = (
-            len(rep.empty_list_classes)
-            + len(rep.single_colour_classes)
-            + 1
-        )
+        # tight classes fall only into the three predicted cases, told
+        # apart by their (all equal) lists
+        by_mask = {mask: [] for mask in (0, 1, 2, 3)}
+        for config in rep.tight_set:
+            assert len(set(config.lists)) == 1, config.key_text()
+            by_mask[config.lists[0]].append(config)
+        empty_classes = by_mask[0]
+        single_classes = by_mask[1] + by_mask[2]
+        assert empty_classes and single_classes
+        assert [c.key() for c in by_mask[3]] == [complete_neighbourhood_config(d).key()]
+        covered = len(empty_classes) + len(single_classes) + 1
         assert covered == len(rep.tight_set)
-        for config in rep.empty_list_classes + rep.single_colour_classes:
+        for config in empty_classes + single_classes:
             from wrkit.configurations import alpha_u, alpha_v
 
             assert alpha_u(config, F(1)) < alpha_v(config, F(1))

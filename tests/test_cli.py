@@ -478,6 +478,24 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_builtin_size_errors_keep_the_builders_reason(capsys):
+    refused = {
+        "prism:2": "prism needs k >= 3",
+        "complete:0": "complete graph needs n >= 1",
+        "cycle:2": "cycle needs n >= 3",
+        "bipartite:0,3": "complete bipartite graph needs both sides >= 1",
+        "random_regular:5,3,1": "n*d must be even, got n=5, d=3",
+        "random_regular:4,4,0": "need 0 <= d < n, got d=4, n=4",
+        "petersen:1": "petersen takes no parameters",
+        # unparsable or wrong-arity parameters keep the generic message
+        "cycle:x": "bad parameters in builtin spec 'cycle:x'",
+        "cycle:3,4": "bad parameters in builtin spec 'cycle:3,4'",
+    }
+    for spec, reason in refused.items():
+        code, out, err = run(capsys, "partition", "--builtin", spec)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {reason}\n"), spec
+
+
 def test_configs_refuses_a_bad_activity_before_printing(capsys):
     for bad in ("1/0", "0", "-1", "1.5"):
         code, out, err = run(capsys, "configs", "--d", "3", "--lambda", bad)

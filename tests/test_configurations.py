@@ -1,5 +1,6 @@
 """Configuration enumeration, local polynomials, and the alpha estimates."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -192,7 +193,6 @@ def per_class_stats(config):
         p2=p2,
         p12=p1 + p2,
         pc=IntPolynomial(p0) + (p1 + p2).shift(1),
-        lists_all_equal=len(set(lists)) == 1,
         has_dichromatic=dichromatic,
     )
 
@@ -249,11 +249,12 @@ def test_stats_errors_name_the_class(monkeypatch):
 
 
 def test_stats_empty_lists():
-    stats = local_partition_functions(empty_lists_config(2))
+    config = empty_lists_config(2)
+    stats = local_partition_functions(config)
     assert stats.p0 == IntPolynomial([1])
     assert stats.p12 == IntPolynomial([2])
     assert stats.pc == IntPolynomial([1, 2])
-    assert stats.lists_all_equal and not stats.has_dichromatic
+    assert len(set(config.lists)) == 1 and not stats.has_dichromatic
 
 
 def test_stats_complete_neighbourhood():
@@ -529,6 +530,24 @@ def test_reduced_classes_start_at_the_complete_neighbourhood():
                 assert config.canonical == canonical_labelled_form(config.graph, config.lists)
             else:
                 assert config.canonical is None
+
+
+# SHA-256 of repr([(lists, graph.adj), ...]) over reduced_configs(d), in
+# its order: the LP names its variables, and Bland's rule picks its
+# pivots, by this order
+REDUCED_ORDER_DIGESTS = {
+    1: "136cd1218032a1c8c5eb04761880d70265a71b463fa9935c718eb90afbd32902",
+    2: "8f6b69e0481aa45786511f2c7a69bf82e4c7bb01750f541eedd4c637890c97e2",
+    3: "7b34a0c046989ba5a682e0a6187884bff0a22e99a7fa44c8d50a818acae7a14f",
+    4: "1005b1e32308aa1986957bcfec24ea887d07a788343d40fd8177550abf4e18c4",
+    5: "17aaaf567b0d08f227955045b4d71ffa68923c4f62a520d2fb00ccadcaaa69fc",
+}
+
+
+def test_reduced_classes_order_is_pinned():
+    for d, digest in REDUCED_ORDER_DIGESTS.items():
+        text = repr([(config.lists, config.graph.adj) for config in reduced_configs(d)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, d
 
 
 def test_each_class_has_its_reduced_class_stats():

@@ -407,7 +407,7 @@ def test_tight_set_characterisation():
         predicted = set()
         for config in enumerate_configs(d):
             stats = local_partition_functions(config)
-            if stats.lists_all_equal and not stats.has_dichromatic:
+            if len(set(config.lists)) == 1 and not stats.has_dichromatic:
                 predicted.add(config.key())
         assert tight_keys == predicted
 
@@ -502,7 +502,7 @@ def test_claims_match_predicate_exhaustively():
                 if stats.a1 == 0 and stats.a2 == 0:
                     continue
                 report = verify_claims(config, d, lam)
-                expect_tight = stats.lists_all_equal and not stats.has_dichromatic
+                expect_tight = len(set(config.lists)) == 1 and not stats.has_dichromatic
                 assert report.claim_p12.holds and report.claim_p0.holds
                 assert report.claim_p12.tight == expect_tight, config.key_text()
                 assert report.claim_p0.tight == expect_tight, config.key_text()
@@ -569,9 +569,13 @@ def test_uniqueness_d2():
     tight_keys = {c.key() for c in report.tight_set}
     # 2 graph classes x 3 list cases + the complete neighbourhood
     assert len(tight_keys) == 7
-    assert len(report.empty_list_classes) == 2
-    assert len(report.single_colour_classes) == 4
-    assert report.complete_class.key() == complete_neighbourhood_config(2).key()
+    assert all(len(set(c.lists)) == 1 for c in report.tight_set)
+    masks = [c.lists[0] for c in report.tight_set]
+    assert masks.count(0) == 2
+    assert masks.count(1) + masks.count(2) == 4
+    assert [c.key() for c in report.tight_set if c.lists[0] == 3] == [
+        complete_neighbourhood_config(2).key()
+    ]
     assert [c.key() for c in report.simplex_support] == [
         complete_neighbourhood_config(2).key()
     ]
@@ -582,7 +586,9 @@ def test_uniqueness_d1():
     report = uniqueness_check(1, F(1))
     assert report.optimum == F(4, 7)
     assert len(report.tight_set) == 4
-    assert report.complete_class.key() == complete_neighbourhood_config(1).key()
+    assert [c.key() for c in report.tight_set if c.lists[0] == 3] == [
+        complete_neighbourhood_config(1).key()
+    ]
 
 
 def test_dual_slack_sampled_d5_d6():
@@ -596,7 +602,7 @@ def test_dual_slack_sampled_d5_d6():
             slack = dual_slack(cert, config)
             assert slack >= 0, config.key_text()
             stats = local_partition_functions(config)
-            predicate = stats.lists_all_equal and not stats.has_dichromatic
+            predicate = len(set(config.lists)) == 1 and not stats.has_dichromatic
             assert (slack == 0) == predicate, config.key_text()
 
 
