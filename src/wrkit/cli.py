@@ -284,15 +284,9 @@ def cmd_configs(args) -> int:
 def cmd_sample(args) -> int:
     graph = _load_graph(args)
     try:
-        exact = Fraction(args.lam)
-        lam = float(exact)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        lam = Fraction(args.lam)
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad activity {args.lam!r}") from exc
-    # the exact activity is refused as every exact command refuses it
-    check_activity(exact)
-    if not lam:
-        # a positive activity that underflows to 0.0 in the sampler's floats
-        raise UsageError(f"bad activity {args.lam!r}")
     burnin = args.burnin if args.burnin is not None else 1000 * graph.n
     series: list[tuple[int, float]] | None = [] if args.csv else None
     estimate, stderr = dynamics.estimate_occupancy(

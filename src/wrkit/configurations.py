@@ -12,10 +12,11 @@ From a configuration we derive its local partition polynomials:
   p1/p2 same, restricted to one colour (always (1+lam)**a_i where a_i
         counts lists containing colour i)
   p12   p1 + p2
-  pc    p0 + lam * p12, the partition function of the centre vertex
-        together with H
 
-and the two local occupancy estimates at a given activity:
+The partition function of the centre vertex together with H,
+pc = p0 + lam * p12, is not stored: at lam = p/q, local_alphas builds it
+scaled by q^(d+1), as the factor q P0 + p P12 of its denominator D.
+From these come the two local occupancy estimates at a given activity:
 
   alpha_v   probability the centre vertex is coloured
   alpha_u   expected fraction of coloured neighbours
@@ -27,8 +28,6 @@ over S.  The other polynomials depend only on the list counts.  Only
 edges between a vertex allowing colour 1 and one allowing colour 2 can
 constrain a colouring, so the walk runs once per stats_key (the lists
 and those edges) and every class with that key shares its result.
-The enumeration check (the centre-plus-neighbourhood star) runs on
-partition.valid_colourings, the one reference enumerator.
 
 Enumeration of all configurations for a given d is done up to
 label-preserving isomorphism: graphs are enumerated up to isomorphism
@@ -70,7 +69,6 @@ from .graphs import (
     make_complete,
 )
 from .numerics import IntPolynomial, binomial_power, check_activity
-from .partition import valid_colourings
 
 STATS_CAP = 8  # the local walk covers at most 2^d colour-1 sets
 ENUMERATION_CAP = 6  # labelled graphs times list assignments before dedup
@@ -159,30 +157,20 @@ class ConfigStats:
     p1: IntPolynomial
     p2: IntPolynomial
     p12: IntPolynomial
-    pc: IntPolynomial
     has_dichromatic: bool
-
-
-def _list_options(mask: int) -> tuple[int, ...]:
-    opts = [0]
-    if mask & 1:
-        opts.append(1)
-    if mask & 2:
-        opts.append(2)
-    return tuple(opts)
 
 
 @lru_cache(maxsize=None)
 def _list_count_polynomials(
     a1: int, a2: int
-) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial]:
-    """p1, p2, p12, lam * p12 and p12 - 1 of any configuration whose
+) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial]:
+    """p1, p2, p12 and p12 - 1 of any configuration whose
     lists allow colour 1 at a1 vertices and colour 2 at a2: a colouring
     in one colour is any subset of the vertices allowing it."""
     p1 = binomial_power(a1)
     p2 = binomial_power(a2)
     p12 = p1 + p2
-    return p1, p2, p12, p12.shift(1), p12 - 1
+    return p1, p2, p12, p12 - 1
 
 
 def _low_coefficients(adj: tuple[int, ...], allows_1: int, allows_2: int) -> list[int]:
@@ -271,7 +259,7 @@ def _stats_for_key(lists: tuple[int, ...], adj: tuple[int, ...]) -> ConfigStats:
     if (p0 + [0, 0])[:3] != _low_coefficients(adj, allows_1, allows_2):
         raise VerificationError("low coefficients of p0 disagree with its lists and edges")
     p0_poly = IntPolynomial(p0)
-    p1, p2, p12, lam_p12, p12_less_1 = _list_count_polynomials(a1, a2)
+    p1, p2, p12, p12_less_1 = _list_count_polynomials(a1, a2)
     # dichromatic colourings are exactly the gap between p0 and the
     # monochromatic-or-empty total p1 + p2 - 1
     if has_dichromatic != (p0_poly != p12_less_1):
@@ -284,7 +272,6 @@ def _stats_for_key(lists: tuple[int, ...], adj: tuple[int, ...]) -> ConfigStats:
         p1=p1,
         p2=p2,
         p12=p12,
-        pc=p0_poly + lam_p12,
         has_dichromatic=has_dichromatic,
     )
 
@@ -360,58 +347,6 @@ def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
     lam = check_activity(lam)
     _, x_u, den = local_alphas(local_partition_functions(config), config.d, lam)
     return Fraction(x_u, den)
-
-
-def _star_neighbour_weights(
-    config: Configuration, lam: Fraction
-) -> tuple[Fraction, list[list[Fraction]]]:
-    """Enumerate joint colourings of centre + neighbourhood.
-
-    Returns the total weight (equals pc at lam) and, per neighbourhood
-    vertex, the weight carried by each of its three colours.
-    """
-    d = config.d
-    # centre vertex is index d, adjacent to every neighbourhood vertex
-    adj = tuple(mask | (1 << d) for mask in config.graph.adj) + (((1 << d) - 1),)
-    options = [_list_options(mask) for mask in config.lists] + [(0, 1, 2)]
-    total = Fraction(0)
-    weights = [[Fraction(0)] * 3 for _ in range(d)]
-    for colouring in valid_colourings(Graph(d + 1, adj), options):
-        w = lam ** (d + 1 - colouring.count(0))
-        total += w
-        for u in range(d):
-            weights[u][colouring[u]] += w
-    return total, weights
-
-
-def per_colour_alpha(
-    config: Configuration, lam: Fraction
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Per-colour versions of alpha_v and alpha_u.
-
-    The centre probabilities come from the closed formula lam * p_i / pc;
-    the neighbour probabilities are computed by direct enumeration of the
-    joint colourings of the centre-plus-neighbourhood star.  Their sums
-    are checked against alpha_v and alpha_u.
-    """
-    lam = check_activity(lam)
-    stats = local_partition_functions(config)
-    pc_value = stats.pc.eval(lam)
-    a1v = lam * stats.p1.eval(lam) / pc_value
-    a2v = lam * stats.p2.eval(lam) / pc_value
-
-    total, weights = _star_neighbour_weights(config, lam)
-    if total != pc_value:
-        raise VerificationError(f"star enumeration total {total} is not pc = {pc_value}")
-    d = config.d
-    a1u = sum(w[1] for w in weights) / (d * total)
-    a2u = sum(w[2] for w in weights) / (d * total)
-
-    if a1v + a2v != alpha_v(config, lam):
-        raise VerificationError("per-colour centre probabilities do not sum to alpha_v")
-    if a1u + a2u != alpha_u(config, lam):
-        raise VerificationError("per-colour neighbour fractions do not sum to alpha_u")
-    return a1v, a2v, a1u, a2u
 
 
 def _check_degree(d: int) -> None:

@@ -14,7 +14,8 @@ so its cost no longer grows with the degree.  The masks change only when
 a vertex's colour does.
 
 Sampling is plain floating point for throughput; exactness lives in the
-rest of the package.  Randomness comes from the CPython Mersenne Twister
+rest of the package.  estimate_occupancy is the sampler's one activity
+gate.  Randomness comes from the CPython Mersenne Twister
 (random.Random) with an explicit seed, so runs are reproducible; the
 algorithm identifier is exported for run logs.
 """
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import inf, log10, sqrt
+from math import inf, sqrt
 
 from .errors import DomainError, UsageError
 from .graphs import Graph
-from .numerics import check_activity
+from .numerics import check_activity, number_text
 from .occupancy import _check_vertices
 
 RNG_ALGORITHM = "mt19937"
@@ -81,7 +82,7 @@ def transition_distribution(
 
 def estimate_occupancy(
     graph: Graph,
-    lam: float,
+    lam: Fraction | float,
     burn_in: int,
     samples: int,
     thinning: int = 1,
@@ -93,29 +94,30 @@ def estimate_occupancy(
     Runs burn_in steps, then records the coloured fraction every
     `thinning` steps, `samples` times.  Deterministic for a fixed seed.
     When series_out is given, (step, fraction) pairs are appended to it.
+
+    The activity passes check_activity, then runs as float(lam); one that
+    rounds to 0.0, or so large that 1.0 + 2 * lam is infinite, is refused
+    with a DomainError, since the chain would not be the heat-bath chain.
     """
+    try:
+        lam_float = float(check_activity(lam))
+    except OverflowError:
+        lam_float = inf
+    # heat-bath totals with two colours and with one allowed; each equals
+    # 1.0 + lam * (ok1 + ok2) bit for bit
+    total2 = 1.0 + lam_float * 2
+    total1 = 1.0 + lam_float
+    # at 0.0 no vertex would ever be coloured; with total2 infinite the
+    # draw rand() * total2 would never fall below total1, so colour 1
+    # would never be placed
+    if not lam_float or total2 == inf:
+        size = "large" if lam_float else "small"
+        raise DomainError(
+            f"activity {number_text(lam)} is too {size} for the sampler's floats"
+        )
     _check_vertices(graph)
     if burn_in < 1 or samples < 1 or thinning < 1:
         raise UsageError("burn_in, samples and thinning must all be >= 1")
-    check_activity(lam)
-    try:
-        total2 = 1.0 + float(lam) * 2
-    except OverflowError:
-        total2 = inf
-    if total2 == inf:
-        # the draw rand() * total2 would never fall below 1.0 + lam, so
-        # colour 1 would never be placed.  A float's repr is at most 24
-        # characters; an exact activity this large has hundreds of digits
-        # and is named by its order of magnitude instead
-        text = str(lam)
-        if len(text) > 24:
-            exact = Fraction(lam)
-            text = f"about 1e{log10(exact.numerator) - log10(exact.denominator):.0f}"
-        raise DomainError(f"activity {text} is too large for the sampler's floats")
-    lam = float(lam)
-    # heat-bath total with one colour allowed; with total2 it equals
-    # 1.0 + lam * (ok1 + ok2) bit for bit
-    total1 = 1.0 + lam
     rng = random.Random(seed)
     rand = rng.random
     n = graph.n

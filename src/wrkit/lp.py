@@ -576,11 +576,10 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     sol_simplex = simplex_solve(lp)
     sol_enum = vertex_enumeration_solve(lp)
     expected = alpha_K(d, lam)
-    complete_key = complete.key()
     for name, sol in (("simplex", sol_simplex), ("enumeration", sol_enum)):
         if sol.status != simplex.OPTIMAL or sol.value != expected:
             raise VerificationError(f"{name} solver did not reach the optimum")
-        if [(c.key(), w) for c, w in sol.support] != [(complete_key, 1)]:
+        if list(sol.support) != [(complete, 1)]:
             raise VerificationError(
                 f"{name} solver support is not the complete neighbourhood"
             )

@@ -59,16 +59,30 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"zero denominator: {text!r}") from exc
 
 
+def number_text(x: Fraction | float) -> str:
+    """How a one-line message names x: as str writes it when that is at
+    most 24 characters (the longest float repr), else by its order of
+    magnitude, as in "about 1e400" or "about -1e30", since an exact
+    value that large or that fine runs to hundreds of digits."""
+    text = str(x)
+    if len(text) <= 24:
+        return text
+    exact = abs(Fraction(x))
+    exponent = round(math.log10(exact.numerator) - math.log10(exact.denominator))
+    return f"about {'-' if x < 0 else ''}1e{exponent}"
+
+
 def check_activity(lam: Fraction | float) -> Fraction:
     """The activity as an exact Fraction: the one gate every exact entry
-    point takes its activity from.
+    point, and the sampler, takes its activity from.
 
     An activity that is not strictly positive (NaN included) or is
-    infinite is rejected first; any other real number (an int, a float,
-    a Fraction) converts exactly, so 0.5 becomes Fraction(1, 2).
+    infinite is rejected first, named by number_text; any other real
+    number (an int, a float, a Fraction) converts exactly, so 0.5 becomes
+    Fraction(1, 2).
     """
     if not lam > 0:
-        raise DomainError(f"activity must be strictly positive, got {lam}")
+        raise DomainError(f"activity must be strictly positive, got {number_text(lam)}")
     if lam == math.inf:
         raise DomainError(f"activity must be finite, got {lam}")
     return Fraction(lam)

@@ -29,7 +29,8 @@ also gives the local polynomials of a neighbourhood configuration
 
 valid_colourings, a product over each vertex's allowed colours filtered
 by is_valid_colouring, is the one reference enumerator: the 3^n oracle
-here and the enumeration checks of the local layer all run on it.
+here runs on it, and so do the tests' enumeration checks of the local
+layer's list colourings.
 """
 
 from __future__ import annotations

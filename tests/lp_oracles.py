@@ -11,7 +11,6 @@ from fractions import Fraction
 from wrkit.configurations import (
     ConfigStats,
     Configuration,
-    _list_options,
     local_partition_functions,
 )
 from wrkit.errors import DomainError, UsageError, VerificationError
@@ -86,7 +85,7 @@ def conditional_expectation_check(
     stats = local_partition_functions(config)
 
     # weight and colour-count accumulation over colourings using the colour
-    options = [_list_options(mask) for mask in config.lists]
+    options = [tuple(c for c in (0, 1, 2) if not c or mask & c) for mask in config.lists]
     expectation_sum = Fraction(0)
     for colouring in valid_colourings(config.graph, options):
         count = sum(1 for c in colouring if c == colour)

@@ -14,7 +14,6 @@ from wrkit.configurations import (
     alpha_u,
     alpha_v,
     complete_neighbourhood_config,
-    per_colour_alpha,
 )
 from wrkit.dynamics import estimate_occupancy
 from wrkit.errors import DomainError
@@ -64,7 +63,6 @@ ENTRY_POINTS = {
     ),
     "alpha_v": lambda lam: alpha_v(CONFIG, lam),
     "alpha_u": lambda lam: alpha_u(CONFIG, lam),
-    "per_colour_alpha": lambda lam: per_colour_alpha(CONFIG, lam),
     "build_primal": lambda lam: build_primal(2, lam),
     "dual_certificate": lambda lam: dual_certificate(2, lam),
     "verify_claims": lambda lam: verify_claims(CONFIG, 2, lam),

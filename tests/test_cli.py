@@ -426,14 +426,16 @@ def test_sample_rejects_nonpositive_activity(capsys):
 
 
 def test_sample_rejects_activity_out_of_float_range(capsys):
-    # 1e400 overflows a float and 1e-400 underflows to 0.0
-    for lam in ("1e400", "1e-400"):
+    # 1e400 overflows a float and 1e-400 underflows to 0.0; the exact
+    # activity is named by its order of magnitude
+    for lam, size in (("1e400", "large"), ("1e-400", "small")):
         code, out, err = run(
             capsys, "sample", "--builtin", "cycle:5", "--lambda", lam, "--samples", "10"
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == f"error: bad activity '{lam}'\n"
+        assert err == f"error: activity about {lam} is too {size} for the sampler's floats\n"
+
 
 def test_sample_rejects_activity_too_large_for_the_sampler(capsys):
     # 1e308 is a float, but 1.0 + 2 * 1e308 is not
@@ -442,7 +444,19 @@ def test_sample_rejects_activity_too_large_for_the_sampler(capsys):
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "error: activity 1e+308 is too large for the sampler's floats\n"
+    assert err == "error: activity about 1e308 is too large for the sampler's floats\n"
+
+
+def test_huge_nonpositive_activity_is_named_in_one_short_line(capsys):
+    for argv in (
+        ("sample", "--builtin", "cycle:5", "--lambda=-1e30"),
+        ("partition", "--builtin", "cycle:4", "--lambda=-1" + "0" * 30),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: activity must be strictly positive, got about -1e30\n"
+        assert len(err.encode()) < 100
 
 
 def test_sample_empty_graph(tmp_path, capsys):

@@ -22,7 +22,6 @@ from wrkit.configurations import (
     empty_lists_config,
     enumerate_configs,
     local_partition_functions,
-    per_colour_alpha,
     reduced_configs,
     single_colour_config,
     stats_key,
@@ -48,13 +47,15 @@ F = Fraction
 def star_oracle(config, lam):
     """Independent enumeration of centre + neighbourhood colourings.
 
-    Returns (P[v coloured], mean over u of P[u coloured]) by brute force
-    over all maps, with list and adjacency constraints applied directly.
+    Returns P[v coloured], the mean over u of P[u coloured], and that
+    mean split by colour (colour 1, colour 2), by brute force over all
+    maps, with list and adjacency constraints applied directly.
     """
     d = config.d
     total = F(0)
     centre_coloured = F(0)
-    neighbour_coloured = [F(0)] * d
+    # weight per colour 0, 1, 2, summed over the neighbourhood vertices
+    neighbour_colours = [F(0)] * 3
     for colouring in product((0, 1, 2), repeat=d + 1):
         centre = colouring[d]
         ok = True
@@ -83,9 +84,9 @@ def star_oracle(config, lam):
         if centre:
             centre_coloured += weight
         for u in range(d):
-            if colouring[u]:
-                neighbour_coloured[u] += weight
-    return centre_coloured / total, sum(neighbour_coloured) / (d * total)
+            neighbour_colours[colouring[u]] += weight
+    per_colour = (neighbour_colours[1] / (d * total), neighbour_colours[2] / (d * total))
+    return centre_coloured / total, sum(per_colour), per_colour
 
 
 def colouring_tallies(config):
@@ -192,7 +193,6 @@ def per_class_stats(config):
         p1=p1,
         p2=p2,
         p12=p1 + p2,
-        pc=IntPolynomial(p0) + (p1 + p2).shift(1),
         has_dichromatic=dichromatic,
     )
 
@@ -253,7 +253,6 @@ def test_stats_empty_lists():
     stats = local_partition_functions(config)
     assert stats.p0 == IntPolynomial([1])
     assert stats.p12 == IntPolynomial([2])
-    assert stats.pc == IntPolynomial([1, 2])
     assert len(set(config.lists)) == 1 and not stats.has_dichromatic
 
 
@@ -261,7 +260,6 @@ def test_stats_complete_neighbourhood():
     stats = local_partition_functions(complete_neighbourhood_config(2))
     assert stats.p0 == 2 * binomial_power(2) - 1
     assert stats.p12 == 2 * binomial_power(2)
-    assert stats.pc == 2 * binomial_power(3) - 1
     assert not stats.has_dichromatic
 
 
@@ -269,7 +267,6 @@ def test_stats_single_colour():
     stats = local_partition_functions(single_colour_config(2, 1))
     assert stats.p0 == binomial_power(2)
     assert stats.p12 == binomial_power(2) + 1
-    assert stats.pc == binomial_power(3) + IntPolynomial([0, 1])
     assert (stats.a1, stats.a2) == (2, 0)
 
 
@@ -283,7 +280,6 @@ def test_stats_single_vs_binomial():
         assert stats.p1 == binomial_power(stats.a1)
         assert stats.p2 == binomial_power(stats.a2)
         assert stats.p12 == stats.p1 + stats.p2
-        assert stats.pc == stats.p0 + stats.p12.shift(1)
 
 
 def test_positivity_assumptions():
@@ -329,11 +325,12 @@ def test_alpha_domain_error():
 
 def test_formula_matches_star_enumeration():
     # spatial Markov property made concrete: closed formulas equal the
-    # brute-force conditional probabilities on the star
+    # brute-force conditional probabilities on the star, over every
+    # class up to d = 4
     lam = F(2, 3)
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         for config in enumerate_configs(d):
-            ov, ou = star_oracle(config, lam)
+            ov, ou, _ = star_oracle(config, lam)
             assert alpha_v(config, lam) == ov, config.key_text()
             assert alpha_u(config, lam) == ou, config.key_text()
 
@@ -343,7 +340,7 @@ def test_formula_matches_star_enumeration_d4_sample():
     configs = list(enumerate_configs(4))
     lam = F(3, 2)
     for config in rng.sample(configs, 60):
-        ov, ou = star_oracle(config, lam)
+        ov, ou, _ = star_oracle(config, lam)
         assert alpha_v(config, lam) == ov
         assert alpha_u(config, lam) == ou
 
@@ -352,15 +349,14 @@ def test_per_colour_alpha():
     lam = F(1)
     # colour-symmetric configuration: the two colours split evenly
     ck = complete_neighbourhood_config(3)
-    a1v, a2v, a1u, a2u = per_colour_alpha(ck, lam)
-    assert a1v == a2v and a1u == a2u
+    _, ou, (a1u, a2u) = star_oracle(ck, lam)
+    assert a1u == a2u == ou / 2
 
     # colour 2 unavailable everywhere
     c1 = single_colour_config(2, 1)
-    a1v, a2v, a1u, a2u = per_colour_alpha(c1, lam)
-    assert a2u == 0
-    assert a1u == F(4, 9)
-    assert a1v + a2v == alpha_v(c1, lam)
+    ov, ou, per_colour = star_oracle(c1, lam)
+    assert per_colour == (F(4, 9), 0)
+    assert (ov, ou) == (alpha_v(c1, lam), alpha_u(c1, lam))
 
 
 def test_enumerate_counts():
@@ -373,16 +369,6 @@ def test_enumerate_counts():
     # regression constants only (no independent count)
     assert len(enumerate_configs(5)) == 12208
     assert len(enumerate_configs(6)) == 241520
-
-
-def test_per_colour_sums_consistent_d4():
-    # per_colour_alpha also asserts internally that its star enumeration
-    # reproduces the closed-form alpha_v and alpha_u; sweep all of d=4
-    lam = F(2, 3)
-    for config in enumerate_configs(4):
-        a1v, a2v, a1u, a2u = per_colour_alpha(config, lam)
-        assert a1v + a2v == alpha_v(config, lam)
-        assert a1u + a2u == alpha_u(config, lam)
 
 
 def test_enumerate_d1_lists():

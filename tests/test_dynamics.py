@@ -211,6 +211,16 @@ def test_activity_too_large_for_floats():
     assert 0 <= est <= 1
 
 
+def test_activity_too_small_for_floats():
+    # a positive activity that rounds to 0.0 would never colour a vertex
+    with pytest.raises(DomainError) as info:
+        estimate_occupancy(make_cycle(5), F(1, 10**400), burn_in=10, samples=10)
+    assert str(info.value) == "activity about 1e-400 is too small for the sampler's floats"
+    # the smallest positive float is still a float activity
+    est, _ = estimate_occupancy(make_cycle(5), 5e-324, burn_in=10, samples=10)
+    assert 0 <= est <= 1
+
+
 def test_k2_has_seven_states():
     assert len(all_valid_colourings(make_complete(2))) == 7
 

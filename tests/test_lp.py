@@ -55,7 +55,7 @@ def fraction_alphas(stats, d, lam):
     """alpha_v = lam p12 / pc and alpha_u = lam (p0' + lam p12') / (d pc),
     each polynomial evaluated at lam in Fractions: the oracle for the
     integer column of configurations.local_alphas."""
-    pc = stats.pc.eval(lam)
+    pc = stats.p0.eval(lam) + lam * stats.p12.eval(lam)
     dp = stats.p0.derivative().eval(lam) + lam * stats.p12.derivative().eval(lam)
     return lam * stats.p12.eval(lam) / pc, lam * dp / (d * pc)
 
