@@ -325,10 +325,9 @@ def test_alpha_domain_error():
 
 def test_formula_matches_star_enumeration():
     # spatial Markov property made concrete: closed formulas equal the
-    # brute-force conditional probabilities on the star, over every
-    # class up to d = 4
+    # brute-force conditional probabilities on the star
     lam = F(2, 3)
-    for d in (1, 2, 3, 4):
+    for d in (1, 2, 3):
         for config in enumerate_configs(d):
             ov, ou, _ = star_oracle(config, lam)
             assert alpha_v(config, lam) == ov, config.key_text()
@@ -369,6 +368,16 @@ def test_enumerate_counts():
     # regression constants only (no independent count)
     assert len(enumerate_configs(5)) == 12208
     assert len(enumerate_configs(6)) == 241520
+
+
+def test_per_colour_sums_consistent_d4():
+    # the star's per-colour neighbour fractions add up to the closed-form
+    # alpha_u, and its centre probability is alpha_v; sweep all of d=4
+    lam = F(2, 3)
+    for config in enumerate_configs(4):
+        ov, ou, (a1u, a2u) = star_oracle(config, lam)
+        assert a1u + a2u == ou == alpha_u(config, lam), config.key_text()
+        assert ov == alpha_v(config, lam), config.key_text()
 
 
 def test_enumerate_d1_lists():
