@@ -316,22 +316,21 @@ def local_alphas(stats: ConfigStats, d: int, lam: Fraction) -> tuple[int, int, i
     as integers over one positive denominator: (X_v, X_u, D) with
     alpha_v = X_v / D and alpha_u = X_u / D.
 
-    At lam = p/q, p0, p12, p0' and p12' are evaluated once each as
-    integers scaled by q^d (P0, P12, P0', P12'), and
+    At lam = p/q, one pass over each of p0 and p12 gives its value and
+    first moment lam * p', scaled by q^d (P0, M0 and P12, M12), and
 
         X_v = q d p P12,
-        X_u = p (q P0' + p P12'),
+        X_u = q (q M0 + p M12),
         D   = q d (q P0 + p P12) > 0,
 
-    so no gcd is taken until a caller builds a Fraction.
+    so no derivative polynomial is built and no gcd is taken until a
+    caller builds a Fraction.
     """
     p, q = lam.numerator, lam.denominator
-    big_p0 = stats.p0.scaled_eval(p, q, d)
-    big_p12 = stats.p12.scaled_eval(p, q, d)
-    big_dp0 = stats.p0.derivative().scaled_eval(p, q, d)
-    big_dp12 = stats.p12.derivative().scaled_eval(p, q, d)
+    big_p0, moment0 = stats.p0.scaled_eval(p, q, d)
+    big_p12, moment12 = stats.p12.scaled_eval(p, q, d)
     qd = q * d
-    return qd * p * big_p12, p * (q * big_dp0 + p * big_dp12), qd * (q * big_p0 + p * big_p12)
+    return qd * p * big_p12, q * (q * moment0 + p * moment12), qd * (q * big_p0 + p * big_p12)
 
 
 def alpha_v(config: Configuration, lam: Fraction) -> Fraction:

@@ -95,9 +95,10 @@ def estimate_occupancy(
     `thinning` steps, `samples` times.  Deterministic for a fixed seed.
     When series_out is given, (step, fraction) pairs are appended to it.
 
-    The activity passes check_activity, then runs as float(lam); one that
-    rounds to 0.0, or so large that 1.0 + 2 * lam is infinite, is refused
-    with a DomainError, since the chain would not be the heat-bath chain.
+    The activity passes check_activity, then runs as float(lam); one so
+    small that 1.0 + lam == 1.0 (0.0 included), or so large that
+    1.0 + 2 * lam is infinite, is refused with a DomainError, since the
+    chain would not be the heat-bath chain.
     """
     try:
         lam_float = float(check_activity(lam))
@@ -107,11 +108,12 @@ def estimate_occupancy(
     # 1.0 + lam * (ok1 + ok2) bit for bit
     total2 = 1.0 + lam_float * 2
     total1 = 1.0 + lam_float
-    # at 0.0 no vertex would ever be coloured; with total2 infinite the
-    # draw rand() * total2 would never fall below total1, so colour 1
-    # would never be placed
-    if not lam_float or total2 == inf:
-        size = "large" if lam_float else "small"
+    # with total1 == 1.0 the draw rand() * total1 always falls below 1.0
+    # and no vertex is ever coloured; with total2 infinite the draw
+    # rand() * total2 would never fall below total1, so colour 1 would
+    # never be placed
+    if total1 == 1.0 or total2 == inf:
+        size = "large" if total2 == inf else "small"
         raise DomainError(
             f"activity {number_text(lam)} is too {size} for the sampler's floats"
         )

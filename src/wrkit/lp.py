@@ -417,8 +417,9 @@ def _slack_numerators(
     S = A D + C (X_v - X_u) - B X_v.  With the claims bound
     (1+lam) r_d = E/G, the claims form
     (1+lam) r_d - (p0' + lam p12') / (2 p0 - p12) is S2 / (G M), with
-    S2 = E M - G N, N = q P0' + p P12' and M = q (2 P0 - P12) at
-    lam = p/q, both taken from the column times q d p > 0:
+    S2 = E M - G N, N = q^(d+1) (p0' + lam p12') and
+    M = q^(d+1) (2 p0 - p12) at lam = p/q, both taken from the column
+    times q d p > 0:
     M = 2 p D - (2 p + q) X_v and N = q d X_u.  M is 0 on the all-empty
     class, where the claims form is undefined.
     """

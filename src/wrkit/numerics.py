@@ -24,7 +24,12 @@ Partition polynomials come in two shapes:
 Coefficients are plain Python ints (arbitrary precision); a partition
 polynomial of a 20-vertex graph has coefficients of order 3**20 and must
 not overflow.  Both shapes evaluate at rational points in integers, with
-the denominators cleared, and build one Fraction per value.
+the denominators cleared, and build one Fraction per value.  Their
+``scaled_eval`` returns, from the same one integer pass, the value and
+the first moments (x P' for one activity; x P_x and y P_y for two), all
+over one common power of the denominators: a ratio of a moment to the
+value, such as an occupancy fraction, is then a single Fraction, and no
+derivative polynomial is built.
 
 Every CSV report in the package (verify, scan, lp, dualcert, configs and
 the sampler's series) is rendered by ``csv_text``: one header line, one
@@ -208,27 +213,36 @@ class IntPolynomial:
             for c in reversed(coeffs):
                 acc = acc * x + c
             return acc
-        acc, scale = self._homogeneous(x.numerator, x.denominator)
-        return Fraction(acc, scale)
-
-    def _homogeneous(self, p: int, q: int) -> tuple[int, int]:
-        """(q^m * P(p/q), q^m) for a nonzero P of degree m, in integers."""
-        coeffs = self.coeffs
+        p, q = x.numerator, x.denominator
         acc = coeffs[-1]
         scale = 1
         for c in reversed(coeffs[:-1]):
             scale *= q
             acc = acc * p + c * scale
-        return acc, scale
+        return Fraction(acc, scale)
 
-    def scaled_eval(self, p: int, q: int, n: int) -> int:
-        """q^n * P(p/q) as an integer, for any n at least the degree."""
-        if not self.coeffs:
-            return 0
+    def scaled_eval(self, p: int, q: int, n: int) -> tuple[int, int]:
+        """The value and first moment at x = p/q, both times q^n, as
+        integers: (q^n P(x), q^n x P'(x)), for any n at least the degree.
+
+        One pass over the coefficients with the cleared powers
+        p^k q^(n-k) sums c_k p^k q^(n-k) times 1 and times k, so no
+        derivative polynomial is built.  A ratio such as x P'(x) / P(x)
+        is then one Fraction of the two, and the scale q^n cancels.
+        """
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0, 0
         if n < self.degree:
             raise UsageError(f"scale q^{n} is below the degree {self.degree}")
-        acc, _ = self._homogeneous(p, q)
-        return acc * q ** (n - self.degree)
+        powers = _cleared_powers(p, q, n)
+        value = moment = 0
+        for k, c in enumerate(coeffs):
+            if c:
+                term = c * powers[k]
+                value += term
+                moment += k * term
+        return value, moment
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -271,10 +285,9 @@ def binomial_power(k: int) -> IntPolynomial:
     return IntPolynomial(math.comb(k, i) for i in range(k + 1))
 
 
-def _cleared_powers(x: Fraction | int, k: int) -> list[int]:
-    """The powers x^i for i = 0..k, each times q^k where x = p/q: the
+def _cleared_powers(p: int, q: int, k: int) -> list[int]:
+    """The powers x^i of x = p/q for i = 0..k, each times q^k: the
     integers p^i * q^(k-i).  Entry 0 is the common denominator q^k."""
-    p, q = x.numerator, x.denominator
     p_pow = [1]
     q_pow = [1]
     for _ in range(k):
@@ -344,8 +357,8 @@ class BivariatePolynomial:
             return 0
         if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
             return sum(c * x**i * y**j for (i, j), c in coeffs.items())
-        xs = _cleared_powers(x, max(i for i, _ in coeffs))
-        ys = _cleared_powers(y, max(j for _, j in coeffs))
+        xs = _cleared_powers(x.numerator, x.denominator, max(i for i, _ in coeffs))
+        ys = _cleared_powers(y.numerator, y.denominator, max(j for _, j in coeffs))
         acc = 0
         for (i, j), c in coeffs.items():
             acc += c * xs[i] * ys[j]
@@ -353,17 +366,27 @@ class BivariatePolynomial:
             return acc
         return Fraction(acc, xs[0] * ys[0])
 
-    def partial(self, variable_index: int) -> "BivariatePolynomial":
-        """Formal partial derivative; variable_index is 1 or 2."""
-        if variable_index not in (1, 2):
-            raise UsageError(f"variable index must be 1 or 2, got {variable_index}")
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.coeffs.items():
-            if variable_index == 1 and i > 0:
-                out[(i - 1, j)] = c * i
-            elif variable_index == 2 and j > 0:
-                out[(i, j - 1)] = c * j
-        return BivariatePolynomial(out)
+    def scaled_eval(self, p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
+        """The value and both first moments at x = p/q, y = r/s, each times
+        q^I s^J (I and J the degrees in x and in y), as integers:
+        (S, S1, S2) with S1 / S = x P_x / P and S2 / S = y P_y / P.
+
+        One pass over the terms with the cleared power tables
+        X_i = p^i q^(I-i) and Y_j = r^j s^(J-j) sums c X_i Y_j times 1,
+        i and j, so no partial-derivative polynomial is built.
+        """
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0, 0, 0
+        xs = _cleared_powers(p, q, max(i for i, _ in coeffs))
+        ys = _cleared_powers(r, s, max(j for _, j in coeffs))
+        value = moment1 = moment2 = 0
+        for (i, j), c in coeffs.items():
+            term = c * xs[i] * ys[j]
+            value += term
+            moment1 += i * term
+            moment2 += j * term
+        return value, moment1, moment2
 
     def diagonal(self) -> IntPolynomial:
         """Collapse both variables to a single activity (set them equal)."""

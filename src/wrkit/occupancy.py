@@ -1,10 +1,14 @@
 """Exact occupancy fractions for the Widom-Rowlinson model.
 
 The occupancy fraction is the expected fraction of coloured vertices
-under the model; it equals the scaled logarithmic derivative of the
-partition polynomial, so everything here reduces to exact polynomial
-evaluation with Fractions.  The two-activity variants (per-colour and
-weighted) come from partial derivatives of the bivariate polynomial.
+under the model: the first moment lam P'(lam) of the partition
+polynomial over n times its value P(lam).  At lam = p/q both come, as
+integers over the same power of q, from one pass over the coefficients
+(IntPolynomial.scaled_eval), and the result is the one Fraction of the
+two.  The two-activity variants (per colour and weighted) take the
+value and both first moments of the bivariate polynomial from one such
+pass (BivariatePolynomial.scaled_eval).  The complete graph's values
+are closed forms in the integers p, q (and r, s).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from math import comb
 
 from .errors import DomainError, VerificationError
 from .graphs import Graph
-from .numerics import binomial_power, check_activity
+from .numerics import check_activity
 from .partition import wr_partition, wr_partition_bivariate
 
 
@@ -39,42 +43,61 @@ def _check_vertices(g: Graph) -> None:
 
 
 def occupancy_fraction(g: Graph, lam: Fraction) -> Fraction:
-    """Expected coloured fraction: activity * P'/ (n * P), exactly."""
+    """Expected coloured fraction lam P'(lam) / (n P(lam)), exactly: at
+    lam = p/q, Fraction(M, n V) with (V, M) the value and first moment
+    of P scaled by q^deg P."""
     lam = check_activity(lam)
     _check_vertices(g)
     p = wr_partition(g)
-    return lam * p.derivative().eval(lam) / (g.n * p.eval(lam))
+    value, moment = p.scaled_eval(lam.numerator, lam.denominator, p.degree)
+    return Fraction(moment, g.n * value)
 
 
 def alpha_K(d: int, lam: Fraction) -> Fraction:
     """Occupancy fraction of the complete graph on d+1 vertices, in closed form:
-    2*lam*(1+lam)^d / (2*(1+lam)^(d+1) - 1)."""
+    2 lam (1+lam)^d / (2 (1+lam)^(d+1) - 1), which at lam = p/q is
+    2 p (p+q)^d / (2 (p+q)^(d+1) - q^(d+1))."""
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
     lam = check_activity(lam)
-    grow = (1 + lam) ** d
-    return 2 * lam * grow / (2 * grow * (1 + lam) - 1)
+    p, q = lam.numerator, lam.denominator
+    grow = (p + q) ** d
+    return Fraction(2 * p * grow, 2 * grow * (p + q) - q ** (d + 1))
+
+
+def _colour_moments(g: Graph, act: ActivityPair) -> tuple[int, int, int]:
+    """(S, S1, S2): the bivariate partition polynomial's value and its
+    first moments lam1 P_1 and lam2 P_2 at the pair, all over one
+    positive integer scale."""
+    _check_vertices(g)
+    x, y = act.lambda1, act.lambda2
+    return wr_partition_bivariate(g).scaled_eval(
+        x.numerator, x.denominator, y.numerator, y.denominator
+    )
 
 
 def occupancy_by_colour(g: Graph, act: ActivityPair) -> tuple[Fraction, Fraction]:
     """Expected fraction of vertices receiving colour 1 and colour 2.
 
-    Computed as lam_i * (dP/dlam_i) / (n * P) from the exact bivariate
-    partition polynomial.
+    Each is lam_i (dP/dlam_i) / (n P) for the exact bivariate partition
+    polynomial P: Fraction(S1, n S) and Fraction(S2, n S) from its value
+    and first moments.
     """
-    _check_vertices(g)
-    p = wr_partition_bivariate(g)
-    x, y = act.lambda1, act.lambda2
-    denom = g.n * p.eval(x, y)
-    a1 = x * p.partial(1).eval(x, y) / denom
-    a2 = y * p.partial(2).eval(x, y) / denom
-    return a1, a2
+    value, moment1, moment2 = _colour_moments(g, act)
+    denom = g.n * value
+    return Fraction(moment1, denom), Fraction(moment2, denom)
 
 
 def weighted_occupancy(g: Graph, act: ActivityPair) -> Fraction:
-    """Cross-weighted combination (lam2*a1 + lam1*a2) / (lam1 + lam2)."""
-    a1, a2 = occupancy_by_colour(g, act)
-    return (act.lambda2 * a1 + act.lambda1 * a2) / (act.lambda1 + act.lambda2)
+    """Cross-weighted combination (lam2*a1 + lam1*a2) / (lam1 + lam2) of
+    the per-colour fractions a1, a2: at lam1 = p/q and lam2 = r/s it is
+    Fraction(r q S1 + p s S2, n S (p s + r q)), one Fraction."""
+    value, moment1, moment2 = _colour_moments(g, act)
+    p, q = act.lambda1.numerator, act.lambda1.denominator
+    r, s = act.lambda2.numerator, act.lambda2.denominator
+    return Fraction(
+        r * q * moment1 + p * s * moment2, g.n * value * (p * s + r * q)
+    )
 
 
 def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:
@@ -82,16 +105,21 @@ def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:
 
     Closed form via the bivariate partition polynomial of the complete
     graph: every colouring is monochromatic, so
-    P = (1+x)^(d+1) + (1+y)^(d+1) - 1.
+    P = (1+x)^(d+1) + (1+y)^(d+1) - 1 and the weighted occupancy is
+    x y ((1+x)^d + (1+y)^d) / ((x + y) P).  At x = p/q and y = r/s it is
+    p r q s (A s^d + B q^d) / ((p s + r q)(A (p+q) s^(d+1)
+    + B (r+s) q^(d+1) - q^(d+1) s^(d+1))), with A = (p+q)^d and
+    B = (r+s)^d.
     """
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    x, y = act.lambda1, act.lambda2
-    px = binomial_power(d + 1)
-    denom = (d + 1) * (px.eval(x) + px.eval(y) - 1)
-    a1 = x * px.derivative().eval(x) / denom
-    a2 = y * px.derivative().eval(y) / denom
-    return (y * a1 + x * a2) / (x + y)
+    p, q = act.lambda1.numerator, act.lambda1.denominator
+    r, s = act.lambda2.numerator, act.lambda2.denominator
+    grow1, grow2 = (p + q) ** d, (r + s) ** d
+    q_d, s_d = q**d, s**d
+    numerator = p * r * q * s * (grow1 * s_d + grow2 * q_d)
+    partition = grow1 * (p + q) * s_d * s + grow2 * (r + s) * q_d * q - q_d * q * s_d * s
+    return Fraction(numerator, (p * s + r * q) * partition)
 
 
 def _path_polynomial(g: Graph, offset: Fraction) -> list[Fraction]:

@@ -426,9 +426,9 @@ def test_sample_rejects_nonpositive_activity(capsys):
 
 
 def test_sample_rejects_activity_out_of_float_range(capsys):
-    # 1e400 overflows a float and 1e-400 underflows to 0.0; the exact
-    # activity is named by its order of magnitude
-    for lam, size in (("1e400", "large"), ("1e-400", "small")):
+    # 1e400 overflows a float, 1e-400 underflows to 0.0 and 1.0 + 1e-300
+    # rounds to 1.0; the exact activity is named by its order of magnitude
+    for lam, size in (("1e400", "large"), ("1e-400", "small"), ("1e-300", "small")):
         code, out, err = run(
             capsys, "sample", "--builtin", "cycle:5", "--lambda", lam, "--samples", "10"
         )

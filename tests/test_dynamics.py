@@ -212,12 +212,17 @@ def test_activity_too_large_for_floats():
 
 
 def test_activity_too_small_for_floats():
-    # a positive activity that rounds to 0.0 would never colour a vertex
+    # an activity with 1.0 + lam == 1.0 would never colour a vertex: one
+    # that rounds to 0.0, the smallest positive float and 2**-53 alike
     with pytest.raises(DomainError) as info:
         estimate_occupancy(make_cycle(5), F(1, 10**400), burn_in=10, samples=10)
     assert str(info.value) == "activity about 1e-400 is too small for the sampler's floats"
-    # the smallest positive float is still a float activity
-    est, _ = estimate_occupancy(make_cycle(5), 5e-324, burn_in=10, samples=10)
+    for lam in (5e-324, 1e-300, 2.0**-53):
+        with pytest.raises(DomainError) as info:
+            estimate_occupancy(make_cycle(5), lam, burn_in=10, samples=10)
+        assert str(info.value) == f"activity {lam} is too small for the sampler's floats"
+    # 2**-52 is the smallest power of two that 1.0 + lam still sees
+    est, _ = estimate_occupancy(make_cycle(5), 2.0**-52, burn_in=10, samples=10)
     assert 0 <= est <= 1
 
 

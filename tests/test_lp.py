@@ -16,6 +16,7 @@ from wrkit.configurations import (
     complete_neighbourhood_config,
     empty_lists_config,
     enumerate_configs,
+    local_alphas,
     local_partition_functions,
     reduced_configs,
     single_colour_config,
@@ -330,6 +331,23 @@ def test_shared_values_match_direct_evaluation():
         assert lp.configs == tuple(first.values())
         assert set(first) == full_columns
     assert len(lp.configs) == 390  # d = 5
+
+
+@pytest.mark.parametrize("lam", (F(1, 3), F(1), F(3, 2), F(7), F(10**6, 999999)), ids=str)
+def test_local_alphas_match_the_derivative_route(lam):
+    # local_alphas takes lam p0' and lam p12' as first moments; here p0'
+    # and p12' are built as polynomials, on every reduced class at d <= 4:
+    # the same Fractions, and X_u the same integer p (q P0' + p P12'),
+    # P' = q^d p'(lam)
+    p, q = lam.numerator, lam.denominator
+    for d in range(1, 5):
+        for config in reduced_configs(d):
+            stats = local_partition_functions(config)
+            x_v, x_u, den = local_alphas(stats, d, lam)
+            assert (F(x_v, den), F(x_u, den)) == fraction_alphas(stats, d, lam)
+            big_dp0 = q**d * stats.p0.derivative().eval(lam)
+            big_dp12 = q**d * stats.p12.derivative().eval(lam)
+            assert x_u == p * (q * big_dp0 + p * big_dp12)
 
 
 EXTREME_GRID = (F(1, 10**6), F(1, 3), F(1), F(999999, 10**6), F(7), F(10**6))

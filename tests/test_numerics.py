@@ -59,13 +59,21 @@ def test_eval():
 
 
 def test_scaled_eval_is_q_power_times_value():
+    # (q^n P(x), q^n x P'(x)) at x = p/q, against the derivative route
     rng = random.Random(17)
     for _ in range(50):
         poly = IntPolynomial(rng.randint(-9, 9) for _ in range(rng.randint(0, 7)))
         p, q = rng.randint(1, 30), rng.randint(1, 30)
         n = max(poly.degree, 0) + rng.randint(0, 3)
-        assert poly.scaled_eval(p, q, n) == q**n * poly.eval(Fraction(p, q))
-    assert IntPolynomial().scaled_eval(3, 2, 0) == 0
+        x = Fraction(p, q)
+        assert poly.scaled_eval(p, q, n) == (
+            q**n * poly.eval(x),
+            q**n * x * poly.derivative().eval(x),
+        )
+    assert IntPolynomial().scaled_eval(3, 2, 0) == (0, 0)
+    assert IntPolynomial([5, 0, 1]).scaled_eval(2, 3, 3) == (
+        3 * (5 * 9 + 4), 3 * 2 * 4
+    )
     with pytest.raises(UsageError):
         IntPolynomial([1, 2, 3]).scaled_eval(1, 2, 1)
 
@@ -112,14 +120,6 @@ def test_rational_round_trip():
     for bad in ("1.5", "x", "3/", "/2", "1/0", ""):
         with pytest.raises(ParseError):
             parse_rational(bad)
-
-
-def test_bivariate_partial():
-    xy = BivariatePolynomial({(1, 1): 1})
-    assert xy.partial(1) == BivariatePolynomial({(0, 1): 1})
-    assert xy.partial(2) == BivariatePolynomial({(1, 0): 1})
-    with pytest.raises(UsageError):
-        xy.partial(3)
 
 
 def test_bivariate_eval_and_diagonal():

@@ -1,7 +1,8 @@
 """Property tests on random graphs with at most 8 vertices: the component
-walker, the algebraic identities of the partition polynomials and the
-edge-list text format; and on random polynomials: exact evaluation
-against plain Fraction arithmetic."""
+walker, the algebraic identities of the partition polynomials, the
+edge-list text format and the occupancy fractions against derivative
+routes; and on random polynomials: exact evaluation, value and first
+moments against plain Fraction arithmetic."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -17,7 +18,17 @@ from wrkit.graphs import (
     parse_edge_list,
 )
 from wrkit.numerics import BivariatePolynomial, IntPolynomial
+from wrkit.occupancy import (
+    ActivityPair,
+    alpha_K,
+    occupancy_by_colour,
+    occupancy_fraction,
+    weighted_occupancy,
+    weighted_occupancy_K,
+)
 from wrkit.partition import wr_partition, wr_partition_bivariate, wr_partition_brute
+
+from test_occupancy import brute_colour_expectations
 
 
 def serialize_edge_list(g):
@@ -31,8 +42,8 @@ MAX_N = 8
 
 
 @st.composite
-def graphs(draw, max_n=MAX_N):
-    n = draw(st.integers(0, max_n))
+def graphs(draw, max_n=MAX_N, min_n=0):
+    n = draw(st.integers(min_n, max_n))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
@@ -182,3 +193,100 @@ def test_bivariate_eval_matches_term_sum(coeffs, x, y):
     value = p.eval(x, y)
     assert value == term_sum_oracle(p.coeffs, x, y)
     assert type(value) is expected_type([x, y], p.coeffs)
+
+
+def moments_oracle(coeffs, x, y):
+    """The value and both first moments, x P_x and y P_y, term by term."""
+    value = moment1 = moment2 = 0
+    for (i, j), c in coeffs.items():
+        term = c * x**i * y**j
+        value += term
+        moment1 += i * term
+        moment2 += j * term
+    return value, moment1, moment2
+
+
+_rationals = st.fractions(-12, 12, max_denominator=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_coefficients, max_size=14), _rationals, st.integers(0, 3))
+def test_scaled_eval_is_value_and_moment(coeffs, x, extra):
+    p = IntPolynomial(coeffs)
+    n = max(p.degree, 0) + extra
+    scale = x.denominator**n
+    assert p.scaled_eval(x.numerator, x.denominator, n) == (
+        scale * horner_oracle(p.coeffs, x),
+        scale * x * horner_oracle(p.derivative().coeffs, x),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)), _coefficients, max_size=16),
+    _rationals,
+    _rationals,
+)
+def test_bivariate_scaled_eval_is_value_and_moments(coeffs, x, y):
+    p = BivariatePolynomial(coeffs)
+    scaled = p.scaled_eval(x.numerator, x.denominator, y.numerator, y.denominator)
+    if not p.coeffs:
+        assert scaled == (0, 0, 0)
+        return
+    scale = (
+        x.denominator ** max(i for i, _ in p.coeffs)
+        * y.denominator ** max(j for _, j in p.coeffs)
+    )
+    assert scaled == tuple(scale * m for m in moments_oracle(p.coeffs, x, y))
+
+
+# activities p/q with p and q up to 10^6, the range the CLI's extreme
+# activity checks reach
+_activities = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+def partial_sum_oracle(g, x, y):
+    """(x P_x / (n P), y P_y / (n P)) from partial-derivative sums of the
+    bivariate polynomial, each factor a Fraction."""
+    value, moment1, moment2 = moments_oracle(wr_partition_bivariate(g).coeffs, x, y)
+    return moment1 / (g.n * value), moment2 / (g.n * value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=1), _activities)
+def test_occupancy_fraction_is_the_log_derivative(g, lam):
+    p = wr_partition(g)
+    assert occupancy_fraction(g, lam) == lam * p.derivative().eval(lam) / (g.n * p.eval(lam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=1), _activities, _activities)
+def test_occupancy_by_colour_and_weighted(g, x, y):
+    act = ActivityPair(x, y)
+    a1, a2 = occupancy_by_colour(g, act)
+    assert (a1, a2) == partial_sum_oracle(g, x, y)
+    if g.n <= 6:
+        assert (a1, a2) == brute_colour_expectations(g, act)
+    assert weighted_occupancy(g, act) == (y * a1 + x * a2) / (x + y)
+
+
+def alpha_K_fraction(d, lam):
+    """2 lam (1+lam)^d / (2 (1+lam)^(d+1) - 1) in Fractions."""
+    grow = (1 + lam) ** d
+    return 2 * lam * grow / (2 * grow * (1 + lam) - 1)
+
+
+def weighted_occupancy_K_fraction(d, x, y):
+    """(y a1 + x a2) / (x + y) for P = (1+x)^(d+1) + (1+y)^(d+1) - 1,
+    a_i = lam_i (d+1) (1+lam_i)^d / ((d+1) P), in Fractions."""
+    denom = (d + 1) * ((1 + x) ** (d + 1) + (1 + y) ** (d + 1) - 1)
+    a1 = x * (d + 1) * (1 + x) ** d / denom
+    a2 = y * (d + 1) * (1 + y) ** d / denom
+    return (y * a1 + x * a2) / (x + y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), _activities, _activities)
+def test_complete_graph_closed_forms(d, x, y):
+    assert alpha_K(d, x) == alpha_K_fraction(d, x)
+    assert weighted_occupancy_K(d, ActivityPair(x, y)) == weighted_occupancy_K_fraction(d, x, y)
