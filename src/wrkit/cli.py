@@ -148,12 +148,6 @@ def _write_or_print(text: str, csv_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _feasibility(args, lam: Fraction) -> tuple[lp.DualCertificate, lp.FeasibilityReport]:
-    """The dual certificate at (--d, lam) and its exact feasibility report."""
-    cert = lp.dual_certificate(args.d, lam)
-    return cert, lp.verify_dual_feasibility(cert, args.d, lam)
-
-
 def cmd_partition(args) -> int:
     graph = _load_graph(args)
     # a bad activity is refused before anything is printed
@@ -254,7 +248,7 @@ def cmd_lp(args) -> int:
 
 def cmd_dualcert(args) -> int:
     lam = parse_rational(args.lam)
-    cert, report = _feasibility(args, lam)
+    cert, report = lp.feasibility(args.d, lam)
     print(
         f"Lambda_p={format_rational(cert.lambda_p)} "
         f"Lambda_c={format_rational(cert.lambda_c)} "
@@ -273,7 +267,7 @@ def cmd_configs(args) -> int:
     configs = enumerate_configs(args.d)
     print(f"d={args.d}: {len(configs)} configuration classes")
     if lam is not None:
-        _, report = _feasibility(args, lam)
+        _, report = lp.feasibility(args.d, lam)
         _write_or_print(lp.config_report_csv(report), args.csv)
     else:
         for config in configs:

@@ -348,7 +348,7 @@ def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
     return Fraction(x_u, den)
 
 
-def _check_degree(d: int) -> None:
+def check_degree(d: int) -> None:
     """The degrees the class enumerations accept, checked before any work."""
     if d < 1:
         raise UsageError(f"degree must be >= 1, got {d}")
@@ -380,7 +380,7 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
     label-preserving isomorphism class, in canonical key order: the graph
     classes come in increasing code and, within one, the orbit firsts in
     increasing lists, so the keys come out sorted with no sort."""
-    _check_degree(d)
+    check_degree(d)
     return tuple(
         _stamped(graph, code, lists)
         for code, graph, firsts in _orbit_firsts(d, (0, 1, 2, 3))
@@ -406,7 +406,7 @@ def count_configs(d: int) -> int:
     """len(enumerate_configs(d)) by Burnside's lemma, without enumerating:
     the automorphisms g of a graph class H split the 4^d list assignments
     into (1/|Aut H|) * sum over g of 4^cycles(g) orbits."""
-    _check_degree(d)
+    check_degree(d)
     return sum(
         sum(4 ** _cycle_count(perm) for perm in autos) // len(autos)
         for _, autos in graphs_up_to_iso(d)
@@ -438,7 +438,7 @@ def reduced_configs(d: int) -> tuple[Configuration, ...]:
     unchanged.  With k = d the representative is canonical and carries
     its key.
     """
-    _check_degree(d)
+    check_degree(d)
     out = []
     for k in range(d + 1):
         pad = (NO_COLOURS,) * (d - k)

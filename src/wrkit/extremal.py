@@ -42,6 +42,7 @@ from .occupancy import (
     ActivityPair,
     alpha_K,
     occupancy_fraction,
+    partition_K,
     weighted_occupancy,
     weighted_occupancy_K,
 )
@@ -123,8 +124,8 @@ def verify_partition_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     P_G(lam)^(d+1) compared with P_clique(lam)^n."""
     _require_regular(g, d)
     lam = check_activity(lam)
-    lhs = Fraction(wr_partition(g).eval(lam)) ** (d + 1)
-    rhs = Fraction(wr_partition(make_complete(d + 1)).eval(lam)) ** g.n
+    lhs = wr_partition(g).eval(lam) ** (d + 1)
+    rhs = wr_partition(make_complete(d + 1)).eval(lam) ** g.n
     return _compare(
         BoundReport, g, d, lhs, rhs, is_union_of_complete(g, d + 1),
         check="partition", activity=format_rational(lam),
@@ -219,11 +220,10 @@ def conjecture_scan(
         _require_regular(g, d)
         expected = is_union_of_complete(g, d + 1)
         p_g = wr_partition_bivariate(g)
-        p_k = wr_partition_bivariate(make_complete(d + 1))
         for act in grid:
             x, y = act.lambda1, act.lambda2
-            lhs = Fraction(p_g.eval(x, y)) ** (d + 1)
-            rhs = Fraction(p_k.eval(x, y)) ** g.n
+            lhs = p_g.eval(x, y) ** (d + 1)
+            rhs = partition_K(d, act) ** g.n
             findings.append(_compare(
                 ScanFinding, g, d, lhs, rhs, expected,
                 lambda1=x, lambda2=y, check="partition",

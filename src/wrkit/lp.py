@@ -66,6 +66,7 @@ from .configurations import (
     ConfigStats,
     Configuration,
     BOTH_COLOURS,
+    check_degree,
     complete_neighbourhood_config,
     count_configs,
     empty_lists_config,
@@ -279,8 +280,6 @@ def vertex_enumeration_solve(lp: LPInstance) -> LPSolution:
 
 def dual_certificate(d: int, lam: Fraction) -> DualCertificate:
     """The certified dual point; both closed forms of lambda_c must agree."""
-    if d < 1:
-        raise UsageError(f"degree must be >= 1, got {d}")
     lam = check_activity(lam)
     a_k = alpha_K(d, lam)
     grow = (1 + lam) ** d
@@ -499,6 +498,15 @@ def verify_dual_feasibility(
     )
 
 
+def feasibility(d: int, lam: Fraction) -> tuple[DualCertificate, FeasibilityReport]:
+    """The dual certificate at (d, lam) and its exact feasibility report;
+    a bad activity, then a bad degree, is refused before any arithmetic."""
+    lam = check_activity(lam)
+    check_degree(d)
+    cert = dual_certificate(d, lam)
+    return cert, verify_dual_feasibility(cert, d, lam)
+
+
 def config_report_csv(report: FeasibilityReport) -> str:
     """CSV rendering: one row per configuration class.  The rows of one
     signature share its alpha_v, alpha_u, slack and tight cells, so those
@@ -549,8 +557,7 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     there, with weight 1.
     """
     lam = check_activity(lam)
-    cert = dual_certificate(d, lam)
-    report = verify_dual_feasibility(cert, d, lam)
+    _, report = feasibility(d, lam)
     if report.violations:
         raise VerificationError("dual certificate is infeasible; no uniqueness")
 

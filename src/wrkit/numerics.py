@@ -23,10 +23,10 @@ Partition polynomials come in two shapes:
 
 Coefficients are plain Python ints (arbitrary precision); a partition
 polynomial of a 20-vertex graph has coefficients of order 3**20 and must
-not overflow.  Both shapes evaluate at rational points in integers, with
-the denominators cleared, and build one Fraction per value.  Their
-``scaled_eval`` returns, from the same one integer pass, the value and
-the first moments (x P' for one activity; x P_x and y P_y for two), all
+not overflow.  Both shapes evaluate at ints or Fractions (n being n/1) in
+integers, with the denominators cleared, and build at most one Fraction.
+Their ``scaled_eval`` returns, from the same one integer pass, the value
+and the first moments (x P' for one activity; x P_x and y P_y for two), all
 over one common power of the denominators: a ratio of a moment to the
 value, such as an occupancy fraction, is then a single Fraction, and no
 derivative polynomial is built.
@@ -94,22 +94,20 @@ def check_activity(lam: Fraction | float) -> Fraction:
 
 
 def format_rational(x: Fraction | int) -> str:
-    """Serialise a rational as ``p/q`` (or ``p`` when the denominator is 1)."""
-    return str(Fraction(x))
+    """``p/q``, or ``p`` when the denominator is 1: str of an int or a Fraction."""
+    return str(x)
 
 
 def _csv_cell(value: object) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     return str(value)
 
 
 def csv_text(header: str, rows: Iterable[Iterable[object]]) -> str:
     """The header line, then one line per row: its cells joined by commas,
-    a bool as 1 or 0, a Fraction as ``format_rational`` writes it and any
-    other cell by ``str``.  No cell is quoted; the caller quotes text."""
+    a bool as 1 or 0 and any other cell by ``str``, so a Fraction in the
+    ``format_rational`` form.  No cell is quoted; the caller quotes text."""
     lines = [header]
     lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
@@ -190,12 +188,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int = 1) -> "IntPolynomial":
-        """Multiply by the k-th power of the variable."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def derivative(self) -> "IntPolynomial":
         """Formal derivative; drops the degree by exactly one when nonconstant."""
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -203,22 +195,21 @@ class IntPolynomial:
     def eval(self, x: Fraction | int) -> Fraction | int:
         """Exact value at x (int in, int out; Fraction in, Fraction out).
 
-        At x = p/q a homogeneous Horner scheme runs in integers,
-        acc = acc*p + c*q^k, and the one Fraction(acc, q^degree) is built
-        at the end.  Any other argument (a float, say) gets plain Horner.
+        At x = p/q (an int is p/1) a homogeneous Horner scheme runs in
+        integers, acc = acc*p + c*q^k; a Fraction(acc, q^degree) is built
+        at the end.  The zero polynomial is 0.
         """
         coeffs = self.coeffs
-        if not isinstance(x, Fraction) or not coeffs:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
+        if not coeffs:
+            return 0
         p, q = x.numerator, x.denominator
         acc = coeffs[-1]
         scale = 1
         for c in reversed(coeffs[:-1]):
             scale *= q
             acc = acc * p + c * scale
+        if isinstance(x, int):
+            return acc
         return Fraction(acc, scale)
 
     def scaled_eval(self, p: int, q: int, n: int) -> tuple[int, int]:
@@ -299,14 +290,17 @@ def _cleared_powers(p: int, q: int, k: int) -> list[int]:
 class BivariatePolynomial:
     """Immutable sparse polynomial in two activities with integer coefficients.
 
-    Stored as a map from exponent pairs (i, j) to nonzero coefficients.
+    Stored as a map from exponent pairs (i, j) to nonzero coefficients and
+    the degrees in x and in y (-1 for the zero polynomial), found once.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "degree_x", "degree_y")
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] = ()):
         cleaned = {k: v for k, v in dict(coeffs).items() if v != 0}
         object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "degree_x", max((i for i, _ in cleaned), default=-1))
+        object.__setattr__(self, "degree_y", max((j for _, j in cleaned), default=-1))
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
@@ -347,18 +341,15 @@ class BivariatePolynomial:
         """Exact value at the point (x, y) (ints in, int out; a Fraction in,
         Fraction out).
 
-        At x = p/q and y = r/s the sum runs in integers over the power
-        tables p^i q^(I-i) and r^j s^(J-j), I and J the degrees in x and
-        y, and is divided by q^I s^J once.  Any other argument (a float,
-        say) gets the plain term sum.
+        At x = p/q and y = r/s (an int is p/1) the sum runs in integers over
+        the power tables p^i q^(I-i) and r^j s^(J-j), I and J the degrees in
+        x and y, and is divided by q^I s^J once.  The zero polynomial is 0.
         """
         coeffs = self.coeffs
         if not coeffs:
             return 0
-        if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
-            return sum(c * x**i * y**j for (i, j), c in coeffs.items())
-        xs = _cleared_powers(x.numerator, x.denominator, max(i for i, _ in coeffs))
-        ys = _cleared_powers(y.numerator, y.denominator, max(j for _, j in coeffs))
+        xs = _cleared_powers(x.numerator, x.denominator, self.degree_x)
+        ys = _cleared_powers(y.numerator, y.denominator, self.degree_y)
         acc = 0
         for (i, j), c in coeffs.items():
             acc += c * xs[i] * ys[j]
@@ -378,8 +369,8 @@ class BivariatePolynomial:
         coeffs = self.coeffs
         if not coeffs:
             return 0, 0, 0
-        xs = _cleared_powers(p, q, max(i for i, _ in coeffs))
-        ys = _cleared_powers(r, s, max(j for _, j in coeffs))
+        xs = _cleared_powers(p, q, self.degree_x)
+        ys = _cleared_powers(r, s, self.degree_y)
         value = moment1 = moment2 = 0
         for (i, j), c in coeffs.items():
             term = c * xs[i] * ys[j]
@@ -390,8 +381,7 @@ class BivariatePolynomial:
 
     def diagonal(self) -> IntPolynomial:
         """Collapse both variables to a single activity (set them equal)."""
-        size = max((i + j for i, j in self.coeffs), default=-1) + 1
-        out = [0] * size
+        out = [0] * (self.degree_x + self.degree_y + 1)
         for (i, j), c in self.coeffs.items():
             out[i + j] += c
         return IntPolynomial(out)

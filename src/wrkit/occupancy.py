@@ -8,7 +8,9 @@ integers over the same power of q, from one pass over the coefficients
 two.  The two-activity variants (per colour and weighted) take the
 value and both first moments of the bivariate polynomial from one such
 pass (BivariatePolynomial.scaled_eval).  The complete graph's values
-are closed forms in the integers p, q (and r, s).
+are closed forms in the integers p, q (and r, s), its two-activity
+value and moments over scaled_eval's scale, so one weighted formula
+serves both.
 """
 
 from __future__ import annotations
@@ -88,38 +90,43 @@ def occupancy_by_colour(g: Graph, act: ActivityPair) -> tuple[Fraction, Fraction
     return Fraction(moment1, denom), Fraction(moment2, denom)
 
 
-def weighted_occupancy(g: Graph, act: ActivityPair) -> Fraction:
-    """Cross-weighted combination (lam2*a1 + lam1*a2) / (lam1 + lam2) of
-    the per-colour fractions a1, a2: at lam1 = p/q and lam2 = r/s it is
-    Fraction(r q S1 + p s S2, n S (p s + r q)), one Fraction."""
-    value, moment1, moment2 = _colour_moments(g, act)
+def _weighted(n: int, moments: tuple[int, int, int], act: ActivityPair) -> Fraction:
+    """(lam2*a1 + lam1*a2) / (lam1 + lam2) on n vertices from (S, S1, S2):
+    at lam1 = p/q and lam2 = r/s, Fraction(r q S1 + p s S2, n S (p s + r q))."""
+    value, moment1, moment2 = moments
     p, q = act.lambda1.numerator, act.lambda1.denominator
     r, s = act.lambda2.numerator, act.lambda2.denominator
-    return Fraction(
-        r * q * moment1 + p * s * moment2, g.n * value * (p * s + r * q)
-    )
+    return Fraction(r * q * moment1 + p * s * moment2, n * value * (p * s + r * q))
 
 
-def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:
-    """Weighted occupancy of the complete graph on d+1 vertices.
+def weighted_occupancy(g: Graph, act: ActivityPair) -> Fraction:
+    """Cross-weighted combination (lam2*a1 + lam1*a2) / (lam1 + lam2) of
+    the per-colour fractions a1, a2."""
+    return _weighted(g.n, _colour_moments(g, act), act)
 
-    Closed form via the bivariate partition polynomial of the complete
-    graph: every colouring is monochromatic, so
-    P = (1+x)^(d+1) + (1+y)^(d+1) - 1 and the weighted occupancy is
-    x y ((1+x)^d + (1+y)^d) / ((x + y) P).  At x = p/q and y = r/s it is
-    p r q s (A s^d + B q^d) / ((p s + r q)(A (p+q) s^(d+1)
-    + B (r+s) q^(d+1) - q^(d+1) s^(d+1))), with A = (p+q)^d and
-    B = (r+s)^d.
-    """
+
+def _clique_moments(d: int, act: ActivityPair) -> tuple[int, int, int]:
+    """(S, S1, S2) of the complete graph on d+1 vertices in closed form, over
+    scaled_eval's scale q^(d+1) s^(d+1): every colouring is monochromatic,
+    so P = (1+x)^(d+1) + (1+y)^(d+1) - 1 and x P_x = (d+1) x (1+x)^d."""
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
     p, q = act.lambda1.numerator, act.lambda1.denominator
     r, s = act.lambda2.numerator, act.lambda2.denominator
-    grow1, grow2 = (p + q) ** d, (r + s) ** d
-    q_d, s_d = q**d, s**d
-    numerator = p * r * q * s * (grow1 * s_d + grow2 * q_d)
-    partition = grow1 * (p + q) * s_d * s + grow2 * (r + s) * q_d * q - q_d * q * s_d * s
-    return Fraction(numerator, (p * s + r * q) * partition)
+    grow1, grow2 = (p + q) ** d * s ** (d + 1), (r + s) ** d * q ** (d + 1)
+    value = (p + q) * grow1 + (r + s) * grow2 - (q * s) ** (d + 1)
+    return value, (d + 1) * p * grow1, (d + 1) * r * grow2
+
+
+def partition_K(d: int, act: ActivityPair) -> Fraction:
+    """Bivariate partition function of the complete graph on d+1 vertices."""
+    value, _, _ = _clique_moments(d, act)
+    return Fraction(value, (act.lambda1.denominator * act.lambda2.denominator) ** (d + 1))
+
+
+def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:
+    """Weighted occupancy of the complete graph on d+1 vertices."""
+    return _weighted(d + 1, _clique_moments(d, act), act)
 
 
 def _path_polynomial(g: Graph, offset: Fraction) -> list[Fraction]:

@@ -520,21 +520,31 @@ def test_configs_refuses_a_bad_activity_before_printing(capsys):
 
 def test_degree_errors_come_before_any_class_work(monkeypatch, tmp_path, capsys):
     # both refusals are the parent's bytes, and come before any graph
-    # enumeration starts
-    from wrkit import configurations
+    # enumeration starts or any certificate arithmetic, whose (1 + lam)^d
+    # alone takes seconds at d = 10^6
+    from wrkit import configurations, lp
 
-    def refuse(n):
-        raise AssertionError(f"graphs enumerated on {n} vertices")
+    def refuse(*args):
+        raise AssertionError(f"work started on {args}")
 
     monkeypatch.setattr(configurations, "graphs_up_to_iso", refuse)
+    monkeypatch.setattr(lp, "dual_certificate", refuse)
     for command in ("lp", "dualcert"):
         for csv in ((), ("--csv", str(tmp_path / "out.csv"))):
             code, out, err = run(capsys, command, "--d", "0", "--lambda", "1", *csv)
             assert (code, out, err) == (EXIT_USAGE, "", "error: degree must be >= 1, got 0\n")
-            code, out, err = run(capsys, command, "--d", "7", "--lambda", "1", *csv)
-            assert (code, out) == (EXIT_CAPACITY, "")
-            assert err == "capacity error: configuration enumeration capped at 6, got 7\n"
+            for d in ("7", "1000000"):
+                code, out, err = run(capsys, command, "--d", d, "--lambda", "7/3", *csv)
+                assert (code, out) == (EXIT_CAPACITY, "")
+                assert err == f"capacity error: configuration enumeration capped at 6, got {d}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_activity_errors_come_before_degree_errors(capsys):
+    for command in ("lp", "dualcert", "configs"):
+        code, out, err = run(capsys, command, "--d", "0", "--lambda", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: activity must be strictly positive, got -1\n"
 
 
 def test_capacity_exit(capsys):

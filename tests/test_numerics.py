@@ -78,11 +78,6 @@ def test_scaled_eval_is_q_power_times_value():
         IntPolynomial([1, 2, 3]).scaled_eval(1, 2, 1)
 
 
-def test_shift():
-    assert P([1, 2]).shift(2) == P([0, 0, 1, 2])
-    assert P().shift(3) == P()
-
-
 def test_normalisation_and_zero():
     assert P([1, 2, 0, 0]).coeffs == (1, 2)
     assert P([0, 0]) == P()

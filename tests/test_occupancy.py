@@ -14,10 +14,11 @@ from wrkit.occupancy import (
     free_energy_derivative,
     occupancy_by_colour,
     occupancy_fraction,
+    partition_K,
     weighted_occupancy,
     weighted_occupancy_K,
 )
-from wrkit.partition import is_valid_colouring
+from wrkit.partition import is_valid_colouring, wr_partition_bivariate
 
 
 def brute_colour_expectations(g, act):
@@ -149,6 +150,15 @@ def test_weighted_occupancy_K_closed_form():
             assert weighted_occupancy_K(d, act) == weighted_occupancy(
                 make_complete(d + 1), act
             )
+
+
+def test_partition_K_closed_form_matches_the_dp():
+    values = [Fraction(1, 10**6), Fraction(10**6, 999999)]
+    values += map(Fraction, ("1/3", "1", "7/3"))
+    for d in range(1, 7):
+        p_k = wr_partition_bivariate(make_complete(d + 1))
+        for x, y in product(values, repeat=2):
+            assert partition_K(d, ActivityPair(x, y)) == p_k.eval(x, y)
 
 
 def test_free_energy_derivative_diagonal():
