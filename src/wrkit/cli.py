@@ -13,6 +13,7 @@ call.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -135,6 +136,15 @@ def _parse_pair_grid(text: str) -> list[ActivityPair]:
     if not grid:
         raise UsageError("empty activity grid")
     return grid
+
+
+def _check_csv_target(csv_path: str) -> None:
+    """Refuse a --csv destination that cannot be written, before any work."""
+    target = Path(csv_path)
+    if target.is_dir():
+        raise UsageError(f"cannot write {csv_path}: it is a directory")
+    if not (target.parent.is_dir() and os.access(target.parent, os.W_OK)):
+        raise UsageError(f"cannot write {csv_path}: no writable directory {target.parent}")
 
 
 def _write_or_print(text: str, csv_path: str | None) -> None:
@@ -419,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
             # anything else (help, a usage error, a leading --): the whole tree
             args = build_parser().parse_args(argv)
             name = args.command
+        if getattr(args, "csv", None):
+            _check_csv_target(args.csv)
         return COMMANDS[name].run(args)
     except (UsageError, ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

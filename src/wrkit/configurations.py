@@ -13,21 +13,22 @@ From a configuration we derive its local partition polynomials:
         counts lists containing colour i)
   p12   p1 + p2
 
-The partition function of the centre vertex together with H,
-pc = p0 + lam * p12, is not stored: at lam = p/q, local_alphas builds it
-scaled by q^(d+1), as the factor q P0 + p P12 of its denominator D.
+The partition function of the centre vertex with H, pc = p0 + lam p12,
+is not stored: local_alphas builds it scaled, in its denominator D.
 From these come the two local occupancy estimates at a given activity:
 
   alpha_v   probability the centre vertex is coloured
   alpha_u   expected fraction of coloured neighbours
 
-p0 comes from one walk over the colour-1 sets S: the colour-2 set of a
-list colouring is any subset of F(S), the vertices that allow colour 2
-and are neither in S nor next to it, so p0 sums lam^|S| (1+lam)^|F(S)|
-over S.  The other polynomials depend only on the list counts.  Only
-edges between a vertex allowing colour 1 and one allowing colour 2 can
-constrain a colouring, so the walk runs once per stats_key (the lists
-and those edges) and every class with that key shares its result.
+p0 comes from one submask walk over the colour-1 sets S: the colour-2
+set of a list colouring is any subset of F(S), the vertices that allow
+colour 2 and are neither in S nor next to it, so each S reads its
+closure from a cached table and adds lam^|S| (1+lam)^|F(S)|, a cached
+binomial row packed into one int.  The other polynomials depend only
+on the list counts.  Only edges between a vertex allowing colour 1 and
+one allowing colour 2 can constrain a colouring, so the walk runs once
+per stats_key (the lists and those edges) and every class with that
+key shares its result.
 
 Enumeration of all configurations for a given d is done up to
 label-preserving isomorphism: graphs are enumerated up to isomorphism
@@ -56,7 +57,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
 from operator import and_
 
 from .errors import CapacityError, UsageError, VerificationError
@@ -147,7 +147,7 @@ def complete_neighbourhood_config(d: int) -> Configuration:
     return Configuration(make_complete(d), (BOTH_COLOURS,) * d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigStats:
     """All activity-independent local quantities of a configuration."""
 
@@ -161,12 +161,10 @@ class ConfigStats:
 
 
 @lru_cache(maxsize=None)
-def _list_count_polynomials(
-    a1: int, a2: int
-) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial, IntPolynomial]:
-    """p1, p2, p12 and p12 - 1 of any configuration whose
-    lists allow colour 1 at a1 vertices and colour 2 at a2: a colouring
-    in one colour is any subset of the vertices allowing it."""
+def _list_count_polynomials(a1: int, a2: int) -> tuple[IntPolynomial, ...]:
+    """p1, p2, p12 and p12 - 1 of any configuration whose lists allow
+    colour 1 at a1 vertices and colour 2 at a2: a colouring in one colour
+    is any subset of the vertices allowing it."""
     p1 = binomial_power(a1)
     p2 = binomial_power(a2)
     p12 = p1 + p2
@@ -186,24 +184,48 @@ def _low_coefficients(adj: tuple[int, ...], allows_1: int, allows_2: int) -> lis
     return [1, total, pairs - clashes]
 
 
-def _colour_set_tally(adj: tuple[int, ...], walk: int, other: int) -> dict[tuple[int, int], int]:
-    """Count the subsets S of `walk` by the pair (|S|, |F(S)|), where F(S)
-    holds the vertices of `other` outside S and its neighbours.
+@lru_cache(maxsize=256)
+def _subset_closures(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """closed[s] = s with its neighbours, for every vertex set s; the d = 6
+    report takes its keys graph by graph, so the bound loses few."""
+    closed = [0] * (1 << len(adj))
+    for s in range(1, len(closed)):
+        low = s & -s
+        closed[s] = closed[s ^ low] | low | adj[low.bit_length() - 1]
+    return tuple(closed)
 
-    Bit b of the index m picks the b-th vertex of `walk`, so the subsets
-    come in increasing order of m and closed[m], the set S(m) with its
-    neighbours, is closed[m without its lowest bit] plus that vertex and
-    its neighbours.
-    """
-    reach = [adj[v] | 1 << v for v in range(len(adj)) if walk >> v & 1]
-    closed = [0] * (1 << len(reach))
-    tally = {(0, other.bit_count()): 1}
-    for m in range(1, len(closed)):
-        low = m & -m
-        closed[m] = closed[m ^ low] | reach[low.bit_length() - 1]
-        key = (m.bit_count(), (other & ~closed[m]).bit_count())
-        tally[key] = tally.get(key, 0) + 1
-    return tally
+
+@lru_cache(maxsize=None)
+def _packed_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    """rows[size][free] = lam^size (1+lam)^free at lam = 2^(2d+1), its
+    coefficients as digits; p0's are at most 3^d < 2^(2d+1), so none carry."""
+    base = 1 << 2 * d + 1
+    return tuple(
+        tuple(base**size * (base + 1) ** free for free in range(d + 1 - size))
+        for size in range(d + 1)
+    )
+
+
+def _colour_set_walk(adj: tuple[int, ...], walk: int, other: int) -> tuple[list[int], bool]:
+    """The coefficients of p0 = sum over the subsets S of walk of
+    lam^|S| (1+lam)^|F(S)|, F(S) the vertices of other outside S and its
+    neighbours, and whether some non-empty S leaves F(S) non-empty.  The
+    submask step s = (s - 1) & walk visits each S once, from walk down to
+    the empty set; each reads its closure and adds its packed row."""
+    closed = _subset_closures(adj)
+    rows = _packed_rows(len(adj))
+    packed = 0
+    dichromatic = False
+    s = walk
+    while True:
+        free = other & ~closed[s]
+        packed += rows[s.bit_count()][free.bit_count()]
+        if not s:
+            break
+        dichromatic = dichromatic or free != 0
+        s = (s - 1) & walk
+    slot = 2 * len(adj) + 1
+    return [packed >> slot * k & (1 << slot) - 1 for k in range(len(adj) + 1)], dichromatic
 
 
 @lru_cache(maxsize=None)
@@ -240,58 +262,32 @@ def _stats_for_key(lists: tuple[int, ...], adj: tuple[int, ...]) -> ConfigStats:
     """The local polynomials of the configuration with these lists and
     adjacency; stats_key gives the adjacency reduced to the edges that
     matter, so every class with the same key shares one walk."""
-    d = len(lists)
     allows_1, allows_2, _ = _list_masks(lists)
     a1 = allows_1.bit_count()
     a2 = allows_2.bit_count()
-    if a1 <= a2:
-        tally = _colour_set_tally(adj, allows_1, allows_2)
-    else:
-        tally = _colour_set_tally(adj, allows_2, allows_1)
-
-    p0 = [0] * (d + 1)
-    has_dichromatic = False
-    for (size, free_count), count in tally.items():
-        for k in range(free_count + 1):
-            p0[size + k] += count * comb(free_count, k)
-        if size and free_count:
-            has_dichromatic = True
+    walk, other = (allows_1, allows_2) if a1 <= a2 else (allows_2, allows_1)
+    p0, has_dichromatic = _colour_set_walk(adj, walk, other)
     if (p0 + [0, 0])[:3] != _low_coefficients(adj, allows_1, allows_2):
         raise VerificationError("low coefficients of p0 disagree with its lists and edges")
     p0_poly = IntPolynomial(p0)
     p1, p2, p12, p12_less_1 = _list_count_polynomials(a1, a2)
     # dichromatic colourings are exactly the gap between p0 and the
     # monochromatic-or-empty total p1 + p2 - 1
-    if has_dichromatic != (p0_poly != p12_less_1):
+    if has_dichromatic != (p0_poly.coeffs != p12_less_1.coeffs):
         raise VerificationError("dichromatic flag disagrees with p0 - (p12 - 1)")
 
-    return ConfigStats(
-        a1=a1,
-        a2=a2,
-        p0=p0_poly,
-        p1=p1,
-        p2=p2,
-        p12=p12,
-        has_dichromatic=has_dichromatic,
-    )
+    return ConfigStats(a1, a2, p0_poly, p1, p2, p12, has_dichromatic)
 
 
 def local_partition_functions(config: Configuration) -> ConfigStats:
     """Collect all local polynomials from one walk over colour-1 sets.
 
-    A list colouring of H is fixed by its colour-1 set S, a subset of A1
-    (the vertices whose list allows colour 1), and its colour-2 set, any
-    subset of the free vertices F(S) = A2 minus S and its neighbours.  So
-
-        p0 = sum over S of lam^|S| * (1+lam)^|F(S)|,
-
-    and the same holds with the colours swapped, so the walk runs over
-    the subsets of the smaller of A1 and A2.  The pairs (|S|, |F(S)|) are
-    tallied and the tally is expanded with binomials once.  Some
-    colouring uses both colours iff some non-empty S leaves F(S)
-    non-empty.  p1, p2 and p12 depend only on the list counts (a1, a2).
-    The low coefficients of p0 and the dichromatic flag are checked
-    against routes that do not use the walk.
+    p0 sums lam^|S| (1+lam)^|F(S)| over the colour-1 sets S, F(S) being
+    the vertices that allow colour 2 and are neither in S nor next to it;
+    as the colours are symmetric, the walk runs over the subsets of the
+    smaller of A1 and A2 (_colour_set_walk).  p1, p2 and p12 depend only
+    on the list counts (a1, a2).  The low coefficients of p0 and the
+    dichromatic flag are checked against routes that do not use the walk.
 
     The walk and its checks run once per stats_key, which many classes
     share (5,639 keys for the 12,208 classes at d = 5);
@@ -390,15 +386,13 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
     """The number of cycles of a permutation, fixed points included."""
-    seen = 0
     cycles = 0
-    for start in range(len(perm)):
-        if not seen >> start & 1:
-            cycles += 1
-            v = start
-            while not seen >> v & 1:
-                seen |= 1 << v
-                v = perm[v]
+    seen = set()
+    for v in range(len(perm)):
+        cycles += v not in seen
+        while v not in seen:
+            seen.add(v)
+            v = perm[v]
     return cycles
 
 
@@ -433,10 +427,8 @@ def reduced_configs(d: int) -> tuple[Configuration, ...]:
     A reduced class is a graph on k <= d vertices with lists in {1}, {2}
     and {12} and no edge inside {1} or inside {2}: the first member of
     each such orbit in enumerate_configs's walk (an orbit has such an
-    edge in all its members or in none).  It is padded with d - k
-    isolated empty-list vertices, which leave its local polynomials
-    unchanged.  With k = d the representative is canonical and carries
-    its key.
+    edge in all its members or in none), padded with d - k isolated
+    empty-list vertices.  With k = d it is canonical and carries its key.
     """
     check_degree(d)
     out = []

@@ -241,40 +241,46 @@ def is_union_of_complete(g: Graph, k: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _pair_index(n: int) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]:
-    """The vertex pairs (i < j) in edge-code bit order, and each pair's bit."""
+    """The vertex pairs (i < j) in edge-code bit order, and each pair's
+    bit, under (i, j) and (j, i)."""
     pairs = tuple(combinations(range(n), 2))
-    return pairs, {pair: k for k, pair in enumerate(pairs)}
+    return pairs, {pair: k for k, (i, j) in enumerate(pairs) for pair in ((i, j), (j, i))}
 
 
 def edge_code(g: Graph) -> int:
     """Pack the edge set into an int, one bit per vertex pair (i < j)."""
     _, index = _pair_index(g.n)
-    code = 0
-    for u, v in g.edges():
-        code |= 1 << index[(u, v)]
-    return code
+    return sum(1 << index[edge] for edge in g.edges())
 
 
 def graph_from_code(n: int, code: int) -> Graph:
     pairs, _ = _pair_index(n)
-    edges = [pairs[k] for k in range(len(pairs)) if (code >> k) & 1]
-    return from_edges(n, edges)
+    return from_edges(n, [pairs[k] for k in range(len(pairs)) if code >> k & 1])
+
+
+@lru_cache(maxsize=8)
+def _pair_maps(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Per permutation of range(n), in permutations order, the bit (as a
+    mask) that each pair bit moves to, and a last entry 0."""
+    pairs, index = _pair_index(n)
+    bits = [1 << k for k in range(len(pairs))]
+    return {
+        perm: tuple(bits[index[perm[i], perm[j]]] for i, j in pairs) + (0,)
+        for perm in permutations(range(n))
+    }
+
+
+def _moved_codes(code: int, maps: Iterable[tuple[int, ...]]) -> list[int]:
+    """The edge code moved by each pair-bit map: the OR, here the sum, of
+    its set bits' targets.  The last entry, 0, is picked twice so that
+    itemgetter always returns a tuple."""
+    pick = itemgetter(-1, -1, *(k for k in range(code.bit_length()) if code >> k & 1))
+    return list(map(sum, map(pick, maps)))
 
 
 def permute_code(n: int, code: int, perm: Sequence[int]) -> int:
     """Edge code of the graph with every vertex v renamed perm[v]."""
-    pairs, index = _pair_index(n)
-    out = 0
-    rest = code
-    while rest:
-        low = rest & -rest
-        i, j = pairs[low.bit_length() - 1]
-        a, b = perm[i], perm[j]
-        if a > b:
-            a, b = b, a
-        out |= 1 << index[(a, b)]
-        rest ^= low
-    return out
+    return _moved_codes(code, [_pair_maps(n)[tuple(perm)]])[0]
 
 
 def label_mover(perm: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -302,14 +308,11 @@ def canonical_labelled_form(g: Graph, labels: Sequence) -> tuple:
         raise UsageError("one label per vertex required")
     if g.n > ISO_CAP:
         raise CapacityError(f"canonical form capped at {ISO_CAP} vertices, got {g.n}")
-    code = edge_code(g)
-    labels = tuple(labels)
-    best = None
-    for perm in permutations(range(g.n)):
-        cand = (permute_code(g.n, code, perm), label_mover(perm)(labels))
-        if best is None or cand < best:
-            best = cand
-    return (g.n,) + best
+    maps = _pair_maps(g.n)
+    images = _moved_codes(edge_code(g), maps.values())
+    best = min(images)
+    moved = (label_mover(perm)(labels) for perm, image in zip(maps, images) if image == best)
+    return (g.n, best, min(moved))
 
 
 @lru_cache(maxsize=16)
@@ -317,27 +320,24 @@ def graphs_up_to_iso(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], .
     """All graphs on n vertices up to isomorphism, as (canonical edge code, automorphisms).
 
     The canonical code of a class is the smallest edge code it contains.
-    Enumeration walks all codes in increasing order and marks whole orbits,
-    so each class is touched once; automorphisms are the permutations that
-    fix the canonical code.  Capped at 7 vertices, below ISO_CAP: the
-    orbit-marking table takes 2^C(n,2) bytes, 256 MiB at n = 8.
+    Enumeration takes the unmarked codes in increasing order and marks
+    each one's orbit, its images under all n! pair-bit maps, so each class
+    is touched once; automorphisms are the permutations that fix the
+    canonical code.  n = 7 takes seconds.  Capped at 7 vertices, below
+    ISO_CAP: the orbit-marking table takes 2^C(n,2) bytes, 256 MiB at n = 8.
     """
     if n > 7:
         raise CapacityError(f"graph enumeration capped at 7 vertices, got {n}")
-    perms = list(permutations(range(n)))
-    total = 1 << (n * (n - 1) // 2)
-    seen = bytearray(total)
+    maps = _pair_maps(n)
+    seen = bytearray(1 << (n * (n - 1) // 2))
     out = []
-    for code in range(total):
-        if seen[code]:
-            continue
-        autos = []
-        for perm in perms:
-            image = permute_code(n, code, perm)
+    code = 0
+    while code >= 0:
+        images = _moved_codes(code, maps.values())
+        for image in images:
             seen[image] = 1
-            if image == code:
-                autos.append(perm)
-        out.append((code, tuple(autos)))
+        out.append((code, tuple(perm for perm, image in zip(maps, images) if image == code)))
+        code = seen.find(0, code + 1)
     return tuple(out)
 
 

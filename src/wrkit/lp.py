@@ -143,16 +143,16 @@ def _signature_table(d: int, lam: Fraction) -> tuple[
     reduced_configs order, its signature index.
 
     Every class has its reduced class's signature, so the reduced classes
-    give them all, with one local walk each.  build_primal and
-    verify_dual_feasibility both read this table, so a command that runs
-    both evaluates the column once per signature.
+    give them all, with one local walk each, keyed by coefficient tuples.
+    build_primal and verify_dual_feasibility both read this table, so a
+    command that runs both evaluates the column once per signature.
     """
     first: dict[tuple, int] = {}
     signatures = []
     classes = []
     for config in reduced_configs(d):
         stats = local_partition_functions(config)
-        sig = (stats.p0, stats.p12)
+        sig = (stats.p0.coeffs, stats.p12.coeffs)
         i = first.get(sig)
         if i is None:
             i = first[sig] = len(signatures)
@@ -350,9 +350,7 @@ class ClassRows(Sequence):
 
     @cached_property
     def _table(self) -> tuple[tuple[ConfigRow, ...], tuple[int, ...]]:
-        index = {
-            (stats.p0, stats.p12): i for i, (_, stats, *_) in enumerate(self._signatures)
-        }
+        index = {(s.p0.coeffs, s.p12.coeffs): i for i, (_, s, *_) in enumerate(self._signatures)}
         by_key: dict[tuple, tuple] = {}
         rows = []
         row_signatures = []
@@ -361,7 +359,7 @@ class ClassRows(Sequence):
             entry = by_key.get(key)
             if entry is None:
                 stats = local_partition_functions(config)
-                i = index.get((stats.p0, stats.p12))
+                i = index.get((stats.p0.coeffs, stats.p12.coeffs))
                 if i is None:
                     raise VerificationError(
                         f"{config.key_text()}: signature missing from the reduced classes"

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import DomainError, ParseError, UsageError
@@ -276,15 +277,11 @@ def binomial_power(k: int) -> IntPolynomial:
     return IntPolynomial(math.comb(k, i) for i in range(k + 1))
 
 
-def _cleared_powers(p: int, q: int, k: int) -> list[int]:
+@lru_cache(maxsize=64)
+def _cleared_powers(p: int, q: int, k: int) -> tuple[int, ...]:
     """The powers x^i of x = p/q for i = 0..k, each times q^k: the
     integers p^i * q^(k-i).  Entry 0 is the common denominator q^k."""
-    p_pow = [1]
-    q_pow = [1]
-    for _ in range(k):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * q)
-    return [p_pow[i] * q_pow[k - i] for i in range(k + 1)]
+    return tuple(p**i * q ** (k - i) for i in range(k + 1))
 
 
 class BivariatePolynomial:

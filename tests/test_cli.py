@@ -1,5 +1,6 @@
 """CLI surface: flags, output shapes, exit codes, determinism."""
 
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -297,16 +298,51 @@ def test_scan_all_csv_pinned(tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_ALL_CSV
 
 
+CSV_COMMANDS = (
+    ("verify", "--builtin", "cycle:5", "--d", "2", "--lambda", "1"),
+    ("scan", "--catalog", "d2"),
+    ("lp", "--d", "2", "--lambda", "1"),
+    ("dualcert", "--d", "2", "--lambda", "1"),
+    ("configs", "--d", "2", "--lambda", "1"),
+    ("sample", "--builtin", "cycle:5", "--lambda", "1", "--samples", "10"),
+)
+
+
 def test_csv_to_unwritable_path(tmp_path, capsys):
+    # refused before the command's work: nothing reaches stdout
+    (tmp_path / "file").write_text("")
+    targets = {
+        str(tmp_path / "missing" / "x.csv"): f"no writable directory {tmp_path / 'missing'}",
+        str(tmp_path / "file" / "x.csv"): f"no writable directory {tmp_path / 'file'}",
+        str(tmp_path): "it is a directory",
+    }
+    assert {argv[0] for argv in CSV_COMMANDS} == {
+        name for name, command in COMMANDS.items() if takes_csv(command)
+    }
+    for argv in CSV_COMMANDS:
+        for target, reason in targets.items():
+            code, out, err = run(capsys, *argv, "--csv", target)
+            assert (code, out) == (EXIT_USAGE, ""), argv
+            assert err == f"error: cannot write {target}: {reason}\n"
+
+
+def takes_csv(command):
+    parser = argparse.ArgumentParser()
+    command.add_flags(parser)
+    return "--csv" in parser.format_usage()
+
+
+def test_csv_write_failure_after_the_report(tmp_path, capsys, monkeypatch):
+    # a destination that passes the early check can still fail to write
+    from wrkit import cli
+
+    monkeypatch.setattr(cli, "_check_csv_target", lambda path: None)
     target = str(tmp_path / "missing" / "x.csv")
-    for argv in (
-        ("verify", "--builtin", "cycle:5", "--d", "2", "--lambda", "1"),
-        ("dualcert", "--d", "2", "--lambda", "1"),
-    ):
-        code, _, err = run(capsys, *argv, "--csv", target)
-        assert code == EXIT_USAGE
-        assert err.startswith(f"error: cannot write {target}: ")
-        assert err.count("\n") == 1
+    code, out, err = run(capsys, "dualcert", "--d", "2", "--lambda", "1", "--csv", target)
+    assert code == EXIT_USAGE
+    assert out.startswith("Lambda_p=")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 def test_configs_command(capsys):

@@ -133,25 +133,40 @@ def subset_tally(adj, walk, other):
 
 def test_local_polynomials_walk_each_subset_of_the_smaller_list_set(monkeypatch):
     walks = []
-    tally = configurations._colour_set_tally
+    reads = []
+    walk_fn = configurations._colour_set_walk
+    closures = configurations._subset_closures
 
-    def recording_tally(adj, walk, other):
-        result = tally(adj, walk, other)
+    class RecordedTable(tuple):
+        def __getitem__(self, s):
+            reads.append(s)
+            return tuple.__getitem__(self, s)
+
+    def recording_walk(adj, walk, other):
+        result = walk_fn(adj, walk, other)
         walks.append((walk, other, result))
         return result
 
-    monkeypatch.setattr(configurations, "_colour_set_tally", recording_tally)
+    monkeypatch.setattr(configurations, "_colour_set_walk", recording_walk)
+    monkeypatch.setattr(configurations, "_subset_closures", lambda adj: RecordedTable(closures(adj)))
     graph = from_edges(5, [(0, 1), (1, 2), (3, 4)])
     # vertex 2 has an empty list; the lists allow colour 1 on {0, 1, 3, 4}
     # and colour 2 on {0, 4}, then the other way round
     for lists in ((3, 1, 0, 1, 3), (3, 2, 0, 2, 3)):
         walks.clear()
+        reads.clear()
         local_partition_functions.cache_clear()  # so that the key's walk runs here
         local_partition_functions(Configuration(graph, lists))
-        [(walk, other, result)] = walks
+        [(walk, other, (p0, _))] = walks
         assert (walk, other) == (0b10001, 0b11011)
-        assert sum(result.values()) == 1 << walk.bit_count()
-        assert result == subset_tally(graph.adj, walk, other)
+        # every subset of the walk once: its closure read from the table
+        assert sorted(reads) == [s for s in range(32) if not s & ~walk]
+        assert len(reads) == 1 << walk.bit_count()
+        expected = [0] * 6
+        for (size, free), count in subset_tally(graph.adj, walk, other).items():
+            for k in range(free + 1):
+                expected[size + k] += count * comb(free, k)
+        assert p0 == expected
 
 
 @st.composite

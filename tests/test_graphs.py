@@ -12,6 +12,7 @@ from wrkit.graphs import (
     canonical_labelled_form,
     component_masks,
     disjoint_union,
+    edge_code,
     from_edges,
     graphs_up_to_iso,
     is_d_regular,
@@ -24,6 +25,7 @@ from wrkit.graphs import (
     make_prism,
     make_random_regular,
     parse_edge_list,
+    permute_code,
 )
 
 
@@ -227,6 +229,44 @@ def test_graphs_up_to_iso_counts():
     # classic sequence of graphs on n unlabelled vertices
     for n, count in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)):
         assert len(graphs_up_to_iso(n)) == count
+
+
+def orbit_marking_oracle(n):
+    """graphs_up_to_iso by per-code orbit marking: every class's code is
+    moved by every permutation through permute_code, one call each."""
+    perms = list(permutations(range(n)))
+    total = 1 << (n * (n - 1) // 2)
+    seen = bytearray(total)
+    out = []
+    for code in range(total):
+        if seen[code]:
+            continue
+        autos = []
+        for perm in perms:
+            image = permute_code(n, code, perm)
+            seen[image] = 1
+            if image == code:
+                autos.append(perm)
+        out.append((code, tuple(autos)))
+    return tuple(out)
+
+
+def test_graphs_up_to_iso_matches_the_orbit_marking_oracle():
+    # the same codes and automorphism tuples, in the same order
+    for n in range(0, 7):
+        assert graphs_up_to_iso(n) == orbit_marking_oracle(n)
+
+
+def test_permute_code_renames_the_vertices():
+    # against a relabelled edge list, not the pair-bit maps
+    rng = random.Random(23)
+    for _ in range(100):
+        n = rng.randint(0, 7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        assert permute_code(n, edge_code(from_edges(n, edges)), perm) == edge_code(moved)
 
 
 def test_parse_edge_list():
