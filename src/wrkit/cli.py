@@ -29,17 +29,8 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .graphs import (
-    Graph,
-    disjoint_union,
-    make_complete,
-    make_complete_bipartite,
-    make_cycle,
-    make_petersen,
-    make_prism,
-    make_random_regular,
-    parse_edge_list,
-)
+# the bench traces parse_builtin through this binding
+from .graphs import Graph, parse_builtin, parse_edge_list
 from .numerics import check_activity, csv_text, format_rational, parse_rational
 from .occupancy import (
     ActivityPair,
@@ -62,45 +53,6 @@ DEFAULT_PAIR_GRID = "1,1;2,1;10,1;1,1/2"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _parse_builtin_atom(spec: str) -> Graph:
-    name, _, params = spec.partition(":")
-    args = [p for p in params.split(",") if p] if params else []
-    try:
-        if name == "complete":
-            (n,) = map(int, args)
-            return make_complete(n)
-        if name in ("bipartite", "complete_bipartite"):
-            a, b = map(int, args)
-            return make_complete_bipartite(a, b)
-        if name == "cycle":
-            (n,) = map(int, args)
-            return make_cycle(n)
-        if name == "petersen":
-            if args:
-                raise UsageError("petersen takes no parameters")
-            return make_petersen()
-        if name == "prism":
-            (k,) = map(int, args)
-            return make_prism(k)
-        if name == "random_regular":
-            n, d, seed = map(int, args)
-            return make_random_regular(n, d, seed)
-    except UsageError:
-        raise  # a builder's own reason, e.g. "prism needs k >= 3"
-    except ValueError as exc:
-        raise UsageError(f"bad parameters in builtin spec {spec!r}") from exc
-    raise UsageError(f"unknown builtin graph {name!r}")
-
-
-def parse_builtin(spec: str) -> Graph:
-    """Builtin graph spec: atoms joined by '+' form a disjoint union."""
-    atoms = [atom.strip() for atom in spec.split("+")]
-    graph = _parse_builtin_atom(atoms[0])
-    for atom in atoms[1:]:
-        graph = disjoint_union(graph, _parse_builtin_atom(atom))
-    return graph.relabel(spec)
 
 
 def _load_graph(args) -> Graph:

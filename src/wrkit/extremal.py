@@ -26,17 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .graphs import (
-    Graph,
-    disjoint_union,
-    is_union_of_complete,
-    make_complete,
-    make_complete_bipartite,
-    make_cycle,
-    make_petersen,
-    make_prism,
-    make_random_regular,
-)
+from .graphs import Graph, is_union_of_complete, make_complete, parse_builtin
 from .numerics import check_activity, csv_text, format_rational
 from .occupancy import (
     ActivityPair,
@@ -141,37 +131,36 @@ def verify_hom_bound(g: Graph, d: int) -> BoundReport:
 # catalogs
 
 
+# The desk catalogs as builtin specs (graphs.parse_builtin), each
+# spec its graph's label.
+CATALOG_D2 = tuple(f"cycle:{n}" for n in range(3, 13)) + (
+    "cycle:3+cycle:3",
+    "cycle:3+cycle:3+cycle:3",
+    "cycle:3+cycle:4",
+    "cycle:4+cycle:6",
+    "cycle:5+cycle:5",
+    "cycle:6+cycle:8",
+)
+CATALOG_D3 = (
+    "complete:4",
+    "bipartite:3,3",
+    "petersen",
+    "prism:3",
+    "prism:4",
+    "prism:5",
+    "prism:6",
+    "complete:4+complete:4",
+) + tuple(f"random_regular:{(8, 10, 14)[i % 3]},3,{1000 + i}" for i in range(20))
+
+
 def catalog_d2() -> list[Graph]:
     """2-regular desk catalog: all cycles up to 12 plus unions of cycles."""
-    graphs = [make_cycle(n) for n in range(3, 13)]
-    graphs.append(disjoint_union(make_cycle(3), make_cycle(3)))
-    graphs.append(
-        disjoint_union(disjoint_union(make_cycle(3), make_cycle(3)), make_cycle(3))
-    )
-    graphs.append(disjoint_union(make_cycle(3), make_cycle(4)))
-    graphs.append(disjoint_union(make_cycle(4), make_cycle(6)))
-    graphs.append(disjoint_union(make_cycle(5), make_cycle(5)))
-    graphs.append(disjoint_union(make_cycle(6), make_cycle(8)))
-    return graphs
+    return [parse_builtin(spec) for spec in CATALOG_D2]
 
 
 def catalog_d3() -> list[Graph]:
     """3-regular desk catalog: named graphs plus seeded random regulars."""
-    graphs = [
-        make_complete(4),
-        make_complete_bipartite(3, 3),
-        make_petersen(),
-        make_prism(3),
-        make_prism(4),
-        make_prism(5),
-        make_prism(6),
-        disjoint_union(make_complete(4), make_complete(4)),
-    ]
-    sizes = (8, 10, 14)
-    for index in range(20):
-        n = sizes[index % len(sizes)]
-        graphs.append(make_random_regular(n, 3, seed=1000 + index))
-    return graphs
+    return [parse_builtin(spec) for spec in CATALOG_D3]
 
 
 def full_catalog() -> list[tuple[Graph, int]]:

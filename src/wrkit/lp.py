@@ -75,7 +75,6 @@ from .configurations import (
     local_partition_functions,
     reduced_configs,
     single_colour_config,
-    stats_key,
     uniform_list_classes,
 )
 from .errors import UsageError, VerificationError
@@ -351,22 +350,17 @@ class ClassRows(Sequence):
     @cached_property
     def _table(self) -> tuple[tuple[ConfigRow, ...], tuple[int, ...]]:
         index = {(s.p0.coeffs, s.p12.coeffs): i for i, (_, s, *_) in enumerate(self._signatures)}
-        by_key: dict[tuple, tuple] = {}
         rows = []
         row_signatures = []
         for config in enumerate_configs(self._d):
-            key = stats_key(config)
-            entry = by_key.get(key)
-            if entry is None:
-                stats = local_partition_functions(config)
-                i = index.get((stats.p0.coeffs, stats.p12.coeffs))
-                if i is None:
-                    raise VerificationError(
-                        f"{config.key_text()}: signature missing from the reduced classes"
-                    )
-                entry = by_key[key] = (i, stats.a1, stats.a2, *self.verdicts[i])
-            rows.append(ConfigRow(config, *entry[1:]))
-            row_signatures.append(entry[0])
+            stats = local_partition_functions(config)
+            i = index.get((stats.p0.coeffs, stats.p12.coeffs))
+            if i is None:
+                raise VerificationError(
+                    f"{config.key_text()}: signature missing from the reduced classes"
+                )
+            rows.append(ConfigRow(config, stats.a1, stats.a2, *self.verdicts[i]))
+            row_signatures.append(i)
         if len(rows) != self._count:
             raise VerificationError(
                 f"{len(rows)} classes enumerated, {self._count} counted"

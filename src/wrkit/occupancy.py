@@ -57,14 +57,11 @@ def occupancy_fraction(g: Graph, lam: Fraction) -> Fraction:
 
 def alpha_K(d: int, lam: Fraction) -> Fraction:
     """Occupancy fraction of the complete graph on d+1 vertices, in closed form:
-    2 lam (1+lam)^d / (2 (1+lam)^(d+1) - 1), which at lam = p/q is
-    2 p (p+q)^d / (2 (p+q)^(d+1) - q^(d+1))."""
-    if d < 1:
-        raise DomainError(f"degree must be >= 1, got {d}")
+    2 lam (1+lam)^d / (2 (1+lam)^(d+1) - 1), from the two-activity
+    moments (S, S1, S2) at (lam, lam), where S1 = S2, as 2 S1 / ((d+1) S)."""
     lam = check_activity(lam)
-    p, q = lam.numerator, lam.denominator
-    grow = (p + q) ** d
-    return Fraction(2 * p * grow, 2 * grow * (p + q) - q ** (d + 1))
+    value, moment, _ = _clique_moments(d, lam, lam)
+    return Fraction(2 * moment, (d + 1) * value)
 
 
 def _colour_moments(g: Graph, act: ActivityPair) -> tuple[int, int, int]:
@@ -105,14 +102,15 @@ def weighted_occupancy(g: Graph, act: ActivityPair) -> Fraction:
     return _weighted(g.n, _colour_moments(g, act), act)
 
 
-def _clique_moments(d: int, act: ActivityPair) -> tuple[int, int, int]:
-    """(S, S1, S2) of the complete graph on d+1 vertices in closed form, over
-    scaled_eval's scale q^(d+1) s^(d+1): every colouring is monochromatic,
-    so P = (1+x)^(d+1) + (1+y)^(d+1) - 1 and x P_x = (d+1) x (1+x)^d."""
+def _clique_moments(d: int, x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(S, S1, S2) of the complete graph on d+1 vertices at checked
+    activities x = p/q and y = r/s, in closed form, over scaled_eval's
+    scale q^(d+1) s^(d+1): every colouring is monochromatic, so
+    P = (1+x)^(d+1) + (1+y)^(d+1) - 1 and x P_x = (d+1) x (1+x)^d."""
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    p, q = act.lambda1.numerator, act.lambda1.denominator
-    r, s = act.lambda2.numerator, act.lambda2.denominator
+    p, q = x.numerator, x.denominator
+    r, s = y.numerator, y.denominator
     grow1, grow2 = (p + q) ** d * s ** (d + 1), (r + s) ** d * q ** (d + 1)
     value = (p + q) * grow1 + (r + s) * grow2 - (q * s) ** (d + 1)
     return value, (d + 1) * p * grow1, (d + 1) * r * grow2
@@ -120,13 +118,13 @@ def _clique_moments(d: int, act: ActivityPair) -> tuple[int, int, int]:
 
 def partition_K(d: int, act: ActivityPair) -> Fraction:
     """Bivariate partition function of the complete graph on d+1 vertices."""
-    value, _, _ = _clique_moments(d, act)
+    value, _, _ = _clique_moments(d, act.lambda1, act.lambda2)
     return Fraction(value, (act.lambda1.denominator * act.lambda2.denominator) ** (d + 1))
 
 
 def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:
     """Weighted occupancy of the complete graph on d+1 vertices."""
-    return _weighted(d + 1, _clique_moments(d, act), act)
+    return _weighted(d + 1, _clique_moments(d, act.lambda1, act.lambda2), act)
 
 
 def _path_polynomial(g: Graph, offset: Fraction) -> list[Fraction]:

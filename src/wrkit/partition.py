@@ -23,9 +23,9 @@ not with 2^n.  The two programs share no state space:
   Its state is the set of components of S still open to growth.
 
 So comparing the diagonal of the first with the second stays a real
-check.  The subset-component identity, with per-vertex colour lists,
-also gives the local polynomials of a neighbourhood configuration
-(configurations.local_partition_functions).
+check.  The local polynomials of a neighbourhood configuration
+(configurations.local_partition_functions) use neither: they walk the
+colour-1 sets allowed by the per-vertex colour lists.
 
 valid_colourings, a product over each vertex's allowed colours filtered
 by is_valid_colouring, is the one reference enumerator: the 3^n oracle

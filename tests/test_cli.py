@@ -26,6 +26,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_cli_parse_builtin_is_the_graphs_parser():
+    # one parser; the bench traces it through the cli binding
+    import wrkit.cli
+    import wrkit.graphs
+
+    assert wrkit.cli.parse_builtin is wrkit.graphs.parse_builtin
+
+
 def test_parse_builtin():
     assert parse_builtin("complete:4").n == 4
     assert parse_builtin("bipartite:3,3").m == 9

@@ -6,6 +6,8 @@ import pytest
 
 from wrkit.errors import DomainError
 from wrkit.extremal import (
+    CATALOG_D2,
+    CATALOG_D3,
     BoundReport,
     bound_reports_csv,
     catalog_d2,
@@ -24,6 +26,8 @@ from wrkit.graphs import (
     make_complete_bipartite,
     make_cycle,
     make_petersen,
+    make_random_regular,
+    parse_builtin,
 )
 from wrkit.occupancy import ActivityPair
 from wrkit.partition import wr_partition_brute
@@ -153,6 +157,27 @@ def test_bound_reports_csv():
     reports = [verify_occupancy_bound(make_cycle(5), 2, F(1))]
     csv = bound_reports_csv(reports)
     assert "42/83" in csv and "8/15" in csv
+
+
+def _shape(graphs):
+    return [(g.label, g.n, g.adj) for g in graphs]
+
+
+def test_catalogs_are_their_parsed_specs():
+    # same order, labels and adjacency as the spec tuples parse to
+    assert _shape(catalog_d2()) == _shape(parse_builtin(s) for s in CATALOG_D2)
+    assert _shape(catalog_d3()) == _shape(parse_builtin(s) for s in CATALOG_D3)
+    assert [g.label for g in catalog_d2()] == list(CATALOG_D2)
+    assert [g.label for g in catalog_d3()] == list(CATALOG_D3)
+    # and the specs mean the builder calls they name
+    by_label = {g.label: g for g in catalog_d2() + catalog_d3()}
+    union = disjoint_union(disjoint_union(make_cycle(3), make_cycle(3)), make_cycle(3))
+    assert _shape([by_label["cycle:3+cycle:3+cycle:3"]]) == _shape([union])
+    assert by_label["bipartite:3,3"].adj == make_complete_bipartite(3, 3).adj
+    assert by_label["petersen"].adj == make_petersen().adj
+    assert _shape([by_label["random_regular:14,3,1017"]]) == _shape(
+        [make_random_regular(14, 3, seed=1017)]
+    )
 
 
 def test_full_catalog_shape():

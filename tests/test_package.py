@@ -2,12 +2,16 @@
 
 import ast
 import io
+import re
+import shlex
 import tokenize
 from pathlib import Path
 
 import wrkit
+from wrkit.cli import main
 
 PACKAGE = Path(wrkit.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -23,7 +27,7 @@ def test_no_assert_statements():
 def test_readme_library_example_runs():
     # README's python block runs, and each "# value" comment is the repr of
     # the expression it follows, on its own line or on the line above
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = README.read_text()
     start = text.index("```python\n") + len("```python\n")
     namespace = {}
     value = None
@@ -44,3 +48,16 @@ def test_readme_library_example_runs():
             assert value == comment[1:].strip(), line
             checked += 1
     assert checked == 4
+
+
+def test_readme_shell_examples_exit_0(monkeypatch, tmp_path, capsys):
+    # every "wrkit ..." line of README's sh blocks runs through main, in a
+    # scratch directory for the CSVs it writes, and exits 0
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("wrkit ")]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    assert len(commands) == 10
