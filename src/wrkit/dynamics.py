@@ -10,8 +10,15 @@ distribution at activity lam.
 The sampler keeps two colour-class masks, the vertices coloured 1 and
 the vertices coloured 2, as Python ints beside the colouring.  A step
 tests the updated vertex's adjacency mask against each: two n-bit ANDs,
-so its cost no longer grows with the degree.  The masks change only when
-a vertex's colour does.
+so its cost does not grow with the degree.  Validity then narrows what
+the step can change.  With both colours blocked the vertex is
+uncoloured and stays so; the step only draws its second uniform.  With
+colour 1 blocked it holds 0 or 2, so only the colour-2 mask and the
+coloured count can change, and the colour-2 case mirrors this.  Only a
+step with both colours free can swap 1 and 2.  The masks change only
+when a vertex's colour does.  Each recorded sample is one of the n + 1
+coloured fractions c / n, built once per chain, so a long chain keeps
+one pointer per sample rather than one float.
 
 Sampling is plain floating point for throughput; exactness lives in the
 rest of the package.  estimate_occupancy is the sampler's one activity
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import inf, sqrt
+from math import floor, inf, sqrt
 
 from .errors import DomainError, UsageError
 from .graphs import Graph
@@ -129,6 +136,8 @@ def estimate_occupancy(
     on2 = 0  # mask of the vertices coloured 2
     coloured = 0
 
+    # a sample records one of these shared floats and allocates nothing
+    fraction = [c / n for c in range(n + 1)]
     values = []
     record = values.append
     total_steps = burn_in + samples * thinning
@@ -136,39 +145,60 @@ def estimate_occupancy(
     # hot loop: the one Glauber kernel, kept inline.  It draws rand()
     # twice per step and makes the comparisons of the heat-bath rule in
     # transition_distribution; a step-for-step replay test pins it to
-    # _allowed_colours
+    # _allowed_colours.  Each branch changes only what validity lets it
     for step in range(1, total_steps + 1):
-        v = int(rand() * n)
+        v = floor(rand() * n)
         nbrs = adj[v]
-        if nbrs & on2:  # colour 1 blocked
-            if nbrs & on1:  # colour 2 blocked too
+        if nbrs & on2:  # colour 1 blocked: v is 0 or 2
+            if nbrs & on1:  # colour 2 blocked too: v is 0 and stays 0
                 rand()
-                new = 0
-            else:
-                new = 0 if rand() * total1 < 1.0 else 2
-        elif nbrs & on1:  # colour 2 blocked
-            new = 0 if rand() * total1 < 1.0 else 1
-        else:
-            r = rand() * total2
-            new = 0 if r < 1.0 else 1 if r < total1 else 2
-        old = colouring[v]
-        if new != old:
-            colouring[v] = new
-            bit = 1 << v
-            if old == 1:
-                on1 ^= bit
-            elif old == 2:
-                on2 ^= bit
-            else:
+            elif rand() * total1 < 1.0:
+                if colouring[v]:
+                    colouring[v] = 0
+                    on2 ^= 1 << v
+                    coloured -= 1
+            elif not colouring[v]:
+                colouring[v] = 2
+                on2 |= 1 << v
                 coloured += 1
-            if new == 1:
-                on1 |= bit
-            elif new == 2:
-                on2 |= bit
-            else:
-                coloured -= 1
+        elif nbrs & on1:  # colour 2 blocked: v is 0 or 1
+            if rand() * total1 < 1.0:
+                if colouring[v]:
+                    colouring[v] = 0
+                    on1 ^= 1 << v
+                    coloured -= 1
+            elif not colouring[v]:
+                colouring[v] = 1
+                on1 |= 1 << v
+                coloured += 1
+        else:  # both colours free: the only branch where 1 and 2 swap
+            r = rand() * total2
+            old = colouring[v]
+            if r < 1.0:
+                if old:
+                    colouring[v] = 0
+                    if old == 1:
+                        on1 ^= 1 << v
+                    else:
+                        on2 ^= 1 << v
+                    coloured -= 1
+            elif r < total1:
+                if old != 1:
+                    colouring[v] = 1
+                    on1 |= 1 << v
+                    if old:
+                        on2 ^= 1 << v
+                    else:
+                        coloured += 1
+            elif old != 2:
+                colouring[v] = 2
+                on2 |= 1 << v
+                if old:
+                    on1 ^= 1 << v
+                else:
+                    coloured += 1
         if step == due:
-            record(coloured / n)
+            record(fraction[coloured])
             due += thinning
 
     estimate = sum(values) / len(values)

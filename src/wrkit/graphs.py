@@ -345,15 +345,18 @@ def graphs_up_to_iso(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], .
 # the two graph text formats
 #
 # builtin spec: atoms such as "cycle:5" or "random_regular:8,3,1000",
-# joined by "+" into a disjoint union; the spec becomes the label.
+# joined by "+" into a disjoint union, labelled by its stripped atoms
+# joined by "+".
 # Edge list: first line "n m", then m lines "u v".
 
 
 def _parse_builtin_atom(spec: str) -> Graph:
     # builders are called by their module-level names, so anything that
     # rebinds a builder in this module (the bench's tracing) sees the call
-    name, _, params = spec.partition(":")
-    args = [p for p in params.split(",") if p] if params else []
+    name, colon, params = spec.partition(":")
+    args = params.split(",") if colon else []
+    if "" in args:  # "cycle:,5", "complete:4,," and a bare "petersen:"
+        raise UsageError(f"empty parameter in builtin spec {spec!r}")
     try:
         if name == "complete":
             (n,) = map(int, args)
@@ -382,12 +385,15 @@ def _parse_builtin_atom(spec: str) -> Graph:
 
 
 def parse_builtin(spec: str) -> Graph:
-    """Builtin graph spec: atoms joined by '+' form a disjoint union."""
+    """Builtin graph spec: atoms joined by '+' form a disjoint union,
+    labelled by its stripped atoms joined by '+'."""
     atoms = [atom.strip() for atom in spec.split("+")]
+    if "" in atoms:
+        raise UsageError(f"empty term in builtin spec {spec!r}")
     graph = _parse_builtin_atom(atoms[0])
     for atom in atoms[1:]:
         graph = disjoint_union(graph, _parse_builtin_atom(atom))
-    return graph.relabel(spec)
+    return graph.relabel("+".join(atoms))
 
 
 def parse_edge_list(text: str) -> Graph:

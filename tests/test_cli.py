@@ -43,6 +43,16 @@ def test_parse_builtin():
     assert parse_builtin("petersen").n == 10
 
 
+def test_union_spacing_does_not_change_the_report(capsys):
+    # a union's label is its stripped atoms joined by '+'
+    reports = [
+        run(capsys, "partition", "--builtin", spec, "--lambda", "1")
+        for spec in ("cycle:5+cycle:3", "cycle:5 + cycle:3")
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0][0] == EXIT_OK and "cycle:5+cycle:3" in reports[0][1]
+
+
 def test_partition_command(capsys):
     code, out, _ = run(capsys, "partition", "--builtin", "complete:4")
     assert code == EXIT_OK
@@ -548,6 +558,12 @@ def test_builtin_size_errors_keep_the_builders_reason(capsys):
         # unparsable or wrong-arity parameters keep the generic message
         "cycle:x": "bad parameters in builtin spec 'cycle:x'",
         "cycle:3,4": "bad parameters in builtin spec 'cycle:3,4'",
+        # empty parameters and empty union terms are refused, not skipped
+        "cycle:,5": "empty parameter in builtin spec 'cycle:,5'",
+        "complete:4,,": "empty parameter in builtin spec 'complete:4,,'",
+        "petersen:": "empty parameter in builtin spec 'petersen:'",
+        "cycle:5+": "empty term in builtin spec 'cycle:5+'",
+        "cycle:5++cycle:3": "empty term in builtin spec 'cycle:5++cycle:3'",
     }
     for spec, reason in refused.items():
         code, out, err = run(capsys, "partition", "--builtin", spec)

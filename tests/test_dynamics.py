@@ -1,7 +1,9 @@
 """Glauber dynamics: kernel exactness, validity, determinism, estimates."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 
@@ -23,14 +25,16 @@ def all_valid_colourings(g):
     return list(valid_colourings(g, [(0, 1, 2)] * g.n))
 
 
-def replay_chain(g, lam, seed, steps):
+def replay_chain(g, lam, seed, steps, updates=None):
     """The heat-bath update written out over a list colouring, drawing
-    randomness in the sampler's order; yields (step, colouring)."""
+    randomness in the sampler's order; yields (step, colouring).  When
+    updates is a set, each step adds its (ok1, ok2, old, new) to it."""
     rng = random.Random(seed)
     colouring = [0] * g.n
     for step in range(1, steps + 1):
         v = int(rng.random() * g.n)
         ok1, ok2 = _allowed_colours(g.adj[v], colouring)
+        old = colouring[v]
         r = rng.random() * (1.0 + lam * (ok1 + ok2))
         if r < 1.0:
             colouring[v] = 0
@@ -38,6 +42,8 @@ def replay_chain(g, lam, seed, steps):
             colouring[v] = 1
         else:
             colouring[v] = 2
+        if updates is not None:
+            updates.add((ok1, ok2, old, colouring[v]))
         yield step, colouring
 
 
@@ -139,13 +145,36 @@ def test_irreducibility_uncolouring_path():
             assert is_valid_colouring(g, work)
 
 
-def replay_series(g, lam, seed, burn_in, samples, thinning=1):
+def replay_series(g, lam, seed, burn_in, samples, thinning=1, updates=None):
     """The (step, coloured fraction) pairs the sampler records, replayed."""
+    steps = burn_in + samples * thinning
     return [
         (step, sum(1 for c in colouring if c) / g.n)
-        for step, colouring in replay_chain(g, lam, seed, burn_in + samples * thinning)
+        for step, colouring in replay_chain(g, lam, seed, steps, updates)
         if step > burn_in and (step - burn_in) % thinning == 0
     ]
+
+
+def batch_means_summary(values):
+    """Mean and batch-means standard error over 100 equal batches, each a
+    left-to-right sum, as the sampler computes them."""
+    estimate = sum(values) / len(values)
+    size = len(values) // 100
+    means = [sum(values[i * size : (i + 1) * size]) / size for i in range(100)]
+    centre = sum(means) / 100
+    var = sum((m - centre) ** 2 for m in means) / 99
+    return estimate, sqrt(var / 100)
+
+
+# every (ok1, ok2, old, new) a valid step can make: with both colours
+# blocked v is uncoloured and stays so; with one blocked v holds 0 or
+# the other colour; with both free any colour may follow any other
+ALL_UPDATES = (
+    {(False, False, 0, 0)}
+    | {(False, True, old, new) for old in (0, 2) for new in (0, 2)}
+    | {(True, False, old, new) for old in (0, 1) for new in (0, 1)}
+    | {(True, True, old, new) for old in range(3) for new in range(3)}
+)
 
 
 def test_estimate_deterministic_and_matches_steps():
@@ -156,22 +185,48 @@ def test_estimate_deterministic_and_matches_steps():
 
     # the inline sampler draws randomness and moves exactly like the
     # replay: on small graphs, when thinning skips steps, when the
-    # colour-class masks span several 30-bit digits, and when every step
-    # sees the whole graph
+    # colour-class masks span several 30-bit digits, when every step
+    # sees the whole graph, and at activities so low or so high that
+    # nearly every step leaves v uncoloured or blocks a colour
+    petersen = make_petersen()
     cases = (
         (g, 1.5, 10, 300, 1),
-        (make_petersen(), 0.5, 10, 300, 1),
+        (petersen, 0.5, 10, 300, 1),
         (g, 1.5, 10, 300, 3),
         (make_random_regular(100, 3, 8), 1.0, 500, 1000, 3),
         (make_complete(12), 2.0, 10, 1000, 1),
+        (petersen, 1 / 1000, 10, 2000, 1),
+        (petersen, 1000.0, 10, 2000, 1),
+        (g, 1 / 1000, 10, 2000, 1),
+        (g, 1000.0, 10, 2000, 1),
     )
+    updates = set()
     for graph, lam, burn_in, samples, thinning in cases:
         series: list[tuple[int, float]] = []
-        estimate_occupancy(
+        summary = estimate_occupancy(
             graph, lam, burn_in=burn_in, samples=samples, thinning=thinning,
             seed=11, series_out=series,
         )
-        assert series == replay_series(graph, lam, 11, burn_in, samples, thinning)
+        replayed = replay_series(graph, lam, 11, burn_in, samples, thinning, updates)
+        assert series == replayed
+        # the summary is the replayed series' summary, bit for bit
+        assert summary == batch_means_summary([value for _, value in replayed])
+    # the cases reach every branch of the sampler's update
+    assert updates == ALL_UPDATES
+
+
+def test_recorded_samples_share_their_floats():
+    # each sample is one of the n + 1 coloured fractions, not a new float:
+    # 150,000 samples peak at 1.3 MB, about their list of pointers, where
+    # a new float per sample peaked at 4.9 MB
+    g = make_petersen()
+    tracemalloc.start()
+    try:
+        estimate_occupancy(g, 1.0, burn_in=10, samples=150_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_estimate_thinning_series():

@@ -24,6 +24,7 @@ from wrkit.graphs import (
     make_petersen,
     make_prism,
     make_random_regular,
+    parse_builtin,
     parse_edge_list,
     permute_code,
 )
@@ -295,6 +296,33 @@ def test_parse_edge_list_errors():
         parse_edge_list("")  # no header
     with pytest.raises(CapacityError):
         parse_edge_list(f"{VERTEX_CAP + 1} 0\n")  # before allocating
+
+
+def test_parse_builtin_refuses_empty_parameters_and_terms():
+    refused = {
+        "cycle:,5": "empty parameter",
+        "complete:4,,": "empty parameter",
+        "bipartite:3,,3": "empty parameter",
+        "petersen:": "empty parameter",
+        "cycle:": "empty parameter",
+        "cycle:5+": "empty term",
+        "+cycle:5": "empty term",
+        "cycle:5++cycle:3": "empty term",
+        "cycle:5+ ": "empty term",
+        "": "empty term",
+    }
+    for spec, reason in refused.items():
+        with pytest.raises(UsageError) as info:
+            parse_builtin(spec)
+        assert str(info.value) == f"{reason} in builtin spec {spec!r}"
+
+
+def test_parse_builtin_labels_a_union_by_its_stripped_atoms():
+    for spec in ("cycle:5+cycle:3", "cycle:5 + cycle:3", " cycle:5+  cycle:3 "):
+        assert parse_builtin(spec).label == "cycle:5+cycle:3"
+    # a well-formed spec is its own label
+    for spec in ("petersen", "complete:4+complete:4", "random_regular:10,3,7"):
+        assert parse_builtin(spec).label == spec
 
 
 def test_edge_list_round_trip():
