@@ -25,10 +25,8 @@ from .dynamics import estimate_occupancy
 from .extremal import (
     BoundReport,
     ScanFinding,
-    catalog_d2,
-    catalog_d3,
+    catalog,
     conjecture_scan,
-    full_catalog,
     verify_hom_bound,
     verify_occupancy_bound,
     verify_partition_bound,

@@ -56,11 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_graph(args) -> Graph:
-    if args.builtin and args.file:
+    if args.builtin is not None and args.file is not None:
         raise UsageError("give either --builtin or --file, not both")
-    if args.builtin:
+    if args.builtin is not None:
         return parse_builtin(args.builtin)
-    if args.file:
+    if args.file is not None:
         path = Path(args.file)
         try:
             text = path.read_text()
@@ -92,6 +92,8 @@ def _parse_pair_grid(text: str) -> list[ActivityPair]:
 
 def _check_csv_target(csv_path: str) -> None:
     """Refuse a --csv destination that cannot be written, before any work."""
+    if not csv_path:
+        raise UsageError("cannot write an empty --csv path")
     target = Path(csv_path)
     if target.is_dir():
         raise UsageError(f"cannot write {csv_path}: it is a directory")
@@ -100,7 +102,7 @@ def _check_csv_target(csv_path: str) -> None:
 
 
 def _write_or_print(text: str, csv_path: str | None) -> None:
-    if csv_path:
+    if csv_path is not None:
         try:
             Path(csv_path).write_text(text)
         except OSError as exc:
@@ -128,8 +130,8 @@ def cmd_occupancy(args) -> int:
     if args.lam is not None and (args.lambda1 is not None or args.lambda2 is not None):
         raise UsageError("give either --lambda or --lambda1/--lambda2, not both")
     graph = _load_graph(args)
-    if args.lambda1 or args.lambda2:
-        if not (args.lambda1 and args.lambda2):
+    if args.lambda1 is not None or args.lambda2 is not None:
+        if args.lambda1 is None or args.lambda2 is None:
             raise UsageError("--lambda1 and --lambda2 must be given together")
         act = ActivityPair(parse_rational(args.lambda1), parse_rational(args.lambda2))
         a1, a2 = occupancy_by_colour(graph, act)
@@ -148,27 +150,18 @@ def cmd_occupancy(args) -> int:
     return EXIT_OK
 
 
-def _catalog(name: str) -> list[tuple[Graph, int]]:
-    if name == "d2":
-        return [(g, 2) for g in extremal.catalog_d2()]
-    if name == "d3":
-        return [(g, 3) for g in extremal.catalog_d3()]
-    if name == "all":
-        return extremal.full_catalog()
-    raise UsageError(f"unknown catalog {name!r} (want d2, d3 or all)")
-
-
 def cmd_verify(args) -> int:
-    if args.d is not None and not (args.builtin or args.file):
+    explicit = args.builtin is not None or args.file is not None
+    if args.d is not None and not explicit:
         raise UsageError("--d is for an explicit graph (--builtin or --file)")
-    if args.builtin or args.file:
+    if explicit:
         if args.catalog is not None:
             raise UsageError("give either --catalog or --builtin/--file, not both")
         if args.d is None:
             raise UsageError("--d is required with an explicit graph")
         catalog = [(_load_graph(args), args.d)]
     else:
-        catalog = _catalog("all" if args.catalog is None else args.catalog)
+        catalog = extremal.catalog("all" if args.catalog is None else args.catalog)
     lams = [parse_rational(t) for t in (args.lam or list(DEFAULT_LAMBDA_GRID))]
     reports = []
     for graph, d in catalog:
@@ -184,7 +177,7 @@ def cmd_verify(args) -> int:
             f"{format_rational(r.lhs)} {r.relation} {format_rational(r.rhs)} "
             f"(equality expected: {'yes' if r.equality_expected else 'no'}) {status}"
         )
-    if args.csv:
+    if args.csv is not None:
         _write_or_print(extremal.bound_reports_csv(reports), args.csv)
     print(f"{len(reports)} checks, {len(bad)} mismatches")
     return EXIT_MISMATCH if bad else EXIT_OK
@@ -203,7 +196,7 @@ def cmd_lp(args) -> int:
     print(f"tight constraints ({len(tight_texts)}):")
     for text in tight_texts:
         print(f"  {text}")
-    if args.csv:
+    if args.csv is not None:
         _write_or_print(lp.config_report_csv(report), args.csv)
     return EXIT_OK
 
@@ -216,7 +209,7 @@ def cmd_dualcert(args) -> int:
         f"Lambda_c={format_rational(cert.lambda_c)} "
         f"violations={len(report.violations)} tight={len(report.tight_set)}"
     )
-    if args.csv:
+    if args.csv is not None:
         _write_or_print(lp.config_report_csv(report), args.csv)
     return EXIT_MISMATCH if report.violations else EXIT_OK
 
@@ -244,7 +237,7 @@ def cmd_sample(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad activity {args.lam!r}") from exc
     burnin = args.burnin if args.burnin is not None else 1000 * graph.n
-    series: list[tuple[int, float]] | None = [] if args.csv else None
+    series: list[tuple[int, float]] | None = [] if args.csv is not None else None
     estimate, stderr = dynamics.estimate_occupancy(
         graph,
         lam,
@@ -260,14 +253,14 @@ def cmd_sample(args) -> int:
         f"estimate {estimate:.6f} stderr {stderr:.6f} "
         f"(burnin={burnin} samples={args.samples} thin={args.thin})"
     )
-    if args.csv:
+    if args.csv is not None:
         rows = ((step, f"{value:.6f}") for step, value in series)
         _write_or_print(csv_text("step,coloured_fraction", rows), args.csv)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    catalog = _catalog(args.catalog)
+    catalog = extremal.catalog(args.catalog)
     grid = _parse_pair_grid(args.grid)
     findings = extremal.conjecture_scan(catalog, grid)
     violations = [f for f in findings if f.violation]
@@ -295,7 +288,7 @@ def _occupancy_flags(p) -> None:
 
 def _verify_flags(p) -> None:
     _add_graph_flags(p)
-    p.add_argument("--catalog", help="d2, d3 or all")
+    p.add_argument("--catalog", help=extremal.catalog_choices())
     p.add_argument("--d", type=int, help="degree for an explicit graph")
     p.add_argument(
         "--lambda", dest="lam", action="append", help="activity p/q (repeatable)"
@@ -326,7 +319,7 @@ def _sample_flags(p) -> None:
 
 
 def _scan_flags(p) -> None:
-    p.add_argument("--catalog", default="all", help="d2, d3 or all")
+    p.add_argument("--catalog", default="all", help=extremal.catalog_choices())
     p.add_argument("--grid", default=DEFAULT_PAIR_GRID, help="pairs 'p/q,p/q;p/q,p/q'")
     p.add_argument("--csv", help="write findings CSV here")
 
@@ -381,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
             # anything else (help, a usage error, a leading --): the whole tree
             args = build_parser().parse_args(argv)
             name = args.command
-        if getattr(args, "csv", None):
+        if getattr(args, "csv", None) is not None:
             _check_csv_target(args.csv)
         return COMMANDS[name].run(args)
     except (UsageError, ParseError, DomainError) as exc:

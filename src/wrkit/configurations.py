@@ -407,13 +407,28 @@ def count_configs(d: int) -> int:
     )
 
 
-def uniform_list_classes(d: int, mask: int) -> tuple[Configuration, ...]:
-    """(H, every list mask) for each graph class H on d vertices, in
-    canonical order; with equal lists the canonical code is H's."""
-    lists = (mask,) * d
-    return tuple(
-        _stamped(graph_from_code(d, code), code, lists) for code, _ in graphs_up_to_iso(d)
-    )
+def uniform_full_classes(
+    reduced: tuple[Configuration, ...],
+) -> tuple[Configuration, ...] | None:
+    """The full classes whose reduced class is among these, in canonical
+    order, when each of these has all lists equal; else None.
+
+    With every list empty, {1} or {2}, no edge matters, so every graph
+    class H carries those lists, with H's canonical code; with every
+    list {12}, every edge does, so the class is its own only full class."""
+    out = []
+    for config in reduced:
+        d, lists = config.d, config.lists
+        if lists != (lists[0],) * d:
+            return None
+        if lists[0] == BOTH_COLOURS:
+            out.append(config)
+        else:
+            out += (
+                _stamped(graph_from_code(d, code), code, lists)
+                for code, _ in graphs_up_to_iso(d)
+            )
+    return tuple(sorted(out, key=Configuration.key))
 
 
 @lru_cache(maxsize=8)

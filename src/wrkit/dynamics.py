@@ -36,7 +36,7 @@ from math import floor, inf, sqrt
 from .errors import DomainError, UsageError
 from .graphs import Graph
 from .numerics import check_activity, number_text
-from .occupancy import _check_vertices
+from .occupancy import check_vertices
 
 RNG_ALGORITHM = "mt19937"
 
@@ -124,7 +124,7 @@ def estimate_occupancy(
         raise DomainError(
             f"activity {number_text(lam)} is too {size} for the sampler's floats"
         )
-    _check_vertices(graph)
+    check_vertices(graph)
     if burn_in < 1 or samples < 1 or thinning < 1:
         raise UsageError("burn_in, samples and thinning must all be >= 1")
     rng = random.Random(seed)

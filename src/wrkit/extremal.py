@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .graphs import Graph, is_union_of_complete, make_complete, parse_builtin
 from .numerics import check_activity, csv_text, format_rational
 from .occupancy import (
@@ -132,7 +132,8 @@ def verify_hom_bound(g: Graph, d: int) -> BoundReport:
 
 
 # The desk catalogs as builtin specs (graphs.parse_builtin), each
-# spec its graph's label.
+# spec its graph's label: 2-regular, every cycle up to 12 plus unions of
+# cycles; 3-regular, named graphs plus seeded random regulars.
 CATALOG_D2 = tuple(f"cycle:{n}" for n in range(3, 13)) + (
     "cycle:3+cycle:3",
     "cycle:3+cycle:3+cycle:3",
@@ -152,22 +153,26 @@ CATALOG_D3 = (
     "complete:4+complete:4",
 ) + tuple(f"random_regular:{(8, 10, 14)[i % 3]},3,{1000 + i}" for i in range(20))
 
-
-def catalog_d2() -> list[Graph]:
-    """2-regular desk catalog: all cycles up to 12 plus unions of cycles."""
-    return [parse_builtin(spec) for spec in CATALOG_D2]
-
-
-def catalog_d3() -> list[Graph]:
-    """3-regular desk catalog: named graphs plus seeded random regulars."""
-    return [parse_builtin(spec) for spec in CATALOG_D3]
+# Every catalog by name: its degree and its specs.  A new catalog is one
+# entry here; verify, scan and their help read this table.
+CATALOGS = {"d2": (2, CATALOG_D2), "d3": (3, CATALOG_D3)}
 
 
-def full_catalog() -> list[tuple[Graph, int]]:
-    """The complete desk catalog as (graph, d) pairs."""
-    out = [(g, 2) for g in catalog_d2()]
-    out.extend((g, 3) for g in catalog_d3())
-    return out
+def catalog_choices() -> str:
+    """The names catalog() takes, as the help and its error list them."""
+    return ", ".join(CATALOGS) + " or all"
+
+
+def catalog(name: str) -> list[tuple[Graph, int]]:
+    """The (graph, d) pairs of catalog ``name``, or of every catalog in
+    table order for "all"."""
+    if name == "all":
+        entries = CATALOGS.values()
+    elif name in CATALOGS:
+        entries = [CATALOGS[name]]
+    else:
+        raise UsageError(f"unknown catalog {name!r} (want {catalog_choices()})")
+    return [(parse_builtin(spec), d) for d, specs in entries for spec in specs]
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ from . import simplex
 from .configurations import (
     ConfigStats,
     Configuration,
-    BOTH_COLOURS,
     check_degree,
     complete_neighbourhood_config,
     count_configs,
@@ -75,7 +74,7 @@ from .configurations import (
     local_partition_functions,
     reduced_configs,
     single_colour_config,
-    uniform_list_classes,
+    uniform_full_classes,
 )
 from .errors import UsageError, VerificationError
 from .numerics import check_activity, csv_text, format_rational
@@ -381,22 +380,6 @@ class FeasibilityReport:
     reduced_tight_set: tuple[Configuration, ...]
 
 
-def _full_classes(reduced: tuple[Configuration, ...]) -> tuple[Configuration, ...] | None:
-    """The full classes whose reduced class is among these, in canonical
-    order, when each of these has all lists equal; else None.
-
-    With every list empty, {1} or {2}, no edge matters, so every graph
-    class carries those lists; with every list {12}, every edge does, so
-    the class is its own only full class."""
-    out = []
-    for config in reduced:
-        mask = config.lists[0]
-        if config.lists != (mask,) * config.d:
-            return None
-        out += [config] if mask == BOTH_COLOURS else uniform_list_classes(config.d, mask)
-    return tuple(sorted(out, key=Configuration.key))
-
-
 def _slack_numerators(
     cert: DualCertificate, columns: Iterable[tuple[int, int, int]]
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -476,7 +459,7 @@ def verify_dual_feasibility(
     violations = ()
     if any(slack < 0 for slack, _ in slacks):
         violations = tuple(row.config for row in rows if row.slack < 0)
-    tight = _full_classes(reduced_tight)
+    tight = uniform_full_classes(reduced_tight)
     if tight is None:
         tight = tuple(row.config for row in rows if row.tight)
 

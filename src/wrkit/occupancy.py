@@ -39,7 +39,8 @@ class ActivityPair:
         object.__setattr__(self, "lambda2", check_activity(self.lambda2))
 
 
-def _check_vertices(g: Graph) -> None:
+def check_vertices(g: Graph) -> None:
+    """Refuse a graph with no vertices, whose occupancy is undefined."""
     if g.n == 0:
         raise DomainError("occupancy of a graph with no vertices is undefined")
 
@@ -49,7 +50,7 @@ def occupancy_fraction(g: Graph, lam: Fraction) -> Fraction:
     lam = p/q, Fraction(M, n V) with (V, M) the value and first moment
     of P scaled by q^deg P."""
     lam = check_activity(lam)
-    _check_vertices(g)
+    check_vertices(g)
     p = wr_partition(g)
     value, moment = p.scaled_eval(lam.numerator, lam.denominator, p.degree)
     return Fraction(moment, g.n * value)
@@ -68,7 +69,7 @@ def _colour_moments(g: Graph, act: ActivityPair) -> tuple[int, int, int]:
     """(S, S1, S2): the bivariate partition polynomial's value and its
     first moments lam1 P_1 and lam2 P_2 at the pair, all over one
     positive integer scale."""
-    _check_vertices(g)
+    check_vertices(g)
     x, y = act.lambda1, act.lambda2
     return wr_partition_bivariate(g).scaled_eval(
         x.numerator, x.denominator, y.numerator, y.denominator

@@ -18,7 +18,7 @@ from wrkit.configurations import (
     local_partition_functions,
 )
 from wrkit.dynamics import estimate_occupancy
-from wrkit.extremal import conjecture_scan, full_catalog
+from wrkit.extremal import catalog as shipped_catalog, conjecture_scan
 from wrkit.graphs import make_complete, make_cycle, make_petersen
 from wrkit.lp import (
     build_primal,
@@ -64,7 +64,7 @@ def report(num: int, message: str) -> None:
 
 @pytest.fixture(scope="module")
 def catalog():
-    return full_catalog()
+    return shipped_catalog("all")
 
 
 def test_criterion_01_closed_forms():

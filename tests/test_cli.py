@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from wrkit.cli import (
     EXIT_CAPACITY,
     EXIT_COUNTEREXAMPLE,
@@ -13,6 +15,7 @@ from wrkit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     COMMANDS,
+    DEFAULT_LAMBDA_GRID,
     build_parser,
     main,
     parse_builtin,
@@ -361,6 +364,67 @@ def test_csv_write_failure_after_the_report(tmp_path, capsys, monkeypatch):
     assert out.startswith("Lambda_p=")
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1
+
+
+EMPTY_VALUES = (
+    ("verify", "--catalog", "d2", "--lambda", "1", "--csv="),
+    ("lp", "--d", "2", "--lambda", "1", "--csv="),
+    ("dualcert", "--d", "2", "--lambda", "1", "--csv="),
+    ("configs", "--d", "2", "--lambda", "1", "--csv="),
+    ("sample", "--builtin", "cycle:5", "--lambda", "1", "--samples", "10", "--csv="),
+    ("scan", "--csv="),
+    ("occupancy", "--builtin", "cycle:5", "--lambda1=", "--lambda2", "1"),
+    ("occupancy", "--builtin", "cycle:5", "--lambda1", "1", "--lambda2="),
+    ("verify", "--builtin=", "--d", "2"),
+    ("verify", "--catalog=", "--lambda", "1"),
+    ("partition", "--builtin="),
+    ("partition", "--file="),
+    ("sample", "--builtin", "cycle:5", "--lambda="),
+)
+
+
+def test_an_empty_value_is_a_given_flag(tmp_path, monkeypatch, capsys):
+    # an empty value reaches its own check and is refused there, never
+    # read as a missing flag: one short error line, no stdout, no file
+    monkeypatch.chdir(tmp_path)
+    for argv in EMPTY_VALUES:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert len(err.encode()) < 100, argv
+        assert list(tmp_path.iterdir()) == [], argv
+    assert {argv[0] for argv in EMPTY_VALUES if argv[-1] == "--csv="} == {
+        name for name, command in COMMANDS.items() if takes_csv(command)
+    }
+    code, _, err = run(capsys, "lp", "--d", "2", "--lambda", "1", "--csv=")
+    assert err == "error: cannot write an empty --csv path\n"
+
+
+def test_a_new_catalog_is_one_table_entry(monkeypatch, capsys):
+    from wrkit import extremal
+
+    tiny = ("cycle:3", "cycle:4")
+    monkeypatch.setattr(extremal, "CATALOGS", {**extremal.CATALOGS, "tiny": (2, tiny)})
+    code, out, _ = run(capsys, "verify", "--catalog", "tiny")
+    assert code == EXIT_OK
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == [
+        spec for spec in tiny for _ in range(2 * len(DEFAULT_LAMBDA_GRID) + 1)
+    ]
+    code, out, _ = run(capsys, "scan", "--catalog", "tiny", "--grid", "1,1")
+    assert code == EXIT_OK
+    assert [line.split(",")[0] for line in out.splitlines()[1:-1]] == [
+        spec for spec in tiny for _ in range(2)
+    ]
+    assert [(g.label, d) for g, d in extremal.catalog("all")[-2:]] == [
+        (spec, 2) for spec in tiny
+    ]
+    for name in ("verify", "scan"):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        assert "d2, d3, tiny or all" in capsys.readouterr().out, name
+    code, out, err = run(capsys, "verify", "--catalog", "d4", "--lambda", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: unknown catalog 'd4' (want d2, d3, tiny or all)\n"
 
 
 def test_configs_command(capsys):

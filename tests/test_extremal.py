@@ -4,17 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from wrkit.errors import DomainError
+from wrkit.errors import DomainError, UsageError
 from wrkit.extremal import (
     CATALOG_D2,
     CATALOG_D3,
     BoundReport,
     bound_reports_csv,
-    catalog_d2,
-    catalog_d3,
+    catalog,
     conjecture_scan,
     findings_csv,
-    full_catalog,
     verify_hom_bound,
     verify_occupancy_bound,
     verify_partition_bound,
@@ -107,11 +105,10 @@ def test_bound_directions_agree():
 
 
 def test_catalogs_are_regular():
-    for g in catalog_d2():
-        assert is_d_regular(g, 2), g.label
-    for g in catalog_d3():
-        assert is_d_regular(g, 3), g.label
-    assert len(catalog_d3()) == 28  # 8 named + 20 random
+    for name, degree in (("d2", 2), ("d3", 3)):
+        for g, d in catalog(name):
+            assert d == degree and is_d_regular(g, d), g.label
+    assert len(catalog("d3")) == 28  # 8 named + 20 random
 
 
 def test_scan_diagonal_matches_proven_bound():
@@ -163,14 +160,18 @@ def _shape(graphs):
     return [(g.label, g.n, g.adj) for g in graphs]
 
 
+def _graphs(name):
+    return [g for g, _ in catalog(name)]
+
+
 def test_catalogs_are_their_parsed_specs():
     # same order, labels and adjacency as the spec tuples parse to
-    assert _shape(catalog_d2()) == _shape(parse_builtin(s) for s in CATALOG_D2)
-    assert _shape(catalog_d3()) == _shape(parse_builtin(s) for s in CATALOG_D3)
-    assert [g.label for g in catalog_d2()] == list(CATALOG_D2)
-    assert [g.label for g in catalog_d3()] == list(CATALOG_D3)
+    assert _shape(_graphs("d2")) == _shape(parse_builtin(s) for s in CATALOG_D2)
+    assert _shape(_graphs("d3")) == _shape(parse_builtin(s) for s in CATALOG_D3)
+    assert [g.label for g in _graphs("d2")] == list(CATALOG_D2)
+    assert [g.label for g in _graphs("d3")] == list(CATALOG_D3)
     # and the specs mean the builder calls they name
-    by_label = {g.label: g for g in catalog_d2() + catalog_d3()}
+    by_label = {g.label: g for g in _graphs("all")}
     union = disjoint_union(disjoint_union(make_cycle(3), make_cycle(3)), make_cycle(3))
     assert _shape([by_label["cycle:3+cycle:3+cycle:3"]]) == _shape([union])
     assert by_label["bipartite:3,3"].adj == make_complete_bipartite(3, 3).adj
@@ -181,9 +182,17 @@ def test_catalogs_are_their_parsed_specs():
 
 
 def test_full_catalog_shape():
-    catalog = full_catalog()
-    assert all(is_d_regular(g, d) for g, d in catalog)
-    assert {d for _, d in catalog} == {2, 3}
+    # "all" is every catalog in table order
+    full = catalog("all")
+    assert all(is_d_regular(g, d) for g, d in full)
+    assert [(g.label, d) for g, d in full] == [
+        (g.label, d) for name in ("d2", "d3") for g, d in catalog(name)
+    ]
+
+
+def test_unknown_catalog_lists_the_table():
+    with pytest.raises(UsageError, match=r"^unknown catalog 'd4' \(want d2, d3 or all\)$"):
+        catalog("d4")
 
 
 def test_report_ok_flags_greater_as_failure():

@@ -627,15 +627,16 @@ def test_dual_slack_sampled_d5_d6():
 def test_relaxation_tightness_against_catalog():
     # the LP value bounds every catalog graph and is attained exactly by
     # clique unions
-    from wrkit.extremal import catalog_d2
+    from wrkit.extremal import catalog
     from wrkit.graphs import is_union_of_complete
     from wrkit.occupancy import occupancy_fraction
 
     lam = F(1)
     lp_value = simplex_solve(build_primal(2, lam)).value
     assert lp_value == alpha_K(2, lam)
-    best = max(occupancy_fraction(g, lam) for g in catalog_d2())
+    graphs = [g for g, _ in catalog("d2")]
+    best = max(occupancy_fraction(g, lam) for g in graphs)
     assert best == lp_value
-    for g in catalog_d2():
+    for g in graphs:
         exact = occupancy_fraction(g, lam) == lp_value
         assert exact == is_union_of_complete(g, 3), g.label

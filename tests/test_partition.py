@@ -9,7 +9,7 @@ import pytest
 
 from wrkit import partition
 from wrkit.errors import CapacityError, VerificationError
-from wrkit.extremal import full_catalog
+from wrkit.extremal import catalog
 from wrkit.graphs import (
     Graph,
     component_masks,
@@ -155,7 +155,7 @@ def census_polynomials(g):
 
 
 def test_elimination_matches_census_oracle():
-    graphs = [g for g, _ in full_catalog()]
+    graphs = [g for g, _ in catalog("all")]
     graphs += [
         make_prism(8),
         disjoint_union(make_cycle(8), make_cycle(10)),
