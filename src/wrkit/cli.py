@@ -61,6 +61,8 @@ def _load_graph(args) -> Graph:
     if args.builtin is not None:
         return parse_builtin(args.builtin)
     if args.file is not None:
+        if not args.file:
+            raise UsageError("cannot read an empty --file path")
         path = Path(args.file)
         try:
             text = path.read_text()

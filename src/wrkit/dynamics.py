@@ -1,11 +1,14 @@
 """Single-site heat-bath (Glauber) dynamics for the Widom-Rowlinson model.
 
 One step picks a uniform vertex and resamples its colour from the
-stationary conditional given its neighbours: colour i is available only
-when no neighbour carries the other colour, and available options are
-weighted 1 (uncoloured) and lam per colour.  The chain therefore
+model's conditional law given every other vertex: colour i is available
+only when no neighbour carries the other colour, and available options
+are weighted 1 (uncoloured) and lam per colour.  The chain therefore
 preserves validity at every step, and its stationary law is the model
-distribution at activity lam.
+distribution at activity lam.  transition_distribution is this
+definition in exact arithmetic, its candidates drawn from
+partition.valid_colourings, so it shares no validity rule with the
+sampler's masks.
 
 The sampler keeps two colour-class masks, the vertices coloured 1 and
 the vertices coloured 2, as Python ints beside the colouring.  A step
@@ -20,11 +23,11 @@ when a vertex's colour does.  Each recorded sample is one of the n + 1
 coloured fractions c / n, built once per chain, so a long chain keeps
 one pointer per sample rather than one float.
 
-Sampling is plain floating point for throughput; exactness lives in the
-rest of the package.  estimate_occupancy is the sampler's one activity
-gate.  Randomness comes from the CPython Mersenne Twister
-(random.Random) with an explicit seed, so runs are reproducible; the
-algorithm identifier is exported for run logs.
+Sampling is plain floating point for throughput; transition_distribution,
+like the rest of the package, is exact.  estimate_occupancy is the
+sampler's one activity gate.  Randomness comes from the CPython Mersenne
+Twister (random.Random) with an explicit seed, so runs are reproducible;
+the algorithm identifier is exported for run logs.
 """
 
 from __future__ import annotations
@@ -37,53 +40,36 @@ from .errors import DomainError, UsageError
 from .graphs import Graph
 from .numerics import check_activity, number_text
 from .occupancy import check_vertices
+from .partition import is_valid_colouring, valid_colourings
 
 RNG_ALGORITHM = "mt19937"
-
-
-def _allowed_colours(adj_mask: int, colouring: list[int]) -> tuple[bool, bool]:
-    """Which of colours 1 and 2 the neighbourhood permits."""
-    ok1 = True
-    ok2 = True
-    rest = adj_mask
-    while rest:
-        low = rest & -rest
-        c = colouring[low.bit_length() - 1]
-        if c == 1:
-            ok2 = False
-        elif c == 2:
-            ok1 = False
-        rest ^= low
-    return ok1, ok2
 
 
 def transition_distribution(
     colouring: tuple[int, ...], graph: Graph, lam: Fraction
 ) -> dict[tuple[int, ...], Fraction]:
-    """Exact one-step kernel from a valid colouring (for verification).
-
-    Mirrors one step of the sampler in estimate_occupancy: vertex chosen
-    uniformly, then the heat-bath choice among {0} plus allowed colours
-    with weights 1 and lam.
+    """Exact one-step kernel of the sampler in estimate_occupancy, for
+    verification: a uniform vertex v, then the model's conditional law at
+    v.  Its candidates are the valid colourings, from valid_colourings,
+    that fix every other vertex and leave v free; each weighs 1 when v is
+    uncoloured and lam when it is coloured.  A state that is not a valid
+    colouring of the graph is a UsageError.
     """
-    lam = Fraction(lam)
+    lam = check_activity(lam)
+    check_vertices(graph)
     n = graph.n
+    shaped = len(colouring) == n and set(colouring) <= {0, 1, 2}
+    if not (shaped and is_valid_colouring(graph, colouring)):
+        raise UsageError(f"state is not a valid colouring: want {n} colours 0-2, no 1-2 edge")
     out: dict[tuple[int, ...], Fraction] = {}
-    pick = Fraction(1, n)
-    work = list(colouring)
     for v in range(n):
-        ok1, ok2 = _allowed_colours(graph.adj[v], work)
-        options = [(0, Fraction(1))]
-        if ok1:
-            options.append((1, lam))
-        if ok2:
-            options.append((2, lam))
-        total = sum(w for _, w in options)
-        for colour, weight in options:
-            nxt = list(colouring)
-            nxt[v] = colour
-            key = tuple(nxt)
-            out[key] = out.get(key, Fraction(0)) + pick * weight / total
+        options = [(c,) for c in colouring]
+        options[v] = (0, 1, 2)
+        moves = list(valid_colourings(graph, options))
+        weights = [lam if move[v] else Fraction(1) for move in moves]
+        total = n * sum(weights)
+        for move, weight in zip(moves, weights):
+            out[move] = out.get(move, 0) + weight / total
     return out
 
 
@@ -144,8 +130,9 @@ def estimate_occupancy(
     due = burn_in + thinning
     # hot loop: the one Glauber kernel, kept inline.  It draws rand()
     # twice per step and makes the comparisons of the heat-bath rule in
-    # transition_distribution; a step-for-step replay test pins it to
-    # _allowed_colours.  Each branch changes only what validity lets it
+    # transition_distribution; a step-for-step replay test, drawing among
+    # the same candidates, pins it.  Each branch changes only what
+    # validity lets it
     for step in range(1, total_steps + 1):
         v = floor(rand() * n)
         nbrs = adj[v]

@@ -43,6 +43,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import DomainError, ParseError, UsageError
@@ -120,7 +121,7 @@ class IntPolynomial:
     The coefficient tuple never has a trailing zero; the zero polynomial
     is the empty tuple.  Instances support ``+``, ``-`` and ``*``
     (ints are coerced to constants), formal differentiation, and exact
-    Horner evaluation at rational points.
+    evaluation at rational points.
     """
 
     __slots__ = ("coeffs",)
@@ -196,22 +197,18 @@ class IntPolynomial:
     def eval(self, x: Fraction | int) -> Fraction | int:
         """Exact value at x (int in, int out; Fraction in, Fraction out).
 
-        At x = p/q (an int is p/1) a homogeneous Horner scheme runs in
-        integers, acc = acc*p + c*q^k; a Fraction(acc, q^degree) is built
-        at the end.  The zero polynomial is 0.
+        At x = p/q (an int is p/1) the coefficients are summed against the
+        cleared powers p^k q^(degree-k) in integers; one Fraction over
+        q^degree is built at the end.  The zero polynomial is 0.
         """
         coeffs = self.coeffs
         if not coeffs:
             return 0
-        p, q = x.numerator, x.denominator
-        acc = coeffs[-1]
-        scale = 1
-        for c in reversed(coeffs[:-1]):
-            scale *= q
-            acc = acc * p + c * scale
+        powers = _cleared_powers(x.numerator, x.denominator, self.degree)
+        value = sum(map(mul, coeffs, powers))
         if isinstance(x, int):
-            return acc
-        return Fraction(acc, scale)
+            return value
+        return Fraction(value, powers[0])
 
     def scaled_eval(self, p: int, q: int, n: int) -> tuple[int, int]:
         """The value and first moment at x = p/q, both times q^n, as

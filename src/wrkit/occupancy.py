@@ -159,6 +159,7 @@ def free_energy_derivative(
     if not (0 < x <= lambda2):
         raise DomainError("evaluation point must satisfy 0 < x <= lambda2")
     lambda1, lambda2, x = map(check_activity, (lambda1, lambda2, x))
+    check_vertices(g)
     offset = lambda1 - lambda2
 
     coeffs = _path_polynomial(g, offset)

@@ -29,8 +29,9 @@ colour-1 sets allowed by the per-vertex colour lists.
 
 valid_colourings, a product over each vertex's allowed colours filtered
 by is_valid_colouring, is the one reference enumerator: the 3^n oracle
-here runs on it, and so do the tests' enumeration checks of the local
-layer's list colourings.
+here runs on it, as do the exact Glauber kernel
+(dynamics.transition_distribution), the tests' replay of the sampler and
+their enumeration checks of the local layer's list colourings.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from wrkit.configurations import (
     alpha_v,
     complete_neighbourhood_config,
 )
-from wrkit.dynamics import estimate_occupancy
+from wrkit.dynamics import estimate_occupancy, transition_distribution
 from wrkit.errors import DomainError
 from wrkit.extremal import (
     conjecture_scan,
@@ -72,6 +72,9 @@ ENTRY_POINTS = {
     "monotone_lhs_check": lambda lam: monotone_lhs_check(2, lam),
     "uniqueness_check": lambda lam: uniqueness_check(2, lam),
     "estimate_occupancy": lambda lam: estimate_occupancy(CYCLE, lam, 10, 10),
+    "transition_distribution": lambda lam: transition_distribution(
+        (0, 1, 0, 0), CYCLE, lam
+    ),
     "verify_occupancy_bound": lambda lam: verify_occupancy_bound(CYCLE, 2, lam),
     "verify_partition_bound": lambda lam: verify_partition_bound(CYCLE, 2, lam),
 }

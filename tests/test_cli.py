@@ -379,6 +379,9 @@ EMPTY_VALUES = (
     ("verify", "--catalog=", "--lambda", "1"),
     ("partition", "--builtin="),
     ("partition", "--file="),
+    ("occupancy", "--file=", "--lambda", "1"),
+    ("verify", "--file=", "--d", "2", "--lambda", "1"),
+    ("sample", "--file=", "--lambda", "1", "--samples", "10"),
     ("sample", "--builtin", "cycle:5", "--lambda="),
 )
 
@@ -393,6 +396,8 @@ def test_an_empty_value_is_a_given_flag(tmp_path, monkeypatch, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert len(err.encode()) < 100, argv
         assert list(tmp_path.iterdir()) == [], argv
+        if "--file=" in argv:
+            assert err == "error: cannot read an empty --file path\n", argv
     assert {argv[0] for argv in EMPTY_VALUES if argv[-1] == "--csv="} == {
         name for name, command in COMMANDS.items() if takes_csv(command)
     }

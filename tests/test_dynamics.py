@@ -6,8 +6,10 @@ from fractions import Fraction
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wrkit.dynamics import _allowed_colours, estimate_occupancy, transition_distribution
+from wrkit.dynamics import estimate_occupancy, transition_distribution
 from wrkit.errors import DomainError, UsageError
 from wrkit.graphs import (
     Graph,
@@ -18,6 +20,8 @@ from wrkit.graphs import (
 )
 from wrkit.partition import is_valid_colouring, valid_colourings
 
+from test_properties import graphs
+
 F = Fraction
 
 
@@ -27,23 +31,24 @@ def all_valid_colourings(g):
 
 def replay_chain(g, lam, seed, steps, updates=None):
     """The heat-bath update written out over a list colouring, drawing
-    randomness in the sampler's order; yields (step, colouring).  When
-    updates is a set, each step adds its (ok1, ok2, old, new) to it."""
+    randomness in the sampler's order; yields (step, colouring).  The
+    vertex's candidates are the kernel's: the valid colourings with every
+    other vertex fixed.  When updates is a set, each step adds its
+    (ok1, ok2, old, new) to it."""
     rng = random.Random(seed)
     colouring = [0] * g.n
     for step in range(1, steps + 1):
         v = int(rng.random() * g.n)
-        ok1, ok2 = _allowed_colours(g.adj[v], colouring)
+        options = [(c,) for c in colouring]
+        options[v] = (0, 1, 2)
+        colours = [move[v] for move in valid_colourings(g, options)]
         old = colouring[v]
-        r = rng.random() * (1.0 + lam * (ok1 + ok2))
-        if r < 1.0:
-            colouring[v] = 0
-        elif ok1 and (not ok2 or r < 1.0 + lam):
-            colouring[v] = 1
-        else:
-            colouring[v] = 2
+        # invert the CDF of weights (1, lam, lam) in colour order; the
+        # total is the sampler's total1 or total2 bit for bit
+        r = rng.random() * (1.0 + lam * (len(colours) - 1))
+        colouring[v] = colours[(r >= 1.0) + (r >= 1.0 + lam)]
         if updates is not None:
-            updates.add((ok1, ok2, old, colouring[v]))
+            updates.add((1 in colours, 2 in colours, old, colouring[v]))
         yield step, colouring
 
 
@@ -102,6 +107,38 @@ def test_kernel_blocks_conflicting_colour():
     dist = transition_distribution((0, 1), g, F(1))
     assert (2, 1) not in dist
     assert (1, 1) in dist and (0, 0) in dist
+
+
+def test_kernel_refusals():
+    # the kernel takes its activity from check_activity, its graph from
+    # check_vertices, and only a valid colouring of the graph as its state
+    g = make_complete(2)
+    for lam in (F(-1), float("nan")):
+        with pytest.raises(DomainError, match="^activity must be strictly positive"):
+            transition_distribution((0, 0), g, lam)
+    with pytest.raises(DomainError, match="no vertices"):
+        transition_distribution((), Graph(0, ()), F(1))
+    for state in ((0,), (0, 0, 0), (0, 3), (-1, 0), (1, 2)):
+        with pytest.raises(UsageError) as info:
+            transition_distribution(state, g, F(1))
+        assert str(info.value) == (
+            "state is not a valid colouring: want 2 colours 0-2, no 1-2 edge"
+        ), state
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=5, min_n=1), st.fractions(min_value=F(1, 100), max_value=100))
+def test_kernel_rows_and_reversibility(g, lam):
+    # each row is a probability law, and the chain is reversible for
+    # pi(x) proportional to lam^|x|: pi(x) T(x, y) = pi(y) T(y, x)
+    states = all_valid_colourings(g)
+    kernel = {x: transition_distribution(x, g, lam) for x in states}
+    weight = {x: lam ** (g.n - x.count(0)) for x in states}
+    for x, row in kernel.items():
+        assert sum(row.values()) == 1
+        for y, prob in row.items():
+            assert prob > 0
+            assert weight[x] * prob == weight[y] * kernel[y][x]
 
 
 def test_stationary_law_k2():

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from wrkit.errors import DomainError
-from wrkit.graphs import disjoint_union, make_complete, make_cycle
+from wrkit.graphs import Graph, disjoint_union, make_complete, make_cycle
 from wrkit.occupancy import (
     ActivityPair,
     alpha_K,
@@ -198,3 +198,5 @@ def test_free_energy_domain_errors():
             free_energy_derivative(g, *args)
     with pytest.raises(DomainError, match="^activity must be finite, got inf$"):
         free_energy_derivative(g, float("inf"), Fraction(1), Fraction(1))
+    with pytest.raises(DomainError, match="no vertices"):
+        free_energy_derivative(Graph(0, ()), Fraction(2), Fraction(1), Fraction(1))

@@ -61,3 +61,27 @@ def test_readme_shell_examples_exit_0(monkeypatch, tmp_path, capsys):
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()
     assert len(commands) == 10
+
+
+def test_no_unused_imports():
+    # every top-level import binding of a module (the package's __init__,
+    # which re-exports, aside) is read as a name somewhere in that module
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
