@@ -34,8 +34,8 @@ from .extremal import (
 from .graphs import (
     Graph,
     canonical_labelled_form,
+    check_regular,
     disjoint_union,
-    is_d_regular,
     is_union_of_complete,
     make_complete,
     make_complete_bipartite,

@@ -59,7 +59,7 @@ from functools import lru_cache
 from itertools import product
 from operator import and_
 
-from .errors import CapacityError, UsageError, VerificationError
+from .errors import CapacityError, DomainError, UsageError, VerificationError
 from .graphs import (
     Graph,
     canonical_labelled_form,
@@ -347,7 +347,7 @@ def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
 def check_degree(d: int) -> None:
     """The degrees the class enumerations accept, checked before any work."""
     if d < 1:
-        raise UsageError(f"degree must be >= 1, got {d}")
+        raise DomainError(f"degree must be >= 1, got {d}")
     if d > ENUMERATION_CAP:
         raise CapacityError(
             f"configuration enumeration capped at {ENUMERATION_CAP}, got {d}"

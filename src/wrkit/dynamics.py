@@ -37,9 +37,8 @@ from fractions import Fraction
 from math import floor, inf, sqrt
 
 from .errors import DomainError, UsageError
-from .graphs import Graph
+from .graphs import Graph, check_vertices
 from .numerics import check_activity, number_text
-from .occupancy import check_vertices
 from .partition import is_valid_colouring, valid_colourings
 
 RNG_ALGORITHM = "mt19937"

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError, UsageError
-from .graphs import Graph, is_union_of_complete, make_complete, parse_builtin
+from .errors import UsageError
+from .graphs import Graph, check_regular, is_union_of_complete, make_complete, parse_builtin
 from .numerics import check_activity, csv_text, format_rational
 from .occupancy import (
     ActivityPair,
@@ -88,18 +88,9 @@ def _compare(
     )
 
 
-def _require_regular(g: Graph, d: int) -> None:
-    for v in range(g.n):
-        if g.degree(v) != d:
-            raise DomainError(
-                f"graph {g.label or g!r} is not {d}-regular: "
-                f"vertex {v} has degree {g.degree(v)}"
-            )
-
-
 def verify_occupancy_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     """Exact comparison of the occupancy fraction against the clique value."""
-    _require_regular(g, d)
+    check_regular(g, d)
     lam = check_activity(lam)
     lhs = occupancy_fraction(g, lam)
     rhs = alpha_K(d, lam)
@@ -112,7 +103,7 @@ def verify_occupancy_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
 def verify_partition_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     """Per-vertex partition-function bound, cleared of fractional exponents:
     P_G(lam)^(d+1) compared with P_clique(lam)^n."""
-    _require_regular(g, d)
+    check_regular(g, d)
     lam = check_activity(lam)
     lhs = wr_partition(g).eval(lam) ** (d + 1)
     rhs = wr_partition(make_complete(d + 1)).eval(lam) ** g.n
@@ -211,7 +202,7 @@ def conjecture_scan(
     """
     findings = []
     for g, d in catalog:
-        _require_regular(g, d)
+        check_regular(g, d)
         expected = is_union_of_complete(g, d + 1)
         p_g = wr_partition_bivariate(g)
         for act in grid:

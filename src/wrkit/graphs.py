@@ -18,7 +18,7 @@ from itertools import chain, combinations, permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapacityError, ParseError, UsageError
+from .errors import CapacityError, DomainError, ParseError, UsageError
 
 ISO_CAP = 8  # brute-force isomorphism enumerates all vertex permutations
 # checked by every graph source before it allocates: bitset adjacency can
@@ -217,8 +217,22 @@ def component_masks(g: Graph, subset: int) -> list[int]:
     return out
 
 
-def is_d_regular(g: Graph, d: int) -> bool:
-    return all(mask.bit_count() == d for mask in g.adj)
+def check_vertices(g: Graph) -> None:
+    """Refuse a graph with no vertices, on which no per-vertex quantity
+    (an occupancy fraction, a free energy, a sampler step) is defined."""
+    if g.n == 0:
+        raise DomainError("graph has no vertices")
+
+
+def check_regular(g: Graph, d: int) -> None:
+    """Refuse a graph that is not d-regular, naming its first vertex of
+    another degree."""
+    for v, mask in enumerate(g.adj):
+        if mask.bit_count() != d:
+            raise DomainError(
+                f"graph {g.label or g!r} is not {d}-regular: "
+                f"vertex {v} has degree {mask.bit_count()}"
+            )
 
 
 def is_union_of_complete(g: Graph, k: int) -> bool:

@@ -89,7 +89,6 @@ class LPInstance:
     their gcd, with D > 0: its alpha_v and balance over D."""
 
     d: int
-    activity: Fraction
     configs: tuple[Configuration, ...]
     columns: tuple[tuple[int, int, int], ...]
 
@@ -171,7 +170,7 @@ def build_primal(d: int, lam: Fraction) -> LPInstance:
     for config, _, x_v, x_u, den in signatures:
         g = gcd(x_v, x_u, den)
         columns.setdefault((x_v // g, (x_v - x_u) // g, den // g), config)
-    return LPInstance(d, lam, tuple(columns.values()), tuple(columns))
+    return LPInstance(d, tuple(columns.values()), tuple(columns))
 
 
 def simplex_solve(lp: LPInstance) -> LPSolution:
@@ -372,8 +371,6 @@ class FeasibilityReport:
     """rows has one ConfigRow per full class; reduced_tight_set holds the
     tight reduced classes, in reduced_configs order."""
 
-    d: int
-    activity: Fraction
     rows: ClassRows
     violations: tuple[Configuration, ...]
     tight_set: tuple[Configuration, ...]
@@ -464,8 +461,6 @@ def verify_dual_feasibility(
         tight = tuple(row.config for row in rows if row.tight)
 
     return FeasibilityReport(
-        d=d,
-        activity=lam,
         rows=rows,
         violations=violations,
         tight_set=tight,
@@ -507,8 +502,6 @@ class UniquenessReport:
     equal: empty, {1} or {2} on any graph, or {12} on K_d.
     simplex_weights are the simplex support's weights, in order."""
 
-    d: int
-    activity: Fraction
     feasibility: FeasibilityReport
     optimum: Fraction
     simplex_support: tuple[Configuration, ...]
@@ -568,8 +561,6 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
             )
 
     return UniquenessReport(
-        d=d,
-        activity=lam,
         feasibility=report,
         optimum=expected,
         simplex_support=tuple(c for c, _ in sol_simplex.support),

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import DomainError, VerificationError
-from .graphs import Graph
-from .numerics import check_activity
+from .graphs import Graph, check_vertices
+from .numerics import IntPolynomial, check_activity
 from .partition import wr_partition, wr_partition_bivariate
 
 
@@ -37,12 +36,6 @@ class ActivityPair:
         # the frozen dataclass's idiom for setting a field after init
         object.__setattr__(self, "lambda1", check_activity(self.lambda1))
         object.__setattr__(self, "lambda2", check_activity(self.lambda2))
-
-
-def check_vertices(g: Graph) -> None:
-    """Refuse a graph with no vertices, whose occupancy is undefined."""
-    if g.n == 0:
-        raise DomainError("occupancy of a graph with no vertices is undefined")
 
 
 def occupancy_fraction(g: Graph, lam: Fraction) -> Fraction:
@@ -128,21 +121,6 @@ def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:
     return _weighted(d + 1, _clique_moments(d, act.lambda1, act.lambda2), act)
 
 
-def _path_polynomial(g: Graph, offset: Fraction) -> list[Fraction]:
-    """Coefficients of x -> P(offset + x, x) as an exact univariate polynomial."""
-    p = wr_partition_bivariate(g)
-    degree = max((i + j for i, j in p.coeffs), default=0)
-    out = [Fraction(0)] * (degree + 1)
-    for (i, j), c in p.coeffs.items():
-        # expand (offset + x)^i and shift by x^j
-        powers = [Fraction(1)]
-        for _ in range(i):
-            powers.append(powers[-1] * offset)
-        for t in range(i + 1):
-            out[t + j] += c * comb(i, t) * powers[i - t]
-    return out
-
-
 def free_energy_derivative(
     g: Graph, lambda1: Fraction, lambda2: Fraction, x: Fraction
 ) -> Fraction:
@@ -150,7 +128,8 @@ def free_energy_derivative(
     t -> (lambda1 - lambda2 + t, t), evaluated at t = x.
 
     Computed two independent ways and checked for exact agreement:
-    (a) formal differentiation of the substituted path polynomial, and
+    (a) formal differentiation of the substituted path polynomial, an
+        IntPolynomial once the offset's denominator is cleared, and
     (b) the per-colour occupancy combination
         (x*a1 + (lambda1-lambda2+x)*a2) / (x*(lambda1-lambda2+x)).
     """
@@ -162,14 +141,17 @@ def free_energy_derivative(
     check_vertices(g)
     offset = lambda1 - lambda2
 
-    coeffs = _path_polynomial(g, offset)
-    value = Fraction(0)
-    deriv = Fraction(0)
-    for k in reversed(range(len(coeffs))):
-        value = value * x + coeffs[k]
-        if k > 0:
-            deriv = deriv * x + k * coeffs[k]
-    route_a = deriv / (g.n * value)
+    # P(a/b + x, x) b^I in integers, with I the degree in lambda1: each
+    # monomial c lambda1^i lambda2^j becomes c (a + b x)^i b^(I - i) x^j
+    bivariate = wr_partition_bivariate(g)
+    a, b, top = offset.numerator, offset.denominator, bivariate.degree_x
+    rises = [IntPolynomial([1])]
+    for _ in range(top):
+        rises.append(rises[-1] * IntPolynomial([a, b]))
+    path = IntPolynomial()
+    for (i, j), c in bivariate.coeffs.items():
+        path += IntPolynomial([0] * j + [c * b ** (top - i)]) * rises[i]
+    route_a = path.derivative().eval(x) / (g.n * path.eval(x))
 
     a1, a2 = occupancy_by_colour(g, ActivityPair(offset + x, x))
     route_b = (x * a1 + (offset + x) * a2) / (x * (offset + x))

@@ -103,6 +103,6 @@ def conditional_expectation_check(
 def monotone_lhs_check(d: int, lam: Fraction) -> bool:
     """Strict growth of r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1) for a = 1..d."""
     if d < 1:
-        raise UsageError(f"degree must be >= 1, got {d}")
+        raise DomainError(f"degree must be >= 1, got {d}")
     lam = check_activity(lam)
     return all(_clique_ratio(a, lam) < _clique_ratio(a + 1, lam) for a in range(1, d))

@@ -20,7 +20,7 @@ from wrkit.cli import (
     main,
     parse_builtin,
 )
-from wrkit.graphs import VERTEX_CAP, is_d_regular
+from wrkit.graphs import VERTEX_CAP, check_regular
 
 
 def run(capsys, *argv):
@@ -41,7 +41,7 @@ def test_parse_builtin():
     assert parse_builtin("complete:4").n == 4
     assert parse_builtin("bipartite:3,3").m == 9
     assert parse_builtin("cycle:5+cycle:3").n == 8
-    assert is_d_regular(parse_builtin("prism:4"), 3)
+    check_regular(parse_builtin("prism:4"), 3)
     assert parse_builtin("random_regular:10,3,7").n == 10
     assert parse_builtin("petersen").n == 10
 
@@ -589,7 +589,7 @@ def test_sample_empty_graph(tmp_path, capsys):
         code, out, err = run(capsys, "sample", "--file", str(empty), "--lambda", "1", *flags)
         assert code == EXIT_USAGE
         assert "estimate" not in out
-        assert err == "error: occupancy of a graph with no vertices is undefined\n"
+        assert err == "error: graph has no vertices\n"
 
 
 def test_sample_series_csv(tmp_path, capsys):

@@ -465,7 +465,7 @@ def test_capacity_and_usage_errors():
     for enumeration in (enumerate_configs, reduced_configs, count_configs):
         with pytest.raises(CapacityError):
             enumeration(7)
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError, match="^degree must be >= 1, got 0$"):
             enumeration(0)
     with pytest.raises(CapacityError):
         local_partition_functions(Configuration(Graph(9, (0,) * 9), (3,) * 9))

@@ -110,14 +110,12 @@ def test_kernel_blocks_conflicting_colour():
 
 
 def test_kernel_refusals():
-    # the kernel takes its activity from check_activity, its graph from
-    # check_vertices, and only a valid colouring of the graph as its state
+    # the kernel takes its activity from check_activity and only a valid
+    # colouring of the graph as its state
     g = make_complete(2)
     for lam in (F(-1), float("nan")):
         with pytest.raises(DomainError, match="^activity must be strictly positive"):
             transition_distribution((0, 0), g, lam)
-    with pytest.raises(DomainError, match="no vertices"):
-        transition_distribution((), Graph(0, ()), F(1))
     for state in ((0,), (0, 0, 0), (0, 3), (-1, 0), (1, 2)):
         with pytest.raises(UsageError) as info:
             transition_distribution(state, g, F(1))

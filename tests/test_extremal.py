@@ -18,8 +18,8 @@ from wrkit.extremal import (
     verify_partition_bound,
 )
 from wrkit.graphs import (
+    check_regular,
     disjoint_union,
-    is_d_regular,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -107,7 +107,8 @@ def test_bound_directions_agree():
 def test_catalogs_are_regular():
     for name, degree in (("d2", 2), ("d3", 3)):
         for g, d in catalog(name):
-            assert d == degree and is_d_regular(g, d), g.label
+            assert d == degree, g.label
+            check_regular(g, d)
     assert len(catalog("d3")) == 28  # 8 named + 20 random
 
 
@@ -184,7 +185,8 @@ def test_catalogs_are_their_parsed_specs():
 def test_full_catalog_shape():
     # "all" is every catalog in table order
     full = catalog("all")
-    assert all(is_d_regular(g, d) for g, d in full)
+    for g, d in full:
+        check_regular(g, d)
     assert [(g.label, d) for g, d in full] == [
         (g.label, d) for name in ("d2", "d3") for g, d in catalog(name)
     ]

@@ -1,21 +1,23 @@
 """Graph representation, generators, isomorphism keys, and text I/O."""
 
 import random
+from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
-from wrkit.errors import CapacityError, ParseError, UsageError
+from wrkit.dynamics import estimate_occupancy, transition_distribution
+from wrkit.errors import CapacityError, DomainError, ParseError, UsageError
 from wrkit.graphs import (
     VERTEX_CAP,
     Graph,
     canonical_labelled_form,
+    check_regular,
     component_masks,
     disjoint_union,
     edge_code,
     from_edges,
     graphs_up_to_iso,
-    is_d_regular,
     is_union_of_complete,
     label_mover,
     make_complete,
@@ -27,6 +29,13 @@ from wrkit.graphs import (
     parse_builtin,
     parse_edge_list,
     permute_code,
+)
+from wrkit.occupancy import (
+    ActivityPair,
+    free_energy_derivative,
+    occupancy_by_colour,
+    occupancy_fraction,
+    weighted_occupancy,
 )
 
 
@@ -46,15 +55,20 @@ def check_simple(g):
 
 def test_generators():
     k4 = make_complete(4)
-    assert k4.m == 6 and is_d_regular(k4, 3)
+    assert k4.m == 6
+    check_regular(k4, 3)
     k33 = make_complete_bipartite(3, 3)
-    assert k33.m == 9 and is_d_regular(k33, 3)
+    assert k33.m == 9
+    check_regular(k33, 3)
     c5 = make_cycle(5)
-    assert c5.m == 5 and is_d_regular(c5, 2)
+    assert c5.m == 5
+    check_regular(c5, 2)
     pet = make_petersen()
-    assert pet.n == 10 and pet.m == 15 and is_d_regular(pet, 3)
+    assert pet.n == 10 and pet.m == 15
+    check_regular(pet, 3)
     prism = make_prism(3)
-    assert prism.n == 6 and prism.m == 9 and is_d_regular(prism, 3)
+    assert prism.n == 6 and prism.m == 9
+    check_regular(prism, 3)
     for g in (k4, k33, c5, pet, prism):
         check_simple(g)
 
@@ -98,7 +112,7 @@ def test_random_regular_unique_case():
 
 def test_random_regular_two_regular_is_cycle_union():
     g = make_random_regular(6, 2, seed=5)
-    assert is_d_regular(g, 2)
+    check_regular(g, 2)
     # every component of a 2-regular graph is a cycle covering >= 3 vertices
     assert sum(m.bit_count() for m in component_masks(g, 63)) == 6
     assert all(m.bit_count() >= 3 for m in component_masks(g, 63))
@@ -107,7 +121,7 @@ def test_random_regular_two_regular_is_cycle_union():
 def test_random_regular_simple_and_regular():
     for seed in range(10):
         g = make_random_regular(10, 3, seed=seed)
-        assert is_d_regular(g, 3)
+        check_regular(g, 3)
         check_simple(g)
 
 
@@ -179,6 +193,29 @@ def test_is_union_of_complete():
     assert not is_union_of_complete(make_cycle(6), 3)
     assert not is_union_of_complete(make_complete(4), 3)
     assert is_union_of_complete(make_cycle(3), 3)
+
+
+def test_check_regular_names_the_first_vertex_of_another_degree():
+    check_regular(Graph(0, ()), 5)  # vacuously regular
+    with pytest.raises(DomainError) as info:
+        check_regular(parse_builtin("cycle:5+complete:4"), 2)
+    assert str(info.value) == (
+        "graph 'cycle:5+complete:4' is not 2-regular: vertex 5 has degree 3"
+    )
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda g: occupancy_fraction(g, F(1)),
+    lambda g: occupancy_by_colour(g, ActivityPair(F(1), F(1))),
+    lambda g: weighted_occupancy(g, ActivityPair(F(1), F(1))),
+    lambda g: free_energy_derivative(g, F(2), F(1), F(1)),
+    lambda g: estimate_occupancy(g, F(1), 1, 1),
+    lambda g: transition_distribution((), g, F(1)),
+], ids=["occupancy_fraction", "occupancy_by_colour", "weighted_occupancy",
+        "free_energy_derivative", "estimate_occupancy", "transition_distribution"])
+def test_every_graph_entry_point_refuses_the_empty_graph(refuse):
+    with pytest.raises(DomainError, match="^graph has no vertices$"):
+        refuse(Graph(0, ()))
 
 
 def test_canonical_form_examples():

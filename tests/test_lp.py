@@ -155,7 +155,7 @@ def points_instance(points):
         b, o = F(b), F(o)
         den = lcm(b.denominator, o.denominator)
         columns.append((int(o * den), int(b * den), den))
-    return LPInstance(1, F(1), tuple(range(len(points))), tuple(columns))
+    return LPInstance(1, tuple(range(len(points))), tuple(columns))
 
 
 @pytest.mark.parametrize(
@@ -234,7 +234,7 @@ def scaled_instance(points, rng):
     for column in lp.columns:
         k = rng.randint(1, 4)
         columns.append(tuple(k * v for v in column))
-    return LPInstance(lp.d, lp.activity, lp.configs, tuple(columns))
+    return LPInstance(lp.d, lp.configs, tuple(columns))
 
 
 def random_rational(rng, top):

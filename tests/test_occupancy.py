@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from wrkit.errors import DomainError
-from wrkit.graphs import Graph, disjoint_union, make_complete, make_cycle
+from wrkit.graphs import disjoint_union, make_complete, make_cycle, parse_builtin
 from wrkit.occupancy import (
     ActivityPair,
     alpha_K,
@@ -198,5 +198,14 @@ def test_free_energy_domain_errors():
             free_energy_derivative(g, *args)
     with pytest.raises(DomainError, match="^activity must be finite, got inf$"):
         free_energy_derivative(g, float("inf"), Fraction(1), Fraction(1))
-    with pytest.raises(DomainError, match="no vertices"):
-        free_energy_derivative(Graph(0, ()), Fraction(2), Fraction(1), Fraction(1))
+
+
+def test_free_energy_routes_agree_at_extreme_activities():
+    # the offset lambda1 - lambda2 has a twelve-digit denominator, so route
+    # (a)'s path polynomial carries large powers of it; the call raises if
+    # its two routes disagree
+    lambda1 = Fraction(10**6, 999999) + 1
+    lambda2 = Fraction(1, 10**6)
+    for spec in ("petersen", "cycle:7"):
+        value = free_energy_derivative(parse_builtin(spec), lambda1, lambda2, lambda2 / 2)
+        assert value > 0
