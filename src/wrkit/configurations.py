@@ -2,52 +2,33 @@
 
 A configuration pairs a graph H on d vertices (the neighbourhood of some
 centre vertex in a d-regular graph) with one allowed-colour list per
-vertex, each list a subset of {1, 2} encoding which colours the outside
-environment still permits.  Lists are stored as 2-bit masks: bit 0 set
-means colour 1 is allowed, bit 1 means colour 2.
-
-From a configuration we derive its local partition polynomials:
+vertex, each a subset of {1, 2} stored as a 2-bit mask: bit 0 allows
+colour 1, bit 1 colour 2.  Its local partition polynomials are
 
   p0    weight of valid list-respecting colourings of H alone
-  p1/p2 same, restricted to one colour (always (1+lam)**a_i where a_i
-        counts lists containing colour i)
+  p1/p2 same, in one colour only: (1+lam)**a_i, a_i the lists allowing i
   p12   p1 + p2
 
-The partition function of the centre vertex with H, pc = p0 + lam p12,
-is not stored: local_alphas builds it scaled, in its denominator D.
-From these come the two local occupancy estimates at a given activity:
-
-  alpha_v   probability the centre vertex is coloured
-  alpha_u   expected fraction of coloured neighbours
+and from them come alpha_v, the probability the centre vertex is
+coloured, and alpha_u, the expected fraction of coloured neighbours
+(local_alphas, with pc = p0 + lam p12 scaled in its denominator).
 
 p0 comes from one submask walk over the colour-1 sets S: the colour-2
-set of a list colouring is any subset of F(S), the vertices that allow
-colour 2 and are neither in S nor next to it, so each S reads its
-closure from a cached table and adds lam^|S| (1+lam)^|F(S)|, a cached
-binomial row packed into one int.  The other polynomials depend only
-on the list counts.  Only edges between a vertex allowing colour 1 and
-one allowing colour 2 can constrain a colouring, so the walk runs once
-per stats_key (the lists and those edges) and every class with that
-key shares its result.
+set is any subset of F(S), the vertices that allow colour 2 and are
+neither in S nor next to it, so each S adds lam^|S| (1+lam)^|F(S)|, a
+cached binomial row packed into one int.  Only edges between a vertex
+allowing colour 1 and one allowing colour 2 matter, so the walk runs
+once per stats_key (the lists and those edges).
 
-Enumeration of all configurations for a given d is done up to
-label-preserving isomorphism: graphs are enumerated up to isomorphism
-first, then list assignments are deduplicated per graph by orbits of its
-automorphism group.  The representative kept for each class is exactly
-the one whose (edge code, lists) pair is the canonical key, so the result
-matches deduplication by canonical_labelled_form; each representative
-carries that key, so key() and key_text() skip the permutation search.
-count_configs gives the number of classes by Burnside's lemma, without
-the enumeration.
-
-The local polynomials of a class ignore its empty-list vertices and its
-edges inside the {1}-only or inside the {2}-only vertices.  Dropping
-both leaves its reduced class: a graph on the k <= d non-empty-list
-vertices, lists in {1}, {2}, {12}, and no edge inside a single-colour
-list.  reduced_configs enumerates those (1,438 at d = 5, against 12,208
-classes), each padded with d - k isolated empty-list vertices so that it
-is a d-vertex configuration with its reduced class's polynomials; the
-LP layer builds the certificate from them.
+enumerate_configs lists the classes up to label-preserving isomorphism:
+graphs up to isomorphism, then list assignments per graph by orbits of
+its automorphism group.  Each representative is its orbit's first
+member, so it carries its canonical key; count_configs counts the
+classes by Burnside's lemma.  Dropping the empty-list vertices and the
+edges inside {1} or inside {2} leaves a class's reduced class, with the
+same polynomials.  reduced_configs lists those (1,438 at d = 5, against
+12,208 classes), padded to d vertices, from a walk that prunes the
+assignments with such an edge instead of marking their orbits.
 """
 
 from __future__ import annotations
@@ -57,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import and_
+from operator import and_, itemgetter
 
 from .errors import CapacityError, DomainError, UsageError, VerificationError
 from .graphs import (
@@ -162,9 +143,8 @@ class ConfigStats:
 
 @lru_cache(maxsize=None)
 def _list_count_polynomials(a1: int, a2: int) -> tuple[IntPolynomial, ...]:
-    """p1, p2, p12 and p12 - 1 of any configuration whose lists allow
-    colour 1 at a1 vertices and colour 2 at a2: a colouring in one colour
-    is any subset of the vertices allowing it."""
+    """p1, p2, p12 and p12 - 1 of lists allowing colour 1 at a1 vertices
+    and colour 2 at a2: a one-colour colouring is any subset of them."""
     p1 = binomial_power(a1)
     p2 = binomial_power(a2)
     p12 = p1 + p2
@@ -257,11 +237,10 @@ def stats_key(config: Configuration) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lists, tuple(map(and_, config.graph.adj, _list_masks(lists)[2]))
 
 
-@lru_cache(maxsize=None)
-def _stats_for_key(lists: tuple[int, ...], adj: tuple[int, ...]) -> ConfigStats:
-    """The local polynomials of the configuration with these lists and
-    adjacency; stats_key gives the adjacency reduced to the edges that
-    matter, so every class with the same key shares one walk."""
+def local_walk(lists: tuple[int, ...], adj: tuple[int, ...]) -> tuple:
+    """(a1, a2, p0's coefficients, dichromatic flag) of the configuration
+    with these lists and adjacency, from one walk, its low coefficients
+    and flag checked against routes that do not use the walk."""
     allows_1, allows_2, _ = _list_masks(lists)
     a1 = allows_1.bit_count()
     a2 = allows_2.bit_count()
@@ -269,29 +248,38 @@ def _stats_for_key(lists: tuple[int, ...], adj: tuple[int, ...]) -> ConfigStats:
     p0, has_dichromatic = _colour_set_walk(adj, walk, other)
     if (p0 + [0, 0])[:3] != _low_coefficients(adj, allows_1, allows_2):
         raise VerificationError("low coefficients of p0 disagree with its lists and edges")
-    p0_poly = IntPolynomial(p0)
-    p1, p2, p12, p12_less_1 = _list_count_polynomials(a1, a2)
+    p0 = tuple(p0)
+    while not p0[-1]:
+        p0 = p0[:-1]  # p0[0] = 1 counts the empty colouring
     # dichromatic colourings are exactly the gap between p0 and the
     # monochromatic-or-empty total p1 + p2 - 1
-    if has_dichromatic != (p0_poly.coeffs != p12_less_1.coeffs):
+    if has_dichromatic != (p0 != _list_count_polynomials(a1, a2)[3].coeffs):
         raise VerificationError("dichromatic flag disagrees with p0 - (p12 - 1)")
+    return a1, a2, p0, has_dichromatic
 
-    return ConfigStats(a1, a2, p0_poly, p1, p2, p12, has_dichromatic)
+
+def config_stats(a1: int, a2: int, p0: tuple[int, ...], has_dichromatic: bool) -> ConfigStats:
+    """The stats of a local_walk result."""
+    p1, p2, p12, _ = _list_count_polynomials(a1, a2)
+    return ConfigStats(a1, a2, IntPolynomial(p0), p1, p2, p12, has_dichromatic)
+
+
+@lru_cache(maxsize=None)
+def _stats_for_key(lists: tuple[int, ...], adj: tuple[int, ...]) -> ConfigStats:
+    """The local polynomials of the configuration with these lists and
+    adjacency; stats_key gives the adjacency reduced to the edges that
+    matter, so every class with the same key shares one walk."""
+    return config_stats(*local_walk(lists, adj))
 
 
 def local_partition_functions(config: Configuration) -> ConfigStats:
     """Collect all local polynomials from one walk over colour-1 sets.
 
-    p0 sums lam^|S| (1+lam)^|F(S)| over the colour-1 sets S, F(S) being
-    the vertices that allow colour 2 and are neither in S nor next to it;
-    as the colours are symmetric, the walk runs over the subsets of the
-    smaller of A1 and A2 (_colour_set_walk).  p1, p2 and p12 depend only
-    on the list counts (a1, a2).  The low coefficients of p0 and the
-    dichromatic flag are checked against routes that do not use the walk.
-
-    The walk and its checks run once per stats_key, which many classes
-    share (5,639 keys for the 12,208 classes at d = 5);
-    local_partition_functions.cache_info() counts them as misses.
+    p0 sums lam^|S| (1+lam)^|F(S)| over the subsets S of the smaller of
+    A1 and A2, as the colours are symmetric (local_walk).  The walk runs
+    once per stats_key, which many classes share (5,639 keys for the
+    12,208 classes at d = 5); local_partition_functions.cache_info()
+    counts them as misses.
     """
     if config.d > STATS_CAP:
         raise CapacityError(
@@ -354,20 +342,38 @@ def check_degree(d: int) -> None:
         )
 
 
-def _orbit_firsts(k: int, masks: tuple[int, ...]) -> Iterator[tuple[int, Graph, list]]:
+@lru_cache(maxsize=None)
+def _lists_beside(taken: int | tuple[int, ...]) -> tuple[int, ...]:
+    """The lists a vertex may take beside neighbours with lists taken (an
+    int for one): {12}, and {1} and {2} unless taken."""
+    taken = taken if isinstance(taken, tuple) else (taken,)
+    return tuple(mask for mask in (COLOUR_1, COLOUR_2) if mask not in taken) + (BOTH_COLOURS,)
+
+
+def _orbit_firsts(k: int, reduced: bool) -> Iterator[tuple[int, Graph, list]]:
     """Per graph class on k vertices, in canonical order: its code, its
     graph, and the first member of each automorphism orbit of its list
-    assignments over these masks, in product order.  A first member is
-    its orbit's minimum, so (code, lists) is a canonical key."""
+    assignments, in product order.  The reduced ones, with lists in {1},
+    {2}, {12} and no edge inside {1} or {2}, come from a walk that extends
+    each prefix by the lists its vertex may take beside its earlier
+    neighbours; an automorphism keeps edges, so it marks whole orbits.
+    A first member is its orbit's minimum, so (code, lists) is a
+    canonical key."""
     for code, autos in graphs_up_to_iso(k):
+        graph = graph_from_code(k, code)
         movers = [label_mover(perm) for perm in autos]
+        assignments = [()] if reduced else product((0, 1, 2, 3), repeat=k)
+        for v in range(k) if reduced else ():
+            earlier = [u for u in range(v) if graph.adj[v] >> u & 1]
+            pick = itemgetter(*earlier) if earlier else lambda a: ()
+            assignments = [a + (m,) for a in assignments for m in _lists_beside(pick(a))]
         seen: set[tuple[int, ...]] = set()
         firsts = []
-        for assignment in product(masks, repeat=k):
+        for assignment in assignments:
             if assignment not in seen:
                 seen.update([move(assignment) for move in movers])
                 firsts.append(assignment)
-        yield code, graph_from_code(k, code), firsts
+        yield code, graph, firsts
 
 
 @lru_cache(maxsize=8)
@@ -379,7 +385,7 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
     check_degree(d)
     return tuple(
         _stamped(graph, code, lists)
-        for code, graph, firsts in _orbit_firsts(d, (0, 1, 2, 3))
+        for code, graph, firsts in _orbit_firsts(d, False)
         for lists in firsts
     )
 
@@ -431,32 +437,31 @@ def uniform_full_classes(
     return tuple(sorted(out, key=Configuration.key))
 
 
+def reduced_classes(d: int) -> Iterator[tuple[int, int, Graph, tuple[int, ...]]]:
+    """(k, code, graph, lists) per reduced class on k <= d vertices, in
+    reduced_configs order, graph and lists padded to d vertices."""
+    check_degree(d)
+    for k in range(d, -1, -1):
+        pad = (NO_COLOURS,) * (d - k)
+        for code, graph, firsts in reversed(list(_orbit_firsts(k, True))):
+            padded = Graph(d, graph.adj + pad)
+            for lists in reversed(firsts):
+                yield k, code, padded, lists + pad
+
+
+def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> Configuration:
+    """The configuration of a reduced_classes entry, with its key if k = d."""
+    return _stamped(graph, code, lists) if k == graph.n else Configuration(graph, lists)
+
+
 @lru_cache(maxsize=8)
 def reduced_configs(d: int) -> tuple[Configuration, ...]:
-    """One representative per reduced class on at most d vertices, padded
-    to d vertices, sorted by k and then by the k-vertex class's canonical
-    key, both descending: the complete neighbourhood comes first and the
-    all-empty class last.  The LP names its columns in this order, and
-    with the optimal column first Bland's rule pivots far less.
-
-    A reduced class is a graph on k <= d vertices with lists in {1}, {2}
-    and {12} and no edge inside {1} or inside {2}: the first member of
-    each such orbit in enumerate_configs's walk (an orbit has such an
-    edge in all its members or in none), padded with d - k isolated
-    empty-list vertices.  With k = d it is canonical and carries its key.
+    """One representative per reduced class on k <= d vertices, padded with
+    d - k isolated empty-list vertices, sorted by k and then by the
+    k-vertex class's canonical key, both descending: the complete
+    neighbourhood first, the all-empty class last.  The LP names its
+    columns in this order, and with the optimal column first Bland's rule
+    pivots far less.  Each is the first member of its orbit in the pruned
+    walk of _orbit_firsts; with k = d it is canonical and carries its key.
     """
-    check_degree(d)
-    out = []
-    for k in range(d + 1):
-        pad = (NO_COLOURS,) * (d - k)
-        for code, graph, firsts in _orbit_firsts(k, (COLOUR_1, COLOUR_2, BOTH_COLOURS)):
-            edges = graph.edges()
-            padded = Graph(d, graph.adj + pad)
-            for lists in firsts:
-                if any(lists[u] == lists[v] != BOTH_COLOURS for u, v in edges):
-                    continue
-                if k == d:
-                    out.append(_stamped(padded, code, lists))
-                else:
-                    out.append(Configuration(padded, lists + pad))
-    return tuple(reversed(out))
+    return tuple(reduced_config(*entry) for entry in reduced_classes(d))

@@ -28,15 +28,8 @@ from typing import Iterable, Sequence
 from .errors import UsageError
 from .graphs import Graph, check_regular, is_union_of_complete, make_complete, parse_builtin
 from .numerics import check_activity, csv_text, format_rational
-from .occupancy import (
-    ActivityPair,
-    alpha_K,
-    occupancy_fraction,
-    partition_K,
-    weighted_occupancy,
-    weighted_occupancy_K,
-)
-from .partition import wr_partition, wr_partition_bivariate
+from .occupancy import ActivityPair, alpha_K, clique_comparison, occupancy_fraction
+from .partition import wr_partition
 
 EQUAL = "="
 LESS = "<"
@@ -204,19 +197,15 @@ def conjecture_scan(
     for g, d in catalog:
         check_regular(g, d)
         expected = is_union_of_complete(g, d + 1)
-        p_g = wr_partition_bivariate(g)
         for act in grid:
             x, y = act.lambda1, act.lambda2
-            lhs = p_g.eval(x, y) ** (d + 1)
-            rhs = partition_K(d, act) ** g.n
+            part_g, part_k, weighted_g, weighted_k = clique_comparison(g, d, act)
             findings.append(_compare(
-                ScanFinding, g, d, lhs, rhs, expected,
+                ScanFinding, g, d, part_g ** (d + 1), part_k ** g.n, expected,
                 lambda1=x, lambda2=y, check="partition",
             ))
-            lhs = weighted_occupancy(g, act)
-            rhs = weighted_occupancy_K(d, act)
             findings.append(_compare(
-                ScanFinding, g, d, lhs, rhs, expected,
+                ScanFinding, g, d, weighted_g, weighted_k, expected,
                 lambda1=x, lambda2=y, check="weighted-occupancy",
             ))
     return findings

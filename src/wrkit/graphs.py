@@ -267,6 +267,7 @@ def edge_code(g: Graph) -> int:
     return sum(1 << index[edge] for edge in g.edges())
 
 
+@lru_cache(maxsize=1024)
 def graph_from_code(n: int, code: int) -> Graph:
     pairs, _ = _pair_index(n)
     return from_edges(n, [pairs[k] for k in range(len(pairs)) if code >> k & 1])

@@ -11,29 +11,19 @@ expectation (which they must in any d-regular graph):
          sum q(C) (alpha_v(C) - alpha_u(C)) = 0
          q >= 0
 
-Two independent exact solvers are provided: the generic rational simplex
-and the upper concave envelope of the points (balance, objective), read
-at balance 0 (a feasible distribution averages its columns, so the
-optimum is the highest point of their convex hull on that line).  Both
-report a basic solution, of support at most 2.  Classes with equal
-columns are interchangeable, so the instance has one variable per
-distinct column.  A column (alpha_v, alpha_v - alpha_u) depends on a
-class only through its local polynomials p0 and p12, which it shares
-with its reduced class (configurations.reduced_configs), so the columns
-come from the reduced classes alone: 390 distinct signatures from the
-1,438 reduced classes at d = 5, where there are 12,208 full classes.
-Each variable is named by the first reduced class with its column, and
-the support names that class.  The reported support is the full
-program's: a class sharing the complete neighbourhood's column would be
-tight, and every tight class other than the complete neighbourhood has
-alpha_u < alpha_v (checked by uniqueness_check), so that column is
-unique.
-
-Each column is kept in integers, (X_v, X_v - X_u, D) over D > 0
-(configurations.local_alphas): the hull tests the sign of an integer
-determinant, the simplex gets each column times D, and each dual
-constraint's verdict is the sign of an integer.  Fractions are built
-only for an optimum, a support weight or a report row.
+Two independent exact solvers report a basic solution: the generic
+simplex, and the upper concave envelope of the points (balance,
+objective) read at balance 0.  A column depends on a class only through
+its signature (p0, p12), which it shares with its reduced class, so the
+instance has one variable per distinct column of the reduced classes
+(390 from 1,438 at d = 5, where there are 12,208 classes), named by the
+first reduced class with it.  A class sharing the complete
+neighbourhood's column would be tight, and every tight class other than
+that one has alpha_u < alpha_v (checked by uniqueness_check), so the
+reported support is the full program's.  Columns are integers
+(X_v, X_v - X_u, D) over D > 0 (configurations.local_alphas), so the
+hull, the simplex and each dual constraint's verdict work in ints, and
+Fractions are built only for an optimum, a weight or a report row.
 
 The dual certificate (lambda_p, lambda_c) proves the optimum equals the
 complete-neighbourhood value; every dual constraint is checked in alpha
@@ -44,13 +34,11 @@ form and again as the sum of the paper's two claims,
 with r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1), once per signature.  The
 tight reduced classes must be exactly four: all lists empty, the
 independent d-set listed {1}, the same listed {2}, and K_d with full
-lists.  The tight full classes follow without enumeration: every graph
-class with all lists empty, all {1} or all {2}, and K_d with full lists.
-Complementary slackness then pins the unique optimum to the complete
+lists; the tight full classes follow without enumeration, and
+complementary slackness pins the unique optimum to the complete
 neighbourhood.  uniqueness_check runs this whole chain.  The report has
 one row per full class, counted by Burnside's lemma and enumerated only
-when a row is read (a CSV, or a violated constraint to name); its
-Fraction cells (alpha_v, alpha_u, slack) are built then too.
+when a row is read (a CSV, or a violated constraint to name).
 """
 
 from __future__ import annotations
@@ -67,12 +55,15 @@ from .configurations import (
     Configuration,
     check_degree,
     complete_neighbourhood_config,
+    config_stats,
     count_configs,
     empty_lists_config,
     enumerate_configs,
     local_alphas,
     local_partition_functions,
-    reduced_configs,
+    local_walk,
+    reduced_classes,
+    reduced_config,
     single_colour_config,
     uniform_full_classes,
 )
@@ -132,29 +123,34 @@ class DualCertificate:
 @lru_cache(maxsize=8)
 def _signature_table(d: int, lam: Fraction) -> tuple[
     tuple[tuple[Configuration, ConfigStats, int, int, int], ...],
-    tuple[int, ...],
+    tuple[tuple[tuple, int], ...],
 ]:
     """The distinct signatures (p0, p12) of the classes at d, each as
-    (first reduced class with it, its stats, X_v, X_u, D) at lam, the
-    integer column of local_alphas, and per reduced class, in
-    reduced_configs order, its signature index.
+    (first reduced class with it, its stats, X_v, X_u, D), the integer
+    column of local_alphas at lam, and per reduced class, in
+    reduced_configs order, its reduced_classes entry and signature index.
 
-    Every class has its reduced class's signature, so the reduced classes
-    give them all, with one local walk each, keyed by coefficient tuples.
-    build_primal and verify_dual_feasibility both read this table, so a
-    command that runs both evaluates the column once per signature.
+    One local walk per reduced class gives its signature, p12 fixed by
+    the list counts {a1, a2}; only a signature's first class becomes a
+    Configuration with stats.  build_primal and verify_dual_feasibility
+    both read this table, so the columns are evaluated once per command.
     """
     first: dict[tuple, int] = {}
     signatures = []
     classes = []
-    for config in reduced_configs(d):
-        stats = local_partition_functions(config)
-        sig = (stats.p0.coeffs, stats.p12.coeffs)
+    for entry in reduced_classes(d):
+        _, _, graph, lists = entry
+        try:
+            a1, a2, p0, dichromatic = local_walk(lists, graph.adj)
+        except VerificationError as exc:
+            raise VerificationError(f"{reduced_config(*entry).key_text()}: {exc}") from exc
+        sig = (p0, min(a1, a2), max(a1, a2))
         i = first.get(sig)
         if i is None:
             i = first[sig] = len(signatures)
-            signatures.append((config, stats, *local_alphas(stats, d, lam)))
-        classes.append(i)
+            stats = config_stats(a1, a2, p0, dichromatic)
+            signatures.append((reduced_config(*entry), stats, *local_alphas(stats, d, lam)))
+        classes.append((entry, i))
     return tuple(signatures), tuple(classes)
 
 
@@ -174,13 +170,10 @@ def build_primal(d: int, lam: Fraction) -> LPInstance:
 
 
 def simplex_solve(lp: LPInstance) -> LPSolution:
-    """Exact optimum of the relaxation via the generic rational simplex.
-
-    It runs on the integer columns: variable j is y_j = q_j / D_j, with
-    objective X_v and rows D (normalisation) and X_v - X_u (balance).
-    Column j is its Fraction column times D_j > 0, which changes no sign,
-    zero or ratio that Bland's rule reads, so it walks the same pivots,
-    and each support weight is q_j = D_j y_j.
+    """Exact optimum of the relaxation via the generic simplex, on the
+    integer columns: variable j is y_j = q_j / D_j, with objective X_v and
+    rows D and X_v - X_u, column j times D_j > 0, which changes no sign,
+    zero or ratio that Bland's rule reads; each weight is q_j = D_j y_j.
     """
     den = [w for _, _, w in lp.columns]
     result = simplex.solve(
@@ -217,14 +210,12 @@ def vertex_enumeration_solve(lp: LPInstance) -> LPSolution:
 
     A feasible point is a probability vector whose balance averages to
     zero, so the optimum is the upper concave envelope of the points
-    (balance, objective), read at balance 0; the program is infeasible
-    iff 0 lies outside the range of the balances.  Only the top point of
-    each balance can touch the envelope.  Andrew's monotone chain builds
-    its upper hull on the integer columns as homogeneous points
-    (X_v - X_u, X_v, D), its orientation test the sign of a 3x3 integer
-    determinant, with no tableau and no pivots, so this route stays
-    independent of the simplex.  Fractions are built for the optimum and
-    the support weights only.
+    (balance, objective) at balance 0, and the program is infeasible iff
+    0 lies outside the balances' range.  Andrew's monotone chain builds
+    the upper hull of the top point of each balance, on the homogeneous
+    integer points (X_v - X_u, X_v, D), its orientation test the sign of
+    a 3x3 integer determinant: no tableau and no pivots, so this route
+    stays independent of the simplex.
 
     The support is a basic solution, named as a scan of all supports of
     size 1 and then 2 in column order would name it: the first column
@@ -418,15 +409,13 @@ def verify_dual_feasibility(
 
     The alpha-form slack is recomputed as the sum of the two claims
     (valid once some list is non-empty; the all-empty class is tight by
-    construction of lambda_c) and the two must agree in sign and in zero
-    set.  Both routes run once per distinct signature (p0, p12), found
-    from the reduced classes, as signs of integers (_slack_numerators),
-    and their verdicts are shared by every class with it; the Fraction
-    slack is built only when a row is read.  The violated and tight full
-    classes are the full classes of the violated and tight reduced ones:
-    the tight ones derived when their lists are all equal, else both
-    read off the report's rows.  Violations are returned as data, never
-    raised.
+    construction of lambda_c), and the two must agree in sign and in zero
+    set.  Both run once per signature, as signs of integers
+    (_slack_numerators), and every class with it shares their verdict.
+    The violated and tight full classes are those of the violated and
+    tight reduced ones: the tight ones derived when their lists are all
+    equal, else both read off the report's rows.  Violations are
+    returned as data, never raised.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
@@ -451,7 +440,7 @@ def verify_dual_feasibility(
         slacks.append((slack, den))
     rows = ClassRows(d, signatures, slacks)
     reduced_tight = tuple(
-        config for config, i in zip(reduced_configs(d), classes) if not slacks[i][0]
+        reduced_config(*entry) for entry, i in classes if not slacks[i][0]
     )
     violations = ()
     if any(slack < 0 for slack, _ in slacks):

@@ -121,6 +121,19 @@ def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:
     return _weighted(d + 1, _clique_moments(d, act.lambda1, act.lambda2), act)
 
 
+def clique_comparison(g: Graph, d: int, act: ActivityPair) -> tuple[Fraction, ...]:
+    """The bivariate partition functions of g and of the complete graph on
+    d+1 vertices at the pair, then their weighted occupancies: from one
+    scaled_eval of g's polynomial and one _clique_moments."""
+    moments = _colour_moments(g, act)
+    clique = _clique_moments(d, act.lambda1, act.lambda2)
+    poly = wr_partition_bivariate(g)
+    q, s = act.lambda1.denominator, act.lambda2.denominator
+    partition_g = Fraction(moments[0], q**poly.degree_x * s**poly.degree_y)
+    partition_k = Fraction(clique[0], (q * s) ** (d + 1))
+    return partition_g, partition_k, _weighted(g.n, moments, act), _weighted(d + 1, clique, act)
+
+
 def free_energy_derivative(
     g: Graph, lambda1: Fraction, lambda2: Fraction, x: Fraction
 ) -> Fraction:
@@ -133,11 +146,11 @@ def free_energy_derivative(
     (b) the per-colour occupancy combination
         (x*a1 + (lambda1-lambda2+x)*a2) / (x*(lambda1-lambda2+x)).
     """
-    if not (lambda1 >= lambda2 > 0):
-        raise DomainError("activities must satisfy lambda1 >= lambda2 > 0")
-    if not (0 < x <= lambda2):
-        raise DomainError("evaluation point must satisfy 0 < x <= lambda2")
     lambda1, lambda2, x = map(check_activity, (lambda1, lambda2, x))
+    if lambda1 < lambda2:
+        raise DomainError("activities must satisfy lambda1 >= lambda2 > 0")
+    if x > lambda2:
+        raise DomainError("evaluation point must satisfy 0 < x <= lambda2")
     check_vertices(g)
     offset = lambda1 - lambda2
 

@@ -22,6 +22,8 @@ from wrkit.configurations import (
     empty_lists_config,
     enumerate_configs,
     local_partition_functions,
+    reduced_classes,
+    reduced_config,
     reduced_configs,
     single_colour_config,
     stats_key,
@@ -552,6 +554,40 @@ REDUCED_ORDER_DIGESTS = {
     4: "1005b1e32308aa1986957bcfec24ea887d07a788343d40fd8177550abf4e18c4",
     5: "17aaaf567b0d08f227955045b4d71ffa68923c4f62a520d2fb00ccadcaaa69fc",
 }
+
+
+def filtered_orbit_walk(d):
+    """The reduced classes as (k, code, lists), in reduced_configs order,
+    from the unpruned walk: every assignment over {1}, {2}, {12} in
+    product order marks its automorphism orbit, and the orbit firsts with
+    an edge inside {1} or inside {2} are dropped afterwards."""
+    out = []
+    for k in range(d + 1):
+        for code, autos in graphs_up_to_iso(k):
+            edges = graph_from_code(k, code).edges()
+            movers = [label_mover(perm) for perm in autos]
+            seen = set()
+            for lists in product((COLOUR_1, COLOUR_2, 3), repeat=k):
+                if lists in seen:
+                    continue
+                seen.update(move(lists) for move in movers)
+                if not any(lists[u] == lists[v] != 3 for u, v in edges):
+                    out.append((k, code, lists))
+    return out[::-1]
+
+
+def test_pruned_walk_gives_the_filtered_orbit_walk():
+    # the pruned walk marks only the orbits it keeps, so its firsts, their
+    # order and the padded representatives are the filtered walk's
+    for d in range(1, 6):
+        expected = filtered_orbit_walk(d)
+        entries = list(reduced_classes(d))
+        assert [(k, code, lists[:k]) for k, code, _, lists in entries] == expected
+        for (k, code, graph, lists), config in zip(entries, reduced_configs(d), strict=True):
+            assert graph.adj == graph_from_code(k, code).adj + (0,) * (d - k)
+            assert lists[k:] == (0,) * (d - k)
+            assert reduced_config(k, code, graph, lists) == config
+            assert config.canonical == ((d, code, lists) if k == d else None)
 
 
 def test_reduced_classes_order_is_pinned():

@@ -18,10 +18,11 @@ from wrkit.configurations import (
     enumerate_configs,
     local_alphas,
     local_partition_functions,
+    reduced_config,
     reduced_configs,
     single_colour_config,
 )
-from wrkit.errors import DomainError, UsageError
+from wrkit.errors import DomainError, UsageError, VerificationError
 from wrkit.graphs import Graph, canonical_labelled_form, from_edges
 from wrkit.lp import (
     LPInstance,
@@ -331,6 +332,56 @@ def test_shared_values_match_direct_evaluation():
         assert lp.configs == tuple(first.values())
         assert set(first) == full_columns
     assert len(lp.configs) == 390  # d = 5
+
+
+def per_class_signature_table(d, lam):
+    """The signature table from one local_partition_functions call per
+    reduced_configs class, keyed by (p0, p12) coefficients: each
+    signature's first class, its stats and integer column, and each
+    class's signature index."""
+    first, signatures, indices = {}, [], []
+    for config in reduced_configs(d):
+        stats = local_partition_functions(config)
+        sig = (stats.p0.coeffs, stats.p12.coeffs)
+        if sig not in first:
+            first[sig] = len(signatures)
+            signatures.append((config, stats, *local_alphas(stats, d, lam)))
+        indices.append(first[sig])
+    return tuple(signatures), indices
+
+
+@pytest.mark.parametrize(
+    "lam", (F(1, 7), F(1), F(4, 3), F(10), F(10**6, 999999), F(1, 10**6)), ids=str
+)
+def test_signature_table_matches_the_per_class_route(lam):
+    for d in range(1, 6):
+        signatures, classes = _signature_table(d, lam)
+        expected, indices = per_class_signature_table(d, lam)
+        assert signatures == expected
+        assert [c.canonical for c, *_ in signatures] == [c.canonical for c, *_ in expected]
+        assert [i for _, i in classes] == indices
+        assert tuple(reduced_config(*entry) for entry, _ in classes) == reduced_configs(d)
+
+
+def test_signature_table_builds_one_configuration_per_signature(monkeypatch):
+    built = []
+    post_init = Configuration.__post_init__
+
+    def counted(config):
+        built.append(config)
+        post_init(config)
+
+    monkeypatch.setattr(Configuration, "__post_init__", counted)
+    signatures, classes = _signature_table.__wrapped__(5, F(1))
+    assert (len(built), len(signatures), len(classes)) == (390, 390, 1438)
+
+
+def test_signature_table_errors_name_the_reduced_class(monkeypatch):
+    from wrkit import configurations
+
+    monkeypatch.setattr(configurations, "_low_coefficients", lambda *args: [0, 0, 0])
+    with pytest.raises(VerificationError, match=r"^d=2;edges=0-1;lists=12,12: low coeff"):
+        _signature_table.__wrapped__(2, F(1))
 
 
 @pytest.mark.parametrize("lam", (F(1, 3), F(1), F(3, 2), F(7), F(10**6, 999999)), ids=str)

@@ -200,6 +200,25 @@ def test_free_energy_domain_errors():
         free_energy_derivative(g, float("inf"), Fraction(1), Fraction(1))
 
 
+def test_free_energy_gates_each_activity_before_the_ordering():
+    g = make_cycle(3)
+    one, two, nan = Fraction(1), Fraction(2), float("nan")
+    positive = "activity must be strictly positive, got "
+    cases = (
+        ((nan, one, one), positive + "nan"),
+        ((two, nan, one), positive + "nan"),
+        ((two, one, nan), positive + "nan"),
+        ((two, one, 1e-400), positive + "0.0"),
+        ((two, one, Fraction(-1, 2)), positive + "-1/2"),
+        ((one, two, one), "activities must satisfy lambda1 >= lambda2 > 0"),
+        ((two, one, Fraction(3, 2)), "evaluation point must satisfy 0 < x <= lambda2"),
+    )
+    for args, message in cases:
+        with pytest.raises(DomainError) as info:
+            free_energy_derivative(g, *args)
+        assert str(info.value) == message, args
+
+
 def test_free_energy_routes_agree_at_extreme_activities():
     # the offset lambda1 - lambda2 has a twelve-digit denominator, so route
     # (a)'s path polynomial carries large powers of it; the call raises if

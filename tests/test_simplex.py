@@ -225,6 +225,62 @@ def test_walks_the_tableau_oracle_pivots(seed, n, m):
     assert solve_with_pivots(*case) == (expected, pivots)
 
 
+def mixed_instance(rng, n, m):
+    """Entries over denominators up to 7, so that each row is scaled to
+    ints by its own factor, with plain ints mixed in; right-hand sides of
+    both signs, many of them zero; and rows that repeat an earlier row
+    times a Fraction of either sign (redundant rows)."""
+
+    def entry(top):
+        value = F(rng.randint(-top, top), rng.randint(1, 7))
+        return value.numerator if value.denominator == 1 and rng.random() < 0.5 else value
+
+    objective = [entry(5) for _ in range(n)]
+    rows = [[entry(4) for _ in range(n)] for _ in range(m)]
+    rhs = [rng.choice((0, F(0), F(1, 3), F(-2, 5), F(7, 2), F(-3), 2)) for _ in range(m)]
+    for k in range(1, m):
+        if rng.random() < 0.4:
+            scale = rng.choice((F(-2, 3), F(5, 2), F(-1), F(1, 7)))
+            j = rng.randrange(k)
+            rows[k] = [scale * v for v in rows[j]]
+            rhs[k] = scale * rhs[j]
+    return objective, rows, rhs
+
+
+def test_walks_the_tableau_oracle_pivots_on_mixed_denominators(monkeypatch):
+    drops = []
+    drop = simplex._Basis.drop
+    monkeypatch.setattr(simplex._Basis, "drop", lambda state, r: drops.append(drop(state, r)))
+    rng = random.Random(2027)
+    statuses = set()
+    for _ in range(1500):
+        case = mixed_instance(rng, rng.randint(1, 7), rng.randint(1, 4))
+        pivots = []
+        expected = tableau_solve(*case, pivots=pivots)
+        assert solve_with_pivots(*case) == (expected, pivots)
+        statuses.add(expected.status)
+    assert statuses == {simplex.OPTIMAL, simplex.INFEASIBLE, simplex.UNBOUNDED}
+    assert len(drops) > 50  # the redundant rows reach the drop path
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+def test_walks_the_tableau_oracle_pivots_on_mixed_denominators_property(seed, n, m):
+    case = mixed_instance(random.Random(seed), n, m)
+    pivots = []
+    expected = tableau_solve(*case, pivots=pivots)
+    assert solve_with_pivots(*case) == (expected, pivots)
+
+
+def test_a_wrong_determinant_is_a_verification_error():
+    # den must stay |det B|: planted at 5 over the identity basis, the
+    # first pivot's division leaves a remainder
+    state = simplex._Basis([(2, 1), (1, 3), (1, 0), (0, 1)], [1, 1], [1, 1])
+    state.den = 5
+    with pytest.raises(VerificationError, match="remainder dividing by 5"):
+        state.pivot(0, 0, state.column(0))
+
+
 def test_redundant_rows_are_dropped_like_the_tableau():
     # the second and third rows repeat the first, the third sign-flipped
     objective = [F(1), F(2), F(0)]
