@@ -40,10 +40,11 @@ from functools import lru_cache
 from itertools import product
 from operator import and_, itemgetter
 
-from .errors import CapacityError, DomainError, UsageError, VerificationError
+from .errors import CapacityError, UsageError, VerificationError
 from .graphs import (
     Graph,
     canonical_labelled_form,
+    check_degree_floor,
     graph_from_code,
     graphs_up_to_iso,
     label_mover,
@@ -142,13 +143,13 @@ class ConfigStats:
 
 
 @lru_cache(maxsize=None)
-def _list_count_polynomials(a1: int, a2: int) -> tuple[IntPolynomial, ...]:
-    """p1, p2, p12 and p12 - 1 of lists allowing colour 1 at a1 vertices
-    and colour 2 at a2: a one-colour colouring is any subset of them."""
+def _list_count_polynomials(a1: int, a2: int) -> tuple:
+    """p1, p2, p12 and, as ints, p12 - 1's coefficients, of lists allowing
+    colour 1 at a1 vertices and 2 at a2: one colour on any subset of them."""
     p1 = binomial_power(a1)
     p2 = binomial_power(a2)
     p12 = p1 + p2
-    return p1, p2, p12, p12 - 1
+    return p1, p2, p12, (p12.coeffs[0] - 1, *p12.coeffs[1:])
 
 
 def _low_coefficients(adj: tuple[int, ...], allows_1: int, allows_2: int) -> list[int]:
@@ -253,9 +254,14 @@ def local_walk(lists: tuple[int, ...], adj: tuple[int, ...]) -> tuple:
         p0 = p0[:-1]  # p0[0] = 1 counts the empty colouring
     # dichromatic colourings are exactly the gap between p0 and the
     # monochromatic-or-empty total p1 + p2 - 1
-    if has_dichromatic != (p0 != _list_count_polynomials(a1, a2)[3].coeffs):
+    if has_dichromatic != (p0 != _list_count_polynomials(a1, a2)[3]):
         raise VerificationError("dichromatic flag disagrees with p0 - (p12 - 1)")
     return a1, a2, p0, has_dichromatic
+
+
+def signature(a1: int, a2: int, p0: tuple[int, ...]) -> tuple:
+    """An LP column's key: p0's coefficients and {a1, a2}, which fix p12."""
+    return (p0, a1, a2) if a1 <= a2 else (p0, a2, a1)
 
 
 def config_stats(a1: int, a2: int, p0: tuple[int, ...], has_dichromatic: bool) -> ConfigStats:
@@ -334,8 +340,7 @@ def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
 
 def check_degree(d: int) -> None:
     """The degrees the class enumerations accept, checked before any work."""
-    if d < 1:
-        raise DomainError(f"degree must be >= 1, got {d}")
+    check_degree_floor(d)
     if d > ENUMERATION_CAP:
         raise CapacityError(
             f"configuration enumeration capped at {ENUMERATION_CAP}, got {d}"

@@ -58,9 +58,6 @@ class Graph:
         """Number of edges."""
         return sum(mask.bit_count() for mask in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """Sorted edge list with u < v."""
         out = []
@@ -73,9 +70,6 @@ class Graph:
                 rest >>= 1
                 u += 1
         return out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
 
     def relabel(self, text: str) -> "Graph":
         """Copy with a different display label."""
@@ -222,6 +216,12 @@ def check_vertices(g: Graph) -> None:
     (an occupancy fraction, a free energy, a sampler step) is defined."""
     if g.n == 0:
         raise DomainError("graph has no vertices")
+
+
+def check_degree_floor(d: int) -> None:
+    """Refuse a degree below 1, the floor of every degree-indexed quantity."""
+    if d < 1:
+        raise DomainError(f"degree must be >= 1, got {d}")
 
 
 def check_regular(g: Graph, d: int) -> None:

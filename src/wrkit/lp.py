@@ -64,6 +64,7 @@ from .configurations import (
     local_walk,
     reduced_classes,
     reduced_config,
+    signature,
     single_colour_config,
     uniform_full_classes,
 )
@@ -130,8 +131,8 @@ def _signature_table(d: int, lam: Fraction) -> tuple[
     column of local_alphas at lam, and per reduced class, in
     reduced_configs order, its reduced_classes entry and signature index.
 
-    One local walk per reduced class gives its signature, p12 fixed by
-    the list counts {a1, a2}; only a signature's first class becomes a
+    One local walk per reduced class gives its signature, keyed by
+    configurations.signature; only a signature's first class becomes a
     Configuration with stats.  build_primal and verify_dual_feasibility
     both read this table, so the columns are evaluated once per command.
     """
@@ -144,7 +145,7 @@ def _signature_table(d: int, lam: Fraction) -> tuple[
             a1, a2, p0, dichromatic = local_walk(lists, graph.adj)
         except VerificationError as exc:
             raise VerificationError(f"{reduced_config(*entry).key_text()}: {exc}") from exc
-        sig = (p0, min(a1, a2), max(a1, a2))
+        sig = signature(a1, a2, p0)
         i = first.get(sig)
         if i is None:
             i = first[sig] = len(signatures)
@@ -288,7 +289,7 @@ def _clique_ratio(a: int, lam: Fraction) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class ConfigRow:
-    """Per-configuration report row (the CSV unit)."""
+    """Per-configuration report row (the CSV unit); signature is its index in verdicts."""
 
     config: Configuration
     a1: int
@@ -297,6 +298,7 @@ class ConfigRow:
     alpha_u: Fraction
     slack: Fraction
     tight: bool
+    signature: int
 
 
 class ClassRows(Sequence):
@@ -304,9 +306,8 @@ class ClassRows(Sequence):
     order.  Its length is count_configs(d), known without enumerating;
     the rows are built on first read, through enumerate_configs and one
     local walk per stats_key, and each full class must land on a
-    signature of the reduced classes.  slacks holds each signature's
-    slack as (numerator, positive denominator), in _signature_table
-    order."""
+    signature of the reduced classes, whose index its row carries.
+    slacks: each signature's slack as (numerator, denominator > 0), in _signature_table order."""
 
     def __init__(self, d: int, signatures: tuple, slacks: list[tuple[int, int]]):
         self._count = count_configs(d)
@@ -318,14 +319,10 @@ class ClassRows(Sequence):
         return self._count
 
     def __getitem__(self, index):
-        return self._table[0][index]
+        return self._table[index]
 
     def __iter__(self):
-        return iter(self._table[0])
-
-    def with_signatures(self) -> Iterator[tuple[ConfigRow, int]]:
-        """Each row with the index of its signature in ``verdicts``."""
-        return zip(*self._table)
+        return iter(self._table)
 
     @cached_property
     def verdicts(self) -> list[tuple[Fraction, Fraction, Fraction, bool]]:
@@ -337,24 +334,23 @@ class ClassRows(Sequence):
         ]
 
     @cached_property
-    def _table(self) -> tuple[tuple[ConfigRow, ...], tuple[int, ...]]:
-        index = {(s.p0.coeffs, s.p12.coeffs): i for i, (_, s, *_) in enumerate(self._signatures)}
+    def _table(self) -> tuple[ConfigRow, ...]:
+        keys = (signature(s.a1, s.a2, s.p0.coeffs) for _, s, *_ in self._signatures)
+        index = {key: i for i, key in enumerate(keys)}
         rows = []
-        row_signatures = []
         for config in enumerate_configs(self._d):
             stats = local_partition_functions(config)
-            i = index.get((stats.p0.coeffs, stats.p12.coeffs))
+            i = index.get(signature(stats.a1, stats.a2, stats.p0.coeffs))
             if i is None:
                 raise VerificationError(
                     f"{config.key_text()}: signature missing from the reduced classes"
                 )
-            rows.append(ConfigRow(config, stats.a1, stats.a2, *self.verdicts[i]))
-            row_signatures.append(i)
+            rows.append(ConfigRow(config, stats.a1, stats.a2, *self.verdicts[i], i))
         if len(rows) != self._count:
             raise VerificationError(
                 f"{len(rows)} classes enumerated, {self._count} counted"
             )
-        return tuple(rows), tuple(row_signatures)
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -478,8 +474,8 @@ def config_report_csv(report: FeasibilityReport) -> str:
     return csv_text(
         "key,a1,a2,alpha_v,alpha_u,slack,tight",
         (
-            (f'"{row.config.key_text()}"', row.a1, row.a2, shared[i])
-            for row, i in rows.with_signatures()
+            (f'"{row.config.key_text()}"', row.a1, row.a2, shared[row.signature])
+            for row in rows
         ),
     )
 

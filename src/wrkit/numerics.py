@@ -23,13 +23,13 @@ Partition polynomials come in two shapes:
 
 Coefficients are plain Python ints (arbitrary precision); a partition
 polynomial of a 20-vertex graph has coefficients of order 3**20 and must
-not overflow.  Both shapes evaluate at ints or Fractions (n being n/1) in
-integers, with the denominators cleared, and build at most one Fraction.
-Their ``scaled_eval`` returns, from the same one integer pass, the value
-and the first moments (x P' for one activity; x P_x and y P_y for two), all
-over one common power of the denominators: a ratio of a moment to the
-value, such as an occupancy fraction, is then a single Fraction, and no
-derivative polynomial is built.
+not overflow.  Only ``IntPolynomial.eval`` evaluates at a point.  Both
+shapes' ``scaled_eval``, the only route to a bivariate value, return
+from one integer pass the value and the first moments (x P' for one
+activity; x P_x and y P_y for two), all over one common power of the
+denominators: a ratio of a moment to the value, such as an occupancy
+fraction, is then a single Fraction, and no derivative polynomial is
+built.  A polynomial equals only one of its own shape, as hashes need.
 
 Every CSV report in the package (verify, scan, lp, dualcert, configs and
 the sampler's series) is rendered by ``csv_text``: one header line, one
@@ -234,8 +234,7 @@ class IntPolynomial:
         return value, moment
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -286,6 +285,7 @@ class BivariatePolynomial:
 
     Stored as a map from exponent pairs (i, j) to nonzero coefficients and
     the degrees in x and in y (-1 for the zero polynomial), found once.
+    Instances support ``+`` and ``*`` (ints are coerced to constants).
     """
 
     __slots__ = ("coeffs", "degree_x", "degree_y")
@@ -331,26 +331,6 @@ class BivariatePolynomial:
 
     __rmul__ = __mul__
 
-    def eval(self, x: Fraction | int, y: Fraction | int) -> Fraction | int:
-        """Exact value at the point (x, y) (ints in, int out; a Fraction in,
-        Fraction out).
-
-        At x = p/q and y = r/s (an int is p/1) the sum runs in integers over
-        the power tables p^i q^(I-i) and r^j s^(J-j), I and J the degrees in
-        x and y, and is divided by q^I s^J once.  The zero polynomial is 0.
-        """
-        coeffs = self.coeffs
-        if not coeffs:
-            return 0
-        xs = _cleared_powers(x.numerator, x.denominator, self.degree_x)
-        ys = _cleared_powers(y.numerator, y.denominator, self.degree_y)
-        acc = 0
-        for (i, j), c in coeffs.items():
-            acc += c * xs[i] * ys[j]
-        if isinstance(x, int) and isinstance(y, int):
-            return acc
-        return Fraction(acc, xs[0] * ys[0])
-
     def scaled_eval(self, p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
         """The value and both first moments at x = p/q, y = r/s, each times
         q^I s^J (I and J the degrees in x and in y), as integers:
@@ -381,8 +361,7 @@ class BivariatePolynomial:
         return IntPolynomial(out)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, VerificationError
-from .graphs import Graph, check_vertices
+from .graphs import Graph, check_degree_floor, check_vertices
 from .numerics import IntPolynomial, check_activity
 from .partition import wr_partition, wr_partition_bivariate
 
@@ -101,19 +101,12 @@ def _clique_moments(d: int, x: Fraction, y: Fraction) -> tuple[int, int, int]:
     activities x = p/q and y = r/s, in closed form, over scaled_eval's
     scale q^(d+1) s^(d+1): every colouring is monochromatic, so
     P = (1+x)^(d+1) + (1+y)^(d+1) - 1 and x P_x = (d+1) x (1+x)^d."""
-    if d < 1:
-        raise DomainError(f"degree must be >= 1, got {d}")
+    check_degree_floor(d)
     p, q = x.numerator, x.denominator
     r, s = y.numerator, y.denominator
     grow1, grow2 = (p + q) ** d * s ** (d + 1), (r + s) ** d * q ** (d + 1)
     value = (p + q) * grow1 + (r + s) * grow2 - (q * s) ** (d + 1)
     return value, (d + 1) * p * grow1, (d + 1) * r * grow2
-
-
-def partition_K(d: int, act: ActivityPair) -> Fraction:
-    """Bivariate partition function of the complete graph on d+1 vertices."""
-    value, _, _ = _clique_moments(d, act.lambda1, act.lambda2)
-    return Fraction(value, (act.lambda1.denominator * act.lambda2.denominator) ** (d + 1))
 
 
 def weighted_occupancy_K(d: int, act: ActivityPair) -> Fraction:

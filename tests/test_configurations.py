@@ -265,6 +265,29 @@ def test_stats_errors_name_the_class(monkeypatch):
         local_partition_functions(config)
 
 
+def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
+    # the walk's flag is checked against p0 - (p12 - 1); flipped on a
+    # class without dichromatic colourings and on one with them, the
+    # check names the class, by both routes to a local walk
+    from wrkit.lp import _signature_table
+
+    walk = configurations._colour_set_walk
+
+    def flipped(*args):
+        p0, dichromatic = walk(*args)
+        return p0, not dichromatic
+
+    monkeypatch.setattr(configurations, "_colour_set_walk", flipped)
+    local_partition_functions.cache_clear()
+    for config in (complete_neighbourhood_config(3), Configuration(Graph(3, (0,) * 3), (3,) * 3)):
+        message = f"^{re.escape(config.key_text())}: dichromatic flag disagrees"
+        with pytest.raises(VerificationError, match=message):
+            local_partition_functions(config)
+    message = r"^d=2;edges=0-1;lists=12,12: dichromatic flag disagrees"
+    with pytest.raises(VerificationError, match=message):
+        _signature_table.__wrapped__(2, Fraction(1))
+
+
 def test_stats_empty_lists():
     config = empty_lists_config(2)
     stats = local_partition_functions(config)

@@ -20,6 +20,7 @@ from wrkit.configurations import (
     local_partition_functions,
     reduced_config,
     reduced_configs,
+    signature,
     single_colour_config,
 )
 from wrkit.errors import DomainError, UsageError, VerificationError
@@ -361,6 +362,25 @@ def test_signature_table_matches_the_per_class_route(lam):
         assert [c.canonical for c, *_ in signatures] == [c.canonical for c, *_ in expected]
         assert [i for _, i in classes] == indices
         assert tuple(reduced_config(*entry) for entry, _ in classes) == reduced_configs(d)
+
+
+def test_report_rows_carry_their_signature_index():
+    # each full class's row names the _signature_table entry with its
+    # (p0, p12), found here from its own stats, and its cells are that
+    # entry's verdict; signature() ignores the order of a1 and a2
+    for d in range(1, 5):
+        lam = F(3, 2)
+        signatures, _ = _signature_table(d, lam)
+        index = {(s.p0, s.p12): i for i, (_, s, *_) in enumerate(signatures)}
+        assert len(index) == len(signatures)
+        report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
+        for row in report.rows:
+            stats = local_partition_functions(row.config)
+            assert row.signature == index[stats.p0, stats.p12]
+            verdict = (row.alpha_v, row.alpha_u, row.slack, row.tight)
+            assert verdict == report.rows.verdicts[row.signature]
+            p0 = stats.p0.coeffs
+            assert signature(stats.a1, stats.a2, p0) == signature(stats.a2, stats.a1, p0)
 
 
 def test_signature_table_builds_one_configuration_per_signature(monkeypatch):

@@ -120,10 +120,33 @@ def test_rational_round_trip():
 def test_bivariate_eval_and_diagonal():
     # the K2 two-activity polynomial, written out explicitly
     p = BivariatePolynomial({(0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 0): 1, (0, 2): 1})
-    assert p.eval(1, 1) == 7
-    assert p.eval(Fraction(1), Fraction(2)) == 12
+    # value, x P_x and y P_y at (1, 2), then the value at (1/2, 1/3)
+    # over the scale 2^2 3^2
+    assert p.scaled_eval(1, 1, 2, 1) == (12, 4, 12)
+    value = 1 + 2 * Fraction(1, 2) + 2 * Fraction(1, 3) + Fraction(1, 4) + Fraction(1, 9)
+    assert p.scaled_eval(1, 2, 1, 3)[0] == 36 * value
     assert p.diagonal() == P([1, 4, 2])
     assert p == BivariatePolynomial({(j, i): c for (i, j), c in p.coeffs.items()})
+
+
+def test_polynomials_equal_only_polynomials_of_their_shape():
+    # == must agree with hash: a polynomial is never equal to an int, nor
+    # to a polynomial of the other shape, while +, - and * still take an
+    # int as a constant
+    five, bi_five = P([5]), BivariatePolynomial({(0, 0): 5})
+    for poly in (five, bi_five):
+        assert poly != 5 and 5 != poly
+        assert len({poly, 5}) == 2
+    assert five != bi_five
+    assert (five + 1, 1 - five, 2 * five) == (P([6]), P([-4]), P([10]))
+    assert (bi_five + 1, 2 * bi_five) == (
+        BivariatePolynomial({(0, 0): 6}), BivariatePolynomial({(0, 0): 10})
+    )
+    # equal polynomials hash equal, trailing and zero terms dropped
+    assert P([1, 2, 0]) == P((1, 2)) and hash(P([1, 2, 0])) == hash(P((1, 2)))
+    with_zero = BivariatePolynomial({(0, 0): 1, (1, 0): 0, (0, 1): 3})
+    plain = BivariatePolynomial({(0, 1): 3, (0, 0): 1})
+    assert with_zero == plain and hash(with_zero) == hash(plain)
 
 
 def test_bivariate_arithmetic():
@@ -131,5 +154,5 @@ def test_bivariate_arithmetic():
     y = BivariatePolynomial({(0, 1): 1})
     p = (1 + x) * (1 + y)
     assert p == BivariatePolynomial({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
-    assert p.eval(2, 3) == 12
+    assert p.scaled_eval(2, 1, 3, 1)[0] == 12
     assert p + (-1) * p == BivariatePolynomial()

@@ -11,10 +11,10 @@ from wrkit.graphs import disjoint_union, make_complete, make_cycle, parse_builti
 from wrkit.occupancy import (
     ActivityPair,
     alpha_K,
+    clique_comparison,
     free_energy_derivative,
     occupancy_by_colour,
     occupancy_fraction,
-    partition_K,
     weighted_occupancy,
     weighted_occupancy_K,
 )
@@ -64,8 +64,11 @@ def test_domain_errors():
         alpha_K(2, Fraction(-1))
     with pytest.raises(DomainError):
         ActivityPair(Fraction(1), Fraction(0))
-    with pytest.raises(DomainError):
+    # the clique closed forms share the configuration enumerations' floor
+    with pytest.raises(DomainError, match="^degree must be >= 1, got 0$"):
         alpha_K(0, Fraction(1))
+    with pytest.raises(DomainError, match="^degree must be >= 1, got 0$"):
+        weighted_occupancy_K(0, ActivityPair(Fraction(1), Fraction(2)))
 
 
 def test_occupancy_in_unit_interval():
@@ -156,9 +159,13 @@ def test_partition_K_closed_form_matches_the_dp():
     values = [Fraction(1, 10**6), Fraction(10**6, 999999)]
     values += map(Fraction, ("1/3", "1", "7/3"))
     for d in range(1, 7):
-        p_k = wr_partition_bivariate(make_complete(d + 1))
+        k = make_complete(d + 1)
+        p_k = wr_partition_bivariate(k)
         for x, y in product(values, repeat=2):
-            assert partition_K(d, ActivityPair(x, y)) == p_k.eval(x, y)
+            (p, q), (r, s) = (x.as_integer_ratio(), y.as_integer_ratio())
+            value, _, _ = p_k.scaled_eval(p, q, r, s)
+            dp = Fraction(value, q**p_k.degree_x * s**p_k.degree_y)
+            assert clique_comparison(k, d, ActivityPair(x, y))[1] == dp
 
 
 def test_free_energy_derivative_diagonal():

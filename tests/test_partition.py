@@ -108,7 +108,7 @@ def test_bivariate_k2():
     )
     assert wr_partition_bivariate(make_complete(2)) == expected
     assert expected == bivariate_brute(make_complete(2))
-    assert expected.eval(1, 1) == 7
+    assert expected.scaled_eval(1, 1, 1, 1) == (7, 4, 4)
 
 
 def test_bivariate_oracle_and_symmetry():
