@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 from operator import and_, itemgetter
 
 from .errors import CapacityError, UsageError, VerificationError
@@ -143,13 +144,22 @@ class ConfigStats:
 
 
 @lru_cache(maxsize=None)
-def _list_count_polynomials(a1: int, a2: int) -> tuple:
-    """p1, p2, p12 and, as ints, p12 - 1's coefficients, of lists allowing
-    colour 1 at a1 vertices and 2 at a2: one colour on any subset of them."""
+def _list_count_polynomials(a1: int, a2: int) -> tuple[IntPolynomial, ...]:
+    """p1, p2 and p12 of lists allowing colour 1 at a1 vertices and 2 at
+    a2, for config_stats: one colour on any subset of them."""
     p1 = binomial_power(a1)
     p2 = binomial_power(a2)
-    p12 = p1 + p2
-    return p1, p2, p12, (p12.coeffs[0] - 1, *p12.coeffs[1:])
+    return p1, p2, p1 + p2
+
+
+@lru_cache(maxsize=None)
+def _one_colour_counts(a1: int, a2: int) -> tuple[int, ...]:
+    """The coefficients of p12 - 1 = (1+lam)^a1 + (1+lam)^a2 - 1 as ints,
+    for local_walk's check: the colourings of lists allowing colour 1 at
+    a1 vertices and 2 at a2 that use at most one colour."""
+    counts = [comb(a1, k) + comb(a2, k) for k in range(max(a1, a2) + 1)]
+    counts[0] -= 1
+    return tuple(counts)
 
 
 def _low_coefficients(adj: tuple[int, ...], allows_1: int, allows_2: int) -> list[int]:
@@ -254,7 +264,7 @@ def local_walk(lists: tuple[int, ...], adj: tuple[int, ...]) -> tuple:
         p0 = p0[:-1]  # p0[0] = 1 counts the empty colouring
     # dichromatic colourings are exactly the gap between p0 and the
     # monochromatic-or-empty total p1 + p2 - 1
-    if has_dichromatic != (p0 != _list_count_polynomials(a1, a2)[3]):
+    if has_dichromatic != (p0 != _one_colour_counts(a1, a2)):
         raise VerificationError("dichromatic flag disagrees with p0 - (p12 - 1)")
     return a1, a2, p0, has_dichromatic
 
@@ -266,7 +276,7 @@ def signature(a1: int, a2: int, p0: tuple[int, ...]) -> tuple:
 
 def config_stats(a1: int, a2: int, p0: tuple[int, ...], has_dichromatic: bool) -> ConfigStats:
     """The stats of a local_walk result."""
-    p1, p2, p12, _ = _list_count_polynomials(a1, a2)
+    p1, p2, p12 = _list_count_polynomials(a1, a2)
     return ConfigStats(a1, a2, IntPolynomial(p0), p1, p2, p12, has_dichromatic)
 
 

@@ -23,6 +23,21 @@ when a vertex's colour does.  Each recorded sample is one of the n + 1
 coloured fractions c / n, built once per chain, so a long chain keeps
 one pointer per sample rather than one float.
 
+The heat-bath rule inverts a uniform r against the cumulative weights:
+r * total < 1.0 leaves v uncoloured, and with both colours free
+r * total2 < total1 picks colour 1.  For a fixed total each test is
+r < tau, tau the least float x with x * total no longer below the bound,
+since rounding is monotone in x; _threshold finds the three taus once
+per chain, so the colour draw multiplies nothing.  The bound over
+the total is often not tau itself, so _threshold steps from it with
+nextafter.  The vertex is floor(rand() * scale) with scale = float(n),
+the same product as with the int n, and a float-by-float multiply on
+CPython's fast path.  The steps that record come from one bool
+schedule: burn_in False, then per sample thinning - 1 False and one
+True, chained from itertools over a tuple of length thinning.  It holds
+one pointer per unit of thinning, as the samples hold one per sample,
+and makes no int per step.
+
 Sampling is plain floating point for throughput; transition_distribution,
 like the rest of the package, is exact.  estimate_occupancy is the
 sampler's one activity gate.  Randomness comes from the CPython Mersenne
@@ -34,7 +49,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import floor, inf, sqrt
+from itertools import chain, cycle, islice, repeat
+from math import floor, inf, nextafter, sqrt
 
 from .errors import DomainError, UsageError
 from .graphs import Graph, check_vertices
@@ -70,6 +86,18 @@ def transition_distribution(
         for move, weight in zip(moves, weights):
             out[move] = out.get(move, 0) + weight / total
     return out
+
+
+def _threshold(t: float, c: float) -> float:
+    """The least float x with not x * t < c, for finite t, c > 0: since
+    rounding is monotone in x, x * t < c exactly when x < _threshold(t, c).
+    c / t is within a few steps of it, and nextafter takes them."""
+    x = c / t
+    while x * t < c:
+        x = nextafter(x, inf)
+    while not nextafter(x, -inf) * t < c:
+        x = nextafter(x, -inf)
+    return x
 
 
 def estimate_occupancy(
@@ -115,6 +143,7 @@ def estimate_occupancy(
     rng = random.Random(seed)
     rand = rng.random
     n = graph.n
+    scale = float(n)  # rand() * scale == rand() * n, with a float multiply
     adj = graph.adj
     colouring = [0] * n
     on1 = 0  # mask of the vertices coloured 1
@@ -125,20 +154,26 @@ def estimate_occupancy(
     fraction = [c / n for c in range(n + 1)]
     values = []
     record = values.append
-    total_steps = burn_in + samples * thinning
-    due = burn_in + thinning
+    # r * total1 < 1.0, r * total2 < 1.0 and r * total2 < total1, each
+    # as r < threshold
+    keep1 = _threshold(total1, 1.0)
+    keep0 = _threshold(total2, 1.0)
+    keep01 = _threshold(total2, total1)
+    # one bool per step, True at the steps that record
+    gap = (False,) * (thinning - 1) + (True,)
+    schedule = chain(repeat(False, burn_in), islice(cycle(gap), samples * thinning))
     # hot loop: the one Glauber kernel, kept inline.  It draws rand()
     # twice per step and makes the comparisons of the heat-bath rule in
-    # transition_distribution; a step-for-step replay test, drawing among
-    # the same candidates, pins it.  Each branch changes only what
-    # validity lets it
-    for step in range(1, total_steps + 1):
-        v = floor(rand() * n)
+    # transition_distribution, through the thresholds; a step-for-step
+    # replay test, drawing among the same candidates, pins it.  Each
+    # branch changes only what validity lets it
+    for due in schedule:
+        v = floor(rand() * scale)
         nbrs = adj[v]
         if nbrs & on2:  # colour 1 blocked: v is 0 or 2
             if nbrs & on1:  # colour 2 blocked too: v is 0 and stays 0
                 rand()
-            elif rand() * total1 < 1.0:
+            elif rand() < keep1:
                 if colouring[v]:
                     colouring[v] = 0
                     on2 ^= 1 << v
@@ -148,7 +183,7 @@ def estimate_occupancy(
                 on2 |= 1 << v
                 coloured += 1
         elif nbrs & on1:  # colour 2 blocked: v is 0 or 1
-            if rand() * total1 < 1.0:
+            if rand() < keep1:
                 if colouring[v]:
                     colouring[v] = 0
                     on1 ^= 1 << v
@@ -158,9 +193,9 @@ def estimate_occupancy(
                 on1 |= 1 << v
                 coloured += 1
         else:  # both colours free: the only branch where 1 and 2 swap
-            r = rand() * total2
+            r = rand()
             old = colouring[v]
-            if r < 1.0:
+            if r < keep0:
                 if old:
                     colouring[v] = 0
                     if old == 1:
@@ -168,7 +203,7 @@ def estimate_occupancy(
                     else:
                         on2 ^= 1 << v
                     coloured -= 1
-            elif r < total1:
+            elif r < keep01:
                 if old != 1:
                     colouring[v] = 1
                     on1 |= 1 << v
@@ -183,9 +218,8 @@ def estimate_occupancy(
                     on1 ^= 1 << v
                 else:
                     coloured += 1
-        if step == due:
+        if due:
             record(fraction[coloured])
-            due += thinning
 
     estimate = sum(values) / len(values)
 

@@ -3,13 +3,13 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import sqrt
+from math import inf, nextafter, sqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wrkit.dynamics import estimate_occupancy, transition_distribution
+from wrkit.dynamics import _threshold, estimate_occupancy, transition_distribution
 from wrkit.errors import DomainError, UsageError
 from wrkit.graphs import (
     Graph,
@@ -191,14 +191,18 @@ def replay_series(g, lam, seed, burn_in, samples, thinning=1, updates=None):
 
 
 def batch_means_summary(values):
-    """Mean and batch-means standard error over 100 equal batches, each a
-    left-to-right sum, as the sampler computes them."""
+    """Mean and batch-means standard error over up to 100 equal batches,
+    each a left-to-right sum, as the sampler computes them; one sample
+    makes one batch and an infinite error."""
     estimate = sum(values) / len(values)
-    size = len(values) // 100
-    means = [sum(values[i * size : (i + 1) * size]) / size for i in range(100)]
-    centre = sum(means) / 100
-    var = sum((m - centre) ** 2 for m in means) / 99
-    return estimate, sqrt(var / 100)
+    if len(values) == 1:
+        return estimate, inf
+    batches = min(100, len(values))
+    size = len(values) // batches
+    means = [sum(values[i * size : (i + 1) * size]) / size for i in range(batches)]
+    centre = sum(means) / batches
+    var = sum((m - centre) ** 2 for m in means) / (batches - 1)
+    return estimate, sqrt(var / batches)
 
 
 # every (ok1, ok2, old, new) a valid step can make: with both colours
@@ -219,7 +223,8 @@ def test_estimate_deterministic_and_matches_steps():
     assert a == b
 
     # the inline sampler draws randomness and moves exactly like the
-    # replay: on small graphs, when thinning skips steps, when the
+    # replay: on small graphs, when thinning skips steps, at the edges of
+    # the record schedule (one burn-in step and one sample), when the
     # colour-class masks span several 30-bit digits, when every step
     # sees the whole graph, and at activities so low or so high that
     # nearly every step leaves v uncoloured or blocks a colour
@@ -228,6 +233,9 @@ def test_estimate_deterministic_and_matches_steps():
         (g, 1.5, 10, 300, 1),
         (petersen, 0.5, 10, 300, 1),
         (g, 1.5, 10, 300, 3),
+        (petersen, 1.5, 10, 300, 7),
+        (g, 1.5, 1, 1, 1),
+        (petersen, 0.5, 1, 1, 7),
         (make_random_regular(100, 3, 8), 1.0, 500, 1000, 3),
         (make_complete(12), 2.0, 10, 1000, 1),
         (petersen, 1 / 1000, 10, 2000, 1),
@@ -248,6 +256,25 @@ def test_estimate_deterministic_and_matches_steps():
         assert summary == batch_means_summary([value for _, value in replayed])
     # the cases reach every branch of the sampler's update
     assert updates == ALL_UPDATES
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=2.0**-52, max_value=1e307),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example(2.0**-52, 0.5)
+@example(1e-9, 0.5)
+@example(8e307, 0.5)
+def test_threshold_splits_the_products_exactly(lam, x):
+    # each heat-bath comparison r * t < c the sampler makes is r < tau:
+    # at tau, at its neighbours, at x and at a point near tau's scale
+    total1 = 1.0 + lam
+    total2 = 1.0 + lam * 2
+    for t, c in ((total1, 1.0), (total2, 1.0), (total2, total1)):
+        tau = _threshold(t, c)
+        for y in (tau, nextafter(tau, -inf), nextafter(tau, inf), x, 2 * x * tau):
+            assert (y * t < c) == (y < tau), (lam, t, c, y)
 
 
 def test_recorded_samples_share_their_floats():
