@@ -18,7 +18,6 @@ from .configurations import (
     empty_lists_config,
     enumerate_configs,
     local_partition_functions,
-    reduced_configs,
     single_colour_config,
 )
 from .dynamics import estimate_occupancy

@@ -26,9 +26,13 @@ its automorphism group.  Each representative is its orbit's first
 member, so it carries its canonical key; count_configs counts the
 classes by Burnside's lemma.  Dropping the empty-list vertices and the
 edges inside {1} or inside {2} leaves a class's reduced class, with the
-same polynomials.  reduced_configs lists those (1,438 at d = 5, against
-12,208 classes), padded to d vertices, from a walk that prunes the
-assignments with such an edge instead of marking their orbits.
+same polynomials.  reduced_classes lists those (1,438 at d = 5, against
+12,208 classes), padded to d vertices.  Both listings come from one
+orbit walk, which never builds a reduced assignment with such an edge.
+
+The map from a class to its signature (p0 and {a1, a2}, all an LP
+column depends on) lives here, free of any activity: signature_classes
+for the reduced classes, full_class_signatures for the full ones.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb
 from operator import and_, itemgetter
 
@@ -359,8 +362,8 @@ def check_degree(d: int) -> None:
 
 @lru_cache(maxsize=None)
 def _lists_beside(taken: int | tuple[int, ...]) -> tuple[int, ...]:
-    """The lists a vertex may take beside neighbours with lists taken (an
-    int for one): {12}, and {1} and {2} unless taken."""
+    """The lists a reduced class's vertex may take beside neighbours with
+    lists taken (an int for one): {12}, and {1} and {2} unless taken."""
     taken = taken if isinstance(taken, tuple) else (taken,)
     return tuple(mask for mask in (COLOUR_1, COLOUR_2) if mask not in taken) + (BOTH_COLOURS,)
 
@@ -368,20 +371,21 @@ def _lists_beside(taken: int | tuple[int, ...]) -> tuple[int, ...]:
 def _orbit_firsts(k: int, reduced: bool) -> Iterator[tuple[int, Graph, list]]:
     """Per graph class on k vertices, in canonical order: its code, its
     graph, and the first member of each automorphism orbit of its list
-    assignments, in product order.  The reduced ones, with lists in {1},
-    {2}, {12} and no edge inside {1} or {2}, come from a walk that extends
-    each prefix by the lists its vertex may take beside its earlier
-    neighbours; an automorphism keeps edges, so it marks whole orbits.
-    A first member is its orbit's minimum, so (code, lists) is a
-    canonical key."""
+    assignments, in product order.  One walk extends each prefix by the
+    lists its next vertex may take: any of the four in a full class; in a
+    reduced one, whose lists lie in {1}, {2}, {12} with no edge inside
+    {1} or {2}, those its earlier neighbours leave it.  An automorphism
+    keeps edges, so it marks whole orbits.  A first member is its orbit's
+    minimum, so (code, lists) is a canonical key."""
+    beside = _lists_beside if reduced else lambda taken: (0, 1, 2, 3)
     for code, autos in graphs_up_to_iso(k):
         graph = graph_from_code(k, code)
         movers = [label_mover(perm) for perm in autos]
-        assignments = [()] if reduced else product((0, 1, 2, 3), repeat=k)
-        for v in range(k) if reduced else ():
-            earlier = [u for u in range(v) if graph.adj[v] >> u & 1]
+        assignments = [()]
+        for v in range(k):
+            earlier = [u for u in range(v) if reduced and graph.adj[v] >> u & 1]
             pick = itemgetter(*earlier) if earlier else lambda a: ()
-            assignments = [a + (m,) for a in assignments for m in _lists_beside(pick(a))]
+            assignments = [a + (m,) for a in assignments for m in beside(pick(a))]
         seen: set[tuple[int, ...]] = set()
         firsts = []
         for assignment in assignments:
@@ -453,8 +457,12 @@ def uniform_full_classes(
 
 
 def reduced_classes(d: int) -> Iterator[tuple[int, int, Graph, tuple[int, ...]]]:
-    """(k, code, graph, lists) per reduced class on k <= d vertices, in
-    reduced_configs order, graph and lists padded to d vertices."""
+    """(k, code, graph, lists) per reduced class on k <= d vertices, graph
+    and lists padded with d - k isolated empty-list vertices, sorted by k
+    and then by the k-vertex class's canonical key, both descending: the
+    complete neighbourhood first, the all-empty class last.  The LP names
+    its columns in this order, and with the optimal column first Bland's
+    rule pivots far less."""
     check_degree(d)
     for k in range(d, -1, -1):
         pad = (NO_COLOURS,) * (d - k)
@@ -469,14 +477,46 @@ def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> C
     return _stamped(graph, code, lists) if k == graph.n else Configuration(graph, lists)
 
 
-@lru_cache(maxsize=8)
-def reduced_configs(d: int) -> tuple[Configuration, ...]:
-    """One representative per reduced class on k <= d vertices, padded with
-    d - k isolated empty-list vertices, sorted by k and then by the
-    k-vertex class's canonical key, both descending: the complete
-    neighbourhood first, the all-empty class last.  The LP names its
-    columns in this order, and with the optimal column first Bland's rule
-    pivots far less.  Each is the first member of its orbit in the pruned
-    walk of _orbit_firsts; with k = d it is canonical and carries its key.
-    """
-    return tuple(reduced_config(*entry) for entry in reduced_classes(d))
+def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
+    """The class-to-signature map at d: per distinct signature, in order
+    of its first reduced class, (that class, its stats); per reduced
+    class, in reduced_classes order, (its entry, its signature's index);
+    and each signature's index.  One local walk per reduced class gives
+    its signature, and only a signature's first class becomes a
+    Configuration with stats.  A failed check names the class."""
+    index: dict[tuple, int] = {}
+    firsts = []
+    classes = []
+    for entry in reduced_classes(d):
+        _, _, graph, lists = entry
+        try:
+            a1, a2, p0, dichromatic = local_walk(lists, graph.adj)
+        except VerificationError as exc:
+            raise VerificationError(f"{reduced_config(*entry).key_text()}: {exc}") from exc
+        i = index.setdefault(signature(a1, a2, p0), len(firsts))
+        if i == len(firsts):
+            firsts.append((reduced_config(*entry), config_stats(a1, a2, p0, dichromatic)))
+        classes.append((entry, i))
+    return tuple(firsts), tuple(classes), index
+
+
+def full_class_signatures(d: int, index: dict[tuple, int]) -> Iterator[tuple]:
+    """(class, a1, a2, signature index) per full class at d, in canonical
+    order, from signature_classes(d)'s index: one local walk per
+    stats_key, held only while the listing runs.  A failed check, or a
+    signature missing from index, names the class."""
+    walked: dict[tuple, tuple[int, int, int | None]] = {}
+    for config in enumerate_configs(d):
+        key = stats_key(config)
+        found = walked.get(key)
+        if found is None:
+            try:
+                a1, a2, p0, _ = local_walk(*key)
+            except VerificationError as exc:
+                raise VerificationError(f"{config.key_text()}: {exc}") from exc
+            found = walked[key] = a1, a2, index.get(signature(a1, a2, p0))
+        if found[2] is None:
+            raise VerificationError(
+                f"{config.key_text()}: signature missing from the reduced classes"
+            )
+        yield config, *found

@@ -36,7 +36,9 @@ CPython's fast path.  The steps that record come from one bool
 schedule: burn_in False, then per sample thinning - 1 False and one
 True, chained from itertools over a tuple of length thinning.  It holds
 one pointer per unit of thinning, as the samples hold one per sample,
-and makes no int per step.
+and makes no int per step.  A chain of more than sys.maxsize steps,
+which itertools cannot count, or a schedule that cannot be allocated is
+a CapacityError before the chain starts.
 
 Sampling is plain floating point for throughput; transition_distribution,
 like the rest of the package, is exact.  estimate_occupancy is the
@@ -48,11 +50,12 @@ the algorithm identifier is exported for run logs.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import chain, cycle, islice, repeat
 from math import floor, inf, nextafter, sqrt
 
-from .errors import DomainError, UsageError
+from .errors import CapacityError, DomainError, UsageError
 from .graphs import Graph, check_vertices
 from .numerics import check_activity, number_text
 from .partition import is_valid_colouring, valid_colourings
@@ -140,6 +143,9 @@ def estimate_occupancy(
     check_vertices(graph)
     if burn_in < 1 or samples < 1 or thinning < 1:
         raise UsageError("burn_in, samples and thinning must all be >= 1")
+    steps = burn_in + samples * thinning
+    if steps > sys.maxsize:
+        raise CapacityError(f"chain capped at {sys.maxsize} steps, got {steps}")
     rng = random.Random(seed)
     rand = rng.random
     n = graph.n
@@ -160,7 +166,10 @@ def estimate_occupancy(
     keep0 = _threshold(total2, 1.0)
     keep01 = _threshold(total2, total1)
     # one bool per step, True at the steps that record
-    gap = (False,) * (thinning - 1) + (True,)
+    try:
+        gap = (False,) * (thinning - 1) + (True,)
+    except MemoryError:
+        raise CapacityError(f"no memory for a schedule of thinning {thinning}") from None
     schedule = chain(repeat(False, burn_in), islice(cycle(gap), samples * thinning))
     # hot loop: the one Glauber kernel, kept inline.  It draws rand()
     # twice per step and makes the comparisons of the heat-bath rule in

@@ -17,7 +17,10 @@ objective) read at balance 0.  A column depends on a class only through
 its signature (p0, p12), which it shares with its reduced class, so the
 instance has one variable per distinct column of the reduced classes
 (390 from 1,438 at d = 5, where there are 12,208 classes), named by the
-first reduced class with it.  A class sharing the complete
+first reduced class with it.  configurations owns that class-to-signature
+map, free of the activity (signature_classes, and full_class_signatures
+for the report's rows); this layer adds each signature's column at lam
+(_signature_table).  A class sharing the complete
 neighbourhood's column would be tight, and every tight class other than
 that one has alpha_u < alpha_v (checked by uniqueness_check), so the
 reported support is the full program's.  Columns are integers
@@ -51,20 +54,16 @@ from math import gcd, lcm
 
 from . import simplex
 from .configurations import (
-    ConfigStats,
     Configuration,
     check_degree,
     complete_neighbourhood_config,
-    config_stats,
     count_configs,
     empty_lists_config,
-    enumerate_configs,
+    full_class_signatures,
     local_alphas,
     local_partition_functions,
-    local_walk,
-    reduced_classes,
     reduced_config,
-    signature,
+    signature_classes,
     single_colour_config,
     uniform_full_classes,
 )
@@ -76,7 +75,7 @@ from .occupancy import alpha_K
 @dataclass(frozen=True)
 class LPInstance:
     """The relaxation for one (d, activity) pair: one variable per distinct
-    column, named by the first reduced class with it, in reduced_configs
+    column, named by the first reduced class with it, in reduced_classes
     order.  A column is held as integers (X_v, X_v - X_u, D), reduced by
     their gcd, with D > 0: its alpha_v and balance over D."""
 
@@ -122,37 +121,14 @@ class DualCertificate:
 
 
 @lru_cache(maxsize=8)
-def _signature_table(d: int, lam: Fraction) -> tuple[
-    tuple[tuple[Configuration, ConfigStats, int, int, int], ...],
-    tuple[tuple[tuple, int], ...],
-]:
-    """The distinct signatures (p0, p12) of the classes at d, each as
-    (first reduced class with it, its stats, X_v, X_u, D), the integer
-    column of local_alphas at lam, and per reduced class, in
-    reduced_configs order, its reduced_classes entry and signature index.
-
-    One local walk per reduced class gives its signature, keyed by
-    configurations.signature; only a signature's first class becomes a
-    Configuration with stats.  build_primal and verify_dual_feasibility
-    both read this table, so the columns are evaluated once per command.
-    """
-    first: dict[tuple, int] = {}
-    signatures = []
-    classes = []
-    for entry in reduced_classes(d):
-        _, _, graph, lists = entry
-        try:
-            a1, a2, p0, dichromatic = local_walk(lists, graph.adj)
-        except VerificationError as exc:
-            raise VerificationError(f"{reduced_config(*entry).key_text()}: {exc}") from exc
-        sig = signature(a1, a2, p0)
-        i = first.get(sig)
-        if i is None:
-            i = first[sig] = len(signatures)
-            stats = config_stats(a1, a2, p0, dichromatic)
-            signatures.append((reduced_config(*entry), stats, *local_alphas(stats, d, lam)))
-        classes.append((entry, i))
-    return tuple(signatures), tuple(classes)
+def _signature_table(d: int, lam: Fraction) -> tuple[tuple, tuple, dict[tuple, int]]:
+    """signature_classes(d) with each signature's integer column at lam
+    from local_alphas, as (first class, stats, X_v, X_u, D).  build_primal
+    and verify_dual_feasibility both read it, so the columns are evaluated
+    once per command."""
+    firsts, classes, index = signature_classes(d)
+    signatures = tuple((config, stats, *local_alphas(stats, d, lam)) for config, stats in firsts)
+    return signatures, classes, index
 
 
 def build_primal(d: int, lam: Fraction) -> LPInstance:
@@ -160,7 +136,7 @@ def build_primal(d: int, lam: Fraction) -> LPInstance:
     the column evaluated once per distinct signature (p0, p12).  Two
     columns are equal iff their gcd-reduced integer triples are."""
     lam = check_activity(lam)
-    signatures, _ = _signature_table(d, lam)
+    signatures, _, _ = _signature_table(d, lam)
     # signatures come in order of their first reduced class, so the first
     # one with a column also holds the first reduced class with it
     columns: dict[tuple[int, int, int], Configuration] = {}
@@ -304,16 +280,17 @@ class ConfigRow:
 class ClassRows(Sequence):
     """The rows of a feasibility report, one per full class in canonical
     order.  Its length is count_configs(d), known without enumerating;
-    the rows are built on first read, through enumerate_configs and one
-    local walk per stats_key, and each full class must land on a
-    signature of the reduced classes, whose index its row carries.
-    slacks: each signature's slack as (numerator, denominator > 0), in _signature_table order."""
+    the rows are built on first read, each carrying the signature index
+    that configurations.full_class_signatures finds for its class in
+    index.  slacks holds each _signature_table entry's slack as
+    (numerator, denominator > 0)."""
 
-    def __init__(self, d: int, signatures: tuple, slacks: list[tuple[int, int]]):
+    def __init__(self, d: int, signatures: tuple, slacks: list, index: dict[tuple, int]):
         self._count = count_configs(d)
         self._d = d
         self._signatures = signatures
         self._slacks = slacks
+        self._index = index
 
     def __len__(self) -> int:
         return self._count
@@ -335,28 +312,21 @@ class ClassRows(Sequence):
 
     @cached_property
     def _table(self) -> tuple[ConfigRow, ...]:
-        keys = (signature(s.a1, s.a2, s.p0.coeffs) for _, s, *_ in self._signatures)
-        index = {key: i for i, key in enumerate(keys)}
-        rows = []
-        for config in enumerate_configs(self._d):
-            stats = local_partition_functions(config)
-            i = index.get(signature(stats.a1, stats.a2, stats.p0.coeffs))
-            if i is None:
-                raise VerificationError(
-                    f"{config.key_text()}: signature missing from the reduced classes"
-                )
-            rows.append(ConfigRow(config, stats.a1, stats.a2, *self.verdicts[i], i))
+        rows = tuple(
+            ConfigRow(config, a1, a2, *self.verdicts[i], i)
+            for config, a1, a2, i in full_class_signatures(self._d, self._index)
+        )
         if len(rows) != self._count:
             raise VerificationError(
                 f"{len(rows)} classes enumerated, {self._count} counted"
             )
-        return tuple(rows)
+        return rows
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     """rows has one ConfigRow per full class; reduced_tight_set holds the
-    tight reduced classes, in reduced_configs order."""
+    tight reduced classes, in reduced_classes order."""
 
     rows: ClassRows
     violations: tuple[Configuration, ...]
@@ -416,7 +386,7 @@ def verify_dual_feasibility(
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
     lam = cert.activity
-    signatures, classes = _signature_table(d, lam)
+    signatures, classes, index = _signature_table(d, lam)
     forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
     # each signature's verdict, decided once
     slacks = []
@@ -434,7 +404,7 @@ def verify_dual_feasibility(
                 f"{Fraction(slack, den)} vs {Fraction(slack2, den2)}"
             )
         slacks.append((slack, den))
-    rows = ClassRows(d, signatures, slacks)
+    rows = ClassRows(d, signatures, slacks, index)
     reduced_tight = tuple(
         reduced_config(*entry) for entry, i in classes if not slacks[i][0]
     )

@@ -582,6 +582,18 @@ def test_huge_nonpositive_activity_is_named_in_one_short_line(capsys):
         assert len(err.encode()) < 100
 
 
+def test_sample_counts_past_the_chain_cap_are_capacity_errors(capsys):
+    # each count at 10^20 takes the chain past sys.maxsize steps
+    for flag in ("--burnin", "--samples", "--thin"):
+        code, out, err = run(
+            capsys, "sample", "--builtin", "cycle:5", "--lambda", "1", flag, str(10**20)
+        )
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err.startswith(f"capacity error: chain capped at {sys.maxsize} steps, got ")
+        assert err.count("\n") == 1
+
+
 def test_sample_empty_graph(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("0 0\n")

@@ -21,10 +21,11 @@ from wrkit.configurations import (
     count_configs,
     empty_lists_config,
     enumerate_configs,
+    full_class_signatures,
     local_partition_functions,
     reduced_classes,
     reduced_config,
-    reduced_configs,
+    signature_classes,
     single_colour_config,
     stats_key,
     alpha_u,
@@ -249,12 +250,25 @@ def test_irrelevant_edges_change_no_stats_property(config, data):
     assert local_partition_functions(config) == per_class_stats(config)
 
 
-def test_one_walk_per_stats_key():
+def test_one_walk_per_stats_key(monkeypatch):
     local_partition_functions.cache_clear()
     for config in enumerate_configs(5):
         local_partition_functions(config)
     # one walk per distinct key, not one per class (12,208)
     assert local_partition_functions.cache_info().misses == 5639
+    # the report's rows take the same keys, walked once each while they
+    # are listed, and leave no cache behind
+    _, _, index = signature_classes(5)
+    walks = []
+    walk = configurations.local_walk
+
+    def counted(lists, adj):
+        walks.append((lists, adj))
+        return walk(lists, adj)
+
+    monkeypatch.setattr(configurations, "local_walk", counted)
+    assert sum(1 for _ in full_class_signatures(5, index)) == 12208
+    assert len(walks) == len(set(walks)) == 5639
 
 
 def test_stats_errors_name_the_class(monkeypatch):
@@ -268,9 +282,7 @@ def test_stats_errors_name_the_class(monkeypatch):
 def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
     # the walk's flag is checked against p0 - (p12 - 1); flipped on a
     # class without dichromatic colourings and on one with them, the
-    # check names the class, by both routes to a local walk
-    from wrkit.lp import _signature_table
-
+    # check names the class, by every route to a local walk
     walk = configurations._colour_set_walk
 
     def flipped(*args):
@@ -285,7 +297,10 @@ def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
             local_partition_functions(config)
     message = r"^d=2;edges=0-1;lists=12,12: dichromatic flag disagrees"
     with pytest.raises(VerificationError, match=message):
-        _signature_table.__wrapped__(2, Fraction(1))
+        signature_classes(2)
+    message = r"^d=2;edges=;lists=-,-: dichromatic flag disagrees"
+    with pytest.raises(VerificationError, match=message):
+        next(full_class_signatures(2, {}))
 
 
 def test_stats_empty_lists():
@@ -487,7 +502,7 @@ def test_full_lists_dichromatic_iff_not_complete():
 
 
 def test_capacity_and_usage_errors():
-    for enumeration in (enumerate_configs, reduced_configs, count_configs):
+    for enumeration in (enumerate_configs, signature_classes, count_configs):
         with pytest.raises(CapacityError):
             enumeration(7)
         with pytest.raises(DomainError, match="^degree must be >= 1, got 0$"):
@@ -516,6 +531,12 @@ def reduced_key(config):
     ]
     graph = from_edges(len(keep), edges)
     return canonical_labelled_form(graph, [config.lists[v] for v in keep])
+
+
+def reduced_configs(d):
+    """The reduced classes at d as configurations, in reduced_classes
+    order: the listing the tests read, built from its entries."""
+    return tuple(reduced_config(*entry) for entry in reduced_classes(d))
 
 
 def signatures(configs):
@@ -567,7 +588,7 @@ def test_reduced_classes_start_at_the_complete_neighbourhood():
                 assert config.canonical is None
 
 
-# SHA-256 of repr([(lists, graph.adj), ...]) over reduced_configs(d), in
+# SHA-256 of repr([(lists, graph.adj), ...]) over reduced_classes(d), in
 # its order: the LP names its variables, and Bland's rule picks its
 # pivots, by this order
 REDUCED_ORDER_DIGESTS = {
@@ -579,24 +600,40 @@ REDUCED_ORDER_DIGESTS = {
 }
 
 
+def product_orbit_walk(k, masks):
+    """(code, lists) per graph class on k vertices and first member of
+    each automorphism orbit of its assignments over masks: every
+    assignment, in product order, marks its orbit."""
+    out = []
+    for code, autos in graphs_up_to_iso(k):
+        movers = [label_mover(perm) for perm in autos]
+        seen = set()
+        for lists in product(masks, repeat=k):
+            if lists not in seen:
+                seen.update(move(lists) for move in movers)
+                out.append((code, lists))
+    return out
+
+
 def filtered_orbit_walk(d):
-    """The reduced classes as (k, code, lists), in reduced_configs order,
-    from the unpruned walk: every assignment over {1}, {2}, {12} in
-    product order marks its automorphism orbit, and the orbit firsts with
-    an edge inside {1} or inside {2} are dropped afterwards."""
+    """The reduced classes as (k, code, lists), in reduced_classes order,
+    from the unpruned walk over {1}, {2}, {12}: the orbit firsts with an
+    edge inside {1} or inside {2} are dropped after the marking."""
     out = []
     for k in range(d + 1):
-        for code, autos in graphs_up_to_iso(k):
+        for code, lists in product_orbit_walk(k, (COLOUR_1, COLOUR_2, 3)):
             edges = graph_from_code(k, code).edges()
-            movers = [label_mover(perm) for perm in autos]
-            seen = set()
-            for lists in product((COLOUR_1, COLOUR_2, 3), repeat=k):
-                if lists in seen:
-                    continue
-                seen.update(move(lists) for move in movers)
-                if not any(lists[u] == lists[v] != 3 for u, v in edges):
-                    out.append((k, code, lists))
+            if not any(lists[u] == lists[v] != 3 for u, v in edges):
+                out.append((k, code, lists))
     return out[::-1]
+
+
+def test_full_classes_are_the_product_order_orbit_firsts():
+    # the one prefix walk, taking any of the four lists at every vertex,
+    # gives the orbit firsts of the product over all four, in its order
+    for k in range(1, 6):
+        expected = product_orbit_walk(k, (0, COLOUR_1, COLOUR_2, 3))
+        assert [config.canonical[1:] for config in enumerate_configs(k)] == expected
 
 
 def test_pruned_walk_gives_the_filtered_orbit_walk():
@@ -606,10 +643,10 @@ def test_pruned_walk_gives_the_filtered_orbit_walk():
         expected = filtered_orbit_walk(d)
         entries = list(reduced_classes(d))
         assert [(k, code, lists[:k]) for k, code, _, lists in entries] == expected
-        for (k, code, graph, lists), config in zip(entries, reduced_configs(d), strict=True):
+        for k, code, graph, lists in entries:
             assert graph.adj == graph_from_code(k, code).adj + (0,) * (d - k)
             assert lists[k:] == (0,) * (d - k)
-            assert reduced_config(k, code, graph, lists) == config
+            config = reduced_config(k, code, graph, lists)
             assert config.canonical == ((d, code, lists) if k == d else None)
 
 

@@ -1,6 +1,7 @@
 """Glauber dynamics: kernel exactness, validity, determinism, estimates."""
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import inf, nextafter, sqrt
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wrkit.dynamics import _threshold, estimate_occupancy, transition_distribution
-from wrkit.errors import DomainError, UsageError
+from wrkit.errors import CapacityError, DomainError, UsageError
 from wrkit.graphs import (
     Graph,
     make_complete,
@@ -310,6 +311,19 @@ def test_estimate_usage_errors():
         estimate_occupancy(make_cycle(3), 1.0, burn_in=0, samples=10)
     with pytest.raises(UsageError):
         estimate_occupancy(make_cycle(3), 1.0, burn_in=10, samples=0)
+
+
+def test_chains_itertools_cannot_count_or_schedule_are_capacity_errors():
+    # more than sys.maxsize steps in all, from any of the three counts;
+    # and a thinning within that count whose schedule tuple is too long
+    # to allocate, refused by the tuple's own size check before any
+    # memory is taken
+    huge = 10**20
+    for counts in ((huge, 10, 1), (10, huge, 1), (10, 10, huge)):
+        with pytest.raises(CapacityError, match=f"^chain capped at {sys.maxsize} steps"):
+            estimate_occupancy(make_cycle(3), 1.0, *counts)
+    with pytest.raises(CapacityError, match="^no memory for a schedule of thinning 2305"):
+        estimate_occupancy(make_cycle(3), 1.0, 1, 1, 2**61)
 
 
 def test_activity_too_large_for_floats():

@@ -16,11 +16,12 @@ from wrkit.configurations import (
     complete_neighbourhood_config,
     empty_lists_config,
     enumerate_configs,
+    full_class_signatures,
     local_alphas,
     local_partition_functions,
     reduced_config,
-    reduced_configs,
     signature,
+    signature_classes,
     single_colour_config,
 )
 from wrkit.errors import DomainError, UsageError, VerificationError
@@ -48,6 +49,7 @@ from lp_oracles import (
     monotone_lhs_check,
     verify_claims,
 )
+from test_configurations import reduced_configs
 
 F = Fraction
 
@@ -82,7 +84,7 @@ def claims_slack(cert, config):
 def test_build_primal_d1():
     lp = build_primal(1, F(1))
     # 4 classes, 3 distinct columns: the two single-colour lists share one,
-    # named by the first of them in reduced_configs order, which walks
+    # named by the first of them in reduced_classes order, which walks
     # from the complete neighbourhood down
     assert len(enumerate_configs(1)) == 4
     assert len(lp.configs) == len(lp.objective) == len(lp.balance) == 3
@@ -337,7 +339,7 @@ def test_shared_values_match_direct_evaluation():
 
 def per_class_signature_table(d, lam):
     """The signature table from one local_partition_functions call per
-    reduced_configs class, keyed by (p0, p12) coefficients: each
+    reduced class, keyed by (p0, p12) coefficients: each
     signature's first class, its stats and integer column, and each
     class's signature index."""
     first, signatures, indices = {}, [], []
@@ -355,13 +357,19 @@ def per_class_signature_table(d, lam):
     "lam", (F(1, 7), F(1), F(4, 3), F(10), F(10**6, 999999), F(1, 10**6)), ids=str
 )
 def test_signature_table_matches_the_per_class_route(lam):
+    # signature_classes holds the map; _signature_table adds the columns
     for d in range(1, 6):
-        signatures, classes = _signature_table(d, lam)
+        signatures, classes, index = _signature_table(d, lam)
+        firsts, *rest = signature_classes(d)
+        assert [entry[:2] for entry in signatures] == list(firsts)
+        assert [classes, index] == rest
         expected, indices = per_class_signature_table(d, lam)
         assert signatures == expected
         assert [c.canonical for c, *_ in signatures] == [c.canonical for c, *_ in expected]
         assert [i for _, i in classes] == indices
         assert tuple(reduced_config(*entry) for entry, _ in classes) == reduced_configs(d)
+        keys = [signature(s.a1, s.a2, s.p0.coeffs) for _, s, *_ in signatures]
+        assert index == {key: i for i, key in enumerate(keys)}
 
 
 def test_report_rows_carry_their_signature_index():
@@ -370,7 +378,7 @@ def test_report_rows_carry_their_signature_index():
     # entry's verdict; signature() ignores the order of a1 and a2
     for d in range(1, 5):
         lam = F(3, 2)
-        signatures, _ = _signature_table(d, lam)
+        signatures, _, _ = _signature_table(d, lam)
         index = {(s.p0, s.p12): i for i, (_, s, *_) in enumerate(signatures)}
         assert len(index) == len(signatures)
         report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
@@ -392,16 +400,21 @@ def test_signature_table_builds_one_configuration_per_signature(monkeypatch):
         post_init(config)
 
     monkeypatch.setattr(Configuration, "__post_init__", counted)
-    signatures, classes = _signature_table.__wrapped__(5, F(1))
-    assert (len(built), len(signatures), len(classes)) == (390, 390, 1438)
+    firsts, classes, index = signature_classes(5)
+    assert (len(built), len(firsts), len(classes), len(index)) == (390, 390, 1438, 390)
 
 
 def test_signature_table_errors_name_the_reduced_class(monkeypatch):
     from wrkit import configurations
 
+    # a full class whose signature no reduced class has is named
+    with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: signature missing"):
+        next(full_class_signatures(2, {}))
     monkeypatch.setattr(configurations, "_low_coefficients", lambda *args: [0, 0, 0])
     with pytest.raises(VerificationError, match=r"^d=2;edges=0-1;lists=12,12: low coeff"):
-        _signature_table.__wrapped__(2, F(1))
+        signature_classes(2)
+    with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: low coeff"):
+        next(full_class_signatures(2, {}))
 
 
 @pytest.mark.parametrize("lam", (F(1, 3), F(1), F(3, 2), F(7), F(10**6, 999999)), ids=str)
@@ -433,7 +446,7 @@ def test_integer_slack_routes_match_the_fraction_oracles(lam):
     for d in range(1, 6):
         cert = dual_certificate(d, lam)
         report = verify_dual_feasibility(cert, d, lam)
-        signatures, _ = _signature_table(d, lam)
+        signatures, _, _ = _signature_table(d, lam)
         forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
         for (config, stats, x_v, x_u, den), (s, s_den, s2, s2_den), verdict in zip(
             signatures, forms, report.rows.verdicts, strict=True
@@ -530,12 +543,11 @@ def test_certificate_never_enumerates_full_classes(monkeypatch, tmp_path, capsys
     # lp, dualcert and uniqueness_check work from the reduced classes and
     # count the full ones; only a CSV reads the full rows
     from wrkit import cli, configurations
-    from wrkit import lp as lp_module
 
     def refuse(d):
         raise AssertionError(f"full classes enumerated at d = {d}")
 
-    for module in (configurations, lp_module, cli):
+    for module in (configurations, cli):
         monkeypatch.setattr(module, "enumerate_configs", refuse)
     for d, count in ((3, 120), (4, 996), (5, 12208)):
         assert cli.main(["lp", "--d", str(d), "--lambda", "3/2"]) == 0
@@ -550,6 +562,15 @@ def test_verify_dual_feasibility_usage():
     cert = dual_certificate(2, F(1))
     with pytest.raises(UsageError):
         verify_dual_feasibility(cert, 3, F(1))
+
+
+def test_report_rows_leave_the_stats_cache_empty():
+    # the rows take their signatures from walks held only while they are
+    # built, so a CSV keeps no per-class stats in the global cache
+    for d in range(1, 6):
+        local_partition_functions.cache_clear()
+        config_report_csv(verify_dual_feasibility(dual_certificate(d, F(1)), d, F(1)))
+        assert local_partition_functions.cache_info().currsize == 0
 
 
 def test_report_csv_shape():
