@@ -64,7 +64,6 @@ from .numerics import (
 from .occupancy import (
     ActivityPair,
     alpha_K,
-    free_energy_derivative,
     occupancy_by_colour,
     occupancy_fraction,
     weighted_occupancy,

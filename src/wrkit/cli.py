@@ -65,9 +65,11 @@ def _load_graph(args) -> Graph:
             raise UsageError("cannot read an empty --file path")
         path = Path(args.file)
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot read {path}: not UTF-8 text") from exc
         return parse_edge_list(text).relabel(str(path))
     raise UsageError("a graph source is required: --builtin or --file")
 

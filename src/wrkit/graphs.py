@@ -213,7 +213,7 @@ def component_masks(g: Graph, subset: int) -> list[int]:
 
 def check_vertices(g: Graph) -> None:
     """Refuse a graph with no vertices, on which no per-vertex quantity
-    (an occupancy fraction, a free energy, a sampler step) is defined."""
+    (an occupancy fraction, a sampler step) is defined."""
     if g.n == 0:
         raise DomainError("graph has no vertices")
 
@@ -291,11 +291,6 @@ def _moved_codes(code: int, maps: Iterable[tuple[int, ...]]) -> list[int]:
     itemgetter always returns a tuple."""
     pick = itemgetter(-1, -1, *(k for k in range(code.bit_length()) if code >> k & 1))
     return list(map(sum, map(pick, maps)))
-
-
-def permute_code(n: int, code: int, perm: Sequence[int]) -> int:
-    """Edge code of the graph with every vertex v renamed perm[v]."""
-    return _moved_codes(code, [_pair_maps(n)[tuple(perm)]])[0]
 
 
 def label_mover(perm: Sequence[int]) -> Callable[[Sequence], tuple]:

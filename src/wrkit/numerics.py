@@ -23,13 +23,14 @@ Partition polynomials come in two shapes:
 
 Coefficients are plain Python ints (arbitrary precision); a partition
 polynomial of a 20-vertex graph has coefficients of order 3**20 and must
-not overflow.  Only ``IntPolynomial.eval`` evaluates at a point.  Both
-shapes' ``scaled_eval``, the only route to a bivariate value, return
-from one integer pass the value and the first moments (x P' for one
-activity; x P_x and y P_y for two), all over one common power of the
-denominators: a ratio of a moment to the value, such as an occupancy
-fraction, is then a single Fraction, and no derivative polynomial is
-built.  A polynomial equals only one of its own shape, as hashes need.
+not overflow.  Only IntPolynomial has ``+``, ``-``, ``*`` and ``eval``
+at a point; the engines build the bivariate shape whole.  Both shapes'
+``scaled_eval``, the only route to a bivariate value, return from one
+integer pass the value and the first moments (x P' for one activity;
+x P_x and y P_y for two), all over one common power of the denominators:
+a ratio of a moment to the value, such as an occupancy fraction, is then
+a single Fraction, and no derivative polynomial is built.  A polynomial
+equals only one of its own shape, as hashes need.
 
 Every CSV report in the package (verify, scan, lp, dualcert, configs and
 the sampler's series) is rendered by ``csv_text``: one header line, one
@@ -285,7 +286,7 @@ class BivariatePolynomial:
 
     Stored as a map from exponent pairs (i, j) to nonzero coefficients and
     the degrees in x and in y (-1 for the zero polynomial), found once.
-    Instances support ``+`` and ``*`` (ints are coerced to constants).
+    There is no arithmetic: it is read through scaled_eval and diagonal.
     """
 
     __slots__ = ("coeffs", "degree_x", "degree_y")
@@ -298,38 +299,6 @@ class BivariatePolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
-
-    @staticmethod
-    def _coerce(other) -> "BivariatePolynomial":
-        if isinstance(other, BivariatePolynomial):
-            return other
-        if isinstance(other, int):
-            return BivariatePolynomial({(0, 0): other})
-        return NotImplemented
-
-    def __add__(self, other) -> "BivariatePolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return BivariatePolynomial(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "BivariatePolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BivariatePolynomial(out)
-
-    __rmul__ = __mul__
 
     def scaled_eval(self, p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
         """The value and both first moments at x = p/q, y = r/s, each times

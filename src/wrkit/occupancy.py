@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, VerificationError
 from .graphs import Graph, check_degree_floor, check_vertices
-from .numerics import IntPolynomial, check_activity
+from .numerics import check_activity
 from .partition import wr_partition, wr_partition_bivariate
 
 
@@ -126,44 +125,3 @@ def clique_comparison(g: Graph, d: int, act: ActivityPair) -> tuple[Fraction, ..
     partition_k = Fraction(clique[0], (q * s) ** (d + 1))
     return partition_g, partition_k, _weighted(g.n, moments, act), _weighted(d + 1, clique, act)
 
-
-def free_energy_derivative(
-    g: Graph, lambda1: Fraction, lambda2: Fraction, x: Fraction
-) -> Fraction:
-    """Derivative of the per-vertex log partition function along the path
-    t -> (lambda1 - lambda2 + t, t), evaluated at t = x.
-
-    Computed two independent ways and checked for exact agreement:
-    (a) formal differentiation of the substituted path polynomial, an
-        IntPolynomial once the offset's denominator is cleared, and
-    (b) the per-colour occupancy combination
-        (x*a1 + (lambda1-lambda2+x)*a2) / (x*(lambda1-lambda2+x)).
-    """
-    lambda1, lambda2, x = map(check_activity, (lambda1, lambda2, x))
-    if lambda1 < lambda2:
-        raise DomainError("activities must satisfy lambda1 >= lambda2 > 0")
-    if x > lambda2:
-        raise DomainError("evaluation point must satisfy 0 < x <= lambda2")
-    check_vertices(g)
-    offset = lambda1 - lambda2
-
-    # P(a/b + x, x) b^I in integers, with I the degree in lambda1: each
-    # monomial c lambda1^i lambda2^j becomes c (a + b x)^i b^(I - i) x^j
-    bivariate = wr_partition_bivariate(g)
-    a, b, top = offset.numerator, offset.denominator, bivariate.degree_x
-    rises = [IntPolynomial([1])]
-    for _ in range(top):
-        rises.append(rises[-1] * IntPolynomial([a, b]))
-    path = IntPolynomial()
-    for (i, j), c in bivariate.coeffs.items():
-        path += IntPolynomial([0] * j + [c * b ** (top - i)]) * rises[i]
-    route_a = path.derivative().eval(x) / (g.n * path.eval(x))
-
-    a1, a2 = occupancy_by_colour(g, ActivityPair(offset + x, x))
-    route_b = (x * a1 + (offset + x) * a2) / (x * (offset + x))
-
-    if route_a != route_b:
-        raise VerificationError(
-            f"free-energy derivative routes disagree: {route_a} vs {route_b}"
-        )
-    return route_a

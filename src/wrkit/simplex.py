@@ -45,10 +45,6 @@ class SimplexResult:
     solution: tuple[Fraction, ...]
 
 
-class SimplexIterationError(VerificationError):
-    """The pivot cap was hit; with Bland's rule this indicates a bug."""
-
-
 def _exact(numerator: int, den: int) -> int:
     """numerator / den, exact by Sylvester's identity while den = |det B|."""
     quotient, remainder = divmod(numerator, den)
@@ -147,7 +143,7 @@ def _run_phase(state: _Basis, cost: Sequence[int], n_cols: int) -> str:
         if best_row is None:
             return UNBOUNDED
         state.pivot(best_row, col, alpha)
-    raise SimplexIterationError(f"exceeded {ITERATION_CAP} pivots")
+    raise VerificationError(f"exceeded {ITERATION_CAP} pivots")
 
 
 def solve(
@@ -168,7 +164,7 @@ def solve(
     # phase 1: maximise -(sum of artificials)
     cost = [0] * n + [-1] * m
     if _run_phase(state, cost, n + m) != OPTIMAL:  # bounded by construction
-        raise SimplexIterationError("phase 1 reported unbounded")
+        raise VerificationError("phase 1 reported unbounded")
     if any(v for v, bv in zip(state.values, state.basis) if bv >= n):
         return SimplexResult(INFEASIBLE, None, ())
 

@@ -19,7 +19,7 @@ from wrkit.configurations import (
 )
 from wrkit.dynamics import estimate_occupancy
 from wrkit.extremal import catalog as shipped_catalog, conjecture_scan
-from wrkit.graphs import make_complete, make_cycle, make_petersen
+from wrkit.graphs import make_complete, make_cycle
 from wrkit.lp import (
     build_primal,
     dual_certificate,
@@ -32,7 +32,6 @@ from wrkit.numerics import binomial_power
 from wrkit.occupancy import (
     ActivityPair,
     alpha_K,
-    free_energy_derivative,
     occupancy_fraction,
 )
 from wrkit.partition import (
@@ -224,25 +223,10 @@ def test_criterion_09_two_activities(catalog):
     for g, _ in catalog:
         assert wr_partition_bivariate(g).diagonal() == wr_partition(g), g.label
 
-    rng = random.Random(909)
-    small = [make_cycle(n) for n in (3, 4, 5, 6)] + [
-        make_complete(2),
-        make_complete(4),
-        make_petersen(),
-    ]
-    for _ in range(50):
-        g = small[rng.randrange(len(small))]
-        lam2 = F(rng.randint(1, 12), rng.randint(1, 12))
-        lam1 = lam2 + F(rng.randint(0, 12), rng.randint(1, 12))
-        x = lam2 * F(rng.randint(1, 8), 8)
-        # free_energy_derivative raises if its two routes disagree
-        free_energy_derivative(g, lam1, lam2, x)
-
     findings = conjecture_scan(catalog, PAIR_GRID)
     violations = [f for f in findings if f.violation]
     assert violations == []
-    report(9, f"bivariate diagonal collapse exact on the catalog; both "
-              f"free-energy routes agree on 50 random instances; "
+    report(9, f"bivariate diagonal collapse exact on the catalog; "
               f"{len(findings)} scan comparisons, zero violations")
 
 

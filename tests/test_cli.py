@@ -91,6 +91,20 @@ def test_partition_bad_file(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_a_file_that_is_not_utf8_is_one_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    for flags in (
+        ("partition",),
+        ("occupancy", "--lambda", "1"),
+        ("verify", "--d", "2", "--lambda", "1"),
+        ("sample", "--lambda", "1"),
+    ):
+        code, out, err = run(capsys, *flags, "--file", str(binary))
+        assert (code, out) == (EXIT_USAGE, ""), flags
+        assert err == f"error: cannot read {binary}: not UTF-8 text\n", flags
+
+
 def test_partition_capacity(capsys):
     code, _, err = run(capsys, "partition", "--builtin", "cycle:30")
     assert code == EXIT_CAPACITY

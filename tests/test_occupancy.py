@@ -1,4 +1,4 @@
-"""Occupancy fractions: closed forms, per-colour values, the free-energy identity."""
+"""Occupancy fractions: closed forms and per-colour values."""
 
 import random
 from fractions import Fraction
@@ -7,12 +7,11 @@ from itertools import product
 import pytest
 
 from wrkit.errors import DomainError
-from wrkit.graphs import disjoint_union, make_complete, make_cycle, parse_builtin
+from wrkit.graphs import disjoint_union, make_complete, make_cycle
 from wrkit.occupancy import (
     ActivityPair,
     alpha_K,
     clique_comparison,
-    free_energy_derivative,
     occupancy_by_colour,
     occupancy_fraction,
     weighted_occupancy,
@@ -167,71 +166,3 @@ def test_partition_K_closed_form_matches_the_dp():
             dp = Fraction(value, q**p_k.degree_x * s**p_k.degree_y)
             assert clique_comparison(k, d, ActivityPair(x, y))[1] == dp
 
-
-def test_free_energy_derivative_diagonal():
-    g = make_cycle(4)
-    value = free_energy_derivative(g, Fraction(1), Fraction(1), Fraction(1))
-    assert value > 0
-
-
-def test_free_energy_derivative_example():
-    k2 = make_complete(2)
-    value = free_energy_derivative(k2, Fraction(2), Fraction(1), Fraction(1))
-    # hand check: the path polynomial is P(1+x, x) = 4 + 6x + 2x^2, so the
-    # derivative of its per-vertex log at x=1 is 10 / (2 * 12)
-    assert value == Fraction(5, 12)
-
-
-def test_free_energy_union_invariance():
-    k3 = make_complete(3)
-    union = disjoint_union(k3, k3)
-    args = (Fraction(3, 2), Fraction(1), Fraction(2, 3))
-    assert free_energy_derivative(k3, *args) == free_energy_derivative(union, *args)
-
-
-def test_free_energy_domain_errors():
-    g = make_cycle(3)
-    with pytest.raises(DomainError):
-        free_energy_derivative(g, Fraction(1), Fraction(2), Fraction(1))  # lam1 < lam2
-    with pytest.raises(DomainError):
-        free_energy_derivative(g, Fraction(2), Fraction(1), Fraction(3, 2))  # x > lam2
-    with pytest.raises(DomainError):
-        free_energy_derivative(g, Fraction(2), Fraction(1), Fraction(0))  # x = 0
-    nan = float("nan")
-    for args in ((nan, Fraction(1), Fraction(1)),
-                 (Fraction(2), nan, Fraction(1)),
-                 (Fraction(2), Fraction(1), nan)):
-        with pytest.raises(DomainError):
-            free_energy_derivative(g, *args)
-    with pytest.raises(DomainError, match="^activity must be finite, got inf$"):
-        free_energy_derivative(g, float("inf"), Fraction(1), Fraction(1))
-
-
-def test_free_energy_gates_each_activity_before_the_ordering():
-    g = make_cycle(3)
-    one, two, nan = Fraction(1), Fraction(2), float("nan")
-    positive = "activity must be strictly positive, got "
-    cases = (
-        ((nan, one, one), positive + "nan"),
-        ((two, nan, one), positive + "nan"),
-        ((two, one, nan), positive + "nan"),
-        ((two, one, 1e-400), positive + "0.0"),
-        ((two, one, Fraction(-1, 2)), positive + "-1/2"),
-        ((one, two, one), "activities must satisfy lambda1 >= lambda2 > 0"),
-        ((two, one, Fraction(3, 2)), "evaluation point must satisfy 0 < x <= lambda2"),
-    )
-    for args, message in cases:
-        with pytest.raises(DomainError) as info:
-            free_energy_derivative(g, *args)
-        assert str(info.value) == message, args
-
-
-def test_free_energy_routes_agree_at_extreme_activities():
-    # the offset lambda1 - lambda2 has a twelve-digit denominator, so route
-    # (a)'s path polynomial carries large powers of it; the call raises if
-    # its two routes disagree
-    lambda1 = Fraction(10**6, 999999) + 1
-    lambda2 = Fraction(1, 10**6)
-    for spec in ("petersen", "cycle:7"):
-        value = free_energy_derivative(parse_builtin(spec), lambda1, lambda2, lambda2 / 2)
-        assert value > 0

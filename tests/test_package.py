@@ -5,6 +5,7 @@ import io
 import re
 import shlex
 import tokenize
+import types
 from pathlib import Path
 
 import wrkit
@@ -85,3 +86,32 @@ def test_no_unused_imports():
                     if name not in read:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+EXPORTS = (
+    "ActivityPair", "BivariatePolynomial", "BoundReport", "ConfigStats",
+    "Configuration", "DualCertificate", "Graph", "IntPolynomial",
+    "LPInstance", "ScanFinding", "alpha_K", "alpha_u", "alpha_v",
+    "binomial_power", "build_primal", "canonical_labelled_form", "catalog",
+    "check_regular", "complete_neighbourhood_config", "conjecture_scan",
+    "count_configs", "disjoint_union", "dual_certificate",
+    "empty_lists_config", "enumerate_configs", "estimate_occupancy",
+    "format_rational", "is_union_of_complete", "is_valid_colouring",
+    "local_partition_functions", "make_complete", "make_complete_bipartite",
+    "make_cycle", "make_petersen", "make_prism", "make_random_regular",
+    "occupancy_by_colour", "occupancy_fraction", "parse_edge_list",
+    "parse_rational", "simplex_solve", "single_colour_config",
+    "uniqueness_check", "verify_dual_feasibility", "verify_hom_bound",
+    "verify_occupancy_bound", "verify_partition_bound",
+    "vertex_enumeration_solve", "weighted_occupancy", "wr_partition",
+    "wr_partition_bivariate", "wr_partition_brute",
+)
+
+
+def test_the_export_list_is_exactly_this():
+    # a name joins or leaves the package's top level only through this list
+    exported = sorted(
+        name for name, value in vars(wrkit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert tuple(exported) == EXPORTS

@@ -4,6 +4,7 @@ bivariate checks."""
 import random
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
 import pytest
 
@@ -168,26 +169,35 @@ def test_elimination_matches_census_oracle():
 
 
 def test_closed_forms_at_cap():
-    one = BivariatePolynomial({(0, 0): 1})
-    x = BivariatePolynomial({(1, 0): 1})
-    y = BivariatePolynomial({(0, 1): 1})
+    def powers(k):
+        """(1 + x)^k, (1 + y)^k and (1 + x + y)^k as exponent-pair maps."""
+        xs = {(i, 0): comb(k, i) for i in range(k + 1)}
+        ys = {(0, j): comb(k, j) for j in range(k + 1)}
+        xys = {(i, j): comb(k, i) * comb(k - i, j)
+               for i in range(k + 1) for j in range(k + 1 - i)}
+        return xs, ys, xys
 
-    def power(p, k):
-        return reduce(lambda a, b: a * b, [p] * k, one)
+    def combine(*weighted):
+        """The polynomial sum of w * terms over the (w, terms) pairs."""
+        out = {}
+        for w, terms in weighted:
+            for key, c in terms.items():
+                out[key] = out.get(key, 0) + w * c
+        return BivariatePolynomial(out)
 
+    one = {(0, 0): 1}
+    x24, y24, _ = powers(24)
     k24 = make_complete(24)
     assert wr_partition(k24) == 2 * binomial_power(24) - 1
-    assert wr_partition_bivariate(k24) == power(one + x, 24) + power(one + y, 24) + (-1)
+    assert wr_partition_bivariate(k24) == combine((1, x24), (1, y24), (-1, one))
 
     # K_{12,12}, split on the colours used by the first side: none, only 1,
     # only 2 (the other side then avoids the missing colour), or both (the
-    # other side is then empty)
-    x12, y12, xy12 = power(one + x, 12), power(one + y, 12), power(one + x + y, 12)
-    expected = (
-        xy12
-        + (x12 + (-1)) * x12
-        + (y12 + (-1)) * y12
-        + xy12 + (-1) * x12 + (-1) * y12 + 1
+    # other side is then empty); so (1+x+y)^12 + ((1+x)^12 - 1)(1+x)^12
+    # + ((1+y)^12 - 1)(1+y)^12 + (1+x+y)^12 - (1+x)^12 - (1+y)^12 + 1
+    x12, y12, xy12 = powers(12)
+    expected = combine(
+        (2, xy12), (1, x24), (-2, x12), (1, y24), (-2, y12), (1, one)
     )
     assert wr_partition_bivariate(make_complete_bipartite(12, 12)) == expected
 
