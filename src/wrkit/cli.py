@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 usage or parse error, 2 capacity exceeded,
 3 verification mismatch, 4 conjecture counterexample found.
 
 A command is one COMMANDS entry: its help text, a function that adds its
-flags and its handler.  A call that names a command first builds only
-that command's parser; any other call builds the whole tree from the same
-table, for the top-level help and usage errors.  No parser outlives its
-call.
+flags and its handler.  A call naming a command builds only its parser,
+any other the whole tree (help, usage errors); no parser outlives its
+call.  Only configs writes the per-class report; at d = 7, reading an lp
+report's rows is the full route's capacity error, met only on a violation.
 """
 
 from __future__ import annotations
@@ -200,8 +200,6 @@ def cmd_lp(args) -> int:
     print(f"tight constraints ({len(tight_texts)}):")
     for text in tight_texts:
         print(f"  {text}")
-    if args.csv is not None:
-        _write_or_print(lp.config_report_csv(report), args.csv)
     return EXIT_OK
 
 
@@ -213,8 +211,6 @@ def cmd_dualcert(args) -> int:
         f"Lambda_c={format_rational(cert.lambda_c)} "
         f"violations={len(report.violations)} tight={len(report.tight_set)}"
     )
-    if args.csv is not None:
-        _write_or_print(lp.config_report_csv(report), args.csv)
     return EXIT_MISMATCH if report.violations else EXIT_OK
 
 
@@ -303,13 +299,12 @@ def _verify_flags(p) -> None:
 def _certificate_flags(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True, help="activity as p/q")
-    p.add_argument("--csv", help="write per-configuration CSV here")
 
 
 def _configs_flags(p) -> None:
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", help="activity as p/q for the report")
-    p.add_argument("--csv", help="write per-configuration CSV here")
+    p.add_argument("--lambda", dest="lam", help="activity as p/q for the per-class report")
+    p.add_argument("--csv", help="write the per-class report here; no other command does")
 
 
 def _sample_flags(p) -> None:

@@ -32,7 +32,9 @@ orbit walk, which never builds a reduced assignment with such an edge.
 
 The map from a class to its signature (p0 and {a1, a2}, all an LP
 column depends on) lives here, free of any activity: signature_classes
-for the reduced classes, full_class_signatures for the full ones.
+for the reduced classes, full_class_signatures for the full ones (the
+per-class report, which only configs writes; past the full route's cap,
+at d = 7, reading an lp report's rows raises CapacityError).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from operator import and_, itemgetter
 
 from .errors import CapacityError, UsageError, VerificationError
 from .graphs import (
+    CLASS_CAP,
     Graph,
     canonical_labelled_form,
     check_degree_floor,
@@ -352,12 +355,10 @@ def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
 
 
 def check_degree(d: int) -> None:
-    """The degrees the class enumerations accept, checked before any work."""
+    """The degrees the reduced route accepts, to CLASS_CAP, checked before any work."""
     check_degree_floor(d)
-    if d > ENUMERATION_CAP:
-        raise CapacityError(
-            f"configuration enumeration capped at {ENUMERATION_CAP}, got {d}"
-        )
+    if d > CLASS_CAP:
+        raise CapacityError(f"reduced class enumeration capped at {CLASS_CAP}, got {d}")
 
 
 @lru_cache(maxsize=None)
@@ -401,7 +402,9 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
     label-preserving isomorphism class, in canonical key order: the graph
     classes come in increasing code and, within one, the orbit firsts in
     increasing lists, so the keys come out sorted with no sort."""
-    check_degree(d)
+    check_degree_floor(d)
+    if d > ENUMERATION_CAP:
+        raise CapacityError(f"configuration enumeration capped at {ENUMERATION_CAP}, got {d}")
     return tuple(
         _stamped(graph, code, lists)
         for code, graph, firsts in _orbit_firsts(d, False)

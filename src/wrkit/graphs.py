@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import CapacityError, DomainError, ParseError, UsageError
 
 ISO_CAP = 8  # brute-force isomorphism enumerates all vertex permutations
+CLASS_CAP = 7  # graphs_up_to_iso's orbit table takes 2^C(n,2) bytes
 # checked by every graph source before it allocates: bitset adjacency can
 # hold n^2 bits (12.5 MB at the cap), and 2 * 10^5 vertices exhaust 1 GB
 VERTEX_CAP = 10**4
@@ -333,11 +334,11 @@ def graphs_up_to_iso(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], .
     Enumeration takes the unmarked codes in increasing order and marks
     each one's orbit, its images under all n! pair-bit maps, so each class
     is touched once; automorphisms are the permutations that fix the
-    canonical code.  n = 7 takes seconds.  Capped at 7 vertices, below
-    ISO_CAP: the orbit-marking table takes 2^C(n,2) bytes, 256 MiB at n = 8.
+    canonical code.  n = 7 takes seconds.  Capped at CLASS_CAP, below ISO_CAP:
+    the orbit-marking table takes 2^C(n,2) bytes, 256 MiB at n = 8.
     """
-    if n > 7:
-        raise CapacityError(f"graph enumeration capped at 7 vertices, got {n}")
+    if n > CLASS_CAP:
+        raise CapacityError(f"graph enumeration capped at {CLASS_CAP} vertices, got {n}")
     maps = _pair_maps(n)
     seen = bytearray(1 << (n * (n - 1) // 2))
     out = []

@@ -40,8 +40,9 @@ independent d-set listed {1}, the same listed {2}, and K_d with full
 lists; the tight full classes follow without enumeration, and
 complementary slackness pins the unique optimum to the complete
 neighbourhood.  uniqueness_check runs this whole chain.  The report has
-one row per full class, counted by Burnside's lemma and enumerated only
-when a row is read (a CSV, or a violated constraint to name).
+one row per full class, counted by Burnside's lemma and listed only when
+read: by the configs command, the only writer of the per-class CSV, or to
+name a violation, which at d = 7 is the full route's CapacityError.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from wrkit.cli import (
     main,
     parse_builtin,
 )
+from wrkit.errors import CapacityError
 from wrkit.graphs import VERTEX_CAP, check_regular
 
 
@@ -202,8 +203,9 @@ def test_lp_d5_stdout_pinned(capsys):
 
 
 def test_lp_csv_pinned(tmp_path, capsys):
+    # the lp report's per-class CSV, which only configs writes
     target = tmp_path / "lp.csv"
-    code, out, _ = run(capsys, "lp", "--d", "3", "--lambda", "7/5", "--csv", str(target))
+    code, out, _ = run(capsys, "configs", "--d", "3", "--lambda", "7/5", "--csv", str(target))
     assert code == EXIT_OK
     assert out.endswith(f"wrote {target}\n")
     assert hashlib.sha256(target.read_bytes()).hexdigest() == LP_D3_LAMBDA7_5_CSV
@@ -283,21 +285,26 @@ def test_lp_pivot_cap_is_a_verification_error(monkeypatch, capsys):
 
 
 def test_dualcert_csv_pinned(tmp_path, capsys):
+    # the dualcert report's per-class CSV, which only configs writes
     target = tmp_path / "dualcert.csv"
     code, _, _ = run(
-        capsys, "dualcert", "--d", "4", "--lambda", "3/2", "--csv", str(target)
+        capsys, "configs", "--d", "4", "--lambda", "3/2", "--csv", str(target)
     )
     assert code == EXIT_OK
     assert hashlib.sha256(target.read_bytes()).hexdigest() == DUALCERT_D4_LAMBDA3_2_CSV
 
 
 def test_dualcert_d5_csv_pinned(tmp_path, capsys):
+    code, out, _ = run(capsys, "dualcert", "--d", "5", "--lambda", "1")
+    assert code == EXIT_OK
+    assert out == "Lambda_p=64/127 Lambda_c=31/127 violations=0 tight=103\n"
+    # the same report's per-class CSV, which only configs writes
     target = tmp_path / "dualcert.csv"
     code, out, _ = run(
-        capsys, "dualcert", "--d", "5", "--lambda", "1", "--csv", str(target)
+        capsys, "configs", "--d", "5", "--lambda", "1", "--csv", str(target)
     )
     assert code == EXIT_OK
-    assert out.startswith("Lambda_p=64/127 Lambda_c=31/127 violations=0 tight=103\n")
+    assert out == f"d=5: 12208 configuration classes\nwrote {target}\n"
     assert hashlib.sha256(target.read_bytes()).hexdigest() == DUALCERT_D5_LAMBDA1_CSV
 
 
@@ -336,8 +343,6 @@ def test_scan_all_csv_pinned(tmp_path, capsys):
 CSV_COMMANDS = (
     ("verify", "--builtin", "cycle:5", "--d", "2", "--lambda", "1"),
     ("scan", "--catalog", "d2"),
-    ("lp", "--d", "2", "--lambda", "1"),
-    ("dualcert", "--d", "2", "--lambda", "1"),
     ("configs", "--d", "2", "--lambda", "1"),
     ("sample", "--builtin", "cycle:5", "--lambda", "1", "--samples", "10"),
 )
@@ -373,17 +378,15 @@ def test_csv_write_failure_after_the_report(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_check_csv_target", lambda path: None)
     target = str(tmp_path / "missing" / "x.csv")
-    code, out, err = run(capsys, "dualcert", "--d", "2", "--lambda", "1", "--csv", target)
+    code, out, err = run(capsys, "configs", "--d", "2", "--lambda", "1", "--csv", target)
     assert code == EXIT_USAGE
-    assert out.startswith("Lambda_p=")
+    assert out == "d=2: 20 configuration classes\n"
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1
 
 
 EMPTY_VALUES = (
     ("verify", "--catalog", "d2", "--lambda", "1", "--csv="),
-    ("lp", "--d", "2", "--lambda", "1", "--csv="),
-    ("dualcert", "--d", "2", "--lambda", "1", "--csv="),
     ("configs", "--d", "2", "--lambda", "1", "--csv="),
     ("sample", "--builtin", "cycle:5", "--lambda", "1", "--samples", "10", "--csv="),
     ("scan", "--csv="),
@@ -415,7 +418,7 @@ def test_an_empty_value_is_a_given_flag(tmp_path, monkeypatch, capsys):
     assert {argv[0] for argv in EMPTY_VALUES if argv[-1] == "--csv="} == {
         name for name, command in COMMANDS.items() if takes_csv(command)
     }
-    code, _, err = run(capsys, "lp", "--d", "2", "--lambda", "1", "--csv=")
+    code, _, err = run(capsys, "configs", "--d", "2", "--lambda", "1", "--csv=")
     assert err == "error: cannot write an empty --csv path\n"
 
 
@@ -673,10 +676,10 @@ def test_configs_refuses_a_bad_activity_before_printing(capsys):
         assert err.count("\n") == 1
 
 
-def test_degree_errors_come_before_any_class_work(monkeypatch, tmp_path, capsys):
-    # both refusals are the parent's bytes, and come before any graph
-    # enumeration starts or any certificate arithmetic, whose (1 + lam)^d
-    # alone takes seconds at d = 10^6
+def test_degree_errors_come_before_any_class_work(monkeypatch, capsys):
+    # the reduced route refuses past its cap of 7, naming the route, before
+    # any graph enumeration starts or any certificate arithmetic, whose
+    # (1 + lam)^d alone takes seconds at d = 10^6
     from wrkit import configurations, lp
 
     def refuse(*args):
@@ -685,14 +688,42 @@ def test_degree_errors_come_before_any_class_work(monkeypatch, tmp_path, capsys)
     monkeypatch.setattr(configurations, "graphs_up_to_iso", refuse)
     monkeypatch.setattr(lp, "dual_certificate", refuse)
     for command in ("lp", "dualcert"):
-        for csv in ((), ("--csv", str(tmp_path / "out.csv"))):
-            code, out, err = run(capsys, command, "--d", "0", "--lambda", "1", *csv)
-            assert (code, out, err) == (EXIT_USAGE, "", "error: degree must be >= 1, got 0\n")
-            for d in ("7", "1000000"):
-                code, out, err = run(capsys, command, "--d", d, "--lambda", "7/3", *csv)
-                assert (code, out) == (EXIT_CAPACITY, "")
-                assert err == f"capacity error: configuration enumeration capped at 6, got {d}\n"
-    assert not (tmp_path / "out.csv").exists()
+        code, out, err = run(capsys, command, "--d", "0", "--lambda", "1")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: degree must be >= 1, got 0\n")
+        for d in ("8", "1000000"):
+            code, out, err = run(capsys, command, "--d", d, "--lambda", "7/3")
+            assert (code, out) == (EXIT_CAPACITY, "")
+            assert err == f"capacity error: reduced class enumeration capped at 7, got {d}\n"
+    for d in (8, 10**6):
+        with pytest.raises(CapacityError) as refused:
+            lp.uniqueness_check(d, Fraction(7, 3))
+        assert str(refused.value) == f"reduced class enumeration capped at 7, got {d}"
+
+
+def test_configs_refuses_d7_before_writing(monkeypatch, tmp_path, capsys):
+    # the full route, and with it the per-class report, keeps its cap of 6
+    from wrkit import configurations
+
+    def refuse(*args):
+        raise AssertionError(f"work started on {args}")
+
+    monkeypatch.setattr(configurations, "graphs_up_to_iso", refuse)
+    target = str(tmp_path / "out.csv")
+    for flags in ((), ("--lambda", "1"), ("--lambda", "1", "--csv", target)):
+        code, out, err = run(capsys, "configs", "--d", "7", *flags)
+        assert (code, out) == (EXIT_CAPACITY, ""), flags
+        assert err == "capacity error: configuration enumeration capped at 6, got 7\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lp_and_dualcert_take_no_csv(tmp_path, capsys):
+    # the per-class report is configs' alone
+    target = str(tmp_path / "out.csv")
+    for command in ("lp", "dualcert"):
+        code, out, err = run(capsys, command, "--d", "3", "--lambda", "1", "--csv", target)
+        assert (code, out) == (EXIT_USAGE, ""), command
+        assert err == f"error: unrecognized arguments: --csv {target}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_activity_errors_come_before_degree_errors(capsys):

@@ -502,9 +502,16 @@ def test_full_lists_dichromatic_iff_not_complete():
 
 
 def test_capacity_and_usage_errors():
-    for enumeration in (enumerate_configs, signature_classes, count_configs):
-        with pytest.raises(CapacityError):
-            enumeration(7)
+    # each class route owns its cap: the full one stops at 6, the reduced
+    # one at graphs_up_to_iso's 7, each naming its route
+    for enumeration, d, route in (
+        (enumerate_configs, 7, "configuration enumeration capped at 6"),
+        (signature_classes, 8, "reduced class enumeration capped at 7"),
+        (count_configs, 8, "reduced class enumeration capped at 7"),
+    ):
+        with pytest.raises(CapacityError) as refused:
+            enumeration(d)
+        assert str(refused.value) == f"{route}, got {d}"
         with pytest.raises(DomainError, match="^degree must be >= 1, got 0$"):
             enumeration(0)
     with pytest.raises(CapacityError):

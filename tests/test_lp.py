@@ -14,6 +14,7 @@ from wrkit.configurations import (
     alpha_u,
     alpha_v,
     complete_neighbourhood_config,
+    count_configs,
     empty_lists_config,
     enumerate_configs,
     full_class_signatures,
@@ -539,9 +540,33 @@ def test_four_tight_reduced_classes_give_the_full_tight_set():
             assert config.canonical == canonical_labelled_form(config.graph, config.lists)
 
 
+def test_the_certificate_at_the_reduced_route_cap():
+    # d = 7, graphs_up_to_iso's cap: one walk of the reduced classes
+    # certifies K_8's neighbourhood against 8,171,936 full classes, which
+    # Burnside's lemma counts and nothing lists
+    report = uniqueness_check(7, F(1))
+    signatures, classes, _ = _signature_table(7, F(1))
+    assert (len(classes), len(signatures)) == (190_984, 15_567)
+    assert len(report.feasibility.rows) == count_configs(7) == 8_171_936
+    assert len(report.tight_set) == 3 * 1044 + 1 == 3133
+    assert set(report.feasibility.reduced_tight_set) == {
+        empty_lists_config(7),
+        single_colour_config(7, 1),
+        single_colour_config(7, 2),
+        complete_neighbourhood_config(7),
+    }
+    lp = build_primal(7, F(1))
+    for solve in (simplex_solve, vertex_enumeration_solve):
+        solution = solve(lp)
+        assert solution.value == report.optimum == alpha_K(7, F(1)) == F(256, 511)
+        assert solution.support == ((complete_neighbourhood_config(7), 1),)
+
+
 def test_certificate_never_enumerates_full_classes(monkeypatch, tmp_path, capsys):
     # lp, dualcert and uniqueness_check work from the reduced classes and
-    # count the full ones; only a CSV reads the full rows
+    # count the full ones; only the configs command's CSV reads the full
+    # rows.  At d = 7 enumerate_configs refuses anyway, so exit 0 there
+    # shows that no full class was listed
     from wrkit import cli, configurations
 
     def refuse(d):
@@ -549,13 +574,19 @@ def test_certificate_never_enumerates_full_classes(monkeypatch, tmp_path, capsys
 
     for module in (configurations, cli):
         monkeypatch.setattr(module, "enumerate_configs", refuse)
+    # first, while the test above leaves the d = 7 columns at lambda = 1 cached
+    assert cli.main(["lp", "--d", "7", "--lambda", "1"]) == 0
+    assert cli.main(["dualcert", "--d", "7", "--lambda", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("d=7 lambda=1: 8171936 configurations\n")
+    assert out.endswith(" violations=0 tight=3133\n")
     for d, count in ((3, 120), (4, 996), (5, 12208)):
         assert cli.main(["lp", "--d", str(d), "--lambda", "3/2"]) == 0
         assert cli.main(["dualcert", "--d", str(d), "--lambda", "1/3"]) == 0
         assert len(uniqueness_check(d, F(2)).feasibility.rows) == count
     assert "d=5 lambda=3/2: 12208 configurations" in capsys.readouterr().out
     with pytest.raises(AssertionError, match="full classes enumerated at d = 3"):
-        cli.main(["lp", "--d", "3", "--lambda", "1", "--csv", str(tmp_path / "lp.csv")])
+        cli.main(["configs", "--d", "3", "--lambda", "1", "--csv", str(tmp_path / "lp.csv")])
 
 
 def test_verify_dual_feasibility_usage():

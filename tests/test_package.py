@@ -61,7 +61,7 @@ def test_readme_shell_examples_exit_0(monkeypatch, tmp_path, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()
-    assert len(commands) == 10
+    assert len(commands) == 11
 
 
 def test_no_unused_imports():
