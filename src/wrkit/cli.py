@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 usage or parse error, 2 capacity exceeded,
 3 verification mismatch, 4 conjecture counterexample found.
 
 A command is one COMMANDS entry: its help text, a function that adds its
-flags and its handler.  A call naming a command builds only its parser,
-any other the whole tree (help, usage errors); no parser outlives its
-call.  Only configs writes the per-class report; at d = 7, reading an lp
-report's rows is the full route's capacity error, met only on a violation.
+flags and its handler.  The tree of parsers is built once, at import, as
+PARSER, and every call parses through it.  Only configs writes the
+per-class report; at d = 7, reading an lp report's rows is the full
+route's capacity error, met only on a violation.
 """
 
 from __future__ import annotations
@@ -347,35 +347,27 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole tree: the top-level parser with every command's subparser."""
-    # the help shows the docstring's first two paragraphs
-    parser = _Parser(prog="wrkit", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    # the help shows the docstring's first two paragraphs (none under -OO)
+    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    parser = _Parser(prog="wrkit", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         command.add_flags(sub.add_parser(name, help=command.help))
     return parser
 
 
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser the tree gives command ``name``, built on its own."""
-    parser = _Parser(prog=f"wrkit {name}")
-    COMMANDS[name].add_flags(parser)
-    return parser
+# parsing reads the tree and never modifies it, so every call shares one
+PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        if argv and argv[0] in COMMANDS:
-            name = argv[0]
-            args = _command_parser(name).parse_args(argv[1:])
-        else:
-            # anything else (help, a usage error, a leading --): the whole tree
-            args = build_parser().parse_args(argv)
-            name = args.command
+        args = PARSER.parse_args(argv)
         if getattr(args, "csv", None) is not None:
             _check_csv_target(args.csv)
-        return COMMANDS[name].run(args)
+        return COMMANDS[args.command].run(args)
     except (UsageError, ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -480,13 +480,16 @@ def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> C
     return _stamped(graph, code, lists) if k == graph.n else Configuration(graph, lists)
 
 
+@lru_cache(maxsize=None)
 def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
     """The class-to-signature map at d: per distinct signature, in order
     of its first reduced class, (that class, its stats); per reduced
     class, in reduced_classes order, (its entry, its signature's index);
     and each signature's index.  One local walk per reduced class gives
     its signature, and only a signature's first class becomes a
-    Configuration with stats.  A failed check names the class."""
+    Configuration with stats.  A failed check names the class.  Free of
+    any activity, the map is walked once per degree, at most CLASS_CAP
+    of them, as a refused degree raises before anything is cached."""
     index: dict[tuple, int] = {}
     firsts = []
     classes = []

@@ -32,10 +32,12 @@ a ratio of a moment to the value, such as an occupancy fraction, is then
 a single Fraction, and no derivative polynomial is built.  A polynomial
 equals only one of its own shape, as hashes need.
 
-Every CSV report in the package (verify, scan, lp, dualcert, configs and
-the sampler's series) is rendered by ``csv_text``: one header line, one
-line per row, a trailing newline, rationals in the ``format_rational``
-form and flags as 1 or 0.
+Every CSV report in the package (verify's, scan's, the per-class report
+that only configs writes, and the sampler's series) is laid out by
+``csv_text``: one header line, one line per row, a trailing newline,
+rationals in the ``format_rational`` form and flags as 1 or 0.  The
+per-class report renders the four cells a signature's rows share once
+per signature, in those forms, before csv_text joins them.
 """
 
 from __future__ import annotations

@@ -423,7 +423,7 @@ def test_an_empty_value_is_a_given_flag(tmp_path, monkeypatch, capsys):
 
 
 def test_a_new_catalog_is_one_table_entry(monkeypatch, capsys):
-    from wrkit import extremal
+    from wrkit import cli, extremal
 
     tiny = ("cycle:3", "cycle:4")
     monkeypatch.setattr(extremal, "CATALOGS", {**extremal.CATALOGS, "tiny": (2, tiny)})
@@ -440,6 +440,8 @@ def test_a_new_catalog_is_one_table_entry(monkeypatch, capsys):
     assert [(g.label, d) for g, d in extremal.catalog("all")[-2:]] == [
         (spec, 2) for spec in tiny
     ]
+    # the help reads the table when the tree is built
+    monkeypatch.setattr(cli, "PARSER", build_parser())
     for name in ("verify", "scan"):
         with pytest.raises(SystemExit):
             main([name, "--help"])
@@ -781,6 +783,17 @@ def test_entry_point_subprocess():
     assert "violations=0" in result.stdout
 
 
+def test_the_tree_builds_without_docstrings():
+    # python -OO strips __doc__, which the top-level help reads at import
+    result = subprocess.run(
+        [sys.executable, "-OO", "-m", "wrkit.cli", "lp", "--d", "2", "--lambda", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "simplex optimum 8/15" in result.stdout
+
+
 # For each command: a valid call, --flag=value, an abbreviation, "--", a
 # negative number, an unknown flag, a missing required flag (or value),
 # a stray positional and -h
@@ -886,43 +899,39 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-class TreeParser:
-    """Stands in for one command's parser: parses through the whole tree."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def parse_args(self, rest):
-        return build_parser().parse_args([self.name, *rest])
-
-
-def test_one_command_parser_matches_the_tree(monkeypatch, capsys):
+def test_the_shared_tree_matches_a_fresh_one(monkeypatch, capsys):
+    # parsing never modifies the tree: every argv, in order and then in
+    # reverse, has the outcome it has through a tree built for it alone
     from wrkit import cli
 
     monkeypatch.setenv("COLUMNS", "80")
     assert list(PARSER_CASES) == list(COMMANDS)
-    for name, cases in PARSER_CASES.items():
-        for rest in cases:
-            argv = [name, *rest]
-            with monkeypatch.context() as tree:
-                tree.setattr(cli, "_command_parser", TreeParser)
-                expected = outcome(capsys, argv)
-            assert outcome(capsys, argv) == expected, argv
-            if rest in (["-h"], ["--help"]):
-                assert expected[0] == ("exit", 0)
-                assert expected[1].startswith(f"usage: wrkit {name} "), argv
+    argvs = [[name, *rest] for name, cases in PARSER_CASES.items() for rest in cases]
+    assert len(argvs) == 72
+    for argv in argvs + argvs[::-1]:
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "PARSER", build_parser())
+            expected = outcome(capsys, argv)
+        assert outcome(capsys, argv) == expected, argv
+        if argv[1:] in (["-h"], ["--help"]):
+            assert expected[0] == ("exit", 0)
+            assert expected[1].startswith(f"usage: wrkit {argv[0]} "), argv
 
 
-def test_a_named_command_never_builds_the_tree(monkeypatch, capsys):
-    import argparse
-
+def test_no_call_builds_a_parser(monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("the whole parser tree was built")
+        raise AssertionError("a parser was built")
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     code, out, err = run(capsys, "lp", "--d", "2", "--lambda", "1")
     assert (code, err) == (EXIT_OK, "")
     assert "simplex optimum 8/15" in out
+    code, out, err = run(capsys, "lp", "--d", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: the following arguments are required: --lambda\n"
+    code, out, _ = outcome(capsys, ["lp", "--help"])
+    assert code == ("exit", 0)
+    assert out.startswith("usage: wrkit lp ")
 
 
 def test_calls_without_a_command_get_the_tree(capsys):

@@ -296,6 +296,7 @@ def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
         with pytest.raises(VerificationError, match=message):
             local_partition_functions(config)
     message = r"^d=2;edges=0-1;lists=12,12: dichromatic flag disagrees"
+    signature_classes.cache_clear()
     with pytest.raises(VerificationError, match=message):
         signature_classes(2)
     message = r"^d=2;edges=;lists=-,-: dichromatic flag disagrees"

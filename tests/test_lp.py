@@ -401,8 +401,32 @@ def test_signature_table_builds_one_configuration_per_signature(monkeypatch):
         post_init(config)
 
     monkeypatch.setattr(Configuration, "__post_init__", counted)
+    signature_classes.cache_clear()  # so that the walk runs here
     firsts, classes, index = signature_classes(5)
     assert (len(built), len(firsts), len(classes), len(index)) == (390, 390, 1438, 390)
+
+
+def test_one_class_walk_per_degree(monkeypatch):
+    # the map is free of the activity: a new activity, or an old one
+    # after more (d, lam) pairs than _signature_table keeps, walks no
+    # reduced class again
+    from wrkit import configurations
+
+    walks = []
+    walk = configurations.reduced_classes
+
+    def counted(d):
+        walks.append(d)
+        return walk(d)
+
+    monkeypatch.setattr(configurations, "reduced_classes", counted)
+    signature_classes.cache_clear()
+    _signature_table.cache_clear()
+    pairs = [(d, lam) for lam in SMALL_GRID for d in (2, 3)]
+    for d, lam in pairs + pairs[:2]:
+        uniqueness_check(d, lam)
+    assert _signature_table.cache_info().misses == len(pairs) + 2 > 8
+    assert walks == [2, 3]
 
 
 def test_signature_table_errors_name_the_reduced_class(monkeypatch):
@@ -412,6 +436,7 @@ def test_signature_table_errors_name_the_reduced_class(monkeypatch):
     with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: signature missing"):
         next(full_class_signatures(2, {}))
     monkeypatch.setattr(configurations, "_low_coefficients", lambda *args: [0, 0, 0])
+    signature_classes.cache_clear()
     with pytest.raises(VerificationError, match=r"^d=2;edges=0-1;lists=12,12: low coeff"):
         signature_classes(2)
     with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: low coeff"):
