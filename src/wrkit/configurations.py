@@ -7,7 +7,7 @@ colour 1, bit 1 colour 2.  Its local partition polynomials are
 
   p0    weight of valid list-respecting colourings of H alone
   p1/p2 same, in one colour only: (1+lam)**a_i, a_i the lists allowing i
-  p12   p1 + p2
+  p12   p1 + p2 (ConfigStats holds p12 and builds p1 and p2 when read)
 
 and from them come alpha_v, the probability the centre vertex is
 coloured, and alpha_u, the expected fraction of coloured neighbours
@@ -18,7 +18,10 @@ set is any subset of F(S), the vertices that allow colour 2 and are
 neither in S nor next to it, so each S adds lam^|S| (1+lam)^|F(S)|, a
 cached binomial row packed into one int.  Only edges between a vertex
 allowing colour 1 and one allowing colour 2 matter, so the walk runs
-once per stats_key (the lists and those edges).
+once per stats_key (the lists and those edges).  _colour_set_walk is the
+only walk and _low_coefficients the only check of its low coefficients;
+both take one graph with a batch of (A1, A2) pairs, one pair for a
+single class.
 
 enumerate_configs lists the classes up to label-preserving isomorphism:
 graphs up to isomorphism, then list assignments per graph by orbits of
@@ -34,12 +37,17 @@ The map from a class to its signature (p0 and {a1, a2}, all an LP
 column depends on) lives here, free of any activity: signature_classes
 for the reduced classes, full_class_signatures for the full ones (the
 per-class report, which only configs writes; past the full route's cap,
-at d = 7, reading an lp report's rows raises CapacityError).
+at d = 7, reading an lp report's rows raises CapacityError).  The
+weights are symmetric in the two colours, so swapping lists {1} and {2}
+keeps a class's signature.  The orbit walk gives each orbit first the
+first of its swapped orbit, and signature_classes walks one class per
+swap pair, in one batch per graph class: 796 walks for the 1,438
+reduced classes at d = 5, 97,811 for 190,984 at d = 7.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -68,6 +76,7 @@ COLOUR_2 = 2
 BOTH_COLOURS = 3
 
 _LIST_TEXT = {NO_COLOURS: "-", COLOUR_1: "1", COLOUR_2: "2", BOTH_COLOURS: "12"}
+_SWAPPED = (NO_COLOURS, COLOUR_2, COLOUR_1, BOTH_COLOURS)  # each list, colours 1 and 2 swapped
 
 
 @dataclass(frozen=True)
@@ -143,42 +152,48 @@ class ConfigStats:
     a1: int
     a2: int
     p0: IntPolynomial
-    p1: IntPolynomial
-    p2: IntPolynomial
     p12: IntPolynomial
     has_dichromatic: bool
 
+    @property
+    def p1(self) -> IntPolynomial:
+        """(1+lam)^a1: colour 1 on any subset of the a1 vertices allowing it."""
+        return binomial_power(self.a1)
 
-@lru_cache(maxsize=None)
-def _list_count_polynomials(a1: int, a2: int) -> tuple[IntPolynomial, ...]:
-    """p1, p2 and p12 of lists allowing colour 1 at a1 vertices and 2 at
-    a2, for config_stats: one colour on any subset of them."""
-    p1 = binomial_power(a1)
-    p2 = binomial_power(a2)
-    return p1, p2, p1 + p2
+    @property
+    def p2(self) -> IntPolynomial:
+        """(1+lam)^a2, as p1 for colour 2."""
+        return binomial_power(self.a2)
 
 
 @lru_cache(maxsize=None)
 def _one_colour_counts(a1: int, a2: int) -> tuple[int, ...]:
-    """The coefficients of p12 - 1 = (1+lam)^a1 + (1+lam)^a2 - 1 as ints,
-    for local_walk's check: the colourings of lists allowing colour 1 at
-    a1 vertices and 2 at a2 that use at most one colour."""
+    """The coefficients of p12 - 1 = (1+lam)^a1 + (1+lam)^a2 - 1 as ints:
+    the colourings of lists allowing colour 1 at a1 vertices and 2 at a2
+    that use at most one colour.  _local_walks checks the dichromatic flag
+    against them, and config_stats builds p12 from them."""
     counts = [comb(a1, k) + comb(a2, k) for k in range(max(a1, a2) + 1)]
     counts[0] -= 1
     return tuple(counts)
 
 
-def _low_coefficients(adj: tuple[int, ...], allows_1: int, allows_2: int) -> list[int]:
-    """The coefficients of 1, lam and lam^2 in p0, counted from the lists
-    and the edges alone: one empty colouring, a1 + a2 single colours, and
-    every two single colours on distinct vertices except a colour-1
-    vertex beside a colour-2 one."""
-    total = allows_1.bit_count() + allows_2.bit_count()
-    pairs = total * (total - 1) // 2 - (allows_1 & allows_2).bit_count()
-    clashes = sum(
-        (adj[v] & allows_2).bit_count() for v in range(len(adj)) if allows_1 >> v & 1
-    )
-    return [1, total, pairs - clashes]
+def _low_coefficients(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Per (A1, A2) pair of one graph, the coefficients of 1, lam and lam^2
+    in p0, counted from the lists and the edges alone: one empty
+    colouring, a1 + a2 single colours, and every two single colours on
+    distinct vertices except a colour-1 vertex beside a colour-2 one."""
+    out = []
+    for allows_1, allows_2 in pairs:
+        total = allows_1.bit_count() + allows_2.bit_count()
+        two = total * (total - 1) // 2 - (allows_1 & allows_2).bit_count()
+        clashes = 0
+        rest = allows_1
+        while rest:
+            low = rest & -rest
+            clashes += (adj[low.bit_length() - 1] & allows_2).bit_count()
+            rest ^= low
+        out.append([1, total, two - clashes])
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -203,26 +218,41 @@ def _packed_rows(d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _colour_set_walk(adj: tuple[int, ...], walk: int, other: int) -> tuple[list[int], bool]:
-    """The coefficients of p0 = sum over the subsets S of walk of
-    lam^|S| (1+lam)^|F(S)|, F(S) the vertices of other outside S and its
-    neighbours, and whether some non-empty S leaves F(S) non-empty.  The
+def _colour_set_walk(
+    adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]
+) -> tuple[list[list[int]], int]:
+    """Per (A1, A2) pair of the graph with adjacency adj, the coefficients
+    of p0 = sum over the subsets S of walk, the smaller of A1 and A2 (the
+    colours are symmetric), of lam^|S| (1+lam)^|F(S)|, F(S) the vertices
+    of the other outside S and its neighbours; and, as bit i of one int,
+    whether some non-empty S of pair i leaves F(S) non-empty.  The
+    closure table and the packed rows are fetched once for the batch.  The
     submask step s = (s - 1) & walk visits each S once, from walk down to
     the empty set; each reads its closure and adds its packed row."""
     closed = _subset_closures(adj)
     rows = _packed_rows(len(adj))
-    packed = 0
-    dichromatic = False
-    s = walk
-    while True:
-        free = other & ~closed[s]
-        packed += rows[s.bit_count()][free.bit_count()]
-        if not s:
-            break
-        dichromatic = dichromatic or free != 0
-        s = (s - 1) & walk
     slot = 2 * len(adj) + 1
-    return [packed >> slot * k & (1 << slot) - 1 for k in range(len(adj) + 1)], dichromatic
+    digit = (1 << slot) - 1
+    shifts = range(0, slot * (len(adj) + 1), slot)
+    p0s = []
+    dichromatic = 0
+    for i, (allows_1, allows_2) in enumerate(pairs):
+        if allows_1.bit_count() <= allows_2.bit_count():
+            walk, other = allows_1, allows_2
+        else:
+            walk, other = allows_2, allows_1
+        packed = reached = 0
+        s = walk
+        while True:
+            free = other & ~closed[s]
+            packed += rows[s.bit_count()][free.bit_count()]
+            if not s:
+                break
+            reached |= free
+            s = (s - 1) & walk
+        p0s.append([packed >> shift & digit for shift in shifts])
+        dichromatic |= (reached != 0) << i
+    return p0s, dichromatic
 
 
 @lru_cache(maxsize=None)
@@ -254,25 +284,33 @@ def stats_key(config: Configuration) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lists, tuple(map(and_, config.graph.adj, _list_masks(lists)[2]))
 
 
+def _local_walks(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> Iterator[tuple]:
+    """(a1, a2, p0's coefficients, dichromatic flag) per (A1, A2) pair of
+    the graph with adjacency adj, in order, from one batched walk; each
+    result's low coefficients and flag are checked against routes that do
+    not use the walk before it is yielded."""
+    p0s, dichromatic = _colour_set_walk(adj, pairs)
+    lows = _low_coefficients(adj, pairs)
+    for i, ((allows_1, allows_2), p0, low) in enumerate(zip(pairs, p0s, lows)):
+        if (p0 + [0, 0])[:3] != low:
+            raise VerificationError("low coefficients of p0 disagree with its lists and edges")
+        p0 = tuple(p0)
+        while not p0[-1]:
+            p0 = p0[:-1]  # p0[0] = 1 counts the empty colouring
+        a1 = allows_1.bit_count()
+        a2 = allows_2.bit_count()
+        has_dichromatic = dichromatic >> i & 1 == 1
+        # dichromatic colourings are exactly the gap between p0 and the
+        # monochromatic-or-empty total p1 + p2 - 1
+        if has_dichromatic != (p0 != _one_colour_counts(a1, a2)):
+            raise VerificationError("dichromatic flag disagrees with p0 - (p12 - 1)")
+        yield a1, a2, p0, has_dichromatic
+
+
 def local_walk(lists: tuple[int, ...], adj: tuple[int, ...]) -> tuple:
-    """(a1, a2, p0's coefficients, dichromatic flag) of the configuration
-    with these lists and adjacency, from one walk, its low coefficients
-    and flag checked against routes that do not use the walk."""
-    allows_1, allows_2, _ = _list_masks(lists)
-    a1 = allows_1.bit_count()
-    a2 = allows_2.bit_count()
-    walk, other = (allows_1, allows_2) if a1 <= a2 else (allows_2, allows_1)
-    p0, has_dichromatic = _colour_set_walk(adj, walk, other)
-    if (p0 + [0, 0])[:3] != _low_coefficients(adj, allows_1, allows_2):
-        raise VerificationError("low coefficients of p0 disagree with its lists and edges")
-    p0 = tuple(p0)
-    while not p0[-1]:
-        p0 = p0[:-1]  # p0[0] = 1 counts the empty colouring
-    # dichromatic colourings are exactly the gap between p0 and the
-    # monochromatic-or-empty total p1 + p2 - 1
-    if has_dichromatic != (p0 != _one_colour_counts(a1, a2)):
-        raise VerificationError("dichromatic flag disagrees with p0 - (p12 - 1)")
-    return a1, a2, p0, has_dichromatic
+    """_local_walks' result for the configuration with these lists and
+    adjacency: a batch of one."""
+    return next(_local_walks(adj, [_list_masks(lists)[:2]]))
 
 
 def signature(a1: int, a2: int, p0: tuple[int, ...]) -> tuple:
@@ -281,9 +319,11 @@ def signature(a1: int, a2: int, p0: tuple[int, ...]) -> tuple:
 
 
 def config_stats(a1: int, a2: int, p0: tuple[int, ...], has_dichromatic: bool) -> ConfigStats:
-    """The stats of a local_walk result."""
-    p1, p2, p12 = _list_count_polynomials(a1, a2)
-    return ConfigStats(a1, a2, IntPolynomial(p0), p1, p2, p12, has_dichromatic)
+    """The stats of a local_walk result, p12 from the one-colour counts
+    with their constant term plus one."""
+    counts = _one_colour_counts(a1, a2)
+    p12 = IntPolynomial((counts[0] + 1, *counts[1:]))
+    return ConfigStats(a1, a2, IntPolynomial(p0), p12, has_dichromatic)
 
 
 @lru_cache(maxsize=None)
@@ -369,31 +409,33 @@ def _lists_beside(taken: int | tuple[int, ...]) -> tuple[int, ...]:
     return tuple(mask for mask in (COLOUR_1, COLOUR_2) if mask not in taken) + (BOTH_COLOURS,)
 
 
-def _orbit_firsts(k: int, reduced: bool) -> Iterator[tuple[int, Graph, list]]:
-    """Per graph class on k vertices, in canonical order: its code, its
-    graph, and the first member of each automorphism orbit of its list
-    assignments, in product order.  One walk extends each prefix by the
-    lists its next vertex may take: any of the four in a full class; in a
-    reduced one, whose lists lie in {1}, {2}, {12} with no edge inside
-    {1} or {2}, those its earlier neighbours leave it.  An automorphism
-    keeps edges, so it marks whole orbits.  A first member is its orbit's
-    minimum, so (code, lists) is a canonical key."""
+def _orbit_firsts(k: int, code: int, autos: tuple, reduced: bool) -> tuple[Graph, list, dict]:
+    """The graph class with this code and these automorphisms on k
+    vertices, the first member of each automorphism orbit of its list
+    assignments, in product order, and per assignment the index of its
+    orbit's first.  One walk extends each prefix by the lists its next
+    vertex may take: any of the four in a full class; in a reduced one,
+    whose lists lie in {1}, {2}, {12} with no edge inside {1} or {2},
+    those its earlier neighbours leave it.  An automorphism keeps edges,
+    so it marks whole orbits.  A first member is its orbit's minimum, so
+    (code, lists) is a canonical key."""
     beside = _lists_beside if reduced else lambda taken: (0, 1, 2, 3)
-    for code, autos in graphs_up_to_iso(k):
-        graph = graph_from_code(k, code)
-        movers = [label_mover(perm) for perm in autos]
-        assignments = [()]
-        for v in range(k):
-            earlier = [u for u in range(v) if reduced and graph.adj[v] >> u & 1]
-            pick = itemgetter(*earlier) if earlier else lambda a: ()
-            assignments = [a + (m,) for a in assignments for m in beside(pick(a))]
-        seen: set[tuple[int, ...]] = set()
-        firsts = []
-        for assignment in assignments:
-            if assignment not in seen:
-                seen.update([move(assignment) for move in movers])
-                firsts.append(assignment)
-        yield code, graph, firsts
+    graph = graph_from_code(k, code)
+    movers = [label_mover(perm) for perm in autos]
+    assignments = [()]
+    for v in range(k):
+        earlier = [u for u in range(v) if reduced and graph.adj[v] >> u & 1]
+        pick = itemgetter(*earlier) if earlier else lambda a: ()
+        assignments = [a + (m,) for a in assignments for m in beside(pick(a))]
+    orbit: dict[tuple[int, ...], int] = {}
+    firsts = []
+    for assignment in assignments:
+        if assignment not in orbit:
+            i = len(firsts)
+            for move in movers:
+                orbit[move(assignment)] = i
+            firsts.append(assignment)
+    return graph, firsts, orbit
 
 
 @lru_cache(maxsize=8)
@@ -405,11 +447,11 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
     check_degree_floor(d)
     if d > ENUMERATION_CAP:
         raise CapacityError(f"configuration enumeration capped at {ENUMERATION_CAP}, got {d}")
-    return tuple(
-        _stamped(graph, code, lists)
-        for code, graph, firsts in _orbit_firsts(d, False)
-        for lists in firsts
-    )
+    out = []
+    for code, autos in graphs_up_to_iso(d):
+        graph, firsts, _ = _orbit_firsts(d, code, autos, False)
+        out += (_stamped(graph, code, lists) for lists in firsts)
+    return tuple(out)
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -459,6 +501,22 @@ def uniform_full_classes(
     return tuple(sorted(out, key=Configuration.key))
 
 
+def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:
+    """(k, code, graph, firsts, partners) per graph class of the reduced
+    classes on k <= d vertices, unpadded, from _orbit_firsts: k and then
+    the code descending, so that the firsts, read backwards, come in
+    reduced_classes order.  A first's partner is the index of the first
+    whose orbit holds its lists with colours 1 and 2 swapped: the swap
+    commutes with the automorphisms and keeps the walk's assignments.  The
+    orbit index lives only while its graph's partners are found."""
+    check_degree(d)
+    swap = _SWAPPED.__getitem__
+    for k in range(d, -1, -1):
+        for code, autos in reversed(graphs_up_to_iso(k)):
+            graph, firsts, orbit = _orbit_firsts(k, code, autos, True)
+            yield k, code, graph, firsts, [orbit[tuple(map(swap, lists))] for lists in firsts]
+
+
 def reduced_classes(d: int) -> Iterator[tuple[int, int, Graph, tuple[int, ...]]]:
     """(k, code, graph, lists) per reduced class on k <= d vertices, graph
     and lists padded with d - k isolated empty-list vertices, sorted by k
@@ -466,13 +524,11 @@ def reduced_classes(d: int) -> Iterator[tuple[int, int, Graph, tuple[int, ...]]]
     complete neighbourhood first, the all-empty class last.  The LP names
     its columns in this order, and with the optimal column first Bland's
     rule pivots far less."""
-    check_degree(d)
-    for k in range(d, -1, -1):
+    for k, code, graph, firsts, _ in _reduced_graphs(d):
         pad = (NO_COLOURS,) * (d - k)
-        for code, graph, firsts in reversed(list(_orbit_firsts(k, True))):
-            padded = Graph(d, graph.adj + pad)
-            for lists in reversed(firsts):
-                yield k, code, padded, lists + pad
+        padded = Graph(d, graph.adj + pad)
+        for lists in reversed(firsts):
+            yield k, code, padded, lists + pad
 
 
 def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> Configuration:
@@ -485,24 +541,43 @@ def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
     """The class-to-signature map at d: per distinct signature, in order
     of its first reduced class, (that class, its stats); per reduced
     class, in reduced_classes order, (its entry, its signature's index);
-    and each signature's index.  One local walk per reduced class gives
-    its signature, and only a signature's first class becomes a
-    Configuration with stats.  A failed check names the class.  Free of
-    any activity, the map is walked once per degree, at most CLASS_CAP
-    of them, as a refused degree raises before anything is cached."""
+    and each signature's index.  The weights are symmetric in the two
+    colours, so a class and its colour-swapped class share p0 and {a1,
+    a2}: one local walk per swap pair, the pair's first class in this
+    order, gives both their signature, and the walks run in one batch per
+    graph class, on its unpadded k vertices.  Only a signature's first
+    class becomes a Configuration with stats.  A failed check names the
+    class.  Free of any activity, the map is walked once per degree, at
+    most CLASS_CAP of them, as a refused degree raises before anything is
+    cached."""
     index: dict[tuple, int] = {}
     firsts = []
     classes = []
-    for entry in reduced_classes(d):
-        _, _, graph, lists = entry
-        try:
-            a1, a2, p0, dichromatic = local_walk(lists, graph.adj)
-        except VerificationError as exc:
-            raise VerificationError(f"{reduced_config(*entry).key_text()}: {exc}") from exc
-        i = index.setdefault(signature(a1, a2, p0), len(firsts))
-        if i == len(firsts):
-            firsts.append((reduced_config(*entry), config_stats(a1, a2, p0, dichromatic)))
-        classes.append((entry, i))
+    for k, code, graph, assignments, partners in _reduced_graphs(d):
+        pad = (NO_COLOURS,) * (d - k)
+        padded = Graph(d, graph.adj + pad)
+        order = range(len(assignments) - 1, -1, -1)
+        walked = [_list_masks(assignments[i])[:2] for i in order if partners[i] <= i]
+        walks = _local_walks(graph.adj, walked)
+        found = [0] * len(assignments)  # signature index per first
+        for i in order:
+            entry = k, code, padded, assignments[i] + pad
+            j = partners[i]
+            if j > i:  # its swapped class came first, with the same signature
+                found[i] = found[j]
+            else:
+                try:
+                    a1, a2, p0, dichromatic = next(walks)
+                except VerificationError as exc:
+                    raise VerificationError(
+                        f"{reduced_config(*entry).key_text()}: {exc}"
+                    ) from exc
+                found[i] = index.setdefault(signature(a1, a2, p0), len(firsts))
+                if found[i] == len(firsts):
+                    firsts.append(
+                        (reduced_config(*entry), config_stats(a1, a2, p0, dichromatic))
+                    )
+            classes.append((entry, found[i]))
     return tuple(firsts), tuple(classes), index
 
 

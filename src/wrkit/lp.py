@@ -18,9 +18,10 @@ its signature (p0, p12), which it shares with its reduced class, so the
 instance has one variable per distinct column of the reduced classes
 (390 from 1,438 at d = 5, where there are 12,208 classes), named by the
 first reduced class with it.  configurations owns that class-to-signature
-map, free of the activity (signature_classes, and full_class_signatures
-for the report's rows); this layer adds each signature's column at lam
-(_signature_table).  A class sharing the complete
+map, free of the activity (signature_classes, from one local walk per
+colour-swap pair of reduced classes, batched per graph class, and
+full_class_signatures for the report's rows); this layer adds each
+signature's column at lam (_signature_table).  A class sharing the complete
 neighbourhood's column would be tight, and every tight class other than
 that one has alpha_u < alpha_v (checked by uniqueness_check), so the
 reported support is the full program's.  Columns are integers

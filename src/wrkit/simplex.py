@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import VerificationError
@@ -90,10 +91,9 @@ class _Basis:
         for line, bv in zip(self.inverse, self.basis):
             if cost[bv]:
                 y = [yk + cost[bv] * a for yk, a in zip(y, line)]
-        y = [(k, yk) for k, yk in enumerate(y) if yk]
         den, cols = self.den, self.columns
         return next(
-            (j for j in range(n_cols) if cost[j] * den > sum(yk * cols[j][k] for k, yk in y)), None
+            (j for j in range(n_cols) if cost[j] * den > sum(map(mul, y, cols[j]))), None
         )
 
     def pivot(self, r: int, j: int, alpha: list[int]) -> None:

@@ -145,9 +145,9 @@ def test_local_polynomials_walk_each_subset_of_the_smaller_list_set(monkeypatch)
             reads.append(s)
             return tuple.__getitem__(self, s)
 
-    def recording_walk(adj, walk, other):
-        result = walk_fn(adj, walk, other)
-        walks.append((walk, other, result))
+    def recording_walk(adj, pairs):
+        result = walk_fn(adj, pairs)
+        walks.append((pairs, result))
         return result
 
     monkeypatch.setattr(configurations, "_colour_set_walk", recording_walk)
@@ -160,8 +160,9 @@ def test_local_polynomials_walk_each_subset_of_the_smaller_list_set(monkeypatch)
         reads.clear()
         local_partition_functions.cache_clear()  # so that the key's walk runs here
         local_partition_functions(Configuration(graph, lists))
-        [(walk, other, (p0, _))] = walks
-        assert (walk, other) == (0b10001, 0b11011)
+        [([pair], ([p0], _))] = walks
+        assert sorted(pair) == [0b10001, 0b11011]
+        walk, other = 0b10001, 0b11011
         # every subset of the walk once: its closure read from the table
         assert sorted(reads) == [s for s in range(32) if not s & ~walk]
         assert len(reads) == 1 << walk.bit_count()
@@ -208,8 +209,6 @@ def per_class_stats(config):
         a1=allows_1.bit_count(),
         a2=allows_2.bit_count(),
         p0=IntPolynomial(p0),
-        p1=p1,
-        p2=p2,
         p12=p1 + p2,
         has_dichromatic=dichromatic,
     )
@@ -683,3 +682,50 @@ def test_reduced_signature_sets_equal_the_full_ones():
     # d = 6 runs as its own CI step
     for d in range(1, 6):
         check_signature_sets(d)
+
+
+# local walks in a cold signature_classes(d): one per colour-swap pair of
+# reduced classes (52, 236, 1,438 and 13,048 classes at d = 3..6)
+SWAP_PAIR_WALKS = {3: 33, 4: 141, 5: 796, 6: 6903}
+
+
+def check_swap_pairing(d):
+    """signature_classes(d) walks one class per colour-swap pair, and each
+    reduced class gets the index of the signature that its own local walk
+    finds, on its own lists and padded graph, with no partner table."""
+    walked = []
+    walk = configurations._colour_set_walk
+
+    def counted(adj, pairs):
+        walked.append(len(pairs))
+        return walk(adj, pairs)
+
+    configurations._colour_set_walk = counted
+    try:
+        signature_classes.cache_clear()  # so that the walk runs here
+        _, classes, index = signature_classes(d)
+    finally:
+        configurations._colour_set_walk = walk
+    assert sum(walked) == SWAP_PAIR_WALKS[d]
+    for entry, i in classes:
+        _, _, graph, lists = entry
+        a1, a2, p0, _ = configurations.local_walk(lists, graph.adj)
+        assert index[configurations.signature(a1, a2, p0)] == i, reduced_config(*entry).key_text()
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_one_walk_per_colour_swap_pair(d):
+    # d = 6 runs in the same CI step as check_signature_sets(6)
+    check_swap_pairing(d)
+
+
+def test_swap_partners_hold_the_swapped_lists():
+    # each first's partner is the first of the orbit of its lists with
+    # colours 1 and 2 swapped, on the same graph; the swap is an involution
+    swapped = (0, COLOUR_2, COLOUR_1, 3)
+    for k, _, graph, firsts, partners in configurations._reduced_graphs(5):
+        for lists, j in zip(firsts, partners):
+            moved = tuple(swapped[mask] for mask in lists)
+            key = canonical_labelled_form(graph, firsts[j])
+            assert canonical_labelled_form(graph, moved) == key, (k, graph, lists)
+        assert [partners[j] for j in partners] == list(range(len(firsts)))

@@ -413,13 +413,13 @@ def test_one_class_walk_per_degree(monkeypatch):
     from wrkit import configurations
 
     walks = []
-    walk = configurations.reduced_classes
+    walk = configurations._reduced_graphs
 
     def counted(d):
         walks.append(d)
         return walk(d)
 
-    monkeypatch.setattr(configurations, "reduced_classes", counted)
+    monkeypatch.setattr(configurations, "_reduced_graphs", counted)
     signature_classes.cache_clear()
     _signature_table.cache_clear()
     pairs = [(d, lam) for lam in SMALL_GRID for d in (2, 3)]
