@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage or parse error, 2 capacity exceeded,
 A command is one COMMANDS entry: its help text, a function that adds its
 flags and its handler.  The tree of parsers is built once, at import, as
 PARSER, and every call parses through it.  Only configs writes the
-per-class report; at d = 7, reading an lp report's rows is the full
-route's capacity error, met only on a violation.
+per-class report; dualcert counts violated constraints by their reduced
+classes, so a failed certificate exits 3 at every degree the reduced
+route takes.
 """
 
 from __future__ import annotations

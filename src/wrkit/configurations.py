@@ -29,9 +29,10 @@ its automorphism group.  Each representative is its orbit's first
 member, so it carries its canonical key; count_configs counts the
 classes by Burnside's lemma.  Dropping the empty-list vertices and the
 edges inside {1} or inside {2} leaves a class's reduced class, with the
-same polynomials.  reduced_classes lists those (1,438 at d = 5, against
-12,208 classes), padded to d vertices.  Both listings come from one
-orbit walk, which never builds a reduced assignment with such an edge.
+same polynomials.  signature_classes lists those (1,438 at d = 5,
+against 12,208 classes), padded to d vertices.  Both listings come from
+one orbit walk, which never builds a reduced assignment with such an
+edge.
 
 The map from a class to its signature (p0 and {a1, a2}, all an LP
 column depends on) lives here, free of any activity: signature_classes
@@ -478,7 +479,7 @@ def count_configs(d: int) -> int:
 
 
 def uniform_full_classes(
-    reduced: tuple[Configuration, ...],
+    reduced: Sequence[Configuration],
 ) -> tuple[Configuration, ...] | None:
     """The full classes whose reduced class is among these, in canonical
     order, when each of these has all lists equal; else None.
@@ -505,7 +506,7 @@ def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:
     """(k, code, graph, firsts, partners) per graph class of the reduced
     classes on k <= d vertices, unpadded, from _orbit_firsts: k and then
     the code descending, so that the firsts, read backwards, come in
-    reduced_classes order.  A first's partner is the index of the first
+    signature_classes order.  A first's partner is the index of the first
     whose orbit holds its lists with colours 1 and 2 swapped: the swap
     commutes with the automorphisms and keeps the walk's assignments.  The
     orbit index lives only while its graph's partners are found."""
@@ -517,22 +518,8 @@ def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:
             yield k, code, graph, firsts, [orbit[tuple(map(swap, lists))] for lists in firsts]
 
 
-def reduced_classes(d: int) -> Iterator[tuple[int, int, Graph, tuple[int, ...]]]:
-    """(k, code, graph, lists) per reduced class on k <= d vertices, graph
-    and lists padded with d - k isolated empty-list vertices, sorted by k
-    and then by the k-vertex class's canonical key, both descending: the
-    complete neighbourhood first, the all-empty class last.  The LP names
-    its columns in this order, and with the optimal column first Bland's
-    rule pivots far less."""
-    for k, code, graph, firsts, _ in _reduced_graphs(d):
-        pad = (NO_COLOURS,) * (d - k)
-        padded = Graph(d, graph.adj + pad)
-        for lists in reversed(firsts):
-            yield k, code, padded, lists + pad
-
-
 def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> Configuration:
-    """The configuration of a reduced_classes entry, with its key if k = d."""
+    """The configuration of a signature_classes entry, with its key if k = d."""
     return _stamped(graph, code, lists) if k == graph.n else Configuration(graph, lists)
 
 
@@ -540,16 +527,23 @@ def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> C
 def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
     """The class-to-signature map at d: per distinct signature, in order
     of its first reduced class, (that class, its stats); per reduced
-    class, in reduced_classes order, (its entry, its signature's index);
-    and each signature's index.  The weights are symmetric in the two
-    colours, so a class and its colour-swapped class share p0 and {a1,
-    a2}: one local walk per swap pair, the pair's first class in this
-    order, gives both their signature, and the walks run in one batch per
-    graph class, on its unpadded k vertices.  Only a signature's first
-    class becomes a Configuration with stats.  A failed check names the
-    class.  Free of any activity, the map is walked once per degree, at
-    most CLASS_CAP of them, as a refused degree raises before anything is
-    cached."""
+    class, (its entry, its signature's index); and each signature's index.
+
+    An entry is (k, code, graph, lists) for a reduced class on k <= d
+    vertices, graph and lists padded with d - k isolated empty-list
+    vertices.  The entries are sorted by k and then by the k-vertex
+    class's canonical key, both descending: the complete neighbourhood
+    first, the all-empty class last.  The LP names its columns in this
+    order, and with the optimal column first Bland's rule pivots far less.
+
+    The weights are symmetric in the two colours, so a class and its
+    colour-swapped class share p0 and {a1, a2}: one local walk per swap
+    pair, the pair's first class in this order, gives both their
+    signature, and the walks run in one batch per graph class, on its
+    unpadded k vertices.  Only a signature's first class becomes a
+    Configuration with stats.  A failed check names the class.  Free of
+    any activity, the map is walked once per degree, at most CLASS_CAP of
+    them, as a refused degree raises before anything is cached."""
     index: dict[tuple, int] = {}
     firsts = []
     classes = []

@@ -372,7 +372,7 @@ def _parse_builtin_atom(spec: str) -> Graph:
         if name == "complete":
             (n,) = map(int, args)
             return make_complete(n)
-        if name in ("bipartite", "complete_bipartite"):
+        if name == "bipartite":
             a, b = map(int, args)
             return make_complete_bipartite(a, b)
         if name == "cycle":

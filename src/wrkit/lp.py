@@ -42,8 +42,9 @@ lists; the tight full classes follow without enumeration, and
 complementary slackness pins the unique optimum to the complete
 neighbourhood.  uniqueness_check runs this whole chain.  The report has
 one row per full class, counted by Burnside's lemma and listed only when
-read: by the configs command, the only writer of the per-class CSV, or to
-name a violation, which at d = 7 is the full route's CapacityError.
+read: by the configs command, the only writer of the per-class CSV, or
+for a tight set whose lists are not all equal.  Violated constraints are
+named, as tight ones are, by their reduced classes.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .occupancy import alpha_K
 @dataclass(frozen=True)
 class LPInstance:
     """The relaxation for one (d, activity) pair: one variable per distinct
-    column, named by the first reduced class with it, in reduced_classes
+    column, named by the first reduced class with it, in signature_classes
     order.  A column is held as integers (X_v, X_v - X_u, D), reduced by
     their gcd, with D > 0: its alpha_v and balance over D."""
 
@@ -123,14 +124,14 @@ class DualCertificate:
 
 
 @lru_cache(maxsize=8)
-def _signature_table(d: int, lam: Fraction) -> tuple[tuple, tuple, dict[tuple, int]]:
-    """signature_classes(d) with each signature's integer column at lam
+def _signature_table(d: int, lam: Fraction) -> tuple[tuple, ...]:
+    """Per signature of signature_classes(d), its integer column at lam
     from local_alphas, as (first class, stats, X_v, X_u, D).  build_primal
     and verify_dual_feasibility both read it, so the columns are evaluated
     once per command."""
-    firsts, classes, index = signature_classes(d)
-    signatures = tuple((config, stats, *local_alphas(stats, d, lam)) for config, stats in firsts)
-    return signatures, classes, index
+    return tuple(
+        (config, stats, *local_alphas(stats, d, lam)) for config, stats in signature_classes(d)[0]
+    )
 
 
 def build_primal(d: int, lam: Fraction) -> LPInstance:
@@ -138,7 +139,7 @@ def build_primal(d: int, lam: Fraction) -> LPInstance:
     the column evaluated once per distinct signature (p0, p12).  Two
     columns are equal iff their gcd-reduced integer triples are."""
     lam = check_activity(lam)
-    signatures, _, _ = _signature_table(d, lam)
+    signatures = _signature_table(d, lam)
     # signatures come in order of their first reduced class, so the first
     # one with a column also holds the first reduced class with it
     columns: dict[tuple[int, int, int], Configuration] = {}
@@ -327,8 +328,9 @@ class ClassRows(Sequence):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """rows has one ConfigRow per full class; reduced_tight_set holds the
-    tight reduced classes, in reduced_classes order."""
+    """rows has one ConfigRow per full class and tight_set the tight full
+    classes; violations and reduced_tight_set hold the violated and the
+    tight reduced classes, in signature_classes order."""
 
     rows: ClassRows
     violations: tuple[Configuration, ...]
@@ -380,15 +382,17 @@ def verify_dual_feasibility(
     construction of lambda_c), and the two must agree in sign and in zero
     set.  Both run once per signature, as signs of integers
     (_slack_numerators), and every class with it shares their verdict.
-    The violated and tight full classes are those of the violated and
-    tight reduced ones: the tight ones derived when their lists are all
-    equal, else both read off the report's rows.  Violations are
-    returned as data, never raised.
+    One pass over the reduced classes names the violated ones (slack
+    below 0) and the tight ones (slack 0).  The tight full classes are
+    derived from the tight reduced ones when their lists are all equal,
+    else read off the report's rows.  Violations are returned as data,
+    never raised.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
     lam = cert.activity
-    signatures, classes, index = _signature_table(d, lam)
+    signatures = _signature_table(d, lam)
+    _, classes, index = signature_classes(d)
     forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
     # each signature's verdict, decided once
     slacks = []
@@ -407,21 +411,19 @@ def verify_dual_feasibility(
             )
         slacks.append((slack, den))
     rows = ClassRows(d, signatures, slacks, index)
-    reduced_tight = tuple(
-        reduced_config(*entry) for entry, i in classes if not slacks[i][0]
-    )
-    violations = ()
-    if any(slack < 0 for slack, _ in slacks):
-        violations = tuple(row.config for row in rows if row.slack < 0)
+    violations, reduced_tight = [], []
+    for entry, i in classes:
+        if slacks[i][0] <= 0:
+            (violations if slacks[i][0] else reduced_tight).append(reduced_config(*entry))
     tight = uniform_full_classes(reduced_tight)
     if tight is None:
         tight = tuple(row.config for row in rows if row.tight)
 
     return FeasibilityReport(
         rows=rows,
-        violations=violations,
+        violations=tuple(violations),
         tight_set=tight,
-        reduced_tight_set=reduced_tight,
+        reduced_tight_set=tuple(reduced_tight),
     )
 
 

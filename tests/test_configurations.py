@@ -23,7 +23,6 @@ from wrkit.configurations import (
     enumerate_configs,
     full_class_signatures,
     local_partition_functions,
-    reduced_classes,
     reduced_config,
     signature_classes,
     single_colour_config,
@@ -541,9 +540,9 @@ def reduced_key(config):
 
 
 def reduced_configs(d):
-    """The reduced classes at d as configurations, in reduced_classes
+    """The reduced classes at d as configurations, in signature_classes
     order: the listing the tests read, built from its entries."""
-    return tuple(reduced_config(*entry) for entry in reduced_classes(d))
+    return tuple(reduced_config(*entry) for entry, _ in signature_classes(d)[1])
 
 
 def signatures(configs):
@@ -595,8 +594,8 @@ def test_reduced_classes_start_at_the_complete_neighbourhood():
                 assert config.canonical is None
 
 
-# SHA-256 of repr([(lists, graph.adj), ...]) over reduced_classes(d), in
-# its order: the LP names its variables, and Bland's rule picks its
+# SHA-256 of repr([(lists, graph.adj), ...]) over the reduced classes of
+# signature_classes(d), in its order: the LP names its variables, and Bland's rule picks its
 # pivots, by this order
 REDUCED_ORDER_DIGESTS = {
     1: "136cd1218032a1c8c5eb04761880d70265a71b463fa9935c718eb90afbd32902",
@@ -623,7 +622,7 @@ def product_orbit_walk(k, masks):
 
 
 def filtered_orbit_walk(d):
-    """The reduced classes as (k, code, lists), in reduced_classes order,
+    """The reduced classes as (k, code, lists), in signature_classes order,
     from the unpruned walk over {1}, {2}, {12}: the orbit firsts with an
     edge inside {1} or inside {2} are dropped after the marking."""
     out = []
@@ -648,7 +647,7 @@ def test_pruned_walk_gives_the_filtered_orbit_walk():
     # order and the padded representatives are the filtered walk's
     for d in range(1, 6):
         expected = filtered_orbit_walk(d)
-        entries = list(reduced_classes(d))
+        entries = [entry for entry, _ in signature_classes(d)[1]]
         assert [(k, code, lists[:k]) for k, code, _, lists in entries] == expected
         for k, code, graph, lists in entries:
             assert graph.adj == graph_from_code(k, code).adj + (0,) * (d - k)

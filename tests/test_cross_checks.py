@@ -1,0 +1,161 @@
+"""Fault injection: each cross-check of the certificate fires when one of
+its routes is patched to disagree, with the message that names the class
+where the guard does.  Deleting any one of these guards makes its test
+fail.  Last, a violation planted in both slack forms is named by its
+reduced classes: dualcert exits 3 and lists no full class."""
+
+import re
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from wrkit import cli, configurations, lp
+from wrkit.configurations import (
+    complete_neighbourhood_config,
+    count_configs,
+    empty_lists_config,
+    reduced_config,
+    signature_classes,
+    single_colour_config,
+)
+from wrkit.errors import VerificationError
+from wrkit.occupancy import alpha_K
+
+F = Fraction
+
+
+def slack_forms(d, lam):
+    """Both slack forms per signature at (d, lam), unpatched."""
+    cert = lp.dual_certificate(d, lam)
+    return list(lp._slack_numerators(cert, (s[2:] for s in lp._signature_table(d, lam))))
+
+
+def first_slack_signature(d, lam):
+    """The index of the first signature whose lists are not all empty and
+    whose dual constraint is slack."""
+    return next(
+        i for i, (s, _, _, den2) in enumerate(slack_forms(d, lam)) if s > 0 and den2 > 0
+    )
+
+
+def plant(monkeypatch, j, change):
+    """Patch _slack_numerators so that signature j's forms are
+    change(cert, column, forms); the others are left as computed."""
+    numerators = lp._slack_numerators
+
+    def planted(cert, columns):
+        columns = list(columns)
+        for i, (column, forms) in enumerate(zip(columns, numerators(cert, columns))):
+            yield change(cert, column, forms) if i == j else forms
+
+    monkeypatch.setattr(lp, "_slack_numerators", planted)
+
+
+def disagreement(d, lam, j):
+    """The pattern of the slack routes' disagreement on signature j's first class."""
+    return f"^slack routes disagree on {re.escape(lp._signature_table(d, lam)[j][0].key_text())}: "
+
+
+def test_slack_routes_disagree_on_a_flipped_sign(monkeypatch):
+    d, lam = 3, F(1)
+    j = first_slack_signature(d, lam)
+    plant(monkeypatch, j, lambda cert, column, f: (f[0], f[1], -f[2], f[3]))
+    with pytest.raises(VerificationError, match=disagreement(d, lam, j)):
+        lp.feasibility(d, lam)
+
+
+def test_slack_routes_disagree_on_the_zero_set(monkeypatch):
+    # the claims form is zero on a class that is not tight, where the
+    # alpha form reads violated: neither form is positive, so only the
+    # zero sets disagree
+    d, lam = 3, F(1)
+    j = first_slack_signature(d, lam)
+    plant(monkeypatch, j, lambda cert, column, f: (-f[0], f[1], 0, f[3]))
+    with pytest.raises(VerificationError, match=disagreement(d, lam, j)):
+        lp.feasibility(d, lam)
+
+
+def test_closed_forms_of_lambda_c_disagree(monkeypatch):
+    monkeypatch.setattr(lp, "alpha_K", lambda d, lam: alpha_K(d, lam) + F(1, 10**9))
+    with pytest.raises(VerificationError, match="^closed forms of lambda_c disagree: "):
+        lp.dual_certificate(3, F(1))
+
+
+def test_empty_list_constraint_not_tight(monkeypatch):
+    # the empty lists' constraint priced with a lambda_c off by 1/7: a
+    # certificate fitted elsewhere leaves it slack
+    d, lam = 3, F(1)
+    signatures = lp._signature_table(d, lam)
+    j = next(i for i, (_, stats, *_) in enumerate(signatures) if not stats.a1 + stats.a2)
+    numerators = lp._slack_numerators
+
+    def shifted(cert, column, forms):
+        moved = replace(cert, lambda_c=cert.lambda_c + F(1, 7))
+        return next(numerators(moved, [column]))
+
+    plant(monkeypatch, j, shifted)
+    with pytest.raises(VerificationError, match="^empty-list constraint not tight; "):
+        lp.feasibility(d, lam)
+
+
+def test_uniqueness_needs_alpha_u_below_alpha_v(monkeypatch):
+    # the independent set listed {1} read with the complete
+    # neighbourhood's stats, where alpha_u = alpha_v
+    stats = lp.local_partition_functions
+
+    def swapped(config):
+        if config == single_colour_config(config.d, 1):
+            config = complete_neighbourhood_config(config.d)
+        return stats(config)
+
+    monkeypatch.setattr(lp, "local_partition_functions", swapped)
+    with pytest.raises(
+        VerificationError, match=r"^expected alpha_u < alpha_v on d=3;edges=;lists=1,1,1$"
+    ):
+        lp.uniqueness_check(3, F(1))
+
+
+def test_uniqueness_needs_each_solver_on_the_complete_neighbourhood(monkeypatch):
+    # the enumeration solver reaches the optimum's value on another support
+    solve = lp.vertex_enumeration_solve
+
+    def elsewhere(instance):
+        solution = solve(instance)
+        return lp.LPSolution(solution.status, solution.value, ((empty_lists_config(3), F(1)),))
+
+    monkeypatch.setattr(lp, "vertex_enumeration_solve", elsewhere)
+    with pytest.raises(
+        VerificationError, match="^enumeration solver support is not the complete neighbourhood$"
+    ):
+        lp.uniqueness_check(3, F(1))
+
+
+def test_report_rows_need_the_counted_classes(monkeypatch):
+    monkeypatch.setattr(lp, "count_configs", lambda d: count_configs(d) + 1)
+    _, report = lp.feasibility(3, F(1))
+    with pytest.raises(VerificationError, match="^120 classes enumerated, 121 counted$"):
+        report.rows[0]
+
+
+def test_a_violation_is_named_by_its_reduced_classes(monkeypatch, capsys):
+    # one slack signature planted negative in both forms: dualcert names
+    # the violation from the reduced classes and exits 3, where listing the
+    # full classes would trip the refusal (and, at d = 7, the full route's
+    # capacity error)
+    d, lam = 6, F(1)
+    j = first_slack_signature(d, lam)
+
+    def refuse(d):
+        raise AssertionError(f"full classes enumerated at d = {d}")
+
+    for module in (configurations, cli):
+        monkeypatch.setattr(module, "enumerate_configs", refuse)
+    plant(monkeypatch, j, lambda cert, column, f: (-f[0], f[1], -f[2], f[3]))
+    assert cli.main(["dualcert", "--d", str(d), "--lambda", "1"]) == cli.EXIT_MISMATCH
+    out = capsys.readouterr().out
+    count = int(re.fullmatch(r"Lambda_p=\S+ Lambda_c=\S+ violations=(\d+) tight=\d+\n", out)[1])
+    _, report = lp.feasibility(d, lam)
+    expected = tuple(reduced_config(*entry) for entry, i in signature_classes(d)[1] if i == j)
+    assert count == len(report.violations) >= 1
+    assert report.violations == expected

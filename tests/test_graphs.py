@@ -340,6 +340,9 @@ def test_parse_builtin_refuses_empty_parameters_and_terms():
         with pytest.raises(UsageError) as info:
             parse_builtin(spec)
         assert str(info.value) == f"{reason} in builtin spec {spec!r}"
+    # bipartite:a,b is the one spelling of K_{a,b}
+    with pytest.raises(UsageError, match=r"^unknown builtin graph 'complete_bipartite'$"):
+        parse_builtin("complete_bipartite:3,3")
 
 
 def test_parse_builtin_labels_a_union_by_its_stripped_atoms():

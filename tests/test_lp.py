@@ -20,7 +20,6 @@ from wrkit.configurations import (
     full_class_signatures,
     local_alphas,
     local_partition_functions,
-    reduced_config,
     signature,
     signature_classes,
     single_colour_config,
@@ -85,7 +84,7 @@ def claims_slack(cert, config):
 def test_build_primal_d1():
     lp = build_primal(1, F(1))
     # 4 classes, 3 distinct columns: the two single-colour lists share one,
-    # named by the first of them in reduced_classes order, which walks
+    # named by the first of them in signature_classes order, which walks
     # from the complete neighbourhood down
     assert len(enumerate_configs(1)) == 4
     assert len(lp.configs) == len(lp.objective) == len(lp.balance) == 3
@@ -360,15 +359,13 @@ def per_class_signature_table(d, lam):
 def test_signature_table_matches_the_per_class_route(lam):
     # signature_classes holds the map; _signature_table adds the columns
     for d in range(1, 6):
-        signatures, classes, index = _signature_table(d, lam)
-        firsts, *rest = signature_classes(d)
+        signatures = _signature_table(d, lam)
+        firsts, classes, index = signature_classes(d)
         assert [entry[:2] for entry in signatures] == list(firsts)
-        assert [classes, index] == rest
         expected, indices = per_class_signature_table(d, lam)
         assert signatures == expected
         assert [c.canonical for c, *_ in signatures] == [c.canonical for c, *_ in expected]
         assert [i for _, i in classes] == indices
-        assert tuple(reduced_config(*entry) for entry, _ in classes) == reduced_configs(d)
         keys = [signature(s.a1, s.a2, s.p0.coeffs) for _, s, *_ in signatures]
         assert index == {key: i for i, key in enumerate(keys)}
 
@@ -379,7 +376,7 @@ def test_report_rows_carry_their_signature_index():
     # entry's verdict; signature() ignores the order of a1 and a2
     for d in range(1, 5):
         lam = F(3, 2)
-        signatures, _, _ = _signature_table(d, lam)
+        signatures = _signature_table(d, lam)
         index = {(s.p0, s.p12): i for i, (_, s, *_) in enumerate(signatures)}
         assert len(index) == len(signatures)
         report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
@@ -472,7 +469,7 @@ def test_integer_slack_routes_match_the_fraction_oracles(lam):
     for d in range(1, 6):
         cert = dual_certificate(d, lam)
         report = verify_dual_feasibility(cert, d, lam)
-        signatures, _, _ = _signature_table(d, lam)
+        signatures = _signature_table(d, lam)
         forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
         for (config, stats, x_v, x_u, den), (s, s_den, s2, s2_den), verdict in zip(
             signatures, forms, report.rows.verdicts, strict=True
@@ -570,8 +567,8 @@ def test_the_certificate_at_the_reduced_route_cap():
     # certifies K_8's neighbourhood against 8,171,936 full classes, which
     # Burnside's lemma counts and nothing lists
     report = uniqueness_check(7, F(1))
-    signatures, classes, _ = _signature_table(7, F(1))
-    assert (len(classes), len(signatures)) == (190_984, 15_567)
+    signatures = _signature_table(7, F(1))
+    assert (len(signature_classes(7)[1]), len(signatures)) == (190_984, 15_567)
     assert len(report.feasibility.rows) == count_configs(7) == 8_171_936
     assert len(report.tight_set) == 3 * 1044 + 1 == 3133
     assert set(report.feasibility.reduced_tight_set) == {
