@@ -478,28 +478,18 @@ def count_configs(d: int) -> int:
     )
 
 
-def uniform_full_classes(
-    reduced: Sequence[Configuration],
-) -> tuple[Configuration, ...] | None:
-    """The full classes whose reduced class is among these, in canonical
-    order, when each of these has all lists equal; else None.
-
-    With every list empty, {1} or {2}, no edge matters, so every graph
-    class H carries those lists, with H's canonical code; with every
-    list {12}, every edge does, so the class is its own only full class."""
-    out = []
-    for config in reduced:
-        d, lists = config.d, config.lists
-        if lists != (lists[0],) * d:
-            return None
-        if lists[0] == BOTH_COLOURS:
-            out.append(config)
-        else:
-            out += (
-                _stamped(graph_from_code(d, code), code, lists)
-                for code, _ in graphs_up_to_iso(d)
-            )
-    return tuple(sorted(out, key=Configuration.key))
+def tight_full_classes(d: int) -> tuple[Configuration, ...]:
+    """The full classes of the four reduced classes the dual certificate
+    makes tight, in canonical order: every graph class H with all lists
+    empty, {1} or {2}, where no edge matters, carrying H's canonical code;
+    then the complete neighbourhood, whose code is the largest."""
+    classes = graphs_up_to_iso(d)
+    complete = classes[-1][0]
+    return tuple(
+        _stamped(graph_from_code(d, code), code, (mask,) * d)
+        for code, _ in classes
+        for mask in (NO_COLOURS, COLOUR_1, COLOUR_2)
+    ) + (_stamped(graph_from_code(d, complete), complete, (BOTH_COLOURS,) * d),)
 
 
 def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:

@@ -36,15 +36,16 @@ form and again as the sum of the paper's two claims,
     p0'/(2*p0 - p12) <= r_d  and  lam*p12'/(2*p0 - p12) <= lam*r_d,
 
 with r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1), once per signature.  The
-tight reduced classes must be exactly four: all lists empty, the
-independent d-set listed {1}, the same listed {2}, and K_d with full
-lists; the tight full classes follow without enumeration, and
-complementary slackness pins the unique optimum to the complete
-neighbourhood.  uniqueness_check runs this whole chain.  The report has
-one row per full class, counted by Burnside's lemma and listed only when
-read: by the configs command, the only writer of the per-class CSV, or
-for a tight set whose lists are not all equal.  Violated constraints are
-named, as tight ones are, by their reduced classes.
+same pass requires the tight reduced classes to be exactly four: all
+lists empty, the independent d-set listed {1}, the same listed {2}, and
+K_d with full lists; any other tight class is a VerificationError.  The
+tight full classes are those of the four (tight_full_classes), listed
+without enumeration, and complementary slackness pins the unique
+optimum to the complete neighbourhood.  uniqueness_check runs this
+whole chain.  The report has one row per full class, counted by
+Burnside's lemma and listed only when read, by the configs command, the
+only writer of the per-class CSV.  Violated constraints are named, as
+tight ones are, by their reduced classes.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .configurations import (
     reduced_config,
     signature_classes,
     single_colour_config,
-    uniform_full_classes,
+    tight_full_classes,
 )
 from .errors import UsageError, VerificationError
 from .numerics import check_activity, csv_text, format_rational
@@ -328,14 +329,25 @@ class ClassRows(Sequence):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """rows has one ConfigRow per full class and tight_set the tight full
-    classes; violations and reduced_tight_set hold the violated and the
-    tight reduced classes, in signature_classes order."""
+    """rows has one ConfigRow per full class; violations holds the
+    violated reduced classes, in signature_classes order, and tight_set
+    the tight full classes, those of the four predicted tight reduced
+    classes (tight_full_classes)."""
 
     rows: ClassRows
     violations: tuple[Configuration, ...]
     tight_set: tuple[Configuration, ...]
-    reduced_tight_set: tuple[Configuration, ...]
+
+
+def _predicted_tight(d: int) -> tuple[Configuration, ...]:
+    """The four reduced classes the certificate makes tight, the
+    complete neighbourhood last."""
+    return (
+        empty_lists_config(d),
+        single_colour_config(d, 1),
+        single_colour_config(d, 2),
+        complete_neighbourhood_config(d),
+    )
 
 
 def _slack_numerators(
@@ -383,10 +395,11 @@ def verify_dual_feasibility(
     set.  Both run once per signature, as signs of integers
     (_slack_numerators), and every class with it shares their verdict.
     One pass over the reduced classes names the violated ones (slack
-    below 0) and the tight ones (slack 0).  The tight full classes are
-    derived from the tight reduced ones when their lists are all equal,
-    else read off the report's rows.  Violations are returned as data,
-    never raised.
+    below 0) and requires the tight ones (slack 0) to be exactly the four
+    predicted classes, raising on a tight class outside them or a
+    predicted one that is not tight; the tight full classes are then those
+    of the four, listed without a full row.  Violations outside the four
+    are returned as data, never raised.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
@@ -410,20 +423,27 @@ def verify_dual_feasibility(
                 f"{Fraction(slack, den)} vs {Fraction(slack2, den2)}"
             )
         slacks.append((slack, den))
-    rows = ClassRows(d, signatures, slacks, index)
-    violations, reduced_tight = [], []
+    predicted = _predicted_tight(d)
+    violations, tight = [], []
     for entry, i in classes:
         if slacks[i][0] <= 0:
-            (violations if slacks[i][0] else reduced_tight).append(reduced_config(*entry))
-    tight = uniform_full_classes(reduced_tight)
-    if tight is None:
-        tight = tuple(row.config for row in rows if row.tight)
+            config = reduced_config(*entry)
+            if slacks[i][0]:
+                violations.append(config)
+            elif config in predicted:
+                tight.append(config)
+            else:
+                raise VerificationError(
+                    f"tight class {config.key_text()} outside the predicted cases"
+                )
+    for config in predicted:
+        if config not in tight:
+            raise VerificationError(f"predicted tight class {config.key_text()} is not tight")
 
     return FeasibilityReport(
-        rows=rows,
+        rows=ClassRows(d, signatures, slacks, index),
         violations=tuple(violations),
-        tight_set=tight,
-        reduced_tight_set=tuple(reduced_tight),
+        tight_set=tight_full_classes(d),
     )
 
 
@@ -475,36 +495,23 @@ class UniquenessReport:
 def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     """Reproduce the complementary-slackness uniqueness argument.
 
-    The dual certificate must be feasible.  Tight dual constraints must be
-    exactly four reduced classes: all lists empty, the independent d-set
-    listed {1}, the same listed {2}, and the complete neighbourhood.  The
-    first three have alpha_u strictly below alpha_v, so the balance row
-    forces any optimal distribution onto the complete neighbourhood, the
-    only full class of the fourth.  Both solvers must reach alpha_K
-    there, with weight 1.
+    The dual certificate must be feasible, and its feasibility check has
+    already required the tight reduced classes to be exactly four: all
+    lists empty, the independent d-set listed {1}, the same listed {2},
+    and the complete neighbourhood.  The first three must have alpha_u
+    strictly below alpha_v, so the balance row forces any optimal
+    distribution onto the complete neighbourhood, the only full class of
+    the fourth.  Both solvers must reach alpha_K there, with weight 1.
     """
     lam = check_activity(lam)
     _, report = feasibility(d, lam)
     if report.violations:
         raise VerificationError("dual certificate is infeasible; no uniqueness")
 
-    complete = complete_neighbourhood_config(d)
-    unbalanced = (
-        empty_lists_config(d), single_colour_config(d, 1), single_colour_config(d, 2)
-    )
-    predicted = unbalanced + (complete,)
-    for config in report.reduced_tight_set:
-        if config not in predicted:
-            raise VerificationError(
-                f"tight class {config.key_text()} outside the predicted cases"
-            )
-    for config in predicted:
-        if config not in report.reduced_tight_set:
-            raise VerificationError(
-                f"predicted tight class {config.key_text()} is not tight"
-            )
+    *unbalanced, complete = _predicted_tight(d)
+    for config in unbalanced:
         x_v, x_u, _ = local_alphas(local_partition_functions(config), d, lam)
-        if config != complete and not x_u < x_v:
+        if not x_u < x_v:
             raise VerificationError(f"expected alpha_u < alpha_v on {config.key_text()}")
 
     lp = build_primal(d, lam)

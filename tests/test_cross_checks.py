@@ -1,8 +1,10 @@
 """Fault injection: each cross-check of the certificate fires when one of
 its routes is patched to disagree, with the message that names the class
 where the guard does.  Deleting any one of these guards makes its test
-fail.  Last, a violation planted in both slack forms is named by its
-reduced classes: dualcert exits 3 and lists no full class."""
+fail, as tests/mutants.py checks.  Then a violation planted in both slack
+forms is named by its reduced classes: dualcert exits 3 and lists no full
+class.  Last, the mutant list's texts and test names are checked against
+the files they name."""
 
 import re
 from dataclasses import replace
@@ -73,6 +75,29 @@ def test_slack_routes_disagree_on_the_zero_set(monkeypatch):
     j = first_slack_signature(d, lam)
     plant(monkeypatch, j, lambda cert, column, f: (-f[0], f[1], 0, f[3]))
     with pytest.raises(VerificationError, match=disagreement(d, lam, j)):
+        lp.feasibility(d, lam)
+
+
+def test_a_tight_class_outside_the_predicted_cases(monkeypatch):
+    # a slack signature planted at 0 in both forms: its first class is
+    # tight but none of the four the certificate predicts
+    d, lam = 3, F(1)
+    j = first_slack_signature(d, lam)
+    plant(monkeypatch, j, lambda cert, column, f: (0, f[1], 0, f[3]))
+    message = f"^tight class {re.escape(lp._signature_table(d, lam)[j][0].key_text())} "
+    with pytest.raises(VerificationError, match=message + "outside the predicted cases$"):
+        lp.feasibility(d, lam)
+
+
+def test_a_predicted_tight_class_that_is_not_tight(monkeypatch):
+    # the signature of the independent set listed {1}, which its swap
+    # listed {2} shares, planted slack in both forms
+    d, lam = 3, F(1)
+    j = next(i for entry, i in signature_classes(d)[1] if entry[3] == (1,) * d)
+    plant(monkeypatch, j, lambda cert, column, f: (1, f[1], 1, f[3]))
+    with pytest.raises(
+        VerificationError, match=r"^predicted tight class d=3;edges=;lists=1,1,1 is not tight$"
+    ):
         lp.feasibility(d, lam)
 
 
@@ -159,3 +184,17 @@ def test_a_violation_is_named_by_its_reduced_classes(monkeypatch, capsys):
     expected = tuple(reduced_config(*entry) for entry, i in signature_classes(d)[1] if i == j)
     assert count == len(report.violations) >= 1
     assert report.violations == expected
+
+
+def test_each_mutant_names_its_text_and_tests():
+    # tests/mutants.py, read without running it: each old text occurs
+    # exactly once in its file, and each named test is defined in its file
+    from mutants import MUTANTS, ROOT
+
+    for path, old, new, tests in MUTANTS:
+        assert old != new
+        assert (ROOT / path).read_text().count(old) == 1, (path, old)
+        for node in tests:
+            test_file, name = node.split("::")
+            source = (ROOT / test_file).read_text()
+            assert re.search(rf"^def {name}\(", source, re.MULTILINE), node

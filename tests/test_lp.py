@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrkit import simplex
+from wrkit import cli, simplex
 from wrkit.configurations import (
     Configuration,
     alpha_u,
@@ -20,6 +20,7 @@ from wrkit.configurations import (
     full_class_signatures,
     local_alphas,
     local_partition_functions,
+    reduced_config,
     signature,
     signature_classes,
     single_colour_config,
@@ -50,6 +51,7 @@ from lp_oracles import (
     verify_claims,
 )
 from test_configurations import reduced_configs
+from test_cross_checks import first_slack_signature, plant
 
 F = Fraction
 
@@ -537,22 +539,30 @@ def test_tight_set_characterisation():
         assert tight_keys == predicted
 
 
+def tight_reduced_classes(report, d):
+    """The reduced classes whose signature the report's verdicts mark tight."""
+    verdicts = report.rows.verdicts
+    return {reduced_config(*entry) for entry, i in signature_classes(d)[1] if verdicts[i][3]}
+
+
+def predicted_tight(d):
+    return {
+        empty_lists_config(d),
+        single_colour_config(d, 1),
+        single_colour_config(d, 2),
+        complete_neighbourhood_config(d),
+    }
+
+
 def test_four_tight_reduced_classes_give_the_full_tight_set():
     # at the reduced level exactly four classes are tight; the full tight
-    # set derived from them, 3 g(d) + 1 classes for g(d) graph classes, is
+    # set listed from them, 3 g(d) + 1 classes for g(d) graph classes, is
     # the one the full rows show, in canonical order with keys carried
     graph_classes = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
     for d in range(1, 6):
-        predicted = {
-            empty_lists_config(d),
-            single_colour_config(d, 1),
-            single_colour_config(d, 2),
-            complete_neighbourhood_config(d),
-        }
         for lam in SMALL_GRID + (F(1, 3), F(3, 2), F(7)):
             report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
-            assert len(report.reduced_tight_set) == 4
-            assert set(report.reduced_tight_set) == predicted
+            assert tight_reduced_classes(report, d) == predicted_tight(d)
             assert len(report.tight_set) == 3 * graph_classes[d] + 1
             keys = [c.key() for c in report.tight_set]
             assert keys == sorted(c.canonical for c in report.tight_set)
@@ -571,12 +581,8 @@ def test_the_certificate_at_the_reduced_route_cap():
     assert (len(signature_classes(7)[1]), len(signatures)) == (190_984, 15_567)
     assert len(report.feasibility.rows) == count_configs(7) == 8_171_936
     assert len(report.tight_set) == 3 * 1044 + 1 == 3133
-    assert set(report.feasibility.reduced_tight_set) == {
-        empty_lists_config(7),
-        single_colour_config(7, 1),
-        single_colour_config(7, 2),
-        complete_neighbourhood_config(7),
-    }
+    assert [c.key() for c in report.tight_set] == sorted(c.canonical for c in report.tight_set)
+    assert tight_reduced_classes(report.feasibility, 7) == predicted_tight(7)
     lp = build_primal(7, F(1))
     for solve in (simplex_solve, vertex_enumeration_solve):
         solution = solve(lp)
@@ -584,19 +590,37 @@ def test_the_certificate_at_the_reduced_route_cap():
         assert solution.support == ((complete_neighbourhood_config(7), 1),)
 
 
+@pytest.mark.parametrize("command", ["dualcert", "lp"])
+def test_an_unpredicted_tight_class_at_the_reduced_route_cap(monkeypatch, capsys, command):
+    # a slack signature planted at 0 in both forms: the certificate names
+    # the tight class from the reduced classes and exits 3, where listing
+    # the tight full classes from the full rows would hit the full route's
+    # capacity error at d = 7
+    d, lam = 7, F(1)
+    j = first_slack_signature(d, lam)
+    plant(monkeypatch, j, lambda cert, column, f: (0, f[1], 0, f[3]))
+    assert cli.main([command, "--d", str(d), "--lambda", "1"]) == cli.EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    config = _signature_table(d, lam)[j][0]
+    assert (out, err) == (
+        "",
+        f"verification error: tight class {config.key_text()} outside the predicted cases\n",
+    )
+
+
 def test_certificate_never_enumerates_full_classes(monkeypatch, tmp_path, capsys):
     # lp, dualcert and uniqueness_check work from the reduced classes and
     # count the full ones; only the configs command's CSV reads the full
     # rows.  At d = 7 enumerate_configs refuses anyway, so exit 0 there
     # shows that no full class was listed
-    from wrkit import cli, configurations
+    from wrkit import configurations
 
     def refuse(d):
         raise AssertionError(f"full classes enumerated at d = {d}")
 
     for module in (configurations, cli):
         monkeypatch.setattr(module, "enumerate_configs", refuse)
-    # first, while the test above leaves the d = 7 columns at lambda = 1 cached
+    # first, while the tests above leave the d = 7 columns at lambda = 1 cached
     assert cli.main(["lp", "--d", "7", "--lambda", "1"]) == 0
     assert cli.main(["dualcert", "--d", "7", "--lambda", "1"]) == 0
     out = capsys.readouterr().out

@@ -248,3 +248,12 @@ def test_valid_colourings_respect_options():
     k2 = make_complete(2)
     assert list(valid_colourings(k2, [(0, 1), (0, 2)])) == [(0, 0), (0, 2), (1, 0)]
     assert list(valid_colourings(k2, [(1,), (2,)])) == []
+
+
+def test_an_elimination_left_with_open_states_is_a_verification_error():
+    # once every vertex is placed only the empty state may remain; a
+    # second state left over is refused, not read as coefficients
+    with pytest.raises(
+        VerificationError, match="^elimination ended in 2 states, not the single empty state$"
+    ):
+        partition._final_slots({(): 1, (1,): 1}, (), 4, 2)
