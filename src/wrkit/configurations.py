@@ -120,13 +120,23 @@ def _edges_text(n: int, code: int) -> str:
     return ",".join(f"{u}-{v}" for u, v in graph_from_code(n, code).edges())
 
 
+def _enumerated(graph: Graph, lists: tuple[int, ...], canonical: tuple | None) -> Configuration:
+    """The configuration (graph, lists) of lists that an enumeration here
+    made, one mask in 0..3 per vertex by construction, built without the
+    list checks of Configuration.__post_init__; a Configuration(graph,
+    lists) built from other lists still runs them."""
+    config = object.__new__(Configuration)
+    # the frozen dataclass's idiom for setting its fields
+    object.__setattr__(config, "graph", graph)
+    object.__setattr__(config, "lists", lists)
+    object.__setattr__(config, "canonical", canonical)
+    return config
+
+
 def _stamped(graph: Graph, code: int, lists: tuple[int, ...]) -> Configuration:
     """The configuration (graph, lists), known to be its own canonical
     representative, carrying its key (graph.n, code, lists)."""
-    config = Configuration(graph, lists)
-    # the frozen dataclass's idiom for setting a field after init
-    object.__setattr__(config, "canonical", (graph.n, code, lists))
-    return config
+    return _enumerated(graph, lists, (graph.n, code, lists))
 
 
 def empty_lists_config(d: int) -> Configuration:
@@ -510,7 +520,7 @@ def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:
 
 def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> Configuration:
     """The configuration of a signature_classes entry, with its key if k = d."""
-    return _stamped(graph, code, lists) if k == graph.n else Configuration(graph, lists)
+    return _stamped(graph, code, lists) if k == graph.n else _enumerated(graph, lists, None)
 
 
 @lru_cache(maxsize=None)

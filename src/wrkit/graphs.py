@@ -74,11 +74,24 @@ class Graph:
 
     def relabel(self, text: str) -> "Graph":
         """Copy with a different display label."""
-        return Graph(self.n, self.adj, text)
+        return _valid_graph(self.n, self.adj, text)
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"Graph(n={self.n}, m={self.m}{tag})"
+
+
+def _valid_graph(n: int, adj: tuple[int, ...], label: str) -> Graph:
+    """The Graph (n, adj, label) of an adjacency that is in range,
+    loop-free and symmetric by construction, built without the per-edge
+    loop of Graph.__post_init__; a raw Graph(n, adj) still runs it.  The
+    builders here make every graph through this."""
+    g = object.__new__(Graph)
+    # the frozen dataclass's idiom for setting its fields
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    object.__setattr__(g, "label", label)
+    return g
 
 
 def _check_vertex_cap(n: int) -> None:
@@ -97,7 +110,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> Gra
             raise UsageError(f"self-loop on vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj), label)
+    return _valid_graph(n, tuple(adj), label)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +122,7 @@ def make_complete(n: int) -> Graph:
         raise UsageError("complete graph needs n >= 1")
     _check_vertex_cap(n)
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), f"complete:{n}")
+    return _valid_graph(n, tuple(full ^ (1 << v) for v in range(n)), f"complete:{n}")
 
 
 def make_complete_bipartite(a: int, b: int) -> Graph:
@@ -119,7 +132,7 @@ def make_complete_bipartite(a: int, b: int) -> Graph:
     left = (1 << a) - 1
     right = ((1 << (a + b)) - 1) ^ left
     adj = tuple(right if v < a else left for v in range(a + b))
-    return Graph(a + b, adj, f"bipartite:{a},{b}")
+    return _valid_graph(a + b, adj, f"bipartite:{a},{b}")
 
 
 def make_cycle(n: int) -> Graph:
@@ -148,7 +161,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     _check_vertex_cap(g.n + h.n)
     adj = list(g.adj) + [mask << g.n for mask in h.adj]
     label = "+".join(part for part in (g.label, h.label) if part)
-    return Graph(g.n + h.n, tuple(adj), label)
+    return _valid_graph(g.n + h.n, tuple(adj), label)
 
 
 def make_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -178,7 +191,7 @@ def make_random_regular(n: int, d: int, seed: int) -> Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         if ok:
-            return Graph(n, tuple(adj), f"random_regular:{n},{d},{seed}")
+            return _valid_graph(n, tuple(adj), f"random_regular:{n},{d},{seed}")
     raise CapacityError(
         f"pairing model failed {_PAIRING_RETRY_CAP} times for n={n}, d={d}"
     )

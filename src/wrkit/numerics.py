@@ -88,9 +88,12 @@ def check_activity(lam: Fraction | float) -> Fraction:
 
     An activity that is not strictly positive (NaN included) or is
     infinite is rejected first, named by number_text; any other real
-    number (an int, a float, a Fraction) converts exactly, so 0.5 becomes
-    Fraction(1, 2).
+    number (an int, a float, a Fraction subclass) converts exactly, so 0.5
+    becomes Fraction(1, 2).  A positive plain Fraction comes back
+    unchanged: it is immutable, and always finite.
     """
+    if type(lam) is Fraction and lam.numerator > 0:
+        return lam
     if not lam > 0:
         raise DomainError(f"activity must be strictly positive, got {number_text(lam)}")
     if lam == math.inf:

@@ -16,11 +16,15 @@ not with 2^n.  The two programs share no state space:
 
 - the two-activity one counts the valid colourings directly, its state
   being the unplaced vertices already barred from colour 2 and from
-  colour 1;
+  colour 1, both masks in one int, the second shifted up by n;
 - the single-activity one sums the subset-component identity instead:
   choose the coloured set S first, and every component of the induced
   subgraph is then monochromatic, so S contributes 2**c(S) * lam**|S|.
-  Its state is the set of components of S still open to growth.
+  Its state is the set of components of S still open to growth, and each
+  placed vertex updates a state in one pass over its components.
+
+Each state carries its polynomial packed into one int, so an update is a
+shift and an add; the two-activity program builds no tuple per state.
 
 So comparing the diagonal of the first with the second stays a real
 check.  The local polynomials of a neighbourhood configuration
@@ -120,8 +124,9 @@ def _slot_width(n: int) -> int:
 
 
 def _final_slots(states: dict, empty, width: int, count: int) -> list[int]:
-    """The coefficients packed in the one state left once every vertex is
-    placed, which must be the empty state."""
+    """The first count slots, width bits each, of the int packed in the
+    one state left once every vertex is placed, which must be the empty
+    state."""
     if list(states) != [empty]:
         raise VerificationError(
             f"elimination ended in {len(states)} states, not the single empty state"
@@ -141,6 +146,11 @@ def wr_partition(g: Graph) -> IntPolynomial:
     component whose mask empties is closed: nothing can join it, and it
     doubles the weight for its choice of colour.  Each state's polynomial
     in lam is packed into one int, one slot per power.
+
+    Each state is read in one pass over its masks, which splits off the
+    ones that hold v, counts those that close and merges the rest; the
+    state tuple is reused as the key when no mask holds v, and only a key
+    whose masks changed is sorted.
     """
     _check_cap(g, EXACT_CAP, "exact partition computation")
     width = _slot_width(g.n)
@@ -150,19 +160,34 @@ def wr_partition(g: Graph) -> IntPolynomial:
         nbrs = g.adj[v] & unplaced
         nxt: dict[tuple[int, ...], int] = {}
         for comps, poly in states.items():
-            touching = [c for c in comps if c & bit]
-            others = [c for c in comps if not c & bit]
-            # v unoccupied: it leaves every mask, and emptied masks close
-            kept = [c ^ bit for c in touching if c != bit]
-            key = tuple(sorted(others + kept))
-            nxt[key] = nxt.get(key, 0) + (poly << (len(touching) - len(kept)))
-            # v occupied: it joins every component that touches it
+            # one pass: the masks that miss v, and, of those that hold it,
+            # the count that close (hold only v) and the rest without v
+            others = []
+            kept = []
+            closed = 0
             merged = nbrs
-            for c in touching:
-                merged |= c
-            merged &= ~bit
+            for c in comps:
+                if not c & bit:
+                    others.append(c)
+                elif c == bit:
+                    closed += 1
+                else:
+                    c ^= bit
+                    kept.append(c)
+                    merged |= c
+            # v unoccupied: it leaves every mask, and emptied masks close
+            if kept:
+                key = tuple(sorted(others + kept))
+            elif closed:
+                key = tuple(others)
+            else:
+                key = comps
+            nxt[key] = nxt.get(key, 0) + (poly << closed)
+            # v occupied: it joins every component that touches it
             if merged:
-                key = tuple(sorted(others + [merged]))
+                others.append(merged)
+                others.sort()
+                key = tuple(others)
                 nxt[key] = nxt.get(key, 0) + (poly << width)
             else:
                 key = tuple(others)
@@ -185,35 +210,46 @@ def wr_partition_bivariate(g: Graph) -> BivariatePolynomial:
     """Exact two-activity partition polynomial: a dynamic program over the
     elimination order that counts the valid colourings themselves.
 
-    A state is a pair of masks (A1, A2): Ai holds the unplaced vertices
-    that already have a placed neighbour of colour i, so colour c is open
-    to v unless v is in A(3-c).  It shares no state with wr_partition, so
-    comparing the diagonal with that polynomial stays a real check.  Each
-    state's polynomial is packed into one int, the slot of x**i * y**j at
-    index i*(n+1) + j.
+    A state is a pair of masks A1 and A2, kept as the one int A1 | A2 << n:
+    Ai holds the unplaced vertices that already have a placed neighbour of
+    colour i, so colour c is open to v unless v is in A(3-c).  It shares
+    no state with wr_partition, so comparing the diagonal with that
+    polynomial stays a real check.  Each state's polynomial is packed into
+    one int, the slot of x**i * y**j at index i*(n+1) + j; the final one
+    is unpacked a row of n + 1 slots at a time, reading only the slots
+    with i + j <= n, since no colouring has more than n coloured vertices.
     """
     _check_cap(g, EXACT_CAP, "exact partition computation")
     n = g.n
     width = _slot_width(n)
     y_shift = width
     x_shift = width * (n + 1)
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    full = (1 << 2 * n) - 1
+    states: dict[int, int] = {0: 1}
     for v, unplaced in _elimination_order(g):
         bit = 1 << v
-        nbrs = g.adj[v] & unplaced
-        nxt: dict[tuple[int, int], int] = {}
-        for (a1, a2), poly in states.items():
-            b1 = a1 & ~bit
-            b2 = a2 & ~bit
-            nxt[b1, b2] = nxt.get((b1, b2), 0) + poly
-            if not a2 & bit:
-                key = (b1 | nbrs, b2)
+        bit2 = bit << n
+        keep = full ^ bit ^ bit2
+        nbrs1 = g.adj[v] & unplaced
+        nbrs2 = nbrs1 << n
+        nxt: dict[int, int] = {}
+        for state, poly in states.items():
+            base = state & keep
+            nxt[base] = nxt.get(base, 0) + poly
+            if not state & bit2:
+                key = base | nbrs1
                 nxt[key] = nxt.get(key, 0) + (poly << x_shift)
-            if not a1 & bit:
-                key = (b1, b2 | nbrs)
+            if not state & bit:
+                key = base | nbrs2
                 nxt[key] = nxt.get(key, 0) + (poly << y_shift)
         states = nxt
-    slots = _final_slots(states, (0, 0), width, (n + 1) ** 2)
-    return BivariatePolynomial(
-        {divmod(k, n + 1): c for k, c in enumerate(slots) if c}
-    )
+    # one shift per row x**i, then the row's slots y**j with i + j <= n
+    rows = _final_slots(states, 0, x_shift, n + 1)
+    mask = (1 << width) - 1
+    coeffs = {}
+    for i, row in enumerate(rows):
+        for j in range(n + 1 - i):
+            c = (row >> (width * j)) & mask
+            if c:
+                coeffs[i, j] = c
+    return BivariatePolynomial(coeffs)

@@ -1,5 +1,6 @@
 """The checked-in mutant list: each entry deletes or weakens one
-cross-check guard, and names the tests that must kill it.
+cross-check guard, or breaks one state update of the partition engine,
+and names the tests that must kill it.
 
 An entry is (file, old text, new text, test node ids), the file and the
 node ids relative to the repository root; the old text occurs exactly
@@ -30,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LP = "src/wrkit/lp.py"
 CROSS = "tests/test_cross_checks.py::"
+PARTITION = "src/wrkit/partition.py"
+PARTITION_TESTS = "tests/test_partition.py::"
 
 MUTANTS = (
     (
@@ -108,13 +111,31 @@ MUTANTS = (
         ["tests/test_configurations.py::test_a_wrong_dichromatic_flag_is_a_verification_error"],
     ),
     (
-        "src/wrkit/partition.py",
+        PARTITION,
         "if list(states) != [empty]:",
         "if False:",
         [
-            "tests/test_partition.py::"
-            "test_an_elimination_left_with_open_states_is_a_verification_error"
+            PARTITION_TESTS
+            + "test_an_elimination_left_with_open_states_is_a_verification_error"
         ],
+    ),
+    (
+        PARTITION,
+        "poly << closed",
+        "poly",
+        [PARTITION_TESTS + "test_elimination_matches_census_oracle"],
+    ),
+    (
+        PARTITION,
+        "state & bit2",
+        "state & bit",
+        [PARTITION_TESTS + "test_elimination_matches_census_oracle"],
+    ),
+    (
+        PARTITION,
+        "for j in range(n + 1 - i):",
+        "for j in range(n - i):",
+        [PARTITION_TESTS + "test_elimination_matches_census_oracle"],
     ),
     (
         "src/wrkit/simplex.py",

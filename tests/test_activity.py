@@ -124,3 +124,17 @@ def test_float_activity_gives_the_exact_result(call):
     leaves = list(_leaves(call(0.5)))
     assert leaves == list(_leaves(call(Fraction(1, 2))))
     assert not any(isinstance(leaf, float) for leaf in leaves)
+
+
+def test_a_positive_fraction_comes_back_unchanged():
+    lam = Fraction(7, 3)
+    assert check_activity(lam) is lam
+
+    class Activity(Fraction):
+        pass
+
+    # any other type converts to a plain Fraction, a subclass included
+    converted = ((Activity(7, 3), Fraction(7, 3)), (3, Fraction(3)), (0.25, Fraction(1, 4)))
+    for value, exact in converted:
+        checked = check_activity(value)
+        assert type(checked) is Fraction and checked == exact

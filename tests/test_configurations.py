@@ -27,6 +27,7 @@ from wrkit.configurations import (
     signature_classes,
     single_colour_config,
     stats_key,
+    tight_full_classes,
     alpha_u,
     alpha_v,
 )
@@ -555,6 +556,24 @@ def signatures(configs):
 def check_signature_sets(d):
     """The reduced classes at d have exactly the full classes' signatures."""
     assert signatures(reduced_configs(d)) == signatures(enumerate_configs(d))
+
+
+def test_enumerated_configurations_pass_the_list_checks():
+    # the enumerations' configurations skip Configuration's list checks;
+    # rebuilding each one runs them, and lists from elsewhere still meet
+    # them
+    enumerated = enumerate_configs(3) + reduced_configs(4) + tight_full_classes(3)
+    for config in enumerated:
+        assert Configuration(config.graph, config.lists) == config
+    graph = Graph(2, (0, 0))
+    for lists, reason in (
+        ((3,), "^one colour list per vertex required$"),
+        ((0, 1, 2), "^one colour list per vertex required$"),
+        ((4, 0), r"^colour lists must be subsets of \{1, 2\}$"),
+        ((0, -1), r"^colour lists must be subsets of \{1, 2\}$"),
+    ):
+        with pytest.raises(UsageError, match=reason):
+            Configuration(graph, lists)
 
 
 def test_count_configs_pinned():

@@ -96,6 +96,29 @@ def test_graph_adjacency_checks():
         Graph(2, (0,))
 
 
+def test_every_builder_makes_a_graph_that_passes_the_adjacency_checks():
+    # the builders skip Graph's per-edge loop; rebuilding each output as a
+    # raw Graph runs it, and from_edges still refuses bad edges first
+    built = [
+        from_edges(4, [(0, 1), (1, 2), (2, 3)], "path"),
+        make_complete(5),
+        make_complete_bipartite(2, 3),
+        make_cycle(6),
+        make_petersen(),
+        make_prism(4),
+        disjoint_union(make_complete(3), make_cycle(4)),
+        make_random_regular(12, 3, 1),
+        parse_builtin("complete:4+prism:3"),
+        make_prism(5).relabel("relabelled"),
+    ]
+    for g in built:
+        assert Graph(g.n, g.adj, g.label) == g
+    with pytest.raises(UsageError, match="out of range"):
+        from_edges(3, [(0, 3)])
+    with pytest.raises(UsageError, match="self-loop"):
+        from_edges(3, [(1, 1)])
+
+
 def test_disjoint_union():
     g = disjoint_union(make_complete(3), make_complete(3))
     assert g.n == 6 and g.m == 6

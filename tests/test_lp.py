@@ -392,14 +392,24 @@ def test_report_rows_carry_their_signature_index():
 
 
 def test_signature_table_builds_one_configuration_per_signature(monkeypatch):
+    # a Configuration is built checked, through __post_init__, or from an
+    # enumeration's lists, through configurations._enumerated: count both
+    from wrkit import configurations
+
     built = []
     post_init = Configuration.__post_init__
+    enumerated = configurations._enumerated
 
     def counted(config):
         built.append(config)
         post_init(config)
 
+    def counted_enumerated(*args):
+        built.append(args)
+        return enumerated(*args)
+
     monkeypatch.setattr(Configuration, "__post_init__", counted)
+    monkeypatch.setattr(configurations, "_enumerated", counted_enumerated)
     signature_classes.cache_clear()  # so that the walk runs here
     firsts, classes, index = signature_classes(5)
     assert (len(built), len(firsts), len(classes), len(index)) == (390, 390, 1438, 390)
