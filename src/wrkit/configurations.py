@@ -16,12 +16,11 @@ coloured, and alpha_u, the expected fraction of coloured neighbours
 p0 comes from one submask walk over the colour-1 sets S: the colour-2
 set is any subset of F(S), the vertices that allow colour 2 and are
 neither in S nor next to it, so each S adds lam^|S| (1+lam)^|F(S)|, a
-cached binomial row packed into one int.  Only edges between a vertex
-allowing colour 1 and one allowing colour 2 matter, so the walk runs
-once per stats_key (the lists and those edges).  _colour_set_walk is the
-only walk and _low_coefficients the only check of its low coefficients;
-both take one graph with a batch of (A1, A2) pairs, one pair for a
-single class.
+cached binomial row packed into one int.  _colour_set_walk is the only
+walk and _low_coefficients the only check of its low coefficients; both
+take one graph with a batch of (A1, A2) pairs, which _local_walks runs
+and checks: one per graph class for signature_classes and
+full_class_signatures, and one pair for local_partition_functions.
 
 enumerate_configs lists the classes up to label-preserving isomorphism:
 graphs up to isomorphism, then list assignments per graph by orbits of
@@ -29,10 +28,11 @@ its automorphism group.  Each representative is its orbit's first
 member, so it carries its canonical key; count_configs counts the
 classes by Burnside's lemma.  Dropping the empty-list vertices and the
 edges inside {1} or inside {2} leaves a class's reduced class, with the
-same polynomials.  signature_classes lists those (1,438 at d = 5,
-against 12,208 classes), padded to d vertices.  Both listings come from
-one orbit walk, which never builds a reduced assignment with such an
-edge.
+same polynomials, as only an edge from a vertex allowing colour 1 to
+one allowing colour 2 can bar a colouring.  signature_classes lists
+those (1,438 at d = 5, against 12,208 classes), padded to d vertices.
+Both listings come from one orbit walk, which never builds a reduced
+assignment with an edge inside {1} or inside {2}.
 
 The map from a class to its signature (p0 and {a1, a2}, all an LP
 column depends on) lives here, free of any activity: signature_classes
@@ -52,8 +52,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb
-from operator import and_, itemgetter
+from operator import itemgetter
 
 from .errors import CapacityError, UsageError, VerificationError
 from .graphs import (
@@ -210,7 +211,7 @@ def _low_coefficients(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]) ->
 @lru_cache(maxsize=256)
 def _subset_closures(adj: tuple[int, ...]) -> tuple[int, ...]:
     """closed[s] = s with its neighbours, for every vertex set s; the d = 6
-    report takes its keys graph by graph, so the bound loses few."""
+    report walks graph by graph, so the bound loses few."""
     closed = [0] * (1 << len(adj))
     for s in range(1, len(closed)):
         low = s & -s
@@ -267,32 +268,15 @@ def _colour_set_walk(
 
 
 @lru_cache(maxsize=None)
-def _list_masks(lists: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """A1 and A2, the vertices whose lists allow colour 1 and colour 2,
-    and per vertex its partners, the vertices an edge to it must reach to
-    matter: A2 if its list allows colour 1, A1 if it allows colour 2."""
+def _list_masks(lists: tuple[int, ...]) -> tuple[int, int]:
+    """A1 and A2, the vertices whose lists allow colour 1 and colour 2."""
     allows_1 = allows_2 = 0
     for v, mask in enumerate(lists):
         if mask & COLOUR_1:
             allows_1 |= 1 << v
         if mask & COLOUR_2:
             allows_2 |= 1 << v
-    partner = (0, allows_2, allows_1, allows_1 | allows_2)
-    return allows_1, allows_2, tuple(partner[mask] for mask in lists)
-
-
-def stats_key(config: Configuration) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The part of a configuration its local polynomials depend on: the
-    lists, and per vertex its neighbours that can take the other colour.
-
-    A colouring is fixed by its colour-1 set S within A1 and its colour-2
-    set within A2 minus S and its neighbours, so an edge matters only if
-    one end allows colour 1 and the other colour 2.  Edges at an
-    empty-list vertex, between two {1}-only vertices or between two
-    {2}-only vertices are dropped.
-    """
-    lists = config.lists
-    return lists, tuple(map(and_, config.graph.adj, _list_masks(lists)[2]))
+    return allows_1, allows_2
 
 
 def _local_walks(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> Iterator[tuple]:
@@ -318,54 +302,30 @@ def _local_walks(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> Iter
         yield a1, a2, p0, has_dichromatic
 
 
-def local_walk(lists: tuple[int, ...], adj: tuple[int, ...]) -> tuple:
-    """_local_walks' result for the configuration with these lists and
-    adjacency: a batch of one."""
-    return next(_local_walks(adj, [_list_masks(lists)[:2]]))
-
-
 def signature(a1: int, a2: int, p0: tuple[int, ...]) -> tuple:
     """An LP column's key: p0's coefficients and {a1, a2}, which fix p12."""
     return (p0, a1, a2) if a1 <= a2 else (p0, a2, a1)
 
 
 def config_stats(a1: int, a2: int, p0: tuple[int, ...], has_dichromatic: bool) -> ConfigStats:
-    """The stats of a local_walk result, p12 from the one-colour counts
+    """The stats of a _local_walks result, p12 from the one-colour counts
     with their constant term plus one."""
     counts = _one_colour_counts(a1, a2)
     p12 = IntPolynomial((counts[0] + 1, *counts[1:]))
     return ConfigStats(a1, a2, IntPolynomial(p0), p12, has_dichromatic)
 
 
-@lru_cache(maxsize=None)
-def _stats_for_key(lists: tuple[int, ...], adj: tuple[int, ...]) -> ConfigStats:
-    """The local polynomials of the configuration with these lists and
-    adjacency; stats_key gives the adjacency reduced to the edges that
-    matter, so every class with the same key shares one walk."""
-    return config_stats(*local_walk(lists, adj))
-
-
+@lru_cache
 def local_partition_functions(config: Configuration) -> ConfigStats:
-    """Collect all local polynomials from one walk over colour-1 sets.
-
-    p0 sums lam^|S| (1+lam)^|F(S)| over the subsets S of the smaller of
-    A1 and A2, as the colours are symmetric (local_walk).  The walk runs
-    once per stats_key, which many classes share (5,639 keys for the
-    12,208 classes at d = 5); local_partition_functions.cache_info()
-    counts them as misses.
-    """
+    """Collect all local polynomials from one walk over colour-1 sets, a
+    batch of one: p0 sums lam^|S| (1+lam)^|F(S)| over the subsets S of the
+    smaller of A1 and A2, as the colours are symmetric (_colour_set_walk)."""
     if config.d > STATS_CAP:
-        raise CapacityError(
-            f"local enumeration capped at {STATS_CAP} vertices, got {config.d}"
-        )
+        raise CapacityError(f"local enumeration capped at {STATS_CAP} vertices, got {config.d}")
     try:
-        return _stats_for_key(*stats_key(config))
+        return config_stats(*next(_local_walks(config.graph.adj, [_list_masks(config.lists)])))
     except VerificationError as exc:
         raise VerificationError(f"{config.key_text()}: {exc}") from exc
-
-
-local_partition_functions.cache_info = _stats_for_key.cache_info
-local_partition_functions.cache_clear = _stats_for_key.cache_clear
 
 
 def local_alphas(stats: ConfigStats, d: int, lam: Fraction) -> tuple[int, int, int]:
@@ -502,6 +462,18 @@ def tight_full_classes(d: int) -> tuple[Configuration, ...]:
     ) + (_stamped(graph_from_code(d, complete), complete, (BOTH_COLOURS,) * d),)
 
 
+def tight_reduced_classes(d: int) -> tuple[Configuration, ...]:
+    """The four reduced classes the dual certificate makes tight: all
+    lists empty, the independent d-set listed {1}, the same listed {2},
+    and the complete neighbourhood, last."""
+    return (
+        empty_lists_config(d),
+        single_colour_config(d, COLOUR_1),
+        single_colour_config(d, COLOUR_2),
+        complete_neighbourhood_config(d),
+    )
+
+
 def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:
     """(k, code, graph, firsts, partners) per graph class of the reduced
     classes on k <= d vertices, unpadded, from _orbit_firsts: k and then
@@ -551,7 +523,7 @@ def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
         pad = (NO_COLOURS,) * (d - k)
         padded = Graph(d, graph.adj + pad)
         order = range(len(assignments) - 1, -1, -1)
-        walked = [_list_masks(assignments[i])[:2] for i in order if partners[i] <= i]
+        walked = [_list_masks(assignments[i]) for i in order if partners[i] <= i]
         walks = _local_walks(graph.adj, walked)
         found = [0] * len(assignments)  # signature index per first
         for i in order:
@@ -575,23 +547,24 @@ def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
     return tuple(firsts), tuple(classes), index
 
 
-def full_class_signatures(d: int, index: dict[tuple, int]) -> Iterator[tuple]:
+def full_class_signatures(d: int) -> Iterator[tuple]:
     """(class, a1, a2, signature index) per full class at d, in canonical
-    order, from signature_classes(d)'s index: one local walk per
-    stats_key, held only while the listing runs.  A failed check, or a
-    signature missing from index, names the class."""
-    walked: dict[tuple, tuple[int, int, int | None]] = {}
-    for config in enumerate_configs(d):
-        key = stats_key(config)
-        found = walked.get(key)
-        if found is None:
+    order, the index read from signature_classes(d).  enumerate_configs
+    lists the classes of each graph class together, and they walk in one
+    batch.  A failed check, or a signature missing from the index, names
+    the class."""
+    index = signature_classes(d)[2]
+    for graph, batch in groupby(enumerate_configs(d), lambda config: config.graph):
+        batch = list(batch)
+        walks = _local_walks(graph.adj, [_list_masks(c.lists) for c in batch])
+        for config in batch:
             try:
-                a1, a2, p0, _ = local_walk(*key)
+                a1, a2, p0, _ = next(walks)
             except VerificationError as exc:
                 raise VerificationError(f"{config.key_text()}: {exc}") from exc
-            found = walked[key] = a1, a2, index.get(signature(a1, a2, p0))
-        if found[2] is None:
-            raise VerificationError(
-                f"{config.key_text()}: signature missing from the reduced classes"
-            )
-        yield config, *found
+            found = index.get(signature(a1, a2, p0))
+            if found is None:
+                raise VerificationError(
+                    f"{config.key_text()}: signature missing from the reduced classes"
+                )
+            yield config, a1, a2, found

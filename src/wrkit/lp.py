@@ -18,13 +18,13 @@ its signature (p0, p12), which it shares with its reduced class, so the
 instance has one variable per distinct column of the reduced classes
 (390 from 1,438 at d = 5, where there are 12,208 classes), named by the
 first reduced class with it.  configurations owns that class-to-signature
-map, free of the activity (signature_classes, from one local walk per
-colour-swap pair of reduced classes, batched per graph class, and
-full_class_signatures for the report's rows); this layer adds each
-signature's column at lam (_signature_table).  A class sharing the complete
-neighbourhood's column would be tight, and every tight class other than
-that one has alpha_u < alpha_v (checked by uniqueness_check), so the
-reported support is the full program's.  Columns are integers
+map, free of the activity (signature_classes, and full_class_signatures
+for the report's rows, each walking in one batch per graph class), and
+the tight reduced classes; this layer adds each signature's column at
+lam (_signature_table).  A class sharing the complete neighbourhood's
+column would be tight, and every tight class other than that one has
+alpha_u < alpha_v (checked by uniqueness_check), so the reported
+support is the full program's.  Columns are integers
 (X_v, X_v - X_u, D) over D > 0 (configurations.local_alphas), so the
 hull, the simplex and each dual constraint's verdict work in ints, and
 Fractions are built only for an optimum, a weight or a report row.
@@ -60,16 +60,14 @@ from . import simplex
 from .configurations import (
     Configuration,
     check_degree,
-    complete_neighbourhood_config,
     count_configs,
-    empty_lists_config,
     full_class_signatures,
     local_alphas,
     local_partition_functions,
     reduced_config,
     signature_classes,
-    single_colour_config,
     tight_full_classes,
+    tight_reduced_classes,
 )
 from .errors import UsageError, VerificationError
 from .numerics import check_activity, csv_text, format_rational
@@ -285,16 +283,15 @@ class ClassRows(Sequence):
     """The rows of a feasibility report, one per full class in canonical
     order.  Its length is count_configs(d), known without enumerating;
     the rows are built on first read, each carrying the signature index
-    that configurations.full_class_signatures finds for its class in
-    index.  slacks holds each _signature_table entry's slack as
-    (numerator, denominator > 0)."""
+    that configurations.full_class_signatures finds for its class.
+    slacks holds each _signature_table entry's slack as (numerator,
+    denominator > 0)."""
 
-    def __init__(self, d: int, signatures: tuple, slacks: list, index: dict[tuple, int]):
+    def __init__(self, d: int, signatures: tuple, slacks: list):
         self._count = count_configs(d)
         self._d = d
         self._signatures = signatures
         self._slacks = slacks
-        self._index = index
 
     def __len__(self) -> int:
         return self._count
@@ -318,7 +315,7 @@ class ClassRows(Sequence):
     def _table(self) -> tuple[ConfigRow, ...]:
         rows = tuple(
             ConfigRow(config, a1, a2, *self.verdicts[i], i)
-            for config, a1, a2, i in full_class_signatures(self._d, self._index)
+            for config, a1, a2, i in full_class_signatures(self._d)
         )
         if len(rows) != self._count:
             raise VerificationError(
@@ -337,17 +334,6 @@ class FeasibilityReport:
     rows: ClassRows
     violations: tuple[Configuration, ...]
     tight_set: tuple[Configuration, ...]
-
-
-def _predicted_tight(d: int) -> tuple[Configuration, ...]:
-    """The four reduced classes the certificate makes tight, the
-    complete neighbourhood last."""
-    return (
-        empty_lists_config(d),
-        single_colour_config(d, 1),
-        single_colour_config(d, 2),
-        complete_neighbourhood_config(d),
-    )
 
 
 def _slack_numerators(
@@ -396,16 +382,16 @@ def verify_dual_feasibility(
     (_slack_numerators), and every class with it shares their verdict.
     One pass over the reduced classes names the violated ones (slack
     below 0) and requires the tight ones (slack 0) to be exactly the four
-    predicted classes, raising on a tight class outside them or a
-    predicted one that is not tight; the tight full classes are then those
-    of the four, listed without a full row.  Violations outside the four
-    are returned as data, never raised.
+    predicted classes (tight_reduced_classes), raising on a tight class
+    outside them or a predicted one that is not tight; the tight full
+    classes are then those of the four, listed without a full row.
+    Violations outside the four are returned as data, never raised.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
     lam = cert.activity
     signatures = _signature_table(d, lam)
-    _, classes, index = signature_classes(d)
+    classes = signature_classes(d)[1]
     forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
     # each signature's verdict, decided once
     slacks = []
@@ -423,7 +409,7 @@ def verify_dual_feasibility(
                 f"{Fraction(slack, den)} vs {Fraction(slack2, den2)}"
             )
         slacks.append((slack, den))
-    predicted = _predicted_tight(d)
+    predicted = tight_reduced_classes(d)
     violations, tight = [], []
     for entry, i in classes:
         if slacks[i][0] <= 0:
@@ -441,7 +427,7 @@ def verify_dual_feasibility(
             raise VerificationError(f"predicted tight class {config.key_text()} is not tight")
 
     return FeasibilityReport(
-        rows=ClassRows(d, signatures, slacks, index),
+        rows=ClassRows(d, signatures, slacks),
         violations=tuple(violations),
         tight_set=tight_full_classes(d),
     )
@@ -508,7 +494,7 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     if report.violations:
         raise VerificationError("dual certificate is infeasible; no uniqueness")
 
-    *unbalanced, complete = _predicted_tight(d)
+    *unbalanced, complete = tight_reduced_classes(d)
     for config in unbalanced:
         x_v, x_u, _ = local_alphas(local_partition_functions(config), d, lam)
         if not x_u < x_v:

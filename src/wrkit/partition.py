@@ -83,7 +83,8 @@ def _check_cap(g: Graph, cap: int, what: str) -> None:
         raise CapacityError(f"{what} capped at {cap} vertices, got {g.n}")
 
 
-def _elimination_order(g: Graph) -> list[tuple[int, int]]:
+@lru_cache(maxsize=512)
+def _elimination_order(g: Graph) -> tuple[tuple[int, int], ...]:
     """The order both dynamic programs place the vertices in, as pairs
     (v, unplaced): the vertex, then the mask of vertices still unplaced.
 
@@ -110,7 +111,7 @@ def _elimination_order(g: Graph) -> list[tuple[int, int]]:
         v, boundary = best
         unplaced ^= 1 << v
         order.append((v, unplaced))
-    return order
+    return tuple(order)
 
 
 def _slot_width(n: int) -> int:

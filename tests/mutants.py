@@ -1,6 +1,7 @@
 """The checked-in mutant list: each entry deletes or weakens one
-cross-check guard, or breaks one state update of the partition engine,
-and names the tests that must kill it.
+cross-check guard, breaks one state update of the partition engine, or
+misaligns the batched walk of the full classes, and names the tests that
+must kill it.
 
 An entry is (file, old text, new text, test node ids), the file and the
 node ids relative to the repository root; the old text occurs exactly
@@ -31,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LP = "src/wrkit/lp.py"
 CROSS = "tests/test_cross_checks.py::"
+CONFIGURATIONS = "src/wrkit/configurations.py"
+SHARED_VALUES = "tests/test_lp.py::test_shared_values_match_direct_evaluation"
 PARTITION = "src/wrkit/partition.py"
 PARTITION_TESTS = "tests/test_partition.py::"
 
@@ -96,7 +99,7 @@ MUTANTS = (
         ["tests/test_lp.py::test_verify_dual_feasibility_no_violations"],
     ),
     (
-        "src/wrkit/configurations.py",
+        CONFIGURATIONS,
         "if (p0 + [0, 0])[:3] != low:",
         "if False:",
         [
@@ -105,10 +108,22 @@ MUTANTS = (
         ],
     ),
     (
-        "src/wrkit/configurations.py",
+        CONFIGURATIONS,
         "if has_dichromatic != (p0 != _one_colour_counts(a1, a2)):",
         "if False:",
         ["tests/test_configurations.py::test_a_wrong_dichromatic_flag_is_a_verification_error"],
+    ),
+    (
+        CONFIGURATIONS,
+        "for c in batch]",
+        "for c in batch[::-1]]",
+        [SHARED_VALUES],
+    ),
+    (
+        CONFIGURATIONS,
+        "lambda config: config.graph",
+        "lambda config: config.d",
+        [SHARED_VALUES],
     ),
     (
         PARTITION,

@@ -24,9 +24,9 @@ from wrkit.configurations import (
     full_class_signatures,
     local_partition_functions,
     reduced_config,
+    signature,
     signature_classes,
     single_colour_config,
-    stats_key,
     tight_full_classes,
     alpha_u,
     alpha_v,
@@ -158,7 +158,7 @@ def test_local_polynomials_walk_each_subset_of_the_smaller_list_set(monkeypatch)
     for lists in ((3, 1, 0, 1, 3), (3, 2, 0, 2, 3)):
         walks.clear()
         reads.clear()
-        local_partition_functions.cache_clear()  # so that the key's walk runs here
+        local_partition_functions.cache_clear()  # so that the walk runs here
         local_partition_functions(Configuration(graph, lists))
         [([pair], ([p0], _))] = walks
         assert sorted(pair) == [0b10001, 0b11011]
@@ -186,7 +186,7 @@ def configs(draw, max_d=6):
 @settings(max_examples=300, deadline=None)
 @given(configs())
 def test_local_polynomials_match_colouring_tallies_property(config):
-    stats = configurations._stats_for_key.__wrapped__(*stats_key(config))  # bypass the cache
+    stats = local_partition_functions.__wrapped__(config)  # bypass the cache
     got = (stats.p0, stats.p1, stats.p2, stats.has_dichromatic)
     assert got == colouring_tallies(config)
 
@@ -244,30 +244,35 @@ def test_irrelevant_edges_change_no_stats_property(config, data):
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
     other = Configuration(Graph(config.d, tuple(adj)), config.lists)
-    assert stats_key(other) == stats_key(config)
+    # the two graphs differ in irrelevant pairs alone
+    assert set(other.graph.edges()) - set(pairs) == set(config.graph.edges()) - set(pairs)
     assert local_partition_functions(other) == local_partition_functions(config)
     assert local_partition_functions(config) == per_class_stats(config)
 
 
-def test_one_walk_per_stats_key(monkeypatch):
+def test_full_classes_walk_in_one_batch_per_graph_class(monkeypatch):
+    # the report's rows walk all 12,208 classes at d = 5 in 34 batches,
+    # one per graph class; local_partition_functions walks a batch of one
+    # per configuration it misses
+    signature_classes(5)  # cached, so that only the full route walks here
+    batches = []
+    walk = configurations._colour_set_walk
+
+    def counted(adj, pairs):
+        batches.append(len(pairs))
+        return walk(adj, pairs)
+
+    monkeypatch.setattr(configurations, "_colour_set_walk", counted)
+    assert sum(1 for _ in full_class_signatures(5)) == 12208
+    assert len(batches) == len(graphs_up_to_iso(5)) == 34
+    assert sum(batches) == 12208
+    batches.clear()
     local_partition_functions.cache_clear()
-    for config in enumerate_configs(5):
+    configs = enumerate_configs(3)
+    for config in configs + configs:
         local_partition_functions(config)
-    # one walk per distinct key, not one per class (12,208)
-    assert local_partition_functions.cache_info().misses == 5639
-    # the report's rows take the same keys, walked once each while they
-    # are listed, and leave no cache behind
-    _, _, index = signature_classes(5)
-    walks = []
-    walk = configurations.local_walk
-
-    def counted(lists, adj):
-        walks.append((lists, adj))
-        return walk(lists, adj)
-
-    monkeypatch.setattr(configurations, "local_walk", counted)
-    assert sum(1 for _ in full_class_signatures(5, index)) == 12208
-    assert len(walks) == len(set(walks)) == 5639
+    assert local_partition_functions.cache_info().misses == len(configs) == 120
+    assert batches == [1] * 120
 
 
 def test_stats_errors_name_the_class(monkeypatch):
@@ -279,28 +284,30 @@ def test_stats_errors_name_the_class(monkeypatch):
 
 
 def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
-    # the walk's flag is checked against p0 - (p12 - 1); flipped on a
-    # class without dichromatic colourings and on one with them, the
-    # check names the class, by every route to a local walk
+    # the walk's flag is checked against p0 - (p12 - 1); flipped for
+    # every class of a batch, on a class without dichromatic colourings
+    # and on one with them, the check names the class, by every route to
+    # a local walk
     walk = configurations._colour_set_walk
 
-    def flipped(*args):
-        p0, dichromatic = walk(*args)
-        return p0, not dichromatic
+    def flipped(adj, pairs):
+        p0, dichromatic = walk(adj, pairs)
+        return p0, dichromatic ^ ((1 << len(pairs)) - 1)
 
+    signature_classes(2)  # cached, so that the full route reads its index
     monkeypatch.setattr(configurations, "_colour_set_walk", flipped)
     local_partition_functions.cache_clear()
     for config in (complete_neighbourhood_config(3), Configuration(Graph(3, (0,) * 3), (3,) * 3)):
         message = f"^{re.escape(config.key_text())}: dichromatic flag disagrees"
         with pytest.raises(VerificationError, match=message):
             local_partition_functions(config)
+    message = r"^d=2;edges=;lists=-,-: dichromatic flag disagrees"
+    with pytest.raises(VerificationError, match=message):
+        next(full_class_signatures(2))
     message = r"^d=2;edges=0-1;lists=12,12: dichromatic flag disagrees"
     signature_classes.cache_clear()
     with pytest.raises(VerificationError, match=message):
         signature_classes(2)
-    message = r"^d=2;edges=;lists=-,-: dichromatic flag disagrees"
-    with pytest.raises(VerificationError, match=message):
-        next(full_class_signatures(2, {}))
 
 
 def test_stats_empty_lists():
@@ -593,7 +600,7 @@ def test_reduced_classes_are_the_reductions_of_the_full_classes():
             k = sum(1 for mask in config.lists if mask)
             assert config.lists[k:] == (0,) * (d - k) and 0 not in config.lists[:k]
             assert not any(config.graph.adj[k:])
-            assert stats_key(config)[1] == config.graph.adj
+            assert not set(config.graph.edges()) & set(irrelevant_pairs(config.lists))
             keys.append(reduced_key(config))
         assert len(set(keys)) == len(keys)
         assert set(keys) == {reduced_key(config) for config in enumerate_configs(d)}
@@ -726,15 +733,34 @@ def check_swap_pairing(d):
         configurations._colour_set_walk = walk
     assert sum(walked) == SWAP_PAIR_WALKS[d]
     for entry, i in classes:
-        _, _, graph, lists = entry
-        a1, a2, p0, _ = configurations.local_walk(lists, graph.adj)
-        assert index[configurations.signature(a1, a2, p0)] == i, reduced_config(*entry).key_text()
+        config = reduced_config(*entry)
+        stats = local_partition_functions(config)
+        assert index[signature(stats.a1, stats.a2, stats.p0.coeffs)] == i, config.key_text()
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
 def test_one_walk_per_colour_swap_pair(d):
     # d = 6 runs in the same CI step as check_signature_sets(6)
     check_swap_pairing(d)
+
+
+def check_full_class_signatures(d):
+    """full_class_signatures(d) lists every full class in canonical
+    order, each with the a1, a2 and signature index that its own walk, a
+    batch of one in local_partition_functions, finds."""
+    index = signature_classes(d)[2]
+    rows = full_class_signatures(d)
+    for config, (row_config, a1, a2, i) in zip(enumerate_configs(d), rows, strict=True):
+        stats = local_partition_functions(config)
+        assert row_config is config
+        assert (a1, a2) == (stats.a1, stats.a2), config.key_text()
+        assert index[signature(a1, a2, stats.p0.coeffs)] == i, config.key_text()
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_batched_full_classes_match_their_own_walks(d):
+    # d = 6 runs in the same CI step as check_signature_sets(6)
+    check_full_class_signatures(d)
 
 
 def test_swap_partners_hold_the_swapped_lists():

@@ -442,14 +442,15 @@ def test_signature_table_errors_name_the_reduced_class(monkeypatch):
     from wrkit import configurations
 
     # a full class whose signature no reduced class has is named
+    monkeypatch.setattr(configurations, "signature_classes", lambda d: ((), (), {}))
     with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: signature missing"):
-        next(full_class_signatures(2, {}))
+        next(full_class_signatures(2))
     monkeypatch.setattr(configurations, "_low_coefficients", lambda *args: [0, 0, 0])
     signature_classes.cache_clear()
     with pytest.raises(VerificationError, match=r"^d=2;edges=0-1;lists=12,12: low coeff"):
         signature_classes(2)
     with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: low coeff"):
-        next(full_class_signatures(2, {}))
+        next(full_class_signatures(2))
 
 
 @pytest.mark.parametrize("lam", (F(1, 3), F(1), F(3, 2), F(7), F(10**6, 999999)), ids=str)
