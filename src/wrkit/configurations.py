@@ -7,7 +7,7 @@ colour 1, bit 1 colour 2.  Its local partition polynomials are
 
   p0    weight of valid list-respecting colourings of H alone
   p1/p2 same, in one colour only: (1+lam)**a_i, a_i the lists allowing i
-  p12   p1 + p2 (ConfigStats holds p12 and builds p1 and p2 when read)
+  p12   p1 + p2, fixed by {a1, a2}
 
 and from them come alpha_v, the probability the centre vertex is
 coloured, and alpha_u, the expected fraction of coloured neighbours
@@ -16,50 +16,59 @@ coloured, and alpha_u, the expected fraction of coloured neighbours
 p0 comes from one submask walk over the colour-1 sets S: the colour-2
 set is any subset of F(S), the vertices that allow colour 2 and are
 neither in S nor next to it, so each S adds lam^|S| (1+lam)^|F(S)|, a
-cached binomial row packed into one int.  _colour_set_walk is the only
-walk and _low_coefficients the only check of its low coefficients; both
-take one graph with a batch of (A1, A2) pairs, which _local_walks runs
-and checks: one per graph class for signature_classes and
-full_class_signatures, and one pair for local_partition_functions.
+cached binomial row packed into one int at lam = 2^(2d+1), d the target
+degree: p0 stays that packed int, its coefficients the base-2^(2d+1)
+digits, from the walk to the LP column.  A class on k < d vertices,
+padded to d with empty lists, packs as a walk on d vertices would.
+_colour_set_walk is the only walk and _low_coefficients the only check
+of its low coefficients; both take one graph with a batch of (A1, A2)
+pairs, which _local_walks runs and checks, as int comparisons: one per
+graph class for signature_classes and full_class_signatures, and one
+pair for local_partition_functions, alpha_v and alpha_u.  Only
+local_partition_functions unpacks p0, into the ConfigStats it returns.
 
 enumerate_configs lists the classes up to label-preserving isomorphism:
 graphs up to isomorphism, then list assignments per graph by orbits of
 its automorphism group.  Each representative is its orbit's first
 member, so it carries its canonical key; count_configs counts the
-classes by Burnside's lemma.  Dropping the empty-list vertices and the
-edges inside {1} or inside {2} leaves a class's reduced class, with the
-same polynomials, as only an edge from a vertex allowing colour 1 to
-one allowing colour 2 can bar a colouring.  signature_classes lists
-those (1,438 at d = 5, against 12,208 classes), padded to d vertices.
-Both listings come from one orbit walk, which never builds a reduced
-assignment with an edge inside {1} or inside {2}.
+classes by Polya's count over the cycle types of S_d.  Dropping the
+empty-list vertices and the edges inside {1} or inside {2} leaves a
+class's reduced class, with the same polynomials, as only an edge from
+a vertex allowing colour 1 to one allowing colour 2 can bar a colouring.
+signature_classes lists those (1,438 at d = 5, against 12,208 classes),
+padded to d vertices.  Both listings come from one orbit walk, which
+never builds a reduced assignment with an edge inside {1} or inside {2}.
 
-The map from a class to its signature (p0 and {a1, a2}, all an LP
-column depends on) lives here, free of any activity: signature_classes
-for the reduced classes, full_class_signatures for the full ones (the
-per-class report, which only configs writes; past the full route's cap,
-at d = 7, reading an lp report's rows raises CapacityError).  The
-weights are symmetric in the two colours, so swapping lists {1} and {2}
-keeps a class's signature.  The orbit walk gives each orbit first the
-first of its swapped orbit, and signature_classes walks one class per
-swap pair, in one batch per graph class: 796 walks for the 1,438
-reduced classes at d = 5, 97,811 for 190,984 at d = 7.
+The map from a class to its signature, the key (packed p0, min(a1, a2),
+max(a1, a2)) that signature() builds and all an LP column depends on,
+lives here, free of any activity: signature_classes for the reduced
+classes, full_class_signatures for the full ones (the per-class report,
+which only configs writes; past the full route's cap, at d = 7, reading
+an lp report's rows raises CapacityError).  local_alphas turns a
+signature into its column at lam, p0 from the packed digits and p12 in
+closed form.  The weights are symmetric in the two colours, so swapping
+lists {1} and {2} keeps a class's signature.  The orbit walk gives each
+orbit first the first of its swapped orbit, and signature_classes walks
+one class per swap pair, in one batch per graph class: 796 walks for
+the 1,438 reduced classes at d = 5, 97,811 for 190,984 at d = 7.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
-from math import comb
+from itertools import combinations, groupby, starmap
+from math import factorial, gcd, prod
 from operator import itemgetter
 
 from .errors import CapacityError, UsageError, VerificationError
 from .graphs import (
     CLASS_CAP,
     Graph,
+    _valid_graph,
     canonical_labelled_form,
     check_degree_floor,
     graph_from_code,
@@ -67,7 +76,7 @@ from .graphs import (
     label_mover,
     make_complete,
 )
-from .numerics import IntPolynomial, binomial_power, check_activity
+from .numerics import IntPolynomial, _cleared_powers, binomial_power, check_activity
 
 STATS_CAP = 8  # the local walk covers at most 2^d colour-1 sets
 ENUMERATION_CAP = 6  # labelled graphs times list assignments before dedup
@@ -178,22 +187,13 @@ class ConfigStats:
         return binomial_power(self.a2)
 
 
-@lru_cache(maxsize=None)
-def _one_colour_counts(a1: int, a2: int) -> tuple[int, ...]:
-    """The coefficients of p12 - 1 = (1+lam)^a1 + (1+lam)^a2 - 1 as ints:
-    the colourings of lists allowing colour 1 at a1 vertices and 2 at a2
-    that use at most one colour.  _local_walks checks the dichromatic flag
-    against them, and config_stats builds p12 from them."""
-    counts = [comb(a1, k) + comb(a2, k) for k in range(max(a1, a2) + 1)]
-    counts[0] -= 1
-    return tuple(counts)
-
-
-def _low_coefficients(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+def _low_coefficients(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]], d: int) -> list[int]:
     """Per (A1, A2) pair of one graph, the coefficients of 1, lam and lam^2
-    in p0, counted from the lists and the edges alone: one empty
-    colouring, a1 + a2 single colours, and every two single colours on
-    distinct vertices except a colour-1 vertex beside a colour-2 one."""
+    in p0, packed as _colour_set_walk packs p0 at d, counted from the lists
+    and the edges alone: one empty colouring, a1 + a2 single colours, and
+    every two single colours on distinct vertices except a colour-1
+    vertex beside a colour-2 one."""
+    slot = 2 * d + 1
     out = []
     for allows_1, allows_2 in pairs:
         total = allows_1.bit_count() + allows_2.bit_count()
@@ -204,7 +204,7 @@ def _low_coefficients(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]) ->
             low = rest & -rest
             clashes += (adj[low.bit_length() - 1] & allows_2).bit_count()
             rest ^= low
-        out.append([1, total, two - clashes])
+        out.append(1 | total << slot | (two - clashes) << 2 * slot)
     return out
 
 
@@ -231,22 +231,20 @@ def _packed_rows(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _colour_set_walk(
-    adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]
-) -> tuple[list[list[int]], int]:
-    """Per (A1, A2) pair of the graph with adjacency adj, the coefficients
-    of p0 = sum over the subsets S of walk, the smaller of A1 and A2 (the
-    colours are symmetric), of lam^|S| (1+lam)^|F(S)|, F(S) the vertices
-    of the other outside S and its neighbours; and, as bit i of one int,
-    whether some non-empty S of pair i leaves F(S) non-empty.  The
-    closure table and the packed rows are fetched once for the batch.  The
-    submask step s = (s - 1) & walk visits each S once, from walk down to
-    the empty set; each reads its closure and adds its packed row."""
+    adj: tuple[int, ...], pairs: Sequence[tuple[int, int]], d: int
+) -> tuple[list[int], int]:
+    """Per (A1, A2) pair of the graph with adjacency adj, on at most d
+    vertices, p0 = sum over the subsets S of walk, the smaller of A1 and A2
+    (the colours are symmetric), of lam^|S| (1+lam)^|F(S)|, F(S) the
+    vertices of the other outside S and its neighbours, packed at the
+    target degree d; and, as bit i of one int, whether some non-empty S of
+    pair i leaves F(S) non-empty.  The closure table and the packed rows
+    are fetched once for the batch.  The submask step s = (s - 1) & walk
+    visits each S once, from walk down to the empty set; each reads its
+    closure and adds its packed row."""
     closed = _subset_closures(adj)
-    rows = _packed_rows(len(adj))
-    slot = 2 * len(adj) + 1
-    digit = (1 << slot) - 1
-    shifts = range(0, slot * (len(adj) + 1), slot)
-    p0s = []
+    rows = _packed_rows(d)
+    packs = []
     dichromatic = 0
     for i, (allows_1, allows_2) in enumerate(pairs):
         if allows_1.bit_count() <= allows_2.bit_count():
@@ -262,9 +260,9 @@ def _colour_set_walk(
                 break
             reached |= free
             s = (s - 1) & walk
-        p0s.append([packed >> shift & digit for shift in shifts])
+        packs.append(packed)
         dichromatic |= (reached != 0) << i
-    return p0s, dichromatic
+    return packs, dichromatic
 
 
 @lru_cache(maxsize=None)
@@ -279,73 +277,94 @@ def _list_masks(lists: tuple[int, ...]) -> tuple[int, int]:
     return allows_1, allows_2
 
 
-def _local_walks(adj: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> Iterator[tuple]:
-    """(a1, a2, p0's coefficients, dichromatic flag) per (A1, A2) pair of
-    the graph with adjacency adj, in order, from one batched walk; each
+def _local_walks(
+    adj: tuple[int, ...], pairs: Sequence[tuple[int, int]], d: int
+) -> Iterator[tuple[int, int, int, bool]]:
+    """(a1, a2, packed p0, dichromatic flag) per (A1, A2) pair of the graph
+    with adjacency adj, in order, from one batched walk packed at d; each
     result's low coefficients and flag are checked against routes that do
     not use the walk before it is yielded."""
-    p0s, dichromatic = _colour_set_walk(adj, pairs)
-    lows = _low_coefficients(adj, pairs)
-    for i, ((allows_1, allows_2), p0, low) in enumerate(zip(pairs, p0s, lows)):
-        if (p0 + [0, 0])[:3] != low:
+    packs, dichromatic = _colour_set_walk(adj, pairs, d)
+    lows = _low_coefficients(adj, pairs, d)
+    one_colour = _packed_rows(d)[0]  # (1+lam)^a, packed
+    low_mask = (1 << 3 * (2 * d + 1)) - 1
+    for i, ((allows_1, allows_2), packed, low) in enumerate(zip(pairs, packs, lows)):
+        if packed & low_mask != low:
             raise VerificationError("low coefficients of p0 disagree with its lists and edges")
-        p0 = tuple(p0)
-        while not p0[-1]:
-            p0 = p0[:-1]  # p0[0] = 1 counts the empty colouring
         a1 = allows_1.bit_count()
         a2 = allows_2.bit_count()
         has_dichromatic = dichromatic >> i & 1 == 1
         # dichromatic colourings are exactly the gap between p0 and the
         # monochromatic-or-empty total p1 + p2 - 1
-        if has_dichromatic != (p0 != _one_colour_counts(a1, a2)):
+        if has_dichromatic != (packed != one_colour[a1] + one_colour[a2] - 1):
             raise VerificationError("dichromatic flag disagrees with p0 - (p12 - 1)")
-        yield a1, a2, p0, has_dichromatic
+        yield a1, a2, packed, has_dichromatic
 
 
-def signature(a1: int, a2: int, p0: tuple[int, ...]) -> tuple:
-    """An LP column's key: p0's coefficients and {a1, a2}, which fix p12."""
-    return (p0, a1, a2) if a1 <= a2 else (p0, a2, a1)
+def signature(a1: int, a2: int, packed: int) -> tuple[int, int, int]:
+    """An LP column's key: p0 packed at the degree and {a1, a2}, which fix p12."""
+    return (packed, a1, a2) if a1 <= a2 else (packed, a2, a1)
 
 
-def config_stats(a1: int, a2: int, p0: tuple[int, ...], has_dichromatic: bool) -> ConfigStats:
-    """The stats of a _local_walks result, p12 from the one-colour counts
-    with their constant term plus one."""
-    counts = _one_colour_counts(a1, a2)
-    p12 = IntPolynomial((counts[0] + 1, *counts[1:]))
-    return ConfigStats(a1, a2, IntPolynomial(p0), p12, has_dichromatic)
+def _walked(config: Configuration) -> tuple[int, int, int, bool]:
+    """The _local_walks result of one configuration, a batch of one; a
+    failed check names the class."""
+    if config.d > STATS_CAP:
+        raise CapacityError(f"local enumeration capped at {STATS_CAP} vertices, got {config.d}")
+    try:
+        return next(_local_walks(config.graph.adj, [_list_masks(config.lists)], config.d))
+    except VerificationError as exc:
+        raise VerificationError(f"{config.key_text()}: {exc}") from exc
 
 
 @lru_cache
 def local_partition_functions(config: Configuration) -> ConfigStats:
     """Collect all local polynomials from one walk over colour-1 sets, a
     batch of one: p0 sums lam^|S| (1+lam)^|F(S)| over the subsets S of the
-    smaller of A1 and A2, as the colours are symmetric (_colour_set_walk)."""
-    if config.d > STATS_CAP:
-        raise CapacityError(f"local enumeration capped at {STATS_CAP} vertices, got {config.d}")
-    try:
-        return config_stats(*next(_local_walks(config.graph.adj, [_list_masks(config.lists)])))
-    except VerificationError as exc:
-        raise VerificationError(f"{config.key_text()}: {exc}") from exc
+    smaller of A1 and A2, as the colours are symmetric (_colour_set_walk),
+    unpacked here from its digits; p12 is (1+lam)^a1 + (1+lam)^a2."""
+    a1, a2, packed, has_dichromatic = _walked(config)
+    slot = 2 * config.d + 1
+    digit = (1 << slot) - 1
+    p0 = IntPolynomial(packed >> shift & digit for shift in range(0, slot * (config.d + 1), slot))
+    return ConfigStats(a1, a2, p0, binomial_power(a1) + binomial_power(a2), has_dichromatic)
 
 
-def local_alphas(stats: ConfigStats, d: int, lam: Fraction) -> tuple[int, int, int]:
-    """alpha_v and alpha_u of a d-vertex configuration with these stats,
-    as integers over one positive denominator: (X_v, X_u, D) with
-    alpha_v = X_v / D and alpha_u = X_u / D.
+def local_alphas(a1: int, a2: int, packed: int, d: int, lam: Fraction) -> tuple[int, int, int]:
+    """alpha_v and alpha_u of a d-vertex configuration with signature
+    (packed p0, a1, a2), as integers over one positive denominator:
+    (X_v, X_u, D) with alpha_v = X_v / D and alpha_u = X_u / D.
 
-    At lam = p/q, one pass over each of p0 and p12 gives its value and
-    first moment lam * p', scaled by q^d (P0, M0 and P12, M12), and
+    At lam = p/q, P0 and M0 are p0's value and first moment lam * p0',
+    times q^d, from one pass over the packed digits against the cleared
+    powers p^k q^(d-k).  p12 = (1+lam)^a1 + (1+lam)^a2 needs no pass: with
+    s = p + q and t_a = s^a q^(d-a), its scaled value is P12 = t_a1 + t_a2
+    and its scaled moment M12, p times the sum of a s^(a-1) q^(d-a) over
+    a in {a1, a2}, is p (a1 t_a1 + a2 t_a2) / s, exact as s divides each
+    a t_a.  Then
 
         X_v = q d p P12,
         X_u = q (q M0 + p M12),
         D   = q d (q P0 + p P12) > 0,
 
-    so no derivative polynomial is built and no gcd is taken until a
-    caller builds a Fraction.
+    so no polynomial is built and no gcd is taken until a caller builds a
+    Fraction.
     """
     p, q = lam.numerator, lam.denominator
-    big_p0, moment0 = stats.p0.scaled_eval(p, q, d)
-    big_p12, moment12 = stats.p12.scaled_eval(p, q, d)
+    slot = 2 * d + 1
+    digit = (1 << slot) - 1
+    big_p0 = moment0 = 0
+    for k, power in enumerate(_cleared_powers(p, q, d)):
+        count = packed >> k * slot & digit
+        if count:
+            term = count * power
+            big_p0 += term
+            moment0 += k * term
+    s = p + q
+    grown = _cleared_powers(s, q, d)
+    t1, t2 = grown[a1], grown[a2]
+    big_p12 = t1 + t2
+    moment12 = p * (a1 * t1 + a2 * t2) // s
     qd = q * d
     return qd * p * big_p12, q * (q * moment0 + p * moment12), qd * (q * big_p0 + p * big_p12)
 
@@ -353,7 +372,8 @@ def local_alphas(stats: ConfigStats, d: int, lam: Fraction) -> tuple[int, int, i
 def alpha_v(config: Configuration, lam: Fraction) -> Fraction:
     """Probability the centre vertex is coloured: lam * p12 / pc."""
     lam = check_activity(lam)
-    x_v, _, den = local_alphas(local_partition_functions(config), config.d, lam)
+    a1, a2, packed, _ = _walked(config)
+    x_v, _, den = local_alphas(a1, a2, packed, config.d, lam)
     return Fraction(x_v, den)
 
 
@@ -361,7 +381,8 @@ def alpha_u(config: Configuration, lam: Fraction) -> Fraction:
     """Expected coloured fraction of the neighbourhood:
     lam * (p0' + lam * p12') / (d * pc)."""
     lam = check_activity(lam)
-    _, x_u, den = local_alphas(local_partition_functions(config), config.d, lam)
+    a1, a2, packed, _ = _walked(config)
+    _, x_u, den = local_alphas(a1, a2, packed, config.d, lam)
     return Fraction(x_u, den)
 
 
@@ -425,27 +446,30 @@ def enumerate_configs(d: int) -> tuple[Configuration, ...]:
     return tuple(out)
 
 
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    """The number of cycles of a permutation, fixed points included."""
-    cycles = 0
-    seen = set()
-    for v in range(len(perm)):
-        cycles += v not in seen
-        while v not in seen:
-            seen.add(v)
-            v = perm[v]
-    return cycles
+def _partitions(n: int, most: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most most, largest part first."""
+    if not n:
+        yield ()
+    for part in range(min(n, most), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
 
 
 def count_configs(d: int) -> int:
-    """len(enumerate_configs(d)) by Burnside's lemma, without enumerating:
-    the automorphisms g of a graph class H split the 4^d list assignments
-    into (1/|Aut H|) * sum over g of 4^cycles(g) orbits."""
+    """len(enumerate_configs(d)) by Polya's count over the cycle types of
+    S_d, without enumerating.  A permutation with cycle lengths c_1..c_m
+    fixes 4^m list assignments and 2^pairs graphs, pairs the number of its
+    cycles on vertex pairs: floor(c_i/2) within each cycle and
+    gcd(c_i, c_j) between two.  d!/z of the permutations have the cycle
+    type, z the product over each length c, met m_c times, of
+    c^m_c m_c!, and the classes are the mean of the fixed count over S_d."""
     check_degree(d)
-    return sum(
-        sum(4 ** _cycle_count(perm) for perm in autos) // len(autos)
-        for _, autos in graphs_up_to_iso(d)
-    )
+    total = 0
+    for cycles in _partitions(d, d):
+        pairs = sum(c // 2 for c in cycles) + sum(starmap(gcd, combinations(cycles, 2)))
+        z = prod(c**m * factorial(m) for c, m in Counter(cycles).items())
+        total += 4 ** len(cycles) * 2**pairs * (factorial(d) // z)
+    return total // factorial(d)
 
 
 def tight_full_classes(d: int) -> tuple[Configuration, ...]:
@@ -474,6 +498,18 @@ def tight_reduced_classes(d: int) -> tuple[Configuration, ...]:
     )
 
 
+def tight_reduced_signatures(d: int) -> tuple[tuple[int, int, int], ...]:
+    """The signatures of tight_reduced_classes(d), in its order, read off
+    their lists: (a1, a2) is (0, 0), (d, 0), (0, d) and (d, d), and none
+    has a dichromatic colouring, so each p0 is p1 + p2 - 1, packed as
+    _colour_set_walk packs it."""
+    one_colour = _packed_rows(d)[0]
+    return tuple(
+        signature(a1, a2, one_colour[a1] + one_colour[a2] - 1)
+        for a1, a2 in ((0, 0), (d, 0), (0, d), (d, d))
+    )
+
+
 def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:
     """(k, code, graph, firsts, partners) per graph class of the reduced
     classes on k <= d vertices, unpadded, from _orbit_firsts: k and then
@@ -498,8 +534,9 @@ def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> C
 @lru_cache(maxsize=None)
 def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
     """The class-to-signature map at d: per distinct signature, in order
-    of its first reduced class, (that class, its stats); per reduced
-    class, (its entry, its signature's index); and each signature's index.
+    of its first reduced class, (that class, a1, a2, packed p0); per
+    reduced class, (its entry, its signature's index); and each
+    signature's index, keyed by signature().
 
     An entry is (k, code, graph, lists) for a reduced class on k <= d
     vertices, graph and lists padded with d - k isolated empty-list
@@ -512,8 +549,9 @@ def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
     colour-swapped class share p0 and {a1, a2}: one local walk per swap
     pair, the pair's first class in this order, gives both their
     signature, and the walks run in one batch per graph class, on its
-    unpadded k vertices.  Only a signature's first class becomes a
-    Configuration with stats.  A failed check names the class.  Free of
+    unpadded k vertices, packed at d, so that a padded class keys as the
+    same class walked on d vertices would.  Only a signature's first class
+    becomes a Configuration.  A failed check names the class.  Free of
     any activity, the map is walked once per degree, at most CLASS_CAP of
     them, as a refused degree raises before anything is cached."""
     index: dict[tuple, int] = {}
@@ -521,10 +559,10 @@ def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
     classes = []
     for k, code, graph, assignments, partners in _reduced_graphs(d):
         pad = (NO_COLOURS,) * (d - k)
-        padded = Graph(d, graph.adj + pad)
+        padded = _valid_graph(d, graph.adj + pad, "")
         order = range(len(assignments) - 1, -1, -1)
         walked = [_list_masks(assignments[i]) for i in order if partners[i] <= i]
-        walks = _local_walks(graph.adj, walked)
+        walks = _local_walks(graph.adj, walked, d)
         found = [0] * len(assignments)  # signature index per first
         for i in order:
             entry = k, code, padded, assignments[i] + pad
@@ -533,16 +571,14 @@ def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
                 found[i] = found[j]
             else:
                 try:
-                    a1, a2, p0, dichromatic = next(walks)
+                    a1, a2, packed, _ = next(walks)
                 except VerificationError as exc:
                     raise VerificationError(
                         f"{reduced_config(*entry).key_text()}: {exc}"
                     ) from exc
-                found[i] = index.setdefault(signature(a1, a2, p0), len(firsts))
+                found[i] = index.setdefault(signature(a1, a2, packed), len(firsts))
                 if found[i] == len(firsts):
-                    firsts.append(
-                        (reduced_config(*entry), config_stats(a1, a2, p0, dichromatic))
-                    )
+                    firsts.append((reduced_config(*entry), a1, a2, packed))
             classes.append((entry, found[i]))
     return tuple(firsts), tuple(classes), index
 
@@ -556,13 +592,13 @@ def full_class_signatures(d: int) -> Iterator[tuple]:
     index = signature_classes(d)[2]
     for graph, batch in groupby(enumerate_configs(d), lambda config: config.graph):
         batch = list(batch)
-        walks = _local_walks(graph.adj, [_list_masks(c.lists) for c in batch])
+        walks = _local_walks(graph.adj, [_list_masks(c.lists) for c in batch], d)
         for config in batch:
             try:
-                a1, a2, p0, _ = next(walks)
+                a1, a2, packed, _ = next(walks)
             except VerificationError as exc:
                 raise VerificationError(f"{config.key_text()}: {exc}") from exc
-            found = index.get(signature(a1, a2, p0))
+            found = index.get(signature(a1, a2, packed))
             if found is None:
                 raise VerificationError(
                     f"{config.key_text()}: signature missing from the reduced classes"

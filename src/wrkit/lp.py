@@ -14,20 +14,23 @@ expectation (which they must in any d-regular graph):
 Two independent exact solvers report a basic solution: the generic
 simplex, and the upper concave envelope of the points (balance,
 objective) read at balance 0.  A column depends on a class only through
-its signature (p0, p12), which it shares with its reduced class, so the
-instance has one variable per distinct column of the reduced classes
-(390 from 1,438 at d = 5, where there are 12,208 classes), named by the
-first reduced class with it.  configurations owns that class-to-signature
-map, free of the activity (signature_classes, and full_class_signatures
-for the report's rows, each walking in one batch per graph class), and
-the tight reduced classes; this layer adds each signature's column at
-lam (_signature_table).  A class sharing the complete neighbourhood's
-column would be tight, and every tight class other than that one has
-alpha_u < alpha_v (checked by uniqueness_check), so the reported
-support is the full program's.  Columns are integers
-(X_v, X_v - X_u, D) over D > 0 (configurations.local_alphas), so the
-hull, the simplex and each dual constraint's verdict work in ints, and
-Fractions are built only for an optimum, a weight or a report row.
+its signature (p0, packed into one int, and {a1, a2}, which fix p12),
+which it shares with its reduced class, so the instance has one
+variable per distinct column of the reduced classes (390 from 1,438 at
+d = 5, where there are 12,208 classes), named by the first reduced class
+with it.  configurations owns that class-to-signature map, free of the
+activity (signature_classes, and full_class_signatures for the report's
+rows, each walking in one batch per graph class), the tight reduced
+classes and their signatures, and the column routine local_alphas; this
+layer adds each signature's column at lam (_signature_table), from its
+packed p0 and a closed form of p12, with no polynomial object.  A class
+sharing the complete neighbourhood's column would be tight, and every
+tight class other than that one has alpha_u < alpha_v (checked by
+uniqueness_check, on the columns), so the reported support is the full
+program's.  Columns are integers (X_v, X_v - X_u, D) over D > 0
+(configurations.local_alphas), so the hull, the simplex and each dual
+constraint's verdict work in ints, and Fractions are built only for an
+optimum, a weight or a report row.
 
 The dual certificate (lambda_p, lambda_c) proves the optimum equals the
 complete-neighbourhood value; every dual constraint is checked in alpha
@@ -43,9 +46,9 @@ tight full classes are those of the four (tight_full_classes), listed
 without enumeration, and complementary slackness pins the unique
 optimum to the complete neighbourhood.  uniqueness_check runs this
 whole chain.  The report has one row per full class, counted by
-Burnside's lemma and listed only when read, by the configs command, the
-only writer of the per-class CSV.  Violated constraints are named, as
-tight ones are, by their reduced classes.
+Polya's count over cycle types and listed only when read, by the
+configs command, the only writer of the per-class CSV.  Violated
+constraints are named, as tight ones are, by their reduced classes.
 """
 
 from __future__ import annotations
@@ -63,11 +66,11 @@ from .configurations import (
     count_configs,
     full_class_signatures,
     local_alphas,
-    local_partition_functions,
     reduced_config,
     signature_classes,
     tight_full_classes,
     tight_reduced_classes,
+    tight_reduced_signatures,
 )
 from .errors import UsageError, VerificationError
 from .numerics import check_activity, csv_text, format_rational
@@ -124,12 +127,13 @@ class DualCertificate:
 
 @lru_cache(maxsize=8)
 def _signature_table(d: int, lam: Fraction) -> tuple[tuple, ...]:
-    """Per signature of signature_classes(d), its integer column at lam
-    from local_alphas, as (first class, stats, X_v, X_u, D).  build_primal
-    and verify_dual_feasibility both read it, so the columns are evaluated
-    once per command."""
+    """Per signature of signature_classes(d), its first (class, a1, a2,
+    packed p0) and its integer column at lam from local_alphas, as
+    (first class, a1, a2, packed p0, X_v, X_u, D).  build_primal,
+    verify_dual_feasibility and uniqueness_check all read it, so the
+    columns are evaluated once per command."""
     return tuple(
-        (config, stats, *local_alphas(stats, d, lam)) for config, stats in signature_classes(d)[0]
+        (*first, *local_alphas(*first[1:], d, lam)) for first in signature_classes(d)[0]
     )
 
 
@@ -142,7 +146,7 @@ def build_primal(d: int, lam: Fraction) -> LPInstance:
     # signatures come in order of their first reduced class, so the first
     # one with a column also holds the first reduced class with it
     columns: dict[tuple[int, int, int], Configuration] = {}
-    for config, _, x_v, x_u, den in signatures:
+    for config, _, _, _, x_v, x_u, den in signatures:
         g = gcd(x_v, x_u, den)
         columns.setdefault((x_v // g, (x_v - x_u) // g, den // g), config)
     return LPInstance(d, tuple(columns.values()), tuple(columns))
@@ -308,7 +312,7 @@ class ClassRows(Sequence):
         Fractions are built here, on the first read of a row."""
         return [
             (Fraction(x_v, den), Fraction(x_u, den), Fraction(*slack), not slack[0])
-            for (_, _, x_v, x_u, den), slack in zip(self._signatures, self._slacks)
+            for (*_, x_v, x_u, den), slack in zip(self._signatures, self._slacks)
         ]
 
     @cached_property
@@ -392,11 +396,11 @@ def verify_dual_feasibility(
     lam = cert.activity
     signatures = _signature_table(d, lam)
     classes = signature_classes(d)[1]
-    forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
+    forms = _slack_numerators(cert, (signature[4:] for signature in signatures))
     # each signature's verdict, decided once
     slacks = []
-    for (config, stats, *_), (slack, den, slack2, den2) in zip(signatures, forms):
-        if stats.a1 == 0 and stats.a2 == 0:
+    for (config, a1, a2, *_), (slack, den, slack2, den2) in zip(signatures, forms):
+        if a1 == 0 and a2 == 0:
             if slack:
                 raise VerificationError(
                     "empty-list constraint not tight; certificate is wrong"
@@ -485,7 +489,8 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     already required the tight reduced classes to be exactly four: all
     lists empty, the independent d-set listed {1}, the same listed {2},
     and the complete neighbourhood.  The first three must have alpha_u
-    strictly below alpha_v, so the balance row forces any optimal
+    strictly below alpha_v, read from their columns in _signature_table
+    through the signature index, so the balance row forces any optimal
     distribution onto the complete neighbourhood, the only full class of
     the fourth.  Both solvers must reach alpha_K there, with weight 1.
     """
@@ -495,8 +500,10 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
         raise VerificationError("dual certificate is infeasible; no uniqueness")
 
     *unbalanced, complete = tight_reduced_classes(d)
-    for config in unbalanced:
-        x_v, x_u, _ = local_alphas(local_partition_functions(config), d, lam)
+    signatures = _signature_table(d, lam)
+    index = signature_classes(d)[2]
+    for config, key in zip(unbalanced, tight_reduced_signatures(d)):
+        *_, x_v, x_u, _ = signatures[index[key]]
         if not x_u < x_v:
             raise VerificationError(f"expected alpha_u < alpha_v on {config.key_text()}")
 

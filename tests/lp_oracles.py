@@ -1,9 +1,10 @@
 """Per-lambda Fraction routes of the paper's two claims, kept as test
-oracles: the claims behind each dual constraint, the conditional
-expectation they rest on, and the monotone clique ratio.  The library
-checks the claims' sum in integers (lp._slack_numerators); these
-evaluate each claim on its own, in Fractions, from the local
-polynomials."""
+oracles: the alphas of a class, the claims behind each dual constraint,
+the conditional expectation they rest on, and the monotone clique
+ratio.  The library checks the claims' sum in integers
+(lp._slack_numerators) and builds each column from a packed p0
+(configurations.local_alphas); these evaluate each claim and each alpha
+on its own, in Fractions, from the local polynomials."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,15 @@ def _claim_terms(stats: ConfigStats, lam: Fraction) -> tuple[Fraction, Fraction,
     if denom <= 0:
         raise VerificationError("2*p0 - p12 must be positive here")
     return stats.p0.derivative().eval(lam), lam * stats.p12.derivative().eval(lam), denom
+
+
+def fraction_alphas(stats: ConfigStats, d: int, lam: Fraction) -> tuple[Fraction, Fraction]:
+    """alpha_v = lam p12 / pc and alpha_u = lam (p0' + lam p12') / (d pc),
+    each polynomial evaluated at lam in Fractions: the oracle for the
+    integer column of configurations.local_alphas."""
+    pc = stats.p0.eval(lam) + lam * stats.p12.eval(lam)
+    dp = stats.p0.derivative().eval(lam) + lam * stats.p12.derivative().eval(lam)
+    return lam * stats.p12.eval(lam) / pc, lam * dp / (d * pc)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The checked-in mutant list: each entry deletes or weakens one
-cross-check guard, breaks one state update of the partition engine, or
-misaligns the batched walk of the full classes, and names the tests that
-must kill it.
+cross-check guard, breaks one state update of the partition engine,
+misaligns the batched walk of the full classes, slips one term of a
+closed form, or lets an exception escape the command line, and names the
+tests that must kill it.
 
 An entry is (file, old text, new text, test node ids), the file and the
 node ids relative to the repository root; the old text occurs exactly
@@ -100,7 +101,7 @@ MUTANTS = (
     ),
     (
         CONFIGURATIONS,
-        "if (p0 + [0, 0])[:3] != low:",
+        "if packed & low_mask != low:",
         "if False:",
         [
             "tests/test_configurations.py::test_stats_errors_name_the_class",
@@ -109,7 +110,7 @@ MUTANTS = (
     ),
     (
         CONFIGURATIONS,
-        "if has_dichromatic != (p0 != _one_colour_counts(a1, a2)):",
+        "if has_dichromatic != (packed != one_colour[a1] + one_colour[a2] - 1):",
         "if False:",
         ["tests/test_configurations.py::test_a_wrong_dichromatic_flag_is_a_verification_error"],
     ),
@@ -124,6 +125,24 @@ MUTANTS = (
         "lambda config: config.graph",
         "lambda config: config.d",
         [SHARED_VALUES],
+    ),
+    (
+        CONFIGURATIONS,
+        "moment12 = p * (a1 * t1 + a2 * t2) // s",
+        "moment12 = p * (a1 * t1 + a1 * t2) // s",
+        [SHARED_VALUES],
+    ),
+    (
+        CONFIGURATIONS,
+        "sum(c // 2 for c in cycles)",
+        "sum((c + 1) // 2 for c in cycles)",
+        ["tests/test_configurations.py::test_count_configs_matches_the_burnside_oracle"],
+    ),
+    (
+        "src/wrkit/numerics.py",
+        "except ZeroDivisionError as exc:",
+        "except ValueError as exc:",
+        ["tests/test_cli_fuzz.py::test_fuzzed_argvs_exit_cleanly"],
     ),
     (
         PARTITION,

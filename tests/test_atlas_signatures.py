@@ -11,7 +11,8 @@ vertices whose lists allow colour i, and its p12 is (1+lam)^a1 +
 (1+lam)^a2.  A class on k < d vertices is padded with empty lists, which
 no colouring uses, so its signature is that of its k vertices.  Labelled
 assignments repeat a class once per relabelling, which a set of
-signatures forgets.
+signatures forgets.  wrkit keys p0 as one int, its coefficients the
+digits in base 2^(2d+1); the checks pack the route's keys so (wrkit_key).
 
 Check 1 (the signature set) runs here at d <= 6, about 1 s for the route
 at d = 6 on a 2-vCPU VM, and at d = 7, about 20 s, as its own CI step.
@@ -138,11 +139,18 @@ def alpha_slack(key, d, lam):
     return lambda_p + lambda_c * (alpha_v - alpha_u) - alpha_v
 
 
+def wrkit_key(key, d):
+    """A route signature as wrkit keys it at d: p0's coefficients packed as
+    the digits of one int in base 2^(2d+1); no coefficient exceeds 3^d."""
+    p0, a1, a2 = key
+    return sum(c << (2 * d + 1) * i for i, c in enumerate(p0)), a1, a2
+
+
 def check_signature_keys(d):
     """Check 1: the route's signature set is the index of signature_classes(d)."""
     from wrkit.configurations import signature_classes
 
-    assert route_signatures(d) == set(signature_classes(d)[2]), d
+    assert {wrkit_key(key, d) for key in route_signatures(d)} == set(signature_classes(d)[2]), d
 
 
 def check_slack_signs(d, lam):
@@ -155,7 +163,7 @@ def check_slack_signs(d, lam):
     verdicts = lp.feasibility(d, lam)[1].rows.verdicts
     for key in route_signatures(d):
         slack = alpha_slack(key, d, lam)
-        expected = verdicts[index[key]][2]
+        expected = verdicts[index[wrkit_key(key, d)]][2]
         assert (slack > 0) - (slack < 0) == (expected > 0) - (expected < 0), (d, lam, key)
 
 

@@ -108,6 +108,12 @@ def colouring_tallies(config):
     return IntPolynomial(p0), IntPolynomial(p1), IntPolynomial(p2), dichromatic
 
 
+def packed(coefficients, d):
+    """p0's coefficients as the walk packs them at the degree d: the digits
+    of one int in base 2^(2d+1)."""
+    return sum(c << (2 * d + 1) * k for k, c in enumerate(coefficients))
+
+
 def test_local_polynomials_match_colouring_tallies():
     rng = random.Random(53)
     configs = [c for d in (1, 2, 3, 4) for c in enumerate_configs(d)]
@@ -145,8 +151,8 @@ def test_local_polynomials_walk_each_subset_of_the_smaller_list_set(monkeypatch)
             reads.append(s)
             return tuple.__getitem__(self, s)
 
-    def recording_walk(adj, pairs):
-        result = walk_fn(adj, pairs)
+    def recording_walk(adj, pairs, d):
+        result = walk_fn(adj, pairs, d)
         walks.append((pairs, result))
         return result
 
@@ -170,7 +176,7 @@ def test_local_polynomials_walk_each_subset_of_the_smaller_list_set(monkeypatch)
         for (size, free), count in subset_tally(graph.adj, walk, other).items():
             for k in range(free + 1):
                 expected[size + k] += count * comb(free, k)
-        assert p0 == expected
+        assert p0 == packed(expected, 5)
 
 
 @st.composite
@@ -258,9 +264,9 @@ def test_full_classes_walk_in_one_batch_per_graph_class(monkeypatch):
     batches = []
     walk = configurations._colour_set_walk
 
-    def counted(adj, pairs):
+    def counted(adj, pairs, d):
         batches.append(len(pairs))
-        return walk(adj, pairs)
+        return walk(adj, pairs, d)
 
     monkeypatch.setattr(configurations, "_colour_set_walk", counted)
     assert sum(1 for _ in full_class_signatures(5)) == 12208
@@ -290,9 +296,9 @@ def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
     # a local walk
     walk = configurations._colour_set_walk
 
-    def flipped(adj, pairs):
-        p0, dichromatic = walk(adj, pairs)
-        return p0, dichromatic ^ ((1 << len(pairs)) - 1)
+    def flipped(adj, pairs, d):
+        p0s, dichromatic = walk(adj, pairs, d)
+        return p0s, dichromatic ^ ((1 << len(pairs)) - 1)
 
     signature_classes(2)  # cached, so that the full route reads its index
     monkeypatch.setattr(configurations, "_colour_set_walk", flipped)
@@ -589,6 +595,35 @@ def test_count_configs_pinned():
     assert counts[:5] == [len(enumerate_configs(d)) for d in range(1, 6)]
 
 
+def cycle_count(perm):
+    """The number of cycles of a permutation, fixed points included."""
+    cycles = 0
+    seen = set()
+    for v in range(len(perm)):
+        cycles += v not in seen
+        while v not in seen:
+            seen.add(v)
+            v = perm[v]
+    return cycles
+
+
+def burnside_count(d):
+    """The full classes at d by Burnside's lemma over each graph class's
+    automorphisms: the 4^d list assignments on a graph class H fall into
+    (1/|Aut H|) * sum over g in Aut H of 4^cycles(g) orbits.  The oracle
+    for count_configs, which counts by cycle type and lists no graph."""
+    return sum(
+        sum(4 ** cycle_count(perm) for perm in autos) // len(autos)
+        for _, autos in graphs_up_to_iso(d)
+    )
+
+
+def test_count_configs_matches_the_burnside_oracle():
+    # d = 7 (8,171,936) runs in CI's d = 7 step
+    for d in range(1, 7):
+        assert count_configs(d) == burnside_count(d), d
+
+
 def test_reduced_classes_are_the_reductions_of_the_full_classes():
     # each padded representative is its own reduction: it keeps only
     # edges that matter, and its empty lists are the trailing isolated
@@ -721,9 +756,9 @@ def check_swap_pairing(d):
     walked = []
     walk = configurations._colour_set_walk
 
-    def counted(adj, pairs):
+    def counted(adj, pairs, d):
         walked.append(len(pairs))
-        return walk(adj, pairs)
+        return walk(adj, pairs, d)
 
     configurations._colour_set_walk = counted
     try:
@@ -735,7 +770,8 @@ def check_swap_pairing(d):
     for entry, i in classes:
         config = reduced_config(*entry)
         stats = local_partition_functions(config)
-        assert index[signature(stats.a1, stats.a2, stats.p0.coeffs)] == i, config.key_text()
+        key = signature(stats.a1, stats.a2, packed(stats.p0.coeffs, d))
+        assert index[key] == i, config.key_text()
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
@@ -754,13 +790,38 @@ def check_full_class_signatures(d):
         stats = local_partition_functions(config)
         assert row_config is config
         assert (a1, a2) == (stats.a1, stats.a2), config.key_text()
-        assert index[signature(a1, a2, stats.p0.coeffs)] == i, config.key_text()
+        assert index[signature(a1, a2, packed(stats.p0.coeffs, d))] == i, config.key_text()
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
 def test_batched_full_classes_match_their_own_walks(d):
     # d = 6 runs in the same CI step as check_signature_sets(6)
     check_full_class_signatures(d)
+
+
+def test_a_padded_class_keys_as_its_class_walked_on_d_vertices():
+    # signature_classes walks a class on k < d vertices unpadded but packs
+    # it at d, so its key is the one its padded d-vertex graph gives: a
+    # signature has one key whatever k its classes have
+    for d in range(1, 6):
+        _, classes, index = signature_classes(d)
+        for (k, code, graph, lists), i in classes:
+            masks = [configurations._list_masks(lists)]
+            on_d = next(configurations._local_walks(graph.adj, masks, d))
+            assert index[signature(*on_d[:3])] == i, (k, code, lists)
+            if k < d:
+                unpadded = graph_from_code(k, code).adj
+                assert next(configurations._local_walks(unpadded, masks, d)) == on_d
+
+
+def test_tight_reduced_signatures_are_their_classes_walks():
+    # uniqueness_check finds the tight classes' columns by these keys,
+    # read off the lists, so each must be the key its class's walk gives
+    for d in range(1, 8):
+        walked = [configurations._walked(c) for c in configurations.tight_reduced_classes(d)]
+        assert configurations.tight_reduced_signatures(d) == tuple(
+            signature(a1, a2, packed) for a1, a2, packed, _ in walked
+        ), d
 
 
 def test_swap_partners_hold_the_swapped_lists():

@@ -14,12 +14,10 @@ import pytest
 
 from wrkit import cli, configurations, lp
 from wrkit.configurations import (
-    complete_neighbourhood_config,
     count_configs,
     empty_lists_config,
     reduced_config,
     signature_classes,
-    single_colour_config,
 )
 from wrkit.errors import VerificationError
 from wrkit.occupancy import alpha_K
@@ -30,7 +28,7 @@ F = Fraction
 def slack_forms(d, lam):
     """Both slack forms per signature at (d, lam), unpatched."""
     cert = lp.dual_certificate(d, lam)
-    return list(lp._slack_numerators(cert, (s[2:] for s in lp._signature_table(d, lam))))
+    return list(lp._slack_numerators(cert, (s[4:] for s in lp._signature_table(d, lam))))
 
 
 def first_slack_signature(d, lam):
@@ -112,7 +110,7 @@ def test_empty_list_constraint_not_tight(monkeypatch):
     # certificate fitted elsewhere leaves it slack
     d, lam = 3, F(1)
     signatures = lp._signature_table(d, lam)
-    j = next(i for i, (_, stats, *_) in enumerate(signatures) if not stats.a1 + stats.a2)
+    j = next(i for i, (_, a1, a2, *_) in enumerate(signatures) if not a1 + a2)
     numerators = lp._slack_numerators
 
     def shifted(cert, column, forms):
@@ -126,15 +124,14 @@ def test_empty_list_constraint_not_tight(monkeypatch):
 
 def test_uniqueness_needs_alpha_u_below_alpha_v(monkeypatch):
     # the independent set listed {1} read with the complete
-    # neighbourhood's stats, where alpha_u = alpha_v
-    stats = lp.local_partition_functions
+    # neighbourhood's signature, whose column has alpha_u = alpha_v
+    signatures = lp.tight_reduced_signatures
 
-    def swapped(config):
-        if config == single_colour_config(config.d, 1):
-            config = complete_neighbourhood_config(config.d)
-        return stats(config)
+    def swapped(d):
+        empty, single, swap, complete = signatures(d)
+        return empty, complete, swap, complete
 
-    monkeypatch.setattr(lp, "local_partition_functions", swapped)
+    monkeypatch.setattr(lp, "tight_reduced_signatures", swapped)
     with pytest.raises(
         VerificationError, match=r"^expected alpha_u < alpha_v on d=3;edges=;lists=1,1,1$"
     ):

@@ -47,24 +47,16 @@ from wrkit.occupancy import alpha_K
 from lp_oracles import (
     _claim_terms,
     conditional_expectation_check,
+    fraction_alphas,
     monotone_lhs_check,
     verify_claims,
 )
-from test_configurations import reduced_configs
+from test_configurations import configs, packed, reduced_configs
 from test_cross_checks import first_slack_signature, plant
 
 F = Fraction
 
 SMALL_GRID = (F(1, 4), F(1, 2), F(1), F(2), F(10))
-
-
-def fraction_alphas(stats, d, lam):
-    """alpha_v = lam p12 / pc and alpha_u = lam (p0' + lam p12') / (d pc),
-    each polynomial evaluated at lam in Fractions: the oracle for the
-    integer column of configurations.local_alphas."""
-    pc = stats.p0.eval(lam) + lam * stats.p12.eval(lam)
-    dp = stats.p0.derivative().eval(lam) + lam * stats.p12.derivative().eval(lam)
-    return lam * stats.p12.eval(lam) / pc, lam * dp / (d * pc)
 
 
 def dual_slack(cert, config):
@@ -342,15 +334,16 @@ def test_shared_values_match_direct_evaluation():
 def per_class_signature_table(d, lam):
     """The signature table from one local_partition_functions call per
     reduced class, keyed by (p0, p12) coefficients: each
-    signature's first class, its stats and integer column, and each
-    class's signature index."""
+    signature's first class, its a1, a2 and packed p0, and its integer
+    column, and each class's signature index."""
     first, signatures, indices = {}, [], []
     for config in reduced_configs(d):
         stats = local_partition_functions(config)
         sig = (stats.p0.coeffs, stats.p12.coeffs)
         if sig not in first:
             first[sig] = len(signatures)
-            signatures.append((config, stats, *local_alphas(stats, d, lam)))
+            key = (stats.a1, stats.a2, packed(stats.p0.coeffs, d))
+            signatures.append((config, *key, *local_alphas(*key, d, lam)))
         indices.append(first[sig])
     return tuple(signatures), indices
 
@@ -363,12 +356,12 @@ def test_signature_table_matches_the_per_class_route(lam):
     for d in range(1, 6):
         signatures = _signature_table(d, lam)
         firsts, classes, index = signature_classes(d)
-        assert [entry[:2] for entry in signatures] == list(firsts)
+        assert [entry[:4] for entry in signatures] == list(firsts)
         expected, indices = per_class_signature_table(d, lam)
         assert signatures == expected
         assert [c.canonical for c, *_ in signatures] == [c.canonical for c, *_ in expected]
         assert [i for _, i in classes] == indices
-        keys = [signature(s.a1, s.a2, s.p0.coeffs) for _, s, *_ in signatures]
+        keys = [signature(a1, a2, p0) for _, a1, a2, p0, *_ in signatures]
         assert index == {key: i for i, key in enumerate(keys)}
 
 
@@ -379,7 +372,10 @@ def test_report_rows_carry_their_signature_index():
     for d in range(1, 5):
         lam = F(3, 2)
         signatures = _signature_table(d, lam)
-        index = {(s.p0, s.p12): i for i, (_, s, *_) in enumerate(signatures)}
+        index = {}
+        for i, (config, *_) in enumerate(signatures):
+            stats = local_partition_functions(config)
+            index[stats.p0, stats.p12] = i
         assert len(index) == len(signatures)
         report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
         for row in report.rows:
@@ -387,7 +383,7 @@ def test_report_rows_carry_their_signature_index():
             assert row.signature == index[stats.p0, stats.p12]
             verdict = (row.alpha_v, row.alpha_u, row.slack, row.tight)
             assert verdict == report.rows.verdicts[row.signature]
-            p0 = stats.p0.coeffs
+            p0 = packed(stats.p0.coeffs, d)
             assert signature(stats.a1, stats.a2, p0) == signature(stats.a2, stats.a1, p0)
 
 
@@ -463,7 +459,7 @@ def test_local_alphas_match_the_derivative_route(lam):
     for d in range(1, 5):
         for config in reduced_configs(d):
             stats = local_partition_functions(config)
-            x_v, x_u, den = local_alphas(stats, d, lam)
+            x_v, x_u, den = local_alphas(stats.a1, stats.a2, packed(stats.p0.coeffs, d), d, lam)
             assert (F(x_v, den), F(x_u, den)) == fraction_alphas(stats, d, lam)
             big_dp0 = q**d * stats.p0.derivative().eval(lam)
             big_dp12 = q**d * stats.p12.derivative().eval(lam)
@@ -483,16 +479,16 @@ def test_integer_slack_routes_match_the_fraction_oracles(lam):
         cert = dual_certificate(d, lam)
         report = verify_dual_feasibility(cert, d, lam)
         signatures = _signature_table(d, lam)
-        forms = _slack_numerators(cert, (signature[2:] for signature in signatures))
-        for (config, stats, x_v, x_u, den), (s, s_den, s2, s2_den), verdict in zip(
+        forms = _slack_numerators(cert, (signature[4:] for signature in signatures))
+        for (config, a1, a2, _, x_v, x_u, den), (s, s_den, s2, s2_den), verdict in zip(
             signatures, forms, report.rows.verdicts, strict=True
         ):
-            av, au = fraction_alphas(stats, d, lam)
+            av, au = fraction_alphas(local_partition_functions(config), d, lam)
             assert (F(x_v, den), F(x_u, den)) == (av, au)
             slack = dual_slack(cert, config)
             assert s_den > 0 and F(s, s_den) == slack
             assert verdict == (av, au, slack, slack == 0)
-            if stats.a1 or stats.a2:
+            if a1 or a2:
                 assert s2_den > 0 and F(s2, s2_den) == claims_slack(cert, config)
                 assert (s2 > 0) - (s2 < 0) == (slack > 0) - (slack < 0)
             else:
@@ -820,3 +816,46 @@ def test_relaxation_tightness_against_catalog():
     for g in graphs:
         exact = occupancy_fraction(g, lam) == lp_value
         assert exact == is_union_of_complete(g, 3), g.label
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    configs(max_d=6),
+    st.one_of(
+        st.sampled_from((F(10**6, 999999), F(1, 10**6))),
+        st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+    ),
+)
+def test_packed_local_alphas_match_the_fraction_route(config, lam):
+    # the column from the walk's packed p0 and the closed form of p12 is
+    # alpha_v and alpha_u from the polynomials, evaluated in Fractions
+    from wrkit import configurations
+
+    a1, a2, p0, _ = configurations._walked(config)
+    x_v, x_u, den = local_alphas(a1, a2, p0, config.d, lam)
+    stats = local_partition_functions.__wrapped__(config)  # bypass the cache
+    assert (F(x_v, den), F(x_u, den)) == fraction_alphas(stats, config.d, lam)
+
+
+def test_a_cold_lp_walks_once_per_graph_class(monkeypatch, capsys):
+    # lp --d 3 walks each of the 8 graph classes on k <= 3 vertices once,
+    # in one batch, and uniqueness_check reads the tight classes' columns
+    # from the signature table without walking them again
+    from wrkit import configurations
+    from wrkit.graphs import graphs_up_to_iso
+
+    walks = []
+    walk = configurations._colour_set_walk
+
+    def counted(adj, pairs, d):
+        walks.append(len(adj))
+        return walk(adj, pairs, d)
+
+    monkeypatch.setattr(configurations, "_colour_set_walk", counted)
+    signature_classes.cache_clear()
+    _signature_table.cache_clear()
+    local_partition_functions.cache_clear()
+    assert cli.main(["lp", "--d", "3", "--lambda", "1"]) == 0
+    assert capsys.readouterr().out.startswith("d=3 lambda=1: 120 configurations\n")
+    assert sorted(walks) == [k for k in range(4) for _ in graphs_up_to_iso(k)]
+    assert len(walks) == 8
