@@ -8,7 +8,8 @@ flags and its handler.  The tree of parsers is built once, at import, as
 PARSER, and every call parses through it.  Only configs writes the
 per-class report; dualcert counts violated constraints by their reduced
 classes, so a failed certificate exits 3 at every degree the reduced
-route takes.
+route takes, and counts its tight classes without listing a graph.  An
+unknown command is named alone on one line, not with all eight.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ DEFAULT_PAIR_GRID = "1,1;2,1;10,1;1,1/2"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def _check_value(self, action, value):
+        # argparse refuses an unknown command by listing all eight, past
+        # one short line; name it alone, cut to 40 characters
+        if action.dest == "command" and value not in action.choices:
+            name = ascii(value)
+            name = name if len(name) <= 40 else name[:36] + "..."
+            raise UsageError(f"unknown command {name} (see wrkit --help)")
+        super()._check_value(action, value)
 
 
 def _load_graph(args) -> Graph:
@@ -210,7 +220,7 @@ def cmd_dualcert(args) -> int:
     print(
         f"Lambda_p={format_rational(cert.lambda_p)} "
         f"Lambda_c={format_rational(cert.lambda_c)} "
-        f"violations={len(report.violations)} tight={len(report.tight_set)}"
+        f"violations={len(report.violations)} tight={report.tight_count}"
     )
     return EXIT_MISMATCH if report.violations else EXIT_OK
 

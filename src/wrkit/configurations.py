@@ -23,34 +23,49 @@ padded to d with empty lists, packs as a walk on d vertices would.
 _colour_set_walk is the only walk and _low_coefficients the only check
 of its low coefficients; both take one graph with a batch of (A1, A2)
 pairs, which _local_walks runs and checks, as int comparisons: one per
-graph class for signature_classes and full_class_signatures, and one
-pair for local_partition_functions, alpha_v and alpha_u.  Only
-local_partition_functions unpacks p0, into the ConfigStats it returns.
+graph class for signature_classes, certificate_signatures and
+full_class_signatures, and one pair for local_partition_functions,
+alpha_v and alpha_u.  Only local_partition_functions unpacks p0, into
+the ConfigStats it returns.
 
 enumerate_configs lists the classes up to label-preserving isomorphism:
 graphs up to isomorphism, then list assignments per graph by orbits of
 its automorphism group.  Each representative is its orbit's first
 member, so it carries its canonical key; count_configs counts the
-classes by Polya's count over the cycle types of S_d.  Dropping the
-empty-list vertices and the edges inside {1} or inside {2} leaves a
-class's reduced class, with the same polynomials, as only an edge from
-a vertex allowing colour 1 to one allowing colour 2 can bar a colouring.
-signature_classes lists those (1,438 at d = 5, against 12,208 classes),
-padded to d vertices.  Both listings come from one orbit walk, which
-never builds a reduced assignment with an edge inside {1} or inside {2}.
+classes, and count_graph_classes the graphs, by Polya's count over the
+cycle types of S_d.  Dropping the empty-list vertices and the edges
+inside {1} or inside {2} leaves a class's reduced class, with the same
+polynomials, as only an edge from a vertex allowing colour 1 to one
+allowing colour 2 can bar a colouring.  signature_classes lists those
+(1,438 at d = 5, against 12,208 classes), padded to d vertices.  Both
+listings come from one orbit walk, which never builds a reduced
+assignment with an edge inside {1} or inside {2}.
 
 The map from a class to its signature, the key (packed p0, min(a1, a2),
 max(a1, a2)) that signature() builds and all an LP column depends on,
-lives here, free of any activity: signature_classes for the reduced
-classes, full_class_signatures for the full ones (the per-class report,
-which only configs writes; past the full route's cap, at d = 7, reading
-an lp report's rows raises CapacityError).  local_alphas turns a
-signature into its column at lam, p0 from the packed digits and p12 in
-closed form.  The weights are symmetric in the two colours, so swapping
-lists {1} and {2} keeps a class's signature.  The orbit walk gives each
-orbit first the first of its swapped orbit, and signature_classes walks
-one class per swap pair, in one batch per graph class: 796 walks for
-the 1,438 reduced classes at d = 5, 97,811 for 190,984 at d = 7.
+lives here, free of any activity, with two routes to the signatures.
+signature_classes is the canonical listing: every reduced class on at
+most d vertices, from the orbit walk over graphs_up_to_iso(k) for each
+k <= d, with its signature.  certificate_signatures, the certificate's
+route, lists no class on d vertices: the classes on at most d - 1
+vertices come from the same pass, and the signatures on d vertices from
+adding one vertex w to each reduced class C on exactly d - 1, by the
+deletion identity p0(C + w) = p0(A1, A2) + [1 in w's list] lam
+p0(A1, A2 - N) + [2 in w's list] lam p0(A1 - N, A2), N the neighbours
+of w, with each new signature walked again on its d vertices.  The two
+have the same signature set (the tests check it), and the certificate
+decides each signature's verdict once, so it lists the canonical
+classes only to name a violated signature's.  full_class_signatures
+gives the full classes' rows (the per-class report, which only configs
+writes; past the full route's cap, at d = 7, reading an lp report's rows
+raises CapacityError).  local_alphas turns a signature into its column
+at lam, p0 from the packed digits and p12 in closed form.  The weights
+are symmetric in the two colours, so swapping lists {1} and {2} keeps a
+class's signature.  The orbit walk gives each orbit first the first of
+its swapped orbit, and one class per swap pair is walked, in one batch
+per graph class (796 walks for the 1,438 reduced classes at d = 5,
+97,811 for 190,984 at d = 7) and augmented (108 parents at d = 5, 6,107
+at d = 7).
 """
 
 from __future__ import annotations
@@ -455,21 +470,35 @@ def _partitions(n: int, most: int) -> Iterator[tuple[int, ...]]:
             yield (part, *rest)
 
 
-def count_configs(d: int) -> int:
-    """len(enumerate_configs(d)) by Polya's count over the cycle types of
-    S_d, without enumerating.  A permutation with cycle lengths c_1..c_m
-    fixes 4^m list assignments and 2^pairs graphs, pairs the number of its
-    cycles on vertex pairs: floor(c_i/2) within each cycle and
-    gcd(c_i, c_j) between two.  d!/z of the permutations have the cycle
-    type, z the product over each length c, met m_c times, of
-    c^m_c m_c!, and the classes are the mean of the fixed count over S_d."""
-    check_degree(d)
+def _polya_count(n: int, per_cycle: int) -> int:
+    """The mean over S_n of per_cycle^m 2^pairs, m the number of a
+    permutation's cycles and pairs the number of its cycles on vertex
+    pairs: floor(c_i/2) within each cycle and gcd(c_i, c_j) between two.
+    It sums over cycle types: n!/z of the permutations have the cycle
+    type, z the product over each length c, met m_c times, of c^m_c m_c!."""
     total = 0
-    for cycles in _partitions(d, d):
+    for cycles in _partitions(n, n):
         pairs = sum(c // 2 for c in cycles) + sum(starmap(gcd, combinations(cycles, 2)))
         z = prod(c**m * factorial(m) for c, m in Counter(cycles).items())
-        total += 4 ** len(cycles) * 2**pairs * (factorial(d) // z)
-    return total // factorial(d)
+        total += per_cycle ** len(cycles) * 2**pairs * (factorial(n) // z)
+    return total // factorial(n)
+
+
+def count_configs(d: int) -> int:
+    """len(enumerate_configs(d)) by Polya's count over the cycle types of
+    S_d, without enumerating: a permutation with m cycles fixes 4^m list
+    assignments and 2^pairs graphs, and the classes are the mean of the
+    fixed count over S_d."""
+    check_degree(d)
+    return _polya_count(d, 4)
+
+
+def count_graph_classes(n: int) -> int:
+    """len(graphs_up_to_iso(n)), the graphs on n vertices up to
+    isomorphism, by the same count: a permutation fixes 2^pairs graphs.
+    It lists no graph, so it runs past graphs_up_to_iso's cap (12,346 at
+    n = 8)."""
+    return _polya_count(n, 1)
 
 
 def tight_full_classes(d: int) -> tuple[Configuration, ...]:
@@ -510,17 +539,16 @@ def tight_reduced_signatures(d: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:
+def _reduced_graphs(top: int) -> Iterator[tuple[int, int, Graph, list, list]]:
     """(k, code, graph, firsts, partners) per graph class of the reduced
-    classes on k <= d vertices, unpadded, from _orbit_firsts: k and then
+    classes on k <= top vertices, unpadded, from _orbit_firsts: k and then
     the code descending, so that the firsts, read backwards, come in
     signature_classes order.  A first's partner is the index of the first
     whose orbit holds its lists with colours 1 and 2 swapped: the swap
     commutes with the automorphisms and keeps the walk's assignments.  The
     orbit index lives only while its graph's partners are found."""
-    check_degree(d)
     swap = _SWAPPED.__getitem__
-    for k in range(d, -1, -1):
+    for k in range(top, -1, -1):
         for code, autos in reversed(graphs_up_to_iso(k)):
             graph, firsts, orbit = _orbit_firsts(k, code, autos, True)
             yield k, code, graph, firsts, [orbit[tuple(map(swap, lists))] for lists in firsts]
@@ -529,6 +557,41 @@ def _reduced_graphs(d: int) -> Iterator[tuple[int, int, Graph, list, list]]:
 def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> Configuration:
     """The configuration of a signature_classes entry, with its key if k = d."""
     return _stamped(graph, code, lists) if k == graph.n else _enumerated(graph, lists, None)
+
+
+def _walked_graphs(top: int, d: int) -> Iterator[tuple[int, int, Graph, list]]:
+    """(k, code, padded graph, classes) per graph class of _reduced_graphs(top),
+    in its order; classes holds, per reduced class on the graph, in
+    signature_classes order, (its lists padded to d, (a1, a2, packed p0),
+    whether it was walked).  The graph and the lists are padded with
+    d - k isolated empty-list vertices.  The weights are symmetric in the
+    two colours, so a class and its colour-swapped class share p0 and
+    {a1, a2}: one local walk per swap pair, the pair's first class in this
+    order, gives both, and the walks run in one batch per graph class, on
+    its unpadded k vertices, packed at d, so that a padded class keys as
+    the same class walked on d vertices would.  A failed check names the
+    class.  signature_classes and certificate_signatures share this pass."""
+    for k, code, graph, assignments, partners in _reduced_graphs(top):
+        pad = (NO_COLOURS,) * (d - k)
+        padded = _valid_graph(d, graph.adj + pad, "")
+        order = range(len(assignments) - 1, -1, -1)
+        walked = [_list_masks(assignments[i]) for i in order if partners[i] <= i]
+        walks = _local_walks(graph.adj, walked, d)
+        found: list = [None] * len(assignments)  # (a1, a2, packed p0) per first
+        classes = []
+        for i in order:
+            lists = assignments[i] + pad
+            j = partners[i]
+            if j > i:  # its swapped class came first, with the same signature
+                found[i] = found[j]
+            else:
+                try:
+                    found[i] = next(walks)[:3]
+                except VerificationError as exc:
+                    config = reduced_config(k, code, padded, lists)
+                    raise VerificationError(f"{config.key_text()}: {exc}") from exc
+            classes.append((lists, found[i], j <= i))
+        yield k, code, padded, classes
 
 
 @lru_cache(maxsize=None)
@@ -542,54 +605,175 @@ def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
     vertices, graph and lists padded with d - k isolated empty-list
     vertices.  The entries are sorted by k and then by the k-vertex
     class's canonical key, both descending: the complete neighbourhood
-    first, the all-empty class last.  The LP names its columns in this
-    order, and with the optimal column first Bland's rule pivots far less.
-
-    The weights are symmetric in the two colours, so a class and its
-    colour-swapped class share p0 and {a1, a2}: one local walk per swap
-    pair, the pair's first class in this order, gives both their
-    signature, and the walks run in one batch per graph class, on its
-    unpadded k vertices, packed at d, so that a padded class keys as the
-    same class walked on d vertices would.  Only a signature's first class
-    becomes a Configuration.  A failed check names the class.  Free of
-    any activity, the map is walked once per degree, at most CLASS_CAP of
-    them, as a refused degree raises before anything is cached."""
+    first, the all-empty class last.  The local walks are
+    _walked_graphs', one per colour-swap pair, and only a signature's
+    first class becomes a Configuration.  This is the canonical listing:
+    the tests read it as the oracle of certificate_signatures, and the
+    certificate reads it only to name the classes of a violated
+    signature.  Free of any activity, the map is walked once per degree,
+    at most CLASS_CAP of them, as a refused degree raises before anything
+    is cached."""
+    check_degree(d)
     index: dict[tuple, int] = {}
     firsts = []
     classes = []
-    for k, code, graph, assignments, partners in _reduced_graphs(d):
-        pad = (NO_COLOURS,) * (d - k)
-        padded = _valid_graph(d, graph.adj + pad, "")
-        order = range(len(assignments) - 1, -1, -1)
-        walked = [_list_masks(assignments[i]) for i in order if partners[i] <= i]
-        walks = _local_walks(graph.adj, walked, d)
-        found = [0] * len(assignments)  # signature index per first
-        for i in order:
-            entry = k, code, padded, assignments[i] + pad
-            j = partners[i]
-            if j > i:  # its swapped class came first, with the same signature
-                found[i] = found[j]
-            else:
-                try:
-                    a1, a2, packed, _ = next(walks)
-                except VerificationError as exc:
-                    raise VerificationError(
-                        f"{reduced_config(*entry).key_text()}: {exc}"
-                    ) from exc
-                found[i] = index.setdefault(signature(a1, a2, packed), len(firsts))
-                if found[i] == len(firsts):
-                    firsts.append((reduced_config(*entry), a1, a2, packed))
-            classes.append((entry, found[i]))
+    for k, code, graph, walked in _walked_graphs(d, d):
+        for lists, (a1, a2, packed), _ in walked:
+            entry = k, code, graph, lists
+            i = index.setdefault(signature(a1, a2, packed), len(firsts))
+            if i == len(firsts):
+                firsts.append((reduced_config(*entry), a1, a2, packed))
+            classes.append((entry, i))
     return tuple(firsts), tuple(classes), index
+
+
+@lru_cache(maxsize=128)
+def _submasks(mask: int) -> tuple[int, ...]:
+    """The subsets of the vertex set mask, from mask down to the empty set."""
+    out = [mask]
+    s = mask
+    while s:
+        s = (s - 1) & mask
+        out.append(s)
+    return tuple(out)
+
+
+_W_LISTS = (BOTH_COLOURS, COLOUR_2, COLOUR_1)  # the augmented vertex's lists, in column order
+
+
+def _augment(graph: Graph, parents: list, d: int, index: dict, firsts: list) -> None:
+    """Add to index and firsts the new signatures of the classes C + w:
+    C runs over parents, the lists of reduced classes on the d - 1 vertices
+    of graph, padded to d; w is vertex d - 1, listed {12}, {2} or {1}, with
+    every neighbour set N in C, and C + w stays reduced: N holds no vertex
+    listed exactly {1} if w is, nor exactly {2}.  The new signatures come
+    in order of parent, then N from the full set down, then w's list.
+
+    With N the neighbours of w, the deletion identity gives
+
+        p0(C + w) = p0(A1, A2) + [1 in w's list] lam p0(A1, A2 - N)
+                               + [2 in w's list] lam p0(A1 - N, A2),
+
+    each term a walk on C: the terms are tabulated per parent, for every
+    X <= A2 and every Y <= A1, in one _colour_set_walk batch for all the
+    parents, packed at d, and lam times a packed p0 is a shift by 2d + 1
+    bits.  Each new signature is then walked again on its d-vertex class,
+    one _local_walks batch per N, which checks its p0, its low
+    coefficients and its dichromatic flag; that class, as built and not
+    canonically labelled (its key() canonicalises), names it."""
+    w = d - 1
+    adj = graph.adj[:w]
+    masks = [_list_masks(lists) for lists in parents]
+    pairs = []
+    for allows_1, allows_2 in masks:
+        pairs += [(allows_1, x) for x in _submasks(allows_2)]
+        pairs += [(y, allows_2) for y in _submasks(allows_1)]
+    packs = iter(_colour_set_walk(adj, pairs, d)[0])
+    slot = 2 * d + 1
+    bit = 1 << w
+    ns = range(bit - 1, -1, -1)
+    new: dict[int, list] = {}  # per N, the new signatures' (index, lists, (A1, A2))
+    for lists, (allows_1, allows_2) in zip(parents, masks):
+        # lam p0(A1, X) per X <= A2, and lam p0(Y, A2) per Y <= A1, by vertex set
+        lifted_2, lifted_1 = [0] * bit, [0] * bit
+        for x in _submasks(allows_2):
+            lifted_2[x] = next(packs) << slot
+        for y in _submasks(allows_1):
+            lifted_1[y] = next(packs) << slot
+        base = lifted_2[allows_2] >> slot
+        a1, a2 = allows_1.bit_count(), allows_2.bit_count()
+        only_1, only_2 = allows_1 & ~allows_2, allows_2 & ~allows_1
+        # {a1, a2} of C + w, in signature order, for w listed {12}, {2}, {1}
+        both = signature(a1 + 1, a2 + 1, 0)[1:]
+        two = signature(a1, a2 + 1, 0)[1:]
+        one = signature(a1 + 1, a2, 0)[1:]
+        via = zip(
+            ns,
+            [lifted_2[allows_2 & ~n] for n in ns],  # w coloured 1
+            [lifted_1[allows_1 & ~n] for n in ns],  # w coloured 2
+        )
+        # per N, the keys of C + w with w listed {12}, {2} and {1}, None
+        # where an edge would join two vertices listed the same one colour
+        keys = [
+            key
+            for n, via_1, via_2 in via
+            for key in (
+                (base + via_1 + via_2, *both),
+                None if n & only_2 else (base + via_2, *two),
+                None if n & only_1 else (base + via_1, *one),
+            )
+        ]
+        fresh = set(keys).difference(index)
+        fresh.discard(None)
+        for at in sorted(map(keys.index, fresh)):
+            index[keys[at]] = len(firsts)
+            firsts.append(keys[at])
+            mask = _W_LISTS[at % 3]
+            grown = allows_1 | bit * (mask & 1), allows_2 | bit * (mask >> 1)
+            new.setdefault(ns[at // 3], []).append((len(firsts) - 1, lists[:w] + (mask,), grown))
+    for n, found in new.items():
+        grown_adj = tuple(a | bit if n >> v & 1 else a for v, a in enumerate(adj)) + (n,)
+        grown_graph = _valid_graph(d, grown_adj, "")
+        walks = _local_walks(grown_adj, [pair for *_, pair in found], d)
+        for i, lists, _ in found:
+            config = _enumerated(grown_graph, lists, None)
+            try:
+                a1, a2, packed, _ = next(walks)
+            except VerificationError as exc:
+                raise VerificationError(f"{config.key_text()}: {exc}") from exc
+            if signature(a1, a2, packed) != firsts[i]:
+                raise VerificationError(
+                    f"{config.key_text()}: p0 by the deletion identity disagrees with its walk"
+                )
+            firsts[i] = (config, a1, a2, packed)
+
+
+@lru_cache(maxsize=None)
+def certificate_signatures(d: int) -> tuple[tuple, dict[tuple, int]]:
+    """The signatures of signature_classes(d), for the certificate, which
+    reads a class only through its signature: per signature, (its first
+    class, a1, a2, packed p0), and each signature's index, keyed by
+    signature().
+
+    The signatures of the classes on at most d - 1 vertices come from
+    _walked_graphs(d - 1, d), the pass that signature_classes makes, with
+    the same first classes.  Deleting a vertex w from a reduced class on
+    exactly d vertices leaves a reduced class C on d - 1 (both have no
+    empty list), so the other signatures are those of C + w (_augment),
+    for one C of each colour-swap pair on exactly d - 1 vertices, in
+    _walked_graphs order: swapping the colours of C + w keeps its
+    signature.  No graph on d vertices is listed and no orbit of their
+    list assignments is walked.  The d-vertex signatures come first, so
+    the complete neighbourhood, K_(d-1) with w joined to all and every
+    list {12}, is the first column, as in signature_classes; the rest
+    follow in signature_classes order.  A d-vertex first class is C + w
+    as built, not canonically labelled: its key() canonicalises, and only
+    failure messages, and the LP's support, print it."""
+    check_degree(d)
+    lower: dict[tuple, tuple] = {}  # per signature on d - 1 vertices, its first class
+    parents = []
+    for k, code, graph, classes in _walked_graphs(d - 1, d):
+        if k == d - 1:
+            parents.append((graph, [lists for lists, _, walked in classes if walked]))
+        for lists, (a1, a2, packed), _ in classes:
+            lower.setdefault(signature(a1, a2, packed), (k, code, graph, lists, a1, a2, packed))
+    index: dict[tuple, int] = {}
+    firsts: list = []
+    for graph, lists in parents:
+        _augment(graph, lists, d, index, firsts)
+    for key, (*entry, a1, a2, packed) in lower.items():
+        if index.setdefault(key, len(firsts)) == len(firsts):
+            firsts.append((reduced_config(*entry), a1, a2, packed))
+    return tuple(firsts), index
 
 
 def full_class_signatures(d: int) -> Iterator[tuple]:
     """(class, a1, a2, signature index) per full class at d, in canonical
-    order, the index read from signature_classes(d).  enumerate_configs
-    lists the classes of each graph class together, and they walk in one
-    batch.  A failed check, or a signature missing from the index, names
-    the class."""
-    index = signature_classes(d)[2]
+    order, the index read from certificate_signatures(d).
+    enumerate_configs lists the classes of each graph class together, and
+    they walk in one batch.  A failed check, or a signature missing from
+    the index, names the class."""
+    index = certificate_signatures(d)[1]
     for graph, batch in groupby(enumerate_configs(d), lambda config: config.graph):
         batch = list(batch)
         walks = _local_walks(graph.adj, [_list_masks(c.lists) for c in batch], d)

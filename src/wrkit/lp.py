@@ -17,20 +17,22 @@ objective) read at balance 0.  A column depends on a class only through
 its signature (p0, packed into one int, and {a1, a2}, which fix p12),
 which it shares with its reduced class, so the instance has one
 variable per distinct column of the reduced classes (390 from 1,438 at
-d = 5, where there are 12,208 classes), named by the first reduced class
-with it.  configurations owns that class-to-signature map, free of the
-activity (signature_classes, and full_class_signatures for the report's
-rows, each walking in one batch per graph class), the tight reduced
-classes and their signatures, and the column routine local_alphas; this
-layer adds each signature's column at lam (_signature_table), from its
-packed p0 and a closed form of p12, with no polynomial object.  A class
-sharing the complete neighbourhood's column would be tight, and every
-tight class other than that one has alpha_u < alpha_v (checked by
-uniqueness_check, on the columns), so the reported support is the full
-program's.  Columns are integers (X_v, X_v - X_u, D) over D > 0
-(configurations.local_alphas), so the hull, the simplex and each dual
-constraint's verdict work in ints, and Fractions are built only for an
-optimum, a weight or a report row.
+d = 5, where there are 12,208 classes).  configurations owns the
+signatures, free of the activity: certificate_signatures, which builds
+those on d vertices by adding one vertex to each reduced class on
+d - 1, names each by its first class there and puts the complete
+neighbourhood first; signature_classes, the canonical listing of the
+reduced classes; full_class_signatures for the report's rows; the tight
+reduced classes and their signatures; and the column routine
+local_alphas.  This layer adds each signature's column at lam
+(_signature_table), from its packed p0 and a closed form of p12, with no
+polynomial object.  A class sharing the complete neighbourhood's column
+would be tight, and every tight class other than that one has alpha_u <
+alpha_v (checked by uniqueness_check, on the columns), so the reported
+support is the full program's.  Columns are integers (X_v, X_v - X_u, D)
+over D > 0 (configurations.local_alphas), so the hull, the simplex and
+each dual constraint's verdict work in ints, and Fractions are built
+only for an optimum, a weight or a report row.
 
 The dual certificate (lambda_p, lambda_c) proves the optimum equals the
 complete-neighbourhood value; every dual constraint is checked in alpha
@@ -39,16 +41,22 @@ form and again as the sum of the paper's two claims,
     p0'/(2*p0 - p12) <= r_d  and  lam*p12'/(2*p0 - p12) <= lam*r_d,
 
 with r_a = a(1+lam)^(a-1) / ((1+lam)^a - 1), once per signature.  The
-same pass requires the tight reduced classes to be exactly four: all
-lists empty, the independent d-set listed {1}, the same listed {2}, and
-K_d with full lists; any other tight class is a VerificationError.  The
-tight full classes are those of the four (tight_full_classes), listed
-without enumeration, and complementary slackness pins the unique
-optimum to the complete neighbourhood.  uniqueness_check runs this
-whole chain.  The report has one row per full class, counted by
-Polya's count over cycle types and listed only when read, by the
-configs command, the only writer of the per-class CSV.  Violated
-constraints are named, as tight ones are, by their reduced classes.
+same pass requires the tight signatures to be exactly the four of the
+predicted classes: all lists empty, the independent d-set listed {1},
+the same listed {2}, and K_d with full lists.  Each of the four
+signatures is its class's alone (verify_dual_feasibility gives the
+argument), so that is the check that these four are the tight reduced
+classes, made with no class listed; any other tight signature is a
+VerificationError.  The tight full classes are those of the four,
+3 g(d) + 1 of them for g(d) graph classes: dualcert counts them by
+Polya's count, and lp lists them (tight_full_classes), the one listing
+of the graph classes on d vertices it makes.  Complementary slackness
+pins the unique optimum to the complete neighbourhood.
+uniqueness_check runs this whole chain.  The report has one row per
+full class, counted by Polya's count over cycle types and listed only
+when read, by the configs command, the only writer of the per-class CSV.
+Violated constraints are named by their reduced classes, from the
+canonical listing, which is read only then.
 """
 
 from __future__ import annotations
@@ -62,11 +70,14 @@ from math import gcd, lcm
 from . import simplex
 from .configurations import (
     Configuration,
+    certificate_signatures,
     check_degree,
     count_configs,
+    count_graph_classes,
     full_class_signatures,
     local_alphas,
     reduced_config,
+    signature,
     signature_classes,
     tight_full_classes,
     tight_reduced_classes,
@@ -80,9 +91,9 @@ from .occupancy import alpha_K
 @dataclass(frozen=True)
 class LPInstance:
     """The relaxation for one (d, activity) pair: one variable per distinct
-    column, named by the first reduced class with it, in signature_classes
-    order.  A column is held as integers (X_v, X_v - X_u, D), reduced by
-    their gcd, with D > 0: its alpha_v and balance over D."""
+    column, named by the first class of certificate_signatures(d) with
+    it, in that order.  A column is held as integers (X_v, X_v - X_u, D),
+    reduced by their gcd, with D > 0: its alpha_v and balance over D."""
 
     d: int
     configs: tuple[Configuration, ...]
@@ -127,13 +138,13 @@ class DualCertificate:
 
 @lru_cache(maxsize=8)
 def _signature_table(d: int, lam: Fraction) -> tuple[tuple, ...]:
-    """Per signature of signature_classes(d), its first (class, a1, a2,
-    packed p0) and its integer column at lam from local_alphas, as
+    """Per signature of certificate_signatures(d), its first (class, a1,
+    a2, packed p0) and its integer column at lam from local_alphas, as
     (first class, a1, a2, packed p0, X_v, X_u, D).  build_primal,
     verify_dual_feasibility and uniqueness_check all read it, so the
     columns are evaluated once per command."""
     return tuple(
-        (*first, *local_alphas(*first[1:], d, lam)) for first in signature_classes(d)[0]
+        (*first, *local_alphas(*first[1:], d, lam)) for first in certificate_signatures(d)[0]
     )
 
 
@@ -143,8 +154,8 @@ def build_primal(d: int, lam: Fraction) -> LPInstance:
     columns are equal iff their gcd-reduced integer triples are."""
     lam = check_activity(lam)
     signatures = _signature_table(d, lam)
-    # signatures come in order of their first reduced class, so the first
-    # one with a column also holds the first reduced class with it
+    # signatures come in certificate_signatures order, so the first one
+    # with a column names it
     columns: dict[tuple[int, int, int], Configuration] = {}
     for config, _, _, _, x_v, x_u, den in signatures:
         g = gcd(x_v, x_u, den)
@@ -286,8 +297,9 @@ class ConfigRow:
 class ClassRows(Sequence):
     """The rows of a feasibility report, one per full class in canonical
     order.  Its length is count_configs(d), known without enumerating;
-    the rows are built on first read, each carrying the signature index
-    that configurations.full_class_signatures finds for its class.
+    the rows are built on first read, each carrying the signature index,
+    in certificate_signatures(d), that configurations.full_class_signatures
+    finds for its class.
     slacks holds each _signature_table entry's slack as (numerator,
     denominator > 0)."""
 
@@ -331,13 +343,24 @@ class ClassRows(Sequence):
 @dataclass(frozen=True)
 class FeasibilityReport:
     """rows has one ConfigRow per full class; violations holds the
-    violated reduced classes, in signature_classes order, and tight_set
-    the tight full classes, those of the four predicted tight reduced
-    classes (tight_full_classes)."""
+    violated reduced classes, in signature_classes order.  The tight full
+    classes are those of the four predicted tight reduced classes:
+    tight_count counts them and tight_set, built on first read, lists
+    them (tight_full_classes)."""
 
+    d: int
     rows: ClassRows
     violations: tuple[Configuration, ...]
-    tight_set: tuple[Configuration, ...]
+
+    @property
+    def tight_count(self) -> int:
+        """3 g(d) + 1 for g(d) graph classes on d vertices: every graph with
+        all lists empty, {1} or {2}, and the complete neighbourhood."""
+        return 3 * count_graph_classes(self.d) + 1
+
+    @cached_property
+    def tight_set(self) -> tuple[Configuration, ...]:
+        return tight_full_classes(self.d)
 
 
 def _slack_numerators(
@@ -384,22 +407,29 @@ def verify_dual_feasibility(
     construction of lambda_c), and the two must agree in sign and in zero
     set.  Both run once per signature, as signs of integers
     (_slack_numerators), and every class with it shares their verdict.
-    One pass over the reduced classes names the violated ones (slack
-    below 0) and requires the tight ones (slack 0) to be exactly the four
-    predicted classes (tight_reduced_classes), raising on a tight class
-    outside them or a predicted one that is not tight; the tight full
-    classes are then those of the four, listed without a full row.
-    Violations outside the four are returned as data, never raised.
+    The same pass requires the tight signatures to be exactly the four of
+    tight_reduced_signatures, raising on a tight signature outside them or
+    a predicted one that is not tight.  That is the check on the tight
+    reduced classes, as each of the four signatures is the signature of
+    its class alone: a1 = a2 = 0 only of the empty lists; {a1, a2} =
+    {d, 0} only of d vertices all listed {1} (or all {2}), which a
+    reduced class joins by no edge; and a1 = a2 = d only of d vertices
+    all listed {12}, where p0's lam^2 coefficient is C(2d, 2) - d - 2m
+    for m edges, so p0 = 2(1+lam)^d - 1 forces m = C(d, 2), K_d.  The
+    tight full classes are then those of the four, counted and listed
+    without a full row.  Violations outside the four are returned as
+    data, never raised; only then are the reduced classes listed
+    (signature_classes), to name the violated ones.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
     lam = cert.activity
     signatures = _signature_table(d, lam)
-    classes = signature_classes(d)[1]
     forms = _slack_numerators(cert, (signature[4:] for signature in signatures))
+    predicted = tight_reduced_signatures(d)
     # each signature's verdict, decided once
-    slacks = []
-    for (config, a1, a2, *_), (slack, den, slack2, den2) in zip(signatures, forms):
+    slacks, tight, violated = [], set(), set()
+    for (config, a1, a2, packed, *_), (slack, den, slack2, den2) in zip(signatures, forms):
         if a1 == 0 and a2 == 0:
             if slack:
                 raise VerificationError(
@@ -412,29 +442,25 @@ def verify_dual_feasibility(
                 f"slack routes disagree on {config.key_text()}: "
                 f"{Fraction(slack, den)} vs {Fraction(slack2, den2)}"
             )
-        slacks.append((slack, den))
-    predicted = tight_reduced_classes(d)
-    violations, tight = [], []
-    for entry, i in classes:
-        if slacks[i][0] <= 0:
-            config = reduced_config(*entry)
-            if slacks[i][0]:
-                violations.append(config)
-            elif config in predicted:
-                tight.append(config)
-            else:
+        if slack < 0:
+            violated.add(signature(a1, a2, packed))
+        elif slack == 0:
+            key = signature(a1, a2, packed)
+            if key not in predicted:
                 raise VerificationError(
                     f"tight class {config.key_text()} outside the predicted cases"
                 )
-    for config in predicted:
-        if config not in tight:
+            tight.add(key)
+        slacks.append((slack, den))
+    for config, key in zip(tight_reduced_classes(d), predicted):
+        if key not in tight:
             raise VerificationError(f"predicted tight class {config.key_text()} is not tight")
-
-    return FeasibilityReport(
-        rows=ClassRows(d, signatures, slacks),
-        violations=tuple(violations),
-        tight_set=tight_full_classes(d),
-    )
+    violations = ()
+    if violated:
+        _, classes, index = signature_classes(d)
+        named = {index[key] for key in violated}
+        violations = tuple(reduced_config(*entry) for entry, i in classes if i in named)
+    return FeasibilityReport(d=d, rows=ClassRows(d, signatures, slacks), violations=violations)
 
 
 def feasibility(d: int, lam: Fraction) -> tuple[DualCertificate, FeasibilityReport]:
@@ -490,9 +516,10 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
     lists empty, the independent d-set listed {1}, the same listed {2},
     and the complete neighbourhood.  The first three must have alpha_u
     strictly below alpha_v, read from their columns in _signature_table
-    through the signature index, so the balance row forces any optimal
-    distribution onto the complete neighbourhood, the only full class of
-    the fourth.  Both solvers must reach alpha_K there, with weight 1.
+    through the certificate's signature index, so the balance row forces
+    any optimal distribution onto the complete neighbourhood, the only
+    full class of the fourth.  Both solvers must reach alpha_K there,
+    with weight 1.
     """
     lam = check_activity(lam)
     _, report = feasibility(d, lam)
@@ -501,7 +528,7 @@ def uniqueness_check(d: int, lam: Fraction) -> UniquenessReport:
 
     *unbalanced, complete = tight_reduced_classes(d)
     signatures = _signature_table(d, lam)
-    index = signature_classes(d)[2]
+    index = certificate_signatures(d)[1]
     for config, key in zip(unbalanced, tight_reduced_signatures(d)):
         *_, x_v, x_u, _ = signatures[index[key]]
         if not x_u < x_v:

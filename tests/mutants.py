@@ -1,8 +1,9 @@
 """The checked-in mutant list: each entry deletes or weakens one
 cross-check guard, breaks one state update of the partition engine,
-misaligns the batched walk of the full classes, slips one term of a
-closed form, or lets an exception escape the command line, and names the
-tests that must kill it.
+misaligns the batched walk of the full classes, drops a part of the
+certificate's one-vertex augmentation, slips one term of a closed form,
+or lets an exception escape the command line, and names the tests that
+must kill it.
 
 An entry is (file, old text, new text, test node ids), the file and the
 node ids relative to the repository root; the old text occurs exactly
@@ -35,6 +36,7 @@ LP = "src/wrkit/lp.py"
 CROSS = "tests/test_cross_checks.py::"
 CONFIGURATIONS = "src/wrkit/configurations.py"
 SHARED_VALUES = "tests/test_lp.py::test_shared_values_match_direct_evaluation"
+AUGMENTED = "tests/test_configurations.py::test_augmented_signatures_are_the_reduced_classes"
 PARTITION = "src/wrkit/partition.py"
 PARTITION_TESTS = "tests/test_partition.py::"
 
@@ -65,13 +67,13 @@ MUTANTS = (
     ),
     (
         LP,
-        "elif config in predicted:",
-        "elif True:",
+        "if key not in predicted:",
+        "if False:",
         [CROSS + "test_a_tight_class_outside_the_predicted_cases"],
     ),
     (
         LP,
-        "if config not in tight:",
+        "if key not in tight:",
         "if False:",
         [CROSS + "test_a_predicted_tight_class_that_is_not_tight"],
     ),
@@ -131,6 +133,30 @@ MUTANTS = (
         "moment12 = p * (a1 * t1 + a2 * t2) // s",
         "moment12 = p * (a1 * t1 + a1 * t2) // s",
         [SHARED_VALUES],
+    ),
+    (
+        CONFIGURATIONS,
+        "for graph, lists in parents:",
+        "for graph, lists in parents[:-1]:",
+        [AUGMENTED],
+    ),
+    (
+        CONFIGURATIONS,
+        "ns = range(bit - 1, -1, -1)",
+        "ns = range(bit - 2, -1, -1)",
+        [AUGMENTED],
+    ),
+    (
+        CONFIGURATIONS,
+        "(base + via_1 + via_2, *both),",
+        "None,",
+        [AUGMENTED],
+    ),
+    (
+        CONFIGURATIONS,
+        "if signature(a1, a2, packed) != firsts[i]:",
+        "if False:",
+        ["tests/test_configurations.py::test_a_signature_off_its_walk_names_its_class"],
     ),
     (
         CONFIGURATIONS,

@@ -147,19 +147,22 @@ def wrkit_key(key, d):
 
 
 def check_signature_keys(d):
-    """Check 1: the route's signature set is the index of signature_classes(d)."""
-    from wrkit.configurations import signature_classes
+    """Check 1: the route's signature set is the index of signature_classes(d),
+    and of certificate_signatures(d)."""
+    from wrkit.configurations import certificate_signatures, signature_classes
 
-    assert {wrkit_key(key, d) for key in route_signatures(d)} == set(signature_classes(d)[2]), d
+    keys = {wrkit_key(key, d) for key in route_signatures(d)}
+    assert keys == set(signature_classes(d)[2]) == set(certificate_signatures(d)[1]), d
 
 
 def check_slack_signs(d, lam):
     """Check 2: each signature's slack, from the route in Fractions, has the
     sign of the certificate's verdict on its signature."""
     from wrkit import lp
-    from wrkit.configurations import signature_classes
+    from wrkit.configurations import certificate_signatures
 
-    index = signature_classes(d)[2]
+    # the verdicts come in the order of the certificate's table
+    index = certificate_signatures(d)[1]
     verdicts = lp.feasibility(d, lam)[1].rows.verdicts
     for key in route_signatures(d):
         slack = alpha_slack(key, d, lam)

@@ -934,6 +934,21 @@ def test_no_call_builds_a_parser(monkeypatch, capsys):
     assert out.startswith("usage: wrkit lp ")
 
 
+def test_an_unknown_command_is_named_on_one_short_line(capsys):
+    # argparse would list all eight commands, on one line of 145 bytes
+    for argv, name in (
+        (["bogus"], "'bogus'"),
+        (["LP", "--d", "2"], "'LP'"),
+        (["--d", "2"], "'2'"),
+        (["x" * 100], "'" + "x" * 35 + "..."),
+        (["d\u00e9j\u00e0"], "'d\\xe9j\\xe0'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: unknown command {name} (see wrkit --help)\n"
+        assert len(err.encode()) < 100
+
+
 def test_calls_without_a_command_get_the_tree(capsys):
     for argv in ([], ["bogus"], ["--d", "2"]):
         code, out, err = run(capsys, *argv)

@@ -1,7 +1,8 @@
 """A grammar fuzzer for the command line: random argvs for the eight
-commands, good and bad values in random flag orders, sent through
-cli.main in-process.  Each run must exit 0-4, and a refused run must say
-why on one stderr line of under 100 bytes, with no traceback.
+commands, good and bad values in random flag orders, sometimes under a
+command name outside the eight, sent through cli.main in-process.  Each
+run must exit 0-4, and a refused run must say why on one stderr line of
+under 100 bytes, with no traceback.
 
 The grammar is bounded so that each run is cheap: degrees up to 5,
 graphs up to 16 vertices, sampler runs up to 10^3 samples.  The huge
@@ -75,6 +76,9 @@ FLAGS = {
     "scan": {"--catalog": CATALOGS, "--grid": GRIDS, "--csv": CSV_PATHS},
 }
 STRAYS = ("--bogus", "extra", "--d", "--lambda=1", "-x")
+# command names outside the eight: a typo, another case, an empty one, a
+# long one, one outside ASCII
+UNKNOWN_COMMANDS = ("bogus", "LP", "certify", "lp2", "", "partition" * 12, "d\u00e9j\u00e0")
 
 
 @st.composite
@@ -82,7 +86,8 @@ def argvs(draw):
     """One command, a graph source as SOURCES draws it, and each of its
     other flags with even odds, in any order, each as "--flag value" or
     "--flag=value" (verify's --lambda sometimes twice), and sometimes one
-    stray token."""
+    stray token; one time in eight the command's name is replaced by one
+    outside the eight."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = FLAGS[command]
     names = [name for name in sorted(flags) if name not in GRAPH and draw(st.booleans())]
@@ -97,6 +102,8 @@ def argvs(draw):
         argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
     if draw(st.integers(0, 5)) == 5:
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(STRAYS)))
+    if draw(st.integers(0, 7)) == 7:
+        argv[0] = draw(st.sampled_from(UNKNOWN_COMMANDS))
     return argv
 
 
@@ -113,6 +120,8 @@ def argvs(draw):
 @example(argv=["occupancy", "--builtin", "cycle:5", "--lambda1=1/0", "--lambda2", "1"])
 @example(argv=["scan", "--catalog", "d2", "--grid", "1,1/0"])
 @example(argv=["sample", "--builtin", "cycle:5", "--lambda", "1/0", "--samples", "10"])
+# an unknown command, which argparse would refuse by listing all eight
+@example(argv=["bogus"])
 def test_fuzzed_argvs_exit_cleanly(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, content in FILES.items():

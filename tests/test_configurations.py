@@ -17,8 +17,10 @@ from wrkit.configurations import (
     COLOUR_2,
     ConfigStats,
     Configuration,
+    certificate_signatures,
     complete_neighbourhood_config,
     count_configs,
+    count_graph_classes,
     empty_lists_config,
     enumerate_configs,
     full_class_signatures,
@@ -260,7 +262,7 @@ def test_full_classes_walk_in_one_batch_per_graph_class(monkeypatch):
     # the report's rows walk all 12,208 classes at d = 5 in 34 batches,
     # one per graph class; local_partition_functions walks a batch of one
     # per configuration it misses
-    signature_classes(5)  # cached, so that only the full route walks here
+    certificate_signatures(5)  # cached, so that only the full route walks here
     batches = []
     walk = configurations._colour_set_walk
 
@@ -300,7 +302,7 @@ def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
         p0s, dichromatic = walk(adj, pairs, d)
         return p0s, dichromatic ^ ((1 << len(pairs)) - 1)
 
-    signature_classes(2)  # cached, so that the full route reads its index
+    certificate_signatures(2)  # cached, so that the full route reads its index
     monkeypatch.setattr(configurations, "_colour_set_walk", flipped)
     local_partition_functions.cache_clear()
     for config in (complete_neighbourhood_config(3), Configuration(Graph(3, (0,) * 3), (3,) * 3)):
@@ -314,6 +316,10 @@ def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
     signature_classes.cache_clear()
     with pytest.raises(VerificationError, match=message):
         signature_classes(2)
+    message = r"^d=2;edges=;lists=-,12: dichromatic flag disagrees"
+    certificate_signatures.cache_clear()
+    with pytest.raises(VerificationError, match=message):
+        certificate_signatures(2)
 
 
 def test_stats_empty_lists():
@@ -783,14 +789,17 @@ def test_one_walk_per_colour_swap_pair(d):
 def check_full_class_signatures(d):
     """full_class_signatures(d) lists every full class in canonical
     order, each with the a1, a2 and signature index that its own walk, a
-    batch of one in local_partition_functions, finds."""
-    index = signature_classes(d)[2]
+    batch of one in local_partition_functions, finds: the index, in the
+    certificate's table, of a key that the canonical listing has."""
+    index = certificate_signatures(d)[1]
+    canonical = signature_classes(d)[2]
     rows = full_class_signatures(d)
     for config, (row_config, a1, a2, i) in zip(enumerate_configs(d), rows, strict=True):
         stats = local_partition_functions(config)
+        key = signature(a1, a2, packed(stats.p0.coeffs, d))
         assert row_config is config
         assert (a1, a2) == (stats.a1, stats.a2), config.key_text()
-        assert index[signature(a1, a2, packed(stats.p0.coeffs, d))] == i, config.key_text()
+        assert index[key] == i and key in canonical, config.key_text()
 
 
 @pytest.mark.parametrize("d", (3, 4, 5))
@@ -834,3 +843,142 @@ def test_swap_partners_hold_the_swapped_lists():
             key = canonical_labelled_form(graph, firsts[j])
             assert canonical_labelled_form(graph, moved) == key, (k, graph, lists)
         assert [partners[j] for j in partners] == list(range(len(firsts)))
+
+
+def test_graph_classes_are_counted_without_a_listing():
+    # Polya's count over cycle types; graphs_up_to_iso lists them to its
+    # cap, and OEIS A000088 gives the 12,346 graphs on 8 vertices
+    counts = [count_graph_classes(n) for n in range(9)]
+    assert counts[:8] == [len(graphs_up_to_iso(n)) for n in range(8)]
+    assert counts == [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+
+
+def check_augmented_signatures(d):
+    """certificate_signatures(d) has exactly the signatures of
+    signature_classes(d), each once.  Its first classes on d vertices,
+    one vertex added to a class on d - 1, come first, each walked once on
+    its d vertices; the rest follow in signature_classes order, with its
+    first classes, and each first class's own walk finds its key."""
+    walked = []
+    walk = configurations._colour_set_walk
+
+    def counted(adj, pairs, d):
+        walked.append((len(adj), len(pairs)))
+        return walk(adj, pairs, d)
+
+    configurations._colour_set_walk = counted
+    try:
+        certificate_signatures.cache_clear()  # so that the walk runs here
+        table, index = certificate_signatures(d)
+    finally:
+        configurations._colour_set_walk = walk
+    canonical_firsts, _, canonical = signature_classes(d)
+    keys = [signature(a1, a2, p0) for _, a1, a2, p0 in table]
+    assert set(keys) == set(canonical) and len(keys) == len(canonical)
+    assert index == {key: i for i, key in enumerate(keys)}
+    on_d = [0 not in config.lists for config, *_ in table]
+    assert on_d == sorted(on_d, reverse=True)
+    assert sum(size for n, size in walked if n == d) == sum(on_d)
+    assert table[0][0] == complete_neighbourhood_config(d)
+    names = {signature(a1, a2, p0): config for config, a1, a2, p0 in canonical_firsts}
+    lower = [(key, entry[0]) for key, entry, d_vertex in zip(keys, table, on_d) if not d_vertex]
+    named = dict(lower)
+    assert lower == [(key, names[key]) for key in canonical if key in named]
+    assert [config.canonical for _, config in lower] == [names[key].canonical for key, _ in lower]
+    for (config, a1, a2, p0), key in zip(table, keys):
+        a, b, q, _ = configurations._walked(config)
+        assert (a, b, q) == (a1, a2, p0) and signature(a, b, q) == key, config.key_text()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_augmented_signatures_are_the_reduced_classes(d):
+    # d = 7 (15,567 signatures) runs in CI's d = 7 step
+    check_augmented_signatures(d)
+
+
+def test_the_certificate_columns_at_d1():
+    # the one parent is the empty class on 0 vertices: w listed {12},
+    # then {2} ({1} shares its signature), then the padded empty class
+    assert [config.lists for config, *_ in certificate_signatures(1)[0]] == [(3,), (2,), (0,)]
+
+
+@st.composite
+def augmentations(draw, max_d=6):
+    """A reduced class C on d - 1 vertices, padded to d, a list for a new
+    vertex w = d - 1 and w's neighbour set N, C + w reduced."""
+    d = draw(st.integers(1, max_d))
+    k = d - 1
+    lists = draw(st.lists(st.sampled_from((COLOUR_1, COLOUR_2, 3)), min_size=k, max_size=k))
+    edges = [
+        (u, v)
+        for u in range(k)
+        for v in range(u + 1, k)
+        if not lists[u] == lists[v] != 3 and draw(st.booleans())
+    ]
+    mask = draw(st.sampled_from((COLOUR_1, COLOUR_2, 3)))
+    n = [v for v in range(k) if not lists[v] == mask != 3 and draw(st.booleans())]
+    return d, from_edges(d, edges), tuple(lists) + (0,), mask, n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(augmentations())
+def test_the_deletion_identity_matches_a_direct_walk(augmentation):
+    # p0(C + w) = p0(A1, A2) + [1 in w's list] lam p0(A1, A2 - N)
+    #           + [2 in w's list] lam p0(A1 - N, A2), from three walks on
+    # C, is the walk of C + w on d vertices and its colouring tally; and
+    # augmenting C alone finds the signature of C + w
+    d, graph, lists, mask, n = augmentation
+    w = d - 1
+    neighbours = sum(1 << v for v in n)
+    allows_1, allows_2 = configurations._list_masks(lists)
+    pairs = [(allows_1, allows_2), (allows_1, allows_2 & ~neighbours)]
+    pairs.append((allows_1 & ~neighbours, allows_2))
+    (base, via_1, via_2), _ = configurations._colour_set_walk(graph.adj, pairs, d)
+    lam = 1 << 2 * d + 1
+    p0 = base + (mask & 1) * lam * via_1 + (mask >> 1) * lam * via_2
+    grown = from_edges(d, graph.edges() + [(v, w) for v in n])
+    config = Configuration(grown, lists[:w] + (mask,))
+    stats = local_partition_functions.__wrapped__(config)  # bypass the cache
+    assert p0 == packed(stats.p0.coeffs, d) == packed(colouring_tallies(config)[0].coeffs, d)
+    index, firsts = {}, []
+    configurations._augment(graph, [lists], d, index, firsts)
+    assert signature(stats.a1, stats.a2, p0) in index
+
+
+def test_a_signature_off_its_walk_names_its_class(monkeypatch):
+    # w's {12} column read as listed {2}: the first new signature, the
+    # complete neighbourhood's, disagrees with its d-vertex class's walk
+    monkeypatch.setattr(configurations, "_W_LISTS", (COLOUR_2, 3, COLOUR_1))
+    certificate_signatures.cache_clear()
+    message = r"^d=3;edges=0-1,0-2,1-2;lists=2,12,12: p0 by the deletion identity disagrees"
+    with pytest.raises(VerificationError, match=message):
+        certificate_signatures(3)
+
+
+def test_dualcert_lists_no_graph_on_d_vertices(monkeypatch, capsys):
+    # dualcert counts its tight full classes, 3 g(d) + 1, and its table
+    # walks no orbit on d vertices; lp lists the graph classes on d
+    # vertices only for the tight classes it prints
+    from wrkit import cli
+
+    listing = configurations.graphs_up_to_iso
+    orbits = configurations._orbit_firsts
+
+    def no_listing(n):
+        if n == 4:
+            raise AssertionError("graph classes listed at d = 4")
+        return listing(n)
+
+    def no_orbits(k, *args):
+        if k == 4:
+            raise AssertionError("orbit walk at d = 4")
+        return orbits(k, *args)
+
+    monkeypatch.setattr(configurations, "graphs_up_to_iso", no_listing)
+    monkeypatch.setattr(configurations, "_orbit_firsts", no_orbits)
+    certificate_signatures.cache_clear()
+    assert cli.main(["dualcert", "--d", "4", "--lambda", "3/2"]) == 0
+    assert capsys.readouterr().out.endswith(" violations=0 tight=34\n")
+    monkeypatch.setattr(configurations, "graphs_up_to_iso", listing)
+    assert cli.main(["lp", "--d", "4", "--lambda", "3/2"]) == 0
+    assert "tight constraints (34):" in capsys.readouterr().out

@@ -89,9 +89,12 @@ def test_a_tight_class_outside_the_predicted_cases(monkeypatch):
 
 def test_a_predicted_tight_class_that_is_not_tight(monkeypatch):
     # the signature of the independent set listed {1}, which its swap
-    # listed {2} shares, planted slack in both forms
+    # listed {2} shares, found by its key from the canonical listing,
+    # planted slack in both forms
     d, lam = 3, F(1)
-    j = next(i for entry, i in signature_classes(d)[1] if entry[3] == (1,) * d)
+    firsts, classes, _ = signature_classes(d)
+    _, a1, a2, p0 = firsts[next(i for entry, i in classes if entry[3] == (1,) * d)]
+    j = configurations.certificate_signatures(d)[1][configurations.signature(a1, a2, p0)]
     plant(monkeypatch, j, lambda cert, column, f: (1, f[1], 1, f[3]))
     with pytest.raises(
         VerificationError, match=r"^predicted tight class d=3;edges=;lists=1,1,1 is not tight$"

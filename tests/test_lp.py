@@ -13,6 +13,7 @@ from wrkit.configurations import (
     Configuration,
     alpha_u,
     alpha_v,
+    certificate_signatures,
     complete_neighbourhood_config,
     count_configs,
     empty_lists_config,
@@ -78,8 +79,8 @@ def claims_slack(cert, config):
 def test_build_primal_d1():
     lp = build_primal(1, F(1))
     # 4 classes, 3 distinct columns: the two single-colour lists share one,
-    # named by the first of them in signature_classes order, which walks
-    # from the complete neighbourhood down
+    # named by the first of them in certificate_signatures order, which
+    # walks from the complete neighbourhood down
     assert len(enumerate_configs(1)) == 4
     assert len(lp.configs) == len(lp.objective) == len(lp.balance) == 3
     assert [c.lists for c in lp.configs] == [(3,), (2,), (0,)]
@@ -299,10 +300,11 @@ def test_distinct_column_lp_matches_full_program():
 
 def test_shared_values_match_direct_evaluation():
     # every per-class value is what the class gives on its own, although
-    # the LP and the feasibility pass compute one per distinct signature
-    # of the reduced classes; the LP has one variable per distinct column,
-    # named by the first reduced class with that column, and its columns
-    # are exactly the full program's
+    # the LP and the feasibility pass compute one per distinct signature;
+    # the LP has one variable per distinct column, named by the first
+    # class of the signature table with that column, which has that
+    # column on its own, and its columns are exactly the reduced classes'
+    # and the full program's
     cases = [(d, lam) for d in (1, 2, 3, 4) for lam in (F(1, 3), F(1), F(5, 2))]
     for d, lam in cases + [(5, F(1))]:
         lp = build_primal(d, lam)
@@ -325,17 +327,22 @@ def test_shared_values_match_direct_evaluation():
         for config in reduced_configs(d):
             av, au = alpha_v(config, lam), alpha_u(config, lam)
             first.setdefault((av, av - au), config)
-        assert list(zip(lp.objective, lp.balance)) == list(first)
-        assert lp.configs == tuple(first.values())
-        assert set(first) == full_columns
-    assert len(lp.configs) == 390  # d = 5
+        named = {}
+        for config, *_ in _signature_table(d, lam):
+            av, au = alpha_v(config, lam), alpha_u(config, lam)
+            named.setdefault((av, av - au), config)
+        assert list(zip(lp.objective, lp.balance)) == list(named)
+        assert lp.configs == tuple(named.values())
+        assert lp.configs[0] == complete_neighbourhood_config(d)
+        assert set(named) == set(first) == full_columns
+    assert len(lp.configs) == len(first) == 390  # d = 5
 
 
 def per_class_signature_table(d, lam):
     """The signature table from one local_partition_functions call per
-    reduced class, keyed by (p0, p12) coefficients: each
-    signature's first class, its a1, a2 and packed p0, and its integer
-    column, and each class's signature index."""
+    reduced class, in signature_classes order, keyed by (p0, p12)
+    coefficients: each signature's first class, its a1, a2 and packed p0,
+    and its integer column, and each class's signature index."""
     first, signatures, indices = {}, [], []
     for config in reduced_configs(d):
         stats = local_partition_functions(config)
@@ -352,17 +359,40 @@ def per_class_signature_table(d, lam):
     "lam", (F(1, 7), F(1), F(4, 3), F(10), F(10**6, 999999), F(1, 10**6)), ids=str
 )
 def test_signature_table_matches_the_per_class_route(lam):
-    # signature_classes holds the map; _signature_table adds the columns
+    # certificate_signatures holds the certificate's signatures and
+    # _signature_table adds the columns; signature_classes, the canonical
+    # listing, holds the class-to-signature map.  Keyed by signature, the
+    # table is the per-class route's: each entry has its a1 and a2 (up
+    # to the colour swap), packed p0 and column, and its first class's
+    # own walk finds its key.  The d-vertex signatures come first; the
+    # rest follow in the per-class route's order, with its first classes
     for d in range(1, 6):
         signatures = _signature_table(d, lam)
+        table, table_index = certificate_signatures(d)
+        assert [entry[:4] for entry in signatures] == list(table)
         firsts, classes, index = signature_classes(d)
-        assert [entry[:4] for entry in signatures] == list(firsts)
         expected, indices = per_class_signature_table(d, lam)
-        assert signatures == expected
-        assert [c.canonical for c, *_ in signatures] == [c.canonical for c, *_ in expected]
+        assert [entry[:4] for entry in expected] == list(firsts)
+        assert [c.canonical for c, *_ in firsts] == [c.canonical for c, *_ in expected]
         assert [i for _, i in classes] == indices
+        expected_keys = [signature(a1, a2, p0) for _, a1, a2, p0, *_ in expected]
+        assert index == {key: i for i, key in enumerate(expected_keys)}
         keys = [signature(a1, a2, p0) for _, a1, a2, p0, *_ in signatures]
-        assert index == {key: i for i, key in enumerate(keys)}
+        assert table_index == {key: i for i, key in enumerate(keys)}
+        assert set(keys) == set(expected_keys)
+        by_key = dict(zip(expected_keys, expected))
+        on_d = [0 not in config.lists for config, *_ in signatures]
+        assert on_d == sorted(on_d, reverse=True)
+        for key, (config, a1, a2, p0, *column), d_vertex in zip(keys, signatures, on_d):
+            first, b1, b2, q0, *wanted = by_key[key]
+            assert (p0, sorted((a1, a2)), column) == (q0, sorted((b1, b2)), wanted)
+            stats = local_partition_functions(config)
+            assert (stats.a1, stats.a2, packed(stats.p0.coeffs, d)) == (a1, a2, p0)
+            if not d_vertex:
+                assert config == first and config.canonical == first.canonical
+        lower = [key for key, d_vertex in zip(keys, on_d) if not d_vertex]
+        kept = set(lower)
+        assert lower == [key for key in expected_keys if key in kept]
 
 
 def test_report_rows_carry_their_signature_index():
@@ -412,9 +442,10 @@ def test_signature_table_builds_one_configuration_per_signature(monkeypatch):
 
 
 def test_one_class_walk_per_degree(monkeypatch):
-    # the map is free of the activity: a new activity, or an old one
-    # after more (d, lam) pairs than _signature_table keeps, walks no
-    # reduced class again
+    # the signatures are free of the activity: a new activity, or an old
+    # one after more (d, lam) pairs than _signature_table keeps, walks no
+    # reduced class again; the table walks the classes on at most d - 1
+    # vertices, and augments those on d - 1
     from wrkit import configurations
 
     walks = []
@@ -425,28 +456,44 @@ def test_one_class_walk_per_degree(monkeypatch):
         return walk(d)
 
     monkeypatch.setattr(configurations, "_reduced_graphs", counted)
-    signature_classes.cache_clear()
+    certificate_signatures.cache_clear()
     _signature_table.cache_clear()
     pairs = [(d, lam) for lam in SMALL_GRID for d in (2, 3)]
     for d, lam in pairs + pairs[:2]:
         uniqueness_check(d, lam)
     assert _signature_table.cache_info().misses == len(pairs) + 2 > 8
-    assert walks == [2, 3]
+    assert walks == [1, 2]
 
 
 def test_signature_table_errors_name_the_reduced_class(monkeypatch):
     from wrkit import configurations
 
-    # a full class whose signature no reduced class has is named
-    monkeypatch.setattr(configurations, "signature_classes", lambda d: ((), (), {}))
-    with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: signature missing"):
-        next(full_class_signatures(2))
+    # a full class whose signature the certificate's table lacks is named
+    with monkeypatch.context() as empty:
+        empty.setattr(configurations, "certificate_signatures", lambda d: ((), {}))
+        with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: signature missing"):
+            next(full_class_signatures(2))
+    # a failed check names the class walked: the canonical listing's
+    # first, the full route's first, the table's first class on d - 1
+    # vertices, and, with those passing, its first class on d
+    certificate_signatures(2)  # cached, so that the full route reads its index
+    low = configurations._low_coefficients
     monkeypatch.setattr(configurations, "_low_coefficients", lambda *args: [0, 0, 0])
     signature_classes.cache_clear()
     with pytest.raises(VerificationError, match=r"^d=2;edges=0-1;lists=12,12: low coeff"):
         signature_classes(2)
     with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,-: low coeff"):
         next(full_class_signatures(2))
+    certificate_signatures.cache_clear()
+    with pytest.raises(VerificationError, match=r"^d=2;edges=;lists=-,12: low coeff"):
+        certificate_signatures(2)
+
+    def on_d_only(adj, pairs, d):
+        return low(adj, pairs, d) if len(adj) < d else [0] * len(pairs)
+
+    monkeypatch.setattr(configurations, "_low_coefficients", on_d_only)
+    with pytest.raises(VerificationError, match=r"^d=2;edges=0-1;lists=12,12: low coeff"):
+        certificate_signatures(2)
 
 
 @pytest.mark.parametrize("lam", (F(1, 3), F(1), F(3, 2), F(7), F(10**6, 999999)), ids=str)
@@ -547,9 +594,14 @@ def test_tight_set_characterisation():
 
 
 def tight_reduced_classes(report, d):
-    """The reduced classes whose signature the report's verdicts mark tight."""
+    """The reduced classes, from the canonical listing, whose signature the
+    report's verdicts mark tight, found by its key in the certificate's
+    table."""
     verdicts = report.rows.verdicts
-    return {reduced_config(*entry) for entry, i in signature_classes(d)[1] if verdicts[i][3]}
+    index = certificate_signatures(d)[1]
+    firsts, classes, _ = signature_classes(d)
+    tight = [verdicts[index[signature(a1, a2, p0)]][3] for _, a1, a2, p0 in firsts]
+    return {reduced_config(*entry) for entry, i in classes if tight[i]}
 
 
 def predicted_tight(d):
@@ -563,14 +615,15 @@ def predicted_tight(d):
 
 def test_four_tight_reduced_classes_give_the_full_tight_set():
     # at the reduced level exactly four classes are tight; the full tight
-    # set listed from them, 3 g(d) + 1 classes for g(d) graph classes, is
-    # the one the full rows show, in canonical order with keys carried
+    # set listed from them, 3 g(d) + 1 classes for g(d) graph classes, as
+    # the report counts them, is the one the full rows show, in canonical
+    # order with keys carried
     graph_classes = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
     for d in range(1, 6):
         for lam in SMALL_GRID + (F(1, 3), F(3, 2), F(7)):
             report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
             assert tight_reduced_classes(report, d) == predicted_tight(d)
-            assert len(report.tight_set) == 3 * graph_classes[d] + 1
+            assert len(report.tight_set) == report.tight_count == 3 * graph_classes[d] + 1
             keys = [c.key() for c in report.tight_set]
             assert keys == sorted(c.canonical for c in report.tight_set)
             if d < 5 or lam == 1:
@@ -580,14 +633,17 @@ def test_four_tight_reduced_classes_give_the_full_tight_set():
 
 
 def test_the_certificate_at_the_reduced_route_cap():
-    # d = 7, graphs_up_to_iso's cap: one walk of the reduced classes
-    # certifies K_8's neighbourhood against 8,171,936 full classes, which
-    # Burnside's lemma counts and nothing lists
+    # d = 7, graphs_up_to_iso's cap: the signatures of the reduced classes
+    # certify K_8's neighbourhood against 8,171,936 full classes, which
+    # Polya's count counts and nothing lists; the certificate's table has
+    # the signatures of the canonical listing's 190,984 reduced classes
     report = uniqueness_check(7, F(1))
     signatures = _signature_table(7, F(1))
-    assert (len(signature_classes(7)[1]), len(signatures)) == (190_984, 15_567)
+    _, classes, index = signature_classes(7)
+    assert (len(classes), len(signatures)) == (190_984, 15_567)
+    assert set(certificate_signatures(7)[1]) == set(index)
     assert len(report.feasibility.rows) == count_configs(7) == 8_171_936
-    assert len(report.tight_set) == 3 * 1044 + 1 == 3133
+    assert len(report.tight_set) == report.feasibility.tight_count == 3 * 1044 + 1 == 3133
     assert [c.key() for c in report.tight_set] == sorted(c.canonical for c in report.tight_set)
     assert tight_reduced_classes(report.feasibility, 7) == predicted_tight(7)
     lp = build_primal(7, F(1))
@@ -838,9 +894,12 @@ def test_packed_local_alphas_match_the_fraction_route(config, lam):
 
 
 def test_a_cold_lp_walks_once_per_graph_class(monkeypatch, capsys):
-    # lp --d 3 walks each of the 8 graph classes on k <= 3 vertices once,
-    # in one batch, and uniqueness_check reads the tight classes' columns
-    # from the signature table without walking them again
+    # lp --d 3 walks each of the 4 graph classes on k <= 2 vertices once,
+    # in one batch, and each of the 2 on exactly 2 once more, for the
+    # deletion identity's terms; then, on 3 vertices, each parent graph
+    # class and neighbour set with a new signature once, to check it.
+    # uniqueness_check reads the tight classes' columns from the signature
+    # table without walking them again
     from wrkit import configurations
     from wrkit.graphs import graphs_up_to_iso
 
@@ -852,10 +911,13 @@ def test_a_cold_lp_walks_once_per_graph_class(monkeypatch, capsys):
         return walk(adj, pairs, d)
 
     monkeypatch.setattr(configurations, "_colour_set_walk", counted)
-    signature_classes.cache_clear()
+    certificate_signatures.cache_clear()
     _signature_table.cache_clear()
     local_partition_functions.cache_clear()
     assert cli.main(["lp", "--d", "3", "--lambda", "1"]) == 0
     assert capsys.readouterr().out.startswith("d=3 lambda=1: 120 configurations\n")
-    assert sorted(walks) == [k for k in range(4) for _ in graphs_up_to_iso(k)]
-    assert len(walks) == 8
+    below = [k for k in range(3) for _ in graphs_up_to_iso(k)] + [2] * len(graphs_up_to_iso(2))
+    assert sorted(k for k in walks if k < 3) == sorted(below)
+    assert len(below) == 6
+    # the 22 signatures first found on 3 vertices, in 5 batches
+    assert walks.count(3) == 5 and len(walks) == 11
