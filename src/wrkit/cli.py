@@ -178,12 +178,7 @@ def cmd_verify(args) -> int:
     else:
         catalog = extremal.catalog("all" if args.catalog is None else args.catalog)
     lams = [parse_rational(t) for t in (args.lam or list(DEFAULT_LAMBDA_GRID))]
-    reports = []
-    for graph, d in catalog:
-        for lam in lams:
-            reports.append(extremal.verify_occupancy_bound(graph, d, lam))
-            reports.append(extremal.verify_partition_bound(graph, d, lam))
-        reports.append(extremal.verify_hom_bound(graph, d))
+    reports = [r for graph, d in catalog for r in extremal.verify_bounds(graph, d, lams)]
     bad = [r for r in reports if not r.ok]
     for r in reports:
         status = "ok" if r.ok else "MISMATCH"

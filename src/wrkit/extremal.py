@@ -7,6 +7,13 @@ raising both sides to integer powers.  Equality must occur precisely on
 unions of complete graphs on d+1 vertices; any other outcome is a
 red-alert finding, reported as data so it can never be silently dropped.
 
+verify_bounds makes all of one graph's checks in one pass: the graph is
+checked for regularity and for being a union of cliques once, both
+partition polynomials are looked up once, and each activity costs one
+integer evaluation per polynomial, which gives its occupancy fraction
+and its value together; the hom-count is the coefficient sum.  The three
+single checks are entries of that pass's reports.
+
 The two-activity scan covers the open questions: it records exact
 comparisons of the bivariate partition function and of the weighted
 occupancy fraction over a catalog and an activity-pair grid.  A genuine
@@ -21,14 +28,22 @@ expected), and both CSV reports are rendered by ``numerics.csv_text``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import UsageError
-from .graphs import Graph, check_regular, is_union_of_complete, make_complete, parse_builtin
-from .numerics import check_activity, csv_text, format_rational
-from .occupancy import ActivityPair, alpha_K, clique_comparison, occupancy_fraction
+from .graphs import (
+    Graph,
+    check_degree_floor,
+    check_regular,
+    check_vertices,
+    is_union_of_complete,
+    make_complete,
+    parse_builtin,
+)
+from .numerics import IntPolynomial, check_activity, csv_text, format_rational
+from .occupancy import ActivityPair, clique_comparison
 from .partition import wr_partition
 
 EQUAL = "="
@@ -81,34 +96,62 @@ def _compare(
     )
 
 
+def verify_bounds(g: Graph, d: int, lams: Iterable[Fraction]) -> list[BoundReport]:
+    """Every check of g against the clique on d+1 vertices, in verify's
+    order: the occupancy and the partition bound at each activity, then
+    the hom-count, from the one pass over the graph that the module
+    docstring describes.  The partition bounds compare P_G^(d+1) with
+    P_clique^n.  Refusals come in one order: regularity, the activities,
+    an empty graph, the exact cap, the degree floor.
+    """
+    check_regular(g, d)
+    lams = [check_activity(lam) for lam in lams]
+    check_vertices(g)
+    poly = wr_partition(g)
+    check_degree_floor(d)
+    clique = wr_partition(make_complete(d + 1))
+    n, expected = g.n, is_union_of_complete(g, d + 1)
+
+    def report(check, activity, lhs, rhs):
+        return _compare(BoundReport, g, d, lhs, rhs, expected, check=check, activity=activity)
+
+    reports = []
+    for lam in lams:
+        activity = format_rational(lam)
+        occupancy_g, value_g = _occupancy_and_value(poly, n, lam)
+        occupancy_k, value_k = _occupancy_and_value(clique, d + 1, lam)
+        reports.append(report("occupancy", activity, occupancy_g, occupancy_k))
+        reports.append(report("partition", activity, value_g ** (d + 1), value_k ** n))
+    hom_g, hom_k = Fraction(sum(poly.coeffs)), Fraction(sum(clique.coeffs))
+    reports.append(report("hom-count", "1", hom_g ** (d + 1), hom_k ** n))
+    return reports
+
+
+def _occupancy_and_value(
+    poly: IntPolynomial, n: int, lam: Fraction
+) -> tuple[Fraction, Fraction]:
+    """The occupancy fraction and the value at lam = p/q of an n-vertex
+    graph's partition polynomial, from one scaled_eval: (V, M) =
+    q^deg (P, lam P'), so Fraction(M, n V) and Fraction(V, q^deg)."""
+    p, q = lam.numerator, lam.denominator
+    value, moment = poly.scaled_eval(p, q, poly.degree)
+    return Fraction(moment, n * value), Fraction(value, q**poly.degree)
+
+
 def verify_occupancy_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     """Exact comparison of the occupancy fraction against the clique value."""
-    check_regular(g, d)
-    lam = check_activity(lam)
-    lhs = occupancy_fraction(g, lam)
-    rhs = alpha_K(d, lam)
-    return _compare(
-        BoundReport, g, d, lhs, rhs, is_union_of_complete(g, d + 1),
-        check="occupancy", activity=format_rational(lam),
-    )
+    return verify_bounds(g, d, [lam])[0]
 
 
 def verify_partition_bound(g: Graph, d: int, lam: Fraction) -> BoundReport:
     """Per-vertex partition-function bound, cleared of fractional exponents:
     P_G(lam)^(d+1) compared with P_clique(lam)^n."""
-    check_regular(g, d)
-    lam = check_activity(lam)
-    lhs = wr_partition(g).eval(lam) ** (d + 1)
-    rhs = wr_partition(make_complete(d + 1)).eval(lam) ** g.n
-    return _compare(
-        BoundReport, g, d, lhs, rhs, is_union_of_complete(g, d + 1),
-        check="partition", activity=format_rational(lam),
-    )
+    return verify_bounds(g, d, [lam])[1]
 
 
 def verify_hom_bound(g: Graph, d: int) -> BoundReport:
     """Counting specialisation at activity 1, in exact integers."""
-    return replace(verify_partition_bound(g, d, Fraction(1)), check="hom-count")
+    return verify_bounds(g, d, [])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 cross-check guard, breaks one state update of the partition engine,
 misaligns the batched walk of the full classes, drops a part of the
 certificate's one-vertex augmentation, slips one term of a closed form,
-or lets an exception escape the command line, and names the tests that
-must kill it.
+misreads verify's one pass per graph, or lets an exception escape the
+command line, and names the tests that must kill it.
 
 An entry is (file, old text, new text, test node ids), the file and the
 node ids relative to the repository root; the old text occurs exactly
@@ -39,6 +39,8 @@ SHARED_VALUES = "tests/test_lp.py::test_shared_values_match_direct_evaluation"
 AUGMENTED = "tests/test_configurations.py::test_augmented_signatures_are_the_reduced_classes"
 PARTITION = "src/wrkit/partition.py"
 PARTITION_TESTS = "tests/test_partition.py::"
+EXTREMAL = "src/wrkit/extremal.py"
+VERIFY_ONCE = "tests/test_extremal.py::test_each_graph_is_checked_once_against_the_direct_routes"
 
 MUTANTS = (
     (
@@ -202,6 +204,18 @@ MUTANTS = (
         "if remainder:",
         "if False:",
         ["tests/test_simplex.py::test_a_wrong_determinant_is_a_verification_error"],
+    ),
+    (
+        EXTREMAL,
+        "value_g ** (d + 1)",
+        "value_g ** d",
+        [VERIFY_ONCE],
+    ),
+    (
+        EXTREMAL,
+        "n, expected = g.n, is_union_of_complete(g, d + 1)",
+        "n, expected = g.n, is_union_of_complete(g, d)",
+        [VERIFY_ONCE],
     ),
 )
 

@@ -504,6 +504,19 @@ def test_verify_refuses_a_degree_without_an_explicit_graph(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_refusals_come_in_order(capsys):
+    # regularity before the activity, and the activity before the degree
+    # floor, each alone on one stderr line
+    for argv, message in (
+        (("cycle:5", "--d", "3", "--lambda", "0"),
+         "graph 'cycle:5' is not 3-regular: vertex 0 has degree 2"),
+        (("cycle:5", "--d", "2", "--lambda", "0"), "activity must be strictly positive, got 0"),
+        (("complete:1", "--d", "0", "--lambda", "1"), "degree must be >= 1, got 0"),
+    ):
+        code, out, err = run(capsys, "verify", "--builtin", *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+
+
 def test_verify_refuses_a_catalog_with_an_explicit_graph(tmp_path, capsys):
     # the catalog would be ignored, even one that does not exist
     edges = tmp_path / "c3.txt"

@@ -17,6 +17,7 @@ from wrkit.configurations import (
     count_configs,
     empty_lists_config,
     reduced_config,
+    signature,
     signature_classes,
 )
 from wrkit.errors import VerificationError
@@ -31,11 +32,12 @@ def slack_forms(d, lam):
     return list(lp._slack_numerators(cert, (s[4:] for s in lp._signature_table(d, lam))))
 
 
-def first_slack_signature(d, lam):
-    """The index of the first signature whose lists are not all empty and
-    whose dual constraint is slack."""
+def first_slack_signature(d, lam, after=-1):
+    """The index of the first signature past index after whose lists are
+    not all empty and whose dual constraint is slack."""
     return next(
-        i for i, (s, _, _, den2) in enumerate(slack_forms(d, lam)) if s > 0 and den2 > 0
+        i for i, (s, _, _, den2) in enumerate(slack_forms(d, lam))
+        if i > after and s > 0 and den2 > 0
     )
 
 
@@ -163,13 +165,12 @@ def test_report_rows_need_the_counted_classes(monkeypatch):
         report.rows[0]
 
 
-def test_a_violation_is_named_by_its_reduced_classes(monkeypatch, capsys):
-    # one slack signature planted negative in both forms: dualcert names
-    # the violation from the reduced classes and exits 3, where listing the
-    # full classes would trip the refusal (and, at d = 7, the full route's
-    # capacity error)
-    d, lam = 6, F(1)
-    j = first_slack_signature(d, lam)
+def name_a_planted_violation(monkeypatch, capsys, d, j):
+    """Plant signature j of the certificate's table negative in both slack
+    forms: dualcert must exit 3, list no full class and count exactly the
+    reduced classes of that signature, found in the canonical listing by
+    the row's key, since the two order their signatures differently."""
+    lam = F(1)
 
     def refuse(d):
         raise AssertionError(f"full classes enumerated at d = {d}")
@@ -181,9 +182,30 @@ def test_a_violation_is_named_by_its_reduced_classes(monkeypatch, capsys):
     out = capsys.readouterr().out
     count = int(re.fullmatch(r"Lambda_p=\S+ Lambda_c=\S+ violations=(\d+) tight=\d+\n", out)[1])
     _, report = lp.feasibility(d, lam)
-    expected = tuple(reduced_config(*entry) for entry, i in signature_classes(d)[1] if i == j)
+    _, a1, a2, packed = lp._signature_table(d, lam)[j][:4]
+    _, classes, index = signature_classes(d)
+    i = index[signature(a1, a2, packed)]
+    expected = tuple(reduced_config(*entry) for entry, k in classes if k == i)
     assert count == len(report.violations) >= 1
     assert report.violations == expected
+    return i
+
+
+def test_a_violation_is_named_by_its_reduced_classes(monkeypatch, capsys):
+    # one slack signature planted negative in both forms: dualcert names
+    # the violation from the reduced classes and exits 3, where listing the
+    # full classes would trip the refusal (and, at d = 7, the full route's
+    # capacity error)
+    d = 6
+    name_a_planted_violation(monkeypatch, capsys, d, first_slack_signature(d, F(1)))
+
+
+def test_a_violation_past_index_2_is_named_by_its_key(monkeypatch, capsys):
+    # from index 2 on, a signature's index in the certificate's table is
+    # not its index in the canonical listing, so only its key names it
+    d = 4
+    j = first_slack_signature(d, F(1), after=2)
+    assert name_a_planted_violation(monkeypatch, capsys, d, j) != j
 
 
 def test_each_mutant_names_its_text_and_tests():

@@ -1,5 +1,6 @@
 """Extremality bound checks and the two-activity conjecture scan."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from wrkit.extremal import (
     catalog,
     conjecture_scan,
     findings_csv,
+    verify_bounds,
     verify_hom_bound,
     verify_occupancy_bound,
     verify_partition_bound,
@@ -20,6 +22,7 @@ from wrkit.extremal import (
 from wrkit.graphs import (
     check_regular,
     disjoint_union,
+    is_union_of_complete,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -27,8 +30,8 @@ from wrkit.graphs import (
     make_random_regular,
     parse_builtin,
 )
-from wrkit.occupancy import ActivityPair
-from wrkit.partition import wr_partition_brute
+from wrkit.occupancy import ActivityPair, alpha_K, occupancy_fraction
+from wrkit.partition import wr_partition, wr_partition_brute
 
 F = Fraction
 
@@ -77,6 +80,43 @@ def test_hom_bound_is_partition_bound_at_one():
         a = verify_hom_bound(g, d)
         b = verify_partition_bound(g, d, F(1))
         assert (a.lhs, a.rhs, a.relation) == (b.lhs, b.rhs, b.relation)
+
+
+ORACLE_LAMBDAS = (F(1, 4), F(1), F(7, 3), F(10**6, 999999), F(1, 10**6))
+
+
+def direct_report(g, d, check, lam, lhs, rhs):
+    """A report built from the given sides, its relation by comparison and
+    its equality flag from is_union_of_complete."""
+    relation = "=" if lhs == rhs else "<" if lhs < rhs else ">"
+    return BoundReport(
+        g.label, g.n, d, check, str(lam), lhs, rhs, relation, is_union_of_complete(g, d + 1)
+    )
+
+
+def test_each_graph_is_checked_once_against_the_direct_routes():
+    # verify's per-graph pass against the routes it replaces: the
+    # occupancy fraction against alpha_K's closed form, and each
+    # partition function evaluated on its own, raised to clear the
+    # fractional exponent
+    for g, d in catalog("all"):
+        clique = wr_partition(make_complete(d + 1))
+        expected = []
+        for lam in ORACLE_LAMBDAS:
+            expected.append(
+                direct_report(g, d, "occupancy", lam, occupancy_fraction(g, lam), alpha_K(d, lam))
+            )
+            expected.append(direct_report(
+                g, d, "partition", lam,
+                wr_partition(g).eval(lam) ** (d + 1), clique.eval(lam) ** g.n,
+            ))
+        at_one = expected[2 * ORACLE_LAMBDAS.index(1) + 1]
+        hom = replace(at_one, check="hom-count")
+        assert verify_bounds(g, d, ORACLE_LAMBDAS) == expected + [hom], g.label
+        for k, lam in enumerate(ORACLE_LAMBDAS):
+            assert verify_occupancy_bound(g, d, lam) == expected[2 * k]
+            assert verify_partition_bound(g, d, lam) == expected[2 * k + 1]
+        assert verify_hom_bound(g, d) == hom
 
 
 def test_non_regular_rejected():
