@@ -22,11 +22,13 @@ digits, from the walk to the LP column.  A class on k < d vertices,
 padded to d with empty lists, packs as a walk on d vertices would.
 _colour_set_walk is the only walk and _low_coefficients the only check
 of its low coefficients; both take one graph with a batch of (A1, A2)
-pairs, which _local_walks runs and checks, as int comparisons: one per
-graph class for signature_classes, certificate_signatures and
+pairs, which _local_walks runs and checks, as int comparisons: one batch
+per graph class for signature_classes, certificate_signatures and
 full_class_signatures, and one pair for local_partition_functions,
-alpha_v and alpha_u.  Only local_partition_functions unpacks p0, into
-the ConfigStats it returns.
+alpha_v and alpha_u.  A failed check raises there, named by the class of
+its pair, which each caller's name function builds only then.  _augment's
+tables call _colour_set_walk directly; the check walk of each new
+signature covers them.  Only local_partition_functions unpacks p0.
 
 enumerate_configs lists the classes up to label-preserving isomorphism:
 graphs up to isomorphism, then list assignments per graph by orbits of
@@ -52,26 +54,25 @@ vertices come from the same pass, and the signatures on d vertices from
 adding one vertex w to each reduced class C on exactly d - 1, by the
 deletion identity p0(C + w) = p0(A1, A2) + [1 in w's list] lam
 p0(A1, A2 - N) + [2 in w's list] lam p0(A1 - N, A2), N the neighbours
-of w, with each new signature walked again on its d vertices.  The two
-have the same signature set (the tests check it), and the certificate
-decides each signature's verdict once, so it lists the canonical
-classes only to name a violated signature's.  full_class_signatures
-gives the full classes' rows (the per-class report, which only configs
-writes; past the full route's cap, at d = 7, reading an lp report's rows
-raises CapacityError).  local_alphas turns a signature into its column
-at lam, p0 from the packed digits and p12 in closed form.  The weights
-are symmetric in the two colours, so swapping lists {1} and {2} keeps a
-class's signature.  The orbit walk gives each orbit first the first of
-its swapped orbit, and one class per swap pair is walked, in one batch
-per graph class (796 walks for the 1,438 reduced classes at d = 5,
-97,811 for 190,984 at d = 7) and augmented (108 parents at d = 5, 6,107
-at d = 7).
+of w.  The two have the same signature set (the tests check it), and
+the certificate decides each signature's verdict once, so it lists the
+canonical classes only to name a violated signature's.
+full_class_signatures gives the full classes' rows (the per-class
+report, which only configs writes; past the full route's cap, at d = 7,
+reading an lp report's rows raises CapacityError).  local_alphas turns
+a signature into its column at lam, p0 from the packed digits and p12
+in closed form.  The weights are symmetric in the two colours, so
+swapping lists {1} and {2} keeps a class's signature.  The orbit walk
+gives each orbit first the first of its swapped orbit, and one class per
+swap pair is walked, in one batch per graph class (796 walks for the
+1,438 reduced classes at d = 5, 97,811 for 190,984 at d = 7) and
+augmented (108 parents at d = 5, 6,107 at d = 7).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -293,26 +294,30 @@ def _list_masks(lists: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _local_walks(
-    adj: tuple[int, ...], pairs: Sequence[tuple[int, int]], d: int
+    adj: tuple[int, ...], pairs: Sequence[tuple[int, int]], d: int, name: Callable
 ) -> Iterator[tuple[int, int, int, bool]]:
     """(a1, a2, packed p0, dichromatic flag) per (A1, A2) pair of the graph
     with adjacency adj, in order, from one batched walk packed at d; each
     result's low coefficients and flag are checked against routes that do
-    not use the walk before it is yielded."""
+    not use the walk before it is yielded.  A failed check names the class
+    of pair i, name(i), built only then."""
     packs, dichromatic = _colour_set_walk(adj, pairs, d)
     lows = _low_coefficients(adj, pairs, d)
     one_colour = _packed_rows(d)[0]  # (1+lam)^a, packed
     low_mask = (1 << 3 * (2 * d + 1)) - 1
     for i, ((allows_1, allows_2), packed, low) in enumerate(zip(pairs, packs, lows)):
         if packed & low_mask != low:
-            raise VerificationError("low coefficients of p0 disagree with its lists and edges")
-        a1 = allows_1.bit_count()
-        a2 = allows_2.bit_count()
+            raise VerificationError(
+                f"{name(i).key_text()}: low coefficients of p0 disagree with its lists and edges"
+            )
+        a1, a2 = allows_1.bit_count(), allows_2.bit_count()
         has_dichromatic = dichromatic >> i & 1 == 1
         # dichromatic colourings are exactly the gap between p0 and the
         # monochromatic-or-empty total p1 + p2 - 1
         if has_dichromatic != (packed != one_colour[a1] + one_colour[a2] - 1):
-            raise VerificationError("dichromatic flag disagrees with p0 - (p12 - 1)")
+            raise VerificationError(
+                f"{name(i).key_text()}: dichromatic flag disagrees with p0 - (p12 - 1)"
+            )
         yield a1, a2, packed, has_dichromatic
 
 
@@ -322,14 +327,11 @@ def signature(a1: int, a2: int, packed: int) -> tuple[int, int, int]:
 
 
 def _walked(config: Configuration) -> tuple[int, int, int, bool]:
-    """The _local_walks result of one configuration, a batch of one; a
-    failed check names the class."""
+    """The _local_walks result of one configuration, a batch of one."""
     if config.d > STATS_CAP:
         raise CapacityError(f"local enumeration capped at {STATS_CAP} vertices, got {config.d}")
-    try:
-        return next(_local_walks(config.graph.adj, [_list_masks(config.lists)], config.d))
-    except VerificationError as exc:
-        raise VerificationError(f"{config.key_text()}: {exc}") from exc
+    masks = [_list_masks(config.lists)]
+    return next(_local_walks(config.graph.adj, masks, config.d, lambda i: config))
 
 
 @lru_cache
@@ -575,22 +577,20 @@ def _walked_graphs(top: int, d: int) -> Iterator[tuple[int, int, Graph, list]]:
         pad = (NO_COLOURS,) * (d - k)
         padded = _valid_graph(d, graph.adj + pad, "")
         order = range(len(assignments) - 1, -1, -1)
-        walked = [_list_masks(assignments[i]) for i in order if partners[i] <= i]
-        walks = _local_walks(graph.adj, walked, d)
+        walked = [i for i in order if partners[i] <= i]
+        walks = _local_walks(
+            graph.adj,
+            [_list_masks(assignments[i]) for i in walked],
+            d,
+            lambda at: reduced_config(k, code, padded, assignments[walked[at]] + pad),
+        )
         found: list = [None] * len(assignments)  # (a1, a2, packed p0) per first
         classes = []
         for i in order:
-            lists = assignments[i] + pad
             j = partners[i]
-            if j > i:  # its swapped class came first, with the same signature
-                found[i] = found[j]
-            else:
-                try:
-                    found[i] = next(walks)[:3]
-                except VerificationError as exc:
-                    config = reduced_config(k, code, padded, lists)
-                    raise VerificationError(f"{config.key_text()}: {exc}") from exc
-            classes.append((lists, found[i], j <= i))
+            # its swapped class, if it came first, has the same signature
+            found[i] = found[j] if j > i else next(walks)[:3]
+            classes.append((assignments[i] + pad, found[i], j <= i))
         yield k, code, padded, classes
 
 
@@ -638,9 +638,6 @@ def _submasks(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_W_LISTS = (BOTH_COLOURS, COLOUR_2, COLOUR_1)  # the augmented vertex's lists, in column order
-
-
 def _augment(graph: Graph, parents: list, d: int, index: dict, firsts: list) -> None:
     """Add to index and firsts the new signatures of the classes C + w:
     C runs over parents, the lists of reduced classes on the d - 1 vertices
@@ -658,9 +655,9 @@ def _augment(graph: Graph, parents: list, d: int, index: dict, firsts: list) -> 
     X <= A2 and every Y <= A1, in one _colour_set_walk batch for all the
     parents, packed at d, and lam times a packed p0 is a shift by 2d + 1
     bits.  Each new signature is then walked again on its d-vertex class,
-    one _local_walks batch per N, which checks its p0, its low
-    coefficients and its dichromatic flag; that class, as built and not
-    canonically labelled (its key() canonicalises), names it."""
+    one _local_walks batch per N, which checks its p0, and so the tables,
+    its low coefficients and its dichromatic flag; that class, as built
+    and not canonically labelled (its key() canonicalises), names it."""
     w = d - 1
     adj = graph.adj[:w]
     masks = [_list_masks(lists) for lists in parents]
@@ -671,7 +668,6 @@ def _augment(graph: Graph, parents: list, d: int, index: dict, firsts: list) -> 
     packs = iter(_colour_set_walk(adj, pairs, d)[0])
     slot = 2 * d + 1
     bit = 1 << w
-    ns = range(bit - 1, -1, -1)
     new: dict[int, list] = {}  # per N, the new signatures' (index, lists, (A1, A2))
     for lists, (allows_1, allows_2) in zip(parents, masks):
         # lam p0(A1, X) per X <= A2, and lam p0(Y, A2) per Y <= A1, by vertex set
@@ -687,40 +683,27 @@ def _augment(graph: Graph, parents: list, d: int, index: dict, firsts: list) -> 
         both = signature(a1 + 1, a2 + 1, 0)[1:]
         two = signature(a1, a2 + 1, 0)[1:]
         one = signature(a1 + 1, a2, 0)[1:]
-        via = zip(
-            ns,
-            [lifted_2[allows_2 & ~n] for n in ns],  # w coloured 1
-            [lifted_1[allows_1 & ~n] for n in ns],  # w coloured 2
-        )
-        # per N, the keys of C + w with w listed {12}, {2} and {1}, None
-        # where an edge would join two vertices listed the same one colour
-        keys = [
-            key
-            for n, via_1, via_2 in via
-            for key in (
-                (base + via_1 + via_2, *both),
-                None if n & only_2 else (base + via_2, *two),
-                None if n & only_1 else (base + via_1, *one),
-            )
-        ]
-        fresh = set(keys).difference(index)
-        fresh.discard(None)
-        for at in sorted(map(keys.index, fresh)):
-            index[keys[at]] = len(firsts)
-            firsts.append(keys[at])
-            mask = _W_LISTS[at % 3]
-            grown = allows_1 | bit * (mask & 1), allows_2 | bit * (mask >> 1)
-            new.setdefault(ns[at // 3], []).append((len(firsts) - 1, lists[:w] + (mask,), grown))
+        for n in range(bit - 1, -1, -1):
+            via_1 = lifted_2[allows_2 & ~n]  # w coloured 1
+            via_2 = lifted_1[allows_1 & ~n]  # w coloured 2
+            # the key of C + w per list of w, None where an edge would
+            # join two vertices listed the same one colour
+            for mask, key in (
+                (BOTH_COLOURS, (base + via_1 + via_2, *both)),
+                (COLOUR_2, None if n & only_2 else (base + via_2, *two)),
+                (COLOUR_1, None if n & only_1 else (base + via_1, *one)),
+            ):
+                if key is not None and key not in index:
+                    index[key] = len(firsts)
+                    grown = allows_1 | bit * (mask & 1), allows_2 | bit * (mask >> 1)
+                    new.setdefault(n, []).append((len(firsts), lists[:w] + (mask,), grown))
+                    firsts.append(key)
     for n, found in new.items():
         grown_adj = tuple(a | bit if n >> v & 1 else a for v, a in enumerate(adj)) + (n,)
         grown_graph = _valid_graph(d, grown_adj, "")
-        walks = _local_walks(grown_adj, [pair for *_, pair in found], d)
-        for i, lists, _ in found:
-            config = _enumerated(grown_graph, lists, None)
-            try:
-                a1, a2, packed, _ = next(walks)
-            except VerificationError as exc:
-                raise VerificationError(f"{config.key_text()}: {exc}") from exc
+        names = [_enumerated(grown_graph, lists, None) for _, lists, _ in found]
+        walks = _local_walks(grown_adj, [pair for *_, pair in found], d, names.__getitem__)
+        for (i, *_), config, (a1, a2, packed, _) in zip(found, names, walks):
             if signature(a1, a2, packed) != firsts[i]:
                 raise VerificationError(
                     f"{config.key_text()}: p0 by the deletion identity disagrees with its walk"
@@ -776,12 +759,8 @@ def full_class_signatures(d: int) -> Iterator[tuple]:
     index = certificate_signatures(d)[1]
     for graph, batch in groupby(enumerate_configs(d), lambda config: config.graph):
         batch = list(batch)
-        walks = _local_walks(graph.adj, [_list_masks(c.lists) for c in batch], d)
-        for config in batch:
-            try:
-                a1, a2, packed, _ = next(walks)
-            except VerificationError as exc:
-                raise VerificationError(f"{config.key_text()}: {exc}") from exc
+        walks = _local_walks(graph.adj, [_list_masks(c.lists) for c in batch], d, batch.__getitem__)
+        for config, (a1, a2, packed, _) in zip(batch, walks):
             found = index.get(signature(a1, a2, packed))
             if found is None:
                 raise VerificationError(

@@ -1,9 +1,10 @@
 """The checked-in mutant list: each entry deletes or weakens one
 cross-check guard, breaks one state update of the partition engine,
-misaligns the batched walk of the full classes, drops a part of the
-certificate's one-vertex augmentation, slips one term of a closed form,
-misreads verify's one pass per graph, or lets an exception escape the
-command line, and names the tests that must kill it.
+misaligns the batched walk of the full classes, names a batch's first
+class for a later pair's failed check, drops a part of the certificate's
+one-vertex augmentation, slips one term of a closed form, misreads
+verify's one pass per graph, or lets an exception escape the command
+line, and names the tests that must kill it.
 
 An entry is (file, old text, new text, test node ids), the file and the
 node ids relative to the repository root; the old text occurs exactly
@@ -120,6 +121,12 @@ MUTANTS = (
     ),
     (
         CONFIGURATIONS,
+        'f"{name(i).key_text()}: low coefficients',
+        'f"{name(0).key_text()}: low coefficients',
+        ["tests/test_configurations.py::test_a_later_pairs_failure_names_its_class"],
+    ),
+    (
+        CONFIGURATIONS,
         "for c in batch]",
         "for c in batch[::-1]]",
         [SHARED_VALUES],
@@ -144,14 +151,14 @@ MUTANTS = (
     ),
     (
         CONFIGURATIONS,
-        "ns = range(bit - 1, -1, -1)",
-        "ns = range(bit - 2, -1, -1)",
+        "for n in range(bit - 1, -1, -1):",
+        "for n in range(bit - 2, -1, -1):",
         [AUGMENTED],
     ),
     (
         CONFIGURATIONS,
-        "(base + via_1 + via_2, *both),",
-        "None,",
+        "(BOTH_COLOURS, (base + via_1 + via_2, *both)),",
+        "(BOTH_COLOURS, None),",
         [AUGMENTED],
     ),
     (

@@ -322,6 +322,47 @@ def test_a_wrong_dichromatic_flag_is_a_verification_error(monkeypatch):
         certificate_signatures(2)
 
 
+@pytest.mark.parametrize("check", ("low coefficients", "dichromatic flag"))
+def test_a_later_pairs_failure_names_its_class(monkeypatch, check):
+    # the check planted off on the last pair of every batch of two or
+    # more: each route names that pair's class, not its batch's first,
+    # and the table's check walk on d vertices, with its lower pass left
+    # passing, names the d-vertex class it walks
+    low, walk = configurations._low_coefficients, configurations._colour_set_walk
+
+    def last_pair_off(least):
+        def lows(adj, pairs, d):
+            out = low(adj, pairs, d)
+            if len(pairs) > 1 and len(adj) >= least:
+                out[-1] += 1
+            return out
+
+        def flags(adj, pairs, d):
+            packs, dichromatic = walk(adj, pairs, d)
+            if len(pairs) > 1 and len(adj) >= least:
+                dichromatic ^= 1 << len(pairs) - 1
+            return packs, dichromatic
+
+        if check == "low coefficients":
+            monkeypatch.setattr(configurations, "_low_coefficients", lows)
+        else:
+            monkeypatch.setattr(configurations, "_colour_set_walk", flags)
+
+    certificate_signatures(3)  # cached, so that the full route reads its index
+    last_pair_off(0)
+    signature_classes.cache_clear()
+    with pytest.raises(VerificationError, match=rf"^d=3;edges=0-1,0-2,1-2;lists=1,2,12: {check}"):
+        signature_classes(3)
+    with pytest.raises(VerificationError, match=rf"^d=3;edges=;lists=12,12,12: {check}"):
+        list(full_class_signatures(3))
+    certificate_signatures.cache_clear()
+    with pytest.raises(VerificationError, match=rf"^d=3;edges=0-1;lists=1,2,-: {check}"):
+        certificate_signatures(3)
+    last_pair_off(3)
+    with pytest.raises(VerificationError, match=rf"^d=3;edges=0-1,0-2,1-2;lists=1,2,12: {check}"):
+        certificate_signatures(3)
+
+
 def test_stats_empty_lists():
     config = empty_lists_config(2)
     stats = local_partition_functions(config)
@@ -729,6 +770,28 @@ def test_reduced_classes_order_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, d
 
 
+# SHA-256 of repr([(key, lists, graph.adj), ...]) over the signatures of
+# certificate_signatures(d) and their first classes, in its order: the level-d
+# signatures by parent, then N from the full set down, then w's list {12}, {2},
+# {1}; then the lower ones in signature_classes order.  The certificate's LP
+# takes its columns in this order
+TABLE_ORDER_DIGESTS = {
+    1: "e02bcf496fdc61c7cbfecc4673ac7ac90b8704ae653662d581233f151860480b",
+    2: "ccb0a79d976cfc42079ab50bb6bd7e1dfdef26b8d17d6b07eadea534d42c1b52",
+    3: "fb5bacff02b532f65c2db66e2174100e843292e48b5ccf5790ccf71ce3d8e0ae",
+    4: "159160b77faeaa5a04239dd175460c42d74eda81aba4b111656f95cc78817b32",
+    5: "d09b53c527ef1dda695ac6b6c8643656424e6eaa30fcd581e8dc21c83efb6a06",
+    6: "10cfc7ae865593ad586ec64ee296fb241e2073e6a610b0194901494778c054f2",
+}
+
+
+def test_certificate_table_order_is_pinned():
+    for d, digest in TABLE_ORDER_DIGESTS.items():
+        table, index = certificate_signatures(d)
+        text = repr([(key, c.lists, c.graph.adj) for key, (c, *_) in zip(index, table)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, d
+
+
 def test_each_class_has_its_reduced_class_stats():
     # every class at d <= 4, and a seeded sample of 300 at d = 5
     rng = random.Random(59)
@@ -816,11 +879,12 @@ def test_a_padded_class_keys_as_its_class_walked_on_d_vertices():
         _, classes, index = signature_classes(d)
         for (k, code, graph, lists), i in classes:
             masks = [configurations._list_masks(lists)]
-            on_d = next(configurations._local_walks(graph.adj, masks, d))
+            name = [reduced_config(k, code, graph, lists)].__getitem__
+            on_d = next(configurations._local_walks(graph.adj, masks, d, name))
             assert index[signature(*on_d[:3])] == i, (k, code, lists)
             if k < d:
                 unpadded = graph_from_code(k, code).adj
-                assert next(configurations._local_walks(unpadded, masks, d)) == on_d
+                assert next(configurations._local_walks(unpadded, masks, d, name)) == on_d
 
 
 def test_tight_reduced_signatures_are_their_classes_walks():
@@ -946,11 +1010,27 @@ def test_the_deletion_identity_matches_a_direct_walk(augmentation):
 
 
 def test_a_signature_off_its_walk_names_its_class(monkeypatch):
-    # w's {12} column read as listed {2}: the first new signature, the
-    # complete neighbourhood's, disagrees with its d-vertex class's walk
-    monkeypatch.setattr(configurations, "_W_LISTS", (COLOUR_2, 3, COLOUR_1))
+    # one table pack off by one, the first parent's p0 (K_2, lists {12}):
+    # every key of that parent is off, so the first new signature, the
+    # complete neighbourhood's, disagrees with its d-vertex class's walk;
+    # the check walks, on d vertices, stay as they are
+    augment = configurations._augment
+    walk = configurations._colour_set_walk
+
+    def off_table(adj, pairs, d):
+        packs, dichromatic = walk(adj, pairs, d)
+        if len(adj) < d:
+            packs[0] += 1
+        return packs, dichromatic
+
+    def off_augment(*args):
+        with monkeypatch.context() as tables:
+            tables.setattr(configurations, "_colour_set_walk", off_table)
+            augment(*args)
+
+    monkeypatch.setattr(configurations, "_augment", off_augment)
     certificate_signatures.cache_clear()
-    message = r"^d=3;edges=0-1,0-2,1-2;lists=2,12,12: p0 by the deletion identity disagrees"
+    message = r"^d=3;edges=0-1,0-2,1-2;lists=12,12,12: p0 by the deletion identity disagrees"
     with pytest.raises(VerificationError, match=message):
         certificate_signatures(3)
 
