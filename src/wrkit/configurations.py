@@ -328,6 +328,7 @@ def signature(a1: int, a2: int, packed: int) -> tuple[int, int, int]:
 
 def _walked(config: Configuration) -> tuple[int, int, int, bool]:
     """The _local_walks result of one configuration, a batch of one."""
+    check_degree_floor(config.d)
     if config.d > STATS_CAP:
         raise CapacityError(f"local enumeration capped at {STATS_CAP} vertices, got {config.d}")
     masks = [_list_masks(config.lists)]

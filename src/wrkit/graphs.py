@@ -100,7 +100,10 @@ def _check_vertex_cap(n: int) -> None:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> Graph:
-    """Build a graph from an edge list, rejecting loops and bad vertex ids."""
+    """Build a graph from an edge list, rejecting a negative vertex count,
+    loops and bad vertex ids."""
+    if n < 0:
+        raise UsageError(f"vertex count must be >= 0, got {n}")
     _check_vertex_cap(n)
     adj = [0] * n
     for u, v in edges:

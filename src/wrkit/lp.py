@@ -32,7 +32,7 @@ alpha_v (checked by uniqueness_check, on the columns), so the reported
 support is the full program's.  Columns are integers (X_v, X_v - X_u, D)
 over D > 0 (configurations.local_alphas), so the hull, the simplex and
 each dual constraint's verdict work in ints, and Fractions are built
-only for an optimum, a weight or a report row.
+only for an optimum, a weight or a signature's verdict.
 
 The dual certificate (lambda_p, lambda_c) proves the optimum equals the
 complete-neighbourhood value; every dual constraint is checked in alpha
@@ -52,16 +52,18 @@ VerificationError.  The tight full classes are those of the four,
 Polya's count, and lp lists them (tight_full_classes), the one listing
 of the graph classes on d vertices it makes.  Complementary slackness
 pins the unique optimum to the complete neighbourhood.
-uniqueness_check runs this whole chain.  The report has one row per
-full class, counted by Polya's count over cycle types and listed only
-when read, by the configs command, the only writer of the per-class CSV.
+uniqueness_check runs this whole chain.  The report's rows hold only
+their count, one per full class by Polya's count over cycle types, and
+each signature's verdict; config_report_csv, which only the configs
+command calls, renders each full class's row as full_class_signatures
+walks it and keeps none.
 Violated constraints are named by their reduced classes, from the
 canonical listing, which is read only then.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
@@ -280,73 +282,40 @@ def _clique_ratio(a: int, lam: Fraction) -> Fraction:
     return a * grow / (grow * (1 + lam) - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class ConfigRow:
-    """Per-configuration report row (the CSV unit); signature is its index in verdicts."""
-
-    config: Configuration
-    a1: int
-    a2: int
-    alpha_v: Fraction
-    alpha_u: Fraction
-    slack: Fraction
-    tight: bool
-    signature: int
-
-
-class ClassRows(Sequence):
-    """The rows of a feasibility report, one per full class in canonical
-    order.  Its length is count_configs(d), known without enumerating;
-    the rows are built on first read, each carrying the signature index,
-    in certificate_signatures(d), that configurations.full_class_signatures
-    finds for its class.
+class ClassRows:
+    """The rows of a feasibility report, one per full class, held as their
+    count, count_configs(d), known without enumerating, and each
+    signature's verdict, in certificate_signatures(d) order:
+    config_report_csv renders the rows themselves as
+    configurations.full_class_signatures walks them.
     slacks holds each _signature_table entry's slack as (numerator,
     denominator > 0)."""
 
     def __init__(self, d: int, signatures: tuple, slacks: list):
         self._count = count_configs(d)
-        self._d = d
         self._signatures = signatures
         self._slacks = slacks
 
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, index):
-        return self._table[index]
-
-    def __iter__(self):
-        return iter(self._table)
-
     @cached_property
     def verdicts(self) -> list[tuple[Fraction, Fraction, Fraction, bool]]:
         """Each signature's alpha_v, alpha_u, slack and tight cells: the
-        Fractions are built here, on the first read of a row."""
+        Fractions are built here, on the first read."""
         return [
             (Fraction(x_v, den), Fraction(x_u, den), Fraction(*slack), not slack[0])
             for (*_, x_v, x_u, den), slack in zip(self._signatures, self._slacks)
         ]
 
-    @cached_property
-    def _table(self) -> tuple[ConfigRow, ...]:
-        rows = tuple(
-            ConfigRow(config, a1, a2, *self.verdicts[i], i)
-            for config, a1, a2, i in full_class_signatures(self._d)
-        )
-        if len(rows) != self._count:
-            raise VerificationError(
-                f"{len(rows)} classes enumerated, {self._count} counted"
-            )
-        return rows
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """rows has one ConfigRow per full class; violations holds the
-    violated reduced classes, in signature_classes order.  The tight full
-    classes are those of the four predicted tight reduced classes:
-    tight_count counts them and tight_set, built on first read, lists
-    them (tight_full_classes)."""
+    """rows counts the full classes and holds each signature's verdict
+    (ClassRows); violations holds the violated reduced classes, in
+    signature_classes order.  The tight full classes are those of the
+    four predicted tight reduced classes: tight_count counts them and
+    tight_set, built on first read, lists them (tight_full_classes)."""
 
     d: int
     rows: ClassRows
@@ -473,21 +442,25 @@ def feasibility(d: int, lam: Fraction) -> tuple[DualCertificate, FeasibilityRepo
 
 
 def config_report_csv(report: FeasibilityReport) -> str:
-    """CSV rendering: one row per configuration class.  The rows of one
+    """CSV rendering: one row per configuration class, in canonical order,
+    rendered as full_class_signatures walks it.  The rows of one
     signature share its alpha_v, alpha_u, slack and tight cells, so those
-    four are rendered once per signature, as csv_text would render them."""
-    rows = report.rows
+    four are rendered once per signature, as csv_text would render them.
+    The classes walked must be the classes counted."""
     shared = [
         f"{format_rational(av)},{format_rational(au)},{format_rational(slack)},{int(tight)}"
-        for av, au, slack, tight in rows.verdicts
+        for av, au, slack, tight in report.rows.verdicts
     ]
-    return csv_text(
-        "key,a1,a2,alpha_v,alpha_u,slack,tight",
-        (
-            (f'"{row.config.key_text()}"', row.a1, row.a2, shared[row.signature])
-            for row in rows
-        ),
-    )
+
+    def rows():
+        walked = 0
+        for config, a1, a2, i in full_class_signatures(report.d):
+            walked += 1
+            yield f'"{config.key_text()}"', a1, a2, shared[i]
+        if walked != len(report.rows):
+            raise VerificationError(f"{walked} classes enumerated, {len(report.rows)} counted")
+
+    return csv_text("key,a1,a2,alpha_v,alpha_u,slack,tight", rows())
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ MUTANTS = (
     ),
     (
         LP,
-        "if len(rows) != self._count:",
+        "if walked != len(report.rows):",
         "if False:",
         [CROSS + "test_report_rows_need_the_counted_classes"],
     ),

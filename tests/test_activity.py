@@ -24,6 +24,7 @@ from wrkit.extremal import (
 )
 from wrkit.graphs import make_cycle
 from wrkit.lp import (
+    ClassRows,
     build_primal,
     dual_certificate,
     uniqueness_check,
@@ -103,10 +104,13 @@ EXACT_ENTRY_POINTS = {
 
 def _leaves(value):
     """The scalars of a result, in order: walked through dataclass fields,
-    dict values and any sequence but a string."""
+    a report's per-signature verdicts, dict values and any sequence but a
+    string."""
     if is_dataclass(value):
         for field in fields(value):
             yield from _leaves(getattr(value, field.name))
+    elif isinstance(value, ClassRows):
+        yield from _leaves(value.verdicts)
     elif isinstance(value, dict):
         for item in value.values():
             yield from _leaves(item)

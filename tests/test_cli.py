@@ -268,7 +268,8 @@ def test_lp_refuses_an_infeasible_certificate(monkeypatch, capsys):
 
     def one_violation(cert, d, lam):
         report = checked(cert, d, lam)
-        return dataclasses.replace(report, violations=(report.rows[-1].config,))
+        *_, (config, *_) = lp.full_class_signatures(d)
+        return dataclasses.replace(report, violations=(config,))
 
     monkeypatch.setattr(lp, "verify_dual_feasibility", one_violation)
     assert_lp_refused(capsys)
@@ -292,6 +293,22 @@ def test_dualcert_csv_pinned(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert hashlib.sha256(target.read_bytes()).hexdigest() == DUALCERT_D4_LAMBDA3_2_CSV
+
+
+def test_a_failed_walk_check_writes_no_csv(monkeypatch, tmp_path, capsys):
+    # the full classes are walked while the CSV text is built, so a walk
+    # check failing there exits 3 on one stderr line and writes no file
+    from wrkit import configurations
+
+    # lp's table keeps its own binding; only the full-class walk loses the index
+    monkeypatch.setattr(configurations, "certificate_signatures", lambda d: ((), {}))
+    target = tmp_path / "configs.csv"
+    code, _, err = run(capsys, "configs", "--d", "3", "--lambda", "1", "--csv", str(target))
+    assert (code, err) == (
+        EXIT_MISMATCH,
+        "verification error: d=3;edges=;lists=-,-,-: signature missing from the reduced classes\n",
+    )
+    assert not target.exists()
 
 
 def test_dualcert_d5_csv_pinned(tmp_path, capsys):

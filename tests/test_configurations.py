@@ -576,6 +576,15 @@ def test_capacity_and_usage_errors():
             enumeration(0)
     with pytest.raises(CapacityError):
         local_partition_functions(Configuration(Graph(9, (0,) * 9), (3,) * 9))
+    # no vertices is degree 0, refused before any walk or division by D = 0
+    empty = Configuration(Graph(0, ()), ())
+    for evaluate in (
+        lambda: alpha_v(empty, F(1)),
+        lambda: alpha_u(empty, F(1)),
+        lambda: local_partition_functions(empty),
+    ):
+        with pytest.raises(DomainError, match="^degree must be >= 1, got 0$"):
+            evaluate()
     with pytest.raises(UsageError):
         Configuration(Graph(2, (0, 0)), (4, 0))
     with pytest.raises(UsageError):

@@ -158,11 +158,18 @@ def test_uniqueness_needs_each_solver_on_the_complete_neighbourhood(monkeypatch)
         lp.uniqueness_check(3, F(1))
 
 
-def test_report_rows_need_the_counted_classes(monkeypatch):
+def test_report_rows_need_the_counted_classes(monkeypatch, capsys, tmp_path):
+    # the check runs at the end of the CSV's row stream, before any text is
+    # returned, so configs exits 3 on one stderr line and writes no file
     monkeypatch.setattr(lp, "count_configs", lambda d: count_configs(d) + 1)
     _, report = lp.feasibility(3, F(1))
     with pytest.raises(VerificationError, match="^120 classes enumerated, 121 counted$"):
-        report.rows[0]
+        lp.config_report_csv(report)
+    target = tmp_path / "configs.csv"
+    code = cli.main(["configs", "--d", "3", "--lambda", "1", "--csv", str(target)])
+    assert code == cli.EXIT_MISMATCH
+    assert capsys.readouterr().err == "verification error: 120 classes enumerated, 121 counted\n"
+    assert not target.exists()
 
 
 def name_a_planted_violation(monkeypatch, capsys, d, j):

@@ -117,6 +117,8 @@ def test_every_builder_makes_a_graph_that_passes_the_adjacency_checks():
         from_edges(3, [(0, 3)])
     with pytest.raises(UsageError, match="self-loop"):
         from_edges(3, [(1, 1)])
+    with pytest.raises(UsageError, match="^vertex count must be >= 0, got -3$"):
+        from_edges(-3, [])
 
 
 def test_disjoint_union():

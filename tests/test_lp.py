@@ -1,5 +1,7 @@
 """The local relaxation, dual certificate, claims, and uniqueness argument."""
 
+import csv
+import io
 import random
 from fractions import Fraction
 from math import lcm
@@ -43,6 +45,7 @@ from wrkit.lp import (
     verify_dual_feasibility,
     vertex_enumeration_solve,
 )
+from wrkit.numerics import format_rational
 from wrkit.occupancy import alpha_K
 
 from lp_oracles import (
@@ -311,18 +314,20 @@ def test_shared_values_match_direct_evaluation():
         cert = dual_certificate(d, lam)
         report = verify_dual_feasibility(cert, d, lam)
         configs = enumerate_configs(d)
-        assert len(report.rows) == len(configs)
-        assert [row.config for row in report.rows] == list(configs)
+        rows = list(full_class_signatures(d))
+        assert len(report.rows) == len(rows) == len(configs)
+        assert [config for config, *_ in rows] == list(configs)
         full_columns = set()
-        for config, row in zip(configs, report.rows):
+        for config, a1, a2, i in rows:
             av, au = alpha_v(config, lam), alpha_u(config, lam)
             full_columns.add((av, av - au))
             stats = local_partition_functions(config)
-            assert row.alpha_v == av
-            assert row.alpha_u == au
-            assert row.slack == dual_slack(cert, config)
-            assert row.tight == (row.slack == 0)
-            assert (row.a1, row.a2) == (stats.a1, stats.a2)
+            row_alpha_v, row_alpha_u, slack, tight = report.rows.verdicts[i]
+            assert row_alpha_v == av
+            assert row_alpha_u == au
+            assert slack == dual_slack(cert, config)
+            assert tight == (slack == 0)
+            assert (a1, a2) == (stats.a1, stats.a2)
         first = {}
         for config in reduced_configs(d):
             av, au = alpha_v(config, lam), alpha_u(config, lam)
@@ -396,9 +401,10 @@ def test_signature_table_matches_the_per_class_route(lam):
 
 
 def test_report_rows_carry_their_signature_index():
-    # each full class's row names the _signature_table entry with its
-    # (p0, p12), found here from its own stats, and its cells are that
-    # entry's verdict; signature() ignores the order of a1 and a2
+    # each full class's row, as full_class_signatures walks it, names the
+    # _signature_table entry with its (p0, p12), found here from its own
+    # stats, and its cells are that entry's verdict, as the CSV renders
+    # them; signature() ignores the order of a1 and a2
     for d in range(1, 5):
         lam = F(3, 2)
         signatures = _signature_table(d, lam)
@@ -408,11 +414,13 @@ def test_report_rows_carry_their_signature_index():
             index[stats.p0, stats.p12] = i
         assert len(index) == len(signatures)
         report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
-        for row in report.rows:
-            stats = local_partition_functions(row.config)
-            assert row.signature == index[stats.p0, stats.p12]
-            verdict = (row.alpha_v, row.alpha_u, row.slack, row.tight)
-            assert verdict == report.rows.verdicts[row.signature]
+        lines = config_report_csv(report).splitlines()[1:]
+        for (config, a1, a2, i), line in zip(full_class_signatures(d), lines, strict=True):
+            stats = local_partition_functions(config)
+            assert i == index[stats.p0, stats.p12]
+            av, au, slack, tight = report.rows.verdicts[i]
+            cells = [format_rational(av), format_rational(au), format_rational(slack)]
+            assert line == f'"{config.key_text()}",{a1},{a2},{",".join(cells)},{int(tight)}'
             p0 = packed(stats.p0.coeffs, d)
             assert signature(stats.a1, stats.a2, p0) == signature(stats.a2, stats.a1, p0)
 
@@ -627,7 +635,10 @@ def test_four_tight_reduced_classes_give_the_full_tight_set():
             keys = [c.key() for c in report.tight_set]
             assert keys == sorted(c.canonical for c in report.tight_set)
             if d < 5 or lam == 1:
-                assert report.tight_set == tuple(row.config for row in report.rows if row.tight)
+                verdicts = report.rows.verdicts
+                assert report.tight_set == tuple(
+                    config for config, _, _, i in full_class_signatures(d) if verdicts[i][3]
+                )
         for config in report.tight_set:
             assert config.canonical == canonical_labelled_form(config.graph, config.lists)
 
@@ -714,11 +725,16 @@ def test_report_rows_leave_the_stats_cache_empty():
 
 
 def test_report_csv_shape():
-    report = verify_dual_feasibility(dual_certificate(1, F(1)), 1, F(1))
-    csv = config_report_csv(report)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "key,a1,a2,alpha_v,alpha_u,slack,tight"
-    assert len(lines) == 1 + 4
+    # read back as CSV: the header, then one 7-field row per counted class,
+    # keyed by the class at the same position in the canonical listing
+    for d in range(1, 5):
+        for lam in (F(1), F(7, 3)):
+            report = verify_dual_feasibility(dual_certificate(d, lam), d, lam)
+            header, *rows = csv.reader(io.StringIO(config_report_csv(report)))
+            assert header == ["key", "a1", "a2", "alpha_v", "alpha_u", "slack", "tight"]
+            assert len(rows) == count_configs(d)
+            assert all(len(row) == 7 for row in rows)
+            assert [row[0] for row in rows] == [c.key_text() for c in enumerate_configs(d)]
 
 
 def test_claims_tight_cases():
