@@ -6,10 +6,11 @@ Exit codes: 0 success, 1 usage or parse error, 2 capacity exceeded,
 A command is one COMMANDS entry: its help text, a function that adds its
 flags and its handler.  The tree of parsers is built once, at import, as
 PARSER, and every call parses through it.  Only configs writes the
-per-class report; dualcert counts violated constraints by their reduced
-classes, so a failed certificate exits 3 at every degree the reduced
-route takes, and counts its tight classes without listing a graph.  An
-unknown command is named alone on one line, not with all eight.
+per-class report; dualcert counts the violated signatures, each named
+by its first class in the certificate's table, so a failed certificate
+exits 3 at every degree the reduced route takes, and counts its tight
+classes without listing a graph.  An unknown command is named alone on
+one line, not with all eight.
 """
 
 from __future__ import annotations

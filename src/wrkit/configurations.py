@@ -23,12 +23,12 @@ padded to d with empty lists, packs as a walk on d vertices would.
 _colour_set_walk is the only walk and _low_coefficients the only check
 of its low coefficients; both take one graph with a batch of (A1, A2)
 pairs, which _local_walks runs and checks, as int comparisons: one batch
-per graph class for signature_classes, certificate_signatures and
-full_class_signatures, and one pair for local_partition_functions,
-alpha_v and alpha_u.  A failed check raises there, named by the class of
-its pair, which each caller's name function builds only then.  _augment's
-tables call _colour_set_walk directly; the check walk of each new
-signature covers them.  Only local_partition_functions unpacks p0.
+per graph class for _walked_graphs and full_class_signatures, and one
+pair for local_partition_functions, alpha_v and alpha_u.  A failed check
+raises there, named by the class of its pair, which each caller's name
+function builds only then.  _augment's tables call _colour_set_walk
+directly; the check walk of each new signature covers them.  Only
+local_partition_functions unpacks p0.
 
 enumerate_configs lists the classes up to label-preserving isomorphism:
 graphs up to isomorphism, then list assignments per graph by orbits of
@@ -38,25 +38,24 @@ classes, and count_graph_classes the graphs, by Polya's count over the
 cycle types of S_d.  Dropping the empty-list vertices and the edges
 inside {1} or inside {2} leaves a class's reduced class, with the same
 polynomials, as only an edge from a vertex allowing colour 1 to one
-allowing colour 2 can bar a colouring.  signature_classes lists those
-(1,438 at d = 5, against 12,208 classes), padded to d vertices.  Both
-listings come from one orbit walk, which never builds a reduced
-assignment with an edge inside {1} or inside {2}.
+allowing colour 2 can bar a colouring.  _walked_graphs lists those
+(1,438 at d = 5, against 12,208 classes), padded to d vertices, with
+their signatures.  Both listings come from one orbit walk, which never
+builds a reduced assignment with an edge inside {1} or inside {2}.
 
 The map from a class to its signature, the key (packed p0, min(a1, a2),
 max(a1, a2)) that signature() builds and all an LP column depends on,
-lives here, free of any activity, with two routes to the signatures.
-signature_classes is the canonical listing: every reduced class on at
-most d vertices, from the orbit walk over graphs_up_to_iso(k) for each
-k <= d, with its signature.  certificate_signatures, the certificate's
-route, lists no class on d vertices: the classes on at most d - 1
-vertices come from the same pass, and the signatures on d vertices from
-adding one vertex w to each reduced class C on exactly d - 1, by the
-deletion identity p0(C + w) = p0(A1, A2) + [1 in w's list] lam
-p0(A1, A2 - N) + [2 in w's list] lam p0(A1 - N, A2), N the neighbours
-of w.  The two have the same signature set (the tests check it), and
-the certificate decides each signature's verdict once, so it lists the
-canonical classes only to name a violated signature's.
+lives here, free of any activity.  certificate_signatures is the one
+route to the signatures, and lists no class on d vertices: the classes
+on at most d - 1 vertices come from _walked_graphs(d - 1, d), and the
+signatures on d vertices from adding one vertex w to each reduced class
+C on exactly d - 1, by the deletion identity p0(C + w) = p0(A1, A2) +
+[1 in w's list] lam p0(A1, A2 - N) + [2 in w's list] lam p0(A1 - N,
+A2), N the neighbours of w.  The canonical listing, every reduced class
+on at most d vertices from _walked_graphs(d, d), is the tests' oracle
+(tests/lp_oracles.py): it must give the same signature set.  The
+certificate decides each signature's verdict once and names a violated
+signature by its first class in certificate_signatures.
 full_class_signatures gives the full classes' rows (the per-class
 report, which only configs writes; past the full route's cap, at d = 7,
 reading an lp report's rows raises CapacityError).  local_alphas turns
@@ -87,6 +86,7 @@ from .graphs import (
     _valid_graph,
     canonical_labelled_form,
     check_degree_floor,
+    check_vertex_count,
     graph_from_code,
     graphs_up_to_iso,
     label_mover,
@@ -501,6 +501,7 @@ def count_graph_classes(n: int) -> int:
     isomorphism, by the same count: a permutation fixes 2^pairs graphs.
     It lists no graph, so it runs past graphs_up_to_iso's cap (12,346 at
     n = 8)."""
+    check_vertex_count(n)
     return _polya_count(n, 1)
 
 
@@ -509,6 +510,7 @@ def tight_full_classes(d: int) -> tuple[Configuration, ...]:
     makes tight, in canonical order: every graph class H with all lists
     empty, {1} or {2}, where no edge matters, carrying H's canonical code;
     then the complete neighbourhood, whose code is the largest."""
+    check_degree_floor(d)
     classes = graphs_up_to_iso(d)
     complete = classes[-1][0]
     return tuple(
@@ -522,6 +524,7 @@ def tight_reduced_classes(d: int) -> tuple[Configuration, ...]:
     """The four reduced classes the dual certificate makes tight: all
     lists empty, the independent d-set listed {1}, the same listed {2},
     and the complete neighbourhood, last."""
+    check_degree_floor(d)
     return (
         empty_lists_config(d),
         single_colour_config(d, COLOUR_1),
@@ -535,6 +538,7 @@ def tight_reduced_signatures(d: int) -> tuple[tuple[int, int, int], ...]:
     their lists: (a1, a2) is (0, 0), (d, 0), (0, d) and (d, d), and none
     has a dichromatic colouring, so each p0 is p1 + p2 - 1, packed as
     _colour_set_walk packs it."""
+    check_degree_floor(d)
     one_colour = _packed_rows(d)[0]
     return tuple(
         signature(a1, a2, one_colour[a1] + one_colour[a2] - 1)
@@ -545,11 +549,12 @@ def tight_reduced_signatures(d: int) -> tuple[tuple[int, int, int], ...]:
 def _reduced_graphs(top: int) -> Iterator[tuple[int, int, Graph, list, list]]:
     """(k, code, graph, firsts, partners) per graph class of the reduced
     classes on k <= top vertices, unpadded, from _orbit_firsts: k and then
-    the code descending, so that the firsts, read backwards, come in
-    signature_classes order.  A first's partner is the index of the first
-    whose orbit holds its lists with colours 1 and 2 swapped: the swap
-    commutes with the automorphisms and keeps the walk's assignments.  The
-    orbit index lives only while its graph's partners are found."""
+    the code descending, so that the firsts, read backwards, come in the
+    canonical listing's order: by k and then by the k-vertex class's
+    canonical key, both descending.  A first's partner is the index of the
+    first whose orbit holds its lists with colours 1 and 2 swapped: the
+    swap commutes with the automorphisms and keeps the walk's assignments.
+    The orbit index lives only while its graph's partners are found."""
     swap = _SWAPPED.__getitem__
     for k in range(top, -1, -1):
         for code, autos in reversed(graphs_up_to_iso(k)):
@@ -557,15 +562,10 @@ def _reduced_graphs(top: int) -> Iterator[tuple[int, int, Graph, list, list]]:
             yield k, code, graph, firsts, [orbit[tuple(map(swap, lists))] for lists in firsts]
 
 
-def reduced_config(k: int, code: int, graph: Graph, lists: tuple[int, ...]) -> Configuration:
-    """The configuration of a signature_classes entry, with its key if k = d."""
-    return _stamped(graph, code, lists) if k == graph.n else _enumerated(graph, lists, None)
-
-
 def _walked_graphs(top: int, d: int) -> Iterator[tuple[int, int, Graph, list]]:
     """(k, code, padded graph, classes) per graph class of _reduced_graphs(top),
-    in its order; classes holds, per reduced class on the graph, in
-    signature_classes order, (its lists padded to d, (a1, a2, packed p0),
+    in its order; classes holds, per reduced class on the graph, in the
+    canonical listing's order, (its lists padded to d, (a1, a2, packed p0),
     whether it was walked).  The graph and the lists are padded with
     d - k isolated empty-list vertices.  The weights are symmetric in the
     two colours, so a class and its colour-swapped class share p0 and
@@ -573,7 +573,8 @@ def _walked_graphs(top: int, d: int) -> Iterator[tuple[int, int, Graph, list]]:
     order, gives both, and the walks run in one batch per graph class, on
     its unpadded k vertices, packed at d, so that a padded class keys as
     the same class walked on d vertices would.  A failed check names the
-    class.  signature_classes and certificate_signatures share this pass."""
+    class, as built.  certificate_signatures reads this pass at top = d - 1,
+    and the tests' canonical listing at top = d."""
     for k, code, graph, assignments, partners in _reduced_graphs(top):
         pad = (NO_COLOURS,) * (d - k)
         padded = _valid_graph(d, graph.adj + pad, "")
@@ -583,7 +584,7 @@ def _walked_graphs(top: int, d: int) -> Iterator[tuple[int, int, Graph, list]]:
             graph.adj,
             [_list_masks(assignments[i]) for i in walked],
             d,
-            lambda at: reduced_config(k, code, padded, assignments[walked[at]] + pad),
+            lambda at: _enumerated(padded, assignments[walked[at]] + pad, None),
         )
         found: list = [None] * len(assignments)  # (a1, a2, packed p0) per first
         classes = []
@@ -593,39 +594,6 @@ def _walked_graphs(top: int, d: int) -> Iterator[tuple[int, int, Graph, list]]:
             found[i] = found[j] if j > i else next(walks)[:3]
             classes.append((assignments[i] + pad, found[i], j <= i))
         yield k, code, padded, classes
-
-
-@lru_cache(maxsize=None)
-def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
-    """The class-to-signature map at d: per distinct signature, in order
-    of its first reduced class, (that class, a1, a2, packed p0); per
-    reduced class, (its entry, its signature's index); and each
-    signature's index, keyed by signature().
-
-    An entry is (k, code, graph, lists) for a reduced class on k <= d
-    vertices, graph and lists padded with d - k isolated empty-list
-    vertices.  The entries are sorted by k and then by the k-vertex
-    class's canonical key, both descending: the complete neighbourhood
-    first, the all-empty class last.  The local walks are
-    _walked_graphs', one per colour-swap pair, and only a signature's
-    first class becomes a Configuration.  This is the canonical listing:
-    the tests read it as the oracle of certificate_signatures, and the
-    certificate reads it only to name the classes of a violated
-    signature.  Free of any activity, the map is walked once per degree,
-    at most CLASS_CAP of them, as a refused degree raises before anything
-    is cached."""
-    check_degree(d)
-    index: dict[tuple, int] = {}
-    firsts = []
-    classes = []
-    for k, code, graph, walked in _walked_graphs(d, d):
-        for lists, (a1, a2, packed), _ in walked:
-            entry = k, code, graph, lists
-            i = index.setdefault(signature(a1, a2, packed), len(firsts))
-            if i == len(firsts):
-                firsts.append((reduced_config(*entry), a1, a2, packed))
-            classes.append((entry, i))
-    return tuple(firsts), tuple(classes), index
 
 
 @lru_cache(maxsize=128)
@@ -714,25 +682,26 @@ def _augment(graph: Graph, parents: list, d: int, index: dict, firsts: list) -> 
 
 @lru_cache(maxsize=None)
 def certificate_signatures(d: int) -> tuple[tuple, dict[tuple, int]]:
-    """The signatures of signature_classes(d), for the certificate, which
-    reads a class only through its signature: per signature, (its first
-    class, a1, a2, packed p0), and each signature's index, keyed by
-    signature().
+    """The signatures of the reduced classes on at most d vertices, for
+    the certificate, which reads a class only through its signature: per
+    signature, (its first class, a1, a2, packed p0), and each signature's
+    index, keyed by signature().
 
     The signatures of the classes on at most d - 1 vertices come from
-    _walked_graphs(d - 1, d), the pass that signature_classes makes, with
-    the same first classes.  Deleting a vertex w from a reduced class on
-    exactly d vertices leaves a reduced class C on d - 1 (both have no
-    empty list), so the other signatures are those of C + w (_augment),
-    for one C of each colour-swap pair on exactly d - 1 vertices, in
-    _walked_graphs order: swapping the colours of C + w keeps its
-    signature.  No graph on d vertices is listed and no orbit of their
-    list assignments is walked.  The d-vertex signatures come first, so
-    the complete neighbourhood, K_(d-1) with w joined to all and every
-    list {12}, is the first column, as in signature_classes; the rest
-    follow in signature_classes order.  A d-vertex first class is C + w
-    as built, not canonically labelled: its key() canonicalises, and only
-    failure messages, and the LP's support, print it."""
+    _walked_graphs(d - 1, d), each with its first class there.  Deleting a
+    vertex w from a reduced class on exactly d vertices leaves a reduced
+    class C on d - 1 (both have no empty list), so the other signatures
+    are those of C + w (_augment), for one C of each colour-swap pair on
+    exactly d - 1 vertices, in _walked_graphs order: swapping the colours
+    of C + w keeps its signature.  No graph on d vertices is listed and no
+    orbit of their list assignments is walked.  The d-vertex signatures
+    come first, so the complete neighbourhood, K_(d-1) with w joined to
+    all and every list {12}, is the first column; the rest follow in the
+    canonical listing's order.  That listing, the tests' oracle, must give
+    the same signatures, with the same first classes below d vertices.  A
+    first class carries no key: a d-vertex one is C + w as built, not
+    canonically labelled, and key() canonicalises; only failure messages,
+    the violations of a failed certificate and the LP's support print one."""
     check_degree(d)
     lower: dict[tuple, tuple] = {}  # per signature on d - 1 vertices, its first class
     parents = []
@@ -740,14 +709,14 @@ def certificate_signatures(d: int) -> tuple[tuple, dict[tuple, int]]:
         if k == d - 1:
             parents.append((graph, [lists for lists, _, walked in classes if walked]))
         for lists, (a1, a2, packed), _ in classes:
-            lower.setdefault(signature(a1, a2, packed), (k, code, graph, lists, a1, a2, packed))
+            lower.setdefault(signature(a1, a2, packed), (graph, lists, a1, a2, packed))
     index: dict[tuple, int] = {}
     firsts: list = []
     for graph, lists in parents:
         _augment(graph, lists, d, index, firsts)
-    for key, (*entry, a1, a2, packed) in lower.items():
+    for key, (graph, lists, a1, a2, packed) in lower.items():
         if index.setdefault(key, len(firsts)) == len(firsts):
-            firsts.append((reduced_config(*entry), a1, a2, packed))
+            firsts.append((_enumerated(graph, lists, None), a1, a2, packed))
     return tuple(firsts), index
 
 

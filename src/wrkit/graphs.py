@@ -102,8 +102,7 @@ def _check_vertex_cap(n: int) -> None:
 def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> Graph:
     """Build a graph from an edge list, rejecting a negative vertex count,
     loops and bad vertex ids."""
-    if n < 0:
-        raise UsageError(f"vertex count must be >= 0, got {n}")
+    check_vertex_count(n)
     _check_vertex_cap(n)
     adj = [0] * n
     for u, v in edges:
@@ -226,6 +225,12 @@ def component_masks(g: Graph, subset: int) -> list[int]:
         out.append(comp)
         remaining ^= comp
     return out
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse a negative vertex count; n = 0 is the one empty graph."""
+    if n < 0:
+        raise UsageError(f"vertex count must be >= 0, got {n}")
 
 
 def check_vertices(g: Graph) -> None:
@@ -353,6 +358,7 @@ def graphs_up_to_iso(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], .
     canonical code.  n = 7 takes seconds.  Capped at CLASS_CAP, below ISO_CAP:
     the orbit-marking table takes 2^C(n,2) bytes, 256 MiB at n = 8.
     """
+    check_vertex_count(n)
     if n > CLASS_CAP:
         raise CapacityError(f"graph enumeration capped at {CLASS_CAP} vertices, got {n}")
     maps = _pair_maps(n)

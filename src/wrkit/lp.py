@@ -21,9 +21,8 @@ d = 5, where there are 12,208 classes).  configurations owns the
 signatures, free of the activity: certificate_signatures, which builds
 those on d vertices by adding one vertex to each reduced class on
 d - 1, names each by its first class there and puts the complete
-neighbourhood first; signature_classes, the canonical listing of the
-reduced classes; full_class_signatures for the report's rows; the tight
-reduced classes and their signatures; and the column routine
+neighbourhood first; full_class_signatures for the report's rows; the
+tight reduced classes and their signatures; and the column routine
 local_alphas.  This layer adds each signature's column at lam
 (_signature_table), from its packed p0 and a closed form of p12, with no
 polynomial object.  A class sharing the complete neighbourhood's column
@@ -57,8 +56,8 @@ their count, one per full class by Polya's count over cycle types, and
 each signature's verdict; config_report_csv, which only the configs
 command calls, renders each full class's row as full_class_signatures
 walks it and keeps none.
-Violated constraints are named by their reduced classes, from the
-canonical listing, which is read only then.
+A violated signature is named by its first class in the table, so a
+failed certificate lists no more classes than a passing one.
 """
 
 from __future__ import annotations
@@ -78,9 +77,7 @@ from .configurations import (
     count_graph_classes,
     full_class_signatures,
     local_alphas,
-    reduced_config,
     signature,
-    signature_classes,
     tight_full_classes,
     tight_reduced_classes,
     tight_reduced_signatures,
@@ -312,8 +309,8 @@ class ClassRows:
 @dataclass(frozen=True)
 class FeasibilityReport:
     """rows counts the full classes and holds each signature's verdict
-    (ClassRows); violations holds the violated reduced classes, in
-    signature_classes order.  The tight full classes are those of the
+    (ClassRows); violations holds each violated signature's first class,
+    in _signature_table order.  The tight full classes are those of the
     four predicted tight reduced classes: tight_count counts them and
     tight_set, built on first read, lists them (tight_full_classes)."""
 
@@ -387,8 +384,7 @@ def verify_dual_feasibility(
     for m edges, so p0 = 2(1+lam)^d - 1 forces m = C(d, 2), K_d.  The
     tight full classes are then those of the four, counted and listed
     without a full row.  Violations outside the four are returned as
-    data, never raised; only then are the reduced classes listed
-    (signature_classes), to name the violated ones.
+    data, never raised, each violated signature named by its first class.
     """
     if cert.d != d or cert.activity != lam:
         raise UsageError("certificate does not match the requested (d, activity)")
@@ -397,7 +393,7 @@ def verify_dual_feasibility(
     forms = _slack_numerators(cert, (signature[4:] for signature in signatures))
     predicted = tight_reduced_signatures(d)
     # each signature's verdict, decided once
-    slacks, tight, violated = [], set(), set()
+    slacks, tight, violated = [], set(), []
     for (config, a1, a2, packed, *_), (slack, den, slack2, den2) in zip(signatures, forms):
         if a1 == 0 and a2 == 0:
             if slack:
@@ -412,7 +408,7 @@ def verify_dual_feasibility(
                 f"{Fraction(slack, den)} vs {Fraction(slack2, den2)}"
             )
         if slack < 0:
-            violated.add(signature(a1, a2, packed))
+            violated.append(config)
         elif slack == 0:
             key = signature(a1, a2, packed)
             if key not in predicted:
@@ -424,12 +420,7 @@ def verify_dual_feasibility(
     for config, key in zip(tight_reduced_classes(d), predicted):
         if key not in tight:
             raise VerificationError(f"predicted tight class {config.key_text()} is not tight")
-    violations = ()
-    if violated:
-        _, classes, index = signature_classes(d)
-        named = {index[key] for key in violated}
-        violations = tuple(reduced_config(*entry) for entry, i in classes if i in named)
-    return FeasibilityReport(d=d, rows=ClassRows(d, signatures, slacks), violations=violations)
+    return FeasibilityReport(d=d, rows=ClassRows(d, signatures, slacks), violations=tuple(violated))
 
 
 def feasibility(d: int, lam: Fraction) -> tuple[DualCertificate, FeasibilityReport]:

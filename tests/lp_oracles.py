@@ -1,5 +1,10 @@
-"""Per-lambda Fraction routes of the paper's two claims, kept as test
-oracles: the alphas of a class, the claims behind each dual constraint,
+"""Test oracles for the certificate.  First, the canonical listing of
+the reduced classes (signature_classes): every reduced class on at most
+d vertices with its signature, from the orbit walk over the graphs on
+each k <= d, against which the tests check the library's one route to
+the signatures, configurations.certificate_signatures, which lists no
+graph on d vertices.  Then per-lambda Fraction routes of the paper's two
+claims: the alphas of a class, the claims behind each dual constraint,
 the conditional expectation they rest on, and the monotone clique
 ratio.  The library checks the claims' sum in integers
 (lp._slack_numerators) and builds each column from a packed p0
@@ -8,16 +13,57 @@ on its own, in Fractions, from the local polynomials."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from wrkit.configurations import (
     ConfigStats,
     Configuration,
+    _enumerated,
+    _stamped,
+    _walked_graphs,
+    check_degree,
     local_partition_functions,
+    signature,
 )
 from wrkit.errors import DomainError, UsageError, VerificationError
 from wrkit.lp import _clique_ratio
 from wrkit.numerics import check_activity
 from wrkit.partition import valid_colourings
+
+
+def reduced_config(k: int, code: int, graph, lists: tuple[int, ...]) -> Configuration:
+    """The configuration of a signature_classes entry, with its key if k = d."""
+    return _stamped(graph, code, lists) if k == graph.n else _enumerated(graph, lists, None)
+
+
+@lru_cache(maxsize=None)
+def signature_classes(d: int) -> tuple[tuple, tuple, dict[tuple, int]]:
+    """The class-to-signature map at d: per distinct signature, in order
+    of its first reduced class, (that class, a1, a2, packed p0); per
+    reduced class, (its entry, its signature's index); and each
+    signature's index, keyed by signature().
+
+    An entry is (k, code, graph, lists) for a reduced class on k <= d
+    vertices, graph and lists padded with d - k isolated empty-list
+    vertices.  The entries are sorted by k and then by the k-vertex
+    class's canonical key, both descending: the complete neighbourhood
+    first, the all-empty class last.  The local walks are
+    configurations._walked_graphs', at top = d, one per colour-swap pair,
+    and only a signature's first class becomes a Configuration.  It lists
+    every graph on d vertices, so it stops at CLASS_CAP, refused before
+    anything is cached."""
+    check_degree(d)
+    index: dict[tuple, int] = {}
+    firsts = []
+    classes = []
+    for k, code, graph, walked in _walked_graphs(d, d):
+        for lists, (a1, a2, packed), _ in walked:
+            entry = k, code, graph, lists
+            i = index.setdefault(signature(a1, a2, packed), len(firsts))
+            if i == len(firsts):
+                firsts.append((reduced_config(*entry), a1, a2, packed))
+            classes.append((entry, i))
+    return tuple(firsts), tuple(classes), index
 
 
 def _claim_terms(stats: ConfigStats, lam: Fraction) -> tuple[Fraction, Fraction, Fraction]:

@@ -1,10 +1,11 @@
 """The checked-in mutant list: each entry deletes or weakens one
-cross-check guard, breaks one state update of the partition engine,
-misaligns the batched walk of the full classes, names a batch's first
-class for a later pair's failed check, drops a part of the certificate's
-one-vertex augmentation, slips one term of a closed form, misreads
-verify's one pass per graph, or lets an exception escape the command
-line, and names the tests that must kill it.
+cross-check guard, silences a violated dual constraint, breaks one state
+update of the partition engine, misaligns the batched walk of the full
+classes, names a batch's first class for a later pair's failed check,
+drops a part of the certificate's one-vertex augmentation, slips one
+term of a closed form, misreads verify's one pass per graph, or lets an
+exception escape the command line, and names the tests that must kill
+it.
 
 An entry is (file, old text, new text, test node ids), the file and the
 node ids relative to the repository root; the old text occurs exactly
@@ -91,6 +92,12 @@ MUTANTS = (
         "if list(sol.support) != [(complete, 1)]:",
         "if False:",
         [CROSS + "test_uniqueness_needs_each_solver_on_the_complete_neighbourhood"],
+    ),
+    (
+        LP,
+        "if slack < 0:",
+        "if False:",
+        [CROSS + "test_a_violation_is_named_by_its_first_class"],
     ),
     (
         LP,

@@ -149,7 +149,8 @@ def wrkit_key(key, d):
 def check_signature_keys(d):
     """Check 1: the route's signature set is the index of signature_classes(d),
     and of certificate_signatures(d)."""
-    from wrkit.configurations import certificate_signatures, signature_classes
+    from lp_oracles import signature_classes
+    from wrkit.configurations import certificate_signatures
 
     keys = {wrkit_key(key, d) for key in route_signatures(d)}
     assert keys == set(signature_classes(d)[2]) == set(certificate_signatures(d)[1]), d

@@ -25,9 +25,7 @@ from wrkit.configurations import (
     enumerate_configs,
     full_class_signatures,
     local_partition_functions,
-    reduced_config,
     signature,
-    signature_classes,
     single_colour_config,
     tight_full_classes,
     alpha_u,
@@ -45,6 +43,8 @@ from wrkit.graphs import (
 )
 from wrkit.numerics import IntPolynomial, binomial_power
 from wrkit.partition import valid_colourings
+
+from lp_oracles import reduced_config, signature_classes
 
 F = Fraction
 
@@ -566,7 +566,7 @@ def test_capacity_and_usage_errors():
     # one at graphs_up_to_iso's 7, each naming its route
     for enumeration, d, route in (
         (enumerate_configs, 7, "configuration enumeration capped at 6"),
-        (signature_classes, 8, "reduced class enumeration capped at 7"),
+        (certificate_signatures, 8, "reduced class enumeration capped at 7"),
         (count_configs, 8, "reduced class enumeration capped at 7"),
     ):
         with pytest.raises(CapacityError) as refused:
@@ -574,6 +574,17 @@ def test_capacity_and_usage_errors():
         assert str(refused.value) == f"{route}, got {d}"
         with pytest.raises(DomainError, match="^degree must be >= 1, got 0$"):
             enumeration(0)
+    # the degree helpers share the floor, checked before any listing
+    for helper in (
+        configurations.tight_full_classes,
+        configurations.tight_reduced_classes,
+        configurations.tight_reduced_signatures,
+    ):
+        for d in (0, -1):
+            with pytest.raises(DomainError, match=f"^degree must be >= 1, got {d}$"):
+                helper(d)
+    with pytest.raises(UsageError, match="^vertex count must be >= 0, got -1$"):
+        count_graph_classes(-1)
     with pytest.raises(CapacityError):
         local_partition_functions(Configuration(Graph(9, (0,) * 9), (3,) * 9))
     # no vertices is degree 0, refused before any walk or division by D = 0

@@ -2,9 +2,9 @@
 its routes is patched to disagree, with the message that names the class
 where the guard does.  Deleting any one of these guards makes its test
 fail, as tests/mutants.py checks.  Then a violation planted in both slack
-forms is named by its reduced classes: dualcert exits 3 and lists no full
-class.  Last, the mutant list's texts and test names are checked against
-the files they name."""
+forms is named by its signature's first class: dualcert exits 3 and lists
+no graph on d vertices.  Last, the mutant list's texts and test names are
+checked against the files they name."""
 
 import re
 from dataclasses import replace
@@ -13,15 +13,11 @@ from fractions import Fraction
 import pytest
 
 from wrkit import cli, configurations, lp
-from wrkit.configurations import (
-    count_configs,
-    empty_lists_config,
-    reduced_config,
-    signature,
-    signature_classes,
-)
+from wrkit.configurations import count_configs, empty_lists_config, signature
 from wrkit.errors import VerificationError
 from wrkit.occupancy import alpha_K
+
+from lp_oracles import signature_classes
 
 F = Fraction
 
@@ -172,47 +168,40 @@ def test_report_rows_need_the_counted_classes(monkeypatch, capsys, tmp_path):
     assert not target.exists()
 
 
-def name_a_planted_violation(monkeypatch, capsys, d, j):
-    """Plant signature j of the certificate's table negative in both slack
-    forms: dualcert must exit 3, list no full class and count exactly the
-    reduced classes of that signature, found in the canonical listing by
-    the row's key, since the two order their signatures differently."""
+@pytest.mark.parametrize("d, after", ((4, 2), (6, -1), (7, -1)), ids=("d4-past-2", "d6", "d7"))
+def test_a_violation_is_named_by_its_first_class(monkeypatch, capsys, d, after):
+    # one slack signature planted negative in both forms, past index 2 at
+    # d = 4, where the table's order and the canonical listing's differ:
+    # dualcert exits 3 on one line counting one violation, named by the
+    # signature's first class in the certificate's table, and lists no
+    # graph on d vertices, where the canonical listing (and at d = 8 its
+    # capacity error) or the full classes would trip the refusal; d = 7
+    # is the largest degree the reduced route takes
     lam = F(1)
+    j = first_slack_signature(d, lam, after)
+    graphs = configurations.graphs_up_to_iso
+
+    def below_d(n):
+        if n >= d:
+            raise AssertionError(f"graphs listed on {n} vertices")
+        return graphs(n)
 
     def refuse(d):
         raise AssertionError(f"full classes enumerated at d = {d}")
 
-    for module in (configurations, cli):
-        monkeypatch.setattr(module, "enumerate_configs", refuse)
-    plant(monkeypatch, j, lambda cert, column, f: (-f[0], f[1], -f[2], f[3]))
-    assert cli.main(["dualcert", "--d", str(d), "--lambda", "1"]) == cli.EXIT_MISMATCH
-    out = capsys.readouterr().out
-    count = int(re.fullmatch(r"Lambda_p=\S+ Lambda_c=\S+ violations=(\d+) tight=\d+\n", out)[1])
-    _, report = lp.feasibility(d, lam)
-    _, a1, a2, packed = lp._signature_table(d, lam)[j][:4]
-    _, classes, index = signature_classes(d)
-    i = index[signature(a1, a2, packed)]
-    expected = tuple(reduced_config(*entry) for entry, k in classes if k == i)
-    assert count == len(report.violations) >= 1
-    assert report.violations == expected
-    return i
-
-
-def test_a_violation_is_named_by_its_reduced_classes(monkeypatch, capsys):
-    # one slack signature planted negative in both forms: dualcert names
-    # the violation from the reduced classes and exits 3, where listing the
-    # full classes would trip the refusal (and, at d = 7, the full route's
-    # capacity error)
-    d = 6
-    name_a_planted_violation(monkeypatch, capsys, d, first_slack_signature(d, F(1)))
-
-
-def test_a_violation_past_index_2_is_named_by_its_key(monkeypatch, capsys):
-    # from index 2 on, a signature's index in the certificate's table is
-    # not its index in the canonical listing, so only its key names it
-    d = 4
-    j = first_slack_signature(d, F(1), after=2)
-    assert name_a_planted_violation(monkeypatch, capsys, d, j) != j
+    with monkeypatch.context() as patched:
+        patched.setattr(configurations, "graphs_up_to_iso", below_d)
+        for module in (configurations, cli):
+            patched.setattr(module, "enumerate_configs", refuse)
+        plant(patched, j, lambda cert, column, f: (-f[0], f[1], -f[2], f[3]))
+        assert cli.main(["dualcert", "--d", str(d), "--lambda", "1"]) == cli.EXIT_MISMATCH
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"Lambda_p=\S+ Lambda_c=\S+ violations=1 tight=\d+\n", out)
+        _, report = lp.feasibility(d, lam)
+    first, a1, a2, packed = lp._signature_table(d, lam)[j][:4]
+    assert report.violations == (first,)
+    if d <= 6:  # the canonical listing lists the 1,044 graphs on 7 vertices, seconds
+        assert signature(a1, a2, packed) in signature_classes(d)[2]
 
 
 def test_each_mutant_names_its_text_and_tests():

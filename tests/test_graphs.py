@@ -290,6 +290,9 @@ def test_graphs_up_to_iso_counts():
     # classic sequence of graphs on n unlabelled vertices
     for n, count in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)):
         assert len(graphs_up_to_iso(n)) == count
+    # a negative vertex count is refused, as by from_edges
+    with pytest.raises(UsageError, match="^vertex count must be >= 0, got -1$"):
+        graphs_up_to_iso(-1)
 
 
 def orbit_marking_oracle(n):

@@ -23,9 +23,7 @@ from wrkit.configurations import (
     full_class_signatures,
     local_alphas,
     local_partition_functions,
-    reduced_config,
     signature,
-    signature_classes,
     single_colour_config,
 )
 from wrkit.errors import DomainError, UsageError, VerificationError
@@ -53,6 +51,8 @@ from lp_oracles import (
     conditional_expectation_check,
     fraction_alphas,
     monotone_lhs_check,
+    reduced_config,
+    signature_classes,
     verify_claims,
 )
 from test_configurations import configs, packed, reduced_configs
@@ -426,7 +426,8 @@ def test_report_rows_carry_their_signature_index():
 
 
 def test_signature_table_builds_one_configuration_per_signature(monkeypatch):
-    # a Configuration is built checked, through __post_init__, or from an
+    # a cold table builds one Configuration per signature, its first
+    # class; one is built checked, through __post_init__, or from an
     # enumeration's lists, through configurations._enumerated: count both
     from wrkit import configurations
 
@@ -444,9 +445,9 @@ def test_signature_table_builds_one_configuration_per_signature(monkeypatch):
 
     monkeypatch.setattr(Configuration, "__post_init__", counted)
     monkeypatch.setattr(configurations, "_enumerated", counted_enumerated)
-    signature_classes.cache_clear()  # so that the walk runs here
-    firsts, classes, index = signature_classes(5)
-    assert (len(built), len(firsts), len(classes), len(index)) == (390, 390, 1438, 390)
+    certificate_signatures.cache_clear()  # so that the walk runs here
+    firsts, index = certificate_signatures(5)
+    assert (len(built), len(firsts), len(index)) == (390, 390, 390)
 
 
 def test_one_class_walk_per_degree(monkeypatch):
